@@ -74,7 +74,12 @@ def airy_contour(z: complex, eps: complex,
     threads both saddles), then divides by i sqrt(pi eps) so the value
     equals 2 sqrt(pi) eps^{-1/6} Ai(z eps^{-2/3}) for every z != 0.
     """
-    raw = airy_raw_contour(z, eps, spec)
+    return normalize_airy(airy_raw_contour(z, eps, spec), eps)
+
+
+def normalize_airy(raw: LaplaceResult, eps: complex) -> LaplaceResult:
+    """A raw contour result divided by i sqrt(pi eps), the normalization
+    that makes the Airy integral equal the Borel sum of its symbol."""
     norm = 1.0 / (1j * cmath.sqrt(math.pi * eps))
     return LaplaceResult(value=raw.value * norm,
                          est_error=raw.est_error * abs(norm),

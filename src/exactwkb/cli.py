@@ -131,15 +131,13 @@ def cmd_pde(args) -> dict:
     F = _load_series(args.F)
     h = _load_series(args.h)
     Nx, Nz = args.orders
-    psi = pde_taylor(F, h, Nx, Nz, route=args.route)
+    psi = pde_taylor(F, h, Nx, Nz)
     worst = pde_residual(psi, F.with_trunc(min(F.trunc, Fraction(Nz + 1))))
-    out = {
+    return {
         "a": [_series_json(a) for a in psi.a_list],
         "Nx": Nx, "Nz": Nz,
         "residual_max_coeff": str(worst) if isinstance(worst, Fraction) else abs(worst),
-        "meta": {"route": args.route},
     }
-    return out
 
 
 def cmd_confluent(args) -> dict:
@@ -303,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--h", required=True)
     q.add_argument("--orders", type=_order_pair, default=(12, 12),
                    metavar="NX,NZ")
-    q.add_argument("--route", choices=("transform", "ode"), default="transform")
     q.set_defaults(fn=cmd_pde)
 
     q = sub.add_parser("confluent", help="confluent-function contour value")

@@ -240,26 +240,7 @@ def saddle_point_integral(S, dS, d2S, saddle: complex, eps: complex,
         trunc_extra = 0.0 if clean else 1.0
         if len(nodes) < 3:
             raise ContourFailure("descent trace collapsed at the saddle")
-    shift = S(saddle) / eps
-
-    def f(w):
-        arr = np.asarray(w)
-        vals = np.exp(-S(arr) / eps + shift)
-        if g is not None:
-            vals = vals * g(arr)
-        return vals
-
-    def phase(w):
-        return S(w) / eps
-
-    res = integrate_polyline(f, nodes, spec, phase=phase)
-    scale = cmath.exp(-shift)
-    end_mag = max(abs(complex(f(np.array([nodes[0]]))[0])),
-                  abs(complex(f(np.array([nodes[-1]]))[0])))
-    trunc_err = end_mag * descent_scale(d2S(saddle), eps) * (1.0 + trunc_extra)
-    return LaplaceResult(value=res.value * scale,
-                         est_error=(res.est_error + trunc_err) * abs(scale),
-                         nodes_used=res.nodes_used)
+    return _polyline_tail(S, d2S, nodes, saddle, eps, spec, g, 1.0 + trunc_extra)
 
 
 def descent_chain_integral(S, dS, d2S, saddles: Sequence[complex], eps: complex,
@@ -308,7 +289,17 @@ def descent_chain_integral(S, dS, d2S, saddles: Sequence[complex], eps: complex,
             chain.extend(half[1:])
 
     dominant = min(saddles, key=lambda s: (S(s) / eps).real)
-    shift = S(dominant) / eps
+    return _polyline_tail(S, d2S, chain, dominant, eps, spec, g, 1.0)
+
+
+def _polyline_tail(S, d2S, nodes: Sequence[complex], anchor: complex,
+                   eps: complex, spec: ContourSpec, g: Callable | None,
+                   trunc_factor: float) -> LaplaceResult:
+    """int exp(-S/eps) g along a finished polyline, scaled at the anchor
+    saddle: the integrand carries exp(S(anchor)/eps) so it stays O(1),
+    and the truncation error is the endpoint magnitude times the anchor's
+    Gaussian width times trunc_factor."""
+    shift = S(anchor) / eps
 
     def f(w):
         arr = np.asarray(w)
@@ -320,11 +311,11 @@ def descent_chain_integral(S, dS, d2S, saddles: Sequence[complex], eps: complex,
     def phase(w):
         return S(w) / eps
 
-    res = integrate_polyline(f, nodes=chain, spec=spec, phase=phase)
+    res = integrate_polyline(f, nodes, spec, phase=phase)
     scale = cmath.exp(-shift)
-    end_mag = max(abs(complex(f(np.array([chain[0]]))[0])),
-                  abs(complex(f(np.array([chain[-1]]))[0])))
-    trunc_err = end_mag * descent_scale(d2S(dominant), eps)
+    end_mag = max(abs(complex(f(np.array([nodes[0]]))[0])),
+                  abs(complex(f(np.array([nodes[-1]]))[0])))
+    trunc_err = end_mag * descent_scale(d2S(anchor), eps) * trunc_factor
     return LaplaceResult(value=res.value * scale,
                          est_error=(res.est_error + trunc_err) * abs(scale),
                          nodes_used=res.nodes_used)

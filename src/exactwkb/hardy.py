@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .contours import ContourSpec, LaplaceResult, saddle_point_integral
+from .contours import (ContourSpec, LaplaceResult, canonical_up_dir,
+                       saddle_descent_path, saddle_point_integral)
 from .errors import ContourFailure
 
 Poly2 = dict  # {(i, j): Fraction} for z^i zhat^j
@@ -26,50 +27,26 @@ def hardy_polynomial(m: int) -> list[Fraction]:
     """Coefficients (ascending) of P_m with cosh(mq) = P_m(sinh q) for
     even m and sinh(mq) = P_m(sinh q) for odd m.
 
-    Builds cosh/sinh(mq) by the addition formulas over the ring
-    Z[s, c]/(c^2 = 1 + s^2), then eliminates c.
+    Runs the recurrence P_{k+2} = 2(1 + 2s^2) P_k - P_{k-2}, which is
+    f((k+2)q) + f((k-2)q) = 2 cosh(2q) f(kq) for f = cosh, sinh with
+    cosh 2q = 1 + 2 sinh^2 q, from the seeds P_0 = 1, P_2 = 1 + 2s^2
+    (even m) or P_-1 = -s, P_1 = s (odd m).
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-
-    # elements p(s) + q(s) c of Z[s, c]/(c^2 - 1 - s^2)
-    def mul(a, b):
-        (p1, q1), (p2, q2) = a, b
-        p = _padd(_pmul(p1, p2),
-                  _pmul(_pmul(q1, q2), [Fraction(1), Fraction(0), Fraction(1)]))
-        q = _padd(_pmul(p1, q2), _pmul(q1, p2))
-        return (p, q)
-
-    sinh1 = ([Fraction(0), Fraction(1)], [Fraction(0)])   # s
-    cosh1 = ([Fraction(0)], [Fraction(1)])                # c
-    sin_k, cos_k = sinh1, cosh1
-    for _ in range(m - 1):
-        sin_k, cos_k = (_pair_add(mul(sin_k, cosh1), mul(cos_k, sinh1)),
-                        _pair_add(mul(cos_k, cosh1), mul(sin_k, sinh1)))
-    p, q = cos_k if m % 2 == 0 else sin_k
-    if any(c != 0 for c in q):
-        raise AssertionError("parity elimination failed for P_m")
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else Fraction(0))
-            + (b[i] if i < len(b) else Fraction(0)) for i in range(n)]
-
-
-def _pair_add(a, b):
-    return (_padd(a[0], b[0]), _padd(a[1], b[1]))
+    if m % 2 == 0:
+        lo, hi = [Fraction(1)], [Fraction(1), Fraction(0), Fraction(2)]
+    else:
+        lo, hi = [Fraction(0), Fraction(-1)], [Fraction(0), Fraction(1)]
+    for _ in range((m - 1) // 2):
+        nxt = [Fraction(0)] * (len(hi) + 2)
+        for i, c in enumerate(hi):
+            nxt[i] += 2 * c
+            nxt[i + 2] += 4 * c
+        for i, c in enumerate(lo):
+            nxt[i] -= c
+        lo, hi = hi, nxt
+    return hi
 
 
 @dataclass(frozen=True)
@@ -206,6 +183,41 @@ def poly2_eval(p: Poly2, z: complex, zhat) -> complex | np.ndarray:
     return out
 
 
+def _hardy_setup(n: int, z: complex, eps: complex, convention: str):
+    """Shared set-up of the Phi_n integral at z.
+
+    Returns (w, calls, saddle): the exponent scale w for the convention,
+    a builder calls(z') -> (S, dS, d2S) of the zhat-callables at z', and
+    the most recessive saddle at z (largest Re(S/w): smallest integrand).
+    """
+    if convention == "eps2":
+        w = eps
+    elif convention == "eps":
+        w = cmath.sqrt(eps)
+    else:
+        raise ValueError("convention must be 'eps' or 'eps2'")
+    pair = hardy_S_T(n)
+    dS = _d(pair.S, 1)
+    dd = _d(dS, 1)
+
+    def calls(zz):
+        return (lambda x: poly2_eval(pair.S, zz, x),
+                lambda x: poly2_eval(dS, zz, x),
+                lambda x: poly2_eval(dd, zz, x))
+
+    # saddles: roots of dS/dzhat(z, .)
+    deg = max(j for (_, j) in dS)
+    poly = np.zeros(deg + 1, dtype=complex)
+    for (i, j), c in dS.items():
+        poly[deg - j] += float(c) * (z ** i)
+    saddles = np.roots(poly)
+    if len(saddles) == 0:
+        raise ContourFailure("no saddle points")
+    S_at = [complex(poly2_eval(pair.S, z, s)) for s in saddles]
+    k = int(np.argmax([(v / w).real for v in S_at]))
+    return w, calls, complex(saddles[k])
+
+
 def hardy_phi_eval(n: int, z: complex, eps: complex,
                    spec: ContourSpec | None = None,
                    convention: str = "eps2") -> LaplaceResult:
@@ -217,37 +229,8 @@ def hardy_phi_eval(n: int, z: complex, eps: complex,
     eps Phi'' = z^n Phi as in the first-power normalization (the two
     printed forms of the model equation differ; both are exposed).
     """
-    if convention == "eps2":
-        w = eps
-    elif convention == "eps":
-        w = cmath.sqrt(eps)
-    else:
-        raise ValueError("convention must be 'eps' or 'eps2'")
-    pair = hardy_S_T(n)
-    spec = spec or ContourSpec()
-    dS = _d(pair.S, 1)
-    dd = _d(dS, 1)
-    # saddles: roots of dS/dzhat(z, .)
-    deg = max(j for (_, j) in dS)
-    poly = np.zeros(deg + 1, dtype=complex)
-    for (i, j), c in dS.items():
-        poly[deg - j] += float(c) * (z ** i)
-    saddles = np.roots(poly)
-    if len(saddles) == 0:
-        raise ContourFailure("no saddle points")
-    S_at = [complex(poly2_eval(pair.S, z, s)) for s in saddles]
-    # most recessive: largest Re(S/w) (smallest integrand)
-    k = int(np.argmax([(v / w).real for v in S_at]))
-    saddle = complex(saddles[k])
-
-    def S(x):
-        return poly2_eval(pair.S, z, x)
-
-    def d2S(x):
-        return poly2_eval(dd, z, x)
-
-    return saddle_point_integral(S, lambda x: poly2_eval(dS, z, x), d2S,
-                                 saddle, w, spec)
+    w, calls, saddle = _hardy_setup(n, z, eps, convention)
+    return saddle_point_integral(*calls(z), saddle, w, spec or ContourSpec())
 
 
 def hardy_ode_residual(n: int, z: complex, eps: complex,
@@ -257,46 +240,17 @@ def hardy_ode_residual(n: int, z: complex, eps: complex,
     """Relative residual of the turning-point ODE at z by 5-point finite
     differences on a fixed contour (the path is frozen at the stencil
     center so Phi stays analytic across the stencil)."""
-    if convention == "eps2":
-        w = eps
-    else:
-        w = cmath.sqrt(eps)
-    pair = hardy_S_T(n)
-    dS = _d(pair.S, 1)
-    deg = max(j for (_, j) in dS)
-    poly = np.zeros(deg + 1, dtype=complex)
-    for (i, j), c in dS.items():
-        poly[deg - j] += float(c) * (z ** i)
-    saddles = np.roots(poly)
-    S_at = [complex(poly2_eval(pair.S, z, s)) for s in saddles]
-    k = int(np.argmax([(v / w).real for v in S_at]))
-    saddle = complex(saddles[k])
-    dd = _d(dS, 1)
+    w, calls, saddle = _hardy_setup(n, z, eps, convention)
     base = spec or ContourSpec()
-
-    def S0(x):
-        return poly2_eval(pair.S, z, x)
-
-    def d2S0(x):
-        return poly2_eval(dd, z, x)
-
-    from .contours import canonical_up_dir, saddle_descent_path
-    nodes, _, _ = saddle_descent_path(S0, lambda x: poly2_eval(dS, z, x), d2S0,
-                                      saddle, w,
-                                      base, canonical_up_dir(complex(d2S0(saddle)), w))
+    S0, dS0, d2S0 = calls(z)
+    nodes, _, _ = saddle_descent_path(S0, dS0, d2S0, saddle, w, base,
+                                      canonical_up_dir(complex(d2S0(saddle)), w))
     fixed = base.with_path(nodes)
 
     h = h_rel * abs(eps) ** 0.5
 
     def phi(zz):
-        def S(x):
-            return poly2_eval(pair.S, zz, x)
-
-        def d2S(x):
-            return poly2_eval(dd, zz, x)
-
-        return saddle_point_integral(S, lambda x: poly2_eval(dS, zz, x), d2S,
-                                     saddle, w, fixed).value
+        return saddle_point_integral(*calls(zz), saddle, w, fixed).value
 
     f2 = (-phi(z + 2 * h) + 16 * phi(z + h) - 30 * phi(z)
           + 16 * phi(z - h) - phi(z - 2 * h)) / (12 * h * h)

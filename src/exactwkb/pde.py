@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .airy import airy_S, airy_saddle_chain, symbol_borel_sum
-from .contours import ContourSpec, LaplaceResult, descent_chain_integral
+from .airy import airy_raw_contour, normalize_airy, symbol_borel_sum
+from .contours import ContourSpec, LaplaceResult
 from .errors import DomainExit
 from .series import INF, PuiseuxSeries, require_taylor
 from .transport import transport_g
@@ -47,24 +47,18 @@ class BivariateSeries:
         return out
 
 
-def pde_taylor(F: PuiseuxSeries, h: PuiseuxSeries, Nx: int, Nz: int,
-               route: str = "transform") -> BivariateSeries:
+def pde_taylor(F: PuiseuxSeries, h: PuiseuxSeries, Nx: int, Nz: int) -> BivariateSeries:
     """Unique formal solution with a_0 = 1, a_1 = h.
 
     For n >= 2 the ODE  4z a_n' + n a_n = (1/(n-1)) (-a_{n-2}''
-    + 2(n-2) a_{n-1}' + F a_{n-2})  is solved either by
-
-    route='transform': the exact coefficient action of the kernel
-        G -> int_0^1 u^{n-1} G(u^4 z) du, which maps z^m to z^m/(n+4m);
-    route='ode': direct coefficientwise division (n + 4m) c_m = rhs_m.
-
-    Both are exact; they are kept as independent code paths and
-    cross-checked in the test suite.
+    + 2(n-2) a_{n-1}' + F a_{n-2})  is solved by the exact coefficient
+    action of its kernel G -> int_0^1 u^{n-1} G(u^4 z) du, which maps
+    z^m to z^m/(n+4m).  The independent exact route is the Picard
+    iteration of the integral equation (picard_deltas); the two are
+    cross-checked by picard_partial_sums_match.
     """
     require_taylor(F, "F")
     require_taylor(h, "h")
-    if route not in ("transform", "ode"):
-        raise ValueError(f"unknown route {route!r}")
     cap = Fraction(Nz + 1)
     # the recursion runs at the inputs' own truncation (exact data stays
     # exact); the retention window Nz is applied at the end
@@ -73,22 +67,11 @@ def pde_taylor(F: PuiseuxSeries, h: PuiseuxSeries, Nx: int, Nz: int,
         rhs = (-a[n - 2].derivative().derivative()
                + a[n - 1].derivative() * (2 * (n - 2))
                + F * a[n - 2]) * Fraction(1, n - 1)
-        if route == "transform":
-            a_n = PuiseuxSeries(
-                {m: c * Fraction(1, n + 4 * int(m)) for m, c in rhs.coeffs.items()},
-                trunc=rhs.trunc)
-        else:
-            a_n = _solve_euler_ode(rhs, n)
-        a.append(a_n)
+        a.append(PuiseuxSeries(
+            {m: c * Fraction(1, n + 4 * int(m)) for m, c in rhs.coeffs.items()},
+            trunc=rhs.trunc))
     return BivariateSeries(a_list=tuple(s.with_trunc(min(s.trunc, cap)) for s in a),
                            Nx=Nx, Nz=Nz)
-
-
-def _solve_euler_ode(rhs: PuiseuxSeries, n: int) -> PuiseuxSeries:
-    """4z c' + n c = rhs, coefficientwise (always solvable: 4m + n > 0)."""
-    return PuiseuxSeries(
-        {m: c / (4 * int(m) + n) for m, c in rhs.coeffs.items()},
-        trunc=rhs.trunc)
 
 
 def pde_residual(psi: BivariateSeries, F: PuiseuxSeries):
@@ -308,10 +291,12 @@ def confluent_eval(F: PuiseuxSeries, h: PuiseuxSeries, z: complex, eps: complex,
     """Confluent-function value at (z, eps), normalized like the Airy model.
 
     Evaluates int exp(-S(z, zhat)/eps) psi(z, z - zhat^2) dzhat along the
-    continued descent chain and divides by i sqrt(pi eps), so that for
-    F = 0, h = 0 the value coincides with airy_contour.  The path is
-    truncated where |z - zhat^2| exceeds the kernel's empirical
-    convergence radius (DomainExit for explicit paths that violate it).
+    Airy model's continued descent chain (airy_raw_contour with the
+    kernel as weight) and divides by i sqrt(pi eps), so that for F = 0,
+    h = 0 the value coincides with airy_contour.  The path is truncated
+    where |z - zhat^2| exceeds the kernel's empirical convergence radius
+    (DomainExit for explicit paths that violate it).  z = 0 is the
+    turning point and raises ContourFailure, as in airy_contour.
     """
     if psi is None:
         psi = pde_taylor(F, h, Nx, Nz)
@@ -335,15 +320,7 @@ def confluent_eval(F: PuiseuxSeries, h: PuiseuxSeries, z: complex, eps: complex,
     def g(w):
         return psi.eval_many(z, z - w * w)
 
-    S, dS, d2S = airy_S(z)
-    saddles, up = airy_saddle_chain(z, eps)
-    hint = cmath.exp(1j * (-math.pi / 3.0 + cmath.phase(eps) / 3.0))
-    raw = descent_chain_integral(S, dS, d2S, saddles, eps, use, g=g,
-                                 up_dir_last=up, in_dir_hint=hint)
-    norm = 1.0 / (1j * cmath.sqrt(math.pi * eps))
-    return LaplaceResult(value=raw.value * norm,
-                         est_error=raw.est_error * abs(norm),
-                         nodes_used=raw.nodes_used)
+    return normalize_airy(airy_raw_contour(z, eps, use, g=g), eps)
 
 
 def _default_x_cap(psi: BivariateSeries, z_abs: float) -> float:

@@ -47,12 +47,18 @@ def liouville_map(V: PuiseuxSeries, N: int) -> PuiseuxSeries:
     return zq
 
 
-def schwarzian(f: PuiseuxSeries, order=None) -> PuiseuxSeries:
-    """{f, q} = f'''/f' - (3/2)(f''/f')^2 for a series with f'(0) != 0."""
-    f1 = f.derivative()
-    f2 = f1.derivative()
-    f3 = f2.derivative()
-    inv = f1.inverse(order=order)
+def schwarzian(f, order=None):
+    """{f, z} = f'''/f' - (3/2)(f''/f')^2 for f'(0) != 0.
+
+    f is a PuiseuxSeries or an EpsSeries (differentiated in z
+    coefficientwise); ``order`` is passed to the inverse of f'.
+    """
+    if isinstance(f, PuiseuxSeries):
+        return schwarzian(EpsSeries([f]), order)[0]
+    f1 = f.dz()
+    f2 = f1.dz()
+    f3 = f2.dz()
+    inv = f1.recip(order)
     r2 = f2 * inv
     return f3 * inv - r2 * r2 * Fraction(3, 2)
 
@@ -96,19 +102,16 @@ class ReductionSeries:
         return ReductionSeries(s_coeffs=tuple(out))
 
 
+def _master_lhs(S: EpsSeries) -> EpsSeries:
+    """s (s')^2 - (eps^2/2){s, z}, the left-hand side of the master relation."""
+    S1 = S.dz()
+    return S * S1 * S1 - schwarzian(S).eps_shift(2) * _HALF
+
+
 def master_relation_residual(s: ReductionSeries, F: PuiseuxSeries,
                              orders: int | None = None) -> EpsSeries:
     """s (s')^2 - (eps^2/2){s, z} - z - eps^2 F as an eps-series."""
-    S = s.as_eps_series()
-    S1 = S.dz()
-    lhs = S * S1 * S1
-    # {s, z}: all eps-series with invertible leading coefficient s0' = 1
-    S2 = S1.dz()
-    S3 = S2.dz()
-    inv = S1.recip()
-    r2 = S2 * inv
-    sch = S3 * inv - r2 * r2 * Fraction(3, 2)
-    lhs = lhs - sch.eps_shift(2) * _HALF
+    lhs = _master_lhs(s.as_eps_series())
     z = PuiseuxSeries.monomial(1, 1)
     rhs = EpsSeries.const(z, lhs.order) + EpsSeries.const(F, lhs.order).eps_shift(2)
     resid = lhs - rhs.truncated(lhs.order)
@@ -163,15 +166,7 @@ def schrodinger_pipeline(V: PuiseuxSeries, N: int,
 def schrodinger_master_residual(s_q: ReductionSeries, V: PuiseuxSeries,
                                 orders: int) -> EpsSeries:
     """s (ds/dq)^2 - (eps^2/2){s, q} - V(q), the q-variable certificate."""
-    S = s_q.as_eps_series()
-    S1 = S.dz()
-    lhs = S * S1 * S1
-    S2 = S1.dz()
-    S3 = S2.dz()
-    inv = S1.recip()
-    r2 = S2 * inv
-    sch = S3 * inv - r2 * r2 * Fraction(3, 2)
-    lhs = lhs - sch.eps_shift(2) * _HALF
+    lhs = _master_lhs(s_q.as_eps_series())
     resid = lhs - EpsSeries.const(V, lhs.order)
     return resid.truncated(orders + 1)
 
@@ -209,13 +204,7 @@ def airy_basis_decomposition(phi: WKBSymbol, N: int) -> BasisDecomposition:
         raise SeriesError("decompose the sign=+1 determination")
     if N > phi.order:
         raise SeriesError(f"phi carries only {phi.order} orders, asked {N}")
-    A = airy_symbol(N)
-    u = list(A.eps_coeffs)
-    v = [PuiseuxSeries.monomial(-1, _HALF) * u[0]]
-    quarter = PuiseuxSeries.monomial(Fraction(1, 4), -1)
-    for m in range(1, N + 1):
-        v.append(PuiseuxSeries.monomial(-1, _HALF) * u[m]
-                 + u[m - 1].derivative() - quarter * u[m - 1])
+    u, v = _airy_basis(N)
     a: list[PuiseuxSeries] = []
     b: list[PuiseuxSeries] = []
     inv_sqrt = PuiseuxSeries.monomial(-1, -_HALF)
@@ -231,15 +220,21 @@ def airy_basis_decomposition(phi: WKBSymbol, N: int) -> BasisDecomposition:
     return BasisDecomposition(a_coeffs=tuple(a), b_coeffs=tuple(b))
 
 
-def reconstruct_from_basis(dec: BasisDecomposition, N: int) -> WKBSymbol:
-    """a A + b eps dA/dz as a plain symbol (for exact reconstruction checks)."""
-    A = airy_symbol(N)
-    u = list(A.eps_coeffs)
+def _airy_basis(N: int) -> tuple[list, list]:
+    """eps-coefficients u_m of A and v_m of eps dA/dz (common prefactor
+    removed): v_m = -z^{1/2} u_m + u_{m-1}' - u_{m-1}/(4z)."""
+    u = list(airy_symbol(N).eps_coeffs)
     v = [PuiseuxSeries.monomial(-1, _HALF) * u[0]]
     quarter = PuiseuxSeries.monomial(Fraction(1, 4), -1)
     for m in range(1, N + 1):
         v.append(PuiseuxSeries.monomial(-1, _HALF) * u[m]
                  + u[m - 1].derivative() - quarter * u[m - 1])
+    return u, v
+
+
+def reconstruct_from_basis(dec: BasisDecomposition, N: int) -> WKBSymbol:
+    """a A + b eps dA/dz as a plain symbol (for exact reconstruction checks)."""
+    u, v = _airy_basis(N)
     gs = []
     for n in range(N + 1):
         acc = PuiseuxSeries.zero()

@@ -457,13 +457,6 @@ class PuiseuxSeries:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        def enc(v):
-            if isinstance(v, Fraction):
-                return str(v)
-            if hasattr(v, "re") and hasattr(v, "im") and is_exact(v):
-                return None  # handled below
-            return v
-
         coeffs = []
         for e, c in self.terms():
             if is_exact(c):
@@ -570,18 +563,6 @@ class TaylorSeries(PuiseuxSeries):
             if e < 0 or e.denominator != 1:
                 raise SeriesError(f"TaylorSeries got exponent {e}")
 
-    @classmethod
-    def from_list(cls, vals, trunc=None) -> "TaylorSeries":
-        t = len(vals) if trunc is None else trunc
-        return cls({Fraction(i): v for i, v in enumerate(vals)}, t)
-
-
-def as_taylor(s: PuiseuxSeries) -> TaylorSeries:
-    """View a Puiseux series as Taylor, validating the invariant."""
-    if isinstance(s, TaylorSeries):
-        return s
-    return TaylorSeries(s.coeffs, s.trunc)
-
 
 def require_taylor(s: PuiseuxSeries, name: str) -> PuiseuxSeries:
     if not s.is_taylor():
@@ -676,9 +657,10 @@ class EpsSeries:
     def dz(self) -> "EpsSeries":
         return EpsSeries([c.derivative() for c in self.coeffs])
 
-    def recip(self) -> "EpsSeries":
-        """1/self when the eps^0 coefficient is an invertible series."""
-        c0inv = self.coeffs[0].inverse()
+    def recip(self, order=None) -> "EpsSeries":
+        """1/self when the eps^0 coefficient is an invertible series
+        (``order`` as in :meth:`PuiseuxSeries.inverse`)."""
+        c0inv = self.coeffs[0].inverse(order)
         n = self.order
         out = [c0inv]
         for k in range(1, n):

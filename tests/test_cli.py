@@ -118,6 +118,13 @@ def test_pde_subcommand_comma_orders(capsys):
     assert d["Nx"] == 8 and d["Nz"] == 8
 
 
+def test_confluent_turning_point_exit_3(capsys):
+    code, out = run_cli(["confluent", "--F", "[]", "--h", "[]",
+                         "--z", "0", "0", "--eps", "0.05", "0.02"], capsys)
+    assert code == 3
+    assert out == ""
+
+
 def test_tp_precision_env(monkeypatch, capsys):
     monkeypatch.setenv("TP_PRECISION", "20")
     code, out = run_cli(["borel", "--z", "1", "0", "--eps", "0.1", "0",

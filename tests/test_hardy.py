@@ -20,7 +20,7 @@ def test_low_order_polynomials():
     assert hardy_polynomial(4) == [Fr(1), Fr(0), Fr(8), Fr(0), Fr(8)]
 
 
-@pytest.mark.parametrize("m", range(2, 10))
+@pytest.mark.parametrize("m", range(2, 16))
 def test_hyperbolic_identity_sampling(m):
     rng = random.Random(m)
     P = hardy_polynomial(m)
@@ -75,6 +75,12 @@ def test_phi1_proportional_to_airy_integral():
 def test_ode_residual(conv):
     r = hardy_ode_residual(2, 1.0, 0.1, convention=conv)
     assert r < 1e-6, (conv, r)
+
+
+@pytest.mark.parametrize("fn", [hardy_phi_eval, hardy_ode_residual])
+def test_unknown_convention_rejected(fn):
+    with pytest.raises(ValueError):
+        fn(2, 1.0, 0.1, convention="eps3")
 
 
 def test_reversed_orientation_flips_sign():
