@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .borel import PADE_DEFAULT, borel_pade_laplace
+from .borel import PADE_DEFAULT, borel_pade_laplace, pade_from_taylor
 from .contours import ContourSpec, LaplaceResult, descent_chain_integral
 from .errors import ContourFailure
 from .series import PuiseuxSeries
@@ -139,8 +139,7 @@ def airy_saddle_chain(z: complex, eps: complex):
 
 def airy_borel_sum(z: complex, eps: complex, N: int,
                    pade: tuple[int, int] | None = PADE_DEFAULT,
-                   theta: float = 0.0,
-                   method: str = "laguerre") -> LaplaceResult:
+                   theta: float = 0.0) -> LaplaceResult:
     """Borel sum of the Airy symbol at (z, eps) via Pade acceleration.
 
     N counts eps-orders including eps^0, so the minor is built from
@@ -148,17 +147,15 @@ def airy_borel_sum(z: complex, eps: complex, N: int,
     clamped down.  theta rotates the Laplace ray (lateral sums).
     """
     sym = airy_symbol(max(N - 1, 0))
-    return symbol_borel_sum(sym, z, eps, pade=pade, theta=theta, method=method)
+    return symbol_borel_sum(sym, z, eps, pade=pade, theta=theta)
 
 
 def symbol_borel_sum(symbol: WKBSymbol, z: complex, eps: complex,
                      pade: tuple[int, int] | None = PADE_DEFAULT,
-                     theta: float = 0.0,
-                     method: str = "laguerre") -> LaplaceResult:
+                     theta: float = 0.0) -> LaplaceResult:
     """Borel sum of any formal symbol at fixed z along the ray arg xi = theta."""
     minor_vals = symbol.minor().at_z(z)
-    res = borel_pade_laplace(minor_vals, eps, pade=pade, theta=theta,
-                             method=method)
+    res = borel_pade_laplace(minor_vals, eps, pade=pade, theta=theta)
     pref = symbol.prefactor(z, eps)
     return LaplaceResult(value=pref * (1.0 + res.value),
                          est_error=abs(pref) * res.est_error,
@@ -170,10 +167,12 @@ def airy_borel_sum_hp(z, eps, N: int, pade: tuple[int, int] | None = None,
     """High-precision Borel-Pade-Laplace sum of the Airy symbol.
 
     Same construction as airy_borel_sum but in mpmath arithmetic
-    throughout (exact rational minor coefficients, LU-solved Pade,
-    adaptive quadrature on the truncated ray).  Returns an mpmath mpc.
-    Needed where the summation error sits below the double-precision
-    floor, e.g. to resolve its decay as eps shrinks.
+    throughout: exact rational minor coefficients, the shared
+    pade_from_taylor (which LU-solves mpmath data at the working
+    precision), and mpmath.quad on the ray truncated where the weight
+    falls below 10^-dps.  Returns an mpmath mpc.  Needed where the
+    summation error sits below the double-precision floor, e.g. to
+    resolve its decay as eps shrinks.
     """
     with mpmath.workdps(dps):
         zm = mpmath.mpc(z)
@@ -196,37 +195,12 @@ def airy_borel_sum_hp(z, eps, N: int, pade: tuple[int, int] | None = None,
             * zpow_mp(-mpmath.mpf(1) / 4)
         if not c:
             return pref
-        if pade is None:
-            L = M = len(c) // 2
-        else:
-            L, M = pade
-        n_av = len(c)
-        while L + M + 1 > n_av:
-            if L >= M:
-                L -= 1
-            else:
-                M -= 1
-        if M > 0:
-            A = mpmath.matrix(M, M)
-            rhs = mpmath.matrix(M, 1)
-            for i in range(M):
-                for j in range(1, M + 1):
-                    k = L + 1 + i - j
-                    A[i, j - 1] = c[k] if k >= 0 else mpmath.mpf(0)
-                rhs[i] = -c[L + 1 + i]
-            b = mpmath.lu_solve(A, rhs)
-            den = [mpmath.mpc(1)] + [b[i] for i in range(M)]
-        else:
-            den = [mpmath.mpc(1)]
-        num = []
-        for k in range(L + 1):
-            acc = mpmath.mpc(0)
-            for j in range(0, min(k, M) + 1):
-                acc += den[j] * c[k - j]
-            num.append(acc)
+        L, M = pade if pade is not None else (len(c) // 2, len(c) // 2)
+        approx = pade_from_taylor(c, L, M)
 
         def R(xi):
-            return mpmath.polyval(num[::-1], xi) / mpmath.polyval(den[::-1], xi)
+            return mpmath.polyval(approx.num[::-1], xi) \
+                / mpmath.polyval(approx.den[::-1], xi)
 
         T = (dps * mpmath.log(10) + 10) * abs(em) / mpmath.cos(mpmath.arg(em))
         integral = mpmath.quad(lambda t: mpmath.exp(-t / em) * R(t), [0, T])
@@ -267,10 +241,8 @@ def lateral_sums(symbol: WKBSymbol, z: complex, eps: complex,
                  delta: float = math.radians(10.0),
                  singular_theta: float = 0.0) -> tuple[complex, complex]:
     """Lateral Borel sums of a symbol just below / above a singular ray
-    direction, using the adaptive ray quadrature (robust near the Pade
-    pole string that emulates the cut)."""
-    lo = symbol_borel_sum(symbol, z, eps, theta=singular_theta - delta,
-                          method="adaptive").value
-    hi = symbol_borel_sum(symbol, z, eps, theta=singular_theta + delta,
-                          method="adaptive").value
+    direction.  laplace_ray's geometrically graded panels resolve the
+    Pade pole string that emulates the cut, a few degrees off the ray."""
+    lo = symbol_borel_sum(symbol, z, eps, theta=singular_theta - delta).value
+    hi = symbol_borel_sum(symbol, z, eps, theta=singular_theta + delta).value
     return lo, hi

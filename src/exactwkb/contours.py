@@ -298,7 +298,8 @@ def _polyline_tail(S, d2S, nodes: Sequence[complex], anchor: complex,
     """int exp(-S/eps) g along a finished polyline, scaled at the anchor
     saddle: the integrand carries exp(S(anchor)/eps) so it stays O(1),
     and the truncation error is the endpoint magnitude times the anchor's
-    Gaussian width times trunc_factor."""
+    Gaussian width times trunc_factor.  Raises ContourFailure when the
+    scale exp(-S(anchor)/eps) overflows double precision."""
     shift = S(anchor) / eps
 
     def f(w):
@@ -312,7 +313,11 @@ def _polyline_tail(S, d2S, nodes: Sequence[complex], anchor: complex,
         return S(w) / eps
 
     res = integrate_polyline(f, nodes, spec, phase=phase)
-    scale = cmath.exp(-shift)
+    try:
+        scale = cmath.exp(-shift)
+    except OverflowError:
+        raise ContourFailure(f"saddle scale exp({-shift:.6g}) overflows "
+                             "double precision") from None
     end_mag = max(abs(complex(f(np.array([nodes[0]]))[0])),
                   abs(complex(f(np.array([nodes[-1]]))[0])))
     trunc_err = end_mag * descent_scale(d2S(anchor), eps) * trunc_factor

@@ -35,14 +35,13 @@ class StokesDiagram:
     sector_labels: dict = field(default_factory=dict)
 
 
-def canonical_stokes_lines(alpha: float, extent: float = 3.0,
-                           n_nodes: int = 40) -> StokesDiagram:
-    """The three exact rays of the canonical simple turning point."""
+def canonical_stokes_lines(alpha: float, extent: float = 3.0) -> StokesDiagram:
+    """The three exact rays of the canonical simple turning point, each
+    sampled at 40 equally spaced nodes."""
     lines = []
     for k in (0, 1, -1):
         th = 2.0 * (alpha + k * math.pi) / 3.0
-        ray = tuple((extent * j / (n_nodes - 1)) * cmath.exp(1j * th)
-                    for j in range(n_nodes))
+        ray = tuple((extent * j / 39) * cmath.exp(1j * th) for j in range(40))
         lines.append(ray)
     labels = {"S1": "between L0 and L1", "S2": "between L1 and L-1",
               "S-1": "between L-1 and L0"}

@@ -38,6 +38,8 @@ def zpow(z: complex, e) -> complex:
     """z**e on the branch that is positive real along L0."""
     e = float(e)
     if z == 0:
+        if e == 0:
+            return 1 + 0j
         return 0j if e > 0 else complex("inf")
     r = abs(z)
     th = branch_arg(z)

@@ -11,7 +11,7 @@ from exactwkb.airy import (airy_alpha, airy_borel_sum, airy_contour,
                            airy_oracle, airy_symbol, lateral_sums,
                            stokes_jump, symbol_borel_sum)
 from exactwkb.borel import pade_from_taylor
-from exactwkb.errors import PoleOnRay
+from exactwkb.errors import ContourFailure, PoleOnRay
 from exactwkb.series import PuiseuxSeries
 from exactwkb.symbols import branch_arg, zpow
 
@@ -37,6 +37,7 @@ def test_symbol_monomials_and_minor_factorials():
 def test_branch_positive_real_on_L0():
     assert abs(zpow(2.0, Fr(3, 2)) - 2.0 ** 1.5) < 1e-15
     assert abs(zpow(2.0, Fr(1, 4)) - 2.0 ** 0.25) < 1e-15
+    assert zpow(0, 0) == 1
     # cut placement: branch_arg covers (-2pi/3, 4pi/3]
     assert branch_arg(cmath.exp(1j * 0.99 * math.pi)) > 0
     assert branch_arg(cmath.exp(1j * 1.3 * math.pi)) > math.pi
@@ -62,6 +63,12 @@ def test_contour_real_on_L0():
     assert abs(r.value.imag) < 1e-12 * abs(r.value)
 
 
+def test_contour_scale_overflow_raises():
+    # exp(-S(saddle)/eps) is about e^720 here: typed failure, not OverflowError
+    with pytest.raises(ContourFailure):
+        airy_contour(-3.22 + 3.83j, 0.01)
+
+
 def test_contour_all_sectors_vs_oracle():
     for th in (-0.6 * math.pi, -0.2 * math.pi, 0.3 * math.pi, 2 * math.pi / 3,
                0.85 * math.pi, 1.1 * math.pi):
@@ -76,6 +83,15 @@ def test_borel_sum_vs_contour(eps):
     b = airy_borel_sum(1.0, eps, 24, pade=(12, 12))
     c = airy_contour(1.0, eps)
     assert abs(b.value - c.value) / abs(c.value) < 1e-8
+
+
+def test_borel_sum_near_pole_string_vs_oracle():
+    # the minor's singular direction (and its Pade pole string) lies about
+    # 10.6 degrees off the Laplace ray arg xi = 0 here
+    z, eps = -0.3093568941868805 - 0.722465366266679j, 0.16721583761194078
+    b = airy_borel_sum(z, eps, 30)
+    o = airy_oracle(z, eps)
+    assert abs(b.value - o) / abs(o) < 1e-8
 
 
 def test_borel_error_decreases_with_eps():
@@ -123,8 +139,14 @@ def test_lateral_sum_above_continues_entire_function_on_L1():
     assert abs(lo - oracle) / abs(oracle) > 1e-10  # below-ray sum differs
 
 
-def test_stokes_jump_matches_alien_derivative():
-    jump, pred = stokes_jump(L1_POINT, 0.05, 40)
+@pytest.mark.parametrize("z, eps, N", [
+    pytest.param(L1_POINT, 0.05, 40, id="L1_real_eps"),
+    pytest.param(-0.14458099545136907 + 0.2504216299306561j,
+                 0.19105987376650582 + 0.04603891116520134j, 37,
+                 id="complex_eps"),
+])
+def test_stokes_jump_matches_alien_derivative(z, eps, N):
+    jump, pred = stokes_jump(z, eps, N)
     assert abs(jump - pred) / abs(pred) < 1e-4
 
 

@@ -125,6 +125,20 @@ def test_confluent_turning_point_exit_3(capsys):
     assert out == ""
 
 
+def test_contour_overflow_exit_3(capsys):
+    code, out = run_cli(["confluent", "--F", "[]", "--h", "[]",
+                         "--z", "-3.22", "3.83", "--eps", "0.01", "0"], capsys)
+    assert code == 3
+    assert out == ""
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, exactwkb; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_tp_precision_env(monkeypatch, capsys):
     monkeypatch.setenv("TP_PRECISION", "20")
     code, out = run_cli(["borel", "--z", "1", "0", "--eps", "0.1", "0",
