@@ -23,7 +23,7 @@ from .contours import ContourSpec
 from .errors import ContourFailure, DomainExit, ExactWKBError, PoleOnRay, TraceEscape
 from .pde import confluent_eval, pde_residual, pde_taylor
 from .reduction import schrodinger_pipeline
-from .series import PuiseuxSeries
+from .series import PuiseuxSeries, max_abs_coeff
 from .stokes import (SECTOR_CONVENTION, canonical_stokes_lines,
                      node_condition_residuals, potential_stokes_curves)
 from .transport import riccati_p, symbol_consistency, transport_g, wkb_residual
@@ -72,8 +72,9 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {obj!r}")
 
 
-def _series_json(s: PuiseuxSeries) -> dict:
-    return s.to_json_dict()
+def _worst_json(w):
+    """A largest residual coefficient: exact as a string, else its modulus."""
+    return str(w) if isinstance(w, Fraction) else abs(w)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -118,8 +119,8 @@ def cmd_transport(args) -> dict:
     resid = wkb_residual(sym, F)
     rep = symbol_consistency(F, min(args.orders, 6)) if args.orders >= 2 else {}
     return {
-        "g": [_series_json(g) for g in sym.eps_coeffs],
-        "p": [_series_json(p) for p in ric.p_coeffs],
+        "g": [g.to_json_dict() for g in sym.eps_coeffs],
+        "p": [p.to_json_dict() for p in ric.p_coeffs],
         "wkb_residual_zero": all(r.is_zero() for r in resid),
         "consistency": {k: (str(v) if isinstance(v, Fraction) else v)
                         for k, v in rep.items() if k != "C"},
@@ -134,9 +135,9 @@ def cmd_pde(args) -> dict:
     psi = pde_taylor(F, h, Nx, Nz)
     worst = pde_residual(psi, F.with_trunc(min(F.trunc, Fraction(Nz + 1))))
     return {
-        "a": [_series_json(a) for a in psi.a_list],
+        "a": [a.to_json_dict() for a in psi.a_list],
         "Nx": Nx, "Nz": Nz,
-        "residual_max_coeff": str(worst) if isinstance(worst, Fraction) else abs(worst),
+        "residual_max_coeff": _worst_json(worst),
     }
 
 
@@ -189,17 +190,12 @@ def cmd_reduce(args) -> dict:
     from .reduction import schrodinger_master_residual
     resid = schrodinger_master_residual(
         s_q, V.with_trunc(min(V.trunc, Fraction(N + 4))), orders=N)
-    worst = Fraction(0)
-    for x in resid.coeffs:
-        for c in x.coeffs.values():
-            if abs(c) > abs(worst):
-                worst = c
     F0 = F.coeffs.get(Fraction(0), Fraction(0))
     return {
-        "F": _series_json(F),
+        "F": F.to_json_dict(),
         "F0": str(F0) if isinstance(F0, Fraction) else _c2l(complex(F0)),
-        "s": [_series_json(s) for s in s_q.s_coeffs],
-        "master_residual_max_coeff": str(worst) if isinstance(worst, Fraction) else abs(worst),
+        "s": [s.to_json_dict() for s in s_q.s_coeffs],
+        "master_residual_max_coeff": _worst_json(max_abs_coeff(resid.coeffs)),
         "meta": {"orders": N},
     }
 

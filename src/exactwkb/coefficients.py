@@ -142,6 +142,4 @@ def coeff_is_zero(value: Any) -> bool:
 
 def to_complex(value: Any) -> complex:
     """Numeric image of a coefficient (exact kinds included)."""
-    if isinstance(value, GaussianRational):
-        return complex(value)
     return complex(value)

@@ -20,7 +20,7 @@ import numpy as np
 from .airy import airy_raw_contour, normalize_airy, symbol_borel_sum
 from .contours import ContourSpec, LaplaceResult
 from .errors import DomainExit
-from .series import INF, PuiseuxSeries, require_taylor
+from .series import INF, PuiseuxSeries, max_abs_coeff, require_taylor
 from .transport import transport_g
 
 
@@ -85,7 +85,7 @@ def pde_residual(psi: BivariateSeries, F: PuiseuxSeries):
     a = psi.a_list
     Nx = psi.Nx
     z4 = PuiseuxSeries.monomial(4, 1)
-    worst = Fraction(0)
+    terms = []
     for n in range(Nx + 1):
         term = PuiseuxSeries.zero()
         term = term + a[n] * (n * (n - 1))                     # x^2 psi_xx
@@ -96,11 +96,8 @@ def pde_residual(psi: BivariateSeries, F: PuiseuxSeries):
         if n >= 2:
             term = term + a[n - 2].derivative().derivative()     # x^2 psi_zz
             term = term - F * a[n - 2]                           # -x^2 F psi
-        term = term - z4 * a[n].derivative()                     # -4z psi_z
-        for c in term.coeffs.values():
-            if abs(c) > abs(worst):
-                worst = c
-    return worst
+        terms.append(term - z4 * a[n].derivative())              # -4z psi_z
+    return max_abs_coeff(terms)
 
 
 @dataclass(frozen=True)

@@ -248,5 +248,4 @@ def _lattice_split(s: PuiseuxSeries) -> tuple[PuiseuxSeries, PuiseuxSeries]:
     """Split a half-lattice series into integer and half-integer parts."""
     ints = {e: c for e, c in s.coeffs.items() if e.denominator == 1}
     halfs = {e: c for e, c in s.coeffs.items() if e.denominator == 2}
-    return (PuiseuxSeries(ints, s.trunc, s.lattice),
-            PuiseuxSeries(halfs, s.trunc, s.lattice))
+    return PuiseuxSeries(ints, s.trunc), PuiseuxSeries(halfs, s.trunc)

@@ -1,12 +1,16 @@
 """Truncated Puiseux/Taylor series with exact or floating coefficients.
 
-A :class:`PuiseuxSeries` is a finite map ``exponent -> coefficient`` with
-exponents on the lattice (1/d)Z for a small denominator bound ``d``
-(2 by default, widened to 6 only transiently inside rational powers),
+A :class:`PuiseuxSeries` is a finite map ``exponent -> coefficient``
 together with a truncation order: exponents >= ``trunc`` are unknown.
 ``trunc`` may be ``+inf`` for exact (polynomial) data, which is how the
 closed-form objects of the model are carried around without artificial
 truncation.
+
+Exponents are Fractions on the lattice (1/6)Z.  The public constructor
+checks its input against a smaller lattice (half-integers by default);
+every operation builds its result through the trusted :func:`_make`, and
+only ``shift`` and ``pow_rational`` can leave (1/6)Z, which they refuse
+with :class:`LatticeError`.
 
 Truncation is tracked pessimistically: every operation propagates the
 tightest provably valid order, never extrapolating.  All values are
@@ -25,7 +29,8 @@ from .errors import LatticeError, LogObstruction, SeriesError
 
 INF = math.inf
 
-_Exp = Fraction  # exponents are always Fractions internally
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _as_exp(e) -> Fraction:
@@ -40,6 +45,13 @@ def _as_exp(e) -> Fraction:
     raise SeriesError(f"exponent {e!r} is not rational")
 
 
+def _check_sixths(e: Fraction) -> Fraction:
+    if 6 % e.denominator:
+        raise LatticeError(
+            f"exponent {e} leaves the admissible lattice (1/6)Z")
+    return e
+
+
 def binomial(r: Fraction, k: int) -> Fraction:
     """Generalized binomial coefficient C(r, k) for rational r."""
     out = Fraction(1)
@@ -49,23 +61,42 @@ def binomial(r: Fraction, k: int) -> Fraction:
     return out
 
 
+def _fill(obj, data: Mapping, trunc):
+    """Store ``data`` minus exact zeros and terms at or past ``trunc``,
+    in the order of ``data``."""
+    if trunc is INF:
+        kept = {e: c for e, c in data.items() if not coeff_is_zero(c)}
+    else:
+        kept = {e: c for e, c in data.items()
+                if e < trunc and not coeff_is_zero(c)}
+    object.__setattr__(obj, "coeffs", kept)
+    object.__setattr__(obj, "trunc", trunc)
+    return obj
+
+
+def _make(data: Mapping, trunc) -> "PuiseuxSeries":
+    """Trusted constructor for results: ``data`` maps Fraction exponents
+    on (1/6)Z to lifted coefficients, ``trunc`` is a Fraction or INF."""
+    return _fill(object.__new__(PuiseuxSeries), data, trunc)
+
+
 class PuiseuxSeries:
     """Truncated series sum_e c_e z^e with rational exponents.
 
     Parameters
     ----------
     coeffs : mapping exponent -> coefficient
-        Exponents may be ints, Fractions, "p/q" strings or (p, q) pairs.
-        Exact zero coefficients are dropped.
+        Exponents may be ints, Fractions, "p/q" strings or (p, q) pairs;
+        repeated exponents are summed and exact zeros dropped.
     trunc : Fraction or +inf
         Exponents >= trunc are unknown (default: +inf, exact data).
     lattice : int
-        All exponent denominators must divide this (2 by default; 1, 3
-        and 6 are also accepted, 6 only as a transient inside rational
-        powers).
+        Input check only: every exponent denominator must divide this
+        (1, 2, 3 or 6; 2 by default).  It is not stored; results of
+        operations live on the 1/6 lattice.
     """
 
-    __slots__ = ("coeffs", "trunc", "lattice")
+    __slots__ = ("coeffs", "trunc")
 
     def __init__(self, coeffs: Mapping | Iterable = (), trunc=INF, lattice: int = 2):
         if lattice not in (1, 2, 3, 6):
@@ -76,20 +107,12 @@ class PuiseuxSeries:
         data = {}
         for e, c in items:
             e = _as_exp(e)
-            if e.denominator > 1 and lattice % e.denominator != 0:
+            if lattice % e.denominator:
                 raise LatticeError(
                     f"exponent {e} not on the 1/{lattice} lattice")
-            if trunc is not INF and e >= trunc:
-                continue
             c = lift(c)
-            if coeff_is_zero(c):
-                continue
             data[e] = data[e] + c if e in data else c
-            if coeff_is_zero(data[e]):
-                del data[e]
-        object.__setattr__(self, "coeffs", data)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "lattice", lattice)
+        _fill(self, data, trunc)
 
     def __setattr__(self, *a):
         raise AttributeError("PuiseuxSeries is immutable")
@@ -142,20 +165,17 @@ class PuiseuxSeries:
 
     # -- constructors --------------------------------------------------
 
-    @classmethod
-    def zero(cls, trunc=INF, lattice=2):
-        return cls({}, trunc, lattice)
+    @staticmethod
+    def zero(trunc=INF, lattice=2) -> "PuiseuxSeries":
+        return PuiseuxSeries({}, trunc, lattice)
+
+    @staticmethod
+    def one(trunc=INF, lattice=2) -> "PuiseuxSeries":
+        return PuiseuxSeries({0: 1}, trunc, lattice)
 
     @classmethod
-    def one(cls, trunc=INF, lattice=2):
-        return cls({0: 1}, trunc, lattice)
-
-    @classmethod
-    def monomial(cls, coeff, e, trunc=INF, lattice=None):
-        e = _as_exp(e)
-        if lattice is None:
-            lattice = 1 if e.denominator == 1 else 2
-        return cls({e: coeff}, trunc, lattice)
+    def monomial(cls, coeff, e, trunc=INF):
+        return cls({e: coeff}, trunc)
 
     def with_trunc(self, trunc):
         """Same data, tighter truncation."""
@@ -163,20 +183,15 @@ class PuiseuxSeries:
             trunc = _as_exp(trunc)
             if self.trunc is not INF and trunc > self.trunc:
                 raise SeriesError("cannot loosen a truncation")
-        return PuiseuxSeries(self.coeffs, trunc, self.lattice)
+        return _make(self.coeffs, trunc)
 
     def map_coefficients(self, fn: Callable[[Any], Any]) -> "PuiseuxSeries":
-        return PuiseuxSeries({e: fn(c) for e, c in self.coeffs.items()},
-                             self.trunc, self.lattice)
+        return _make({e: lift(fn(c)) for e, c in self.coeffs.items()}, self.trunc)
 
     def to_float(self) -> "PuiseuxSeries":
         return self.map_coefficients(to_complex)
 
     # -- ring operations -----------------------------------------------
-
-    def _join_lattice(self, other: "PuiseuxSeries") -> int:
-        a, b = self.lattice, other.lattice
-        return a * b // math.gcd(a, b)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -186,13 +201,12 @@ class PuiseuxSeries:
         data = dict(self.coeffs)
         for e, c in other.coeffs.items():
             data[e] = data[e] + c if e in data else c
-        return PuiseuxSeries(data, trunc, self._join_lattice(other))
+        return _make(data, trunc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxSeries({e: -c for e, c in self.coeffs.items()},
-                             self.trunc, self.lattice)
+        return _make({e: -c for e, c in self.coeffs.items()}, self.trunc)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -219,12 +233,11 @@ class PuiseuxSeries:
                         continue
                     p = ca * cb
                     data[e] = data[e] + p if e in data else p
-            return PuiseuxSeries(data, trunc, self._join_lattice(other))
+            return _make(data, trunc)
         c = lift(other)
         if coeff_is_zero(c):
-            return PuiseuxSeries.zero(self.trunc, self.lattice)
-        return PuiseuxSeries({e: v * c for e, v in self.coeffs.items()},
-                             self.trunc, self.lattice)
+            return _make({}, self.trunc)
+        return _make({e: v * c for e, v in self.coeffs.items()}, self.trunc)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -236,18 +249,13 @@ class PuiseuxSeries:
             c = lift(other)
         except TypeError:
             return NotImplemented
-        return PuiseuxSeries({0: c} if not coeff_is_zero(c) else {}, INF,
-                             self.lattice)
+        return _make({_ZERO: c}, INF)
 
     def shift(self, e) -> "PuiseuxSeries":
         """Multiply by the monomial z^e."""
-        e = _as_exp(e)
+        e = _check_sixths(_as_exp(e))
         trunc = self.trunc if self.trunc is INF else self.trunc + e
-        lattice = self.lattice
-        if e.denominator > 1 and lattice % e.denominator != 0:
-            lattice = lattice * e.denominator // math.gcd(lattice, e.denominator)
-        return PuiseuxSeries({k + e: c for k, c in self.coeffs.items()},
-                             trunc, lattice)
+        return _make({k + e: c for k, c in self.coeffs.items()}, trunc)
 
     def inverse(self, order=None) -> "PuiseuxSeries":
         """Multiplicative inverse 1/self.
@@ -261,26 +269,24 @@ class PuiseuxSeries:
         m, c0 = self.leading()
         rel = None if self.trunc is INF else self.trunc - m
         if len(self.coeffs) == 1:
-            one = Fraction(1)
-            inv = one / c0
+            inv = _ONE / c0
             t = INF if rel is None else rel - m
-            return PuiseuxSeries({-m: inv}, t, self.lattice)
+            return _make({-m: inv}, t)
         if rel is None:
             if order is None:
                 raise SeriesError(
                     "inverse of an untruncated non-monomial series needs an explicit order")
             rel = _as_exp(order)
         # self = c0 z^m (1 + u), u = self/(c0 z^m) - 1, ord(u) > 0
-        u = (self.shift(-m) * (Fraction(1) / c0) - 1).with_trunc(rel)
-        geo = PuiseuxSeries.one(rel, self.lattice)
-        term = PuiseuxSeries.one(rel, self.lattice)
+        u = (self.shift(-m) * (_ONE / c0) - 1).with_trunc(rel)
+        geo = term = _make({_ZERO: _ONE}, rel)
         step, _ = u.leading() if not u.is_zero() else (rel, None)
         k = Fraction(0)
         while k + step < rel and not term.is_zero():
             term = (-term * u).with_trunc(rel)
             geo = geo + term
             k += step
-        return geo.shift(-m) * (Fraction(1) / c0)
+        return geo.shift(-m) * (_ONE / c0)
 
     def div(self, other: "PuiseuxSeries", order=None) -> "PuiseuxSeries":
         return self * other.inverse(order)
@@ -289,15 +295,14 @@ class PuiseuxSeries:
         if isinstance(other, PuiseuxSeries):
             return self.div(other)
         c = lift(other)
-        return PuiseuxSeries({e: v / c for e, v in self.coeffs.items()},
-                             self.trunc, self.lattice)
+        return _make({e: v / c for e, v in self.coeffs.items()}, self.trunc)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = PuiseuxSeries.one(lattice=self.lattice)
+        out = _make({_ZERO: _ONE}, INF)
         base = self
         k = n
         while k:
@@ -313,43 +318,38 @@ class PuiseuxSeries:
 
         The leading coefficient must possess an exact r-th power in exact
         mode (it does throughout the model, where it is 1); r times the
-        leading exponent must land on a lattice with denominator <= 6.
+        leading exponent must land on the 1/6 lattice.
         """
         r = _as_exp(r)
         if self.is_zero():
             if r > 0:
-                return PuiseuxSeries.zero(self.trunc, self.lattice)
+                # 0 + O(z^T) raised to r > 0 is O(z^(rT))
+                return _make({}, self.trunc if self.trunc is INF else self.trunc * r)
             raise SeriesError("0 cannot be raised to a non-positive rational power")
         if r.denominator == 1 and int(r) >= 0:
             return self ** int(r)
         m, c0 = self.leading()
-        new_exp = m * r
-        if new_exp.denominator > 6:
-            raise LatticeError(
-                f"exponent {new_exp} leaves the admissible lattice (denominator > 6)")
+        new_exp = _check_sixths(m * r)
         c0r = _coeff_root(c0, r)
         rel = None if self.trunc is INF else self.trunc - m
         if len(self.coeffs) == 1:
             t = INF if rel is None else new_exp + rel
-            lat = _lattice_for(new_exp, self.lattice)
-            return PuiseuxSeries({new_exp: c0r}, t, lat)
+            return _make({new_exp: c0r}, t)
         if rel is None:
             if order is None:
                 raise SeriesError(
                     "rational power of an untruncated non-monomial series needs an order")
             rel = _as_exp(order)
-        u = (self.shift(-m) * (Fraction(1) / c0) - 1).with_trunc(rel)
-        out = PuiseuxSeries.one(rel, u.lattice)
-        term = PuiseuxSeries.one(rel, u.lattice)
+        u = (self.shift(-m) * (_ONE / c0) - 1).with_trunc(rel)
+        out = term = _make({_ZERO: _ONE}, rel)
         step, _ = u.leading()
         k = 0
         while k * step < rel and not term.is_zero():
             term = (term * u).with_trunc(rel)
             k += 1
             out = out + term * binomial(r, k)
-        lat = _lattice_for(new_exp, out.lattice)
-        return PuiseuxSeries({new_exp + e: c0r * c for e, c in out.coeffs.items()},
-                             INF if rel is INF else new_exp + rel, lat)
+        return _make({new_exp + e: c0r * c for e, c in out.coeffs.items()},
+                     new_exp + rel)
 
     def sqrt(self, order=None) -> "PuiseuxSeries":
         return self.pow_rational(Fraction(1, 2), order)
@@ -358,8 +358,7 @@ class PuiseuxSeries:
 
     def derivative(self) -> "PuiseuxSeries":
         trunc = self.trunc if self.trunc is INF else self.trunc - 1
-        return PuiseuxSeries({e - 1: c * e for e, c in self.coeffs.items() if e != 0},
-                             trunc, self.lattice)
+        return _make({e - 1: c * e for e, c in self.coeffs.items() if e != 0}, trunc)
 
     def antiderivative(self) -> "PuiseuxSeries":
         """Termwise antiderivative with zero integration constant.
@@ -382,9 +381,8 @@ class PuiseuxSeries:
                 raise LogObstruction(
                     "antiderivative of a z^-1 term would introduce log z")
         trunc = self.trunc if self.trunc is INF else self.trunc + 1
-        return PuiseuxSeries({e + 1: c / (e + 1)
-                              for e, c in self.coeffs.items() if e != -1},
-                             trunc, self.lattice)
+        return _make({e + 1: c / (e + 1) for e, c in self.coeffs.items() if e != -1},
+                     trunc)
 
     # -- composition -----------------------------------------------------
 
@@ -405,8 +403,8 @@ class PuiseuxSeries:
         return self._compose_plain(inner, trunc)
 
     def _compose_plain(self, inner, trunc):
-        out = PuiseuxSeries.zero(trunc, inner.lattice)
-        power = PuiseuxSeries.one(trunc, inner.lattice)
+        out = _make({}, trunc)
+        power = _make({_ZERO: _ONE}, trunc)
         last = 0
         for e, c in sorted(self.coeffs.items()):
             k = int(e)
@@ -421,26 +419,27 @@ class PuiseuxSeries:
     def reversion(self, order) -> "PuiseuxSeries":
         """Compositional inverse g with self(g(z)) = z + O(z^order).
 
-        Requires a Taylor series with f(0) = 0 and f'(0) != 0.
+        Requires a Taylor series with f(0) = 0 and f'(0) != 0.  Since
+        g_m depends on f_1..f_m only, the result is truncated at
+        min(order, self.trunc).
         """
         if not self.is_taylor():
             raise SeriesError("compositional inversion requires a Taylor series")
-        if not coeff_is_zero(self.coeffs.get(Fraction(0), Fraction(0))):
+        if not coeff_is_zero(self.coeffs.get(_ZERO, _ZERO)):
             raise SeriesError("compositional inversion requires f(0) = 0")
-        a1 = self.coeffs.get(Fraction(1), Fraction(0))
+        a1 = self.coeffs.get(_ONE, _ZERO)
         if coeff_is_zero(a1):
             raise SeriesError("not invertible as a formal map: f'(0) = 0")
-        N = int(_as_exp(order))
-        inv_a1 = Fraction(1) / a1 if isinstance(a1, Fraction) else 1 / a1
-        g = {Fraction(1): inv_a1}
-        for m in range(2, N):
-            gs = PuiseuxSeries(g, trunc=m + 1, lattice=1)
+        trunc = min(Fraction(int(_as_exp(order))), self.trunc)
+        inv_a1 = _ONE / a1 if isinstance(a1, Fraction) else 1 / a1
+        g = {_ONE: inv_a1}
+        for m in range(2, math.ceil(trunc)):
+            gs = _make(g, Fraction(m + 1))
             comp = self._compose_plain(gs, Fraction(m + 1))
-            resid = comp.coeffs.get(Fraction(m), Fraction(0))
-            corr = -resid * inv_a1
+            corr = -comp.coeffs.get(Fraction(m), _ZERO) * inv_a1
             if not coeff_is_zero(corr):
                 g[Fraction(m)] = corr
-        return PuiseuxSeries(g, trunc=N, lattice=1)
+        return _make(g, trunc)
 
     # -- evaluation ------------------------------------------------------
 
@@ -478,7 +477,7 @@ class PuiseuxSeries:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
-    def from_json_dict(cls, d: dict, lattice: int = 2) -> "PuiseuxSeries":
+    def from_json_dict(cls, d: dict) -> "PuiseuxSeries":
         from .coefficients import GaussianRational
 
         trunc = INF if d.get("trunc", "inf") == "inf" else Fraction(d["trunc"])
@@ -493,11 +492,11 @@ class PuiseuxSeries:
                 if c.imag == 0:
                     c = complex(re_v, 0.0)
             coeffs[Fraction(e)] = c
-        return cls(coeffs, trunc, lattice)
+        return cls(coeffs, trunc)
 
     @classmethod
-    def from_json(cls, s: str, lattice: int = 2) -> "PuiseuxSeries":
-        return cls.from_json_dict(json.loads(s), lattice)
+    def from_json(cls, s: str) -> "PuiseuxSeries":
+        return cls.from_json_dict(json.loads(s))
 
     def __repr__(self):
         if not self.coeffs:
@@ -519,13 +518,6 @@ def _principal_pow(z: complex, e: Fraction) -> complex:
     if e.denominator == 1 and -8 <= e <= 8:
         return complex(z) ** int(e)
     return complex(z) ** float(e)
-
-
-def _lattice_for(e: Fraction, current: int) -> int:
-    d = e.denominator
-    if current % d == 0:
-        return current
-    return current * d // math.gcd(current, d)
 
 
 def _coeff_root(c, r: Fraction):
@@ -557,11 +549,22 @@ def _iroot(n: int, k: int) -> int | None:
 class TaylorSeries(PuiseuxSeries):
     """PuiseuxSeries restricted to integer exponents >= 0."""
 
-    def __init__(self, coeffs=(), trunc=INF, lattice: int = 1):
-        super().__init__(coeffs, trunc, lattice)
+    def __init__(self, coeffs=(), trunc=INF):
+        super().__init__(coeffs, trunc, 1)
         for e in self.coeffs:
             if e < 0 or e.denominator != 1:
                 raise SeriesError(f"TaylorSeries got exponent {e}")
+
+
+def max_abs_coeff(series: Iterable[PuiseuxSeries]):
+    """First coefficient of largest modulus over ``series``
+    (``Fraction(0)`` when there is none)."""
+    worst = Fraction(0)
+    for s in series:
+        for c in s.coeffs.values():
+            if abs(c) > abs(worst):
+                worst = c
+    return worst
 
 
 def require_taylor(s: PuiseuxSeries, name: str) -> PuiseuxSeries:

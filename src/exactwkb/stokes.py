@@ -71,8 +71,7 @@ def _callable_potential(V) -> Callable[[complex], complex]:
     if callable(V):
         return V
     if isinstance(V, PuiseuxSeries):
-        items = sorted((int(e), complex(c) if not hasattr(c, "denominator")
-                        else float(c)) for e, c in V.to_float().coeffs.items())
+        items = sorted((int(e), c) for e, c in V.to_float().coeffs.items())
 
         def f(q):
             tot = 0j
@@ -183,7 +182,7 @@ def action_along_polyline(Vf_or_V, nodes, n_gl: int = 24) -> complex:
     """int_0^q sqrt(V) along a polyline from the turning point, with the
     branch continued segmentwise.  Independent of the tracer's running
     increments (used to re-verify traced nodes)."""
-    Vf = _callable_potential(Vf_or_V) if not callable(Vf_or_V) else Vf_or_V
+    Vf = _callable_potential(Vf_or_V)
     x, wts = _gl(n_gl)
     total = 0j
     s_run = None

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LogObstruction
-from .series import EpsSeries, PuiseuxSeries, require_taylor
+from .series import EpsSeries, PuiseuxSeries, max_abs_coeff, require_taylor
 from .symbols import WKBSymbol
 
 _HALF = Fraction(1, 2)
@@ -146,7 +146,7 @@ def symbol_consistency(F: PuiseuxSeries, N: int) -> dict:
     # (i)  P_odd - (eps/2) P_even'/P_even == 0
     ratio = (Pe.dz() * Pe.recip()).eps_shift(1) * _HALF
     diff = (Po - ratio).truncated(N + 1)
-    odd_even_resid = _max_abs_coeff(diff.coeffs)
+    odd_even_resid = max_abs_coeff(diff.coeffs)
 
     # (ii) route-2 expansion of the symbol series
     p0 = PuiseuxSeries.monomial(1, _HALF)
@@ -170,15 +170,6 @@ def symbol_consistency(F: PuiseuxSeries, N: int) -> dict:
             - partial.coeffs.get(Fraction(0), Fraction(0))
         C.append(cn)
         diff_n = gs[n] - (partial + E.coeffs[0] * cn)
-        resid = max(resid, _max_abs_coeff([diff_n]), key=abs)
+        resid = max(resid, max_abs_coeff([diff_n]), key=abs)
     return {"orders": N, "odd_even_residual": odd_even_resid,
             "expansion_residual": resid, "C": C}
-
-
-def _max_abs_coeff(series_list):
-    worst = Fraction(0)
-    for s in series_list:
-        for c in s.coeffs.values():
-            if abs(c) > abs(worst):
-                worst = c
-    return worst

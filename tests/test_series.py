@@ -6,7 +6,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from exactwkb.coefficients import GaussianRational
-from exactwkb.errors import LogObstruction, SeriesError
+from exactwkb.errors import LatticeError, LogObstruction, SeriesError
 from exactwkb.series import INF, EpsSeries, PuiseuxSeries, TaylorSeries
 
 
@@ -101,6 +101,47 @@ def test_reversion_symbolic_parameter():
     assert g.coeff(2) == -v2
     assert g.coeff(3) == 2 * v2 * v2
     assert (f.compose(g) - S({1: 1})).is_zero()
+
+
+def test_reversion_keeps_input_truncation():
+    # g_3 depends on f_3, unknown for z + z^2 + O(z^3): completing f with
+    # 5 z^3 moves it from 2 to -3
+    g = TaylorSeries({1: 1, 2: 1}, trunc=3).reversion(6)
+    assert g == S({1: 1, 2: -1}, trunc=3)
+    assert TaylorSeries({1: 1, 2: 1, 3: 5}).reversion(6).coeff(3) == -3
+
+
+def test_pow_rational_of_zero_series_scales_truncation():
+    # (0 + O(z^T))^r = O(z^(rT)) for r > 0
+    assert S({}, trunc=2).pow_rational(Fr(1, 2)) == S({}, trunc=1)
+    assert S({}, trunc=-2).pow_rational(3) == S({}, trunc=-6)
+
+
+def test_lattice_checked_on_input():
+    with pytest.raises(LatticeError):
+        S({Fr(1, 3): 1})
+    third = PuiseuxSeries({Fr(1, 3): 1}, lattice=3)
+    assert third.coeff(Fr(1, 3)) == 1
+    half = S({Fr(1, 2): 1})
+    assert third + half == PuiseuxSeries({Fr(2, 6): 1, Fr(3, 6): 1}, lattice=6)
+    assert third * half == PuiseuxSeries({Fr(5, 6): 1}, lattice=6)
+
+
+def test_series_stores_only_coefficients_and_truncation():
+    a = PuiseuxSeries({Fr(1, 3): 1}, lattice=3) * S({Fr(1, 2): 1}, trunc=3)
+    assert PuiseuxSeries.__slots__ == ("coeffs", "trunc")
+    with pytest.raises(AttributeError):
+        a.trunc = 5
+    assert list(a.coeffs) == [Fr(5, 6)] and a.trunc == Fr(10, 3)
+
+
+def test_exponents_off_the_sixths_lattice_rejected():
+    with pytest.raises(LatticeError):
+        S({1: 1}).shift(Fr(1, 5))
+    with pytest.raises(LatticeError):
+        S({1: 1, 2: 1}).pow_rational(Fr(1, 4), order=3)
+    with pytest.raises(LatticeError):
+        S({1: 1}).pow_rational(Fr(1, 5))
 
 
 def test_reversion_requires_unit_derivative():

@@ -1,0 +1,134 @@
+"""Property tests for the series kernel: truncation soundness and JSON.
+
+Completion property: a series known below ``trunc`` stands for every
+series that agrees with it there.  Adding arbitrary terms at exponents
+>= ``trunc`` (and raising ``trunc`` past them) must leave every
+coefficient an operation reports below its result's ``trunc``
+unchanged; a coefficient that moves was claimed without being known.
+"""
+
+from fractions import Fraction as Fr
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from exactwkb.coefficients import GaussianRational
+from exactwkb.series import INF, PuiseuxSeries, TaylorSeries
+
+settings.register_profile("series", max_examples=60, derandomize=True,
+                          deadline=None, database=None)
+settings.load_profile("series")
+
+HALF = Fr(1, 2)
+RATS = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
+GAUSS = st.builds(GaussianRational, RATS, RATS)
+EXACT = st.one_of(RATS, GAUSS)
+FLOATS = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
+                   allow_infinity=False)
+
+
+def draw_series(data, step, lo, hi, coeff=EXACT):
+    """Up to five terms at exponents k*step, lo <= k <= hi, and a trunc on
+    the same grid (or +inf); Taylor when step is 1."""
+    ks = data.draw(st.lists(st.integers(lo, hi), max_size=5, unique=True))
+    terms = {k * step: data.draw(coeff) for k in ks}
+    t = data.draw(st.one_of(st.none(), st.integers(lo, hi + 2)))
+    T = INF if t is None else t * step
+    cls = TaylorSeries if step == 1 else PuiseuxSeries
+    return cls(terms, T)
+
+
+def complete(data, s, step, lead_one=False, avoid=()):
+    """s plus random terms at trunc, trunc + step, trunc + 2 step, now known
+    below trunc + 3 step (s itself when it is exact)."""
+    if s.trunc is INF:
+        return s
+    extra = {}
+    for j in range(3):
+        e = s.trunc + j * step
+        if e not in avoid:
+            extra[e] = data.draw(EXACT)
+    if lead_one and s.is_zero():
+        extra[s.trunc] = Fr(1)
+    return PuiseuxSeries({**s.coeffs, **extra}, s.trunc + 3 * step)
+
+
+def assert_agrees(r, rc):
+    """Coefficients of r and of its completed rerun rc agree wherever both
+    claim to know them."""
+    cut = min(r.trunc, rc.trunc)
+    for e in set(r.coeffs) | set(rc.coeffs):
+        if e < cut:
+            assert r.coeffs.get(e, 0) == rc.coeffs.get(e, 0), (e, r, rc)
+
+
+def puiseux(data, **kw):
+    return draw_series(data, HALF, -4, 6, **kw)
+
+
+@given(st.data())
+def test_add_mul_complete(data):
+    a, b = puiseux(data), puiseux(data)
+    ac, bc = complete(data, a, HALF), complete(data, b, HALF)
+    assert_agrees(a + b, ac + bc)
+    assert_agrees(a * b, ac * bc)
+
+
+@given(st.data())
+def test_inverse_complete(data):
+    a = puiseux(data)
+    assume(not a.is_zero())
+    ac = complete(data, a, HALF)
+    assert_agrees(a.inverse(order=3), ac.inverse(order=3))
+
+
+@given(st.data(), st.sampled_from([Fr(1, 2), Fr(-1, 2), Fr(1, 3), Fr(2, 3),
+                                   Fr(-2, 3), Fr(3, 2), Fr(-1), Fr(2), Fr(3)]))
+def test_pow_rational_complete(data, r):
+    # an integer leading exponent m with coefficient 1 keeps m*r on the
+    # 1/6 lattice and the leading root exact; later terms are on half steps
+    m = data.draw(st.integers(-2, 3))
+    if data.draw(st.booleans()):
+        a = PuiseuxSeries({}, m)
+        r = abs(r)
+    else:
+        ks = data.draw(st.lists(st.integers(1, 6), max_size=4, unique=True))
+        t = data.draw(st.one_of(st.none(), st.integers(1, 8)))
+        a = PuiseuxSeries({m: 1, **{m + k * HALF: data.draw(EXACT) for k in ks}},
+                          INF if t is None else m + t * HALF)
+    ac = complete(data, a, HALF, lead_one=True)
+    assert_agrees(a.pow_rational(r, order=4), ac.pow_rational(r, order=4))
+
+
+@given(st.data())
+def test_compose_complete(data):
+    f = draw_series(data, 1, 0, 5)
+    g = draw_series(data, HALF, 2, 8)
+    fc, gc = complete(data, f, 1), complete(data, g, HALF)
+    assert_agrees(f.compose(g, order=6), fc.compose(gc, order=6))
+
+
+@given(st.data())
+def test_reversion_complete(data):
+    f = TaylorSeries({1: data.draw(RATS)}) + draw_series(data, 1, 2, 5)
+    fc = complete(data, f, 1)
+    assert_agrees(f.reversion(6), fc.reversion(6))
+
+
+@given(st.data())
+def test_calculus_complete(data):
+    a = puiseux(data)
+    a = PuiseuxSeries({e: c for e, c in a.coeffs.items() if e != -1}, a.trunc)
+    ac = complete(data, a, HALF, avoid=(Fr(-1),))
+    assert_agrees(a.derivative(), ac.derivative())
+    assert_agrees(a.antiderivative(), ac.antiderivative())
+
+
+@given(st.data(), st.sampled_from(["fraction", "gaussian", "float"]))
+def test_json_roundtrip(data, ring):
+    coeff = {"fraction": RATS, "gaussian": GAUSS,
+             "float": st.one_of(FLOATS, st.builds(complex, FLOATS, FLOATS))}[ring]
+    a = puiseux(data, coeff=coeff)
+    b = PuiseuxSeries.from_json(a.to_json())
+    assert b == a
+    assert b.to_json() == a.to_json()
