@@ -11,6 +11,7 @@ is the companion polynomial fixed by the two structural identities
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -183,6 +184,15 @@ def poly2_eval(p: Poly2, z: complex, zhat) -> complex | np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _setup_polys(n: int) -> tuple[HardyPair, Poly2, Poly2]:
+    """The verified pair of hardy_S_T(n) with dS_n/dzhat and d2S_n/dzhat2,
+    built once per n; read-only, for _hardy_setup alone."""
+    pair = hardy_S_T(n)
+    dS = _d(pair.S, 1)
+    return pair, dS, _d(dS, 1)
+
+
 def _hardy_setup(n: int, z: complex, eps: complex, convention: str):
     """Shared set-up of the Phi_n integral at z.
 
@@ -196,9 +206,7 @@ def _hardy_setup(n: int, z: complex, eps: complex, convention: str):
         w = cmath.sqrt(eps)
     else:
         raise ValueError("convention must be 'eps' or 'eps2'")
-    pair = hardy_S_T(n)
-    dS = _d(pair.S, 1)
-    dd = _d(dS, 1)
+    pair, dS, dd = _setup_polys(n)
 
     def calls(zz):
         return (lambda x: poly2_eval(pair.S, zz, x),

@@ -24,7 +24,8 @@ import math
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping
 
-from .coefficients import coeff_is_zero, is_exact, lift, to_complex
+from .coefficients import (GaussianRational, coeff_is_zero, is_exact, lift,
+                           to_complex)
 from .errors import LatticeError, LogObstruction, SeriesError
 
 INF = math.inf
@@ -181,8 +182,8 @@ class PuiseuxSeries:
         """Same data, tighter truncation."""
         if trunc is not INF:
             trunc = _as_exp(trunc)
-            if self.trunc is not INF and trunc > self.trunc:
-                raise SeriesError("cannot loosen a truncation")
+        if self.trunc is not INF and (trunc is INF or trunc > self.trunc):
+            raise SeriesError("cannot loosen a truncation")
         return _make(self.coeffs, trunc)
 
     def map_coefficients(self, fn: Callable[[Any], Any]) -> "PuiseuxSeries":
@@ -478,8 +479,6 @@ class PuiseuxSeries:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PuiseuxSeries":
-        from .coefficients import GaussianRational
-
         trunc = INF if d.get("trunc", "inf") == "inf" else Fraction(d["trunc"])
         coeffs = {}
         for e, val in d.get("coeffs", []):
@@ -521,7 +520,9 @@ def _principal_pow(z: complex, e: Fraction) -> complex:
 
 
 def _coeff_root(c, r: Fraction):
-    """Exact c**r when possible, float otherwise."""
+    """Exact c**r for a rational c, float for an inexact one."""
+    if isinstance(c, GaussianRational) and c.im == 0:
+        c = c.re
     if isinstance(c, Fraction):
         if c == 1:
             return Fraction(1)
@@ -533,6 +534,9 @@ def _coeff_root(c, r: Fraction):
             return Fraction(num, den) ** r.numerator
         raise SeriesError(
             f"leading coefficient {c} has no exact rational {r.denominator}-th root")
+    if is_exact(c):
+        raise SeriesError(f"exact power {r} of leading coefficient {c} "
+                          "needs a rational coefficient")
     return to_complex(c) ** float(r)
 
 

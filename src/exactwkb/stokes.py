@@ -181,8 +181,19 @@ def _action_increment(Vf, a, b, sq_prev):
 def action_along_polyline(Vf_or_V, nodes, n_gl: int = 24) -> complex:
     """int_0^q sqrt(V) along a polyline from the turning point, with the
     branch continued segmentwise.  Independent of the tracer's running
-    increments (used to re-verify traced nodes)."""
-    Vf = _callable_potential(Vf_or_V)
+    increments (used to re-verify traced nodes).  The last running total
+    of :func:`_running_action`, the one pass that the node check also
+    walks."""
+    total = 0j
+    for total in _running_action(_callable_potential(Vf_or_V), nodes, n_gl):
+        pass
+    return total
+
+
+def _running_action(Vf, nodes, n_gl: int = 24):
+    """Yield int_0^{nodes[j+1]} sqrt(V) after each segment j of the
+    polyline: n_gl-point Gauss-Legendre on panels, branch continued
+    from segment to segment."""
     x, wts = _gl(n_gl)
     total = 0j
     s_run = None
@@ -190,6 +201,7 @@ def action_along_polyline(Vf_or_V, nodes, n_gl: int = 24) -> complex:
         if a == 0:
             dw, s_run = _action_from_origin(Vf, b, n_gl)
             total += dw
+            yield total
             continue
         # panelize where the sqrt branch point at 0 is close relative to
         # the chord length
@@ -209,7 +221,7 @@ def action_along_polyline(Vf_or_V, nodes, n_gl: int = 24) -> complex:
                     s = -s
                 s_run = s
                 total += wi * s * half
-    return total
+        yield total
 
 
 def _action_from_origin(Vf, q, n_gl: int = 24):
@@ -233,13 +245,20 @@ def _action_from_origin(Vf, q, n_gl: int = 24):
 
 def node_condition_residuals(V, diagram: StokesDiagram,
                              sample_every: int = 5) -> list[float]:
-    """|Im(e^{-i alpha} int_0^q sqrt(V))| at sampled trace nodes,
-    re-integrated independently along the traced polyline."""
+    """|Im(e^{-i alpha} int_0^q sqrt(V))| at the trace nodes q = line[j],
+    j = 2, 2 + sample_every, ..., re-integrated independently of the
+    tracer along the traced polyline.
+
+    One pass per line: the running totals of :func:`_running_action`
+    (the rule of :func:`action_along_polyline`) are read off at the
+    sampled nodes, so a line of n nodes costs O(n) panels.
+    """
     Vf = _callable_potential(V)
     alpha = diagram.direction_alpha
     out = []
     for line in diagram.lines:
-        for j in range(2, len(line), sample_every):
-            w = action_along_polyline(Vf, line[:j + 1])
-            out.append(abs((w * cmath.exp(-1j * alpha)).imag))
+        sampled = range(2, len(line), sample_every)
+        for j, w in enumerate(_running_action(Vf, line), start=1):
+            if j in sampled:
+                out.append(abs((w * cmath.exp(-1j * alpha)).imag))
     return out

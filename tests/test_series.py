@@ -117,6 +117,23 @@ def test_pow_rational_of_zero_series_scales_truncation():
     assert S({}, trunc=-2).pow_rational(3) == S({}, trunc=-6)
 
 
+def test_with_trunc_cannot_make_a_truncated_series_exact():
+    # 1 + O(z^2) says nothing about z^2, z^3, ...; INF would claim they vanish
+    with pytest.raises(SeriesError):
+        S({0: 1}, trunc=2).with_trunc(INF)
+    assert S({0: 1}).with_trunc(INF) == S({0: 1})
+
+
+def test_pow_rational_of_real_gaussian_leading_coefficient_stays_exact():
+    s = S({0: GaussianRational(1, 0), 1: 1}, trunc=3).pow_rational(Fr(1, 2))
+    assert s == S({0: 1, 1: Fr(1, 2), 2: Fr(-1, 8)}, trunc=3)
+    assert s.is_exact()
+    root = S({0: GaussianRational(4, 0)}).sqrt()
+    assert root == S({0: 2}) and type(root.coeff(0)) is Fr
+    with pytest.raises(SeriesError):
+        S({0: GaussianRational(1, 1), 1: 1}, trunc=3).pow_rational(Fr(1, 2))
+
+
 def test_lattice_checked_on_input():
     with pytest.raises(LatticeError):
         S({Fr(1, 3): 1})

@@ -2,14 +2,15 @@
 
 import cmath
 import math
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
 
 from exactwkb.errors import TraceEscape
 from exactwkb.series import TaylorSeries
-from exactwkb.stokes import (canonical_stokes_lines, classify_sector,
-                             node_condition_residuals,
+from exactwkb.stokes import (action_along_polyline, canonical_stokes_lines,
+                             classify_sector, node_condition_residuals,
                              potential_stokes_curves)
 
 V_FIG5 = TaylorSeries({1: 1, 2: Fr(1, 2)})
@@ -92,6 +93,53 @@ def test_fig5_topology_real_ray_and_connection():
     ends2 = [line[-1] for line in d2.lines]
     assert min(abs(q + 2.0) for q in ends2) < 5e-3
     assert max(node_condition_residuals(V_FIG5, d2)) < 1e-10
+
+
+def _short_fig5():
+    return potential_stokes_curves(V_FIG5, 0.0, step=0.01, extent=0.5,
+                                   region_radius=2.0)
+
+
+def test_node_check_matches_prefix_reintegration():
+    # the one-pass check reads the same totals as integrating every
+    # sampled prefix from the turning point again
+    d = _short_fig5()
+    rot = cmath.exp(-1j * d.direction_alpha)
+    expect = [abs((action_along_polyline(V_FIG5, line[:j + 1]) * rot).imag)
+              for line in d.lines for j in range(2, len(line), 5)]
+    assert node_condition_residuals(V_FIG5, d) == expect
+
+
+def test_node_check_is_one_pass_per_line():
+    d = _short_fig5()
+    calls = [0]
+
+    def V(q):
+        calls[0] += 1
+        return q + 0.5 * q * q
+
+    node_condition_residuals(V, d)
+    check_calls, calls[0] = calls[0], 0
+    for line in d.lines:
+        action_along_polyline(V, line)
+    assert check_calls == calls[0] > 0
+
+
+def test_node_check_flags_a_node_off_the_curve():
+    # the check re-integrates along the nodes it is given rather than
+    # trusting the tracer: a node moved off the curve fails, and by path
+    # independence the nodes after it pass again
+    d = _short_fig5()
+    j = 12
+    line = list(d.lines[0])
+    tangent = line[j + 1] - line[j - 1]
+    line[j] += 1e-3 * 1j * tangent / abs(tangent)
+    moved = replace(d, lines=(tuple(line),) + d.lines[1:])
+    resid = node_condition_residuals(V_FIG5, moved)
+    k = (j - 2) // 5
+    later = resid[k + 1:len(range(2, len(line), 5))]
+    assert resid[k] > 1e-10
+    assert later and max(later) < 1e-10
 
 
 def test_trace_escape():
