@@ -177,10 +177,19 @@ def _sub(a: Poly2, b: Poly2) -> Poly2:
 
 
 def poly2_eval(p: Poly2, z: complex, zhat) -> complex | np.ndarray:
+    return _terms_eval(_terms_at(p, z), zhat)
+
+
+def _terms_at(p: Poly2, z: complex) -> list[tuple[complex, int]]:
+    """p at a fixed z as (float(c) z^i, j) terms in p's order."""
+    return [(float(c) * (z ** i), j) for (i, j), c in p.items()]
+
+
+def _terms_eval(terms: list[tuple[complex, int]], zhat) -> complex | np.ndarray:
     zhat = np.asarray(zhat, dtype=complex)
     out = np.zeros_like(zhat)
-    for (i, j), c in p.items():
-        out = out + float(c) * (z ** i) * zhat ** j
+    for cz, j in terms:
+        out = out + cz * zhat ** j
     return out
 
 
@@ -209,19 +218,22 @@ def _hardy_setup(n: int, z: complex, eps: complex, convention: str):
     pair, dS, dd = _setup_polys(n)
 
     def calls(zz):
-        return (lambda x: poly2_eval(pair.S, zz, x),
-                lambda x: poly2_eval(dS, zz, x),
-                lambda x: poly2_eval(dd, zz, x))
+        # the z-powers are taken once per polynomial here, not per zhat
+        S_t, dS_t, dd_t = (_terms_at(p, zz) for p in (pair.S, dS, dd))
+        return (lambda x: _terms_eval(S_t, x),
+                lambda x: _terms_eval(dS_t, x),
+                lambda x: _terms_eval(dd_t, x))
 
     # saddles: roots of dS/dzhat(z, .)
     deg = max(j for (_, j) in dS)
     poly = np.zeros(deg + 1, dtype=complex)
-    for (i, j), c in dS.items():
-        poly[deg - j] += float(c) * (z ** i)
+    for cz, j in _terms_at(dS, z):
+        poly[deg - j] += cz
     saddles = np.roots(poly)
     if len(saddles) == 0:
         raise ContourFailure("no saddle points")
-    S_at = [complex(poly2_eval(pair.S, z, s)) for s in saddles]
+    S_t = _terms_at(pair.S, z)
+    S_at = [complex(_terms_eval(S_t, s)) for s in saddles]
     k = int(np.argmax([(v / w).real for v in S_at]))
     return w, calls, complex(saddles[k])
 

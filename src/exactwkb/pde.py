@@ -14,19 +14,28 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .airy import airy_raw_contour, normalize_airy, symbol_borel_sum
+from .coefficients import to_complex
 from .contours import ContourSpec, LaplaceResult
 from .errors import DomainExit
-from .series import INF, PuiseuxSeries, max_abs_coeff, require_taylor
+from .series import (INF, PuiseuxSeries, _principal_pow, max_abs_coeff,
+                     require_taylor)
 from .transport import transport_g
 
 
 @dataclass(frozen=True)
 class BivariateSeries:
-    """psi(z, x) = sum_{n<=Nx} a_n(z) x^n, each a_n truncated at z^Nz."""
+    """psi(z, x) = sum_{n<=Nx} a_n(z) x^n, each a_n truncated at z^Nz.
+
+    a_list is the exact source of truth.  Numeric evaluation reads a
+    table built from it once per kernel, on first use: the distinct
+    exponents and, per a_n, its terms as (complex coefficient, exponent
+    index), so a point z costs one power per distinct exponent.
+    """
 
     a_list: tuple
     Nx: int
@@ -38,13 +47,39 @@ class BivariateSeries:
     def coeff(self, n: int) -> PuiseuxSeries:
         return self.a_list[n]
 
+    @cached_property
+    def _table(self) -> tuple[tuple, tuple]:
+        exps = sorted({e for a in self.a_list for e in a.coeffs})
+        index = {e: k for k, e in enumerate(exps)}
+        rows = tuple(tuple((to_complex(c), index[e]) for e, c in a.coeffs.items())
+                     for a in self.a_list)
+        return tuple(exps), rows
+
+    def values_at(self, z: complex) -> np.ndarray:
+        """[a.eval(z) for a in a_list] as an array, bit for bit: the same
+        principal powers and the same term-by-term sums in coefficient
+        order."""
+        exps, rows = self._table
+        pows = [_principal_pow(z, e) for e in exps]
+        out = []
+        for row in rows:
+            total = 0j
+            for c, k in row:
+                total += c * pows[k]
+            out.append(total)
+        return np.array(out)
+
     def eval_many(self, z: complex, x: np.ndarray) -> np.ndarray:
-        """Horner in x of Horner-in-z coefficient values."""
-        vals = np.array([a.eval(z) for a in self.a_list])
-        out = np.full_like(np.asarray(x, dtype=complex), vals[-1])
-        for v in vals[-2::-1]:
-            out = out * x + v
-        return out
+        """Horner in x of the a_n(z), read from the numeric table built
+        once per kernel (a_list itself is unchanged)."""
+        return _horner_x(self.values_at(z), x)
+
+
+def _horner_x(vals: np.ndarray, x: np.ndarray) -> np.ndarray:
+    out = np.full_like(np.asarray(x, dtype=complex), vals[-1])
+    for v in vals[-2::-1]:
+        out = out * x + v
+    return out
 
 
 def pde_taylor(F: PuiseuxSeries, h: PuiseuxSeries, Nx: int, Nz: int) -> BivariateSeries:
@@ -159,7 +194,7 @@ def psi_eval(psi: BivariateSeries, z: complex, x: complex,
     Calls ``warn(message)`` when the empirical term-ratio test indicates
     divergence at this (z, x).
     """
-    vals = np.array([a.eval(z) for a in psi.a_list])
+    vals = psi.values_at(z)
     terms = vals * (complex(x) ** np.arange(psi.Nx + 1))
     mags = np.abs(terms)
     if psi.Nx >= 4 and mags[-1] > 0 and mags[-2] > 0:
@@ -176,7 +211,7 @@ def empirical_x_radius(psi: BivariateSeries, z_abs: float,
     best = math.inf
     for j in range(n_angles):
         z = z_abs * cmath.exp(2j * math.pi * j / n_angles)
-        vals = np.abs(np.array([a.eval(z) for a in psi.a_list]))
+        vals = np.abs(psi.values_at(z))
         for n in range(max(2, psi.Nx - 10), psi.Nx + 1):
             if vals[n] > 0:
                 best = min(best, vals[n] ** (-1.0 / n))
@@ -294,6 +329,10 @@ def confluent_eval(F: PuiseuxSeries, h: PuiseuxSeries, z: complex, eps: complex,
     where |z - zhat^2| exceeds the kernel's empirical convergence radius
     (DomainExit for explicit paths that violate it).  z = 0 is the
     turning point and raises ContourFailure, as in airy_contour.
+
+    The a_n(z) come from psi's numeric table (built once per kernel; the
+    exact a_list is untouched) and are taken once per call: every path
+    node shares the same z.
     """
     if psi is None:
         psi = pde_taylor(F, h, Nx, Nz)
@@ -314,8 +353,10 @@ def confluent_eval(F: PuiseuxSeries, h: PuiseuxSeries, z: complex, eps: complex,
                           max_extent=spec.max_extent, x_cap=x_cap, x_of=x_of,
                           max_panel_phase=spec.max_panel_phase)
 
+    vals = psi.values_at(z)
+
     def g(w):
-        return psi.eval_many(z, z - w * w)
+        return _horner_x(vals, z - w * w)
 
     return normalize_airy(airy_raw_contour(z, eps, use, g=g), eps)
 

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 
 from exactwkb.airy import airy_raw_contour
@@ -12,6 +13,7 @@ from exactwkb.contours import ContourSpec
 from exactwkb.hardy import (hardy_identities_hold, hardy_ode_residual,
                             hardy_phi_eval, hardy_polynomial, hardy_S_T,
                             quasi_homogeneous_ok, poly2_eval)
+from exactwkb.hardy import _hardy_setup, _setup_polys
 
 
 def test_low_order_polynomials():
@@ -57,6 +59,27 @@ def test_quasi_homogeneity_numeric():
     left = poly2_eval(pair.S, lam * lam * z, lam * zh)
     right = lam ** (pair.n + 2) * poly2_eval(pair.S, z, zh)
     assert abs(left - right) < 1e-12 * abs(right)
+
+
+def _per_term_poly2_eval(p, z, zhat):
+    zhat = np.asarray(zhat, dtype=complex)
+    out = np.zeros_like(zhat)
+    for (i, j), c in p.items():
+        out = out + float(c) * (z ** i) * zhat ** j
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_fixed_z_terms_equal_per_term_loop(n):
+    z = 0.9 + 0.2j
+    _, calls, saddle = _hardy_setup(n, z, 0.08, "eps2")
+    pair, dS, dd = _setup_polys(n)
+    line = saddle + np.linspace(-0.6, 0.6, 9) * (1 + 0.3j)
+    for zhat in (saddle, line):
+        for p, f in zip((pair.S, dS, dd), calls(z)):
+            want = _per_term_poly2_eval(p, z, zhat)
+            assert np.array_equal(f(zhat), want)
+            assert np.array_equal(poly2_eval(p, z, zhat), want)
 
 
 def test_phi1_proportional_to_airy_integral():

@@ -13,6 +13,7 @@ from exactwkb.airy import airy_contour
 from exactwkb.coefficients import GaussianRational
 from exactwkb.errors import ContourFailure, DomainExit
 from exactwkb.contours import ContourSpec
+from exactwkb import pde
 from exactwkb.pde import (BivariateSeries, confluent_eval, convergence_radius,
                           delta_sup_on_disk, empirical_x_radius,
                           iteration_bound, local_decomposition, pde_residual,
@@ -143,6 +144,46 @@ def test_radius_honesty_inside_r_prime():
         for z_abs in (0.1, 0.3):
             r_emp = empirical_x_radius(psi, z_abs)
             assert r_emp > rep.r_prime
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_kernel_table_values_equal_series_eval(gaussian):
+    # Nz = 12 reaches exponents above 8, where _principal_pow switches to
+    # a float power; z sits just either side of the branch cut
+    rng = random.Random(31 + gaussian)
+    psi = pde_taylor(rand_taylor(rng, 2, gaussian), rand_taylor(rng, 1, gaussian),
+                     12, 12)
+    assert max(e for a in psi.a_list for e in a.coeffs) > 8
+    for z in (-0.7 + 1e-12j, -0.7 - 1e-12j, 0.4 + 0.3j, 1.2):
+        want = [a.eval(z) for a in psi.a_list]
+        got = psi.values_at(z)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == w, (z, g, w)
+
+
+def test_confluent_reads_the_kernel_table_built_once(monkeypatch):
+    F = TaylorSeries({0: Fr(1, 3), 1: Fr(-2, 7)})
+    h = TaylorSeries({0: Fr(1, 5)})
+    psi = pde_taylor(F, h, 20, 20)
+    evals, converted = [], []
+    series_eval = PuiseuxSeries.eval
+
+    def counted_eval(self, *args, **kwargs):
+        evals.append(1)
+        return series_eval(self, *args, **kwargs)
+
+    def counted_to_complex(c):
+        converted.append(1)
+        return complex(c)
+
+    monkeypatch.setattr(PuiseuxSeries, "eval", counted_eval)
+    monkeypatch.setattr(pde, "to_complex", counted_to_complex)
+    for z in (0.9 + 0.3j, 0.6 - 0.2j):
+        confluent_eval(F, h, z, 0.08, psi=psi)
+    assert evals == []
+    # every exact coefficient is converted once: one table for both calls
+    assert len(converted) == sum(len(a.coeffs) for a in psi.a_list)
 
 
 def test_confluent_trivial_kernel_equals_airy():
