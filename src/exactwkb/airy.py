@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .borel import PADE_DEFAULT, borel_pade_laplace, pade_from_taylor
+from .borel import (PADE_DEFAULT, borel_pade_laplace, laplace_pade_mp,
+                    pade_from_taylor)
 from .contours import ContourSpec, LaplaceResult, descent_chain_integral
 from .errors import ContourFailure
 from .series import PuiseuxSeries
@@ -169,10 +170,11 @@ def airy_borel_sum_hp(z, eps, N: int, pade: tuple[int, int] | None = None,
     Same construction as airy_borel_sum but in mpmath arithmetic
     throughout: exact rational minor coefficients, the shared
     pade_from_taylor (which LU-solves mpmath data at the working
-    precision), and mpmath.quad on the ray truncated where the weight
-    falls below 10^-dps.  Returns an mpmath mpc.  Needed where the
-    summation error sits below the double-precision floor, e.g. to
-    resolve its decay as eps shrinks.
+    precision), and the closed-form Laplace transform laplace_pade_mp
+    of that approximant along arg xi = 0 (partial fractions and E1, no
+    quadrature).  Returns an mpmath mpc.  Needed where the summation
+    error sits below the double-precision floor, e.g. to resolve its
+    decay as eps shrinks.
     """
     with mpmath.workdps(dps):
         zm = mpmath.mpc(z)
@@ -197,14 +199,7 @@ def airy_borel_sum_hp(z, eps, N: int, pade: tuple[int, int] | None = None,
             return pref
         L, M = pade if pade is not None else (len(c) // 2, len(c) // 2)
         approx = pade_from_taylor(c, L, M)
-
-        def R(xi):
-            return mpmath.polyval(approx.num[::-1], xi) \
-                / mpmath.polyval(approx.den[::-1], xi)
-
-        T = (dps * mpmath.log(10) + 10) * abs(em) / mpmath.cos(mpmath.arg(em))
-        integral = mpmath.quad(lambda t: mpmath.exp(-t / em) * R(t), [0, T])
-        return pref * (1 + integral)
+        return pref * (1 + laplace_pade_mp(approx, em))
 
 
 def stokes_jump(z: complex, eps: complex, N: int,

@@ -1,4 +1,4 @@
-"""Pade acceleration of Borel minors and Laplace quadrature along rays.
+"""Pade acceleration of Borel minors and Laplace transforms along rays.
 
 The Borel sum of a symbol is prefactor * (1 + int_ray exp(-xi/eps) R(xi) dxi)
 where R is the (L, M) Pade approximant of the truncated minor.  The Pade
@@ -9,6 +9,9 @@ One Pade routine serves both precisions: double-precision minors are
 solved with numpy, mpmath minors (the high-precision Airy backend) with
 mpmath.lu_solve at the working precision.  The double-precision Laplace
 integral runs on the composite Gauss-Legendre panels of contours.py.
+The mpmath one is exact: laplace_pade_mp splits R into its polynomial
+part and partial fractions over the polished poles and transforms each
+term in closed form (factorials and the exponential integral E1).
 """
 
 from __future__ import annotations
@@ -21,15 +24,22 @@ import mpmath
 import numpy as np
 
 from .contours import ContourSpec, LaplaceResult, integrate_polyline
-from .errors import PoleOnRay
+from .errors import ContourFailure, PoleOnRay
 
 PADE_DEFAULT = None  # None -> balanced (floor(n/2), floor(n/2)) clamped to data
+FROISSART_TOL = 1e-12  # residues below this fraction of the largest are doublets
+GUARD_DIGITS = 15  # laplace_pade_mp works this many digits above the caller's dps
 
 
 @dataclass(frozen=True)
 class PadeApproximant:
     """Rational approximant num/den with coefficients in ascending order
-    (numpy arrays in double precision, lists of mpmath numbers otherwise)."""
+    (numpy arrays in double precision, lists of mpmath numbers otherwise).
+
+    poles() and residues() work at both precisions: np.roots in double
+    precision; for mpmath data the np.roots values seed Newton's method
+    on the denominator at the working precision.
+    """
 
     num: np.ndarray
     den: np.ndarray
@@ -37,15 +47,42 @@ class PadeApproximant:
     def __call__(self, xi):
         return np.polyval(self.num[::-1], xi) / np.polyval(self.den[::-1], xi)
 
-    def poles(self) -> np.ndarray:
+    def poles(self):
         if len(self.den) <= 1:
             return np.empty(0, dtype=complex)
-        return np.roots(self.den[::-1])
+        if isinstance(self.den, np.ndarray):
+            return np.roots(self.den[::-1])
+        q = self.den[::-1]
+        return [_newton_root(q, mpmath.mpc(s))
+                for s in np.roots(np.array([complex(c) for c in q]))]
 
-    def residues(self) -> np.ndarray:
-        dden = np.polyder(self.den[::-1])
-        ps = self.poles()
-        return np.polyval(self.num[::-1], ps) / np.polyval(dden, ps)
+    def residues(self):
+        return self._residues(self.poles())
+
+    def _residues(self, ps):
+        """num(p)/den'(p) at the poles ps."""
+        if isinstance(self.den, np.ndarray):
+            dden = np.polyder(self.den[::-1])
+            return np.polyval(self.num[::-1], ps) / np.polyval(dden, ps)
+        return [mpmath.polyval(self.num[::-1], p)
+                / mpmath.polyval(self.den[::-1], p, derivative=True)[1] for p in ps]
+
+
+def _newton_root(q, p):
+    """Polish the root p of the polynomial q (descending mpmath
+    coefficients) by Newton's method at the working precision, until a
+    step falls below 10^(GUARD_DIGITS - dps) |p|."""
+    tol = mpmath.mpf(10) ** (GUARD_DIGITS - mpmath.mp.dps)
+    for _ in range(30):
+        val, der = mpmath.polyval(q, p, derivative=True)
+        if der == 0:
+            break
+        step = val / der
+        p -= step
+        if abs(step) <= tol * abs(p):
+            return p
+    raise ContourFailure(f"Newton's method did not converge to the Pade pole near "
+                         f"{complex(p):.6g}")
 
 
 def pade_from_taylor(c, L: int, M: int) -> PadeApproximant:
@@ -93,7 +130,7 @@ def _ray_distance(p: complex, theta: float) -> float:
 
 
 def check_poles_off_ray(approx: PadeApproximant, theta: float,
-                        eps_scale: float, froissart_tol: float = 1e-12) -> None:
+                        eps_scale: float, froissart_tol: float = FROISSART_TOL) -> None:
     """Raise PoleOnRay when a genuine pole obstructs the integration ray.
 
     Froissart doublets (spurious pole/zero pairs with negligible residue)
@@ -156,3 +193,69 @@ def borel_pade_laplace(minor_coeffs, eps: complex,
     approx = pade_from_taylor(c, L, M)
     check_poles_off_ray(approx, theta, abs(eps))
     return laplace_ray(approx, eps, theta=theta)
+
+
+def laplace_pade_mp(approx: PadeApproximant, eps):
+    """int_0^inf exp(-xi/eps) num(xi)/den(xi) dxi along arg xi = 0, in
+    closed form, for an mpmath Pade approximant and Re eps > 0
+    (PoleOnRay otherwise).
+
+    num/den = sum_k q_k xi^k + sum_j r_j/(xi - p_j) over the simple poles
+    p_j with residues r_j = num(p_j)/den'(p_j), and term by term
+        int exp(-xi/eps) xi^k dxi = k! eps^(k+1),
+        int exp(-xi/eps) r/(xi - p) dxi = r exp(-p/eps) E1(-p/eps),
+    where the principal E1 integrates along arg xi = arg eps.  A pole
+    strictly between that ray and arg xi = 0 adds 2 pi i r exp(-p/eps)
+    when arg eps > 0 and subtracts it when arg eps < 0.  Works at
+    GUARD_DIGITS above the caller's precision and returns an mpc.
+
+    Raises PoleOnRay when a pole whose residue exceeds the Froissart
+    threshold lies on the ray to working precision, and ContourFailure
+    when a pole cannot be polished or the partial fractions do not
+    reproduce num/den at a test point to 10^-dps relative.
+    """
+    dps = mpmath.mp.dps
+    with mpmath.workdps(dps + GUARD_DIGITS):
+        eps = mpmath.mpc(eps)
+        if eps.real <= 0:
+            raise PoleOnRay("the ray arg xi = 0 is outside the half-plane of eps")
+        ps = approx.poles()
+        rs = approx._residues(ps)
+        quo = _poly_quotient(approx.num, approx.den)
+        # test point off the ray, at the scale where the Laplace weight lives
+        xi = abs(eps) * (1 + 1j)
+        want = mpmath.polyval(approx.num[::-1], xi) / mpmath.polyval(approx.den[::-1], xi)
+        got = mpmath.polyval(quo[::-1], xi) + mpmath.fsum(r / (xi - p) for p, r in zip(ps, rs))
+        if abs(got - want) > mpmath.mpf(10) ** -dps * abs(want):
+            raise ContourFailure("partial fractions do not reproduce the Pade approximant")
+        scale = max([mpmath.mpf(1)] + [abs(r) for r in rs])
+        on_ray = mpmath.mpf(10) ** (-dps / 2)
+        arg_eps = mpmath.arg(eps)
+        total = mpmath.fsum(q * mpmath.factorial(k) * eps ** (k + 1)
+                            for k, q in enumerate(quo))
+        for p, r in zip(ps, rs):
+            if abs(r) >= FROISSART_TOL * scale and p.real > 0 \
+                    and abs(p.imag) <= on_ray * abs(p):
+                raise PoleOnRay(f"Pade pole at {complex(p):.6g} lies on the ray arg xi = 0")
+            w = p / eps
+            term = mpmath.e1(-w)
+            arg_p = mpmath.arg(p)
+            if 0 < arg_p < arg_eps:
+                term += 2j * mpmath.pi
+            elif arg_eps < arg_p < 0:
+                term -= 2j * mpmath.pi
+            total += r * mpmath.exp(-w) * term
+        return total
+
+
+def _poly_quotient(num, den):
+    """Quotient of num by den (ascending coefficient lists)."""
+    rem = list(num)
+    m = len(den) - 1
+    quo = []
+    for k in range(len(num) - 1, m - 1, -1):
+        t = rem[k] / den[m]
+        quo.append(t)
+        for j in range(m + 1):
+            rem[k - m + j] -= t * den[j]
+    return quo[::-1]

@@ -22,7 +22,7 @@ from .airy import airy_raw_contour, normalize_airy, symbol_borel_sum
 from .coefficients import to_complex
 from .contours import ContourSpec, LaplaceResult
 from .errors import DomainExit
-from .series import (INF, PuiseuxSeries, _principal_pow, max_abs_coeff,
+from .series import (INF, PuiseuxSeries, _make, _principal_pow, max_abs_coeff,
                      require_taylor)
 from .transport import transport_g
 
@@ -107,6 +107,19 @@ def pde_taylor(F: PuiseuxSeries, h: PuiseuxSeries, Nx: int, Nz: int) -> Bivariat
             trunc=rhs.trunc))
     return BivariateSeries(a_list=tuple(s.with_trunc(min(s.trunc, cap)) for s in a),
                            Nx=Nx, Nz=Nz)
+
+
+def _require_kernel_of(psi: BivariateSeries, F, h) -> None:
+    """ValueError unless psi's a_1 is h and its a_2 is F's image
+    sum F_m z^m/(2+4m), compared exactly within psi's truncation."""
+    if psi.Nx >= 1 and not (psi.a_list[1] - h).is_zero():
+        raise ValueError("psi is not the kernel of the given h (its a_1 differs)")
+    if psi.Nx >= 2:
+        a2 = psi.a_list[2]
+        preimage = _make({m: c * (2 + 4 * int(m)) for m, c in a2.coeffs.items()},
+                         a2.trunc)
+        if not (preimage - F).is_zero():
+            raise ValueError("psi is not the kernel of the given F (its a_2 differs)")
 
 
 def pde_residual(psi: BivariateSeries, F: PuiseuxSeries):
@@ -330,12 +343,16 @@ def confluent_eval(F: PuiseuxSeries, h: PuiseuxSeries, z: complex, eps: complex,
     (DomainExit for explicit paths that violate it).  z = 0 is the
     turning point and raises ContourFailure, as in airy_contour.
 
-    The a_n(z) come from psi's numeric table (built once per kernel; the
-    exact a_list is untouched) and are taken once per call: every path
-    node shares the same z.
+    A given psi is used as is, so Nx and Nz are then ignored; it must be
+    the kernel of F and h (its a_1 and a_2 are compared exactly with h
+    and F's image, ValueError otherwise).  The a_n(z) come from psi's
+    numeric table (built once per kernel; the exact a_list is untouched)
+    and are taken once per call: every path node shares the same z.
     """
     if psi is None:
         psi = pde_taylor(F, h, Nx, Nz)
+    else:
+        _require_kernel_of(psi, F, h)
     x_cap = _default_x_cap(psi, abs(z))
     spec = spec or ContourSpec()
 

@@ -256,3 +256,14 @@ def test_local_decomposition_asymptotic_consistency_small_F():
     errs = [row["rel_err"] for row in rep["rows"]]
     slope = np.polyfit(np.log(grid), np.log(errs), 1)[0]
     assert slope > 0.9, (errs, slope)
+
+
+def test_confluent_rejects_the_kernel_of_other_data():
+    F = TaylorSeries({0: Fr(1, 3), 1: Fr(-2, 7)})
+    h = TaylorSeries({0: Fr(1, 5)})
+    psi = pde_taylor(F, h, 40, 40)
+    # with this psi, (0, 0) would give a value 2% off the F = h = 0 one;
+    # (F0, h) differs in a_2 only
+    for other_F, other_h in ((0, 0), (F0, H0), (F, H0), (F0, h)):
+        with pytest.raises(ValueError):
+            confluent_eval(other_F, other_h, 0.9 + 0.3j, 0.08, psi=psi)
