@@ -19,7 +19,7 @@ from .symbols import BorelMinor, WKBSymbol, action, branch_arg, zpow
 from .contours import ContourSpec, LaplaceResult
 from .errors import (ContourFailure, DomainExit, ExactWKBError, LatticeError,
                      LogObstruction, NotSimpleTurningPoint, PoleOnRay,
-                     SeriesError, TraceEscape)
+                     SeriesError, SeriesFormatError, TraceEscape)
 from .airy import (airy_alpha, airy_borel_sum, airy_contour, airy_oracle,
                    airy_symbol, lateral_sums, stokes_jump, symbol_borel_sum)
 from .transport import (RiccatiExpansion, riccati_p, symbol_consistency,
@@ -40,7 +40,7 @@ __all__ = [
     "ContourSpec", "LaplaceResult",
     "ExactWKBError", "SeriesError", "LatticeError", "LogObstruction",
     "NotSimpleTurningPoint", "ContourFailure", "PoleOnRay", "DomainExit",
-    "TraceEscape",
+    "TraceEscape", "SeriesFormatError",
     "airy_alpha", "airy_symbol", "airy_contour", "airy_borel_sum",
     "airy_oracle", "stokes_jump", "lateral_sums", "symbol_borel_sum",
     "RiccatiExpansion", "transport_g", "riccati_p", "symbol_consistency",

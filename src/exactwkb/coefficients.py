@@ -2,101 +2,109 @@
 
 Series coefficients are duck-typed: anything with ring arithmetic
 (+, -, *, /) and equality against 0 works.  Exact computations use
-``fractions.Fraction`` or :class:`GaussianRational`; float-mode
-computations use Python ``complex``/``float``; small polynomial rings
-(see :mod:`exactwkb.polyring`) slot in for computations with symbolic
-parameters.
+``fractions.Fraction`` or :class:`GaussianRational`, which keeps a
+Gaussian rational as three ints over one common denominator rather than
+as two Fractions; float-mode computations use Python ``complex``/``float``;
+small polynomial rings (see :mod:`exactwkb.polyring`) slot in for
+computations with symbolic parameters.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Any
 
 
-class GaussianRational:
-    """Exact complex rational a + b*i with Fraction components.
+def _gauss(a: int, b: int, d: int) -> "GaussianRational":
+    """(a + b*i)/d in canonical form, for d > 0 (every operation's d is a
+    product of positive denominators and sums of squares): the one gcd."""
+    g = gcd(a, b, d)
+    out = object.__new__(GaussianRational)
+    out._a, out._b, out._d = a // g, b // g, d // g
+    return out
 
-    Closed under +, -, *, / (exact, no rounding).  Interoperates with
-    int and Fraction on either side.
+
+def _add(a, b, d, c, e, f):
+    return _gauss(a * f + c * d, b * f + e * d, d * f)
+
+
+def _sub(a, b, d, c, e, f):
+    return _gauss(a * f - c * d, b * f - e * d, d * f)
+
+
+def _mul(a, b, d, c, e, f):
+    return _gauss(a * c - b * e, a * e + b * c, d * f)
+
+
+def _div(a, b, d, c, e, f):
+    if not (c or e):
+        raise ZeroDivisionError("division by zero GaussianRational")
+    return _gauss((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
+
+
+def _op(fn):
+    """Forward and reflected methods applying fn to the (a, b, d) of both
+    operands.  Only an int or Fraction left operand reaches the reflected
+    one: a GaussianRational on the left takes the forward method."""
+    def forward(self, other):
+        if isinstance(other, GaussianRational):
+            return fn(self._a, self._b, self._d, other._a, other._b, other._d)
+        if isinstance(other, (int, Fraction)):
+            return fn(self._a, self._b, self._d, other.numerator, 0, other.denominator)
+        return NotImplemented
+
+    def reflected(self, other):
+        if isinstance(other, (int, Fraction)):
+            return fn(other.numerator, 0, other.denominator, self._a, self._b, self._d)
+        return NotImplemented
+    return forward, reflected
+
+
+class GaussianRational:
+    """Exact complex rational (a + b*i)/d stored as three ints.
+
+    The form is canonical: d > 0 and gcd(a, b, d) = 1, so each of
+    +, -, *, / costs one normalising gcd (Knuth, TAOCP vol. 2, 4.5.1).
+    ``re`` and ``im`` read the parts back as Fractions.  Interoperates
+    with int and Fraction on either side.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        re, im = Fraction(re), Fraction(im)
+        # over the lcm of the reduced denominators gcd(a, b, d) is already 1
+        d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
 
-    @staticmethod
-    def _coerce(other) -> "GaussianRational | None":
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
+    re = property(lambda self: Fraction(self._a, self._d))
+    im = property(lambda self: Fraction(self._b, self._d))
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational((self.re * o.re + self.im * o.im) / d,
-                                (self.im * o.re - self.re * o.im) / d)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+    __add__, __radd__ = _op(_add)
+    __sub__, __rsub__ = _op(_sub)
+    __mul__, __rmul__ = _op(_mul)
+    __truediv__, __rtruediv__ = _op(_div)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gauss(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return (self._a, self._b, self._d) == (other._a, other._b, other._d)
+        if isinstance(other, (int, Fraction)):
+            return (self._a, self._b, self._d) == (other.numerator, 0, other.denominator)
         if isinstance(other, complex):
             return complex(self) == other
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
+        if self._b == 0:
             return hash(self.re)
         return hash((self.re, self.im))
 
@@ -104,15 +112,16 @@ class GaussianRational:
         return abs(complex(self))
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int true division rounds correctly, as float(Fraction) does
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
-        if self.im == 0:
+        if self._b == 0:
             return f"GaussianRational({self.re})"
         return f"GaussianRational({self.re}, {self.im})"
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _gauss(self._a, -self._b, self._d)
 
 
 def lift(value: Any) -> Any:

@@ -13,6 +13,10 @@ class LatticeError(SeriesError):
     """Exponent leaves the admissible rational-exponent lattice."""
 
 
+class SeriesFormatError(SeriesError, ValueError):
+    """Series input (JSON) that is not a well-formed series object."""
+
+
 class LogObstruction(SeriesError):
     """Antiderivative of a z^-1 term requested; a logarithm would appear."""
 

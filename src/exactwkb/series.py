@@ -10,7 +10,9 @@ Exponents are Fractions on the lattice (1/6)Z.  The public constructor
 checks its input against a smaller lattice (half-integers by default);
 every operation builds its result through the trusted :func:`_make`, and
 only ``shift`` and ``pow_rational`` can leave (1/6)Z, which they refuse
-with :class:`LatticeError`.
+with :class:`LatticeError`.  ``coeffs`` is keyed by Fraction; the product,
+the hottest loop, keys its convolution by the integer 6e instead.  JSON
+input is checked against (1/6)Z, so ``to_json`` output always reads back.
 
 Truncation is tracked pessimistically: every operation propagates the
 tightest provably valid order, never extrapolating.  All values are
@@ -19,6 +21,7 @@ immutable after construction and all operations are pure functions.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -26,7 +29,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 from .coefficients import (GaussianRational, coeff_is_zero, is_exact, lift,
                            to_complex)
-from .errors import LatticeError, LogObstruction, SeriesError
+from .errors import LatticeError, LogObstruction, SeriesError, SeriesFormatError
 
 INF = math.inf
 
@@ -37,9 +40,7 @@ _ONE = Fraction(1)
 def _as_exp(e) -> Fraction:
     if isinstance(e, Fraction):
         return e
-    if isinstance(e, int):
-        return Fraction(e)
-    if isinstance(e, str):
+    if isinstance(e, (int, str)):
         return Fraction(e)
     if isinstance(e, tuple) and len(e) == 2:
         return Fraction(e[0], e[1])
@@ -51,6 +52,12 @@ def _check_sixths(e: Fraction) -> Fraction:
         raise LatticeError(
             f"exponent {e} leaves the admissible lattice (1/6)Z")
     return e
+
+
+@functools.cache
+def _exp6(k: int) -> Fraction:
+    """The exponent k/6, built (with its gcd) once per k, not per product."""
+    return Fraction(k, 6)
 
 
 def binomial(r: Fraction, k: int) -> Fraction:
@@ -226,22 +233,29 @@ class PuiseuxSeries:
                 trunc = min(trunc, self.min_exp + other.trunc)
             if self.trunc is not INF:
                 trunc = min(trunc, other.min_exp + self.trunc)
+            # keyed by the integer k = 6e: k < ceil(6 trunc) iff k/6 < trunc
+            kmax = INF if trunc is INF else math.ceil(6 * trunc)
+            bs = [(e.numerator * (6 // e.denominator), c)
+                  for e, c in other.coeffs.items()]
             data: dict = {}
             for ea, ca in self.coeffs.items():
-                for eb, cb in other.coeffs.items():
-                    e = ea + eb
-                    if e >= trunc:
+                ka = ea.numerator * (6 // ea.denominator)
+                for kb, cb in bs:
+                    k = ka + kb
+                    if k >= kmax:
                         continue
                     p = ca * cb
-                    data[e] = data[e] + p if e in data else p
-            return _make(data, trunc)
+                    data[k] = data[k] + p if k in data else p
+            # every k is already below trunc: _make need only drop zeros
+            out = _make({_exp6(k): c for k, c in data.items()}, INF)
+            object.__setattr__(out, "trunc", trunc)
+            return out
         c = lift(other)
         if coeff_is_zero(c):
             return _make({}, self.trunc)
         return _make({e: v * c for e, v in self.coeffs.items()}, self.trunc)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def _coerce(self, other):
         if isinstance(other, PuiseuxSeries):
@@ -479,9 +493,11 @@ class PuiseuxSeries:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PuiseuxSeries":
+        if not isinstance(d, dict) or "coeffs" not in d:
+            raise SeriesFormatError('a series object needs a "coeffs" list')
         trunc = INF if d.get("trunc", "inf") == "inf" else Fraction(d["trunc"])
         coeffs = {}
-        for e, val in d.get("coeffs", []):
+        for e, val in d["coeffs"]:
             re_v, im_v = val
             if isinstance(re_v, str):
                 re_f, im_f = Fraction(re_v), Fraction(im_v)
@@ -491,7 +507,7 @@ class PuiseuxSeries:
                 if c.imag == 0:
                     c = complex(re_v, 0.0)
             coeffs[Fraction(e)] = c
-        return cls(coeffs, trunc)
+        return cls(coeffs, trunc, lattice=6)
 
     @classmethod
     def from_json(cls, s: str) -> "PuiseuxSeries":

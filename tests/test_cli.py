@@ -65,6 +65,24 @@ def test_validation_error_exit_2(capsys):
     assert code == 2
 
 
+def test_series_object_without_coeffs_exit_2(capsys):
+    args = ["--z", "0.9", "0.3", "--eps", "0.08", "0"]
+    code = main(["confluent", "--F", '{"0": "1/3", "1": "-2/7"}',
+                 "--h", '{"0": "1/5"}', *args])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    # the documented list form and the full object form read the same data
+    code, listed = run_cli(["confluent", "--F", '[["0", ["1/3", "0"]], ["1", ["-2/7", "0"]]]',
+                            "--h", '[["0", ["1/5", "0"]]]', *args], capsys)
+    assert code == 0
+    code, full = run_cli(["confluent", "--F",
+                          '{"trunc": "inf", "coeffs": [["0", ["1/3", "0"]], ["1", ["-2/7", "0"]]]}',
+                          "--h", '{"min_exp": "0", "coeffs": [["0", ["1/5", "0"]]]}', *args],
+                         capsys)
+    assert code == 0
+    assert full == listed
+
+
 def test_precision_floor():
     with pytest.raises(SystemExit):
         main(["--precision", "8", "airy", "--z", "1", "0",

@@ -6,7 +6,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from exactwkb.coefficients import GaussianRational
-from exactwkb.errors import LatticeError, LogObstruction, SeriesError
+from exactwkb.errors import LatticeError, LogObstruction, SeriesError, SeriesFormatError
 from exactwkb.series import INF, EpsSeries, PuiseuxSeries, TaylorSeries
 
 
@@ -204,6 +204,20 @@ def test_json_roundtrip_exact_and_float():
     f = S({0: 1.5, 1: 0.25 + 1j})
     f2 = PuiseuxSeries.from_json(f.to_json())
     assert (f - f2).is_zero()
+
+
+def test_json_reads_back_kernel_output_on_sixths():
+    s = S({1: 1, 2: 1}).pow_rational(Fr(2, 3), order=3)
+    assert Fr(2, 3) in s.coeffs
+    assert PuiseuxSeries.from_json(s.to_json()) == s
+    with pytest.raises(LatticeError):
+        PuiseuxSeries.from_json('{"coeffs": [["1/4", ["1", "0"]]]}')
+
+
+def test_json_object_without_coeffs_is_refused():
+    for text in ('{"0": "1/3", "1": "-2/7"}', '{"trunc": "inf"}', '5'):
+        with pytest.raises(SeriesFormatError):
+            PuiseuxSeries.from_json(text)
 
 
 def test_gaussian_rational_field_ops():

@@ -132,3 +132,61 @@ def test_json_roundtrip(data, ring):
     b = PuiseuxSeries.from_json(a.to_json())
     assert b == a
     assert b.to_json() == a.to_json()
+
+
+SIXTH = Fr(1, 6)
+# finite truncations on the 1/6 grid and off it
+TRUNCS = st.one_of(st.none(), st.integers(-6, 24).map(lambda k: k * SIXTH),
+                   st.sampled_from([Fr(7, 5), Fr(-3, 7), Fr(13, 4), Fr(1, 10)]))
+COEFFS = {"exact": EXACT,
+          "float": st.one_of(FLOATS, st.builds(complex, FLOATS, FLOATS))}
+
+
+def sixths_series(data, coeff):
+    """Up to six terms on (1/6)Z, from -5/6 up, and a drawn truncation."""
+    ks = data.draw(st.lists(st.integers(-5, 14), max_size=6, unique=True))
+    t = data.draw(TRUNCS)
+    return PuiseuxSeries({k * SIXTH: data.draw(coeff) for k in ks},
+                         INF if t is None else t, lattice=6)
+
+
+def naive_product(a, b):
+    """(items, trunc) of a*b by a Fraction-keyed convolution, in the order
+    of the double loop over a's then b's terms, exact zeros dropped."""
+    trunc = min(a.min_exp + b.trunc, b.min_exp + a.trunc)
+    data = {}
+    for ea, ca in a.coeffs.items():
+        for eb, cb in b.coeffs.items():
+            e = ea + eb
+            if e < trunc:
+                data[e] = data[e] + ca * cb if e in data else ca * cb
+    return [(e, c) for e, c in data.items() if c != 0], trunc
+
+
+@given(st.data(), st.sampled_from(sorted(COEFFS)))
+def test_product_matches_the_fraction_keyed_convolution(data, ring):
+    a, b = sixths_series(data, COEFFS[ring]), sixths_series(data, COEFFS[ring])
+    items, trunc = naive_product(a, b)
+    p = a * b
+    assert p.trunc == trunc
+    # same keys in the same order, and bit-identical float coefficients
+    assert [(e, repr(c)) for e, c in p.coeffs.items()] == \
+        [(e, repr(c)) for e, c in items]
+    assert all(isinstance(e, Fr) for e in p.coeffs)
+
+
+def test_product_on_thirds_and_an_off_grid_truncation():
+    a = PuiseuxSeries({Fr(-5, 6): 2, Fr(1, 3): Fr(1, 7), 1: 3}, Fr(7, 5), lattice=6)
+    b = PuiseuxSeries({Fr(1, 2): 5, Fr(2, 3): -1}, lattice=6)
+    # trunc = min(-5/6 + inf, 1/2 + 7/5) = 19/10
+    assert a * b == PuiseuxSeries(
+        {Fr(-1, 3): 10, Fr(-1, 6): -2, Fr(5, 6): Fr(5, 7), 1: Fr(-1, 7),
+         Fr(3, 2): 15, Fr(5, 3): -3}, Fr(19, 10), lattice=6)
+
+
+@given(st.data(), st.sampled_from(["exact", "float"]))
+def test_json_roundtrip_on_the_kernel_lattice(data, ring):
+    a = sixths_series(data, COEFFS[ring])
+    b = PuiseuxSeries.from_json(a.to_json())
+    assert b == a
+    assert b.to_json() == a.to_json()
