@@ -20,6 +20,9 @@ from .errors import ContourFailure
 from .series import PuiseuxSeries
 from .symbols import WKBSymbol, branch_arg, zpow
 
+# Angle of the lateral Laplace rays either side of the singular ray.
+LATERAL_DELTA = math.radians(10.0)
+
 
 def airy_alpha(n: int) -> Fraction:
     """Exact rational alpha_n with alpha_n(z) = alpha_n z^{-3n/2}.
@@ -50,13 +53,14 @@ def airy_symbol(N: int) -> WKBSymbol:
 # Independent oracle: scaled Airy function via mpmath.
 # ---------------------------------------------------------------------------
 
-def airy_oracle(z: complex, eps: complex, dps: int | None = None) -> complex:
+def airy_oracle(z: complex, eps: complex) -> complex:
     """2 sqrt(pi) eps^{-1/6} Ai(z eps^{-2/3}), evaluated independently of any
-    contour machinery (arbitrary-precision mpmath.airyai).
+    contour machinery (mpmath.airyai at the working precision, at least
+    30 digits).
 
     Principal powers of eps are used; Re(eps) > 0 throughout the toolkit.
     """
-    with mpmath.workdps(dps or max(30, mpmath.mp.dps)):
+    with mpmath.workdps(max(30, mpmath.mp.dps)):
         me = mpmath.mpc(eps)
         arg = mpmath.mpc(z) * me ** mpmath.mpf("-2/3")
         val = 2 * mpmath.sqrt(mpmath.pi) * me ** mpmath.mpf("-1/6") \
@@ -203,7 +207,6 @@ def airy_borel_sum_hp(z, eps, N: int, pade: tuple[int, int] | None = None,
 
 
 def stokes_jump(z: complex, eps: complex, N: int,
-                delta: float = math.radians(10.0),
                 mirror: bool = False) -> tuple[complex, complex]:
     """Numeric Stokes jump of the Airy symbol across the singular ray.
 
@@ -226,18 +229,18 @@ def stokes_jump(z: complex, eps: complex, N: int,
     if mirror:
         sym = sym.flip_eps()
     partner = sym.flip_eps()
-    lo, hi = lateral_sums(sym, z, eps, delta=delta)
+    lo, hi = lateral_sums(sym, z, eps)
     jump = lo - hi
     pred = -1j * symbol_borel_sum(partner, z, eps).value
     return jump, pred
 
 
-def lateral_sums(symbol: WKBSymbol, z: complex, eps: complex,
-                 delta: float = math.radians(10.0),
-                 singular_theta: float = 0.0) -> tuple[complex, complex]:
-    """Lateral Borel sums of a symbol just below / above a singular ray
-    direction.  laplace_ray's geometrically graded panels resolve the
-    Pade pole string that emulates the cut, a few degrees off the ray."""
-    lo = symbol_borel_sum(symbol, z, eps, theta=singular_theta - delta).value
-    hi = symbol_borel_sum(symbol, z, eps, theta=singular_theta + delta).value
+def lateral_sums(symbol: WKBSymbol, z: complex,
+                 eps: complex) -> tuple[complex, complex]:
+    """Lateral Borel sums of a symbol along arg xi = -/+ LATERAL_DELTA,
+    just below / above the singular ray arg xi = 0.  laplace_ray's
+    geometrically graded panels resolve the Pade pole string that
+    emulates the cut, a few degrees off the ray."""
+    lo = symbol_borel_sum(symbol, z, eps, theta=-LATERAL_DELTA).value
+    hi = symbol_borel_sum(symbol, z, eps, theta=LATERAL_DELTA).value
     return lo, hi

@@ -130,7 +130,7 @@ def _ray_distance(p: complex, theta: float) -> float:
 
 
 def check_poles_off_ray(approx: PadeApproximant, theta: float,
-                        eps_scale: float, froissart_tol: float = FROISSART_TOL) -> None:
+                        eps_scale: float) -> None:
     """Raise PoleOnRay when a genuine pole obstructs the integration ray.
 
     Froissart doublets (spurious pole/zero pairs with negligible residue)
@@ -142,7 +142,7 @@ def check_poles_off_ray(approx: PadeApproximant, theta: float,
     rs = approx.residues()
     scale = max(1.0, float(np.max(np.abs(rs))))
     for p, r in zip(ps, rs):
-        if abs(r) < froissart_tol * scale:
+        if abs(r) < FROISSART_TOL * scale:
             continue
         if _ray_distance(p, theta) < 0.03 * (abs(p) + eps_scale):
             raise PoleOnRay(

@@ -20,10 +20,11 @@ import mpmath
 from . import __version__
 from .airy import airy_borel_sum, airy_contour, airy_oracle, stokes_jump
 from .contours import ContourSpec
-from .errors import ContourFailure, DomainExit, ExactWKBError, PoleOnRay, TraceEscape
+from .errors import (ContourFailure, DomainExit, ExactWKBError, PoleOnRay,
+                     SeriesError, SeriesFormatError, TraceEscape)
 from .pde import confluent_eval, pde_residual, pde_taylor
 from .reduction import schrodinger_pipeline
-from .series import PuiseuxSeries, max_abs_coeff
+from .series import PuiseuxSeries, max_abs_coeff, require_taylor
 from .stokes import (SECTOR_CONVENTION, canonical_stokes_lines,
                      node_condition_residuals, potential_stokes_curves)
 from .transport import riccati_p, symbol_consistency, transport_g, wkb_residual
@@ -32,11 +33,13 @@ from .hardy import hardy_ode_residual, hardy_phi_eval, hardy_S_T
 MIN_PRECISION = 15
 
 
-def _load_series(text: str) -> PuiseuxSeries:
-    """Inline JSON or a file path.
+def _load_series(text: str, name: str) -> PuiseuxSeries:
+    """The Taylor series ``name`` from inline JSON or a file path.
 
     Accepts the full series object {"min_exp": ..., "coeffs": ...} or
-    the bare coefficient list [["p/q", [re, im]], ...].
+    the bare coefficient list [["p/q", [re, im]], ...].  Any malformed
+    or inadmissible series (bad terms, an exponent off (1/6)Z, a
+    non-Taylor series) raises SeriesFormatError, a validation error.
     """
     if os.path.exists(text):
         with open(text) as fh:
@@ -45,7 +48,10 @@ def _load_series(text: str) -> PuiseuxSeries:
         data = json.loads(text)
     if isinstance(data, list):
         data = {"min_exp": "0", "trunc": "inf", "coeffs": data}
-    return PuiseuxSeries.from_json_dict(data)
+    try:
+        return require_taylor(PuiseuxSeries.from_json_dict(data), name)
+    except (TypeError, ValueError, ArithmeticError, SeriesError) as exc:
+        raise SeriesFormatError(str(exc)) from exc
 
 
 def _c2l(z: complex) -> list:
@@ -113,7 +119,7 @@ def cmd_borel(args) -> dict:
 
 
 def cmd_transport(args) -> dict:
-    F = _load_series(args.F)
+    F = _load_series(args.F, "F")
     sym = transport_g(F, args.orders)
     ric = riccati_p(F, args.orders)
     resid = wkb_residual(sym, F)
@@ -129,8 +135,8 @@ def cmd_transport(args) -> dict:
 
 
 def cmd_pde(args) -> dict:
-    F = _load_series(args.F)
-    h = _load_series(args.h)
+    F = _load_series(args.F, "F")
+    h = _load_series(args.h, "h")
     Nx, Nz = args.orders
     psi = pde_taylor(F, h, Nx, Nz)
     worst = pde_residual(psi, F.with_trunc(min(F.trunc, Fraction(Nz + 1))))
@@ -142,8 +148,8 @@ def cmd_pde(args) -> dict:
 
 
 def cmd_confluent(args) -> dict:
-    F = _load_series(args.F)
-    h = _load_series(args.h)
+    F = _load_series(args.F, "F")
+    h = _load_series(args.h, "h")
     z = complex(args.z[0], args.z[1])
     eps = complex(args.eps[0], args.eps[1])
     spec = ContourSpec()
@@ -163,7 +169,7 @@ def cmd_stokes(args) -> dict:
         diag = canonical_stokes_lines(args.alpha, extent=args.extent)
         residuals = [0.0]
     else:
-        V = _load_series(args.V)
+        V = _load_series(args.V, "V")
         diag = potential_stokes_curves(V, args.alpha, step=args.step,
                                        extent=args.extent,
                                        region_radius=args.region)
@@ -184,7 +190,7 @@ def cmd_stokes(args) -> dict:
 
 
 def cmd_reduce(args) -> dict:
-    V = _load_series(args.V)
+    V = _load_series(args.V, "V")
     N = args.orders
     F, s_q = schrodinger_pipeline(V, N)
     from .reduction import schrodinger_master_residual

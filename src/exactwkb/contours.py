@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,10 +61,7 @@ class ContourSpec:
     max_panel_phase: float = 2.0
 
     def with_path(self, nodes) -> "ContourSpec":
-        return ContourSpec(path=tuple(nodes), rel_tol=self.rel_tol,
-                           gl_order=self.gl_order, max_extent=self.max_extent,
-                           x_cap=self.x_cap, x_of=self.x_of,
-                           max_panel_phase=self.max_panel_phase)
+        return replace(self, path=tuple(nodes))
 
 
 def integrate_polyline(f: Callable[[np.ndarray], np.ndarray],
@@ -185,9 +182,10 @@ def trace_thimble(S, dS, saddle: complex, eps: complex, init_dir: complex,
     return pts, reached
 
 
-def _phase_correct(S, dS, w, S0, eps, iters: int = 3):
-    """Newton steps restoring Im((S(w) - S0)/eps) = 0 transversally."""
-    for _ in range(iters):
+def _phase_correct(S, dS, w, S0, eps):
+    """Up to three Newton steps restoring Im((S(w) - S0)/eps) = 0
+    transversally."""
+    for _ in range(3):
         f = ((S(w) - S0) / eps).imag
         if abs(f) < 1e-15:
             break

@@ -255,11 +255,11 @@ def hardy_phi_eval(n: int, z: complex, eps: complex,
 
 def hardy_ode_residual(n: int, z: complex, eps: complex,
                        spec: ContourSpec | None = None,
-                       convention: str = "eps2",
-                       h_rel: float = 0.02) -> float:
+                       convention: str = "eps2") -> float:
     """Relative residual of the turning-point ODE at z by 5-point finite
-    differences on a fixed contour (the path is frozen at the stencil
-    center so Phi stays analytic across the stencil)."""
+    differences of step 0.02 sqrt|eps| on a fixed contour (the path is
+    frozen at the stencil center so Phi stays analytic across the
+    stencil)."""
     w, calls, saddle = _hardy_setup(n, z, eps, convention)
     base = spec or ContourSpec()
     S0, dS0, d2S0 = calls(z)
@@ -267,7 +267,7 @@ def hardy_ode_residual(n: int, z: complex, eps: complex,
                                       canonical_up_dir(complex(d2S0(saddle)), w))
     fixed = base.with_path(nodes)
 
-    h = h_rel * abs(eps) ** 0.5
+    h = 0.02 * abs(eps) ** 0.5
 
     def phi(zz):
         return saddle_point_integral(*calls(zz), saddle, w, fixed).value

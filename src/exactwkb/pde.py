@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -68,11 +68,6 @@ class BivariateSeries:
                 total += c * pows[k]
             out.append(total)
         return np.array(out)
-
-    def eval_many(self, z: complex, x: np.ndarray) -> np.ndarray:
-        """Horner in x of the a_n(z), read from the numeric table built
-        once per kernel (a_list itself is unchanged)."""
-        return _horner_x(self.values_at(z), x)
 
 
 def _horner_x(vals: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -208,22 +203,21 @@ def psi_eval(psi: BivariateSeries, z: complex, x: complex,
     divergence at this (z, x).
     """
     vals = psi.values_at(z)
-    terms = vals * (complex(x) ** np.arange(psi.Nx + 1))
-    mags = np.abs(terms)
+    mags = np.abs(vals * (complex(x) ** np.arange(psi.Nx + 1)))
     if psi.Nx >= 4 and mags[-1] > 0 and mags[-2] > 0:
         ratio = (mags[-1] / mags[-2] + mags[-2] / mags[-3]) / 2.0
         if ratio >= 1.0 and warn is not None:
             warn(f"ratio test {ratio:.3f} >= 1 at z={z}, x={x}: "
                  "outside the empirical convergence domain")
-    return complex(np.sum(terms[::-1]))
+    return complex(_horner_x(vals, complex(x)))
 
 
-def empirical_x_radius(psi: BivariateSeries, z_abs: float,
-                       n_angles: int = 8) -> float:
-    """Root-test estimate of the x-convergence radius at |z| = z_abs."""
+def empirical_x_radius(psi: BivariateSeries, z_abs: float) -> float:
+    """Root-test estimate of the x-convergence radius at |z| = z_abs,
+    from 8 equally spaced angles."""
     best = math.inf
-    for j in range(n_angles):
-        z = z_abs * cmath.exp(2j * math.pi * j / n_angles)
+    for j in range(8):
+        z = z_abs * cmath.exp(2j * math.pi * j / 8)
         vals = np.abs(psi.values_at(z))
         for n in range(max(2, psi.Nx - 10), psi.Nx + 1):
             if vals[n] > 0:
@@ -310,13 +304,13 @@ def picard_partial_sums_match(F, h, K, Nx, Nz) -> bool:
     return True
 
 
-def delta_sup_on_disk(delta: dict, x_abs: float, r: float,
-                      n_angles: int = 12) -> float:
-    """Empirical sup over |z| = r (sampled) of |delta_k(z, x)| at |x| = x_abs."""
+def delta_sup_on_disk(delta: dict, x_abs: float, r: float) -> float:
+    """Empirical sup over |z| = r (12 equally spaced angles) of
+    |delta_k(z, x)| at |x| = x_abs."""
     best = 0.0
     xs = [x_abs, -x_abs, x_abs * 1j]
-    for j in range(n_angles):
-        z = r * cmath.exp(2j * math.pi * j / n_angles)
+    for j in range(12):
+        z = r * cmath.exp(2j * math.pi * j / 12)
         for x in xs:
             tot = 0j
             for (m, n), c in delta.items():
@@ -366,9 +360,7 @@ def confluent_eval(F: PuiseuxSeries, h: PuiseuxSeries, z: complex, eps: complex,
                 f"path node {bad[0]:.4g} has |z - zhat^2| > {x_cap:.4g}")
         use = spec
     else:
-        use = ContourSpec(path=None, rel_tol=spec.rel_tol, gl_order=spec.gl_order,
-                          max_extent=spec.max_extent, x_cap=x_cap, x_of=x_of,
-                          max_panel_phase=spec.max_panel_phase)
+        use = replace(spec, x_cap=x_cap, x_of=x_of)
 
     vals = psi.values_at(z)
 

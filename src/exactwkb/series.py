@@ -273,7 +273,7 @@ class PuiseuxSeries:
         return _make({k + e: c for k, c in self.coeffs.items()}, trunc)
 
     def inverse(self, order=None) -> "PuiseuxSeries":
-        """Multiplicative inverse 1/self.
+        """Multiplicative inverse 1/self, i.e. ``pow_rational(-1, order)``.
 
         For a non-monomial denominator with infinite truncation the
         result is an infinite series, so a relative ``order`` (number of
@@ -281,27 +281,7 @@ class PuiseuxSeries:
         """
         if self.is_zero():
             raise SeriesError("division by a series that is zero within its truncation")
-        m, c0 = self.leading()
-        rel = None if self.trunc is INF else self.trunc - m
-        if len(self.coeffs) == 1:
-            inv = _ONE / c0
-            t = INF if rel is None else rel - m
-            return _make({-m: inv}, t)
-        if rel is None:
-            if order is None:
-                raise SeriesError(
-                    "inverse of an untruncated non-monomial series needs an explicit order")
-            rel = _as_exp(order)
-        # self = c0 z^m (1 + u), u = self/(c0 z^m) - 1, ord(u) > 0
-        u = (self.shift(-m) * (_ONE / c0) - 1).with_trunc(rel)
-        geo = term = _make({_ZERO: _ONE}, rel)
-        step, _ = u.leading() if not u.is_zero() else (rel, None)
-        k = Fraction(0)
-        while k + step < rel and not term.is_zero():
-            term = (-term * u).with_trunc(rel)
-            geo = geo + term
-            k += step
-        return geo.shift(-m) * (_ONE / c0)
+        return self.pow_rational(-1, order)
 
     def div(self, other: "PuiseuxSeries", order=None) -> "PuiseuxSeries":
         return self * other.inverse(order)
@@ -329,11 +309,13 @@ class PuiseuxSeries:
 
     def pow_rational(self, r, order=None) -> "PuiseuxSeries":
         """self**r for rational r, by binomial expansion about the leading
-        monomial.
+        monomial: the one expansion behind :meth:`inverse` (r = -1) and
+        :meth:`sqrt`.
 
         The leading coefficient must possess an exact r-th power in exact
-        mode (it does throughout the model, where it is 1); r times the
-        leading exponent must land on the 1/6 lattice.
+        mode (it does throughout the model, where it is 1; any invertible
+        coefficient will do for r = -1); r times the leading exponent
+        must land on the 1/6 lattice.
         """
         r = _as_exp(r)
         if self.is_zero():
@@ -355,14 +337,17 @@ class PuiseuxSeries:
                 raise SeriesError(
                     "rational power of an untruncated non-monomial series needs an order")
             rel = _as_exp(order)
+        # self = c0 z^m (1 + u), u = self/(c0 z^m) - 1, ord(u) > 0
         u = (self.shift(-m) * (_ONE / c0) - 1).with_trunc(rel)
         out = term = _make({_ZERO: _ONE}, rel)
-        step, _ = u.leading()
-        k = 0
-        while k * step < rel and not term.is_zero():
+        step = u.min_exp  # == rel when u truncates to zero
+        k, binom = 0, _ONE
+        # u^(k+1) starts at (k+1)*step: stop before it truncates to zero
+        while (k + 1) * step < rel and not term.is_zero():
             term = (term * u).with_trunc(rel)
             k += 1
-            out = out + term * binomial(r, k)
+            binom = binom * (r - k + 1) / k  # C(r, k)
+            out = out + term * binom
         return _make({new_exp + e: c0r * c for e, c in out.coeffs.items()},
                      new_exp + rel)
 
@@ -536,7 +521,10 @@ def _principal_pow(z: complex, e: Fraction) -> complex:
 
 
 def _coeff_root(c, r: Fraction):
-    """Exact c**r for a rational c, float for an inexact one."""
+    """c**r: 1/c in c's own ring for r = -1, exact for a rational c,
+    float for an inexact one."""
+    if r == -1:
+        return _ONE / c
     if isinstance(c, GaussianRational) and c.im == 0:
         c = c.re
     if isinstance(c, Fraction):

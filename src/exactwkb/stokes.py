@@ -19,9 +19,10 @@ from typing import Callable
 
 from .contours import _gl
 from .errors import TraceEscape
-from .series import PuiseuxSeries
+from .series import PuiseuxSeries, require_taylor
 
 TWO_PI_3 = 2.0 * math.pi / 3.0
+GL_ACTION = 24  # Gauss-Legendre points per panel of int_0^q sqrt(V) off the tracer
 
 SECTOR_CONVENTION = ("S1: (L0, L1) counterclockwise; S2: (L1, L-1); "
                      "S-1: (L-1, L0)")
@@ -49,16 +50,15 @@ def canonical_stokes_lines(alpha: float, extent: float = 3.0) -> StokesDiagram:
                          lines=tuple(lines), sector_labels=labels)
 
 
-def classify_sector(z: complex, alpha: float = 0.0,
-                    tol: float = 1e-9) -> str:
-    """Sector id of z for the canonical diagram, or ON_LINE within an
-    angular tolerance of a Stokes ray."""
+def classify_sector(z: complex, alpha: float = 0.0) -> str:
+    """Sector id of z for the canonical diagram, or ON_LINE within 1e-9
+    radians of a Stokes ray."""
     if z == 0:
         raise ValueError("z = 0 is the turning point")
     th = cmath.phase(z * cmath.exp(-2j * alpha / 3.0))
     for k, name in ((0.0, "L0"), (TWO_PI_3, "L1"), (-TWO_PI_3, "L-1")):
         d = abs((th - k + math.pi) % (2.0 * math.pi) - math.pi)
-        if d < tol:
+        if d < 1e-9:
             return "ON_LINE:" + name
     if 0.0 < th < TWO_PI_3:
         return "S1"
@@ -71,6 +71,7 @@ def _callable_potential(V) -> Callable[[complex], complex]:
     if callable(V):
         return V
     if isinstance(V, PuiseuxSeries):
+        require_taylor(V, "V")
         items = sorted((int(e), c) for e, c in V.to_float().coeffs.items())
 
         def f(q):
@@ -86,8 +87,7 @@ def _callable_potential(V) -> Callable[[complex], complex]:
 def potential_stokes_curves(V, alpha: float = 0.0,
                             step: float = 0.01,
                             extent: float = 2.0,
-                            region_radius: float | None = None,
-                            max_nodes: int = 2000) -> StokesDiagram:
+                            region_radius: float | None = None) -> StokesDiagram:
     """Trace the three Stokes curves of a simple turning point at 0.
 
     Predictor-corrector on the field dq/dt = e^{i alpha}/sqrt(V(q)) with
@@ -95,21 +95,21 @@ def potential_stokes_curves(V, alpha: float = 0.0,
     correction restoring Im(e^{-i alpha} w) = 0 for the running action
     w = int_0^q sqrt(V).  Each accepted node keeps the defining residual
     below trace tolerance; leaving the declared analyticity region
-    raises TraceEscape.
+    raises TraceEscape.  A line stops after at most 2000 steps.
     """
     Vf = _callable_potential(V)
     region = region_radius if region_radius is not None else extent * 1.5
     lines = []
     for k in (0, 1, -1):
         th = 2.0 * (alpha + k * math.pi) / 3.0
-        nodes = _trace_one(Vf, alpha, th, step, extent, region, max_nodes)
+        nodes = _trace_one(Vf, alpha, th, step, extent, region)
         lines.append(tuple(nodes))
     labels = {"convention": SECTOR_CONVENTION}
     return StokesDiagram(direction_alpha=alpha, turning_points=(0j,),
                          lines=tuple(lines), sector_labels=labels)
 
 
-def _trace_one(Vf, alpha, theta0, step, extent, region, max_nodes):
+def _trace_one(Vf, alpha, theta0, step, extent, region):
     # seed just off the turning point along the exact local ray; the
     # local model V ~ q gives w ~ (2/3) q^{3/2}
     q = 0.25 * step * cmath.exp(1j * theta0)
@@ -117,7 +117,7 @@ def _trace_one(Vf, alpha, theta0, step, extent, region, max_nodes):
     nodes = [0j, q]
     rot = cmath.exp(1j * alpha)
     outward = cmath.exp(1j * theta0)
-    for _ in range(max_nodes):
+    for _ in range(2000):
         # RK4 on unit-speed dq/ds = +- e^{i alpha} / sqrt(V), the sign
         # chosen to march away from the turning point; the branch of
         # sqrt(V) is continued from the previous sample
@@ -178,28 +178,28 @@ def _action_increment(Vf, a, b, sq_prev):
     return total * half, s_end
 
 
-def action_along_polyline(Vf_or_V, nodes, n_gl: int = 24) -> complex:
+def action_along_polyline(Vf_or_V, nodes) -> complex:
     """int_0^q sqrt(V) along a polyline from the turning point, with the
     branch continued segmentwise.  Independent of the tracer's running
     increments (used to re-verify traced nodes).  The last running total
     of :func:`_running_action`, the one pass that the node check also
     walks."""
     total = 0j
-    for total in _running_action(_callable_potential(Vf_or_V), nodes, n_gl):
+    for total in _running_action(_callable_potential(Vf_or_V), nodes):
         pass
     return total
 
 
-def _running_action(Vf, nodes, n_gl: int = 24):
+def _running_action(Vf, nodes):
     """Yield int_0^{nodes[j+1]} sqrt(V) after each segment j of the
-    polyline: n_gl-point Gauss-Legendre on panels, branch continued
+    polyline: GL_ACTION-point Gauss-Legendre on panels, branch continued
     from segment to segment."""
-    x, wts = _gl(n_gl)
+    x, wts = _gl(GL_ACTION)
     total = 0j
     s_run = None
     for a, b in zip(nodes[:-1], nodes[1:]):
         if a == 0:
-            dw, s_run = _action_from_origin(Vf, b, n_gl)
+            dw, s_run = _action_from_origin(Vf, b)
             total += dw
             yield total
             continue
@@ -224,11 +224,11 @@ def _running_action(Vf, nodes, n_gl: int = 24):
         yield total
 
 
-def _action_from_origin(Vf, q, n_gl: int = 24):
+def _action_from_origin(Vf, q):
     """int_0^q sqrt(V) on the straight segment, with the sqrt(q')
     endpoint singularity removed by q' = q u^2 (integrand 2 q u
-    sqrt(V(q u^2)) is analytic in u)."""
-    x, wts = _gl(n_gl)
+    sqrt(V(q u^2)) is analytic in u); GL_ACTION-point Gauss-Legendre."""
+    x, wts = _gl(GL_ACTION)
     root_q = cmath.sqrt(q)
     total = 0j
     s_run = None
@@ -243,10 +243,9 @@ def _action_from_origin(Vf, q, n_gl: int = 24):
     return total, s_run
 
 
-def node_condition_residuals(V, diagram: StokesDiagram,
-                             sample_every: int = 5) -> list[float]:
-    """|Im(e^{-i alpha} int_0^q sqrt(V))| at the trace nodes q = line[j],
-    j = 2, 2 + sample_every, ..., re-integrated independently of the
+def node_condition_residuals(V, diagram: StokesDiagram) -> list[float]:
+    """|Im(e^{-i alpha} int_0^q sqrt(V))| at every fifth trace node
+    q = line[j], j = 2, 7, 12, ..., re-integrated independently of the
     tracer along the traced polyline.
 
     One pass per line: the running totals of :func:`_running_action`
@@ -257,7 +256,7 @@ def node_condition_residuals(V, diagram: StokesDiagram,
     alpha = diagram.direction_alpha
     out = []
     for line in diagram.lines:
-        sampled = range(2, len(line), sample_every)
+        sampled = range(2, len(line), 5)
         for j, w in enumerate(_running_action(Vf, line), start=1):
             if j in sampled:
                 out.append(abs((w * cmath.exp(-1j * alpha)).imag))

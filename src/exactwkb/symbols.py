@@ -17,7 +17,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -113,9 +112,8 @@ class BorelMinor:
 
     coeffs: tuple
 
-    def at_z(self, z: complex, pow_fn: Callable | None = None) -> np.ndarray:
-        pf = zpow if pow_fn is None else pow_fn
-        return np.array([c.eval(z, pf) for c in self.coeffs])
+    def at_z(self, z: complex) -> np.ndarray:
+        return np.array([c.eval(z, zpow) for c in self.coeffs])
 
     def factorial_check(self, symbol: WKBSymbol) -> bool:
         """coefficient n times (n-1)! reproduces g_n exactly."""

@@ -161,7 +161,6 @@ def symbol_consistency(F: PuiseuxSeries, N: int) -> dict:
     gs = transport_g(F, N).eps_coeffs
     C: list = []
     resid = Fraction(0)
-    acc = EpsSeries.zero(N + 1)
     for n in range(N + 1):
         partial = PuiseuxSeries.zero()
         for k in range(n):

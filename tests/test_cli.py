@@ -1,12 +1,15 @@
 """CLI surface: subcommands, exit codes, determinism, round-trips."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from exactwkb.cli import main
+from exactwkb.cli import build_parser, main
 from exactwkb.series import PuiseuxSeries
 
 V_JSON = '[["1",["1","0"]],["2",["1/2","0"]]]'
@@ -81,6 +84,42 @@ def test_series_object_without_coeffs_exit_2(capsys):
                          capsys)
     assert code == 0
     assert full == listed
+
+
+@pytest.mark.parametrize("F, message", [
+    ('[["0", ["1/0", "0"]]]', "error: Fraction(1, 0)"),
+    ('[["0", 5]]', "error: cannot unpack"),
+    ('{"coeffs": 5}', "error: 'int' object is not iterable"),
+    ('[["0", [1' + "0" * 400 + ', 0]]]', "error: int too large"),
+    ('[["1/4", ["1", "0"]]]', "error: exponent 1/4 not on the 1/6 lattice"),
+    ('[["1/3", ["1", "0"]]]', "error: F must be holomorphic at 0 (a Taylor series)"),
+])
+def test_malformed_or_inadmissible_series_exit_2(F, message, capsys):
+    code = main(["transport", "--F", F, "--orders", "3"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(message) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("V", ['[["1",["1","0"]],["5/2",["1","0"]]]',
+                               '[["1/2",["1","0"]]]'])
+def test_stokes_non_taylor_potential_exit_2(V, capsys):
+    code = main(["stokes", "--V", V, "--extent", "1.0"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: V must be holomorphic at 0 (a Taylor series)\n"
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [c for c in re.sub(r"\\\n\s*", "", block).splitlines()
+                if c.startswith("exactwkb ")]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for line in commands:
+        argv = shlex.split(line, comments=True)[1:]
+        parser.parse_args(argv)
 
 
 def test_precision_floor():

@@ -134,6 +134,87 @@ def test_pow_rational_of_real_gaussian_leading_coefficient_stays_exact():
         S({0: GaussianRational(1, 1), 1: 1}, trunc=3).pow_rational(Fr(1, 2))
 
 
+def _geometric_inverse(s, order):
+    """1/s = (1/c0) z^-m sum_k (-u)^k for s = c0 z^m (1 + u), summed
+    until a power of u truncates to zero; (1/c0) z^-m for a monomial."""
+    m, c0 = s.leading()
+    inv_c0 = Fr(1) / c0
+    if len(s.coeffs) == 1:
+        return PuiseuxSeries({-m: inv_c0}, INF if s.trunc is INF else s.trunc - 2 * m,
+                             lattice=6)
+    rel = Fr(order) if s.trunc is INF else s.trunc - m
+    u = (s.shift(-m) * inv_c0 - 1).with_trunc(rel)
+    total = term = S({0: 1}, rel)
+    while True:
+        term = (-term * u).with_trunc(rel)
+        if term.is_zero():
+            break
+        total = total + term
+    return total.shift(-m) * inv_c0
+
+
+@pytest.mark.parametrize("kind", ["fraction", "gaussian", "real", "complex"])
+def test_inverse_matches_geometric_expansion(kind):
+    rng = random.Random(3)
+
+    def coeff():
+        re = Fr(rng.randint(-9, 9) or 1, rng.randint(1, 7))
+        im = Fr(rng.randint(-5, 5), rng.randint(1, 4))
+        if kind == "fraction":
+            return re
+        if kind == "gaussian":
+            return GaussianRational(re, im)
+        return complex(float(re), float(im) if kind == "complex" else 0.0)
+
+    for _ in range(40):
+        step = rng.choice([1, Fr(1, 2), Fr(1, 3)])
+        m = step * rng.randint(-3, 3)
+        terms = {m: coeff()}
+        for _ in range(rng.randint(0, 4)):
+            terms[m + step * rng.randint(1, 8)] = coeff()
+        trunc = rng.choice([INF, m + step * rng.randint(1, 10)])
+        s = PuiseuxSeries(terms, trunc, lattice=6)
+        order = rng.choice([1, 3, Fr(7, 2), 6])
+        got, want = s.inverse(order), _geometric_inverse(s, order)
+        assert got.trunc == want.trunc and got.coeffs.keys() == want.coeffs.keys()
+        for e, c in want.coeffs.items():
+            # == on floats: only the sign of a zero part may differ
+            assert got.coeffs[e] == c and type(got.coeffs[e]) is type(c), (s, e)
+
+
+def test_rational_power_when_every_later_term_is_past_the_order():
+    # u = z^5 truncates to zero at relative order 3: the result is 1 + O(z^3)
+    s = S({0: 1, 5: 1})
+    assert s.sqrt(order=3) == s.inverse(order=3) == S({0: 1}, trunc=3)
+
+
+def test_minus_one_power_of_a_gaussian_leading_coefficient_is_the_inverse():
+    s = S({0: GaussianRational(1, 1), 1: 1})
+    got = s.pow_rational(-1, order=3)
+    assert got == s.inverse(order=3)
+    # (1 - z/(1+i) + z^2/(1+i)^2)/(1+i), with (1+i)^2 = 2i
+    assert got == S({0: GaussianRational(Fr(1, 2), Fr(-1, 2)),
+                     1: GaussianRational(0, Fr(1, 2)),
+                     2: GaussianRational(Fr(-1, 4), Fr(-1, 4))}, trunc=3)
+    assert (got * s).with_trunc(3) == S({0: 1}, trunc=3)
+
+
+def test_sqrt_makes_one_product_per_retained_power(monkeypatch):
+    mul = PuiseuxSeries.__mul__
+    calls = []
+
+    def counting_mul(a, b):
+        if isinstance(b, PuiseuxSeries):
+            calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(PuiseuxSeries, "__mul__", counting_mul)
+    s = S({0: 1, 1: Fr(1, 3), 2: Fr(-2, 7)}).sqrt(order=8)
+    # u^1 .. u^7 start below z^8; u^8 would truncate to zero
+    assert len(calls) == 7
+    assert s.trunc == 8 and s.coeff(1) == Fr(1, 6)
+
+
 def test_lattice_checked_on_input():
     with pytest.raises(LatticeError):
         S({Fr(1, 3): 1})

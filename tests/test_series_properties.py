@@ -86,15 +86,20 @@ def test_inverse_complete(data):
                                    Fr(-2, 3), Fr(3, 2), Fr(-1), Fr(2), Fr(3)]))
 def test_pow_rational_complete(data, r):
     # an integer leading exponent m with coefficient 1 keeps m*r on the
-    # 1/6 lattice and the leading root exact; later terms are on half steps
+    # 1/6 lattice and the leading root exact (any Gaussian one is
+    # invertible, so r = -1 draws those too); later terms are on half
+    # steps, and may all lie past order 4 or trunc
     m = data.draw(st.integers(-2, 3))
     if data.draw(st.booleans()):
         a = PuiseuxSeries({}, m)
         r = abs(r)
     else:
+        lead = data.draw(GAUSS) if r == -1 else 1
         ks = data.draw(st.lists(st.integers(1, 6), max_size=4, unique=True))
+        past = data.draw(st.sampled_from([0, 8]))
         t = data.draw(st.one_of(st.none(), st.integers(1, 8)))
-        a = PuiseuxSeries({m: 1, **{m + k * HALF: data.draw(EXACT) for k in ks}},
+        a = PuiseuxSeries({m: lead, **{m + (k + past) * HALF: data.draw(EXACT)
+                                       for k in ks}},
                           INF if t is None else m + t * HALF)
     ac = complete(data, a, HALF, lead_one=True)
     assert_agrees(a.pow_rational(r, order=4), ac.pow_rational(r, order=4))

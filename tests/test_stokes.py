@@ -7,8 +7,8 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from exactwkb.errors import TraceEscape
-from exactwkb.series import TaylorSeries
+from exactwkb.errors import SeriesError, TraceEscape
+from exactwkb.series import PuiseuxSeries, TaylorSeries
 from exactwkb.stokes import (action_along_polyline, canonical_stokes_lines,
                              classify_sector, node_condition_residuals,
                              potential_stokes_curves)
@@ -146,3 +146,13 @@ def test_trace_escape():
     with pytest.raises(TraceEscape):
         potential_stokes_curves(V_FIG5, 0.0, step=0.01, extent=4.0,
                                 region_radius=0.5)
+
+
+@pytest.mark.parametrize("V", [PuiseuxSeries({1: 1, Fr(5, 2): 1}),
+                               PuiseuxSeries({Fr(1, 2): 1})])
+def test_non_taylor_potential_is_refused(V):
+    # a fractional exponent would otherwise be read as int(e): z + z^2, or 1
+    with pytest.raises(SeriesError, match="V must be holomorphic"):
+        potential_stokes_curves(V, 0.0, step=0.01, extent=1.0)
+    with pytest.raises(SeriesError):
+        node_condition_residuals(V, canonical_stokes_lines(0.0, extent=0.5))
