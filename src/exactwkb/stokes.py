@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .contours import _gl
 from .errors import TraceEscape
 from .series import PuiseuxSeries, require_taylor
@@ -95,7 +97,10 @@ def potential_stokes_curves(V, alpha: float = 0.0,
     correction restoring Im(e^{-i alpha} w) = 0 for the running action
     w = int_0^q sqrt(V).  Each accepted node keeps the defining residual
     below trace tolerance; leaving the declared analyticity region
-    raises TraceEscape.  A line stops after at most 2000 steps.
+    raises TraceEscape.  A line stops after at most 2000 steps.  V is a
+    Taylor series or a callable; the tracer calls it on complex scalars,
+    but a callable V must also accept a complex numpy array and act on it
+    elementwise, as the node check evaluates it on arrays.
     """
     Vf = _callable_potential(V)
     region = region_radius if region_radius is not None else extent * 1.5
@@ -117,28 +122,33 @@ def _trace_one(Vf, alpha, theta0, step, extent, region):
     nodes = [0j, q]
     rot = cmath.exp(1j * alpha)
     outward = cmath.exp(1j * theta0)
-    for _ in range(2000):
-        # RK4 on unit-speed dq/ds = +- e^{i alpha} / sqrt(V), the sign
-        # chosen to march away from the turning point; the branch of
-        # sqrt(V) is continued from the previous sample
-        def f(qq, sq_prev, ref_dir):
-            s = cmath.sqrt(Vf(qq))
-            if abs(s - sq_prev) > abs(s + sq_prev):
-                s = -s
-            d = rot / s
-            d /= abs(d)
-            if (d.conjugate() * ref_dir).real < 0:
-                d = -d
-            return d, s
 
-        k1, s1 = f(q, sq, outward)
+    # RK4 on unit-speed dq/ds = +- e^{i alpha} / sqrt(V), the sign chosen
+    # to march away from the turning point; the branch of sqrt(V) is
+    # continued from the previous sample
+    def slope(s, ref_dir):
+        d = rot / s
+        d /= abs(d)
+        return -d if (d.conjugate() * ref_dir).real < 0 else d
+
+    def f(qq, sq_prev, ref_dir):
+        s = cmath.sqrt(Vf(qq))
+        if abs(s - sq_prev) > abs(s + sq_prev):
+            s = -s
+        return slope(s, ref_dir), s
+
+    # the seed's sq is sqrt(V) at an interior quadrature point, not at q
+    k1, s1 = f(q, sq, outward)
+    for _ in range(2000):
         k2, s2 = f(q + 0.5 * step * k1, s1, k1)
         k3, s3 = f(q + 0.5 * step * k2, s2, k2)
-        k4, s4 = f(q + step * k3, s3, k3)
+        k4, _ = f(q + step * k3, s3, k3)
         q_new = q + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         outward = (q_new - q) / abs(q_new - q)
-        # action increment by 8-point Gauss-Legendre, branch-continued
-        dw, sq_new = _action_increment(Vf, q, q_new, sq)
+        # action increment by 8-point Gauss-Legendre, branch-continued; it
+        # also gives V and sqrt(V) at the new node, which the stop test
+        # and the next step's first RK4 slope reuse
+        dw, sq_new, v_new = _action_increment(Vf, q, q_new, sq)
         w_new = w + dw
         # Newton correction restoring Im(e^{-i alpha} w) = 0
         for _ in range(2):
@@ -146,8 +156,9 @@ def _trace_one(Vf, alpha, theta0, step, extent, region):
             if abs(resid) < 1e-15:
                 break
             dq = -1j * resid * cmath.exp(1j * alpha) / sq_new
-            dw2, sq_new2 = _action_increment(Vf, q_new, q_new + dq, sq_new)
-            q_new, w_new, sq_new = q_new + dq, w_new + dw2, sq_new2
+            dw2, sq_new, v_new = _action_increment(Vf, q_new, q_new + dq,
+                                                   sq_new)
+            q_new, w_new = q_new + dq, w_new + dw2
         if abs(q_new) > region:
             raise TraceEscape(
                 f"trace left the analyticity region |q| <= {region}")
@@ -155,8 +166,9 @@ def _trace_one(Vf, alpha, theta0, step, extent, region):
         nodes.append(q)
         if abs(q) >= extent:
             break
-        if abs(q) > 3.0 * step and abs(Vf(q)) < 0.5 * step:
+        if abs(q) > 3.0 * step and abs(v_new) < 0.5 * step:
             break  # within a step of another zero of V
+        k1, s1 = slope(sq, outward), sq
     return nodes
 
 
@@ -172,10 +184,11 @@ def _action_increment(Vf, a, b, sq_prev):
             s = -s
         s_run = s
         total += wi * s
-    s_end = cmath.sqrt(Vf(b))
+    v_end = Vf(b)
+    s_end = cmath.sqrt(v_end)
     if abs(s_end - s_run) > abs(s_end + s_run):
         s_end = -s_end
-    return total * half, s_end
+    return total * half, s_end, v_end
 
 
 def action_along_polyline(Vf_or_V, nodes) -> complex:
@@ -183,45 +196,49 @@ def action_along_polyline(Vf_or_V, nodes) -> complex:
     branch continued segmentwise.  Independent of the tracer's running
     increments (used to re-verify traced nodes).  The last running total
     of :func:`_running_action`, the one pass that the node check also
-    walks."""
-    total = 0j
-    for total in _running_action(_callable_potential(Vf_or_V), nodes):
-        pass
-    return total
+    walks.  A callable V must accept a complex numpy array and act on it
+    elementwise."""
+    return complex(_running_action(_callable_potential(Vf_or_V), nodes)[-1])
 
 
 def _running_action(Vf, nodes):
-    """Yield int_0^{nodes[j+1]} sqrt(V) after each segment j of the
-    polyline: GL_ACTION-point Gauss-Legendre on panels, branch continued
-    from segment to segment."""
+    """int_0^{nodes[j]} sqrt(V) for every node j of the polyline (0 at
+    nodes[0]): GL_ACTION-point Gauss-Legendre on panels, V evaluated on
+    every point of the line at once, the branch continued from point to
+    point and the totals summed in point order by one cumsum."""
+    nodes = np.asarray(nodes, dtype=complex)
     x, wts = _gl(GL_ACTION)
-    total = 0j
-    s_run = None
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        if a == 0:
-            dw, s_run = _action_from_origin(Vf, b)
-            total += dw
-            yield total
-            continue
-        # panelize where the sqrt branch point at 0 is close relative to
-        # the chord length
-        npan = min(32, max(1, int(math.ceil(4.0 * abs(b - a) / abs(a)))))
-        for k in range(npan):
-            aa = a + (b - a) * k / npan
-            bb = a + (b - a) * (k + 1) / npan
-            mid, half = (aa + bb) / 2.0, (bb - aa) / 2.0
-            for xi, wi in zip(x, wts):
-                qq = mid + half * xi
-                s = cmath.sqrt(Vf(qq))
-                if s_run is None:
-                    ref = cmath.sqrt(qq)
-                    if abs(s - ref) > abs(s + ref):
-                        s = -s
-                elif abs(s - s_run) > abs(s + s_run):
-                    s = -s
-                s_run = s
-                total += wi * s * half
-        yield total
+    heads, s_run, a, b = [0j], None, nodes[:-1], nodes[1:]
+    if len(nodes) > 1 and nodes[0] == 0:
+        w0, s_run = _action_from_origin(Vf, nodes[1])
+        heads, a, b = [0j, w0], a[1:], b[1:]
+    if np.any(a == 0):
+        raise ValueError("only the first node may be the turning point 0")
+    # panelize where the sqrt branch point at 0 is close relative to
+    # the chord length
+    npan = np.clip(np.ceil(4.0 * abs(b - a) / abs(a)), 1, 32).astype(int)
+    seg = np.repeat(np.arange(len(a)), npan)
+    k = np.arange(len(seg)) - np.repeat(np.cumsum(npan) - npan, npan)
+    aa = a[seg] + (b - a)[seg] * k / npan[seg]
+    bb = a[seg] + (b - a)[seg] * (k + 1) / npan[seg]
+    mid, half = (aa + bb) / 2.0, (bb - aa) / 2.0
+    qq = (mid[:, None] + half[:, None] * x).ravel()
+    try:
+        v = Vf(qq)
+    except TypeError as exc:
+        raise TypeError("a callable V must accept a complex numpy array and "
+                        "act on it elementwise (numpy, not cmath or math)"
+                        ) from exc
+    s = np.sqrt(np.broadcast_to(np.asarray(v, dtype=complex), qq.shape))
+    # each point takes the sign of sqrt(V) nearer the previous point's
+    # (already continued) value; that is a running parity of the flips
+    # between consecutive principal values, seeded as the scalar rule is
+    prev = np.concatenate([np.sqrt(qq[:1]) if s_run is None else [s_run],
+                           s])[:-1]
+    s = np.where(np.cumsum(abs(s - prev) > abs(s + prev)) % 2 == 1, -s, s)
+    terms = (wts * s.reshape(-1, GL_ACTION)) * half[:, None]
+    w = np.cumsum(np.concatenate([heads[-1:], terms.ravel()]))
+    return np.concatenate([heads, w[np.cumsum(npan) * GL_ACTION]])
 
 
 def _action_from_origin(Vf, q):
@@ -250,14 +267,11 @@ def node_condition_residuals(V, diagram: StokesDiagram) -> list[float]:
 
     One pass per line: the running totals of :func:`_running_action`
     (the rule of :func:`action_along_polyline`) are read off at the
-    sampled nodes, so a line of n nodes costs O(n) panels.
+    sampled nodes, so a line of n nodes costs O(n) points, evaluated as
+    arrays.  A callable V must accept a complex numpy array and act on it
+    elementwise.
     """
     Vf = _callable_potential(V)
-    alpha = diagram.direction_alpha
-    out = []
-    for line in diagram.lines:
-        sampled = range(2, len(line), 5)
-        for j, w in enumerate(_running_action(Vf, line), start=1):
-            if j in sampled:
-                out.append(abs((w * cmath.exp(-1j * alpha)).imag))
-    return out
+    rot = cmath.exp(-1j * diagram.direction_alpha)
+    return [abs((complex(w) * rot).imag) for line in diagram.lines
+            for w in _running_action(Vf, line)[2::5]]

@@ -1,16 +1,22 @@
 """Stokes-line geometry: canonical rays, sector classification, tracing."""
 
 import cmath
+import hashlib
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 
+from exactwkb.contours import _gl
 from exactwkb.errors import SeriesError, TraceEscape
 from exactwkb.series import PuiseuxSeries, TaylorSeries
-from exactwkb.stokes import (action_along_polyline, canonical_stokes_lines,
-                             classify_sector, node_condition_residuals,
+from exactwkb.stokes import (GL_ACTION, _action_from_origin,
+                             _callable_potential, action_along_polyline,
+                             canonical_stokes_lines, classify_sector,
+                             node_condition_residuals,
                              potential_stokes_curves)
 
 V_FIG5 = TaylorSeries({1: 1, 2: Fr(1, 2)})
@@ -111,18 +117,19 @@ def test_node_check_matches_prefix_reintegration():
 
 
 def test_node_check_is_one_pass_per_line():
+    # counts evaluated points, not calls, since V is called on arrays
     d = _short_fig5()
-    calls = [0]
+    points = [0]
 
     def V(q):
-        calls[0] += 1
+        points[0] += np.size(q)
         return q + 0.5 * q * q
 
     node_condition_residuals(V, d)
-    check_calls, calls[0] = calls[0], 0
+    check_points, points[0] = points[0], 0
     for line in d.lines:
         action_along_polyline(V, line)
-    assert check_calls == calls[0] > 0
+    assert check_points == points[0] > 0
 
 
 def test_node_check_flags_a_node_off_the_curve():
@@ -156,3 +163,112 @@ def test_non_taylor_potential_is_refused(V):
         potential_stokes_curves(V, 0.0, step=0.01, extent=1.0)
     with pytest.raises(SeriesError):
         node_condition_residuals(V, canonical_stokes_lines(0.0, extent=0.5))
+
+
+@pytest.mark.parametrize("V, alpha, digest", [
+    (V_FIG5, 0.0,
+     "6f7739e1b92f73f3aa7fc36ff826a2b5672c83e8a74bdb6c5ae2e8ad1513952a"),
+    (TaylorSeries({1: 1, 2: Fr(-2, 3), 3: Fr(1, 4)}), 0.6,
+     "7eea377cc283d2ec2377733bf61011899b9187ec77ee72962580f6494dee0be6"),
+], ids=["fig5", "cubic"])
+def test_tracer_nodes_are_pinned(V, alpha, digest):
+    # reusing V and sqrt(V) at each accepted node must not move any bit
+    # of any node (the repr of every node is hashed)
+    d = potential_stokes_curves(V, alpha, step=0.01, extent=1.5,
+                                region_radius=5.0)
+    assert hashlib.sha256(repr(d.lines).encode()).hexdigest() == digest
+
+
+def _scalar_running_action(Vf, nodes):
+    """Reference for the node check: the same rule as a scalar loop, one
+    V call per Gauss-Legendre point; yields the total at each node after
+    the first."""
+    x, wts = _gl(GL_ACTION)
+    total = 0j
+    s_run = None
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        if a == 0:
+            dw, s_run = _action_from_origin(Vf, b)
+            total += dw
+            yield total
+            continue
+        npan = min(32, max(1, int(math.ceil(4.0 * abs(b - a) / abs(a)))))
+        for k in range(npan):
+            aa = a + (b - a) * k / npan
+            bb = a + (b - a) * (k + 1) / npan
+            mid, half = (aa + bb) / 2.0, (bb - aa) / 2.0
+            for xi, wi in zip(x, wts):
+                qq = mid + half * xi
+                s = cmath.sqrt(Vf(qq))
+                if s_run is None:
+                    ref = cmath.sqrt(qq)
+                    if abs(s - ref) > abs(s + ref):
+                        s = -s
+                elif abs(s - s_run) > abs(s + s_run):
+                    s = -s
+                s_run = s
+                total += wi * s * half
+        yield total
+
+
+def _seeded_cubic(seed):
+    rng = random.Random(seed)
+    V = TaylorSeries({1: 1, 2: Fr(rng.randint(-6, 6), 6),
+                      3: Fr(rng.randint(-6, 6), 6)})
+    return V, math.pi * (rng.random() - 0.5), rng.uniform(1.1, 2.5)
+
+
+@pytest.mark.parametrize("V, alpha, extent", [(V_FIG5, 0.0, 1.5)]
+                         + [_seeded_cubic(seed) for seed in (1, 2, 3)],
+                         ids=["fig5", "cubic1", "cubic2", "cubic3"])
+def test_node_check_matches_scalar_reference(V, alpha, extent):
+    # V is evaluated on arrays, so its products round differently from
+    # the scalar loop; agreement is to rounding, not to the bit
+    d = potential_stokes_curves(V, alpha, step=0.01, extent=extent,
+                                region_radius=3.0 * extent)
+    Vf, rot = _callable_potential(V), cmath.exp(-1j * alpha)
+    expect = [abs((w * rot).imag) for line in d.lines
+              for j, w in enumerate(_scalar_running_action(Vf, line), 1)
+              if j % 5 == 2]
+    got = node_condition_residuals(V, d)
+    assert len(got) == len(expect) > 0
+    assert max(abs(g - e) for g, e in zip(got, expect)) < 1e-15
+
+
+RING = [0.3 * cmath.exp(1j * math.pi * k / 8) for k in range(49)]
+
+
+@pytest.mark.parametrize("V, nodes", [
+    # three turns around the turning point: the principal sqrt(V) jumps
+    # each time the path crosses the negative real axis, where
+    # V = q + q^2/2 < 0, and the continued branch must not
+    (V_FIG5, [0j] + RING),
+    # without the origin segment the branch is seeded by sqrt(q)
+    (V_FIG5, RING),
+    # along the ray to q1, sqrt(V) for V = q (1 + q/2)^3 turns by more
+    # than pi/2 against sqrt(q): the next segment must continue the
+    # origin segment's last sqrt(V), not the principal sqrt(q)
+    (TaylorSeries({1: 1, 2: Fr(3, 2), 3: Fr(3, 4), 4: Fr(1, 8)}),
+     [0j, -3 + 0.5j, -3.2 + 0.4j, -3.3 + 0.1j]),
+], ids=["ring", "ring_off_origin", "origin_seed"])
+def test_action_continues_the_branch_as_the_scalar_reference(V, nodes):
+    expect = list(_scalar_running_action(_callable_potential(V), nodes))
+    got = [action_along_polyline(V, nodes[:j + 2])
+           for j in range(len(expect))]
+    assert max(abs(g - e) for g, e in zip(got, expect)) < 1e-15
+
+
+def test_turning_point_only_at_the_start():
+    with pytest.raises(ValueError, match="first node"):
+        action_along_polyline(V_FIG5, [0j, 0.1, 0j, 0.1j])
+
+
+def test_scalar_only_callable_is_refused_by_the_check():
+    def V(q):
+        return cmath.sqrt(q) ** 2 + 0.5 * q * q
+
+    d = potential_stokes_curves(V, 0.0, step=0.01, extent=0.3)
+    with pytest.raises(TypeError, match="complex numpy array"):
+        node_condition_residuals(V, d)
+    with pytest.raises(TypeError, match="complex numpy array"):
+        action_along_polyline(V, d.lines[0])
