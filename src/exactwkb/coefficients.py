@@ -7,6 +7,13 @@ Gaussian rational as three ints over one common denominator rather than
 as two Fractions; float-mode computations use Python ``complex``/``float``;
 small polynomial rings (see :mod:`exactwkb.polyring`) slot in for
 computations with symbolic parameters.
+
+A :class:`~exactwkb.series.PuiseuxSeries` is itself a coefficient (the
+eps-series of the formal layers have z-series coefficients) through the
+two hooks the series layer needs beyond ring arithmetic: the zero test
+:func:`coeff_is_zero` (a series equals a scalar only as that exact
+constant, so an eps-series keeps ``0 + O(z^T)`` with its z-truncation and
+drops an exact 0), and ``series._coeff_root(c, r)``, ``c.pow_rational(r)``.
 """
 
 from __future__ import annotations

@@ -47,18 +47,22 @@ def liouville_map(V: PuiseuxSeries, N: int) -> PuiseuxSeries:
     return zq
 
 
-def schwarzian(f, order=None):
+def _dz(E: PuiseuxSeries) -> PuiseuxSeries:
+    """d/dz of an eps-series, coefficientwise."""
+    return E.map_coefficients(PuiseuxSeries.derivative)
+
+
+def schwarzian(f: PuiseuxSeries) -> PuiseuxSeries:
     """{f, z} = f'''/f' - (3/2)(f''/f')^2 for f'(0) != 0.
 
-    f is a PuiseuxSeries or an EpsSeries (differentiated in z
-    coefficientwise); ``order`` is passed to the inverse of f'.
+    f is a z-series, or an eps-series whose coefficients are z-series
+    (differentiated in z coefficientwise).
     """
-    if isinstance(f, PuiseuxSeries):
-        return schwarzian(EpsSeries([f]), order)[0]
-    f1 = f.dz()
-    f2 = f1.dz()
-    f3 = f2.dz()
-    inv = f1.recip(order)
+    d = _dz if isinstance(f.leading()[1], PuiseuxSeries) else PuiseuxSeries.derivative
+    f1 = d(f)
+    f2 = d(f1)
+    f3 = d(f2)
+    inv = f1.inverse()
     r2 = f2 * inv
     return f3 * inv - r2 * r2 * Fraction(3, 2)
 
@@ -73,7 +77,7 @@ def induced_potential_F(V: PuiseuxSeries, N: int) -> PuiseuxSeries:
     # Schwarzian still leave N retained orders
     zq = liouville_map(V, N + 3)
     order = Fraction(N + 1)
-    sch = schwarzian(zq, order=order)
+    sch = schwarzian(zq)
     ratio = zq.div(V, order=order)          # z(q)/V(q), holomorphic, -> 1
     G = ratio * sch * _HALF                  # F written in the q variable
     qz = zq.reversion(order + 1)
@@ -91,8 +95,8 @@ class ReductionSeries:
     def order(self) -> int:
         return len(self.s_coeffs) - 1
 
-    def as_eps_series(self) -> EpsSeries:
-        return EpsSeries(self.s_coeffs)
+    def as_eps_series(self) -> PuiseuxSeries:
+        return EpsSeries(self.s_coeffs).series()
 
     def compose_with(self, zq: PuiseuxSeries) -> "ReductionSeries":
         """s(z(q), eps): pushes the reduction through a change of variable."""
@@ -102,22 +106,23 @@ class ReductionSeries:
         return ReductionSeries(s_coeffs=tuple(out))
 
 
-def _master_lhs(S: EpsSeries) -> EpsSeries:
+def _master_lhs(S: PuiseuxSeries) -> PuiseuxSeries:
     """s (s')^2 - (eps^2/2){s, z}, the left-hand side of the master relation."""
-    S1 = S.dz()
-    return S * S1 * S1 - schwarzian(S).eps_shift(2) * _HALF
+    S1 = _dz(S)
+    return S * S1 * S1 - schwarzian(S).shift(2) * _HALF
+
+
+def _dense(resid: PuiseuxSeries, orders: int | None) -> EpsSeries:
+    if orders is not None:
+        resid = resid.with_trunc(min(resid.trunc, orders + 1))
+    return EpsSeries.of(resid)
 
 
 def master_relation_residual(s: ReductionSeries, F: PuiseuxSeries,
                              orders: int | None = None) -> EpsSeries:
-    """s (s')^2 - (eps^2/2){s, z} - z - eps^2 F as an eps-series."""
-    lhs = _master_lhs(s.as_eps_series())
-    z = PuiseuxSeries.monomial(1, 1)
-    rhs = EpsSeries.const(z, lhs.order) + EpsSeries.const(F, lhs.order).eps_shift(2)
-    resid = lhs - rhs.truncated(lhs.order)
-    if orders is not None:
-        resid = resid.truncated(orders + 1)
-    return resid
+    """s (s')^2 - (eps^2/2){s, z} - z - eps^2 F, eps-orders 0..orders."""
+    rhs = PuiseuxSeries({0: PuiseuxSeries.monomial(1, 1), 2: F}, lattice=1)
+    return _dense(_master_lhs(s.as_eps_series()) - rhs, orders)
 
 
 def reduce_to_airy(F: PuiseuxSeries, N_eps: int, N_z: int) -> ReductionSeries:
@@ -166,9 +171,7 @@ def schrodinger_pipeline(V: PuiseuxSeries, N: int,
 def schrodinger_master_residual(s_q: ReductionSeries, V: PuiseuxSeries,
                                 orders: int) -> EpsSeries:
     """s (ds/dq)^2 - (eps^2/2){s, q} - V(q), the q-variable certificate."""
-    lhs = _master_lhs(s_q.as_eps_series())
-    resid = lhs - EpsSeries.const(V, lhs.order)
-    return resid.truncated(orders + 1)
+    return _dense(_master_lhs(s_q.as_eps_series()) - PuiseuxSeries({0: V}), orders)
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +207,14 @@ def airy_basis_decomposition(phi: WKBSymbol, N: int) -> BasisDecomposition:
         raise SeriesError("decompose the sign=+1 determination")
     if N > phi.order:
         raise SeriesError(f"phi carries only {phi.order} orders, asked {N}")
-    u, v = _airy_basis(N)
+    U, V = _airy_basis(N)
     a: list[PuiseuxSeries] = []
     b: list[PuiseuxSeries] = []
     inv_sqrt = PuiseuxSeries.monomial(-1, -_HALF)
     for n in range(N + 1):
         known = PuiseuxSeries.zero()
         for k in range(n):
-            known = known + a[k] * u[n - k] + b[k] * v[n - k]
+            known = known + a[k] * U.coeff(n - k) + b[k] * V.coeff(n - k)
         resid = phi.eps_coeffs[n] - known
         a_n, half_part = _lattice_split(resid)
         b_n = inv_sqrt * half_part
@@ -220,28 +223,21 @@ def airy_basis_decomposition(phi: WKBSymbol, N: int) -> BasisDecomposition:
     return BasisDecomposition(a_coeffs=tuple(a), b_coeffs=tuple(b))
 
 
-def _airy_basis(N: int) -> tuple[list, list]:
-    """eps-coefficients u_m of A and v_m of eps dA/dz (common prefactor
-    removed): v_m = -z^{1/2} u_m + u_{m-1}' - u_{m-1}/(4z)."""
-    u = list(airy_symbol(N).eps_coeffs)
-    v = [PuiseuxSeries.monomial(-1, _HALF) * u[0]]
+def _airy_basis(N: int) -> tuple[PuiseuxSeries, PuiseuxSeries]:
+    """The eps-series u of A and v = -z^{1/2} u + eps (u' - u/(4z)) of
+    eps dA/dz, common prefactor removed."""
+    U = airy_symbol(N).series()
+    minus_sqrt = PuiseuxSeries.monomial(-1, _HALF)
     quarter = PuiseuxSeries.monomial(Fraction(1, 4), -1)
-    for m in range(1, N + 1):
-        v.append(PuiseuxSeries.monomial(-1, _HALF) * u[m]
-                 + u[m - 1].derivative() - quarter * u[m - 1])
-    return u, v
+    return U, U.map_coefficients(lambda u: minus_sqrt * u) \
+        + U.map_coefficients(lambda u: u.derivative() - quarter * u).shift(1)
 
 
 def reconstruct_from_basis(dec: BasisDecomposition, N: int) -> WKBSymbol:
     """a A + b eps dA/dz as a plain symbol (for exact reconstruction checks)."""
-    u, v = _airy_basis(N)
-    gs = []
-    for n in range(N + 1):
-        acc = PuiseuxSeries.zero()
-        for k in range(n + 1):
-            acc = acc + dec.a_coeffs[k] * u[n - k] + dec.b_coeffs[k] * v[n - k]
-        gs.append(acc)
-    return WKBSymbol.from_g(gs)
+    U, V = _airy_basis(N)
+    A, B = (EpsSeries(cs[:N + 1]).series() for cs in (dec.a_coeffs, dec.b_coeffs))
+    return WKBSymbol.from_g(EpsSeries.of(A * U + B * V).coeffs)
 
 
 def _lattice_split(s: PuiseuxSeries) -> tuple[PuiseuxSeries, PuiseuxSeries]:

@@ -14,6 +14,12 @@ with :class:`LatticeError`.  ``coeffs`` is keyed by Fraction; the product,
 the hottest loop, keys its convolution by the integer 6e instead.  JSON
 input is checked against (1/6)Z, so ``to_json`` output always reads back.
 
+A coefficient may itself be a ``PuiseuxSeries``: an eps-series is one in
+eps on the integer lattice with z-series coefficients, so one product and
+one recurrence (Miller's, for every power and exp) serve both variables.
+A z-series factor acts on it through ``map_coefficients`` (``*`` would
+read it in eps); :class:`EpsSeries` is just its dense tuple of orders.
+
 Truncation is tracked pessimistically: every operation propagates the
 tightest provably valid order, never extrapolating.  All values are
 immutable after construction and all operations are pure functions.
@@ -24,6 +30,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping
 
@@ -58,15 +65,6 @@ def _check_sixths(e: Fraction) -> Fraction:
 def _exp6(k: int) -> Fraction:
     """The exponent k/6, built (with its gcd) once per k, not per product."""
     return Fraction(k, 6)
-
-
-def binomial(r: Fraction, k: int) -> Fraction:
-    """Generalized binomial coefficient C(r, k) for rational r."""
-    out = Fraction(1)
-    for j in range(k):
-        out *= (r - j)
-        out /= (j + 1)
-    return out
 
 
 def _fill(obj, data: Mapping, trunc):
@@ -164,11 +162,15 @@ class PuiseuxSeries:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, PuiseuxSeries):
-            return self.coeffs == other.coeffs and self.trunc == other.trunc
-        return NotImplemented
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.trunc == other.trunc
 
     def __hash__(self):
+        # an exact constant equals its scalar, so it hashes like it
+        if self.trunc is INF and not self.coeffs.keys() - {_ZERO}:
+            return hash(self.coeffs.get(_ZERO, _ZERO))
         return hash((tuple(self.terms()), self.trunc))
 
     # -- constructors --------------------------------------------------
@@ -308,14 +310,16 @@ class PuiseuxSeries:
         return out
 
     def pow_rational(self, r, order=None) -> "PuiseuxSeries":
-        """self**r for rational r, by binomial expansion about the leading
-        monomial: the one expansion behind :meth:`inverse` (r = -1) and
-        :meth:`sqrt`.
+        """self**r for rational r, behind :meth:`inverse` and :meth:`sqrt`.
 
-        The leading coefficient must possess an exact r-th power in exact
-        mode (it does throughout the model, where it is 1; any invertible
-        coefficient will do for r = -1); r times the leading exponent
-        must land on the 1/6 lattice.
+        With self = z^m (g_0 + g_1 t + ...), the coefficients of g^r follow
+        J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7)
+
+            n g_0 f_n = sum_{j=1..n} ((r+1) j - n) g_j f_{n-j},  f_0 = g_0^r,
+
+        which inverts only g_0, so it runs over any coefficient ring, series
+        included.  In exact mode g_0 needs an exact r-th power (any unit
+        will do for r = -1); m r must land on the 1/6 lattice.
         """
         r = _as_exp(r)
         if self.is_zero():
@@ -337,19 +341,28 @@ class PuiseuxSeries:
                 raise SeriesError(
                     "rational power of an untruncated non-monomial series needs an order")
             rel = _as_exp(order)
-        # self = c0 z^m (1 + u), u = self/(c0 z^m) - 1, ord(u) > 0
-        u = (self.shift(-m) * (_ONE / c0) - 1).with_trunc(rel)
-        out = term = _make({_ZERO: _ONE}, rel)
-        step = u.min_exp  # == rel when u truncates to zero
-        k, binom = 0, _ONE
-        # u^(k+1) starts at (k+1)*step: stop before it truncates to zero
-        while (k + 1) * step < rel and not term.is_zero():
-            term = (term * u).with_trunc(rel)
-            k += 1
-            binom = binom * (r - k + 1) / k  # C(r, k)
-            out = out + term * binom
-        return _make({new_exp + e: c0r * c for e, c in out.coeffs.items()},
-                     new_exp + rel)
+        g0inv = c0r if r == -1 else _coeff_root(c0, Fraction(-1))
+        # with r = p/q the weights q((r+1) j - n) = (p+q) j - q n are ints
+        p, q = r.numerator, r.denominator
+        return _expand(self.shift(-m), rel, new_exp, c0r,
+                       lambda j, n: (p + q) * j - q * n,
+                       lambda acc, n: g0inv * acc / (q * n))
+
+    def exp(self) -> "PuiseuxSeries":
+        """exp(self) for a series of positive order, by the twin of
+        Miller's recurrence, n f_n = sum_{j=1..n} j u_j f_{n-j}.  Known
+        below self's truncation, which must be finite unless self is 0
+        (whose exp is the scalar 1: no term tells its coefficient ring)."""
+        if self.is_zero():
+            return _make({_ZERO: _ONE}, self.trunc)
+        if self.min_exp <= 0:
+            raise SeriesError("exp needs a series of positive order")
+        if self.trunc is INF:
+            raise SeriesError("exp of an untruncated series needs a truncation")
+        c = next(iter(self.coeffs.values()))
+        one = PuiseuxSeries.one() if isinstance(c, PuiseuxSeries) else _ONE
+        return _expand(self, self.trunc, _ZERO, one,
+                       lambda j, n: j, lambda acc, n: acc / n)
 
     def sqrt(self, order=None) -> "PuiseuxSeries":
         return self.pow_rational(Fraction(1, 2), order)
@@ -520,9 +533,40 @@ def _principal_pow(z: complex, e: Fraction) -> complex:
     return complex(z) ** float(e)
 
 
+def _expand(g, rel, lead, f0, weight, finish) -> PuiseuxSeries:
+    """z^lead (f_0 + f_1 t + ...) known below z^(lead + rel), t = z^(d/6)
+    for d the gcd of g's nonconstant offsets 6e, where f_n = finish(sum_j
+    weight(j, n) g_j f_(n-j), n) over g's terms g_j t^j, 1 <= j <= n (g's
+    constant term enters only through ``finish``; weight 0 drops a term):
+    the one loop of :meth:`PuiseuxSeries.pow_rational` and ``exp``."""
+    gs = sorted((e.numerator * (6 // e.denominator), c)
+                for e, c in g.coeffs.items() if e)
+    d = math.gcd(*(k for k, _ in gs))
+    gs = [(k // d, c) for k, c in gs]
+    f = {0: f0}
+    n = 1
+    while n * d < 6 * rel:
+        acc = None
+        for j, gj in gs:
+            if j > n:
+                break
+            fk = f.get(n - j)
+            w = weight(j, n)
+            if fk is None or not w:
+                continue
+            t = gj * fk * w
+            acc = t if acc is None else acc + t
+        if acc is not None:
+            f[n] = finish(acc, n)
+        n += 1
+    return _make({lead + _exp6(k * d): c for k, c in f.items()}, lead + rel)
+
+
 def _coeff_root(c, r: Fraction):
-    """c**r: 1/c in c's own ring for r = -1, exact for a rational c,
-    float for an inexact one."""
+    """c**r: ``c.pow_rational(r)`` for a series coefficient, 1/c in c's
+    own ring for r = -1, exact for a rational c, float for an inexact one."""
+    if isinstance(c, PuiseuxSeries):
+        return c.pow_rational(r)
     if r == -1:
         return _ONE / c
     if isinstance(c, GaussianRational) and c.im == 0:
@@ -581,139 +625,19 @@ def require_taylor(s: PuiseuxSeries, name: str) -> PuiseuxSeries:
     return s
 
 
-# ---------------------------------------------------------------------------
-# Truncated series in eps with PuiseuxSeries coefficients.
-# ---------------------------------------------------------------------------
-
+@dataclass(frozen=True)
 class EpsSeries:
-    """sum_n c_n(z) eps^n truncated in eps, c_n PuiseuxSeries.
+    """Dense eps-coefficients c_0(z), ..., c_{n-1}(z) of an eps-series
+    known below eps^n, absent orders as the zero series: the form in which
+    symbols, reduction series and residuals hand out their orders."""
 
-    ``order`` is the number of known eps-orders (coefficients 0..order-1).
-    Used for the formal-symbol algebra: transport/Riccati consistency,
-    basis decomposition, and the turning-point reduction residuals.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[PuiseuxSeries]):
-        cs = []
-        for c in coeffs:
-            if not isinstance(c, PuiseuxSeries):
-                c = PuiseuxSeries({0: c}) if not coeff_is_zero(lift(c)) \
-                    else PuiseuxSeries.zero()
-            cs.append(c)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("EpsSeries is immutable")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs)
-
-    def __getitem__(self, n: int) -> PuiseuxSeries:
-        return self.coeffs[n]
-
-    def valuation(self) -> int:
-        for n, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return n
-        return self.order
+    coeffs: tuple
 
     @classmethod
-    def zero(cls, order: int) -> "EpsSeries":
-        return cls([PuiseuxSeries.zero()] * order)
+    def of(cls, E: PuiseuxSeries) -> "EpsSeries":
+        """The orders of E, whose eps-truncation must be finite."""
+        zero = PuiseuxSeries.zero()
+        return cls(tuple(E.coeffs.get(n, zero) for n in range(int(E.trunc))))
 
-    @classmethod
-    def const(cls, s: PuiseuxSeries, order: int) -> "EpsSeries":
-        return cls([s] + [PuiseuxSeries.zero()] * (order - 1))
-
-    def truncated(self, order: int) -> "EpsSeries":
-        return EpsSeries(self.coeffs[:order])
-
-    def __add__(self, other: "EpsSeries") -> "EpsSeries":
-        n = min(self.order, other.order)
-        return EpsSeries([self.coeffs[i] + other.coeffs[i] for i in range(n)])
-
-    def __sub__(self, other: "EpsSeries") -> "EpsSeries":
-        n = min(self.order, other.order)
-        return EpsSeries([self.coeffs[i] - other.coeffs[i] for i in range(n)])
-
-    def __neg__(self):
-        return EpsSeries([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, EpsSeries):
-            n = min(self.valuation() + other.order, other.valuation() + self.order)
-            out = []
-            for k in range(n):
-                acc = PuiseuxSeries.zero()
-                for i in range(max(0, k - other.order + 1), min(k, self.order - 1) + 1):
-                    acc = acc + self.coeffs[i] * other.coeffs[k - i]
-                out.append(acc)
-            return EpsSeries(out)
-        return EpsSeries([c * other for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def eps_shift(self, k: int) -> "EpsSeries":
-        """Multiply by eps^k (k may be negative when the low orders vanish)."""
-        if k >= 0:
-            return EpsSeries([PuiseuxSeries.zero()] * k + list(self.coeffs))
-        for j in range(-k):
-            if j < self.order and not self.coeffs[j].is_zero():
-                raise SeriesError("eps_shift below a nonzero order")
-        return EpsSeries(self.coeffs[-k:])
-
-    def dz(self) -> "EpsSeries":
-        return EpsSeries([c.derivative() for c in self.coeffs])
-
-    def recip(self, order=None) -> "EpsSeries":
-        """1/self when the eps^0 coefficient is an invertible series
-        (``order`` as in :meth:`PuiseuxSeries.inverse`)."""
-        c0inv = self.coeffs[0].inverse(order)
-        n = self.order
-        out = [c0inv]
-        for k in range(1, n):
-            acc = PuiseuxSeries.zero()
-            for i in range(1, k + 1):
-                acc = acc + self.coeffs[i] * out[k - i]
-            out.append(-(c0inv * acc))
-        return EpsSeries(out)
-
-    def binomial_pow(self, r) -> "EpsSeries":
-        """(1 + U)^r where self = 1 + U with U of positive eps-valuation."""
-        r = _as_exp(r)
-        n = self.order
-        one = PuiseuxSeries.one()
-        u = EpsSeries([self.coeffs[0] - one] + list(self.coeffs[1:]))
-        if not u.coeffs[0].is_zero():
-            raise SeriesError("binomial_pow requires eps^0 coefficient equal to 1")
-        out = EpsSeries.const(one, n)
-        term = EpsSeries.const(one, n)
-        for k in range(1, n):
-            term = (term * u).truncated(n)
-            if term.valuation() >= n:
-                break
-            out = out + term * binomial(r, k)
-        return out
-
-    def exp(self) -> "EpsSeries":
-        """exp(self) for positive eps-valuation arguments."""
-        if not self.coeffs[0].is_zero():
-            raise SeriesError("exp requires positive eps-valuation")
-        n = self.order
-        out = EpsSeries.const(PuiseuxSeries.one(), n)
-        term = EpsSeries.const(PuiseuxSeries.one(), n)
-        for k in range(1, n):
-            term = (term * self).truncated(n) * Fraction(1, k)
-            if term.valuation() >= n:
-                break
-            out = out + term
-        return out
-
-    def map(self, fn) -> "EpsSeries":
-        return EpsSeries([fn(c) for c in self.coeffs])
-
-    def __repr__(self):
-        return f"<EpsSeries order={self.order}>"
+    def series(self) -> PuiseuxSeries:
+        return PuiseuxSeries(enumerate(self.coeffs), len(self.coeffs), lattice=1)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .series import EpsSeries
+from .series import EpsSeries, PuiseuxSeries
 
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
@@ -72,8 +72,9 @@ class WKBSymbol:
         return cls(sign=sign, prefactor_exp=Fraction(-1, 4),
                    eps_coeffs=tuple(gs), order=len(gs) - 1)
 
-    def series(self) -> EpsSeries:
-        return EpsSeries(self.eps_coeffs)
+    def series(self) -> PuiseuxSeries:
+        """sum_n g_n eps^n, an eps-series known below eps^(order+1)."""
+        return EpsSeries(self.eps_coeffs).series()
 
     def flip_eps(self) -> "WKBSymbol":
         """The eps -> -eps partner symbol."""

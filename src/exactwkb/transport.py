@@ -57,15 +57,15 @@ class RiccatiExpansion:
     def order(self) -> int:
         return len(self.p_coeffs) - 1
 
-    def even_part(self) -> EpsSeries:
-        cs = [p if n % 2 == 0 else PuiseuxSeries.zero()
-              for n, p in enumerate(self.p_coeffs)]
-        return EpsSeries(cs)
+    def even_part(self) -> PuiseuxSeries:
+        ps = self.p_coeffs
+        return PuiseuxSeries({n: ps[n] for n in range(0, len(ps), 2)},
+                             len(ps), lattice=1)
 
-    def odd_part(self) -> EpsSeries:
-        cs = [p if n % 2 == 1 else PuiseuxSeries.zero()
-              for n, p in enumerate(self.p_coeffs)]
-        return EpsSeries(cs)
+    def odd_part(self) -> PuiseuxSeries:
+        ps = self.p_coeffs
+        return PuiseuxSeries({n: ps[n] for n in range(1, len(ps), 2)},
+                             len(ps), lattice=1)
 
 
 def riccati_p(F: PuiseuxSeries, N: int) -> RiccatiExpansion:
@@ -116,14 +116,18 @@ def wkb_residual(symbol: WKBSymbol, F: PuiseuxSeries) -> list:
     eps-coefficients through the highest provable order (all must be
     the zero series).
     """
+    half_z = PuiseuxSeries.monomial(_HALF, -1)
+    five_z2 = PuiseuxSeries.monomial(Fraction(5, 16), -2)
+    two_sqrt = PuiseuxSeries.monomial(2, _HALF)
+
+    def bracket(g):  # z-series factors act on each eps-coefficient of W
+        dg = g.derivative()
+        return dg.derivative() - dg * half_z + g * five_z2 - g * F
+
     W = symbol.series()
-    dW = W.dz()
-    bracket = dW.dz() \
-        - dW * PuiseuxSeries.monomial(_HALF, -1) \
-        + W * PuiseuxSeries.monomial(Fraction(5, 16), -2) \
-        - W * F
-    resid = bracket.eps_shift(1) - dW * PuiseuxSeries.monomial(2, _HALF)
-    return list(resid.coeffs[:symbol.order + 1])
+    resid = W.map_coefficients(bracket).shift(1) \
+        - W.map_coefficients(lambda g: g.derivative() * two_sqrt)
+    return list(EpsSeries.of(resid).coeffs)
 
 
 def symbol_consistency(F: PuiseuxSeries, N: int) -> dict:
@@ -144,31 +148,33 @@ def symbol_consistency(F: PuiseuxSeries, N: int) -> dict:
     Pe = ric.even_part()
     Po = ric.odd_part()
     # (i)  P_odd - (eps/2) P_even'/P_even == 0
-    ratio = (Pe.dz() * Pe.recip()).eps_shift(1) * _HALF
-    diff = (Po - ratio).truncated(N + 1)
-    odd_even_resid = max_abs_coeff(diff.coeffs)
+    dPe = Pe.map_coefficients(PuiseuxSeries.derivative)
+    ratio = (dPe * Pe.inverse()).shift(1) * _HALF
+    diff = (Po - ratio).with_trunc(N + 1)
+    odd_even_resid = max_abs_coeff(diff.coeffs.values())
 
     # (ii) route-2 expansion of the symbol series
     p0 = PuiseuxSeries.monomial(1, _HALF)
-    rel = Pe - EpsSeries.const(p0, Pe.order)          # starts at eps^2
+    rel = Pe - PuiseuxSeries({0: p0})          # starts at eps^2
     try:
-        Q = rel.map(lambda s: s.antiderivative())
+        Q = rel.map_coefficients(PuiseuxSeries.antiderivative)
     except LogObstruction as exc:
         raise LogObstruction("int(P_even - z^{1/2}) met a z^-1 term") from exc
-    E = (Pe * PuiseuxSeries.monomial(1, -_HALF)).binomial_pow(Fraction(-1, 2)) \
-        * (-Q).eps_shift(-1).exp()
-    E = E.truncated(N + 1)
+    inv_p0 = PuiseuxSeries.monomial(1, -_HALF)
+    E = Pe.map_coefficients(lambda p: p * inv_p0).pow_rational(Fraction(-1, 2)) \
+        * (-Q).shift(-1).exp()
+    E = E.with_trunc(N + 1)
     gs = transport_g(F, N).eps_coeffs
     C: list = []
     resid = Fraction(0)
     for n in range(N + 1):
         partial = PuiseuxSeries.zero()
         for k in range(n):
-            partial = partial + E.coeffs[n - k] * C[k]
+            partial = partial + E.coeff(n - k) * C[k]
         cn = gs[n].coeffs.get(Fraction(0), Fraction(0)) \
             - partial.coeffs.get(Fraction(0), Fraction(0))
         C.append(cn)
-        diff_n = gs[n] - (partial + E.coeffs[0] * cn)
+        diff_n = gs[n] - (partial + E.coeff(0) * cn)
         resid = max(resid, max_abs_coeff([diff_n]), key=abs)
     return {"orders": N, "odd_even_residual": odd_even_resid,
             "expansion_residual": resid, "C": C}

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, determinism, round-trips."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -51,6 +52,28 @@ def test_determinism_identical_bytes(capsys):
     _, out1 = run_cli(args, capsys)
     _, out2 = run_cli(args, capsys)
     assert out1 == out2
+
+
+# SHA-256 of the stdout of exact README commands; any change to the exact
+# pipelines that moves a value, a truncation or the layout shows here
+PINNED_STDOUT = [
+    (["transport", "--F", '[["0",["1/3","0"]],["1",["-2/7","0"]]]', "--orders", "6"],
+     "9d781c617f151031bf5a21aa258cbcd13898dc0124bd5d5a4bce38ddf62002fe"),
+    (["pde", "--F", '[["1",["1","0"]]]', "--h", "[]", "--orders", "12,12"],
+     "324cd235915317a0b50fbf602d9e956452aa3f603205c23c53093f3c35012c74"),
+    (["reduce", "--V", V_JSON, "--orders", "6"],
+     "b0753b105cc10ebff76397a3fae273a9bf2d347dc263398744bfe91eabebe3b2"),
+    (["hardy", "--n", "3"],
+     "99e16633772a31aac3d8a582a3e971fc3474ed8b5b1560e2952095a518093ad6"),
+]
+
+
+@pytest.mark.parametrize("args,digest", PINNED_STDOUT,
+                         ids=[args[0] for args, _ in PINNED_STDOUT])
+def test_exact_commands_print_pinned_bytes(args, digest, capsys):
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_emitted_series_roundtrip(capsys):

@@ -15,7 +15,7 @@ from exactwkb.reduction import (airy_basis_decomposition,
                                 reconstruct_from_basis, reduce_to_airy,
                                 schrodinger_master_residual,
                                 schrodinger_pipeline, schwarzian)
-from exactwkb.series import PuiseuxSeries, TaylorSeries
+from exactwkb.series import INF, PuiseuxSeries, TaylorSeries
 from exactwkb.transport import transport_g
 
 
@@ -60,8 +60,8 @@ def test_schwarzian_chain_rule():
     N = 8
     zq = liouville_map(V, N + 3)
     qz = zq.reversion(N + 3)
-    lhs = schwarzian(zq, order=N)
-    rhs_q = schwarzian(qz, order=N)
+    lhs = schwarzian(zq)
+    rhs_q = schwarzian(qz)
     dz = zq.derivative()
     rhs = -(rhs_q.compose(zq)) * dz * dz
     assert (lhs - rhs).with_trunc(N - 1).is_zero()
@@ -162,6 +162,20 @@ def test_schrodinger_pipeline_quadratic():
     assert s_q.s_coeffs[2].coeff(0) == Fr(-9, 140)
     resid = schrodinger_master_residual(s_q, V.with_trunc(9), orders=6)
     assert all(x.is_zero() for x in resid.coeffs)
+
+
+def test_master_residuals_are_dense_tuples():
+    # one z-series per eps-order 0..N, as the CLI, verify and the benchmark
+    # check read them; an order no product reaches is the exact zero
+    V = TaylorSeries({1: 1, 2: Fr(1, 2)})
+    N = 6
+    F, s_q = schrodinger_pipeline(V, N)
+    resid_q = schrodinger_master_residual(s_q, V.with_trunc(N + 4), orders=N)
+    resid_z = master_relation_residual(reduce_to_airy(F, N, N + 4), F, orders=N)
+    for resid in (resid_q, resid_z):
+        assert isinstance(resid.coeffs, tuple) and len(resid.coeffs) == N + 1
+        assert all(isinstance(c, PuiseuxSeries) and c.is_zero() for c in resid.coeffs)
+    assert [c.trunc for c in resid_q.coeffs] == [10, INF, 8, INF, 7, INF, 4]
 
 
 def test_schrodinger_pipeline_symbolic_v2():

@@ -5,6 +5,8 @@ series that agrees with it there.  Adding arbitrary terms at exponents
 >= ``trunc`` (and raising ``trunc`` past them) must leave every
 coefficient an operation reports below its result's ``trunc``
 unchanged; a coefficient that moves was claimed without being known.
+An eps-series, whose coefficients are z-series, is completed in both
+variables at once.
 """
 
 from fractions import Fraction as Fr
@@ -55,30 +57,88 @@ def complete(data, s, step, lead_one=False, avoid=()):
 
 def assert_agrees(r, rc):
     """Coefficients of r and of its completed rerun rc agree wherever both
-    claim to know them."""
+    claim to know them; series coefficients (of an eps-series) agree in
+    the same sense."""
     cut = min(r.trunc, rc.trunc)
     for e in set(r.coeffs) | set(rc.coeffs):
         if e < cut:
-            assert r.coeffs.get(e, 0) == rc.coeffs.get(e, 0), (e, r, rc)
+            a, b = r.coeffs.get(e, 0), rc.coeffs.get(e, 0)
+            if isinstance(a, PuiseuxSeries) or isinstance(b, PuiseuxSeries):
+                # a scalar next to a series coefficient is a constant series
+                assert_agrees(*(c if isinstance(c, PuiseuxSeries)
+                                else PuiseuxSeries({0: c}) for c in (a, b)))
+            else:
+                assert a == b, (e, r, rc)
+
+
+def unit_z(data):
+    """z^m (1 + ...): a monomial, or truncated, so that every rational
+    power of it is defined without an order."""
+    m = data.draw(st.integers(-2, 2))
+    t = data.draw(st.one_of(st.none(), st.integers(1, 6)))
+    if t is None:
+        return PuiseuxSeries({m: 1})
+    ks = data.draw(st.lists(st.integers(1, 6), max_size=3, unique=True))
+    return PuiseuxSeries({m: 1, **{m + k * HALF: data.draw(EXACT) for k in ks}},
+                         m + t * HALF)
+
+
+def eps_series(data, unit=False, start=0, finite=False):
+    """An eps-series: up to three z-series coefficients at eps^start ..
+    eps^4 (some of them 0 + O(z^T)), a unit_z one at eps^0 with ``unit``,
+    known below a drawn eps-order (or exact unless ``finite``)."""
+    ns = data.draw(st.lists(st.integers(max(start, int(unit)), 4), max_size=3,
+                            unique=True))
+    cs = {n: puiseux(data) if data.draw(st.integers(0, 3))
+          else PuiseuxSeries({}, data.draw(st.integers(-2, 4))) for n in ns}
+    if unit:
+        cs[0] = unit_z(data)
+    t = data.draw(st.integers(start + 1, 5) if finite
+                  else st.one_of(st.none(), st.integers(start + 1, 5)))
+    return PuiseuxSeries(cs, INF if t is None else t, lattice=1)
+
+
+def complete_eps(data, E):
+    """E with each z-coefficient completed and, when its eps-truncation is
+    finite, drawn z-series at eps^trunc .. eps^(trunc+2)."""
+    cs = {n: complete(data, c, HALF) for n, c in E.coeffs.items()}
+    if E.trunc is INF:
+        return PuiseuxSeries(cs, lattice=1)
+    for j in range(3):
+        cs[E.trunc + j] = puiseux(data)
+    return PuiseuxSeries(cs, E.trunc + 3, lattice=1)
+
+
+def assert_zero(E):
+    """Every retained eps-coefficient of E is zero on its retained z-orders."""
+    assert all(c.is_zero() for c in E.coeffs.values()), E
 
 
 def puiseux(data, **kw):
     return draw_series(data, HALF, -4, 6, **kw)
 
 
-@given(st.data())
-def test_add_mul_complete(data):
-    a, b = puiseux(data), puiseux(data)
-    ac, bc = complete(data, a, HALF), complete(data, b, HALF)
+@given(st.data(), st.booleans())
+def test_add_mul_complete(data, in_eps):
+    if in_eps:
+        a, b = eps_series(data), eps_series(data)
+        ac, bc = complete_eps(data, a), complete_eps(data, b)
+    else:
+        a, b = puiseux(data), puiseux(data)
+        ac, bc = complete(data, a, HALF), complete(data, b, HALF)
     assert_agrees(a + b, ac + bc)
     assert_agrees(a * b, ac * bc)
 
 
-@given(st.data())
-def test_inverse_complete(data):
-    a = puiseux(data)
-    assume(not a.is_zero())
-    ac = complete(data, a, HALF)
+@given(st.data(), st.booleans())
+def test_inverse_complete(data, in_eps):
+    if in_eps:
+        a = eps_series(data, unit=True)
+        ac = complete_eps(data, a)
+    else:
+        a = puiseux(data)
+        assume(not a.is_zero())
+        ac = complete(data, a, HALF)
     assert_agrees(a.inverse(order=3), ac.inverse(order=3))
 
 
@@ -103,6 +163,30 @@ def test_pow_rational_complete(data, r):
                           INF if t is None else m + t * HALF)
     ac = complete(data, a, HALF, lead_one=True)
     assert_agrees(a.pow_rational(r, order=4), ac.pow_rational(r, order=4))
+
+
+@given(st.data(), st.sampled_from(["sqrt_inverse", "exp"]))
+def test_eps_power_and_exp_complete(data, op):
+    if op == "exp":
+        E = eps_series(data, start=1, finite=True)
+        run = PuiseuxSeries.exp
+    else:
+        E = eps_series(data, unit=True)
+        run = lambda s: s.pow_rational(Fr(-1, 2), order=3)  # noqa: E731
+    assert_agrees(run(E), run(complete_eps(data, E)))
+
+
+@given(st.data())
+def test_eps_series_identities(data):
+    E = eps_series(data, unit=True, finite=True)
+    assert_zero(E * E.inverse() - 1)
+    h = E.pow_rational(Fr(-1, 2))
+    assert_zero(h * h * E - 1)
+    a = eps_series(data, start=1, finite=True)
+    b = eps_series(data, start=1, finite=True)
+    assert_zero(a.exp() * b.exp() - (a + b).exp())
+    # exp(a)' = a' exp(a) in eps, which the homomorphism alone does not pin
+    assert_zero(a.exp().derivative() - a.derivative() * a.exp())
 
 
 @given(st.data())
