@@ -47,21 +47,12 @@ def liouville_map(V: PuiseuxSeries, N: int) -> PuiseuxSeries:
     return zq
 
 
-def _dz(E: PuiseuxSeries) -> PuiseuxSeries:
-    """d/dz of an eps-series, coefficientwise."""
-    return E.map_coefficients(PuiseuxSeries.derivative)
-
-
 def schwarzian(f: PuiseuxSeries) -> PuiseuxSeries:
-    """{f, z} = f'''/f' - (3/2)(f''/f')^2 for f'(0) != 0.
-
-    f is a z-series, or an eps-series whose coefficients are z-series
-    (differentiated in z coefficientwise).
-    """
-    d = _dz if isinstance(f.leading()[1], PuiseuxSeries) else PuiseuxSeries.derivative
-    f1 = d(f)
-    f2 = d(f1)
-    f3 = d(f2)
+    """{f, z} = f'''/f' - (3/2)(f''/f')^2 for f'(0) != 0, of an eps-series
+    f whose coefficients are z-series (differentiated coefficientwise)."""
+    f1 = f.map_coefficients(PuiseuxSeries.derivative)
+    f2 = f1.map_coefficients(PuiseuxSeries.derivative)
+    f3 = f2.map_coefficients(PuiseuxSeries.derivative)
     inv = f1.inverse()
     r2 = f2 * inv
     return f3 * inv - r2 * r2 * Fraction(3, 2)
@@ -77,7 +68,7 @@ def induced_potential_F(V: PuiseuxSeries, N: int) -> PuiseuxSeries:
     # Schwarzian still leave N retained orders
     zq = liouville_map(V, N + 3)
     order = Fraction(N + 1)
-    sch = schwarzian(zq)
+    sch = schwarzian(PuiseuxSeries({0: zq}, lattice=1)).coeff(0)
     ratio = zq.div(V, order=order)          # z(q)/V(q), holomorphic, -> 1
     G = ratio * sch * _HALF                  # F written in the q variable
     qz = zq.reversion(order + 1)
@@ -108,7 +99,7 @@ class ReductionSeries:
 
 def _master_lhs(S: PuiseuxSeries) -> PuiseuxSeries:
     """s (s')^2 - (eps^2/2){s, z}, the left-hand side of the master relation."""
-    S1 = _dz(S)
+    S1 = S.map_coefficients(PuiseuxSeries.derivative)
     return S * S1 * S1 - schwarzian(S).shift(2) * _HALF
 
 

@@ -19,6 +19,9 @@ eps on the integer lattice with z-series coefficients, so one product and
 one recurrence (Miller's, for every power and exp) serve both variables.
 A z-series factor acts on it through ``map_coefficients`` (``*`` would
 read it in eps); :class:`EpsSeries` is just its dense tuple of orders.
+Series-valued products and expansions visit every integer order below
+the truncation, an absent one as the zero series, which times c + O(z^T)
+is 0 + O(z^T).
 
 Truncation is tracked pessimistically: every operation propagates the
 tightest provably valid order, never extrapolating.  All values are
@@ -237,11 +240,10 @@ class PuiseuxSeries:
                 trunc = min(trunc, other.min_exp + self.trunc)
             # keyed by the integer k = 6e: k < ceil(6 trunc) iff k/6 < trunc
             kmax = INF if trunc is INF else math.ceil(6 * trunc)
-            bs = [(e.numerator * (6 // e.denominator), c)
-                  for e, c in other.coeffs.items()]
+            holes = _series_valued(self) or _series_valued(other)
+            bs = _keyed(other, holes)
             data: dict = {}
-            for ea, ca in self.coeffs.items():
-                ka = ea.numerator * (6 // ea.denominator)
+            for ka, ca in _keyed(self, holes):
                 for kb, cb in bs:
                     k = ka + kb
                     if k >= kmax:
@@ -333,7 +335,8 @@ class PuiseuxSeries:
         new_exp = _check_sixths(m * r)
         c0r = _coeff_root(c0, r)
         rel = None if self.trunc is INF else self.trunc - m
-        if len(self.coeffs) == 1:
+        # a truncated series-valued monomial still expands: see _keyed
+        if len(self.coeffs) == 1 and (rel is None or not _series_valued(self)):
             t = INF if rel is None else new_exp + rel
             return _make({new_exp: c0r}, t)
         if rel is None:
@@ -359,8 +362,7 @@ class PuiseuxSeries:
             raise SeriesError("exp needs a series of positive order")
         if self.trunc is INF:
             raise SeriesError("exp of an untruncated series needs a truncation")
-        c = next(iter(self.coeffs.values()))
-        one = PuiseuxSeries.one() if isinstance(c, PuiseuxSeries) else _ONE
+        one = PuiseuxSeries.one() if _series_valued(self) else _ONE
         return _expand(self, self.trunc, _ZERO, one,
                        lambda j, n: j, lambda acc, n: acc / n)
 
@@ -533,15 +535,37 @@ def _principal_pow(z: complex, e: Fraction) -> complex:
     return complex(z) ** float(e)
 
 
+def _series_valued(s: PuiseuxSeries) -> bool:
+    """Whether s's coefficients are series (s is an eps-series)."""
+    return isinstance(next(iter(s.coeffs.values()), None), PuiseuxSeries)
+
+
+def _keyed(s: PuiseuxSeries, holes: bool) -> list:
+    """s's terms as (6e, c) pairs.  With ``holes`` every absent integer e
+    from min(0, lowest e) up to the truncation (or the last term) is there
+    too, as the zero series, and the pairs run in increasing e: the zero
+    series times c + O(z^T) is 0 + O(z^T), so in series-valued arithmetic
+    an absent order still bounds the z-truncation of what it multiplies."""
+    ks = {e.numerator * (6 // e.denominator): c for e, c in s.coeffs.items()}
+    if not holes:
+        return list(ks.items())
+    top = max(ks, default=0) + 1 if s.trunc is INF else math.ceil(6 * s.trunc)
+    zero = _make({}, INF)
+    return [(k, ks.get(k, zero)) for k in range(min(0, min(ks, default=0)), top, 6)]
+
+
 def _expand(g, rel, lead, f0, weight, finish) -> PuiseuxSeries:
-    """z^lead (f_0 + f_1 t + ...) known below z^(lead + rel), t = z^(d/6)
-    for d the gcd of g's nonconstant offsets 6e, where f_n = finish(sum_j
-    weight(j, n) g_j f_(n-j), n) over g's terms g_j t^j, 1 <= j <= n (g's
-    constant term enters only through ``finish``; weight 0 drops a term):
-    the one loop of :meth:`PuiseuxSeries.pow_rational` and ``exp``."""
-    gs = sorted((e.numerator * (6 // e.denominator), c)
-                for e, c in g.coeffs.items() if e)
-    d = math.gcd(*(k for k, _ in gs))
+    """z^lead (f_0 + f_1 t + ...) known below z^(lead + rel), t = z^(d/6),
+    where f_n = finish(sum_j weight(j, n) g_j f_(n-j), n) over g's terms
+    g_j t^j, 1 <= j <= n (g's constant term enters only through
+    ``finish``; weight 0 drops a term): the one loop of
+    :meth:`PuiseuxSeries.pow_rational` and ``exp``.  For scalar
+    coefficients d is the gcd of g's nonconstant offsets 6e; a series-
+    valued g steps through every integer order, absent ones included
+    (see :func:`_keyed`)."""
+    holes = _series_valued(g)
+    gs = sorted((k, c) for k, c in _keyed(g, holes) if k > 0)
+    d = 6 if holes else math.gcd(*(k for k, _ in gs))
     gs = [(k // d, c) for k, c in gs]
     f = {0: f0}
     n = 1

@@ -57,16 +57,6 @@ class RiccatiExpansion:
     def order(self) -> int:
         return len(self.p_coeffs) - 1
 
-    def even_part(self) -> PuiseuxSeries:
-        ps = self.p_coeffs
-        return PuiseuxSeries({n: ps[n] for n in range(0, len(ps), 2)},
-                             len(ps), lattice=1)
-
-    def odd_part(self) -> PuiseuxSeries:
-        ps = self.p_coeffs
-        return PuiseuxSeries({n: ps[n] for n in range(1, len(ps), 2)},
-                             len(ps), lattice=1)
-
 
 def riccati_p(F: PuiseuxSeries, N: int) -> RiccatiExpansion:
     """Riccati expansion to order N: p_0 = z^{1/2}, p_1 = 1/(4z),
@@ -144,9 +134,9 @@ def symbol_consistency(F: PuiseuxSeries, N: int) -> dict:
     if N < 2:
         return {"orders": 0, "odd_even_residual": None,
                 "expansion_residual": None, "C": []}
-    ric = riccati_p(F, N + 1)
-    Pe = ric.even_part()
-    Po = ric.odd_part()
+    ps = riccati_p(F, N + 1).p_coeffs
+    Pe, Po = (PuiseuxSeries({n: ps[n] for n in range(k, len(ps), 2)}, len(ps), lattice=1)
+              for k in (0, 1))   # the even and odd parts of P, as eps-series
     # (i)  P_odd - (eps/2) P_even'/P_even == 0
     dPe = Pe.map_coefficients(PuiseuxSeries.derivative)
     ratio = (dPe * Pe.inverse()).shift(1) * _HALF

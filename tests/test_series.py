@@ -371,6 +371,44 @@ def test_eps_binomial_and_exp():
                                             z * z * z * Fr(1, 6))
 
 
+def _dense_product(a, b):
+    """Convolution over every eps-order of two tuples that start with a
+    nonzero order, absent orders as the zero series."""
+    acc = []
+    for k in range(min(len(a), len(b))):
+        c = PuiseuxSeries.zero()
+        for i in range(k + 1):
+            c = c + a[i] * b[k - i]
+        acc.append(c)
+    return tuple(acc)
+
+
+def _dense_inverse(a):
+    """Geometric inverse over every eps-order: f_k = -f_0 sum_i a_i f_(k-i)."""
+    out = [a[0].inverse()]
+    for k in range(1, len(a)):
+        c = PuiseuxSeries.zero()
+        for i in range(1, k + 1):
+            c = c + a[i] * out[k - i]
+        out.append(-(out[0] * c))
+    return tuple(out)
+
+
+def test_eps_arithmetic_visits_every_order():
+    # the zero series times c + O(z^T) is 0 + O(z^T), so an absent
+    # eps-order still bounds the z-truncation of the orders it reaches
+    zero = PuiseuxSeries.zero()
+    a = (S({0: 1, 1: 1}, trunc=4), zero, S({0: 2, 2: 1}, trunc=3), zero,
+         S({1: -1}, trunc=5))
+    b = (S({0: 3}, trunc=6), S({1: 1}, trunc=2), zero, S({0: 1}, trunc=4))
+    mono = (S({0: 2}, trunc=3), zero, zero)
+    assert EpsSeries.of(eps(*a) * eps(*b)).coeffs == _dense_product(a, b)
+    for x in (a, mono):
+        inv = EpsSeries.of(eps(*x).inverse()).coeffs
+        assert inv == _dense_inverse(x)
+        assert all(c.is_zero() and c.trunc < INF for c in inv[1::2])
+
+
 def test_exp_of_a_z_series():
     # exp(z + z^2) = 1 + z + (3/2) z^2 + (7/6) z^3 + ...
     assert S({1: 1, 2: 1}, trunc=4).exp() == S({0: 1, 1: 1, 2: Fr(3, 2), 3: Fr(7, 6)}, 4)
