@@ -20,8 +20,9 @@ import mpmath
 from . import __version__
 from .airy import airy_borel_sum, airy_contour, airy_oracle, stokes_jump
 from .contours import ContourSpec
-from .errors import (ContourFailure, DomainExit, ExactWKBError, PoleOnRay,
-                     SeriesError, SeriesFormatError, TraceEscape)
+from .errors import (ContourFailure, DomainExit, ExactWKBError,
+                     NonFiniteOutput, PoleOnRay, SeriesError,
+                     SeriesFormatError, TraceEscape)
 from .pde import confluent_eval, pde_residual, pde_taylor
 from .reduction import schrodinger_pipeline
 from .series import PuiseuxSeries, max_abs_coeff, require_taylor
@@ -59,10 +60,16 @@ def _c2l(z: complex) -> list:
 
 
 def _emit(args, payload: dict) -> None:
+    """Write the payload as JSON, or raise NonFiniteOutput (writing
+    nothing) when a number in it is not finite."""
     payload.setdefault("meta", {})
     payload["meta"].setdefault("precision", args.precision)
     payload["meta"].setdefault("version", __version__)
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2,
+                          default=_json_default, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteOutput(str(exc)) from exc
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -352,17 +359,17 @@ def main(argv=None) -> int:
         parser.exit(2, f"--precision must be >= {MIN_PRECISION}\n")
     mpmath.mp.dps = max(args.precision * 2, 30)
     try:
-        payload = args.fn(args)
+        _emit(args, args.fn(args))
     except (json.JSONDecodeError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ContourFailure, PoleOnRay, DomainExit, TraceEscape) as exc:
+    except (ContourFailure, PoleOnRay, DomainExit, TraceEscape,
+            NonFiniteOutput) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 3
     except ExactWKBError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    _emit(args, payload)
     return 0
 
 

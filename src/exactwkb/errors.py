@@ -39,3 +39,7 @@ class DomainExit(ExactWKBError):
 
 class TraceEscape(ExactWKBError):
     """Stokes-curve trace left the declared analyticity region."""
+
+
+class NonFiniteOutput(ExactWKBError):
+    """A result holds NaN or an infinity, which JSON output cannot carry."""

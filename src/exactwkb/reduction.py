@@ -18,10 +18,11 @@ from fractions import Fraction
 
 from .airy import airy_symbol
 from .errors import LogObstruction, NotSimpleTurningPoint, SeriesError
-from .series import EpsSeries, PuiseuxSeries, require_taylor
+from .series import EpsSeries, PuiseuxSeries, _sum, require_taylor
 from .symbols import WKBSymbol
 
 _HALF = Fraction(1, 2)
+_NIL = PuiseuxSeries.zero()     # the exact zero, an absent eps-order
 
 
 def liouville_map(V: PuiseuxSeries, N: int) -> PuiseuxSeries:
@@ -116,6 +117,24 @@ def master_relation_residual(s: ReductionSeries, F: PuiseuxSeries,
     return _dense(_master_lhs(s.as_eps_series()) - rhs, orders)
 
 
+def _conv(X: list, Y: list, m: int) -> PuiseuxSeries:
+    """[eps^m] of the eps-product X Y from the order lists X and Y: the
+    sum of X_i Y_(m-i) for i ascending, first term assigned, an order past
+    the end of a list read as the exact zero.  This is how the eps-product
+    itself sums order m, so values, z-truncations, key order and float
+    bits all agree with it."""
+    X, Y = (L + [_NIL] * (m + 1 - len(L)) for L in (X, Y))
+    return _sum(X[i] * Y[m - i] for i in range(m + 1))
+
+
+def _recip_order(g: list, f: list, n: int) -> PuiseuxSeries:
+    """[eps^n] of 1/g from g's orders and the orders of f = 1/g below n:
+    the r = -1 step of Miller's recurrence as ``series._expand`` takes it."""
+    if n == 0:
+        return g[0].inverse()
+    return f[0] * _sum(g[j] * f[n - j] * -n for j in range(1, n + 1)) / n
+
+
 def reduce_to_airy(F: PuiseuxSeries, N_eps: int, N_z: int) -> ReductionSeries:
     """Reduction series solving the master relation order by order.
 
@@ -123,25 +142,50 @@ def reduce_to_airy(F: PuiseuxSeries, N_eps: int, N_z: int) -> ReductionSeries:
     rhs_k built from lower orders; coefficientwise (2m+1) c_m = rhs_m.
     Holomorphy forces the odd orders to vanish (asserted, not assumed):
     a nonzero rhs at odd k would demand a z^{-1/2} homogeneous part.
+
+    rhs_k is minus eps-order k of the master residual with s_k = 0, and
+    each step forms only that order (relaxed evaluation): order k of
+    s (s')^2 and order k - 2 of {s, z}, read from order lists of s, its
+    first three derivatives, 1/s', s s', s''/s', (s''/s')^2 and s'''/s'
+    that grow by one order per step.  Each order is summed as the full
+    eps-product sums it (:func:`_conv`), so s is the same to the bit as
+    from the full residual of the partial s at every order;
+    ``master_relation_residual`` stays the full certificate.
     """
+    if N_eps < 0:
+        raise ValueError("N must be >= 0")
     require_taylor(F, "F")
     Fz = F.with_trunc(min(F.trunc, Fraction(N_z)))
-    z = PuiseuxSeries.monomial(1, 1)
-    coeffs = [z] + [PuiseuxSeries.zero()] * N_eps
+    S = [PuiseuxSeries.monomial(1, 1)]
+    S1, S2, S3, inv, SS1, R2, R2R2, R3 = ([] for _ in range(8))
     for k in range(1, N_eps + 1):
-        partial = ReductionSeries(s_coeffs=tuple(coeffs[:k + 1]))
-        resid = master_relation_residual(partial, Fz)
-        rhs = -resid.coeffs[k]
+        # s_(k-1) is final: order k of s (s')^2, s_k read as 0 ...
+        S1.append(S[k - 1].derivative())
+        SS1.append(_conv(S, S1, k - 1))
+        resid = _conv(SS1 + [_conv(S, S1, k)], S1, k)
+        # ... minus (eps^2/2) {s, z}, whose order k - 2 is now final
+        if k >= 2:
+            j = k - 2
+            S2.append(S1[j].derivative())
+            S3.append(S2[j].derivative())
+            inv.append(_recip_order(S1, inv, j))
+            R2.append(_conv(S2, inv, j))
+            R2R2.append(_conv(R2, R2, j))
+            R3.append(_conv(S3, inv, j))
+            resid = resid - (R3[j] - R2R2[j] * Fraction(3, 2)) * _HALF
+        if k == 2:
+            resid = resid - Fz
+        rhs = -resid
         if rhs.is_zero():
+            S.append(_NIL)
             continue
         if not rhs.is_taylor():
             raise LogObstruction(
                 f"resonant non-holomorphic term at eps-order {k}")
-        sk = PuiseuxSeries(
+        S.append(PuiseuxSeries(
             {m: c / (2 * m + 1) for m, c in rhs.coeffs.items()},
-            trunc=rhs.trunc)
-        coeffs[k] = sk
-    return ReductionSeries(s_coeffs=tuple(coeffs))
+            trunc=rhs.trunc))
+    return ReductionSeries(s_coeffs=tuple(S))
 
 
 def schrodinger_pipeline(V: PuiseuxSeries, N: int,
@@ -152,6 +196,8 @@ def schrodinger_pipeline(V: PuiseuxSeries, N: int,
     straightened variable and s is the composed reduction series in q,
     satisfying s (ds/dq)^2 - (eps^2/2){s, q} = V(q) on retained orders.
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
     N_z = N_z if N_z is not None else N + 4
     F = induced_potential_F(V, N_z)
     s_can = reduce_to_airy(F, N, N_z)

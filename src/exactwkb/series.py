@@ -437,6 +437,12 @@ class PuiseuxSeries:
         Requires a Taylor series with f(0) = 0 and f'(0) != 0.  Since
         g_m depends on f_1..f_m only, the result is truncated at
         min(order, self.trunc).
+
+        Each order forms only its new coefficient: a table of [z^m] g^j
+        grows by one coefficient per power, and [z^m] f(g) = 0 gives
+        g_m = -(sum_{j>=2} f_j [z^m] g^j) / f_1, the term of f(g) that
+        composing the partial g would read off (Brent and Kung, JACM 25,
+        1978).  Exact rings give the same coefficients as that composition.
         """
         if not self.is_taylor():
             raise SeriesError("compositional inversion requires a Taylor series")
@@ -447,14 +453,22 @@ class PuiseuxSeries:
             raise SeriesError("not invertible as a formal map: f'(0) = 0")
         trunc = min(Fraction(int(_as_exp(order))), self.trunc)
         inv_a1 = _ONE / a1 if isinstance(a1, Fraction) else 1 / a1
-        g = {_ONE: inv_a1}
-        for m in range(2, math.ceil(trunc)):
-            gs = _make(g, Fraction(m + 1))
-            comp = self._compose_plain(gs, Fraction(m + 1))
-            corr = -comp.coeffs.get(Fraction(m), _ZERO) * inv_a1
+        top = math.ceil(trunc)
+        fs = sorted((int(e), c) for e, c in self.coeffs.items() if 1 < e < top)
+        # powers[j - 1][m] = [z^m] g^j, nonzero terms only; powers[0] is g
+        g = {1: inv_a1}
+        powers = [g] + [{} for _ in range(fs[-1][0] - 1 if fs else 0)]
+        for m in range(2, top):
+            for j in range(1, min(m, len(powers))):
+                acc = _sum(c * g[m - a] for a, c in powers[j - 1].items()
+                           if m - a in g)
+                if acc is not None and not coeff_is_zero(acc):
+                    powers[j][m] = acc
+            acc = _sum(powers[j - 1][m] * c for j, c in fs if m in powers[j - 1])
+            corr = _ZERO if acc is None else -acc * inv_a1
             if not coeff_is_zero(corr):
-                g[Fraction(m)] = corr
-        return _make(g, trunc)
+                g[m] = corr
+        return _make({Fraction(m): c for m, c in g.items()}, trunc)
 
     # -- evaluation ------------------------------------------------------
 
@@ -538,6 +552,15 @@ def _principal_pow(z: complex, e: Fraction) -> complex:
 def _series_valued(s: PuiseuxSeries) -> bool:
     """Whether s's coefficients are series (s is an eps-series)."""
     return isinstance(next(iter(s.coeffs.values()), None), PuiseuxSeries)
+
+
+def _sum(terms: Iterable):
+    """The terms added left to right, the first one as it is (None if
+    there is none): the order in which a product sums a coefficient."""
+    acc = None
+    for t in terms:
+        acc = t if acc is None else acc + t
+    return acc
 
 
 def _keyed(s: PuiseuxSeries, holes: bool) -> list:

@@ -212,6 +212,25 @@ def test_contour_overflow_exit_3(capsys):
     assert out == ""
 
 
+def test_reduce_negative_orders_exit_2(capsys):
+    code = main(["reduce", "--V", '[["1",["1","0"]]]', "--orders", "-1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: N must be >= 0\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["transport", "--F", '[["0",[1e308,0]],["1",[1e308,0]]]', "--orders", "6"],
+    ["reduce", "--V", '[["1",[1,0]],["2",[1e308,0]]]', "--orders", "4"],
+], ids=["transport", "reduce"])
+def test_non_finite_output_exit_3(args, capsys):
+    # an overflow is a numeric failure, not JSON with bare NaN tokens
+    code = main(args)
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("numeric failure: ")
+
+
 def test_import_leaves_scipy_out():
     code = "import sys, exactwkb; sys.exit('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

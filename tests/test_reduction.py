@@ -5,11 +5,14 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactwkb.airy import airy_symbol
+from exactwkb.coefficients import GaussianRational
 from exactwkb.errors import NotSimpleTurningPoint
 from exactwkb.polyring import QPoly
-from exactwkb.reduction import (airy_basis_decomposition,
+from exactwkb.reduction import (ReductionSeries, airy_basis_decomposition,
                                 induced_potential_F, liouville_map,
                                 master_relation_residual,
                                 reconstruct_from_basis, reduce_to_airy,
@@ -106,6 +109,52 @@ def test_master_relation_random_cubic(seed):
     assert all(x.is_zero() for x in resid.coeffs)
     # odd orders vanish by holomorphy
     assert all(s.s_coeffs[k].is_zero() for k in (1, 3, 5, 7))
+
+
+def reduce_by_full_residual(F, N_eps, N_z):
+    """Reference solver: s_k from eps-order k of the full master residual
+    of the partial s (s_k = 0), recomputed at every k."""
+    Fz = F.with_trunc(min(F.trunc, Fr(N_z)))
+    coeffs = [PuiseuxSeries.monomial(1, 1)] + [PuiseuxSeries.zero()] * N_eps
+    for k in range(1, N_eps + 1):
+        partial = ReductionSeries(s_coeffs=tuple(coeffs[:k + 1]))
+        rhs = -master_relation_residual(partial, Fz).coeffs[k]
+        if not rhs.is_zero():
+            coeffs[k] = PuiseuxSeries(
+                {m: c / (2 * m + 1) for m, c in rhs.coeffs.items()},
+                trunc=rhs.trunc)
+    return coeffs
+
+
+RATS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+RINGS = [RATS, st.builds(GaussianRational, RATS, RATS),
+         st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_relaxed_reduction_matches_full_residual(data):
+    # every s_k, its z-truncation, key order and (for floats) every bit
+    coeff = data.draw(st.sampled_from(RINGS))
+    N_eps, N_z = data.draw(st.integers(0, 8)), data.draw(st.integers(2, 10))
+    terms = data.draw(st.dictionaries(st.integers(0, 6), coeff, max_size=5))
+    trunc = data.draw(st.one_of(st.none(), st.integers(1, N_z - 1)))
+    F = TaylorSeries(terms, INF if trunc is None else trunc)
+    got = reduce_to_airy(F, N_eps, N_z).s_coeffs
+    want = reduce_by_full_residual(F, N_eps, N_z)
+    assert len(got) == len(want) == N_eps + 1
+    for a, b in zip(got, want):
+        assert a.trunc == b.trunc
+        assert list(a.coeffs) == list(b.coeffs)
+        assert [repr(c) for c in a.coeffs.values()] == [repr(c) for c in b.coeffs.values()]
+
+
+def test_reduction_rejects_negative_orders():
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        reduce_to_airy(TaylorSeries({0: 1}), -1, 4)
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        schrodinger_pipeline(TaylorSeries({1: 1}), -1)
+    assert reduce_to_airy(TaylorSeries({0: 1}), 0, 4).order == 0
 
 
 def test_basis_decomposition_on_basis_elements():

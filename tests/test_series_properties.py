@@ -14,8 +14,13 @@ from fractions import Fraction as Fr
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from exactwkb.coefficients import GaussianRational
-from exactwkb.series import INF, PuiseuxSeries, TaylorSeries
+import math
+
+import pytest
+
+from exactwkb.coefficients import GaussianRational, coeff_is_zero
+from exactwkb.polyring import QPoly
+from exactwkb.series import INF, PuiseuxSeries, TaylorSeries, _make
 
 settings.register_profile("series", max_examples=60, derandomize=True,
                           deadline=None, database=None)
@@ -202,6 +207,60 @@ def test_reversion_complete(data):
     f = TaylorSeries({1: data.draw(RATS)}) + draw_series(data, 1, 2, 5)
     fc = complete(data, f, 1)
     assert_agrees(f.reversion(6), fc.reversion(6))
+
+
+def reversion_by_composition(f, order):
+    """Reference reversion: compose f with the partial inverse g at every
+    order m and read the correction to g_m off the z^m term."""
+    trunc = min(Fr(int(order)), f.trunc)
+    a1 = f.coeffs[Fr(1)]
+    inv_a1 = Fr(1) / a1 if isinstance(a1, Fr) else 1 / a1
+    g = {Fr(1): inv_a1}
+    for m in range(2, math.ceil(trunc)):
+        comp = f._compose_plain(_make(g, Fr(m + 1)), Fr(m + 1))
+        corr = -comp.coeffs.get(Fr(m), Fr(0)) * inv_a1
+        if not coeff_is_zero(corr):
+            g[Fr(m)] = corr
+    return _make(g, trunc)
+
+
+QPOLYS = st.builds(lambda a, b: QPoly.gen("v") * a + b, RATS, RATS)
+COMPLEX = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("f, order", [
+    (TaylorSeries({1: 1, 3: 1}), 10),                 # every g_2m absent
+    (TaylorSeries({1: Fr(1, 2), 2: 1, 5: -3}, trunc=4), 9),
+    (TaylorSeries({1: 2, 2: QPoly.gen("v")}), 7),
+    (TaylorSeries({1: GaussianRational(1, 1), 4: 2}, trunc=8), 12),
+])
+def test_reversion_matches_composition_examples(f, order):
+    g = f.reversion(order)
+    want = reversion_by_composition(f, order)
+    assert g == want and list(g.coeffs) == list(want.coeffs)
+    assert g.trunc == min(order, f.trunc)
+    assert (f._compose_plain(g, g.trunc) - TaylorSeries({1: 1})).is_zero()
+
+
+@given(st.data())
+def test_reversion_matches_composition(data):
+    coeff = data.draw(st.sampled_from([RATS, GAUSS, QPOLYS, COMPLEX]))
+    a1 = data.draw(COMPLEX.filter(lambda c: abs(c) > 0.5) if coeff is COMPLEX else RATS)
+    f = TaylorSeries({1: a1}) + draw_series(data, 1, 2, 7, coeff)
+    order = data.draw(st.integers(1, 9))
+    g, want = f.reversion(order), reversion_by_composition(f, order)
+    assert g.trunc == want.trunc
+    comp = f._compose_plain(g, g.trunc) - TaylorSeries({1: 1})
+    if coeff is COMPLEX:
+        assert g.coeffs.keys() == want.coeffs.keys()
+        for e, c in want.coeffs.items():
+            assert abs(g.coeffs[e] - c) <= 1e-14 * abs(c)
+        size = (1 + max(map(abs, f.coeffs.values()))) * (
+            1 + max(map(abs, g.coeffs.values()), default=0)) ** order
+        assert all(abs(c) <= 1e-14 * size for c in comp.coeffs.values())
+    else:
+        assert g == want and list(g.coeffs) == list(want.coeffs)
+        assert comp.is_zero()
 
 
 @given(st.data())
