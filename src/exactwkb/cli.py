@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -53,6 +54,25 @@ def _load_series(text: str, name: str) -> PuiseuxSeries:
         return require_taylor(PuiseuxSeries.from_json_dict(data), name)
     except (TypeError, ValueError, ArithmeticError, SeriesError) as exc:
         raise SeriesFormatError(str(exc)) from exc
+
+
+def _check_ranges(args) -> None:
+    """Refuse, as validation errors, the numbers no command can serve:
+    z must be finite, eps nonzero and finite, the orders >= 0, and a
+    Stokes step and extent positive and finite."""
+    z, eps = getattr(args, "z", None), getattr(args, "eps", None)
+    if getattr(args, "eval", None):
+        z, eps = args.eval[:1], args.eval[1:]
+    if z is not None and not all(map(math.isfinite, z)):
+        raise ValueError("z must be finite")
+    if eps is not None and not (all(map(math.isfinite, eps)) and any(eps)):
+        raise ValueError("eps must be nonzero and finite")
+    if isinstance(getattr(args, "orders", None), int) and args.orders < 0:
+        raise ValueError("N must be >= 0")
+    for name in ("step", "extent"):
+        v = getattr(args, name, 1.0)
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"--{name} must be positive and finite")
 
 
 def _c2l(z: complex) -> list:
@@ -359,6 +379,7 @@ def main(argv=None) -> int:
         parser.exit(2, f"--precision must be >= {MIN_PRECISION}\n")
     mpmath.mp.dps = max(args.precision * 2, 30)
     try:
+        _check_ranges(args)
         _emit(args, args.fn(args))
     except (json.JSONDecodeError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -6,6 +6,11 @@ exponential integrals solving the higher turning-point model, and T_n
 is the companion polynomial fixed by the two structural identities
 
     (dS_n/dz)^2 = T_n dS_n/dzhat + z^n,      d2S_n/dz2 = dT_n/dzhat.
+
+Their algebra runs on the series engine: a polynomial in (z, zhat) is a
+zhat-series whose coefficients are z-series, so d/dzhat is
+``derivative`` and d/dz is ``map_coefficients(PuiseuxSeries.derivative)``.
+The pair is handed out as ``{(i, j): Fraction}`` dicts for z^i zhat^j.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 from .contours import (ContourSpec, LaplaceResult, canonical_up_dir,
                        saddle_descent_path, saddle_point_integral)
 from .errors import ContourFailure
+from .series import PuiseuxSeries
 
 Poly2 = dict  # {(i, j): Fraction} for z^i zhat^j
 
@@ -36,18 +42,13 @@ def hardy_polynomial(m: int) -> list[Fraction]:
     if m < 2:
         raise ValueError("m must be >= 2")
     if m % 2 == 0:
-        lo, hi = [Fraction(1)], [Fraction(1), Fraction(0), Fraction(2)]
+        lo, hi = PuiseuxSeries({0: 1}), PuiseuxSeries({0: 1, 2: 2})
     else:
-        lo, hi = [Fraction(0), Fraction(-1)], [Fraction(0), Fraction(1)]
+        lo, hi = PuiseuxSeries({1: -1}), PuiseuxSeries({1: 1})
+    step = PuiseuxSeries({0: 2, 2: 4})
     for _ in range((m - 1) // 2):
-        nxt = [Fraction(0)] * (len(hi) + 2)
-        for i, c in enumerate(hi):
-            nxt[i] += 2 * c
-            nxt[i + 2] += 4 * c
-        for i, c in enumerate(lo):
-            nxt[i] -= c
-        lo, hi = hi, nxt
-    return hi
+        lo, hi = hi, hi * step - lo
+    return [hi.coeff(k) for k in range(m + 1)]
 
 
 @dataclass(frozen=True)
@@ -59,121 +60,65 @@ class HardyPair:
     T: Poly2
 
 
+def _series(p: Poly2) -> PuiseuxSeries:
+    """p as a zhat-series with z-series coefficients."""
+    rows: dict = {}
+    for (i, j), c in p.items():
+        rows.setdefault(j, {})[i] = c
+    return PuiseuxSeries({j: PuiseuxSeries(r) for j, r in rows.items()})
+
+
+def _poly2(s: PuiseuxSeries) -> Poly2:
+    """The dict of a zhat-series s, in increasing zhat-degree."""
+    return {(int(i), int(j)): c for j, zs in s.terms() for i, c in zs.terms()}
+
+
+def _dz(s: PuiseuxSeries) -> PuiseuxSeries:
+    return s.map_coefficients(PuiseuxSeries.derivative)
+
+
+def _zn(n: int) -> PuiseuxSeries:
+    return PuiseuxSeries({0: PuiseuxSeries({n: 1})})
+
+
 def hardy_S_T(n: int) -> HardyPair:
     """Exact S_n and T_n.
 
     S_n = (2/(n+2)) z^{m/2} P_m(zhat z^{-1/2}) at z -> -z (m = n+2, a
     genuine polynomial by the parity of P_m); T_n is the zhat-
-    antiderivative of d2S_n/dz2 with the z-dependent constant matched so
-    the first identity holds at zhat = 0.  Both identities are then
-    verified by exact expansion (hard error on failure).
+    antiderivative T_0 of d2S_n/dz2 plus a zhat-free "constant" C(z)
+    fixed by the first identity, C dS/dzhat = (dS/dz)^2 - z^n - T_0
+    dS/dzhat, read off at zhat^{m-1}, where dS/dzhat has the rational
+    leading coefficient.  Both identities are then verified exactly
+    (hard error on failure).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     m = n + 2
-    P = hardy_polynomial(m)
-    S: Poly2 = {}
-    for j, c in enumerate(P):
-        if c == 0:
-            continue
-        if (m - j) % 2 != 0:
-            raise AssertionError("P_m parity violated")
-        i = (m - j) // 2
-        S[(i, j)] = S.get((i, j), Fraction(0)) + c * Fraction(2, m) * Fraction(-1) ** i
-    Szz = _d(_d(S, 0), 0)
-    T = _anti(Szz, 1)
-    # the zhat-free integration "constant" C(z) is fixed by the first
-    # identity: C * dS/dzhat = (dS/dz)^2 - z^n - T0 * dS/dzhat, an exact
-    # polynomial division
-    Sz = _d(S, 0)
-    Szh = _d(S, 1)
-    need = _sub(_sub(_mul(Sz, Sz), {(n, 0): Fraction(1)}), _mul(T, Szh))
-    corr, rem = _poly2_divmod(need, Szh)
-    if rem:
-        raise AssertionError(f"T_n correction not divisible for n={n}")
-    T = _add(T, corr)
-    pair = HardyPair(n=n, S={k: v for k, v in S.items() if v != 0},
-                     T={k: v for k, v in T.items() if v != 0})
-    if not hardy_identities_hold(pair):
+    S = PuiseuxSeries({j: PuiseuxSeries({(m - j) // 2: c * Fraction(2, m)
+                                         * (-1) ** ((m - j) // 2)})
+                       for j, c in enumerate(hardy_polynomial(m)) if c})
+    Sz, Szh = _dz(S), S.derivative()
+    T0 = _dz(Sz).antiderivative()
+    need = Sz * Sz - _zn(n) - T0 * Szh
+    C = PuiseuxSeries({0: need.coeff(m - 1) / Szh.coeff(m - 1).coeff(0)})
+    # the first identity is need = C dS/dzhat, the second dT/dzhat = d2S/dz2
+    if not (need == C * Szh and _dz(Sz) == (T0 + C).derivative()):
         raise AssertionError(f"structural identities failed for n={n}")
-    return pair
-
-
-def _poly2_divmod(a: Poly2, b: Poly2) -> tuple[Poly2, Poly2]:
-    """Division by leading-term elimination, zhat-major ordering."""
-    def lead(p):
-        return max(p, key=lambda k: (k[1], k[0]))
-
-    rem = dict(a)
-    quot: Poly2 = {}
-    lb = lead(b)
-    cb = b[lb]
-    while rem:
-        la = lead(rem)
-        if la[0] < lb[0] or la[1] < lb[1]:
-            break
-        k = (la[0] - lb[0], la[1] - lb[1])
-        c = rem[la] / cb
-        quot[k] = quot.get(k, Fraction(0)) + c
-        rem = _sub(rem, _mul({k: c}, b))
-    return quot, rem
+    # T_0's keys, then C's: _poly2(T0 + C) would put the zhat^0 key first
+    return HardyPair(n=n, S=_poly2(S), T={**_poly2(T0), **_poly2(C)})
 
 
 def hardy_identities_hold(pair: HardyPair) -> bool:
-    Sz = _d(pair.S, 0)
-    Szh = _d(pair.S, 1)
-    lhs = _mul(Sz, Sz)
-    rhs = _add(_mul(pair.T, Szh), {(pair.n, 0): Fraction(1)})
-    if _sub(lhs, rhs):
-        return False
-    if _sub(_d(Sz, 0), _d(pair.T, 1)):
-        return False
-    return True
+    S, T = _series(pair.S), _series(pair.T)
+    Sz = _dz(S)
+    return (Sz * Sz == T * S.derivative() + _zn(pair.n)
+            and _dz(Sz) == T.derivative())
 
 
 def quasi_homogeneous_ok(pair: HardyPair) -> bool:
     """S_n(l^2 z, l zhat) = l^{n+2} S_n(z, zhat): weight 2i + j = n + 2."""
     return all(2 * i + j == pair.n + 2 for (i, j) in pair.S)
-
-
-def _d(p: Poly2, var: int) -> Poly2:
-    out: Poly2 = {}
-    for (i, j), c in p.items():
-        if var == 0 and i > 0:
-            out[(i - 1, j)] = out.get((i - 1, j), Fraction(0)) + c * i
-        if var == 1 and j > 0:
-            out[(i, j - 1)] = out.get((i, j - 1), Fraction(0)) + c * j
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _anti(p: Poly2, var: int) -> Poly2:
-    out: Poly2 = {}
-    for (i, j), c in p.items():
-        if var == 1:
-            out[(i, j + 1)] = c / (j + 1)
-        else:
-            out[(i + 1, j)] = c / (i + 1)
-    return out
-
-
-def _mul(a: Poly2, b: Poly2) -> Poly2:
-    out: Poly2 = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            k = (i1 + i2, j1 + j2)
-            out[k] = out.get(k, Fraction(0)) + c1 * c2
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _add(a: Poly2, b: Poly2) -> Poly2:
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out.get(k, Fraction(0)) + c
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _sub(a: Poly2, b: Poly2) -> Poly2:
-    return _add(a, {k: -c for k, c in b.items()})
 
 
 def poly2_eval(p: Poly2, z: complex, zhat) -> complex | np.ndarray:
@@ -198,8 +143,8 @@ def _setup_polys(n: int) -> tuple[HardyPair, Poly2, Poly2]:
     """The verified pair of hardy_S_T(n) with dS_n/dzhat and d2S_n/dzhat2,
     built once per n; read-only, for _hardy_setup alone."""
     pair = hardy_S_T(n)
-    dS = _d(pair.S, 1)
-    return pair, dS, _d(dS, 1)
+    dS = _series(pair.S).derivative()
+    return pair, _poly2(dS), _poly2(dS.derivative())
 
 
 def _hardy_setup(n: int, z: complex, eps: complex, convention: str):
@@ -244,10 +189,17 @@ def hardy_phi_eval(n: int, z: complex, eps: complex,
     """Phi_n(z, eps) = int exp(-S_n(z, zhat)/w) dzhat through the most
     recessive saddle.
 
-    convention='eps2' takes w = eps, under which the integral satisfies
-    eps^2 Phi'' = z^n Phi; convention='eps' takes w = sqrt(eps) so that
-    eps Phi'' = z^n Phi as in the first-power normalization (the two
+    convention='eps2' takes w = eps, for which each thimble integral
+    solves eps^2 Phi'' = z^n Phi; convention='eps' takes w = sqrt(eps),
+    for eps Phi'' = z^n Phi as in the first-power normalization (the two
     printed forms of the model equation differ; both are exposed).
+
+    The saddle is chosen afresh at each z, so the value is a solution
+    only piecewise: for odd n >= 3 it jumps where that choice flips, as
+    it does on the positive real axis, where two saddles tie and
+    rounding decides (n = 3, eps = 0.1: -0.29967i at z = 0.3751,
+    -0.18514i at z = 0.3752), until one contour per sector replaces the
+    choice.
     """
     w, calls, saddle = _hardy_setup(n, z, eps, convention)
     return saddle_point_integral(*calls(z), saddle, w, spec or ContourSpec())

@@ -56,20 +56,25 @@ def test_determinism_identical_bytes(capsys):
 
 # SHA-256 of the stdout of exact README commands; any change to the exact
 # pipelines that moves a value, a truncation or the layout shows here
-PINNED_STDOUT = [
-    (["transport", "--F", '[["0",["1/3","0"]],["1",["-2/7","0"]]]', "--orders", "6"],
-     "9d781c617f151031bf5a21aa258cbcd13898dc0124bd5d5a4bce38ddf62002fe"),
-    (["pde", "--F", '[["1",["1","0"]]]', "--h", "[]", "--orders", "12,12"],
-     "324cd235915317a0b50fbf602d9e956452aa3f603205c23c53093f3c35012c74"),
-    (["reduce", "--V", V_JSON, "--orders", "6"],
-     "b0753b105cc10ebff76397a3fae273a9bf2d347dc263398744bfe91eabebe3b2"),
-    (["hardy", "--n", "3"],
-     "99e16633772a31aac3d8a582a3e971fc3474ed8b5b1560e2952095a518093ad6"),
-]
+PINNED_STDOUT = {
+    "transport": (["transport", "--F", '[["0",["1/3","0"]],["1",["-2/7","0"]]]', "--orders", "6"],
+                  "9d781c617f151031bf5a21aa258cbcd13898dc0124bd5d5a4bce38ddf62002fe"),
+    "pde": (["pde", "--F", '[["1",["1","0"]]]', "--h", "[]", "--orders", "12,12"],
+            "324cd235915317a0b50fbf602d9e956452aa3f603205c23c53093f3c35012c74"),
+    "reduce": (["reduce", "--V", V_JSON, "--orders", "6"],
+               "b0753b105cc10ebff76397a3fae273a9bf2d347dc263398744bfe91eabebe3b2"),
+    "hardy": (["hardy", "--n", "3"],
+              "99e16633772a31aac3d8a582a3e971fc3474ed8b5b1560e2952095a518093ad6"),
+    "hardy-n8": (["hardy", "--n", "8"],
+                 "c7d40500fe1cf287ea541a93843ad44bbe5f96276e36afc35b2eef02ff3cdd15"),
+    # the float bits of the value follow the key order of S_n and its derivatives
+    "hardy-eval": (["hardy", "--n", "5", "--eval", "0.9", "0.1"],
+                   "6ce45711ba6f9e8fdbf49f0bcf725f713330ad2bd16e335aeaef89e32fc7db97"),
+}
 
 
-@pytest.mark.parametrize("args,digest", PINNED_STDOUT,
-                         ids=[args[0] for args, _ in PINNED_STDOUT])
+@pytest.mark.parametrize("args,digest", PINNED_STDOUT.values(),
+                         ids=PINNED_STDOUT.keys())
 def test_exact_commands_print_pinned_bytes(args, digest, capsys):
     code, out = run_cli(args, capsys)
     assert code == 0
@@ -217,6 +222,35 @@ def test_reduce_negative_orders_exit_2(capsys):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == "error: N must be >= 0\n"
+
+
+Z_EPS0 = ["--z", "1", "0", "--eps", "0", "0"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["airy", *Z_EPS0], "eps must be nonzero and finite"),
+    (["borel", *Z_EPS0], "eps must be nonzero and finite"),
+    (["jump", *Z_EPS0], "eps must be nonzero and finite"),
+    (["confluent", "--F", "[]", "--h", "[]", *Z_EPS0], "eps must be nonzero and finite"),
+    (["airy", "--z", "1", "0", "--eps", "nan", "0"], "eps must be nonzero and finite"),
+    (["airy", "--z", "inf", "0", "--eps", "0.1", "0"], "z must be finite"),
+    (["hardy", "--n", "2", "--eval", "1", "0"], "eps must be nonzero and finite"),
+    (["hardy", "--n", "2", "--eval", "nan", "0.1"], "z must be finite"),
+    (["stokes", "--V", V_JSON, "--step", "0"], "--step must be positive and finite"),
+    (["stokes", "--V", V_JSON, "--step", "-0.01"], "--step must be positive and finite"),
+    (["stokes", "--V", "builtin:canonical", "--extent", "0"],
+     "--extent must be positive and finite"),
+    (["airy", "--z", "1", "0", "--eps", "0.1", "0", "--orders", "-3"], "N must be >= 0"),
+    (["borel", "--z", "1", "0", "--eps", "0.1", "0", "--orders", "-3"], "N must be >= 0"),
+    (["jump", "--z", "1", "0", "--eps", "0.1", "0", "--orders", "-3"], "N must be >= 0"),
+])
+def test_out_of_range_numbers_exit_2(args, message, capsys):
+    # each of these once crashed with a bare exception or printed a
+    # meaningless result with exit 0
+    code = main(args)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("args", [

@@ -110,14 +110,10 @@ def test_reversed_orientation_flips_sign():
     pair_spec = ContourSpec()
     res = hardy_phi_eval(3, 1.1, 0.08, spec=pair_spec)
     # rebuild the default path, reverse it, integrate again
-    from exactwkb.hardy import hardy_S_T, _d
-    import numpy as np
     from exactwkb.contours import (canonical_up_dir, saddle_descent_path,
                                    saddle_point_integral)
 
-    pair = hardy_S_T(3)
-    dS = _d(pair.S, 1)
-    dd = _d(dS, 1)
+    pair, dS, dd = _setup_polys(3)
     z, eps = 1.1, 0.08
     deg = max(j for (_, j) in dS)
     poly = np.zeros(deg + 1, dtype=complex)
@@ -143,3 +139,26 @@ def test_reversed_orientation_flips_sign():
                                 eps, pair_spec.with_path(list(reversed(nodes))))
     assert abs(fwd.value + rev.value) < 1e-12 * abs(fwd.value)
     assert abs(fwd.value - res.value) < 1e-10 * abs(res.value)
+
+
+def test_sympy_oracle_identities_and_multiple_angle():
+    # an algebra independent of the series engine that builds the pair
+    import sympy
+
+    z, w, q = sympy.symbols("z w q")
+
+    def expr(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * z ** i * w ** j
+                   for (i, j), c in p.items())
+
+    for n in range(1, 11):
+        pair = hardy_S_T(n)
+        S, T = expr(pair.S), expr(pair.T)
+        Sz = sympy.diff(S, z)
+        assert sympy.expand(Sz ** 2 - T * sympy.diff(S, w) - z ** n) == 0
+        assert sympy.expand(sympy.diff(Sz, z) - sympy.diff(T, w)) == 0
+        m = n + 2
+        P = sum(sympy.Rational(c.numerator, c.denominator) * sympy.sinh(q) ** k
+                for k, c in enumerate(hardy_polynomial(m)))
+        f = sympy.cosh if m % 2 == 0 else sympy.sinh
+        assert sympy.expand((P - f(m * q)).rewrite(sympy.exp)) == 0
