@@ -165,17 +165,21 @@ def test_non_taylor_potential_is_refused(V):
         node_condition_residuals(V, canonical_stokes_lines(0.0, extent=0.5))
 
 
-@pytest.mark.parametrize("V, alpha, digest", [
-    (V_FIG5, 0.0,
+@pytest.mark.parametrize("V, alpha, extent, region, digest", [
+    (V_FIG5, 0.0, 1.5, 5.0,
      "6f7739e1b92f73f3aa7fc36ff826a2b5672c83e8a74bdb6c5ae2e8ad1513952a"),
-    (TaylorSeries({1: 1, 2: Fr(-2, 3), 3: Fr(1, 4)}), 0.6,
+    (TaylorSeries({1: 1, 2: Fr(-2, 3), 3: Fr(1, 4)}), 0.6, 1.5, 5.0,
      "7eea377cc283d2ec2377733bf61011899b9187ec77ee72962580f6494dee0be6"),
-], ids=["fig5", "cubic"])
-def test_tracer_nodes_are_pinned(V, alpha, digest):
-    # reusing V and sqrt(V) at each accepted node must not move any bit
-    # of any node (the repr of every node is hashed)
-    d = potential_stokes_curves(V, alpha, step=0.01, extent=1.5,
-                                region_radius=5.0)
+    # as the benchmark draws them: alpha < 0, region three times extent
+    (TaylorSeries({1: 1, 2: Fr(-1, 2), 3: Fr(5, 6)}), -0.9, 2.5, 7.5,
+     "e30d86101968200c4a39bcb4da938c3d97e5745ea55b5cd20f08747555063fa4"),
+], ids=["fig5", "cubic", "cubic_bench"])
+def test_tracer_nodes_are_pinned(V, alpha, extent, region, digest):
+    # reusing V and sqrt(V) at each accepted node, or tracing on Python
+    # scalars in place of numpy scalars, must not move any bit of any
+    # node (the repr of every node is hashed)
+    d = potential_stokes_curves(V, alpha, step=0.01, extent=extent,
+                                region_radius=region)
     assert hashlib.sha256(repr(d.lines).encode()).hexdigest() == digest
 
 
