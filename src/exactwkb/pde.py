@@ -85,8 +85,11 @@ def pde_taylor(F: PuiseuxSeries, h: PuiseuxSeries, Nx: int, Nz: int) -> Bivariat
     action of its kernel G -> int_0^1 u^{n-1} G(u^4 z) du, which maps
     z^m to z^m/(n+4m).  The independent exact route is the Picard
     iteration of the integral equation (picard_deltas); the two are
-    cross-checked by picard_partial_sums_match.
+    cross-checked by picard_partial_sums_match.  ValueError for Nx < 1
+    (a_0 and a_1 are always kept) or Nz < 0.
     """
+    if Nx < 1 or Nz < 0:
+        raise ValueError(f"pde orders need Nx >= 1 and Nz >= 0, got {Nx}, {Nz}")
     require_taylor(F, "F")
     require_taylor(h, "h")
     cap = Fraction(Nz + 1)
@@ -337,6 +340,7 @@ def confluent_eval(F: PuiseuxSeries, h: PuiseuxSeries, z: complex, eps: complex,
     (DomainExit for explicit paths that violate it).  z = 0 is the
     turning point and raises ContourFailure, as in airy_contour.
 
+    Without psi, Nx < 1 or Nz < 0 raises ValueError, as in pde_taylor.
     A given psi is used as is, so Nx and Nz are then ignored; it must be
     the kernel of F and h (its a_1 and a_2 are compared exactly with h
     and F's image, ValueError otherwise).  The a_n(z) come from psi's

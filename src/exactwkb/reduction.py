@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from .airy import airy_symbol
 from .errors import LogObstruction, NotSimpleTurningPoint, SeriesError
-from .series import EpsSeries, PuiseuxSeries, _sum, require_taylor
+from .series import (EpsSeries, PuiseuxSeries, _sum, compose_each,
+                     require_taylor)
 from .symbols import WKBSymbol
 
 _HALF = Fraction(1, 2)
@@ -91,11 +92,13 @@ class ReductionSeries:
         return EpsSeries(self.s_coeffs).series()
 
     def compose_with(self, zq: PuiseuxSeries) -> "ReductionSeries":
-        """s(z(q), eps): pushes the reduction through a change of variable."""
-        out = [zq]
-        for sk in self.s_coeffs[1:]:
-            out.append(sk.compose(zq) if not sk.is_zero() else PuiseuxSeries.zero())
-        return ReductionSeries(s_coeffs=tuple(out))
+        """s(z(q), eps): pushes the reduction through a change of variable,
+        forming the powers of z(q) once for every s_k."""
+        composed = iter(compose_each([sk for sk in self.s_coeffs[1:]
+                                      if not sk.is_zero()], zq))
+        return ReductionSeries(s_coeffs=(zq, *(
+            PuiseuxSeries.zero() if sk.is_zero() else next(composed)
+            for sk in self.s_coeffs[1:])))
 
 
 def _master_lhs(S: PuiseuxSeries) -> PuiseuxSeries:

@@ -403,6 +403,10 @@ class PuiseuxSeries:
 
     def compose(self, inner: "PuiseuxSeries", order=None) -> "PuiseuxSeries":
         """self(inner(z)) for Taylor self and inner with ord(inner) >= 1."""
+        return self._compose_plain(inner, self._compose_trunc(inner, order))
+
+    def _compose_trunc(self, inner, order=None):
+        """The truncation of self(inner(z)), after compose's checks."""
         if not self.is_taylor():
             raise SeriesError("composition requires a Taylor outer series")
         if not inner.is_zero() and inner.min_exp < 1:
@@ -415,20 +419,17 @@ class PuiseuxSeries:
             trunc = min(trunc, inner.trunc)
         if trunc is INF and order is not None:
             trunc = _as_exp(order)
-        return self._compose_plain(inner, trunc)
+        return trunc
 
-    def _compose_plain(self, inner, trunc):
+    def _compose_plain(self, inner, trunc, powers=None):
+        """sum_k c_k inner^k at ``trunc``; ``powers`` lists inner^0,
+        inner^1, ... (formed here if not given) at a truncation no
+        tighter than ``trunc``, see :func:`compose_each`."""
+        if powers is None:
+            powers = _powers(inner, int(max(self.coeffs, default=0)), trunc)
         out = _make({}, trunc)
-        power = _make({_ZERO: _ONE}, trunc)
-        last = 0
         for e, c in sorted(self.coeffs.items()):
-            k = int(e)
-            for _ in range(k - last):
-                power = power * inner
-                if trunc is not INF:
-                    power = power.with_trunc(trunc)
-            last = k
-            out = out + power * c
+            out = out + powers[int(e)].with_trunc(trunc) * c
         return out
 
     def reversion(self, order) -> "PuiseuxSeries":
@@ -561,6 +562,30 @@ def _sum(terms: Iterable):
     for t in terms:
         acc = t if acc is None else acc + t
     return acc
+
+
+def _powers(inner: PuiseuxSeries, n: int, trunc) -> list:
+    """inner^0, ..., inner^n, each truncated at ``trunc`` as it is formed."""
+    power = _make({_ZERO: _ONE}, trunc)
+    out = [power]
+    for _ in range(n):
+        power = power * inner
+        if trunc is not INF:
+            power = power.with_trunc(trunc)
+        out.append(power)
+    return out
+
+
+def compose_each(outers, inner: PuiseuxSeries) -> list:
+    """[f.compose(inner) for f in outers], with the powers of inner formed
+    once, at the largest truncation any f needs, and read by each f at
+    its own.  Values, truncations and key order are those of compose:
+    below a truncation T a product's coefficients, and the order in which
+    its keys first appear, depend only on its factors' terms below T."""
+    truncs = [f._compose_trunc(inner) for f in outers]
+    top = max((int(max(f.coeffs, default=0)) for f in outers), default=0)
+    powers = _powers(inner, top, max(truncs, default=_ZERO))
+    return [f._compose_plain(inner, t, powers) for f, t in zip(outers, truncs)]
 
 
 def _keyed(s: PuiseuxSeries, holes: bool) -> list:

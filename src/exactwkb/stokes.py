@@ -26,6 +26,13 @@ from .series import PuiseuxSeries, require_taylor
 TWO_PI_3 = 2.0 * math.pi / 3.0
 GL_ACTION = 24  # Gauss-Legendre points per panel of int_0^q sqrt(V) off the tracer
 
+# (node, weight) pairs of the tracer's scalar loops as Python floats:
+# iterating the numpy arrays of _gl would make every product in the loop,
+# and the running action w built from them, numpy scalar arithmetic,
+# several times slower than float arithmetic and no more accurate
+_GL8_PAIRS = tuple(zip(*(a.tolist() for a in _gl(8))))
+_GL_ACTION_PAIRS = tuple(zip(*(a.tolist() for a in _gl(GL_ACTION))))
+
 SECTOR_CONVENTION = ("S1: (L0, L1) counterclockwise; S2: (L1, L-1); "
                      "S-1: (L-1, L0)")
 
@@ -120,7 +127,7 @@ def _trace_one(Vf, alpha, theta0, step, extent, region):
     q = 0.25 * step * cmath.exp(1j * theta0)
     w, sq = _action_from_origin(Vf, q)
     nodes = [0j, q]
-    rot = cmath.exp(1j * alpha)
+    rot, unrot = cmath.exp(1j * alpha), cmath.exp(-1j * alpha)
     outward = cmath.exp(1j * theta0)
 
     # RK4 on unit-speed dq/ds = +- e^{i alpha} / sqrt(V), the sign chosen
@@ -152,10 +159,10 @@ def _trace_one(Vf, alpha, theta0, step, extent, region):
         w_new = w + dw
         # Newton correction restoring Im(e^{-i alpha} w) = 0
         for _ in range(2):
-            resid = (w_new * cmath.exp(-1j * alpha)).imag
+            resid = (w_new * unrot).imag
             if abs(resid) < 1e-15:
                 break
-            dq = -1j * resid * cmath.exp(1j * alpha) / sq_new
+            dq = -1j * resid * rot / sq_new
             dw2, sq_new, v_new = _action_increment(Vf, q_new, q_new + dq,
                                                    sq_new)
             q_new, w_new = q_new + dq, w_new + dw2
@@ -173,11 +180,10 @@ def _trace_one(Vf, alpha, theta0, step, extent, region):
 
 
 def _action_increment(Vf, a, b, sq_prev):
-    x, wts = _gl(8)
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     total = 0j
     s_run = sq_prev
-    for xi, wi in zip(x, wts):
+    for xi, wi in _GL8_PAIRS:
         qq = mid + half * xi
         s = cmath.sqrt(Vf(qq))
         if abs(s - s_run) > abs(s + s_run):
@@ -245,11 +251,10 @@ def _action_from_origin(Vf, q):
     """int_0^q sqrt(V) on the straight segment, with the sqrt(q')
     endpoint singularity removed by q' = q u^2 (integrand 2 q u
     sqrt(V(q u^2)) is analytic in u); GL_ACTION-point Gauss-Legendre."""
-    x, wts = _gl(GL_ACTION)
     root_q = cmath.sqrt(q)
     total = 0j
     s_run = None
-    for xi, wi in zip(x, wts):
+    for xi, wi in _GL_ACTION_PAIRS:
         u = 0.5 * (xi + 1.0)
         s = cmath.sqrt(Vf(q * u * u))
         ref = u * root_q if s_run is None else s_run

@@ -254,6 +254,22 @@ def test_out_of_range_numbers_exit_2(args, message, capsys):
 
 
 @pytest.mark.parametrize("args", [
+    ["pde", "--F", "[]", "--h", "[]", "--orders=0,0"],
+    ["pde", "--F", "[]", "--h", "[]", "--orders=-1,3"],
+    ["confluent", "--F", "[]", "--h", "[]", "--z", "1", "0", "--eps", "0.1", "0",
+     "--nx", "0"],
+    ["confluent", "--F", "[]", "--h", "[]", "--z", "1", "0", "--eps", "0.1", "0",
+     "--nz", "-2"],
+], ids=["pde_nx0", "pde_nx_negative", "confluent_nx0", "confluent_nz_negative"])
+def test_kernel_orders_out_of_range_exit_2(args, capsys):
+    # Nx = 0 once ended in a bare AssertionError, and Nz = -2 gave a value
+    code = main(args)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: pde orders need Nx >= 1 and Nz >= 0")
+
+
+@pytest.mark.parametrize("args", [
     ["transport", "--F", '[["0",[1e308,0]],["1",[1e308,0]]]', "--orders", "6"],
     ["reduce", "--V", '[["1",[1,0]],["2",[1e308,0]]]', "--orders", "4"],
 ], ids=["transport", "reduce"])

@@ -267,3 +267,13 @@ def test_confluent_rejects_the_kernel_of_other_data():
     for other_F, other_h in ((0, 0), (F0, H0), (F, H0), (F0, h)):
         with pytest.raises(ValueError):
             confluent_eval(other_F, other_h, 0.9 + 0.3j, 0.08, psi=psi)
+
+
+@pytest.mark.parametrize("Nx, Nz", [(0, 0), (-1, 3), (0, 40), (40, -2)])
+def test_kernel_orders_out_of_range_are_refused(Nx, Nz):
+    # a_0 and a_1 are always kept, so Nx = 0 once failed a bare assert,
+    # and Nz < 0 returned a kernel with every coefficient dropped
+    with pytest.raises(ValueError, match="Nx >= 1 and Nz >= 0"):
+        pde_taylor(F0, H0, Nx, Nz)
+    with pytest.raises(ValueError, match="Nx >= 1 and Nz >= 0"):
+        confluent_eval(F0, H0, 0.9 + 0.3j, 0.08, Nx=Nx, Nz=Nz)

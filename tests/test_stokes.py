@@ -14,7 +14,8 @@ from exactwkb.contours import _gl
 from exactwkb.errors import SeriesError, TraceEscape
 from exactwkb.series import PuiseuxSeries, TaylorSeries
 from exactwkb.stokes import (GL_ACTION, _action_from_origin,
-                             _callable_potential, action_along_polyline,
+                             _action_increment, _callable_potential,
+                             action_along_polyline,
                              canonical_stokes_lines, classify_sector,
                              node_condition_residuals,
                              potential_stokes_curves)
@@ -181,6 +182,18 @@ def test_tracer_nodes_are_pinned(V, alpha, extent, region, digest):
     d = potential_stokes_curves(V, alpha, step=0.01, extent=extent,
                                 region_radius=region)
     assert hashlib.sha256(repr(d.lines).encode()).hexdigest() == digest
+
+
+def test_tracer_runs_on_python_scalars():
+    # numpy scalar arithmetic costs several times float arithmetic per
+    # operation; none may leak into the nodes or the running action w
+    V = TaylorSeries({1: 1, 2: Fr(-1, 2), 3: Fr(5, 6)})
+    d = potential_stokes_curves(V, -0.9, step=0.01, extent=1.0)
+    assert {type(q) for line in d.lines for q in line} == {complex}
+    Vf, q = _callable_potential(V), 0.0025 * cmath.exp(-0.6j)
+    w, sq = _action_from_origin(Vf, q)
+    dw, sq_new, _ = _action_increment(Vf, q, 1.5 * q, sq)
+    assert type(w) is type(sq) is type(dw) is type(sq_new) is complex
 
 
 def _scalar_running_action(Vf, nodes):
