@@ -13,6 +13,7 @@ rays L0: arg = 2 alpha/3, L1: +2 pi/3, L-1: -2 pi/3.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -25,13 +26,6 @@ from .series import PuiseuxSeries, require_taylor
 
 TWO_PI_3 = 2.0 * math.pi / 3.0
 GL_ACTION = 24  # Gauss-Legendre points per panel of int_0^q sqrt(V) off the tracer
-
-# (node, weight) pairs of the tracer's scalar loops as Python floats:
-# iterating the numpy arrays of _gl would make every product in the loop,
-# and the running action w built from them, numpy scalar arithmetic,
-# several times slower than float arithmetic and no more accurate
-_GL8_PAIRS = tuple(zip(*(a.tolist() for a in _gl(8))))
-_GL_ACTION_PAIRS = tuple(zip(*(a.tolist() for a in _gl(GL_ACTION))))
 
 SECTOR_CONVENTION = ("S1: (L0, L1) counterclockwise; S2: (L1, L-1); "
                      "S-1: (L-1, L0)")
@@ -74,6 +68,17 @@ def classify_sector(z: complex, alpha: float = 0.0) -> str:
     if -TWO_PI_3 < th < 0.0:
         return "S-1"
     return "S2"
+
+
+@functools.cache
+def _gl_pairs(n: int) -> tuple:
+    """n-point Gauss-Legendre (node, weight) pairs as Python floats, for
+    the tracer's scalar loops: iterating the numpy arrays of _gl would
+    make every product there, and the running action w built from them,
+    numpy scalar arithmetic, several times slower than float arithmetic
+    and no more accurate.  Built on first use, so that importing the
+    package does not load numpy.polynomial."""
+    return tuple(zip(*(a.tolist() for a in _gl(n))))
 
 
 def _callable_potential(V) -> Callable[[complex], complex]:
@@ -183,7 +188,7 @@ def _action_increment(Vf, a, b, sq_prev):
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     total = 0j
     s_run = sq_prev
-    for xi, wi in _GL8_PAIRS:
+    for xi, wi in _gl_pairs(8):
         qq = mid + half * xi
         s = cmath.sqrt(Vf(qq))
         if abs(s - s_run) > abs(s + s_run):
@@ -254,7 +259,7 @@ def _action_from_origin(Vf, q):
     root_q = cmath.sqrt(q)
     total = 0j
     s_run = None
-    for xi, wi in _GL_ACTION_PAIRS:
+    for xi, wi in _gl_pairs(GL_ACTION):
         u = 0.5 * (xi + 1.0)
         s = cmath.sqrt(Vf(q * u * u))
         ref = u * root_q if s_run is None else s_run
