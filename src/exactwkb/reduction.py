@@ -93,11 +93,13 @@ class ReductionSeries:
 
     def compose_with(self, zq: PuiseuxSeries) -> "ReductionSeries":
         """s(z(q), eps): pushes the reduction through a change of variable,
-        forming the powers of z(q) once for every s_k."""
+        forming the powers of z(q) once for every s_k that is not the
+        exact zero (a zero known below z^T is composed, to keep a
+        truncation)."""
         composed = iter(compose_each([sk for sk in self.s_coeffs[1:]
-                                      if not sk.is_zero()], zq))
+                                      if sk != _NIL], zq))
         return ReductionSeries(s_coeffs=(zq, *(
-            PuiseuxSeries.zero() if sk.is_zero() else next(composed)
+            _NIL if sk == _NIL else next(composed)
             for sk in self.s_coeffs[1:])))
 
 
@@ -123,9 +125,9 @@ def master_relation_residual(s: ReductionSeries, F: PuiseuxSeries,
 def _conv(X: list, Y: list, m: int) -> PuiseuxSeries:
     """[eps^m] of the eps-product X Y from the order lists X and Y: the
     sum of X_i Y_(m-i) for i ascending, first term assigned, an order past
-    the end of a list read as the exact zero.  This is how the eps-product
-    itself sums order m, so values, z-truncations, key order and float
-    bits all agree with it."""
+    the end of a list read as the exact zero, whose products add nothing.
+    This is how the eps-product itself sums order m, so values,
+    z-truncations, key order and float bits all agree with it."""
     X, Y = (L + [_NIL] * (m + 1 - len(L)) for L in (X, Y))
     return _sum(X[i] * Y[m - i] for i in range(m + 1))
 
@@ -142,7 +144,8 @@ def reduce_to_airy(F: PuiseuxSeries, N_eps: int, N_z: int) -> ReductionSeries:
     """Reduction series solving the master relation order by order.
 
     At eps-order k the unknown s_k satisfies 2 z s_k' + s_k = rhs_k with
-    rhs_k built from lower orders; coefficientwise (2m+1) c_m = rhs_m.
+    rhs_k built from lower orders; coefficientwise (2m+1) c_m = rhs_m, so
+    an rhs_k known only to be 0 below z^T gives s_k = 0 + O(z^T).
     Holomorphy forces the odd orders to vanish (asserted, not assumed):
     a nonzero rhs at odd k would demand a z^{-1/2} homogeneous part.
 
@@ -179,9 +182,6 @@ def reduce_to_airy(F: PuiseuxSeries, N_eps: int, N_z: int) -> ReductionSeries:
         if k == 2:
             resid = resid - Fz
         rhs = -resid
-        if rhs.is_zero():
-            S.append(_NIL)
-            continue
         if not rhs.is_taylor():
             raise LogObstruction(
                 f"resonant non-holomorphic term at eps-order {k}")

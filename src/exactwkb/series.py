@@ -19,9 +19,9 @@ eps on the integer lattice with z-series coefficients, so one product and
 one recurrence (Miller's, for every power and exp) serve both variables.
 A z-series factor acts on it through ``map_coefficients`` (``*`` would
 read it in eps); :class:`EpsSeries` is just its dense tuple of orders.
-Series-valued products and expansions visit every integer order below
-the truncation, an absent one as the zero series, which times c + O(z^T)
-is 0 + O(z^T).
+An absent order is the exact zero, which times anything is the exact
+zero, so products and expansions visit stored orders only; a zero known
+only below z^T is a stored order and keeps its truncation.
 
 Truncation is tracked pessimistically: every operation propagates the
 tightest provably valid order, never extrapolating.  All values are
@@ -130,7 +130,8 @@ class PuiseuxSeries:
 
     @property
     def min_exp(self) -> Fraction:
-        """Smallest stored exponent (== trunc for the zero series)."""
+        """Smallest stored exponent: trunc for a zero known below trunc,
+        0 for the exact zero."""
         if not self.coeffs:
             return self.trunc if self.trunc is not INF else Fraction(0)
         return min(self.coeffs)
@@ -232,6 +233,9 @@ class PuiseuxSeries:
 
     def __mul__(self, other):
         if isinstance(other, PuiseuxSeries):
+            if (not self.coeffs and self.trunc is INF
+                    or not other.coeffs and other.trunc is INF):
+                return _make({}, INF)    # the exact zero absorbs
             # error(a*b) <= a_known * err_b + err_a * b_known
             trunc = INF
             if other.trunc is not INF:
@@ -240,10 +244,9 @@ class PuiseuxSeries:
                 trunc = min(trunc, other.min_exp + self.trunc)
             # keyed by the integer k = 6e: k < ceil(6 trunc) iff k/6 < trunc
             kmax = INF if trunc is INF else math.ceil(6 * trunc)
-            holes = _series_valued(self) or _series_valued(other)
-            bs = _keyed(other, holes)
+            bs = _keyed(other)
             data: dict = {}
-            for ka, ca in _keyed(self, holes):
+            for ka, ca in _keyed(self):
                 for kb, cb in bs:
                     k = ka + kb
                     if k >= kmax:
@@ -335,8 +338,7 @@ class PuiseuxSeries:
         new_exp = _check_sixths(m * r)
         c0r = _coeff_root(c0, r)
         rel = None if self.trunc is INF else self.trunc - m
-        # a truncated series-valued monomial still expands: see _keyed
-        if len(self.coeffs) == 1 and (rel is None or not _series_valued(self)):
+        if len(self.coeffs) == 1:
             t = INF if rel is None else new_exp + rel
             return _make({new_exp: c0r}, t)
         if rel is None:
@@ -588,18 +590,9 @@ def compose_each(outers, inner: PuiseuxSeries) -> list:
     return [f._compose_plain(inner, t, powers) for f, t in zip(outers, truncs)]
 
 
-def _keyed(s: PuiseuxSeries, holes: bool) -> list:
-    """s's terms as (6e, c) pairs.  With ``holes`` every absent integer e
-    from min(0, lowest e) up to the truncation (or the last term) is there
-    too, as the zero series, and the pairs run in increasing e: the zero
-    series times c + O(z^T) is 0 + O(z^T), so in series-valued arithmetic
-    an absent order still bounds the z-truncation of what it multiplies."""
-    ks = {e.numerator * (6 // e.denominator): c for e, c in s.coeffs.items()}
-    if not holes:
-        return list(ks.items())
-    top = max(ks, default=0) + 1 if s.trunc is INF else math.ceil(6 * s.trunc)
-    zero = _make({}, INF)
-    return [(k, ks.get(k, zero)) for k in range(min(0, min(ks, default=0)), top, 6)]
+def _keyed(s: PuiseuxSeries) -> list:
+    """s's terms as (6e, c) pairs, in s's order."""
+    return [(e.numerator * (6 // e.denominator), c) for e, c in s.coeffs.items()]
 
 
 def _expand(g, rel, lead, f0, weight, finish) -> PuiseuxSeries:
@@ -607,13 +600,11 @@ def _expand(g, rel, lead, f0, weight, finish) -> PuiseuxSeries:
     where f_n = finish(sum_j weight(j, n) g_j f_(n-j), n) over g's terms
     g_j t^j, 1 <= j <= n (g's constant term enters only through
     ``finish``; weight 0 drops a term): the one loop of
-    :meth:`PuiseuxSeries.pow_rational` and ``exp``.  For scalar
-    coefficients d is the gcd of g's nonconstant offsets 6e; a series-
-    valued g steps through every integer order, absent ones included
-    (see :func:`_keyed`)."""
-    holes = _series_valued(g)
-    gs = sorted((k, c) for k, c in _keyed(g, holes) if k > 0)
-    d = 6 if holes else math.gcd(*(k for k, _ in gs))
+    :meth:`PuiseuxSeries.pow_rational` and ``exp``.  d is the gcd of g's
+    nonconstant offsets 6e (g is no monomial), and an f_n that no term
+    reaches is absent, the exact zero."""
+    gs = sorted((k, c) for k, c in _keyed(g) if k > 0)
+    d = math.gcd(*(k for k, _ in gs))
     gs = [(k // d, c) for k, c in gs]
     f = {0: f0}
     n = 1

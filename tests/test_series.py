@@ -371,6 +371,15 @@ def test_eps_binomial_and_exp():
                                             z * z * z * Fr(1, 6))
 
 
+def test_the_exact_zero_absorbs_a_truncated_factor():
+    # 0 * (z + O(z^3)) is 0, not 0 + O(z^3): nothing unknown survives
+    zero, x = PuiseuxSeries.zero(), S({1: 1}, trunc=3)
+    E = eps(x, S({}, trunc=2))          # an eps-series with z-series orders
+    for a in (x, E):
+        assert zero * a == zero and a * zero == zero
+    assert EpsSeries.of(eps(zero, x) * eps(x, zero)).coeffs == (zero, x * x)
+
+
 def _dense_product(a, b):
     """Convolution over every eps-order of two tuples that start with a
     nonzero order, absent orders as the zero series."""
@@ -394,19 +403,41 @@ def _dense_inverse(a):
     return tuple(out)
 
 
-def test_eps_arithmetic_visits_every_order():
-    # the zero series times c + O(z^T) is 0 + O(z^T), so an absent
-    # eps-order still bounds the z-truncation of the orders it reaches
+def _dense_exp(u):
+    """Miller's exp recurrence over every eps-order: n f_n = sum_j j u_j f_(n-j)."""
+    out = [PuiseuxSeries.one()]
+    for n in range(1, len(u)):
+        c = PuiseuxSeries.zero()
+        for j in range(1, n + 1):
+            c = c + u[j] * out[n - j] * j
+        out.append(c / n)
+    return tuple(out)
+
+
+def test_sparse_eps_arithmetic_matches_the_dense_recurrences():
+    # an absent eps-order is the exact zero, which times anything is the
+    # exact zero: visiting stored orders only gives what a walk over every
+    # order gives, z-truncations included, and exact zeros stay exact
     zero = PuiseuxSeries.zero()
     a = (S({0: 1, 1: 1}, trunc=4), zero, S({0: 2, 2: 1}, trunc=3), zero,
          S({1: -1}, trunc=5))
     b = (S({0: 3}, trunc=6), S({1: 1}, trunc=2), zero, S({0: 1}, trunc=4))
-    mono = (S({0: 2}, trunc=3), zero, zero)
+    mono = (S({0: 2}, trunc=3), zero, zero)           # one truncated term
+    even = (S({0: 1, 1: 1}, trunc=5), zero, S({}, trunc=2), zero,
+            S({1: 3}, trunc=4), zero)                  # steps by eps^2
     assert EpsSeries.of(eps(*a) * eps(*b)).coeffs == _dense_product(a, b)
-    for x in (a, mono):
-        inv = EpsSeries.of(eps(*x).inverse()).coeffs
-        assert inv == _dense_inverse(x)
-        assert all(c.is_zero() and c.trunc < INF for c in inv[1::2])
+    assert EpsSeries.of(eps(*even) * eps(*a)).coeffs == _dense_product(even, a)
+    for x in (a, mono, even):
+        assert EpsSeries.of(eps(*x).inverse()).coeffs == _dense_inverse(x)
+    assert EpsSeries.of(eps(*mono).inverse()).coeffs[1:] == (zero, zero)
+    u = (zero, S({1: 1}, trunc=3), zero, S({0: 1, 2: 1}, trunc=4))
+    u_even = (zero, zero, S({1: 1}, trunc=4), zero, S({}, trunc=2), zero)
+    for x in (u, u_even):
+        assert EpsSeries.of(eps(*x).exp()).coeffs == _dense_exp(x)
+    for r in (eps(*even).inverse(), eps(*u_even).exp()):
+        odd = EpsSeries.of(r).coeffs[1::2]
+        assert odd and all(c == zero for c in odd)
+    assert all(c.trunc < INF for c in EpsSeries.of(eps(*even).inverse()).coeffs[::2])
 
 
 def test_exp_of_a_z_series():

@@ -1,4 +1,5 @@
-"""Property tests for the series kernel: truncation soundness and JSON.
+"""Property tests for the series kernel and the reduction built on it:
+truncation soundness and JSON.
 
 Completion property: a series known below ``trunc`` stands for every
 series that agrees with it there.  Adding arbitrary terms at exponents
@@ -6,7 +7,8 @@ series that agrees with it there.  Adding arbitrary terms at exponents
 coefficient an operation reports below its result's ``trunc``
 unchanged; a coefficient that moves was claimed without being known.
 An eps-series, whose coefficients are z-series, is completed in both
-variables at once.
+variables at once.  A zero known only below ``trunc`` is such a series
+too, so an operation may not report it as the exact zero.
 """
 
 from fractions import Fraction as Fr
@@ -20,6 +22,7 @@ import pytest
 
 from exactwkb.coefficients import GaussianRational, coeff_is_zero
 from exactwkb.polyring import QPoly
+from exactwkb.reduction import reduce_to_airy, schrodinger_pipeline
 from exactwkb.series import INF, PuiseuxSeries, TaylorSeries, _make
 
 settings.register_profile("series", max_examples=60, derandomize=True,
@@ -209,6 +212,48 @@ def test_reversion_complete(data):
     assert_agrees(f.reversion(6), fc.reversion(6))
 
 
+def exactly(data, s, step):
+    """s completed by drawn terms at and past its truncation, and then
+    taken as exact: the completion that claims the most."""
+    return PuiseuxSeries(complete(data, s, step).coeffs)
+
+
+def assert_orders_agree(s, sc):
+    assert len(s.s_coeffs) == len(sc.s_coeffs)
+    for a, b in zip(s.s_coeffs, sc.s_coeffs):
+        assert_agrees(a, b)
+
+
+@given(st.data())
+def test_reduce_to_airy_complete(data):
+    # the odd s_k are exact zeros by eps-parity; an even right-hand side
+    # that is zero only below z^T makes s_k = 0 + O(z^T), never exact
+    F = draw_series(data, 1, 0, 3)
+    N = data.draw(st.integers(2, 6))
+    s = reduce_to_airy(F, N, 8)
+    assert_orders_agree(s, reduce_to_airy(exactly(data, F, 1), N, 8))
+    assert all(c == PuiseuxSeries.zero() for c in s.s_coeffs[1::2])
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_schrodinger_pipeline_complete(data):
+    V = TaylorSeries({1: 1}) + draw_series(data, 1, 2, 5)
+    N = data.draw(st.integers(2, 4))
+    assert_orders_agree(schrodinger_pipeline(V, N, 7)[1],
+                        schrodinger_pipeline(exactly(data, V, 1), N, 7)[1])
+
+
+def test_schrodinger_pipeline_keeps_a_truncated_zero():
+    # s_4 of the exact V = q + q^5 is -(1523736/209209) z^3 + O(z^5), so
+    # from V known below q^9 it is 0 + O(z^3), in z and in q alike
+    s4 = schrodinger_pipeline(TaylorSeries({1: 1, 5: 1}), 4)[1].s_coeffs[4]
+    assert s4 == PuiseuxSeries({3: Fr(-1523736, 209209)}, 5)
+    F, s = schrodinger_pipeline(TaylorSeries({1: 1, 5: 1}, trunc=9), 4)
+    assert s.s_coeffs[4] == PuiseuxSeries.zero(3)
+    assert reduce_to_airy(F, 4, 8).s_coeffs[4] == PuiseuxSeries.zero(3)
+
+
 def reversion_by_composition(f, order):
     """Reference reversion: compose f with the partial inverse g at every
     order m and read the correction to g_m off the z^m term."""
@@ -300,7 +345,10 @@ def sixths_series(data, coeff):
 
 def naive_product(a, b):
     """(items, trunc) of a*b by a Fraction-keyed convolution, in the order
-    of the double loop over a's then b's terms, exact zeros dropped."""
+    of the double loop over a's then b's terms, exact zeros dropped; the
+    exact zero (no terms, no truncation) times anything is the exact zero."""
+    if any(not s.coeffs and s.trunc == INF for s in (a, b)):
+        return [], INF
     trunc = min(a.min_exp + b.trunc, b.min_exp + a.trunc)
     data = {}
     for ea, ca in a.coeffs.items():
