@@ -15,8 +15,8 @@ import mpmath
 
 from .borel import (PADE_DEFAULT, borel_pade_laplace, laplace_pade_mp,
                     pade_from_taylor)
-from .contours import ContourSpec, LaplaceResult, descent_chain_integral
-from .errors import ContourFailure
+from .contours import ContourSpec, LaplaceResult, valley_integral
+from .errors import ContourFailure, PoleOnRay
 from .series import PuiseuxSeries
 from .symbols import WKBSymbol, branch_arg, zpow
 
@@ -70,15 +70,10 @@ def airy_oracle(z: complex, eps: complex) -> complex:
 
 def airy_contour(z: complex, eps: complex,
                  spec: ContourSpec | None = None) -> LaplaceResult:
-    """Saddle-point evaluation of the Airy integral, normalized to the
-    Borel sum of the symbol.
-
-    Integrates exp(-S(z, zhat)/eps) with S = z zhat - zhat^3/3 along a
-    truncated steepest-descent path (through the saddle zhat = sqrt(z)
-    on the fixed branch; past the Stokes line L1 the continued contour
-    threads both saddles), then divides by i sqrt(pi eps) so the value
-    equals 2 sqrt(pi) eps^{-1/6} Ai(z eps^{-2/3}) for every z != 0.
-    """
+    """The Airy integral of exp(-S/eps), S = z zhat - zhat^3/3, between the
+    valleys at arg zhat = -/+ pi/3 + arg(eps)/3 (airy_raw_contour), over
+    i sqrt(pi eps): 2 sqrt(pi) eps^{-1/6} Ai(z eps^{-2/3}) for every z != 0,
+    normalized like the Borel sum of the symbol."""
     return normalize_airy(airy_raw_contour(z, eps, spec), eps)
 
 
@@ -94,16 +89,20 @@ def normalize_airy(raw: LaplaceResult, eps: complex) -> LaplaceResult:
 def airy_raw_contour(z: complex, eps: complex,
                      spec: ContourSpec | None = None,
                      g=None) -> LaplaceResult:
-    """Raw truncated-contour integral of exp(-S/eps) * g along the
-    continued descent chain (g defaults to 1)."""
+    """Truncated integral of exp(-S/eps) * g (g defaults to 1) between the
+    valleys at arg zhat = -/+ pi/3 + arg(eps)/3: the thimble of +sqrt(z) in
+    S1 and S-1, joined by that of -sqrt(z) past the Stokes lines.  Tangents:
+    pi/2 - arg(z)/4 + arg(eps)/2 (fixed branch) at +sqrt(z), -i times it."""
     if z == 0:
         raise ContourFailure("z = 0 is the turning point; no saddle path")
-    spec = spec or ContourSpec()
     S, dS, d2S = airy_S(z)
-    saddles, up = airy_saddle_chain(z, eps)
-    hint = cmath.exp(1j * (-math.pi / 3.0 + cmath.phase(eps) / 3.0))
-    return descent_chain_integral(S, dS, d2S, saddles, eps, spec, g=g,
-                                  up_dir_last=up, in_dir_hint=hint)
+    root = zpow(z, Fraction(1, 2))
+    up = cmath.exp(1j * (math.pi / 2.0 - branch_arg(z) / 4.0
+                         + cmath.phase(eps) / 2.0))
+    turn = cmath.phase(eps) / 3.0
+    return valley_integral(S, dS, d2S, [(root, up), (-root, -1j * up)], eps,
+                           (turn - math.pi / 3.0, turn + math.pi / 3.0),
+                           spec or ContourSpec(), g=g)
 
 
 def airy_S(z: complex):
@@ -119,23 +118,6 @@ def airy_S(z: complex):
         return -2.0 * w
 
     return S, dS, d2S
-
-
-def airy_saddle_chain(z: complex, eps: complex):
-    """Saddle list threaded by the continued V3 -> V1 contour, plus the
-    crossing direction at the final saddle.
-
-    Inside S1/S-1 (|arg z| < 2 pi/3 on the fixed branch) the descent
-    chain holds one saddle, +sqrt(z); on and beyond L1 it holds both.
-    The crossing direction pi/2 - arg(z)/4 + arg(eps)/2 is the continuous
-    determination that is +i for z > 0, eps > 0.
-    """
-    th = branch_arg(z)
-    up = cmath.exp(1j * (math.pi / 2.0 - th / 4.0 + cmath.phase(eps) / 2.0))
-    root = zpow(z, Fraction(1, 2))
-    if abs(th) < 2.0 * math.pi / 3.0 - 1e-12:
-        return [root], up
-    return [-root, root], up
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +219,16 @@ def stokes_jump(z: complex, eps: complex, N: int,
 
 def lateral_sums(symbol: WKBSymbol, z: complex,
                  eps: complex) -> tuple[complex, complex]:
-    """Lateral Borel sums of a symbol along arg xi = -/+ LATERAL_DELTA,
-    just below / above the singular ray arg xi = 0.  laplace_ray's
-    geometrically graded panels resolve the Pade pole string that
-    emulates the cut, a few degrees off the ray."""
-    lo = symbol_borel_sum(symbol, z, eps, theta=-LATERAL_DELTA).value
-    hi = symbol_borel_sum(symbol, z, eps, theta=LATERAL_DELTA).value
-    return lo, hi
+    """Lateral Borel sums of a symbol along arg xi = -/+ delta, just below /
+    above the singular ray arg xi = 0, delta = LATERAL_DELTA or, if a Pade
+    pole obstructs it, the first 1.1, 1.2, ..., 2 LATERAL_DELTA both rays
+    clear.  laplace_ray's graded panels resolve the pole string that
+    emulates the cut."""
+    for k in range(11):
+        try:
+            delta = LATERAL_DELTA * (1 + k / 10)
+            return (symbol_borel_sum(symbol, z, eps, theta=-delta).value,
+                    symbol_borel_sum(symbol, z, eps, theta=delta).value)
+        except PoleOnRay as err:
+            obstructed = err
+    raise obstructed

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .contours import (ContourSpec, LaplaceResult, canonical_up_dir,
-                       saddle_descent_path, saddle_point_integral)
-from .errors import ContourFailure
+                       valley_integral)
 from .series import PuiseuxSeries
 
 Poly2 = dict  # {(i, j): Fraction} for z^i zhat^j
@@ -122,113 +122,103 @@ def quasi_homogeneous_ok(pair: HardyPair) -> bool:
 
 
 def poly2_eval(p: Poly2, z: complex, zhat) -> complex | np.ndarray:
-    return _terms_eval(_terms_at(p, z), zhat)
+    return _horner(_coeffs_at(p, z), zhat)
 
 
-def _terms_at(p: Poly2, z: complex) -> list[tuple[complex, int]]:
-    """p at a fixed z as (float(c) z^i, j) terms in p's order."""
-    return [(float(c) * (z ** i), j) for (i, j), c in p.items()]
+def _coeffs_at(p: Poly2, z: complex) -> tuple[list[complex], int]:
+    """p's zhat-coefficients at z for degrees deg, deg - 2, ..., and deg % 2
+    (quasi-homogeneity leaves one parity; ValueError otherwise)."""
+    deg = max(j for (_, j) in p)
+    if any((deg - j) % 2 for (_, j) in p):
+        raise ValueError("polynomial mixes even and odd powers of zhat")
+    out = [0j] * (deg // 2 + 1)
+    for (i, j), c in p.items():
+        out[(deg - j) // 2] += float(c) * (z ** i)
+    return out, deg % 2
 
 
-def _terms_eval(terms: list[tuple[complex, int]], zhat) -> complex | np.ndarray:
-    zhat = np.asarray(zhat, dtype=complex)
-    out = np.zeros_like(zhat)
-    for cz, j in terms:
-        out = out + cz * zhat ** j
-    return out
+def _horner(coeffs: tuple[list[complex], int], zhat):
+    """The polynomial of _coeffs_at at zhat, by one Horner loop in zhat^2;
+    the same loop serves a Python complex and a numpy array."""
+    cs, odd = coeffs
+    x2 = zhat * zhat
+    acc = cs[0]
+    for c in cs[1:]:
+        acc = acc * x2 + c
+    return acc * zhat if odd else acc
 
 
 @functools.lru_cache(maxsize=None)
 def _setup_polys(n: int) -> tuple[HardyPair, Poly2, Poly2]:
-    """The verified pair of hardy_S_T(n) with dS_n/dzhat and d2S_n/dzhat2,
-    built once per n; read-only, for _hardy_setup alone."""
+    """hardy_S_T(n) with dS_n/dzhat and d2S_n/dzhat2, built once per n."""
     pair = hardy_S_T(n)
     dS = _series(pair.S).derivative()
     return pair, _poly2(dS), _poly2(dS.derivative())
 
 
-def _hardy_setup(n: int, z: complex, eps: complex, convention: str):
-    """Shared set-up of the Phi_n integral at z.
-
-    Returns (w, calls, saddle): the exponent scale w for the convention,
-    a builder calls(z') -> (S, dS, d2S) of the zhat-callables at z', and
-    the most recessive saddle at z (largest Re(S/w): smallest integrand).
-    """
-    if convention == "eps2":
-        w = eps
-    elif convention == "eps":
-        w = cmath.sqrt(eps)
-    else:
-        raise ValueError("convention must be 'eps' or 'eps2'")
+def _phase(n: int, z: complex, w: complex):
+    """S_n(z, .) and two zhat-derivatives, each saddle with its descent
+    tangent for exp(-S_n/w), and the largest sum |c_j s^j| of S_n's terms
+    at a saddle s (they cancel there down to S_n(s))."""
     pair, dS, dd = _setup_polys(n)
+    S_c, dS_c, dd_c = (_coeffs_at(p, z) for p in (pair.S, dS, dd))
+    dense = [0j] * (2 * len(dS_c[0]) - 1)
+    dense[::2] = dS_c[0]
+    roots = [complex(s) for s in np.roots(dense + [0j] * dS_c[1])]
+    size = max(_horner(([abs(c) for c in S_c[0]], S_c[1]), abs(s)) for s in roots)
+    return (lambda x: _horner(S_c, x), lambda x: _horner(dS_c, x),
+            lambda x: _horner(dd_c, x),
+            [(s, canonical_up_dir(_horner(dd_c, s), w)) for s in roots], size)
 
-    def calls(zz):
-        # the z-powers are taken once per polynomial here, not per zhat
-        S_t, dS_t, dd_t = (_terms_at(p, zz) for p in (pair.S, dS, dd))
-        return (lambda x: _terms_eval(S_t, x),
-                lambda x: _terms_eval(dS_t, x),
-                lambda x: _terms_eval(dd_t, x))
 
-    # saddles: roots of dS/dzhat(z, .)
-    deg = max(j for (_, j) in dS)
-    poly = np.zeros(deg + 1, dtype=complex)
-    for cz, j in _terms_at(dS, z):
-        poly[deg - j] += cz
-    saddles = np.roots(poly)
-    if len(saddles) == 0:
-        raise ContourFailure("no saddle points")
-    S_t = _terms_at(pair.S, z)
-    S_at = [complex(_terms_eval(S_t, s)) for s in saddles]
-    k = int(np.argmax([(v / w).real for v in S_at]))
-    return w, calls, complex(saddles[k])
+def hardy_valleys(n: int, w: complex) -> tuple[float, float]:
+    """The valleys arg zhat = (arg w + 2 pi k)/m, m = n + 2, that Phi_n
+    joins: k = (m - 1)//2 and m - k, either side of arg zhat = pi (S_n
+    leads with 2^m zhat^m/m).  With zhat = -sqrt(z) cosh u, S_n = +-(2/m)
+    z^{m/2} cosh(m u), so for z, w > 0 the line Im u = pi - 2 pi k/m joins
+    them, and int exp(-x cosh t) cosh(nu t) dt = 2 K_nu(x) makes Phi_n =
+    -(2i/m) sin(2 pi k/m) sqrt(z) K_{1/m}(2 z^{m/2}/(m w)): the solution
+    recessive along z > 0."""
+    m = n + 2
+    k = (m - 1) // 2
+    return tuple((cmath.phase(w) + 2.0 * math.pi * j) / m for j in (k, m - k))
 
 
 def hardy_phi_eval(n: int, z: complex, eps: complex,
                    spec: ContourSpec | None = None,
                    convention: str = "eps2") -> LaplaceResult:
-    """Phi_n(z, eps) = int exp(-S_n(z, zhat)/w) dzhat through the most
-    recessive saddle.
+    """Phi_n(z, eps) = int exp(-S_n(z, zhat)/w) dzhat between the two
+    valleys of hardy_valleys, an entire function of z.
 
-    convention='eps2' takes w = eps, for which each thimble integral
-    solves eps^2 Phi'' = z^n Phi; convention='eps' takes w = sqrt(eps),
-    for eps Phi'' = z^n Phi as in the first-power normalization (the two
+    convention='eps2' takes w = eps, for which the integral solves
+    eps^2 Phi'' = z^n Phi; convention='eps' takes w = sqrt(eps), for
+    eps Phi'' = z^n Phi as in the first-power normalization (the two
     printed forms of the model equation differ; both are exposed).
-
-    The saddle is chosen afresh at each z, so the value is a solution
-    only piecewise: for odd n >= 3 it jumps where that choice flips, as
-    it does on the positive real axis, where two saddles tie and
-    rounding decides (n = 3, eps = 0.1: -0.29967i at z = 0.3751,
-    -0.18514i at z = 0.3752), until one contour per sector replaces the
-    choice.
     """
-    w, calls, saddle = _hardy_setup(n, z, eps, convention)
-    return saddle_point_integral(*calls(z), saddle, w, spec or ContourSpec())
+    if convention not in ("eps", "eps2"):
+        raise ValueError("convention must be 'eps' or 'eps2'")
+    w = eps if convention == "eps2" else cmath.sqrt(eps)
+    S, dS, d2S, saddles, size = _phase(n, z, w)
+    res = valley_integral(S, dS, d2S, saddles, w, hardy_valleys(n, w),
+                          spec or ContourSpec())
+    # rounding S_n's terms moves the exponent by up to 2^-52 size/|w|
+    return replace(res, est_error=res.est_error
+                   + 2.0 ** -52 * size / abs(w) * abs(res.value))
 
 
 def hardy_ode_residual(n: int, z: complex, eps: complex,
                        spec: ContourSpec | None = None,
                        convention: str = "eps2") -> float:
     """Relative residual of the turning-point ODE at z by 5-point finite
-    differences of step 0.02 sqrt|eps| on a fixed contour (the path is
-    frozen at the stencil center so Phi stays analytic across the
-    stencil)."""
-    w, calls, saddle = _hardy_setup(n, z, eps, convention)
-    base = spec or ContourSpec()
-    S0, dS0, d2S0 = calls(z)
-    nodes, _, _ = saddle_descent_path(S0, dS0, d2S0, saddle, w, base,
-                                      canonical_up_dir(complex(d2S0(saddle)), w))
-    fixed = base.with_path(nodes)
-
+    differences of step 0.02 sqrt|eps| (Phi_n is entire in z, so each
+    stencil point takes its own thimbles)."""
     h = 0.02 * abs(eps) ** 0.5
 
     def phi(zz):
-        return saddle_point_integral(*calls(zz), saddle, w, fixed).value
+        return hardy_phi_eval(n, zz, eps, spec, convention).value
 
-    f2 = (-phi(z + 2 * h) + 16 * phi(z + h) - 30 * phi(z)
-          + 16 * phi(z - h) - phi(z - 2 * h)) / (12 * h * h)
     val = phi(z)
-    if convention == "eps2":
-        resid = eps * eps * f2 - (z ** n) * val
-    else:
-        resid = eps * f2 - (z ** n) * val
+    f2 = (-phi(z + 2 * h) + 16 * phi(z + h) - 30 * val
+          + 16 * phi(z - h) - phi(z - 2 * h)) / (12 * h * h)
+    resid = (eps * eps if convention == "eps2" else eps) * f2 - (z ** n) * val
     return abs(resid) / max(abs(z ** n * val), abs(eps * eps * f2))

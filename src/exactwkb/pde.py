@@ -333,7 +333,7 @@ def confluent_eval(F: PuiseuxSeries, h: PuiseuxSeries, z: complex, eps: complex,
     """Confluent-function value at (z, eps), normalized like the Airy model.
 
     Evaluates int exp(-S(z, zhat)/eps) psi(z, z - zhat^2) dzhat along the
-    Airy model's continued descent chain (airy_raw_contour with the
+    Airy model's contour between two valleys (airy_raw_contour with the
     kernel as weight) and divides by i sqrt(pi eps), so that for F = 0,
     h = 0 the value coincides with airy_contour.  The path is truncated
     where |z - zhat^2| exceeds the kernel's empirical convergence radius
@@ -352,26 +352,17 @@ def confluent_eval(F: PuiseuxSeries, h: PuiseuxSeries, z: complex, eps: complex,
     else:
         _require_kernel_of(psi, F, h)
     x_cap = _default_x_cap(psi, abs(z))
-    spec = spec or ContourSpec()
-
-    def x_of(w):
-        return z - w * w
-
-    if spec.path is not None:
-        bad = [w for w in spec.path if abs(x_of(w)) > x_cap]
-        if bad:
-            raise DomainExit(
-                f"path node {bad[0]:.4g} has |z - zhat^2| > {x_cap:.4g}")
-        use = spec
-    else:
-        use = replace(spec, x_cap=x_cap, x_of=x_of)
-
+    bad = [w for w in (spec.path if spec else None) or ()
+           if abs(z - w * w) > x_cap]
+    if bad:
+        raise DomainExit(f"path node {bad[0]:.4g} has |z - zhat^2| > {x_cap:.4g}")
+    spec = replace(spec or ContourSpec(), x_cap=x_cap, x_of=lambda w: z - w * w)
     vals = psi.values_at(z)
 
     def g(w):
         return _horner_x(vals, z - w * w)
 
-    return normalize_airy(airy_raw_contour(z, eps, use, g=g), eps)
+    return normalize_airy(airy_raw_contour(z, eps, spec, g=g), eps)
 
 
 def _default_x_cap(psi: BivariateSeries, z_abs: float) -> float:

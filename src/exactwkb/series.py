@@ -259,7 +259,7 @@ class PuiseuxSeries:
             return out
         c = lift(other)
         if coeff_is_zero(c):
-            return _make({}, self.trunc)
+            return _make({}, INF)    # an exact scalar 0 absorbs too
         return _make({e: v * c for e, v in self.coeffs.items()}, self.trunc)
 
     __rmul__ = __mul__

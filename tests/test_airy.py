@@ -3,15 +3,17 @@ lateral sums and the Stokes jump."""
 
 import cmath
 import math
+import random
 from fractions import Fraction as Fr
 
 import pytest
 
-from exactwkb.airy import (airy_alpha, airy_borel_sum, airy_contour,
-                           airy_oracle, airy_symbol, lateral_sums,
-                           stokes_jump, symbol_borel_sum)
+from exactwkb.airy import (LATERAL_DELTA, airy_alpha, airy_borel_sum,
+                           airy_contour, airy_oracle, airy_symbol,
+                           lateral_sums, stokes_jump, symbol_borel_sum)
 from exactwkb.borel import pade_from_taylor
-from exactwkb.errors import ContourFailure, PoleOnRay
+from exactwkb.errors import ContourFailure, ExactWKBError, PoleOnRay
+from exactwkb.pde import confluent_eval, pde_taylor
 from exactwkb.series import PuiseuxSeries
 from exactwkb.symbols import branch_arg, zpow
 
@@ -181,3 +183,86 @@ def test_verify_quadrature_suite_json_clean():
     suite = run_suite("all")
     json.dumps(suite)          # numpy scalars must not leak through
     assert suite["passed"] is True
+
+
+# Points where choosing saddles from arg z alone goes wrong: rotated eps
+# at arg z = -110 deg and 1e-4 rad inside L-1, real eps 1e-4 rad inside
+# L+-1, and two sweep points where S2 needs both thimbles.
+PICKER_WRONG = (
+    [(cmath.rect(r, th), 0.05 * cmath.exp(0.4j))
+     for r in (0.05, 0.3) for th in (math.radians(-110), -2 * math.pi / 3 + 1e-4)]
+    + [(cmath.rect(r, s * (2 * math.pi / 3 - 1e-4)), eps)
+       for eps in (0.05, 0.2) for r in (0.05, 0.3, 1.0) for s in (1, -1)]
+    + [(cmath.rect(0.47, math.radians(-114.8)), 0.05),
+       (cmath.rect(0.78, math.radians(-111.9)), 0.05)])
+
+
+def _sweep(seed=1, count=200):
+    rng = random.Random(seed)
+    eps_set = (0.01, 0.05, 0.2, 0.05 * cmath.exp(0.4j))
+    return [(cmath.rect(rng.uniform(0.05, 4.0), rng.uniform(-math.pi, math.pi)),
+             rng.choice(eps_set)) for _ in range(count)]
+
+
+def _rounding(z, eps, oracle):
+    # the exponent S/eps, whose terms reach (4/3)|z|^{3/2}/|eps| at the
+    # saddles, is rounded in double precision; est_error leaves that out
+    return 2.0 ** -52 * (4 / 3) * abs(z) ** 1.5 / abs(eps) * abs(oracle)
+
+
+@pytest.mark.parametrize("z, eps", PICKER_WRONG)
+def test_contour_picker_wrong_points_within_ten_est_errors(z, eps):
+    r = airy_contour(z, eps)
+    assert abs(r.value - airy_oracle(z, eps)) <= 10 * r.est_error
+
+
+def test_contour_and_confluent_sweep_within_ten_est_errors():
+    # |value - oracle| <= 10 est_error (plus the exponent's rounding) or a
+    # typed error, over every sector, |z| in [0.05, 4] and rotated eps
+    psi = pde_taylor(PuiseuxSeries.zero(), PuiseuxSeries.zero(), 40, 40)
+    for z, eps in PICKER_WRONG + _sweep():
+        o = airy_oracle(z, eps)
+        for fn in (airy_contour,
+                   lambda z, eps: confluent_eval(PuiseuxSeries.zero(),
+                                                 PuiseuxSeries.zero(), z, eps,
+                                                 psi=psi)):
+            try:
+                r = fn(z, eps)
+            except ExactWKBError:
+                continue
+            assert abs(r.value - o) <= 10 * r.est_error + _rounding(z, eps, o), (z, eps)
+
+
+def _one_term(z, eps):
+    # both Laplace rays, arg xi = 0 and arg eps, clear the singular
+    # direction of the minor by 0.1 rad inside S1/S-1 (perfbench's range)
+    phi, th = cmath.phase(eps), cmath.phase(z)
+    return (max(0.0, phi) + 0.1 - math.pi) / 1.5 < th < (math.pi + min(0.0, phi) - 0.1) / 1.5
+
+
+@pytest.mark.xfail(strict=True, reason="airy_borel_sum's est_error counts only "
+                   "the Laplace quadrature, not the Pade truncation")
+def test_borel_sum_sweep_within_ten_est_errors():
+    for z, eps in _sweep()[:60]:
+        if not _one_term(z, eps):
+            continue
+        try:
+            r = airy_borel_sum(z, eps, 28)
+        except ExactWKBError:
+            continue
+        assert abs(r.value - airy_oracle(z, eps)) <= 10 * r.est_error, (z, eps)
+
+
+@pytest.mark.parametrize("r, eps, N", [
+    (1.2187249962712479, 0.15001815891900233 - 0.04294346419996365j, 39),
+    (0.36020159269969565, 0.1520537528894064 + 0.01365753321502024j, 36)])
+def test_stokes_jump_widens_past_an_obstructing_pole(r, eps, N):
+    # a Pade pole with a genuine residue sits on a ray at LATERAL_DELTA;
+    # a wider pair of rays clears it and the jump still meets its prediction
+    z = r * cmath.exp(2j * math.pi / 3)
+    sym = airy_symbol(N - 1)
+    with pytest.raises(PoleOnRay):
+        for theta in (LATERAL_DELTA, -LATERAL_DELTA):
+            symbol_borel_sum(sym, z, eps, theta=theta)
+    jump, pred = stokes_jump(z, eps, N)
+    assert abs(jump - pred) <= 1e-4 * abs(pred)

@@ -1,19 +1,21 @@
 """Hardy polynomial family: hyperbolic identities, structural identities,
 and the exponential-integral evaluation."""
 
+import cmath
 import math
 import random
 from fractions import Fraction as Fr
 
+import mpmath
 import numpy as np
 import pytest
 
 from exactwkb.airy import airy_raw_contour
-from exactwkb.contours import ContourSpec
+from exactwkb.contours import ContourSpec, valley_integral
 from exactwkb.hardy import (hardy_identities_hold, hardy_ode_residual,
                             hardy_phi_eval, hardy_polynomial, hardy_S_T,
-                            quasi_homogeneous_ok, poly2_eval)
-from exactwkb.hardy import _hardy_setup, _setup_polys
+                            hardy_valleys, quasi_homogeneous_ok, poly2_eval)
+from exactwkb.hardy import _phase, _setup_polys
 
 
 def test_low_order_polynomials():
@@ -71,15 +73,20 @@ def _per_term_poly2_eval(p, z, zhat):
 
 @pytest.mark.parametrize("n", [3, 8])
 def test_fixed_z_terms_equal_per_term_loop(n):
+    # the Horner loop in zhat^2 at a fixed z gives the per-term sum to
+    # rounding, on a Python complex and on a numpy array alike
     z = 0.9 + 0.2j
-    _, calls, saddle = _hardy_setup(n, z, 0.08, "eps2")
-    pair, dS, dd = _setup_polys(n)
-    line = saddle + np.linspace(-0.6, 0.6, 9) * (1 + 0.3j)
-    for zhat in (saddle, line):
-        for p, f in zip((pair.S, dS, dd), calls(z)):
-            want = _per_term_poly2_eval(p, z, zhat)
-            assert np.array_equal(f(zhat), want)
-            assert np.array_equal(poly2_eval(p, z, zhat), want)
+    S, dS, d2S, saddles, _ = _phase(n, z, 0.08)
+    pair, dSp, dd = _setup_polys(n)
+    line = saddles[0][0] + np.linspace(-0.6, 0.6, 9) * (1 + 0.3j)
+    for p, f in zip((pair.S, dSp, dd), (S, dS, d2S)):
+        size = _per_term_poly2_eval({k: abs(c) for k, c in p.items()},
+                                    abs(z), np.abs(line))
+        want = _per_term_poly2_eval(p, z, line)
+        assert np.all(abs(f(line) - want) <= 1e-14 * size)
+        assert np.all(abs(poly2_eval(p, z, line) - want) <= 1e-14 * size)
+        assert all(abs(f(complex(x)) - y) <= 1e-14 * m
+                   for x, y, m in zip(line, want, size))
 
 
 def test_phi1_proportional_to_airy_integral():
@@ -107,38 +114,23 @@ def test_unknown_convention_rejected(fn):
 
 
 def test_reversed_orientation_flips_sign():
-    pair_spec = ContourSpec()
-    res = hardy_phi_eval(3, 1.1, 0.08, spec=pair_spec)
-    # rebuild the default path, reverse it, integrate again
-    from exactwkb.contours import (canonical_up_dir, saddle_descent_path,
-                                   saddle_point_integral)
-
-    pair, dS, dd = _setup_polys(3)
-    z, eps = 1.1, 0.08
-    deg = max(j for (_, j) in dS)
-    poly = np.zeros(deg + 1, dtype=complex)
-    for (i, j), c in dS.items():
-        poly[deg - j] += float(c) * (z ** i)
-    saddles = np.roots(poly)
-    S_at = [complex(poly2_eval(pair.S, z, s)) for s in saddles]
-    k = int(np.argmax([(v / eps).real for v in S_at]))
-    saddle = complex(saddles[k])
-
-    def S(x):
-        return poly2_eval(pair.S, z, x)
-
-    def d2S(x):
-        return poly2_eval(dd, z, x)
-
-    nodes, _, _ = saddle_descent_path(S, lambda x: poly2_eval(dS, z, x), d2S,
-                                      saddle, eps, pair_spec,
-                                      canonical_up_dir(complex(d2S(saddle)), eps))
-    fwd = saddle_point_integral(S, lambda x: poly2_eval(dS, z, x), d2S, saddle,
-                                eps, pair_spec.with_path(nodes))
-    rev = saddle_point_integral(S, lambda x: poly2_eval(dS, z, x), d2S, saddle,
-                                eps, pair_spec.with_path(list(reversed(nodes))))
+    # swapping the two valleys, or walking an explicit path backwards,
+    # reverses the contour
+    n, z, eps = 3, 1.1, 0.08
+    S, dS, d2S, saddles, _ = _phase(n, z, eps)
+    a, b = hardy_valleys(n, eps)
+    spec = ContourSpec()
+    fwd = valley_integral(S, dS, d2S, saddles, eps, (a, b), spec)
+    rev = valley_integral(S, dS, d2S, saddles, eps, (b, a), spec)
+    assert fwd.value == hardy_phi_eval(n, z, eps).value
     assert abs(fwd.value + rev.value) < 1e-12 * abs(fwd.value)
-    assert abs(fwd.value - res.value) < 1e-10 * abs(res.value)
+    rays = [2 * cmath.exp(1j * a), 0j, 2 * cmath.exp(1j * b)]
+    there = valley_integral(S, dS, d2S, saddles, eps, (a, b),
+                            spec.with_path(rays))
+    back = valley_integral(S, dS, d2S, saddles, eps, (a, b),
+                           spec.with_path(rays[::-1]))
+    assert abs(there.value - fwd.value) <= 10 * (there.est_error + fwd.est_error)
+    assert abs(there.value + back.value) <= 10 * (there.est_error + back.est_error)
 
 
 def test_sympy_oracle_identities_and_multiple_angle():
@@ -162,3 +154,50 @@ def test_sympy_oracle_identities_and_multiple_angle():
                 for k, c in enumerate(hardy_polynomial(m)))
         f = sympy.cosh if m % 2 == 0 else sympy.sinh
         assert sympy.expand((P - f(m * q)).rewrite(sympy.exp)) == 0
+
+
+def _k_oracle(n, z, eps, convention):
+    """c_n sqrt(z) K_nu(x), nu = 1/m, m = n + 2, x = 2 z^{m/2}/(m w), in
+    mpmath and on no contour.  With zhat = -sqrt(z) cosh u, S_n = +-(2/m)
+    z^{m/2} cosh(m u), and the line Im u = a = pi - 2 pi k/m, k = (m-1)//2,
+    joins the two valleys of hardy_valleys; its odd part integrates to 0
+    and int exp(-x cosh t) cosh(nu t) dt = 2 K_nu(x) (from K_nu(x) ~
+    sqrt(pi/2x) e^{-x}) leaves c_n = -(2i/m) sin(2 pi k/m).  Past arg x =
+    +-pi/2, K_nu is continued by DLMF 10.34.2 with arg x = (m/2) arg z -
+    arg w kept unreduced."""
+    m = n + 2
+    w = eps if convention == "eps2" else cmath.sqrt(eps)
+    c = -(2j / m) * math.sin(2 * math.pi * ((m - 1) // 2) / m)
+    with mpmath.workdps(30):
+        nu = mpmath.mpf(1) / m
+        ph = (m / 2) * cmath.phase(z) - cmath.phase(w)
+        turns = round(ph / math.pi)
+        x0 = 2 * mpmath.mpf(abs(z)) ** (mpmath.mpf(m) / 2) / (m * abs(w)) \
+            * mpmath.expj(ph - turns * math.pi)
+        K = mpmath.expj(-turns * nu * mpmath.pi) * mpmath.besselk(nu, x0) \
+            - 1j * mpmath.pi * mpmath.sin(turns * nu * mpmath.pi) \
+            / mpmath.sin(nu * mpmath.pi) * mpmath.besseli(nu, x0)
+        return complex(c * mpmath.sqrt(mpmath.mpc(z)) * K)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("convention", ["eps2", "eps"])
+def test_phi_is_the_bessel_k_solution_in_every_sector(n, convention):
+    # eight directions of z around the plane, at two (|z|, eps) pairs
+    for eps, r in ((0.1, 0.6), (0.05 * cmath.exp(0.3j), 1.5)):
+        for j in range(8):
+            z = cmath.rect(r, math.pi * (j - 3.5) / 4)
+            res = hardy_phi_eval(n, z, eps, convention=convention)
+            want = _k_oracle(n, z, eps, convention)
+            assert abs(res.value - want) <= 10 * res.est_error, (z, eps)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_phi_has_no_jump_on_the_positive_real_axis(n):
+    # two saddles tie on z > 0 for odd n, so a contour picked per point by
+    # the most recessive saddle jumps there (n = 3: -0.29967i at 0.3751,
+    # -0.18514i at 0.3752); the valley-named one follows K_nu throughout
+    for i in range(91):
+        z = 0.2 + 0.02 * i
+        res = hardy_phi_eval(n, z, 0.1)
+        assert abs(res.value - _k_oracle(n, z, 0.1, "eps2")) <= 10 * res.est_error, z

@@ -380,6 +380,15 @@ def test_the_exact_zero_absorbs_a_truncated_factor():
     assert EpsSeries.of(eps(zero, x) * eps(x, zero)).coeffs == (zero, x * x)
 
 
+def test_every_spelling_of_a_zero_factor_gives_the_exact_zero():
+    # s * 0, 0 * s and s * 0.0 are the product with PuiseuxSeries.zero()
+    s = S({1: 1}, trunc=3)
+    want = s * PuiseuxSeries.zero()
+    for got in (s * 0, 0 * s, s * 0.0, s * Fr(0)):
+        assert got == want
+        assert got.trunc == want.trunc == INF
+
+
 def _dense_product(a, b):
     """Convolution over every eps-order of two tuples that start with a
     nonzero order, absent orders as the zero series."""
