@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 from .coefficients import GaussianRational
 from .series import INF, EpsSeries, PuiseuxSeries, TaylorSeries
-from .symbols import BorelMinor, WKBSymbol, action, branch_arg, zpow
+from .symbols import WKBSymbol, action, branch_arg, zpow
 from .contours import ContourSpec, LaplaceResult
 from .errors import (ContourFailure, DomainExit, ExactWKBError, LatticeError,
                      LogObstruction, NotSimpleTurningPoint, PoleOnRay,
@@ -36,7 +36,7 @@ from .hardy import HardyPair, hardy_phi_eval, hardy_polynomial, hardy_S_T
 
 __all__ = [
     "GaussianRational", "INF", "EpsSeries", "PuiseuxSeries", "TaylorSeries",
-    "BorelMinor", "WKBSymbol", "action", "branch_arg", "zpow",
+    "WKBSymbol", "action", "branch_arg", "zpow",
     "ContourSpec", "LaplaceResult",
     "ExactWKBError", "SeriesError", "LatticeError", "LogObstruction",
     "NotSimpleTurningPoint", "ContourFailure", "PoleOnRay", "DomainExit",

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .borel import (PADE_DEFAULT, borel_pade_laplace, laplace_pade_mp,
-                    pade_from_taylor)
+from .borel import (PadeApproximant, check_poles_off_ray, laplace_pade_mp,
+                    laplace_ray, pade_from_taylor)
 from .contours import ContourSpec, LaplaceResult, valley_integral
 from .errors import ContourFailure, PoleOnRay
 from .series import PuiseuxSeries
@@ -24,29 +24,31 @@ from .symbols import WKBSymbol, branch_arg, zpow
 LATERAL_DELTA = math.radians(10.0)
 
 
-def airy_alpha(n: int) -> Fraction:
-    """Exact rational alpha_n with alpha_n(z) = alpha_n z^{-3n/2}.
+def _airy_alphas(N: int) -> list[Fraction]:
+    """alpha_0 .. alpha_N (none for N < 0) by one running product.
 
-    (-3/4)^n Gamma(n+1/6) Gamma(n+5/6) / (2 pi n!) reduces to a rational:
-    Gamma(1/6) Gamma(5/6) = 2 pi by reflection, and the remaining factors
-    are the rational products prod_{j<n} (j+1/6)(j+5/6).
+    alpha_n = (-3/4)^n Gamma(n+1/6) Gamma(n+5/6) / (2 pi n!) reduces to a
+    rational: Gamma(1/6) Gamma(5/6) = 2 pi by reflection, and the
+    remaining factors are prod_{j<n} (j+1/6)(j+5/6).  So each alpha_n is
+    alpha_{n-1} times (n-5/6)(n-1/6) (-3/4)/n = -(6n-5)(6n-1)/(48n).
     """
+    alphas = [Fraction(1)] if N >= 0 else []
+    for n in range(1, N + 1):
+        alphas.append(alphas[-1] * Fraction(-(6 * n - 5) * (6 * n - 1), 48 * n))
+    return alphas
+
+
+def airy_alpha(n: int) -> Fraction:
+    """Exact rational alpha_n with alpha_n(z) = alpha_n z^{-3n/2}."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return Fraction(1)
-    acc = Fraction(1)
-    for j in range(n):
-        acc *= Fraction((6 * j + 1) * (6 * j + 5), 36)
-    acc *= Fraction(-3, 4) ** n
-    return acc / math.factorial(n)
+    return _airy_alphas(n)[n]
 
 
 def airy_symbol(N: int) -> WKBSymbol:
     """Airy WKB symbol to order N (exact monomial coefficients)."""
-    gs = [PuiseuxSeries.monomial(airy_alpha(n), Fraction(-3 * n, 2))
-          for n in range(N + 1)]
-    return WKBSymbol.from_g(gs)
+    return WKBSymbol.from_g([PuiseuxSeries.monomial(a, Fraction(-3 * n, 2))
+                             for n, a in enumerate(_airy_alphas(N))])
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +127,7 @@ def airy_S(z: complex):
 # ---------------------------------------------------------------------------
 
 def airy_borel_sum(z: complex, eps: complex, N: int,
-                   pade: tuple[int, int] | None = PADE_DEFAULT,
+                   pade: tuple[int, int] | None = None,
                    theta: float = 0.0) -> LaplaceResult:
     """Borel sum of the Airy symbol at (z, eps) via Pade acceleration.
 
@@ -138,11 +140,35 @@ def airy_borel_sum(z: complex, eps: complex, N: int,
 
 
 def symbol_borel_sum(symbol: WKBSymbol, z: complex, eps: complex,
-                     pade: tuple[int, int] | None = PADE_DEFAULT,
+                     pade: tuple[int, int] | None = None,
                      theta: float = 0.0) -> LaplaceResult:
-    """Borel sum of any formal symbol at fixed z along the ray arg xi = theta."""
-    minor_vals = symbol.minor().at_z(z)
-    res = borel_pade_laplace(minor_vals, eps, pade=pade, theta=theta)
+    """Borel sum of any formal symbol at fixed z along the ray arg xi =
+    theta.  pade is (L, M), or None for the balanced (floor(n/2),
+    floor(n/2)) on the n minor coefficients."""
+    return _ray_sum(symbol, z, eps, _minor_pade(symbol, z, pade), theta)
+
+
+def _minor_pade(symbol: WKBSymbol, z: complex,
+                pade: tuple[int, int] | None) -> PadeApproximant | None:
+    """The Pade approximant of the symbol's minor at z, None when the
+    symbol stops at eps^0 (no minor)."""
+    c = symbol.minor_values(z)
+    if len(c) == 0:
+        return None
+    L, M = (len(c) // 2, len(c) // 2) if pade is None else pade
+    if L < 0 or M < 0:
+        raise ValueError("Pade orders must be nonnegative")
+    return pade_from_taylor(c, L, M)
+
+
+def _ray_sum(symbol: WKBSymbol, z: complex, eps: complex,
+             approx: PadeApproximant | None, theta: float) -> LaplaceResult:
+    """prefactor * (1 + int_ray exp(-xi/eps) approx(xi) dxi) along arg xi
+    = theta; PoleOnRay when a genuine pole of approx obstructs the ray."""
+    res = LaplaceResult(0j, 0.0, 0)
+    if approx is not None:
+        check_poles_off_ray(approx, theta, abs(eps))
+        res = laplace_ray(approx, eps, theta=theta)
     pref = symbol.prefactor(z, eps)
     return LaplaceResult(value=pref * (1.0 + res.value),
                          est_error=abs(pref) * res.est_error,
@@ -174,8 +200,7 @@ def airy_borel_sum_hp(z, eps, N: int, pade: tuple[int, int] | None = None,
 
         c = []
         fact = mpmath.mpf(1)
-        for n in range(1, max(N, 1)):
-            a = airy_alpha(n)
+        for n, a in enumerate(_airy_alphas(N - 1)[1:], start=1):
             c.append(mpmath.mpf(a.numerator) / a.denominator
                      * zpow_mp(mpmath.mpf(-3 * n) / 2) / fact)
             fact *= n
@@ -222,13 +247,15 @@ def lateral_sums(symbol: WKBSymbol, z: complex,
     """Lateral Borel sums of a symbol along arg xi = -/+ delta, just below /
     above the singular ray arg xi = 0, delta = LATERAL_DELTA or, if a Pade
     pole obstructs it, the first 1.1, 1.2, ..., 2 LATERAL_DELTA both rays
-    clear.  laplace_ray's graded panels resolve the pole string that
-    emulates the cut."""
+    clear.  Both rays, at every delta tried, read one balanced Pade
+    approximant of the minor (symbol_borel_sum's); laplace_ray's graded
+    panels resolve the pole string that emulates the cut."""
+    approx = _minor_pade(symbol, z, None)
     for k in range(11):
         try:
             delta = LATERAL_DELTA * (1 + k / 10)
-            return (symbol_borel_sum(symbol, z, eps, theta=-delta).value,
-                    symbol_borel_sum(symbol, z, eps, theta=delta).value)
+            return (_ray_sum(symbol, z, eps, approx, -delta).value,
+                    _ray_sum(symbol, z, eps, approx, delta).value)
         except PoleOnRay as err:
             obstructed = err
     raise obstructed

@@ -3,7 +3,10 @@
 The Borel sum of a symbol is prefactor * (1 + int_ray exp(-xi/eps) R(xi) dxi)
 where R is the (L, M) Pade approximant of the truncated minor.  The Pade
 pole string emulates the minor's branch cut, which is what makes lateral
-sums and the Stokes-jump measurement possible at finite order.
+sums and the Stokes-jump measurement possible at finite order.  One
+symbol at one z has one minor and one approximant: the lateral rays
+either side of a singular direction, at every angle tried, and so the
+Stokes jump, all read it (check_poles_off_ray, then laplace_ray).
 
 One Pade routine serves both precisions: double-precision minors are
 solved with numpy, mpmath minors (the high-precision Airy backend) with
@@ -26,7 +29,6 @@ import numpy as np
 from .contours import ContourSpec, LaplaceResult, integrate_polyline
 from .errors import ContourFailure, PoleOnRay
 
-PADE_DEFAULT = None  # None -> balanced (floor(n/2), floor(n/2)) clamped to data
 FROISSART_TOL = 1e-12  # residues below this fraction of the largest are doublets
 GUARD_DIGITS = 15  # laplace_pade_mp works this many digits above the caller's dps
 
@@ -139,7 +141,7 @@ def check_poles_off_ray(approx: PadeApproximant, theta: float,
     ps = approx.poles()
     if len(ps) == 0:
         return
-    rs = approx.residues()
+    rs = approx._residues(ps)
     scale = max(1.0, float(np.max(np.abs(rs))))
     for p, r in zip(ps, rs):
         if abs(r) < FROISSART_TOL * scale:
@@ -169,30 +171,6 @@ def laplace_ray(R, eps: complex, theta: float = 0.0) -> LaplaceResult:
     nodes = [0j] + [rot * T * 0.7 ** k for k in range(32, -1, -1)]
     return integrate_polyline(lambda xi: np.exp(-xi / eps) * R(xi), nodes,
                               ContourSpec(), phase=lambda xi: xi / eps)
-
-
-def borel_pade_laplace(minor_coeffs, eps: complex,
-                       pade: tuple[int, int] | None = PADE_DEFAULT,
-                       theta: float = 0.0) -> LaplaceResult:
-    """Laplace integral of the Pade-accelerated minor along a ray.
-
-    minor_coeffs are the numeric xi-Taylor coefficients of the minor at
-    fixed z.  Returns the integral only (the caller adds the eps^0 term
-    and the exponential prefactor).
-    """
-    c = np.asarray(minor_coeffs, dtype=complex)
-    if len(c) == 0:
-        return LaplaceResult(0j, 0.0, 0)
-    if pade is None:
-        half = len(c) // 2
-        L, M = half, half
-    else:
-        L, M = pade
-        if L < 0 or M < 0:
-            raise ValueError("Pade orders must be nonnegative")
-    approx = pade_from_taylor(c, L, M)
-    check_poles_off_ray(approx, theta, abs(eps))
-    return laplace_ray(approx, eps, theta=theta)
 
 
 def laplace_pade_mp(approx: PadeApproximant, eps):

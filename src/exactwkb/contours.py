@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ContourFailure
 
 _GL_CACHE: dict = {}
+MAX_EXTENT = 12.0  # cap on |w - saddle| while tracing a half-thimble
 
 
 def _gl(n: int):
@@ -52,7 +53,6 @@ class ContourSpec:
     path : explicit polyline of complex nodes (None -> adaptive descent)
     rel_tol : target relative size of the integrand at path endpoints
     gl_order : Gauss-Legendre order per panel
-    max_extent : cap on |w - saddle| while tracing
     x_cap / x_of : optional cap on an auxiliary coordinate (keeps paths
         inside a kernel's convergence polydisk)
     max_panel_phase : phase increment of S/eps per quadrature panel
@@ -61,7 +61,6 @@ class ContourSpec:
     path: tuple | None = None
     rel_tol: float = 1e-13
     gl_order: int = 16
-    max_extent: float = 12.0
     x_cap: float | None = None
     x_of: Callable[[complex], complex] | None = None
     max_panel_phase: float = 2.0
@@ -262,7 +261,7 @@ def _march(S, dS, pts: list, S0: complex, eps: complex, step0: float,
     """Extend the steepest-descent path pts from the saddle pts[0] in place
     along Im((S - S0)/eps) = 0 (RK2 on the normalized gradient flow, a
     Newton phase corrector each step) until Re((S - S0)/eps) reaches
-    target (True), the x_cap stops it (None), or it passes max_extent or
+    target (True), the x_cap stops it (None), or it passes MAX_EXTENT or
     stalls (False: a vanishing gradient is a saddle connection)."""
     saddle, p, h = pts[0], pts[-1], step0
     prev = ((S(p) - S0) / eps).real
@@ -293,7 +292,7 @@ def _march(S, dS, pts: list, S0: complex, eps: complex, step0: float,
         pts.append(p)
         if level >= target:
             return True
-        if abs(p - saddle) > spec.max_extent:
+        if abs(p - saddle) > MAX_EXTENT:
             break
         # keep the per-step decay increment moderate
         dlev = level - prev

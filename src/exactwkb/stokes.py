@@ -81,6 +81,14 @@ def _gl_pairs(n: int) -> tuple:
     return tuple(zip(*(a.tolist() for a in _gl(n))))
 
 
+def _sqrt_near(v: complex, ref: complex) -> complex:
+    """The square root of v nearer ref: sqrt(V) with its branch continued
+    from the previous value ref (the scalar form of _running_action's
+    sign rule)."""
+    s = cmath.sqrt(v)
+    return -s if abs(s - ref) > abs(s + ref) else s
+
+
 def _callable_potential(V) -> Callable[[complex], complex]:
     if callable(V):
         return V
@@ -144,9 +152,7 @@ def _trace_one(Vf, alpha, theta0, step, extent, region):
         return -d if (d.conjugate() * ref_dir).real < 0 else d
 
     def f(qq, sq_prev, ref_dir):
-        s = cmath.sqrt(Vf(qq))
-        if abs(s - sq_prev) > abs(s + sq_prev):
-            s = -s
+        s = _sqrt_near(Vf(qq), sq_prev)
         return slope(s, ref_dir), s
 
     # the seed's sq is sqrt(V) at an interior quadrature point, not at q
@@ -189,17 +195,10 @@ def _action_increment(Vf, a, b, sq_prev):
     total = 0j
     s_run = sq_prev
     for xi, wi in _gl_pairs(8):
-        qq = mid + half * xi
-        s = cmath.sqrt(Vf(qq))
-        if abs(s - s_run) > abs(s + s_run):
-            s = -s
-        s_run = s
-        total += wi * s
+        s_run = _sqrt_near(Vf(mid + half * xi), s_run)
+        total += wi * s_run
     v_end = Vf(b)
-    s_end = cmath.sqrt(v_end)
-    if abs(s_end - s_run) > abs(s_end + s_run):
-        s_end = -s_end
-    return total * half, s_end, v_end
+    return total * half, _sqrt_near(v_end, s_run), v_end
 
 
 def action_along_polyline(Vf_or_V, nodes) -> complex:
@@ -261,12 +260,8 @@ def _action_from_origin(Vf, q):
     s_run = None
     for xi, wi in _gl_pairs(GL_ACTION):
         u = 0.5 * (xi + 1.0)
-        s = cmath.sqrt(Vf(q * u * u))
-        ref = u * root_q if s_run is None else s_run
-        if abs(s - ref) > abs(s + ref):
-            s = -s
-        s_run = s
-        total += wi * 2.0 * q * u * s * 0.5
+        s_run = _sqrt_near(Vf(q * u * u), u * root_q if s_run is None else s_run)
+        total += wi * 2.0 * q * u * s_run * 0.5
     return total, s_run
 
 

@@ -50,6 +50,10 @@ def action(z: complex) -> complex:
     return (2.0 / 3.0) * zpow(z, Fraction(3, 2))
 
 
+# Every symbol carries the quarter-power prefactor z^PREFACTOR_EXP.
+PREFACTOR_EXP = Fraction(-1, 4)
+
+
 @dataclass(frozen=True)
 class WKBSymbol:
     """Formal WKB solution data.
@@ -59,18 +63,18 @@ class WKBSymbol:
     """
 
     sign: int
-    prefactor_exp: Fraction
     eps_coeffs: tuple
-    order: int
 
     def __post_init__(self):
         assert self.sign in (+1, -1)
-        assert len(self.eps_coeffs) == self.order + 1
+
+    @property
+    def order(self) -> int:
+        return len(self.eps_coeffs) - 1
 
     @classmethod
     def from_g(cls, gs, sign: int = +1) -> "WKBSymbol":
-        return cls(sign=sign, prefactor_exp=Fraction(-1, 4),
-                   eps_coeffs=tuple(gs), order=len(gs) - 1)
+        return cls(sign=sign, eps_coeffs=tuple(gs))
 
     def series(self) -> PuiseuxSeries:
         """sum_n g_n eps^n, an eps-series known below eps^(order+1)."""
@@ -79,11 +83,10 @@ class WKBSymbol:
     def flip_eps(self) -> "WKBSymbol":
         """The eps -> -eps partner symbol."""
         gs = [g if n % 2 == 0 else -g for n, g in enumerate(self.eps_coeffs)]
-        return WKBSymbol(sign=-self.sign, prefactor_exp=self.prefactor_exp,
-                         eps_coeffs=tuple(gs), order=self.order)
+        return WKBSymbol(sign=-self.sign, eps_coeffs=tuple(gs))
 
     def prefactor(self, z: complex, eps: complex) -> complex:
-        return cmath.exp(-self.sign * action(z) / eps) * zpow(z, self.prefactor_exp)
+        return cmath.exp(-self.sign * action(z) / eps) * zpow(z, PREFACTOR_EXP)
 
     def g_values(self, z: complex) -> np.ndarray:
         """g_n(z) on the fixed branch, n = 0..order."""
@@ -96,31 +99,10 @@ class WKBSymbol:
         powers = eps ** np.arange(n)
         return self.prefactor(z, eps) * np.dot(vals, powers)
 
-    def minor(self) -> "BorelMinor":
-        """Borel transform of the eps-series part: coefficient of xi^(n-1)
-        is g_n/(n-1)!, n >= 1 (exact in exact mode)."""
-        coeffs = []
-        fact = 1
-        for n in range(1, self.order + 1):
-            coeffs.append(self.eps_coeffs[n] * Fraction(1, fact))
-            fact *= n
-        return BorelMinor(coeffs=tuple(coeffs))
-
-
-@dataclass(frozen=True)
-class BorelMinor:
-    """Minor sum_n g_n(z) xi^{n-1}/Gamma(n) as xi-coefficients in z-series form."""
-
-    coeffs: tuple
-
-    def at_z(self, z: complex) -> np.ndarray:
-        return np.array([c.eval(z, zpow) for c in self.coeffs])
-
-    def factorial_check(self, symbol: WKBSymbol) -> bool:
-        """coefficient n times (n-1)! reproduces g_n exactly."""
-        fact = 1
-        for n, c in enumerate(self.coeffs, start=1):
-            if not (c * Fraction(fact) - symbol.eps_coeffs[n]).is_zero():
-                return False
-            fact *= n
-        return True
+    def minor_values(self, z: complex) -> np.ndarray:
+        """xi-Taylor coefficients of the Borel minor of the eps-series part
+        at z: g_n/(n-1)!, n >= 1, formed exactly and then evaluated on the
+        fixed branch."""
+        return np.array([(g * Fraction(1, math.factorial(n - 1))).eval(z, zpow)
+                         for n, g in enumerate(self.eps_coeffs[1:], start=1)],
+                        dtype=complex)

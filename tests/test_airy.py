@@ -11,7 +11,8 @@ import pytest
 from exactwkb.airy import (LATERAL_DELTA, airy_alpha, airy_borel_sum,
                            airy_contour, airy_oracle, airy_symbol,
                            lateral_sums, stokes_jump, symbol_borel_sum)
-from exactwkb.borel import pade_from_taylor
+from exactwkb import airy, borel
+from exactwkb.borel import check_poles_off_ray, pade_from_taylor
 from exactwkb.errors import ContourFailure, ExactWKBError, PoleOnRay
 from exactwkb.pde import confluent_eval, pde_taylor
 from exactwkb.series import PuiseuxSeries
@@ -26,6 +27,25 @@ def test_alpha_exact_values():
     assert airy_alpha(2) == Fr(385, 4608)
 
 
+def _alpha_per_n(n):
+    # (-3/4)^n prod_{j<n} (j+1/6)(j+5/6) / n!, formed afresh for each n
+    acc = Fr(1)
+    for j in range(n):
+        acc *= Fr((6 * j + 1) * (6 * j + 5), 36)
+    return acc * Fr(-3, 4) ** n / math.factorial(n)
+
+
+def test_running_alpha_product_matches_per_n_product():
+    sym = airy_symbol(40)
+    assert sym.order == 40
+    for n in range(41):
+        assert airy_alpha(n) == _alpha_per_n(n)
+        assert sym.eps_coeffs[n] == PuiseuxSeries({Fr(-3 * n, 2): _alpha_per_n(n)})
+    assert airy_symbol(-1).eps_coeffs == ()
+    with pytest.raises(ValueError):
+        airy_alpha(-1)
+
+
 def test_symbol_monomials_and_minor_factorials():
     sym = airy_symbol(6)
     for n, g in enumerate(sym.eps_coeffs):
@@ -33,7 +53,12 @@ def test_symbol_monomials_and_minor_factorials():
             assert g == PuiseuxSeries({0: 1})
         else:
             assert g == PuiseuxSeries({Fr(-3 * n, 2): airy_alpha(n)})
-    assert sym.minor().factorial_check(sym)
+    z = 0.7 * cmath.exp(0.4j)
+    minor = sym.minor_values(z)
+    g = sym.g_values(z)
+    assert len(minor) == sym.order
+    for n in range(1, sym.order + 1):
+        assert abs(minor[n - 1] - g[n] / math.factorial(n - 1)) <= 1e-15 * abs(g[n])
 
 
 def test_branch_positive_real_on_L0():
@@ -127,9 +152,7 @@ def test_pole_on_ray_raises():
     # minor of 1/(1 - xi): pole at xi = +1 on the positive ray
     c = np.ones(12)
     with pytest.raises(PoleOnRay):
-        from exactwkb.borel import borel_pade_laplace
-
-        borel_pade_laplace(c, 0.05, pade=(5, 6), theta=0.0)
+        check_poles_off_ray(pade_from_taylor(c, 5, 6), 0.0, 0.05)
 
 
 def test_lateral_sum_above_continues_entire_function_on_L1():
@@ -253,9 +276,14 @@ def test_borel_sum_sweep_within_ten_est_errors():
         assert abs(r.value - airy_oracle(z, eps)) <= 10 * r.est_error, (z, eps)
 
 
-@pytest.mark.parametrize("r, eps, N", [
+# two jump inputs where a Pade pole with a genuine residue sits on a ray
+# at LATERAL_DELTA (z on L1 at modulus r)
+OBSTRUCTED_JUMPS = [
     (1.2187249962712479, 0.15001815891900233 - 0.04294346419996365j, 39),
-    (0.36020159269969565, 0.1520537528894064 + 0.01365753321502024j, 36)])
+    (0.36020159269969565, 0.1520537528894064 + 0.01365753321502024j, 36)]
+
+
+@pytest.mark.parametrize("r, eps, N", OBSTRUCTED_JUMPS)
 def test_stokes_jump_widens_past_an_obstructing_pole(r, eps, N):
     # a Pade pole with a genuine residue sits on a ray at LATERAL_DELTA;
     # a wider pair of rays clears it and the jump still meets its prediction
@@ -266,3 +294,34 @@ def test_stokes_jump_widens_past_an_obstructing_pole(r, eps, N):
             symbol_borel_sum(sym, z, eps, theta=theta)
     jump, pred = stokes_jump(z, eps, N)
     assert abs(jump - pred) <= 1e-4 * abs(pred)
+
+
+@pytest.mark.parametrize("r, eps, N", OBSTRUCTED_JUMPS)
+def test_one_pade_system_per_symbol_whatever_the_lateral_angle(r, eps, N,
+                                                               monkeypatch):
+    # both lateral rays, at every angle tried, read one approximant: a
+    # jump solves one Pade system for the symbol and one for its partner
+    z = r * cmath.exp(2j * math.pi / 3)
+    solved = []
+
+    def spy(c, L, M):
+        solved.append((L, M))
+        return pade_from_taylor(c, L, M)
+
+    for module in (airy, borel):
+        monkeypatch.setattr(module, "pade_from_taylor", spy)
+    stokes_jump(z, eps, N)
+    assert len(solved) == 2
+    monkeypatch.undo()
+    # the widened rays are symbol_borel_sum's at -/+ delta, bit for bit
+    sym = airy_symbol(N - 1)
+    for k in range(11):
+        delta = LATERAL_DELTA * (1 + k / 10)
+        try:
+            expect = (symbol_borel_sum(sym, z, eps, theta=-delta).value,
+                      symbol_borel_sum(sym, z, eps, theta=delta).value)
+            break
+        except PoleOnRay:
+            continue
+    assert delta > LATERAL_DELTA
+    assert lateral_sums(sym, z, eps) == expect
