@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .borel import (PadeApproximant, check_poles_off_ray, laplace_pade_mp,
-                    laplace_ray, pade_from_taylor)
+from .borel import (PadeApproximant, check_ray_clear, genuine_poles,
+                    laplace_pade_mp, laplace_ray, pade_from_taylor)
 from .contours import ContourSpec, LaplaceResult, valley_integral
 from .errors import ContourFailure, PoleOnRay
 from .series import PuiseuxSeries
@@ -148,26 +148,30 @@ def symbol_borel_sum(symbol: WKBSymbol, z: complex, eps: complex,
     return _ray_sum(symbol, z, eps, _minor_pade(symbol, z, pade), theta)
 
 
-def _minor_pade(symbol: WKBSymbol, z: complex,
-                pade: tuple[int, int] | None) -> PadeApproximant | None:
-    """The Pade approximant of the symbol's minor at z, None when the
-    symbol stops at eps^0 (no minor)."""
+def _minor_pade(symbol: WKBSymbol, z: complex, pade: tuple[int, int] | None
+                ) -> tuple[PadeApproximant, list] | None:
+    """The Pade approximant of the symbol's minor at z and its genuine
+    poles, None when the symbol stops at eps^0 (no minor)."""
     c = symbol.minor_values(z)
     if len(c) == 0:
         return None
     L, M = (len(c) // 2, len(c) // 2) if pade is None else pade
     if L < 0 or M < 0:
         raise ValueError("Pade orders must be nonnegative")
-    return pade_from_taylor(c, L, M)
+    approx = pade_from_taylor(c, L, M)
+    return approx, genuine_poles(approx)
 
 
 def _ray_sum(symbol: WKBSymbol, z: complex, eps: complex,
-             approx: PadeApproximant | None, theta: float) -> LaplaceResult:
+             minor: tuple[PadeApproximant, list] | None,
+             theta: float) -> LaplaceResult:
     """prefactor * (1 + int_ray exp(-xi/eps) approx(xi) dxi) along arg xi
-    = theta; PoleOnRay when a genuine pole of approx obstructs the ray."""
+    = theta for minor = (approx, its genuine poles); PoleOnRay when one
+    of those poles obstructs the ray."""
     res = LaplaceResult(0j, 0.0, 0)
-    if approx is not None:
-        check_poles_off_ray(approx, theta, abs(eps))
+    if minor is not None:
+        approx, poles = minor
+        check_ray_clear(poles, theta, abs(eps))
         res = laplace_ray(approx, eps, theta=theta)
     pref = symbol.prefactor(z, eps)
     return LaplaceResult(value=pref * (1.0 + res.value),
@@ -248,14 +252,15 @@ def lateral_sums(symbol: WKBSymbol, z: complex,
     above the singular ray arg xi = 0, delta = LATERAL_DELTA or, if a Pade
     pole obstructs it, the first 1.1, 1.2, ..., 2 LATERAL_DELTA both rays
     clear.  Both rays, at every delta tried, read one balanced Pade
-    approximant of the minor (symbol_borel_sum's); laplace_ray's graded
-    panels resolve the pole string that emulates the cut."""
-    approx = _minor_pade(symbol, z, None)
+    approximant of the minor (symbol_borel_sum's) and the genuine poles
+    found once from it; laplace_ray's graded panels resolve the pole
+    string that emulates the cut."""
+    minor = _minor_pade(symbol, z, None)
     for k in range(11):
         try:
             delta = LATERAL_DELTA * (1 + k / 10)
-            return (_ray_sum(symbol, z, eps, approx, -delta).value,
-                    _ray_sum(symbol, z, eps, approx, delta).value)
+            return (_ray_sum(symbol, z, eps, minor, -delta).value,
+                    _ray_sum(symbol, z, eps, minor, delta).value)
         except PoleOnRay as err:
             obstructed = err
     raise obstructed

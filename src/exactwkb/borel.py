@@ -6,7 +6,9 @@ pole string emulates the minor's branch cut, which is what makes lateral
 sums and the Stokes-jump measurement possible at finite order.  One
 symbol at one z has one minor and one approximant: the lateral rays
 either side of a singular direction, at every angle tried, and so the
-Stokes jump, all read it (check_poles_off_ray, then laplace_ray).
+Stokes jump, all read it: its genuine poles are found once
+(genuine_poles), then each ray is checked against them (check_ray_clear)
+and integrated (laplace_ray).
 
 One Pade routine serves both precisions: double-precision minors are
 solved with numpy, mpmath minors (the high-precision Airy backend) with
@@ -131,6 +133,28 @@ def _ray_distance(p: complex, theta: float) -> float:
     return abs(w.imag)
 
 
+def genuine_poles(approx: PadeApproximant) -> list:
+    """The poles of approx that are not Froissart doublets (spurious
+    pole/zero pairs whose residue is below FROISSART_TOL of the largest),
+    in np.roots order.  They do not depend on the ray, so one list serves
+    every ray tried (check_ray_clear)."""
+    ps = approx.poles()
+    if len(ps) == 0:
+        return []
+    rs = approx._residues(ps)
+    scale = max(1.0, float(np.max(np.abs(rs))))
+    return [p for p, r in zip(ps, rs) if not abs(r) < FROISSART_TOL * scale]
+
+
+def check_ray_clear(poles, theta: float, eps_scale: float) -> None:
+    """Raise PoleOnRay when one of the genuine poles lies within
+    0.03 (|p| + eps_scale) of the ray arg xi = theta."""
+    for p in poles:
+        if _ray_distance(p, theta) < 0.03 * (abs(p) + eps_scale):
+            raise PoleOnRay(
+                f"Pade pole at {p:.6g} obstructs the ray arg xi = {theta:.4f}")
+
+
 def check_poles_off_ray(approx: PadeApproximant, theta: float,
                         eps_scale: float) -> None:
     """Raise PoleOnRay when a genuine pole obstructs the integration ray.
@@ -138,17 +162,7 @@ def check_poles_off_ray(approx: PadeApproximant, theta: float,
     Froissart doublets (spurious pole/zero pairs with negligible residue)
     are ignored.
     """
-    ps = approx.poles()
-    if len(ps) == 0:
-        return
-    rs = approx._residues(ps)
-    scale = max(1.0, float(np.max(np.abs(rs))))
-    for p, r in zip(ps, rs):
-        if abs(r) < FROISSART_TOL * scale:
-            continue
-        if _ray_distance(p, theta) < 0.03 * (abs(p) + eps_scale):
-            raise PoleOnRay(
-                f"Pade pole at {p:.6g} obstructs the ray arg xi = {theta:.4f}")
+    check_ray_clear(genuine_poles(approx), theta, eps_scale)
 
 
 def laplace_ray(R, eps: complex, theta: float = 0.0) -> LaplaceResult:

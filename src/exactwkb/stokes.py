@@ -94,12 +94,18 @@ def _callable_potential(V) -> Callable[[complex], complex]:
         return V
     if isinstance(V, PuiseuxSeries):
         require_taylor(V, "V")
-        items = sorted((int(e), c) for e, c in V.to_float().coeffs.items())
+        coeffs = V.to_float().coeffs
+        dense = [0j] * (int(max(coeffs, default=0)) + 1)
+        for e, c in coeffs.items():
+            dense[int(e)] = c
+        # Horner from the leading coefficient down; the same form serves
+        # complex scalars (the tracer) and complex arrays (the node check)
+        top, rest = dense[-1], dense[-2::-1]
 
         def f(q):
-            tot = 0j
-            for e, c in items:
-                tot += c * q ** e
+            tot = top
+            for c in rest:
+                tot = tot * q + c
             return tot
 
         return f
@@ -115,11 +121,15 @@ def potential_stokes_curves(V, alpha: float = 0.0,
     Predictor-corrector on the field dq/dt = e^{i alpha}/sqrt(V(q)) with
     the branch of sqrt(V) continued along the curve, plus a Newton
     correction restoring Im(e^{-i alpha} w) = 0 for the running action
-    w = int_0^q sqrt(V).  Each accepted node keeps the defining residual
-    below trace tolerance; leaving the declared analyticity region
-    raises TraceEscape.  A line stops after at most 2000 steps.  V is a
-    Taylor series or a callable; the tracer calls it on complex scalars,
-    but a callable V must also accept a complex numpy array and act on it
+    w = int_0^q sqrt(V).  A step calls V 12 times (three RK4 slopes, the
+    8-point action increment and its end point) and a correction once,
+    integrating its small dq by the trapezoid rule, unless the line
+    passes within about a step of another zero of V.  Each accepted node
+    keeps the defining residual below trace tolerance; leaving the
+    declared analyticity region raises TraceEscape.  A line stops after
+    at most 2000 steps.  V is a Taylor series, evaluated by Horner's
+    rule, or a callable; the tracer calls it on complex scalars, but a
+    callable V must also accept a complex numpy array and act on it
     elementwise, as the node check evaluates it on arrays.
     """
     Vf = _callable_potential(V)
@@ -168,15 +178,29 @@ def _trace_one(Vf, alpha, theta0, step, extent, region):
         # and the next step's first RK4 slope reuse
         dw, sq_new, v_new = _action_increment(Vf, q, q_new, sq)
         w_new = w + dw
-        # Newton correction restoring Im(e^{-i alpha} w) = 0
+        # Newton correction restoring Im(e^{-i alpha} w) = 0.  One V call
+        # at the corrected node gives V and the branch-continued sqrt(V)
+        # that the step hands on, and the trapezoid rule on the sqrt(V)
+        # at both ends integrates the action over dq.  Near a simple zero
+        # of V that rule errs by about |dq| |change of sqrt(V)|^2 /
+        # (12 |sqrt(V)|).  dq is the RK4 step's error, 1e-7 or less, so
+        # this stays below the stop tolerance unless the line passes
+        # within about a step of another zero of V; there the correction
+        # is integrated as the step is
         for _ in range(2):
             resid = (w_new * unrot).imag
             if abs(resid) < 1e-15:
                 break
             dq = -1j * resid * rot / sq_new
-            dw2, sq_new, v_new = _action_increment(Vf, q_new, q_new + dq,
-                                                   sq_new)
-            q_new, w_new = q_new + dq, w_new + dw2
+            q_old, sq_old, q_new = q_new, sq_new, q_new + dq
+            v_new = Vf(q_new)
+            sq_new = _sqrt_near(v_new, sq_old)
+            if abs(dq) * abs(sq_new - sq_old) ** 2 < 1e-15 * abs(sq_new):
+                w_new += 0.5 * (sq_old + sq_new) * dq
+            else:
+                dw2, sq_new, v_new = _action_increment(Vf, q_old, q_new,
+                                                       sq_old)
+                w_new += dw2
         if abs(q_new) > region:
             raise TraceEscape(
                 f"trace left the analyticity region |q| <= {region}")

@@ -166,22 +166,76 @@ def test_non_taylor_potential_is_refused(V):
         node_condition_residuals(V, canonical_stokes_lines(0.0, extent=0.5))
 
 
-@pytest.mark.parametrize("V, alpha, extent, region, digest", [
-    (V_FIG5, 0.0, 1.5, 5.0,
-     "6f7739e1b92f73f3aa7fc36ff826a2b5672c83e8a74bdb6c5ae2e8ad1513952a"),
+V_BENCH = TaylorSeries({1: 1, 2: Fr(-1, 2), 3: Fr(5, 6)})
+
+
+@pytest.mark.parametrize("V, alpha, extent, region, counts, digest", [
+    (V_FIG5, 0.0, 1.5, 5.0, [152, 153, 153],
+     "4b7df25dafe0a238ce1af85d3832f1e1cb7d844c674976256c3ece7702f116d5"),
     (TaylorSeries({1: 1, 2: Fr(-2, 3), 3: Fr(1, 4)}), 0.6, 1.5, 5.0,
-     "7eea377cc283d2ec2377733bf61011899b9187ec77ee72962580f6494dee0be6"),
+     [152, 152, 153],
+     "34967b83f5c65e37d79d9dffc73191765131a217e8c1574911dcaeaa6a858365"),
     # as the benchmark draws them: alpha < 0, region three times extent
-    (TaylorSeries({1: 1, 2: Fr(-1, 2), 3: Fr(5, 6)}), -0.9, 2.5, 7.5,
-     "e30d86101968200c4a39bcb4da938c3d97e5745ea55b5cd20f08747555063fa4"),
+    (V_BENCH, -0.9, 2.5, 7.5, [254, 262, 253],
+     "877d3b02c41c59deb5af01d588ef4c31b037ef93c0a553bd0114011893a29e5f"),
 ], ids=["fig5", "cubic", "cubic_bench"])
-def test_tracer_nodes_are_pinned(V, alpha, extent, region, digest):
-    # reusing V and sqrt(V) at each accepted node, or tracing on Python
-    # scalars in place of numpy scalars, must not move any bit of any
-    # node (the repr of every node is hashed)
+def test_tracer_nodes_are_pinned(V, alpha, extent, region, counts, digest):
+    # a refactor of the tracer must not move any bit of any node (the
+    # repr of every node is hashed); the node counts and the node check's
+    # rounding-level residuals also held before the Newton correction
+    # went to one V call and V to Horner, which moved nodes by 2e-15
     d = potential_stokes_curves(V, alpha, step=0.01, extent=extent,
                                 region_radius=region)
+    assert [len(line) for line in d.lines] == counts
+    assert max(node_condition_residuals(V, d)) < 1e-13
     assert hashlib.sha256(repr(d.lines).encode()).hexdigest() == digest
+
+
+def test_tracer_calls_v_about_thirteen_times_a_node():
+    # per step: three new RK4 slopes, the 8-point action increment and V
+    # at its end, and one V call per Newton correction; integrating the
+    # correction's small dq by 8-point Gauss-Legendre again would cost 9
+    calls = [0]
+    Vf = _callable_potential(V_BENCH)
+
+    def V(q):
+        calls[0] += 1
+        return Vf(q)
+
+    d = potential_stokes_curves(V, -0.9, step=0.01, extent=2.5,
+                                region_radius=7.5)
+    assert calls[0] <= 14 * sum(len(line) for line in d.lines)
+
+
+def test_correction_near_another_turning_point_keeps_the_node_condition():
+    # alpha = 0 and real V: the line along the positive axis runs into the
+    # zero of V = q - q^2/2 - q^3/3 near q = 1.14 and turns off it; RK4
+    # misses there by 1e-3, and the trapezoid rule over such a dq would
+    # leave 5e-7 in the action
+    V = TaylorSeries({1: 1, 2: Fr(-1, 2), 3: Fr(-1, 3)})
+    d = potential_stokes_curves(V, 0.0, step=0.01, extent=2.5,
+                                region_radius=7.5)
+    assert max(node_condition_residuals(V, d)) < 1e-10
+
+
+@pytest.mark.parametrize("V", [
+    V_FIG5, V_BENCH, TaylorSeries({0: Fr(1, 3), 3: -2}),
+    TaylorSeries({2: Fr(1, 7), 5: Fr(-3, 11), 6: 1}),
+    TaylorSeries({1: 1, 4: Fr(1, 3) + 2j / 5}),
+], ids=["fig5", "cubic", "constant_and_gap", "gaps", "complex_coeff"])
+def test_horner_potential_matches_the_power_sum(V):
+    Vf = _callable_potential(V)
+    items = [(int(e), complex(c)) for e, c in V.coeffs.items()]
+    qs = [0.3 - 0.2j, -1.7 + 0.4j, 2.5j, 1e-3 + 1e-3j, -3.0 + 0j]
+    arr = np.array(qs)
+    got_arr = Vf(arr)
+    assert got_arr.shape == arr.shape
+    for q, g in zip(qs, got_arr):
+        expect = sum(c * q ** e for e, c in items)
+        scale = sum(abs(c) * abs(q) ** e for e, c in items)
+        assert type(Vf(q)) is complex
+        assert abs(Vf(q) - expect) <= 8 * 2.0 ** -52 * scale
+        assert abs(g - expect) <= 8 * 2.0 ** -52 * scale
 
 
 def test_tracer_runs_on_python_scalars():
