@@ -7,8 +7,11 @@ argument exact.  n = 1 recovers the Airy integral (up to an explicit
 affine substitution), n = 2 the Weber parabolic-cylinder case.
 """
 
+import cmath
+import math
+
 from exactwkb import hardy_phi_eval, hardy_polynomial, hardy_S_T
-from exactwkb.airy import airy_raw_contour
+from exactwkb.airy import airy_contour
 from exactwkb.hardy import hardy_ode_residual
 
 
@@ -33,7 +36,7 @@ for n in (1, 2, 3):
 print("\nn = 1 reduces to the Airy integral:")
 for z in (0.8, 1.0, 1.3):
     phi = hardy_phi_eval(1, z, 0.1).value
-    airy = airy_raw_contour(z, 0.1).value
+    airy = airy_contour(z, 0.1).value * (1j * cmath.sqrt(math.pi * 0.1))
     print(f"  z={z}: Phi_1/AiryIntegral = {phi / airy:.12f}")
 
 print("\nn = 2 (Weber case): model-equation residual by finite differences")

@@ -70,31 +70,16 @@ def airy_oracle(z: complex, eps: complex) -> complex:
         return complex(val)
 
 
-def airy_contour(z: complex, eps: complex,
-                 spec: ContourSpec | None = None) -> LaplaceResult:
-    """The Airy integral of exp(-S/eps), S = z zhat - zhat^3/3, between the
-    valleys at arg zhat = -/+ pi/3 + arg(eps)/3 (airy_raw_contour), over
-    i sqrt(pi eps): 2 sqrt(pi) eps^{-1/6} Ai(z eps^{-2/3}) for every z != 0,
-    normalized like the Borel sum of the symbol."""
-    return normalize_airy(airy_raw_contour(z, eps, spec), eps)
-
-
-def normalize_airy(raw: LaplaceResult, eps: complex) -> LaplaceResult:
-    """A raw contour result divided by i sqrt(pi eps), the normalization
-    that makes the Airy integral equal the Borel sum of its symbol."""
-    norm = 1.0 / (1j * cmath.sqrt(math.pi * eps))
-    return LaplaceResult(value=raw.value * norm,
-                         est_error=raw.est_error * abs(norm),
-                         nodes_used=raw.nodes_used)
-
-
-def airy_raw_contour(z: complex, eps: complex,
-                     spec: ContourSpec | None = None,
-                     g=None) -> LaplaceResult:
-    """Truncated integral of exp(-S/eps) * g (g defaults to 1) between the
-    valleys at arg zhat = -/+ pi/3 + arg(eps)/3: the thimble of +sqrt(z) in
-    S1 and S-1, joined by that of -sqrt(z) past the Stokes lines.  Tangents:
-    pi/2 - arg(z)/4 + arg(eps)/2 (fixed branch) at +sqrt(z), -i times it."""
+def airy_contour(z: complex, eps: complex, spec: ContourSpec | None = None,
+                 g=None) -> LaplaceResult:
+    """The truncated integral of exp(-S/eps) * g (g defaults to 1), S = z
+    zhat - zhat^3/3, between the valleys at arg zhat = -/+ pi/3 +
+    arg(eps)/3, over i sqrt(pi eps).  With g = 1 that is 2 sqrt(pi)
+    eps^{-1/6} Ai(z eps^{-2/3}) for every z != 0, normalized like the
+    Borel sum of the symbol; confluent_eval passes its kernel as g.  The
+    path is the thimble of +sqrt(z) in S1 and S-1, joined by that of
+    -sqrt(z) past the Stokes lines.  Tangents: pi/2 - arg(z)/4 +
+    arg(eps)/2 (fixed branch) at +sqrt(z), -i times it."""
     if z == 0:
         raise ContourFailure("z = 0 is the turning point; no saddle path")
     S, dS, d2S = airy_S(z)
@@ -102,9 +87,13 @@ def airy_raw_contour(z: complex, eps: complex,
     up = cmath.exp(1j * (math.pi / 2.0 - branch_arg(z) / 4.0
                          + cmath.phase(eps) / 2.0))
     turn = cmath.phase(eps) / 3.0
-    return valley_integral(S, dS, d2S, [(root, up), (-root, -1j * up)], eps,
-                           (turn - math.pi / 3.0, turn + math.pi / 3.0),
-                           spec or ContourSpec(), g=g)
+    raw = valley_integral(S, dS, d2S, [(root, up), (-root, -1j * up)], eps,
+                          (turn - math.pi / 3.0, turn + math.pi / 3.0),
+                          spec or ContourSpec(), g=g)
+    norm = 1.0 / (1j * cmath.sqrt(math.pi * eps))
+    return LaplaceResult(value=raw.value * norm,
+                         est_error=raw.est_error * abs(norm),
+                         nodes_used=raw.nodes_used)
 
 
 def airy_S(z: complex):
@@ -156,8 +145,6 @@ def _minor_pade(symbol: WKBSymbol, z: complex, pade: tuple[int, int] | None
     if len(c) == 0:
         return None
     L, M = (len(c) // 2, len(c) // 2) if pade is None else pade
-    if L < 0 or M < 0:
-        raise ValueError("Pade orders must be nonnegative")
     approx = pade_from_taylor(c, L, M)
     return approx, genuine_poles(approx)
 

@@ -93,10 +93,13 @@ def pade_from_taylor(c, L: int, M: int) -> PadeApproximant:
     """(L, M) Pade approximant from Taylor coefficients c[0..].
 
     If fewer than L+M+1 coefficients are available the degrees are
-    clamped down (numerator first) to fit the data exactly.  mpmath
-    coefficients are solved by LU at the working precision and give
-    list coefficients; anything else is solved in complex double.
+    clamped down (numerator first) to fit the data exactly; a negative
+    degree is a ValueError.  mpmath coefficients are solved by LU at the
+    working precision and give list coefficients; anything else is
+    solved in complex double.
     """
+    if L < 0 or M < 0:
+        raise ValueError("Pade orders must be nonnegative")
     if len(c) == 0:
         return PadeApproximant(num=np.zeros(1), den=np.ones(1))
     mp = isinstance(c[0], (mpmath.mpf, mpmath.mpc))
@@ -153,16 +156,6 @@ def check_ray_clear(poles, theta: float, eps_scale: float) -> None:
         if _ray_distance(p, theta) < 0.03 * (abs(p) + eps_scale):
             raise PoleOnRay(
                 f"Pade pole at {p:.6g} obstructs the ray arg xi = {theta:.4f}")
-
-
-def check_poles_off_ray(approx: PadeApproximant, theta: float,
-                        eps_scale: float) -> None:
-    """Raise PoleOnRay when a genuine pole obstructs the integration ray.
-
-    Froissart doublets (spurious pole/zero pairs with negligible residue)
-    are ignored.
-    """
-    check_ray_clear(genuine_poles(approx), theta, eps_scale)
 
 
 def laplace_ray(R, eps: complex, theta: float = 0.0) -> LaplaceResult:

@@ -183,7 +183,7 @@ def cmd_confluent(args) -> dict:
     if args.contour != "default":
         with open(args.contour) as fh:
             nodes = [complex(a, b) for a, b in json.load(fh)]
-        spec = spec.with_path(nodes)
+        spec = ContourSpec(path=tuple(nodes))
     res = confluent_eval(F, h, z, eps, spec=spec, Nx=args.nx, Nz=args.nz)
     return {"z": _c2l(z), "eps": _c2l(eps), "value": _c2l(res.value),
             "est_error": res.est_error, "nodes_used": res.nodes_used,

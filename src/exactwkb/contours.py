@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,9 +64,6 @@ class ContourSpec:
     x_cap: float | None = None
     x_of: Callable[[complex], complex] | None = None
     max_panel_phase: float = 2.0
-
-    def with_path(self, nodes) -> "ContourSpec":
-        return replace(self, path=tuple(nodes))
 
 
 def integrate_polyline(f: Callable[[np.ndarray], np.ndarray],

@@ -21,8 +21,9 @@ class LogObstruction(SeriesError):
     """Antiderivative of a z^-1 term requested; a logarithm would appear."""
 
 
-class NotSimpleTurningPoint(ExactWKBError):
-    """Potential does not vanish to exactly first order with unit slope at 0."""
+class NotSimpleTurningPoint(ExactWKBError, ValueError):
+    """Potential does not vanish to exactly first order with unit slope at 0
+    (inadmissible input, so also a ValueError)."""
 
 
 class ContourFailure(ExactWKBError):

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .airy import airy_raw_contour, normalize_airy, symbol_borel_sum
+from .airy import airy_contour, symbol_borel_sum
 from .coefficients import to_complex
 from .contours import ContourSpec, LaplaceResult
 from .errors import DomainExit
@@ -43,9 +43,6 @@ class BivariateSeries:
 
     def __post_init__(self):
         assert len(self.a_list) == self.Nx + 1
-
-    def coeff(self, n: int) -> PuiseuxSeries:
-        return self.a_list[n]
 
     @cached_property
     def _table(self) -> tuple[tuple, tuple]:
@@ -333,9 +330,9 @@ def confluent_eval(F: PuiseuxSeries, h: PuiseuxSeries, z: complex, eps: complex,
     """Confluent-function value at (z, eps), normalized like the Airy model.
 
     Evaluates int exp(-S(z, zhat)/eps) psi(z, z - zhat^2) dzhat along the
-    Airy model's contour between two valleys (airy_raw_contour with the
-    kernel as weight) and divides by i sqrt(pi eps), so that for F = 0,
-    h = 0 the value coincides with airy_contour.  The path is truncated
+    Airy model's contour between two valleys and divides by i sqrt(pi
+    eps): airy_contour with the kernel as g, so that for F = 0, h = 0 the
+    value coincides with airy_contour's.  The path is truncated
     where |z - zhat^2| exceeds the kernel's empirical convergence radius
     (DomainExit for explicit paths that violate it).  z = 0 is the
     turning point and raises ContourFailure, as in airy_contour.
@@ -362,7 +359,7 @@ def confluent_eval(F: PuiseuxSeries, h: PuiseuxSeries, z: complex, eps: complex,
     def g(w):
         return _horner_x(vals, z - w * w)
 
-    return normalize_airy(airy_raw_contour(z, eps, spec, g=g), eps)
+    return airy_contour(z, eps, spec, g=g)
 
 
 def _default_x_cap(psi: BivariateSeries, z_abs: float) -> float:

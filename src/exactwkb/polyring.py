@@ -2,8 +2,8 @@
 
 Just enough ring structure to run the formal pipelines with free
 parameters (e.g. potential coefficients v2, v3) and read off exact
-polynomial identities.  Division is supported by nonzero constants and
-by monomials that divide every term.
+polynomial identities.  Division is by nonzero ints and Fractions only,
+which is all the series kernel asks of a coefficient ring.
 """
 
 from __future__ import annotations
@@ -91,35 +91,7 @@ class QPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, QPoly):
-            if other.is_constant():
-                other = other.constant()
-            elif len(other.terms) == 1:
-                (mono, c), = other.terms.items()
-                out = {}
-                for m, cc in self.terms.items():
-                    d = dict(m)
-                    for n, p in mono:
-                        d[n] = d.get(n, 0) - p
-                        if d[n] < 0:
-                            raise ZeroDivisionError(
-                                "QPoly division only by dividing monomials")
-                    out[tuple(sorted(d.items()))] = cc / c
-                return QPoly(out)
-            else:
-                raise ZeroDivisionError("QPoly division only by constants/monomials")
         return QPoly({m: c / Fraction(other) for m, c in self.terms.items()})
-
-    def __rtruediv__(self, other):
-        if self.is_constant():
-            return QPoly(Fraction(other) / self.constant())
-        raise ZeroDivisionError("cannot invert a non-constant QPoly")
-
-    def __pow__(self, n: int):
-        out = QPoly(1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -132,16 +104,6 @@ class QPoly:
 
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items())))
-
-    def is_constant(self) -> bool:
-        return all(m == () for m in self.terms)
-
-    def constant(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self.terms[()]
 
     def subs(self, values: Mapping[str, Fraction]):
         """Evaluate at rational values for some/all generators."""

@@ -225,10 +225,6 @@ class BasisDecomposition:
     a_coeffs: tuple
     b_coeffs: tuple
 
-    @property
-    def order(self) -> int:
-        return len(self.a_coeffs) - 1
-
     def holomorphy_scan(self) -> bool:
         """All retained a_k, b_k have integer exponents >= 0."""
         return all(c.is_taylor() for c in self.a_coeffs + self.b_coeffs)

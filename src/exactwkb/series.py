@@ -52,8 +52,6 @@ def _as_exp(e) -> Fraction:
         return e
     if isinstance(e, (int, str)):
         return Fraction(e)
-    if isinstance(e, tuple) and len(e) == 2:
-        return Fraction(e[0], e[1])
     raise SeriesError(f"exponent {e!r} is not rational")
 
 
@@ -95,8 +93,8 @@ class PuiseuxSeries:
     Parameters
     ----------
     coeffs : mapping exponent -> coefficient
-        Exponents may be ints, Fractions, "p/q" strings or (p, q) pairs;
-        repeated exponents are summed and exact zeros dropped.
+        Exponents may be ints, Fractions or "p/q" strings; repeated
+        exponents are summed and exact zeros dropped.
     trunc : Fraction or +inf
         Exponents >= trunc are unknown (default: +inf, exact data).
     lattice : int
@@ -188,8 +186,9 @@ class PuiseuxSeries:
         return PuiseuxSeries({0: 1}, trunc, lattice)
 
     @classmethod
-    def monomial(cls, coeff, e, trunc=INF):
-        return cls({e: coeff}, trunc)
+    def monomial(cls, coeff, e):
+        """The exact term coeff z^e."""
+        return cls({e: coeff})
 
     def with_trunc(self, trunc):
         """Same data, tighter truncation."""

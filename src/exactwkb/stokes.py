@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,9 +34,7 @@ SECTOR_CONVENTION = ("S1: (L0, L1) counterclockwise; S2: (L1, L-1); "
 @dataclass(frozen=True)
 class StokesDiagram:
     direction_alpha: float
-    turning_points: tuple
     lines: tuple          # tuple of polylines (tuples of complex nodes)
-    sector_labels: dict = field(default_factory=dict)
 
 
 def canonical_stokes_lines(alpha: float, extent: float = 3.0) -> StokesDiagram:
@@ -47,10 +45,7 @@ def canonical_stokes_lines(alpha: float, extent: float = 3.0) -> StokesDiagram:
         th = 2.0 * (alpha + k * math.pi) / 3.0
         ray = tuple((extent * j / 39) * cmath.exp(1j * th) for j in range(40))
         lines.append(ray)
-    labels = {"S1": "between L0 and L1", "S2": "between L1 and L-1",
-              "S-1": "between L-1 and L0"}
-    return StokesDiagram(direction_alpha=alpha, turning_points=(0j,),
-                         lines=tuple(lines), sector_labels=labels)
+    return StokesDiagram(direction_alpha=alpha, lines=tuple(lines))
 
 
 def classify_sector(z: complex, alpha: float = 0.0) -> str:
@@ -139,9 +134,7 @@ def potential_stokes_curves(V, alpha: float = 0.0,
         th = 2.0 * (alpha + k * math.pi) / 3.0
         nodes = _trace_one(Vf, alpha, th, step, extent, region)
         lines.append(tuple(nodes))
-    labels = {"convention": SECTOR_CONVENTION}
-    return StokesDiagram(direction_alpha=alpha, turning_points=(0j,),
-                         lines=tuple(lines), sector_labels=labels)
+    return StokesDiagram(direction_alpha=alpha, lines=tuple(lines))
 
 
 def _trace_one(Vf, alpha, theta0, step, extent, region):

@@ -73,8 +73,9 @@ class WKBSymbol:
         return len(self.eps_coeffs) - 1
 
     @classmethod
-    def from_g(cls, gs, sign: int = +1) -> "WKBSymbol":
-        return cls(sign=sign, eps_coeffs=tuple(gs))
+    def from_g(cls, gs) -> "WKBSymbol":
+        """The sign = +1 symbol with orders g_0, g_1, ..."""
+        return cls(sign=+1, eps_coeffs=tuple(gs))
 
     def series(self) -> PuiseuxSeries:
         """sum_n g_n eps^n, an eps-series known below eps^(order+1)."""

@@ -53,10 +53,6 @@ class RiccatiExpansion:
 
     p_coeffs: tuple
 
-    @property
-    def order(self) -> int:
-        return len(self.p_coeffs) - 1
-
 
 def riccati_p(F: PuiseuxSeries, N: int) -> RiccatiExpansion:
     """Riccati expansion to order N: p_0 = z^{1/2}, p_1 = 1/(4z),

@@ -114,3 +114,12 @@ def test_hp_sum_makes_no_quadrature_call(monkeypatch):
     got = airy_borel_sum_hp(1.0, 0.1, 24, dps=40)
     assert calls == []
     assert abs(complex(got) - airy_oracle(1.0, 0.1)) <= 1e-10 * abs(complex(got))
+
+
+@pytest.mark.parametrize("pade", [(3, -1), (-1, 3)])
+def test_negative_pade_order_refused_at_both_precisions(pade):
+    # at high precision (3, -1) once returned the bare prefactor and
+    # (-1, 3) raised ZeroDivisionError
+    for borel_sum in (airy.airy_borel_sum, airy_borel_sum_hp):
+        with pytest.raises(ValueError, match="Pade orders must be nonnegative"):
+            borel_sum(1.0, 0.1, 24, pade=pade)

@@ -245,10 +245,12 @@ Z_EPS0 = ["--z", "1", "0", "--eps", "0", "0"]
     (["airy", "--z", "1", "0", "--eps", "0.1", "0", "--orders", "-3"], "N must be >= 0"),
     (["borel", "--z", "1", "0", "--eps", "0.1", "0", "--orders", "-3"], "N must be >= 0"),
     (["jump", "--z", "1", "0", "--eps", "0.1", "0", "--orders", "-3"], "N must be >= 0"),
+    (["reduce", "--V", '[["0",["1","0"]],["1",["1","0"]]]'], "V(0) != 0"),
+    (["reduce", "--V", '[["1",["2","0"]]]'], "V'(0) != 1"),
 ])
 def test_out_of_range_numbers_exit_2(args, message, capsys):
-    # each of these once crashed with a bare exception or printed a
-    # meaningless result with exit 0
+    # each of these once crashed with a bare exception, printed a
+    # meaningless result with exit 0 or, for an inadmissible V, exited 3
     code = main(args)
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
@@ -296,3 +298,54 @@ def test_tp_precision_env(monkeypatch, capsys):
                          "--orders", "12"], capsys)
     assert code == 0
     assert json.loads(out)["meta"]["precision"] == 20
+
+
+def test_jump_subcommand(capsys):
+    code, out = run_cli(["jump", "--z", "-0.4", "0.6928", "--eps", "0.05", "0",
+                         "--orders", "40"], capsys)
+    assert code == 0
+    d = json.loads(out)
+    assert d["rel_error"] < 1e-6
+    assert d["meta"]["mirror"] is False
+
+
+def test_stokes_builtin_canonical(capsys):
+    code, out = run_cli(["stokes", "--V", "builtin:canonical", "--extent", "1.5"],
+                        capsys)
+    assert code == 0
+    d = json.loads(out)
+    assert d["n_lines"] == 3 and d["max_node_residual"] == 0.0
+    assert all(abs(abs(complex(*q)) - 1.5) < 1e-12 for q in d["line_endpoints"])
+
+
+def test_out_writes_the_stdout_bytes_to_a_file(tmp_path, capsys):
+    args = ["borel", "--z", "1", "0", "--eps", "0.1", "0", "--orders", "12"]
+    _, printed = run_cli(args, capsys)
+    path = tmp_path / "out.json"
+    code, out = run_cli(["--out", str(path), *args], capsys)
+    assert code == 0 and out == ""
+    assert path.read_text() == printed
+
+
+def test_series_from_a_file_path(tmp_path, capsys):
+    path = tmp_path / "V.json"
+    path.write_text(V_JSON)
+    _, inline = run_cli(["reduce", "--V", V_JSON, "--orders", "4"], capsys)
+    code, out = run_cli(["reduce", "--V", str(path), "--orders", "4"], capsys)
+    assert code == 0 and out == inline
+
+
+def test_confluent_explicit_contour_file(tmp_path, capsys):
+    # a polyline from the valley at arg zhat = -pi/3 through 0 to the one
+    # at +pi/3 carries the same integral as the default thimbles
+    path = tmp_path / "path.json"
+    path.write_text("[[1.5, -2.598], [0, 0], [1.5, 2.598]]")
+    args = ["confluent", "--F", "[]", "--h", "[]", "--z", "1", "0",
+            "--eps", "0.1", "0"]
+    _, default = run_cli(args, capsys)
+    code, out = run_cli([*args, "--contour", str(path)], capsys)
+    assert code == 0
+    got, want = json.loads(out), json.loads(default)
+    assert got["nodes_used"] != want["nodes_used"]
+    assert abs(complex(*got["value"]) - complex(*want["value"])) \
+        <= 1e-10 * abs(complex(*want["value"]))

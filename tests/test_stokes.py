@@ -218,6 +218,18 @@ def test_correction_near_another_turning_point_keeps_the_node_condition():
     assert max(node_condition_residuals(V, d)) < 1e-10
 
 
+@pytest.mark.xfail(strict=True, reason="the tracer does not stop a line at "
+                   "another zero of V")
+def test_line_through_another_turning_point_keeps_the_node_condition():
+    # the line along the positive axis passes the zero of V = q - 2q^3 at
+    # q = 1/sqrt(2), where |V| = 0.0105 is just above the stop rule; the
+    # nodes past it leave 2.6e-9 in the node condition
+    V = TaylorSeries({1: 1, 3: -2})
+    d = potential_stokes_curves(V, 0.0, step=0.01, extent=1.0,
+                                region_radius=8.0)
+    assert max(node_condition_residuals(V, d)) < 1e-10
+
+
 @pytest.mark.parametrize("V", [
     V_FIG5, V_BENCH, TaylorSeries({0: Fr(1, 3), 3: -2}),
     TaylorSeries({2: Fr(1, 7), 5: Fr(-3, 11), 6: 1}),
