@@ -11,14 +11,14 @@ numerically by the Pade pole string that emulates the branch cut.
 import cmath
 import math
 
-from exactwkb import (airy_oracle, airy_symbol, lateral_sums, stokes_jump,
-                      symbol_borel_sum)
+from exactwkb import airy_borel_sum, airy_oracle, stokes_jump
+from exactwkb.airy import LATERAL_DELTA
 
 eps = 0.05
 z = 0.8 * cmath.exp(2j * math.pi / 3)
-sym = airy_symbol(39)
 
-lo, hi = lateral_sums(sym, z, eps)
+lo, hi = (airy_borel_sum(z, eps, 40, theta=theta).value
+          for theta in (-LATERAL_DELTA, LATERAL_DELTA))
 oracle = airy_oracle(z, eps)
 print(f"on the ray, z = {z:.4f}, eps = {eps}")
 print(f"  lateral sum above : {hi:.10e}")
@@ -35,7 +35,7 @@ print(f"  jump size / sum size          : {abs(jump) / abs(hi):.2e}  (beyond all
 
 z_off = 0.8 * cmath.exp(1j * math.pi / 3)
 j_off, _ = stokes_jump(z_off, eps, 40)
-scale = abs(symbol_borel_sum(sym, z_off, eps).value)
+scale = abs(airy_borel_sum(z_off, eps, 40).value)
 print(f"\noff the ray (open sector): |jump|/|sum| = {abs(j_off) / scale:.1e}")
 
 j_m, p_m = stokes_jump(0.8, eps, 40, mirror=True)

@@ -21,7 +21,7 @@ from .errors import (ContourFailure, DomainExit, ExactWKBError, LatticeError,
                      LogObstruction, NotSimpleTurningPoint, PoleOnRay,
                      SeriesError, SeriesFormatError, TraceEscape)
 from .airy import (airy_alpha, airy_borel_sum, airy_contour, airy_oracle,
-                   airy_symbol, lateral_sums, stokes_jump, symbol_borel_sum)
+                   airy_symbol, stokes_jump, symbol_borel_sum)
 from .transport import (RiccatiExpansion, riccati_p, symbol_consistency,
                         transport_g, wkb_residual)
 from .pde import (BivariateSeries, RadiusReport, confluent_eval,
@@ -42,7 +42,7 @@ __all__ = [
     "NotSimpleTurningPoint", "ContourFailure", "PoleOnRay", "DomainExit",
     "TraceEscape", "SeriesFormatError",
     "airy_alpha", "airy_symbol", "airy_contour", "airy_borel_sum",
-    "airy_oracle", "stokes_jump", "lateral_sums", "symbol_borel_sum",
+    "airy_oracle", "stokes_jump", "symbol_borel_sum",
     "RiccatiExpansion", "transport_g", "riccati_p", "symbol_consistency",
     "wkb_residual",
     "BivariateSeries", "RadiusReport", "pde_taylor", "pde_residual",

@@ -3,25 +3,39 @@
 Closed-form WKB symbol with exact rational coefficients, Borel-Pade-
 Laplace summation, an independent contour-integral oracle, and the
 numeric Stokes-jump check on the lateral sums.
+
+The orders g_n = alpha_n z^{-3n/2} are monomials, so the Borel minor at z
+is lam B(lam xi), lam = z^{-3/2}, with one function of one variable
+
+    B(t) = sum_k alpha_{k+1} t^k / k! = -(5/48) 2F1(7/6, 11/6; 2; -3t/4),
+
+cut along t <= -4/3; the eps -> -eps partner has lam -> -lam.  Pade
+approximants commute with that rescaling, so every sum reads one
+approximant of B per (N, pade, precision), solved once (_minor_pade).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
-from .borel import (PadeApproximant, check_ray_clear, genuine_poles,
-                    laplace_pade_mp, laplace_ray, pade_from_taylor)
+from .borel import (GUARD_DIGITS, PadeApproximant, check_ray_clear,
+                    genuine_poles, laplace_pade_mp, laplace_ray,
+                    pade_from_taylor, partial_fractions)
 from .contours import ContourSpec, LaplaceResult, valley_integral
-from .errors import ContourFailure, PoleOnRay
+from .errors import ContourFailure
 from .series import PuiseuxSeries
-from .symbols import WKBSymbol, branch_arg, zpow
+from .symbols import PREFACTOR_EXP, WKBSymbol, action, branch_arg, zpow
 
 # Angle of the lateral Laplace rays either side of the singular ray.
 LATERAL_DELTA = math.radians(10.0)
+# Digits at which the double-precision path's approximant of B is solved.
+SOLVE_DPS = 15 + GUARD_DIGITS
 
 
 def _airy_alphas(N: int) -> list[Fraction]:
@@ -115,6 +129,44 @@ def airy_S(z: complex):
 # Borel-Pade-Laplace summation of the symbol.
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _minor_pade(N: int, pade: tuple[int, int] | None, dps: int | None):
+    """The (L, M) = pade (balanced if None) Pade approximant of B from
+    alpha_1 .. alpha_{N-1}, None for N <= 1.  Solved in mpmath at dps and
+    split into partial fractions (airy_borel_sum_hp), or, for dps None,
+    at SOLVE_DPS and rounded to double precision with its genuine poles.
+    """
+    c = [a / math.factorial(k) for k, a in enumerate(_airy_alphas(N - 1)[1:])]
+    if not c:
+        return None
+    L, M = pade if pade is not None else (len(c) // 2, len(c) // 2)
+    with mpmath.workdps(dps or SOLVE_DPS):
+        approx = pade_from_taylor([mpmath.mpf(x.numerator) / x.denominator
+                                   for x in c], L, M)
+        if dps is not None:
+            return partial_fractions(approx)
+    approx = PadeApproximant(np.array(approx.num, dtype=complex),
+                             np.array(approx.den, dtype=complex))
+    return approx, genuine_poles(approx)
+
+
+def _airy_sum(z: complex, eps: complex, minor, theta: float,
+              sign: int) -> LaplaceResult:
+    """Borel sum along arg xi = theta of the Airy symbol (sign +1) or its
+    partner (sign -1), from minor = _minor_pade's (approximant R of B, its
+    genuine poles p): the minor's approximant at z is lam R(lam xi), lam =
+    sign z^{-3/2}, with the poles p/lam."""
+    res = LaplaceResult(0j, 0.0, 0)
+    if minor is not None:
+        approx, poles = minor
+        lam = sign * zpow(z, Fraction(-3, 2))
+        check_ray_clear([p / lam for p in poles], theta, abs(eps))
+        res = laplace_ray(lambda xi: lam * approx(lam * xi), eps, theta=theta)
+    pref = cmath.exp(-sign * action(z) / eps) * zpow(z, PREFACTOR_EXP)
+    return LaplaceResult(pref * (1.0 + res.value), abs(pref) * res.est_error,
+                         res.nodes_used)
+
+
 def airy_borel_sum(z: complex, eps: complex, N: int,
                    pade: tuple[int, int] | None = None,
                    theta: float = 0.0) -> LaplaceResult:
@@ -124,46 +176,24 @@ def airy_borel_sum(z: complex, eps: complex, N: int,
     alpha_1 .. alpha_{N-1}; (L, M) larger than the available data is
     clamped down.  theta rotates the Laplace ray (lateral sums).
     """
-    sym = airy_symbol(max(N - 1, 0))
-    return symbol_borel_sum(sym, z, eps, pade=pade, theta=theta)
+    minor = _minor_pade(N, None if pade is None else tuple(pade), None)
+    return _airy_sum(z, eps, minor, theta, 1)
 
 
-def symbol_borel_sum(symbol: WKBSymbol, z: complex, eps: complex,
-                     pade: tuple[int, int] | None = None,
-                     theta: float = 0.0) -> LaplaceResult:
-    """Borel sum of any formal symbol at fixed z along the ray arg xi =
-    theta.  pade is (L, M), or None for the balanced (floor(n/2),
-    floor(n/2)) on the n minor coefficients."""
-    return _ray_sum(symbol, z, eps, _minor_pade(symbol, z, pade), theta)
-
-
-def _minor_pade(symbol: WKBSymbol, z: complex, pade: tuple[int, int] | None
-                ) -> tuple[PadeApproximant, list] | None:
-    """The Pade approximant of the symbol's minor at z and its genuine
-    poles, None when the symbol stops at eps^0 (no minor)."""
+def symbol_borel_sum(symbol: WKBSymbol, z: complex,
+                     eps: complex) -> LaplaceResult:
+    """Borel sum of any formal symbol at z along arg xi = 0, from the
+    balanced Pade approximant of its minor at z, solved in double
+    precision on each call (F != 0 has no one-variable minor)."""
     c = symbol.minor_values(z)
-    if len(c) == 0:
-        return None
-    L, M = (len(c) // 2, len(c) // 2) if pade is None else pade
-    approx = pade_from_taylor(c, L, M)
-    return approx, genuine_poles(approx)
-
-
-def _ray_sum(symbol: WKBSymbol, z: complex, eps: complex,
-             minor: tuple[PadeApproximant, list] | None,
-             theta: float) -> LaplaceResult:
-    """prefactor * (1 + int_ray exp(-xi/eps) approx(xi) dxi) along arg xi
-    = theta for minor = (approx, its genuine poles); PoleOnRay when one
-    of those poles obstructs the ray."""
     res = LaplaceResult(0j, 0.0, 0)
-    if minor is not None:
-        approx, poles = minor
-        check_ray_clear(poles, theta, abs(eps))
-        res = laplace_ray(approx, eps, theta=theta)
+    if len(c):
+        approx = pade_from_taylor(c, len(c) // 2, len(c) // 2)
+        check_ray_clear(genuine_poles(approx), 0.0, abs(eps))
+        res = laplace_ray(approx, eps)
     pref = symbol.prefactor(z, eps)
-    return LaplaceResult(value=pref * (1.0 + res.value),
-                         est_error=abs(pref) * res.est_error,
-                         nodes_used=res.nodes_used)
+    return LaplaceResult(pref * (1.0 + res.value), abs(pref) * res.est_error,
+                         res.nodes_used)
 
 
 def airy_borel_sum_hp(z, eps, N: int, pade: tuple[int, int] | None = None,
@@ -171,37 +201,22 @@ def airy_borel_sum_hp(z, eps, N: int, pade: tuple[int, int] | None = None,
     """High-precision Borel-Pade-Laplace sum of the Airy symbol.
 
     Same construction as airy_borel_sum but in mpmath arithmetic
-    throughout: exact rational minor coefficients, the shared
-    pade_from_taylor (which LU-solves mpmath data at the working
-    precision), and the closed-form Laplace transform laplace_pade_mp
-    of that approximant along arg xi = 0 (partial fractions and E1, no
-    quadrature).  Returns an mpmath mpc.  Needed where the summation
-    error sits below the double-precision floor, e.g. to resolve its
-    decay as eps shrinks.
+    throughout: B's approximant at dps, split over its polished poles,
+    and the closed-form Laplace transform laplace_pade_mp of its
+    rescaling lam B(lam xi) (E1, no quadrature).  Returns an mpmath mpc.
+    Needed where the summation error sits below the double-precision
+    floor, e.g. to resolve its decay as eps shrinks.
     """
+    fractions = _minor_pade(N, None if pade is None else tuple(pade), dps)
     with mpmath.workdps(dps):
-        zm = mpmath.mpc(z)
-        em = mpmath.mpc(eps)
-        th = mpmath.arg(zm)
-        if th <= -2 * mpmath.pi / 3:
-            th += 2 * mpmath.pi
-
-        def zpow_mp(r):
-            return mpmath.exp(mpmath.log(abs(zm)) * r + 1j * th * r)
-
-        c = []
-        fact = mpmath.mpf(1)
-        for n, a in enumerate(_airy_alphas(N - 1)[1:], start=1):
-            c.append(mpmath.mpf(a.numerator) / a.denominator
-                     * zpow_mp(mpmath.mpf(-3 * n) / 2) / fact)
-            fact *= n
-        pref = mpmath.exp(-(mpmath.mpf(2) / 3) * zpow_mp(mpmath.mpf(3) / 2) / em) \
-            * zpow_mp(-mpmath.mpf(1) / 4)
-        if not c:
+        logz = mpmath.log(mpmath.mpc(z))      # on the branch of branch_arg
+        if logz.imag <= -2 * mpmath.pi / 3:
+            logz += 2j * mpmath.pi
+        lam, em = mpmath.exp(-1.5 * logz), mpmath.mpc(eps)
+        pref = mpmath.exp(-2 / (3 * lam * em) - logz / 4)
+        if fractions is None:
             return pref
-        L, M = pade if pade is not None else (len(c) // 2, len(c) // 2)
-        approx = pade_from_taylor(c, L, M)
-        return pref * (1 + laplace_pade_mp(approx, em))
+        return pref * (1 + laplace_pade_mp(fractions, em, lam))
 
 
 def stokes_jump(z: complex, eps: complex, N: int,
@@ -215,39 +230,17 @@ def stokes_jump(z: complex, eps: complex, N: int,
         jump      = lateral sum below the ray - lateral sum above it,
         predicted = -i * Borel sum of the eps -> -eps partner symbol,
 
-    so that jump == predicted expresses the alien-derivative relation of
-    the model.  The jump orientation (below minus above) is the one under
+    the lateral sums running along arg xi = -/+ LATERAL_DELTA, so that
+    jump == predicted expresses the alien-derivative relation of the
+    model.  The jump orientation (below minus above) is the one under
     which analytic continuation counterclockwise across L1 picks up the
-    -i partner term.
+    -i partner term.  All three sums read one approximant of B.
 
     With mirror=True the same check is run on L0 for the partner symbol,
     whose minor is singular on the positive ray when z is real > 0.
     """
-    sym = airy_symbol(max(N - 1, 0))
-    if mirror:
-        sym = sym.flip_eps()
-    partner = sym.flip_eps()
-    lo, hi = lateral_sums(sym, z, eps)
-    jump = lo - hi
-    pred = -1j * symbol_borel_sum(partner, z, eps).value
-    return jump, pred
-
-
-def lateral_sums(symbol: WKBSymbol, z: complex,
-                 eps: complex) -> tuple[complex, complex]:
-    """Lateral Borel sums of a symbol along arg xi = -/+ delta, just below /
-    above the singular ray arg xi = 0, delta = LATERAL_DELTA or, if a Pade
-    pole obstructs it, the first 1.1, 1.2, ..., 2 LATERAL_DELTA both rays
-    clear.  Both rays, at every delta tried, read one balanced Pade
-    approximant of the minor (symbol_borel_sum's) and the genuine poles
-    found once from it; laplace_ray's graded panels resolve the pole
-    string that emulates the cut."""
-    minor = _minor_pade(symbol, z, None)
-    for k in range(11):
-        try:
-            delta = LATERAL_DELTA * (1 + k / 10)
-            return (_ray_sum(symbol, z, eps, minor, -delta).value,
-                    _ray_sum(symbol, z, eps, minor, delta).value)
-        except PoleOnRay as err:
-            obstructed = err
-    raise obstructed
+    minor = _minor_pade(N, None, None)
+    sign = -1 if mirror else 1
+    lo, hi = (_airy_sum(z, eps, minor, theta, sign).value
+              for theta in (-LATERAL_DELTA, LATERAL_DELTA))
+    return lo - hi, -1j * _airy_sum(z, eps, minor, 0.0, -sign).value

@@ -3,20 +3,19 @@
 The Borel sum of a symbol is prefactor * (1 + int_ray exp(-xi/eps) R(xi) dxi)
 where R is the (L, M) Pade approximant of the truncated minor.  The Pade
 pole string emulates the minor's branch cut, which is what makes lateral
-sums and the Stokes-jump measurement possible at finite order.  One
-symbol at one z has one minor and one approximant: the lateral rays
-either side of a singular direction, at every angle tried, and so the
-Stokes jump, all read it: its genuine poles are found once
-(genuine_poles), then each ray is checked against them (check_ray_clear)
-and integrated (laplace_ray).
+sums and the Stokes-jump measurement possible at finite order.  An
+approximant's genuine poles do not depend on the ray: they are found
+once (genuine_poles), then each ray is checked against them
+(check_ray_clear) and integrated (laplace_ray).
 
 One Pade routine serves both precisions: double-precision minors are
-solved with numpy, mpmath minors (the high-precision Airy backend) with
-mpmath.lu_solve at the working precision.  The double-precision Laplace
-integral runs on the composite Gauss-Legendre panels of contours.py.
-The mpmath one is exact: laplace_pade_mp splits R into its polynomial
-part and partial fractions over the polished poles and transforms each
-term in closed form (factorials and the exponential integral E1).
+solved with numpy, mpmath minors with mpmath.lu_solve at the working
+precision.  The double-precision Laplace integral runs on the composite
+Gauss-Legendre panels of contours.py.  The mpmath one is exact:
+partial_fractions splits R once into its polynomial part and partial
+fractions over the polished poles, and laplace_pade_mp transforms each
+term in closed form (factorials and the exponential integral E1), for R
+or for any rescaling lam R(lam xi) of it.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -32,7 +32,7 @@ from .contours import ContourSpec, LaplaceResult, integrate_polyline
 from .errors import ContourFailure, PoleOnRay
 
 FROISSART_TOL = 1e-12  # residues below this fraction of the largest are doublets
-GUARD_DIGITS = 15  # laplace_pade_mp works this many digits above the caller's dps
+GUARD_DIGITS = 15  # mp partial fractions work this many digits above the caller's dps
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,7 @@ class PadeApproximant:
         return [_newton_root(q, mpmath.mpc(s))
                 for s in np.roots(np.array([complex(c) for c in q]))]
 
-    def residues(self):
-        return self._residues(self.poles())
-
-    def _residues(self, ps):
+    def residues(self, ps):
         """num(p)/den'(p) at the poles ps."""
         if isinstance(self.den, np.ndarray):
             dden = np.polyder(self.den[::-1])
@@ -144,7 +141,7 @@ def genuine_poles(approx: PadeApproximant) -> list:
     ps = approx.poles()
     if len(ps) == 0:
         return []
-    rs = approx._residues(ps)
+    rs = approx.residues(ps)
     scale = max(1.0, float(np.max(np.abs(rs))))
     return [p for p, r in zip(ps, rs) if not abs(r) < FROISSART_TOL * scale]
 
@@ -180,13 +177,37 @@ def laplace_ray(R, eps: complex, theta: float = 0.0) -> LaplaceResult:
                               ContourSpec(), phase=lambda xi: xi / eps)
 
 
-def laplace_pade_mp(approx: PadeApproximant, eps):
-    """int_0^inf exp(-xi/eps) num(xi)/den(xi) dxi along arg xi = 0, in
-    closed form, for an mpmath Pade approximant and Re eps > 0
-    (PoleOnRay otherwise).
+class PartialFractions(NamedTuple):
+    """approx = sum_k quo[k] xi^k + sum_j residues[j]/(xi - poles[j])."""
 
-    num/den = sum_k q_k xi^k + sum_j r_j/(xi - p_j) over the simple poles
-    p_j with residues r_j = num(p_j)/den'(p_j), and term by term
+    approx: PadeApproximant
+    poles: list
+    residues: list
+    quo: list
+
+
+def partial_fractions(approx: PadeApproximant) -> PartialFractions:
+    """Split an mpmath approximant at GUARD_DIGITS above the working
+    precision, over its poles polished by Newton's method (ContourFailure
+    when one cannot be, e.g. a double pole)."""
+    with mpmath.workdps(mpmath.mp.dps + GUARD_DIGITS):
+        ps = approx.poles()
+        rem, den, quo = list(approx.num), approx.den, []
+        m = len(den) - 1
+        for k in range(len(rem) - 1, m - 1, -1):
+            quo.insert(0, rem[k] / den[m])
+            for j in range(m + 1):
+                rem[k - m + j] -= quo[0] * den[j]
+        return PartialFractions(approx, ps, approx.residues(ps), quo)
+
+
+def laplace_pade_mp(fractions: PartialFractions, eps, lam=1):
+    """int_0^inf exp(-xi/eps) lam R(lam xi) dxi along arg xi = 0, in
+    closed form, for R = num/den split into its partial fractions and
+    Re eps > 0 (PoleOnRay otherwise).
+
+    lam R(lam xi) = sum_k q_k lam^(k+1) xi^k + sum_j r_j/(xi - p_j/lam),
+    and term by term
         int exp(-xi/eps) xi^k dxi = k! eps^(k+1),
         int exp(-xi/eps) r/(xi - p) dxi = r exp(-p/eps) E1(-p/eps),
     where the principal E1 integrates along arg xi = arg eps.  A pole
@@ -196,20 +217,21 @@ def laplace_pade_mp(approx: PadeApproximant, eps):
 
     Raises PoleOnRay when a pole whose residue exceeds the Froissart
     threshold lies on the ray to working precision, and ContourFailure
-    when a pole cannot be polished or the partial fractions do not
-    reproduce num/den at a test point to 10^-dps relative.
+    when the rescaled partial fractions do not reproduce lam R(lam xi)
+    at a test point to 10^-dps relative.
     """
     dps = mpmath.mp.dps
     with mpmath.workdps(dps + GUARD_DIGITS):
-        eps = mpmath.mpc(eps)
+        eps, lam = mpmath.mpc(eps), mpmath.mpc(lam)
         if eps.real <= 0:
             raise PoleOnRay("the ray arg xi = 0 is outside the half-plane of eps")
-        ps = approx.poles()
-        rs = approx._residues(ps)
-        quo = _poly_quotient(approx.num, approx.den)
+        approx, rs = fractions.approx, fractions.residues
+        ps = [p / lam for p in fractions.poles]
+        quo = [q * lam ** (k + 1) for k, q in enumerate(fractions.quo)]
         # test point off the ray, at the scale where the Laplace weight lives
         xi = abs(eps) * (1 + 1j)
-        want = mpmath.polyval(approx.num[::-1], xi) / mpmath.polyval(approx.den[::-1], xi)
+        want = lam * mpmath.polyval(approx.num[::-1], lam * xi) \
+            / mpmath.polyval(approx.den[::-1], lam * xi)
         got = mpmath.polyval(quo[::-1], xi) + mpmath.fsum(r / (xi - p) for p, r in zip(ps, rs))
         if abs(got - want) > mpmath.mpf(10) ** -dps * abs(want):
             raise ContourFailure("partial fractions do not reproduce the Pade approximant")
@@ -231,16 +253,3 @@ def laplace_pade_mp(approx: PadeApproximant, eps):
                 term -= 2j * mpmath.pi
             total += r * mpmath.exp(-w) * term
         return total
-
-
-def _poly_quotient(num, den):
-    """Quotient of num by den (ascending coefficient lists)."""
-    rem = list(num)
-    m = len(den) - 1
-    quo = []
-    for k in range(len(num) - 1, m - 1, -1):
-        t = rem[k] / den[m]
-        quo.append(t)
-        for j in range(m + 1):
-            rem[k - m + j] -= t * den[j]
-    return quo[::-1]

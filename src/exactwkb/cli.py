@@ -19,7 +19,8 @@ from fractions import Fraction
 import mpmath
 
 from . import __version__
-from .airy import airy_borel_sum, airy_contour, airy_oracle, stokes_jump
+from .airy import (_minor_pade, airy_borel_sum, airy_contour, airy_oracle,
+                   stokes_jump)
 from .contours import ContourSpec
 from .errors import (ContourFailure, DomainExit, ExactWKBError,
                      NonFiniteOutput, PoleOnRay, SeriesError,
@@ -86,8 +87,7 @@ def _emit(args, payload: dict) -> None:
     payload["meta"].setdefault("precision", args.precision)
     payload["meta"].setdefault("version", __version__)
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2,
-                          default=_json_default, allow_nan=False)
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteOutput(str(exc)) from exc
     if args.out:
@@ -95,14 +95,6 @@ def _emit(args, payload: dict) -> None:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"not JSON-serializable: {obj!r}")
 
 
 def _worst_json(w):
@@ -138,11 +130,14 @@ def cmd_airy(args) -> dict:
 def cmd_borel(args) -> dict:
     z = complex(args.z[0], args.z[1])
     eps = complex(args.eps[0], args.eps[1])
-    L, M = args.pade if args.pade else (args.orders // 2, args.orders // 2)
-    res = airy_borel_sum(z, eps, args.orders, pade=(L, M), theta=args.theta)
+    pade = None if args.pade is None else tuple(args.pade)
+    res = airy_borel_sum(z, eps, args.orders, pade=pade, theta=args.theta)
+    # the degrees solved with: balanced, or clamped down to the data
+    minor = _minor_pade(args.orders, pade, None)
+    solved = [len(minor[0].num) - 1, len(minor[0].den) - 1] if minor else None
     return {"z": _c2l(z), "eps": _c2l(eps), "value": _c2l(res.value),
             "est_error": res.est_error, "nodes_used": res.nodes_used,
-            "meta": {"orders": args.orders, "pade": [L, M], "theta": args.theta}}
+            "meta": {"orders": args.orders, "pade": solved, "theta": args.theta}}
 
 
 def cmd_transport(args) -> dict:

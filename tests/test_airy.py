@@ -1,17 +1,19 @@
-"""Airy model: exact coefficients, contour oracle, Borel summation,
-lateral sums and the Stokes jump."""
+"""Airy model: exact coefficients, the one-variable minor, contour
+oracle, Borel summation, lateral sums and the Stokes jump."""
 
 import cmath
 import math
 import random
 from fractions import Fraction as Fr
 
+import mpmath
 import pytest
 
-from exactwkb.airy import (LATERAL_DELTA, airy_alpha, airy_borel_sum,
-                           airy_contour, airy_oracle, airy_symbol,
-                           lateral_sums, stokes_jump, symbol_borel_sum)
-from exactwkb import airy, borel
+from exactwkb.airy import (LATERAL_DELTA, SOLVE_DPS, airy_alpha,
+                           airy_borel_sum, airy_borel_sum_hp, airy_contour,
+                           airy_oracle, airy_symbol, stokes_jump,
+                           symbol_borel_sum)
+from exactwkb import airy
 from exactwkb.borel import check_ray_clear, genuine_poles, pade_from_taylor
 from exactwkb.errors import ContourFailure, ExactWKBError, PoleOnRay
 from exactwkb.pde import confluent_eval, pde_taylor
@@ -157,8 +159,8 @@ def test_pole_on_ray_raises():
 
 def test_lateral_sum_above_continues_entire_function_on_L1():
     eps = 0.05
-    sym = airy_symbol(39)
-    lo, hi = lateral_sums(sym, L1_POINT, eps)
+    lo, hi = (airy_borel_sum(L1_POINT, eps, 40, theta=theta).value
+              for theta in (-LATERAL_DELTA, LATERAL_DELTA))
     oracle = airy_oracle(L1_POINT, eps)
     assert abs(hi - oracle) / abs(oracle) < 1e-10
     assert abs(lo - oracle) / abs(oracle) > 1e-10  # below-ray sum differs
@@ -169,6 +171,13 @@ def test_lateral_sum_above_continues_entire_function_on_L1():
     pytest.param(-0.14458099545136907 + 0.2504216299306561j,
                  0.19105987376650582 + 0.04603891116520134j, 37,
                  id="complex_eps"),
+    # numeric-workload inputs (seeds 6 and 8 at 26 rounds) that raised
+    # PoleOnRay while each call solved its minor's Pade system at z in
+    # double precision
+    pytest.param(-0.15119793585430594 + 0.261882506899198j,
+                 0.025904401297326685, 32, id="once_obstructed_seed6"),
+    pytest.param(-0.1812644733717612 + 0.3139592774871064j,
+                 0.02431155984005291, 34, id="once_obstructed_seed8"),
 ])
 def test_stokes_jump_matches_alien_derivative(z, eps, N):
     jump, pred = stokes_jump(z, eps, N)
@@ -276,52 +285,103 @@ def test_borel_sum_sweep_within_ten_est_errors():
         assert abs(r.value - airy_oracle(z, eps)) <= 10 * r.est_error, (z, eps)
 
 
-# two jump inputs where a Pade pole with a genuine residue sits on a ray
-# at LATERAL_DELTA (z on L1 at modulus r)
+# two jump inputs where, with the minor's Pade system solved afresh at z
+# in double precision, a pole with a genuine residue sat on a ray at
+# LATERAL_DELTA (z on L1 at modulus r)
 OBSTRUCTED_JUMPS = [
     (1.2187249962712479, 0.15001815891900233 - 0.04294346419996365j, 39),
     (0.36020159269969565, 0.1520537528894064 + 0.01365753321502024j, 36)]
 
 
 @pytest.mark.parametrize("r, eps, N", OBSTRUCTED_JUMPS)
-def test_stokes_jump_widens_past_an_obstructing_pole(r, eps, N):
-    # a Pade pole with a genuine residue sits on a ray at LATERAL_DELTA;
-    # a wider pair of rays clears it and the jump still meets its prediction
+def test_once_obstructed_jumps_clear_at_lateral_delta(r, eps, N, monkeypatch):
+    # both lateral rays at LATERAL_DELTA clear the poles of B's
+    # approximant, the jump is their difference and meets its prediction,
+    # and a second jump at the same N reads the cached approximant
     z = r * cmath.exp(2j * math.pi / 3)
-    sym = airy_symbol(N - 1)
-    with pytest.raises(PoleOnRay):
-        for theta in (LATERAL_DELTA, -LATERAL_DELTA):
-            symbol_borel_sum(sym, z, eps, theta=theta)
+    lo, hi = (airy_borel_sum(z, eps, N, theta=theta).value
+              for theta in (-LATERAL_DELTA, LATERAL_DELTA))
     jump, pred = stokes_jump(z, eps, N)
+    assert jump == lo - hi
     assert abs(jump - pred) <= 1e-4 * abs(pred)
+    solved = []
+    monkeypatch.setattr(airy, "pade_from_taylor",
+                        lambda *args: solved.append(args))
+    assert stokes_jump(z, eps, N) == (jump, pred)
+    assert solved == []
 
 
-@pytest.mark.parametrize("r, eps, N", OBSTRUCTED_JUMPS)
-def test_one_pade_system_per_symbol_whatever_the_lateral_angle(r, eps, N,
-                                                               monkeypatch):
-    # both lateral rays, at every angle tried, read one approximant: a
-    # jump solves one Pade system for the symbol and one for its partner
-    z = r * cmath.exp(2j * math.pi / 3)
+def test_one_pade_solve_per_order_degrees_and_precision(monkeypatch):
+    airy._minor_pade.cache_clear()
     solved = []
 
     def spy(c, L, M):
-        solved.append((L, M))
+        solved.append((len(c), L, M, mpmath.mp.dps))
         return pade_from_taylor(c, L, M)
 
-    for module in (airy, borel):
-        monkeypatch.setattr(module, "pade_from_taylor", spy)
-    stokes_jump(z, eps, N)
-    assert len(solved) == 2
-    monkeypatch.undo()
-    # the widened rays are symbol_borel_sum's at -/+ delta, bit for bit
-    sym = airy_symbol(N - 1)
-    for k in range(11):
-        delta = LATERAL_DELTA * (1 + k / 10)
-        try:
-            expect = (symbol_borel_sum(sym, z, eps, theta=-delta).value,
-                      symbol_borel_sum(sym, z, eps, theta=delta).value)
-            break
-        except PoleOnRay:
-            continue
-    assert delta > LATERAL_DELTA
-    assert lateral_sums(sym, z, eps) == expect
+    monkeypatch.setattr(airy, "pade_from_taylor", spy)
+    for z in (1.1 * cmath.exp(0.3j), 0.7 * cmath.exp(-1.0j), 1.5 * cmath.exp(1.0j)):
+        airy_borel_sum(z, 0.1, 30)
+        airy_borel_sum(z, 0.1, 30, pade=(10, 12))
+        airy_borel_sum(z, 0.1, 30, pade=[14, 14])   # a key apart from None
+        airy_borel_sum_hp(z, 0.1, 30, dps=40)
+        stokes_jump(z, 0.05, 30)
+        stokes_jump(z, 0.05, 30, mirror=True)
+    assert sorted(solved) == [(29, 10, 12, SOLVE_DPS), (29, 14, 14, SOLVE_DPS),
+                              (29, 14, 14, SOLVE_DPS), (29, 14, 14, 40)]
+
+
+def test_airy_minor_is_a_hypergeometric_function():
+    # B(t) = sum_k alpha_{k+1} t^k / k! against -(5/48) 2F1(7/6, 11/6; 2;
+    # -3t/4), which shares no code with the alpha recursion; the Taylor
+    # terms fall like (3|t|/4)^k
+    alphas = airy._airy_alphas(90)[1:]
+    with mpmath.workdps(40):
+        for t in (0.5, -0.5, 0.5j, 0.3 - 0.4j, -0.2 + 0.1j):
+            series = mpmath.fsum(mpmath.mpf(a.numerator) / a.denominator
+                                 * mpmath.mpc(t) ** k / mpmath.factorial(k)
+                                 for k, a in enumerate(alphas))
+            oracle = -mpmath.mpf(5) / 48 * mpmath.hyp2f1(
+                mpmath.mpf(7) / 6, mpmath.mpf(11) / 6, 2, -3 * mpmath.mpc(t) / 4)
+            assert abs(series - oracle) <= mpmath.mpf(10) ** -32 * abs(oracle), t
+
+
+def test_genuine_poles_of_the_double_approximant_lie_on_the_cut():
+    # B is singular only on t <= -4/3, and the poles of its approximant,
+    # solved at SOLVE_DPS and rounded, emulate that cut
+    for N in range(17, 41):
+        _, poles = airy._minor_pade(N, None, None)
+        assert poles, N
+        for p in poles:
+            nearest = min(p.real, -4 / 3)
+            assert abs(p - nearest) <= 1e-3 * abs(p), (N, p)
+
+
+# numeric-workload inputs that raised PoleOnRay while each call solved
+# its minor's Pade system at z in double precision (seeds 1-10 at 26
+# rounds; the last three at 25 rounds; the jumps are in
+# test_stokes_jump_matches_alien_derivative)
+POLE_ON_RAY_SUMS = [
+    (1.7831659861938098 - 1.6477657568894335j, 0.1998251774608401, 29),
+    (2.2977795927850826 - 0.3411964235900362j, 0.1365110727703767, 30),
+    (-0.07695316938085683 - 0.1855057637676247j, 0.02004810495735062, 30),
+    (-0.9517251417010284 + 1.9386621764259202j, 0.15310352225717508, 29),
+    (1.8591136094409677 - 0.1174074831579235j,
+     0.15181246589324343 + 0.012159779972121228j, 22),
+    (1.6561327332093272 + 0.16888038814615505j, 0.05695833154516171, 28),
+    (1.2185549372039428 + 2.27084433628998j, 0.14899044854068494, 32),
+    (-0.15777205387766444 + 0.5560737870215303j, 0.06787333420738866, 27),
+]
+
+
+@pytest.mark.parametrize("z, eps, N", POLE_ON_RAY_SUMS)
+def test_once_obstructed_sums_meet_the_oracle(z, eps, N):
+    o = airy_oracle(z, eps)
+    assert abs(airy_borel_sum(z, eps, N).value - o) <= 1e-8 * abs(o)
+
+
+def test_once_wrong_sum_meets_the_oracle():
+    # seed 4 at 25 rounds: 4.1e-8 from the per-z double-precision solve
+    z, eps = -0.019317879770578233 - 0.21469239321551736j, 0.15831097481444562
+    o = airy_oracle(z, eps)
+    assert abs(airy_borel_sum(z, eps, 31).value - o) <= 1e-9 * abs(o)

@@ -292,6 +292,18 @@ def test_import_leaves_scipy_out():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("extra, degrees", [
+    (["--orders", "24"], [11, 11]),     # 23 coefficients: (12, 12) clamps
+    (["--orders", "25"], [11, 12]),
+    (["--pade", "5", "5"], [5, 5]),
+])
+def test_borel_meta_pade_is_the_solved_degrees(extra, degrees, capsys):
+    code, out = run_cli(["borel", "--z", "1", "0", "--eps", "0.1", "0", *extra],
+                        capsys)
+    assert code == 0
+    assert json.loads(out)["meta"]["pade"] == degrees
+
+
 def test_tp_precision_env(monkeypatch, capsys):
     monkeypatch.setenv("TP_PRECISION", "20")
     code, out = run_cli(["borel", "--z", "1", "0", "--eps", "0.1", "0",
