@@ -30,7 +30,7 @@ from .borel import (GUARD_DIGITS, PadeApproximant, check_ray_clear,
 from .contours import ContourSpec, LaplaceResult, valley_integral
 from .errors import ContourFailure
 from .series import PuiseuxSeries
-from .symbols import PREFACTOR_EXP, WKBSymbol, action, branch_arg, zpow
+from .symbols import PREFACTOR_EXP, WKBSymbol, action, zpow
 
 # Angle of the lateral Laplace rays either side of the singular ray.
 LATERAL_DELTA = math.radians(10.0)
@@ -84,6 +84,12 @@ def airy_oracle(z: complex, eps: complex) -> complex:
         return complex(val)
 
 
+def _refuse_turning_point(z) -> None:
+    """ContourFailure at z = 0, where the saddles merge and each g_n blows up."""
+    if z == 0:
+        raise ContourFailure("z = 0 is the turning point; no saddle path or Borel sum")
+
+
 def airy_contour(z: complex, eps: complex, spec: ContourSpec | None = None,
                  g=None) -> LaplaceResult:
     """The truncated integral of exp(-S/eps) * g (g defaults to 1), S = z
@@ -92,37 +98,14 @@ def airy_contour(z: complex, eps: complex, spec: ContourSpec | None = None,
     eps^{-1/6} Ai(z eps^{-2/3}) for every z != 0, normalized like the
     Borel sum of the symbol; confluent_eval passes its kernel as g.  The
     path is the thimble of +sqrt(z) in S1 and S-1, joined by that of
-    -sqrt(z) past the Stokes lines.  Tangents: pi/2 - arg(z)/4 +
-    arg(eps)/2 (fixed branch) at +sqrt(z), -i times it."""
-    if z == 0:
-        raise ContourFailure("z = 0 is the turning point; no saddle path")
-    S, dS, d2S = airy_S(z)
-    root = zpow(z, Fraction(1, 2))
-    up = cmath.exp(1j * (math.pi / 2.0 - branch_arg(z) / 4.0
-                         + cmath.phase(eps) / 2.0))
+    -sqrt(z) past the Stokes lines."""
+    _refuse_turning_point(z)
     turn = cmath.phase(eps) / 3.0
-    raw = valley_integral(S, dS, d2S, [(root, up), (-root, -1j * up)], eps,
+    raw = valley_integral(([-1.0 / 3.0, z], 1), eps,
                           (turn - math.pi / 3.0, turn + math.pi / 3.0),
                           spec or ContourSpec(), g=g)
     norm = 1.0 / (1j * cmath.sqrt(math.pi * eps))
-    return LaplaceResult(value=raw.value * norm,
-                         est_error=raw.est_error * abs(norm),
-                         nodes_used=raw.nodes_used)
-
-
-def airy_S(z: complex):
-    """S(z, .) = z w - w^3/3 and its first two w-derivatives (vectorized)."""
-
-    def S(w):
-        return z * w - w ** 3 / 3.0
-
-    def dS(w):
-        return z - w ** 2
-
-    def d2S(w):
-        return -2.0 * w
-
-    return S, dS, d2S
+    return LaplaceResult(raw.value * norm, raw.est_error * abs(norm), raw.nodes_used)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +159,7 @@ def airy_borel_sum(z: complex, eps: complex, N: int,
     alpha_1 .. alpha_{N-1}; (L, M) larger than the available data is
     clamped down.  theta rotates the Laplace ray (lateral sums).
     """
+    _refuse_turning_point(z)
     minor = _minor_pade(N, None if pade is None else tuple(pade), None)
     return _airy_sum(z, eps, minor, theta, 1)
 
@@ -207,6 +191,7 @@ def airy_borel_sum_hp(z, eps, N: int, pade: tuple[int, int] | None = None,
     Needed where the summation error sits below the double-precision
     floor, e.g. to resolve its decay as eps shrinks.
     """
+    _refuse_turning_point(z)
     fractions = _minor_pade(N, None if pade is None else tuple(pade), dps)
     with mpmath.workdps(dps):
         logz = mpmath.log(mpmath.mpc(z))      # on the branch of branch_arg
@@ -239,6 +224,7 @@ def stokes_jump(z: complex, eps: complex, N: int,
     With mirror=True the same check is run on L0 for the partner symbol,
     whose minor is singular on the positive ray when z is real > 0.
     """
+    _refuse_turning_point(z)
     minor = _minor_pade(N, None, None)
     sign = -1 if mirror else 1
     lo, hi = (_airy_sum(z, eps, minor, theta, sign).value

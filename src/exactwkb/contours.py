@@ -10,6 +10,11 @@ writes the path as the signed sum of the steepest-descent paths
 Picard-Lefschetz decomposition (Berry & Howls, Proc. R. Soc. A 434,
 1991; Witten, "Analytic continuation of Chern-Simons theory", 2010).
 Explicit polylines can be supplied through :class:`ContourSpec`.
+
+S is a polynomial of one parity, phase = (cs, odd) for S(w) = w^odd
+sum_k cs[k] (w^2)^(K-k) at the point of evaluation (Airy: ([-1/3, z], 1);
+Hardy: hardy._coeffs_at).  From it ``valley_integral`` builds S, dS, d2S,
+the saddles (roots of dS), their tangents and est_error's rounding floor.
 """
 
 from __future__ import annotations
@@ -118,28 +123,52 @@ def canonical_up_dir(d2s: complex, eps: complex) -> complex:
 LATERAL_TURN = 0.02     # radians: eps e^{+-i LATERAL_TURN} off a Stokes line
 
 
-def valley_integral(S, dS, d2S, saddles: Sequence[tuple[complex, complex]],
-                    eps: complex, valleys: tuple[float, float],
+def _horner(cs, odd: int):
+    """w -> w^odd sum_k cs[k] (w^2)^(K-k), K = len(cs) - 1, by Horner in w^2:
+    one Python frame per call, on a Python complex or a numpy array."""
+    head, rest = cs[0], tuple(cs[1:])
+
+    def f(w):
+        x2 = w * w
+        acc = head
+        for c in rest:
+            acc = acc * x2 + c
+        return acc * w if odd else acc
+
+    return f
+
+
+def _derivative(cs, odd: int):
+    """The (cs, odd) form of d/dw of the one given, by the power rule."""
+    d = [c * (2 * (len(cs) - 1 - k) + odd) for k, c in enumerate(cs)]
+    return (d, 0) if odd else (d[:-1], 1)
+
+
+def valley_integral(phase, eps: complex, valleys: tuple[float, float],
                     spec: ContourSpec, g: Callable | None = None) -> LaplaceResult:
     """int exp(-S/eps) g dw from the valley at arg w = valleys[0] to the one
-    at valleys[1]; ``saddles`` holds every root of dS with a descent tangent,
-    so S ~ c w^m (m = len(saddles) + 1) has valleys at valleys[0] + 2 pi k/m.
-    Both half-thimbles of each saddle, most recessive first, are traced to
-    the target decay and labelled by the valley their flow cannot leave; as
-    edges of a graph on the valleys, the ones joining the two give the value.
-    A stalled half (a Stokes line) is retraced for eps e^{+-i LATERAL_TURN}.
-    An x_cap cuts a path (truncation estimate doubled), never a label.
-    ContourFailure when a half reaches no valley, both halves share one, or
-    the valleys stay apart.  A spec.path is used as given, scaled at the
-    first saddle."""
-    if spec.path is not None:
-        return _polyline_tail(S, d2S, spec.path, saddles[0][0], eps, spec, g, 1.0)
+    at valleys[1], S = _horner(*phase) ~ c w^m having valleys at valleys[0]
+    + 2 pi k/m.  Both half-thimbles of each saddle, most recessive first, are
+    traced to the target decay and labelled by the valley their flow cannot
+    leave; as edges of a graph on the valleys, the ones joining the two give
+    the value.  A stalled half (a Stokes line) is retraced for eps e^{+-i
+    LATERAL_TURN}.  An x_cap cuts a path (truncation estimate doubled), never
+    a label.  ContourFailure when a half reaches no valley, both halves share
+    one, or the valleys stay apart.  A spec.path is used as given, scaled at
+    the first saddle.  est_error counts the rounding of S/eps, 2^-52
+    size/|eps| |value|, size the largest sum of |terms of S| at a saddle."""
+    dphase = _derivative(*phase)
+    S, dS, d2S = _horner(*phase), _horner(*dphase), _horner(*_derivative(*dphase))
+    dense = [x for c in dphase[0] for x in (0j, c)][1:] + [0j] * dphase[1]
+    saddles = [complex(s) for s in np.roots(dense)]
+    size = max(map(_horner([abs(c) for c in phase[0]], phase[1]), map(abs, saddles)))
+    parts = None if spec.path is None else [(1, (saddles[0], spec.path, 1.0))]
     a, m = valleys[0], len(saddles) + 1
     ka, kb = (round((v - a) * m / (2.0 * math.pi)) % m for v in valleys)
     target = -math.log(spec.rel_tol) + 3.0
-    centre = sum(s for s, _ in saddles) / len(saddles)
-    crit = [S(s) for s, _ in saddles]
-    spread = [abs(s - centre) for s, _ in saddles]
+    centre = sum(saddles) / len(saddles)
+    crit = [S(s) for s in saddles]
+    spread = [abs(s - centre) for s in saddles]
     R, R2 = max(spread), sum(x * x for x in spread)
 
     def valley(q, phi):
@@ -157,7 +186,7 @@ def valley_integral(S, dS, d2S, saddles: Sequence[tuple[complex, complex]],
 
     def half(s, t, w):
         step0 = 0.25 * min([descent_scale(d2S(s), w)]
-                           + [abs(s - x) for x, _ in saddles if x != s])
+                           + [abs(s - x) for x in saddles if x != s])
         pts = [s, _phase_correct(S, dS, s + step0 * (t / abs(t)), S(s), w)]
         reached = _march(S, dS, pts, S(s), w, step0, target, spec)
         rot = cmath.phase(w / eps)
@@ -179,7 +208,9 @@ def valley_integral(S, dS, d2S, saddles: Sequence[tuple[complex, complex]],
         return got
 
     edges, thimbles = {}, []        # valley -> [(valley, thimble, sign)]
-    for (s, t), _ in sorted(zip(saddles, crit), key=lambda sc: -(sc[1] / eps).real):
+    order = sorted(zip(saddles, crit), key=lambda sc: -(sc[1] / eps).real)
+    for s, _ in order if parts is None else ():     # none for a spec.path
+        t = canonical_up_dir(d2S(s), eps)
         (lo, k_lo, cut_lo), (hi, k_hi, cut_hi) = labelled(s, -t), labelled(s, t)
         if k_lo == k_hi:
             raise ContourFailure(f"both halves of the thimble of {s:.6g} "
@@ -194,14 +225,18 @@ def valley_integral(S, dS, d2S, saddles: Sequence[tuple[complex, complex]],
                     route[nxt] = route[k] + [(e, sign)]
                     queue.append(nxt)
         if kb in route:
-            parts = [(sign, _polyline_tail(S, d2S, thimbles[e][1], thimbles[e][0],
-                                           eps, spec, g, thimbles[e][2]))
-                     for e, sign in route[kb]]
-            values = [r.value if sign > 0 else -r.value for sign, r in parts]
-            return LaplaceResult(sum(values[1:], values[0]),
-                                 sum(r.est_error for _, r in parts),
-                                 sum(r.nodes_used for _, r in parts))
-    raise ContourFailure(f"no thimbles join valleys {ka} and {kb}")
+            parts = [(sign, thimbles[e]) for e, sign in route[kb]]
+            break
+    if parts is None:
+        raise ContourFailure(f"no thimbles join valleys {ka} and {kb}")
+    results = [(sign, _polyline_tail(S, d2S, nodes, anchor, eps, spec, g, trunc))
+               for sign, (anchor, nodes, trunc) in parts]
+    values = [r.value if sign > 0 else -r.value for sign, r in results]
+    value = sum(values[1:], values[0])
+    # rounding S's terms moves the exponent by up to 2^-52 size/|eps|
+    return LaplaceResult(value, sum(r.est_error for _, r in results)
+                         + 2.0 ** -52 * size / abs(eps) * abs(value),
+                         sum(r.nodes_used for _, r in results))
 
 
 def _follow(S, dS, q: complex, w: complex, rot: float, label,

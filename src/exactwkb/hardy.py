@@ -18,13 +18,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .contours import (ContourSpec, LaplaceResult, canonical_up_dir,
-                       valley_integral)
+from .contours import ContourSpec, LaplaceResult, valley_integral
 from .series import PuiseuxSeries
 
 Poly2 = dict  # {(i, j): Fraction} for z^i zhat^j
@@ -121,13 +118,10 @@ def quasi_homogeneous_ok(pair: HardyPair) -> bool:
     return all(2 * i + j == pair.n + 2 for (i, j) in pair.S)
 
 
-def poly2_eval(p: Poly2, z: complex, zhat) -> complex | np.ndarray:
-    return _horner(_coeffs_at(p, z), zhat)
-
-
 def _coeffs_at(p: Poly2, z: complex) -> tuple[list[complex], int]:
-    """p's zhat-coefficients at z for degrees deg, deg - 2, ..., and deg % 2
-    (quasi-homogeneity leaves one parity; ValueError otherwise)."""
+    """p at z as valley_integral's phase (cs, odd): its zhat-coefficients
+    for degrees deg, deg - 2, ..., and deg % 2 (quasi-homogeneity leaves
+    one parity; ValueError otherwise)."""
     deg = max(j for (_, j) in p)
     if any((deg - j) % 2 for (_, j) in p):
         raise ValueError("polynomial mixes even and odd powers of zhat")
@@ -137,38 +131,7 @@ def _coeffs_at(p: Poly2, z: complex) -> tuple[list[complex], int]:
     return out, deg % 2
 
 
-def _horner(coeffs: tuple[list[complex], int], zhat):
-    """The polynomial of _coeffs_at at zhat, by one Horner loop in zhat^2;
-    the same loop serves a Python complex and a numpy array."""
-    cs, odd = coeffs
-    x2 = zhat * zhat
-    acc = cs[0]
-    for c in cs[1:]:
-        acc = acc * x2 + c
-    return acc * zhat if odd else acc
-
-
-@functools.lru_cache(maxsize=None)
-def _setup_polys(n: int) -> tuple[HardyPair, Poly2, Poly2]:
-    """hardy_S_T(n) with dS_n/dzhat and d2S_n/dzhat2, built once per n."""
-    pair = hardy_S_T(n)
-    dS = _series(pair.S).derivative()
-    return pair, _poly2(dS), _poly2(dS.derivative())
-
-
-def _phase(n: int, z: complex, w: complex):
-    """S_n(z, .) and two zhat-derivatives, each saddle with its descent
-    tangent for exp(-S_n/w), and the largest sum |c_j s^j| of S_n's terms
-    at a saddle s (they cancel there down to S_n(s))."""
-    pair, dS, dd = _setup_polys(n)
-    S_c, dS_c, dd_c = (_coeffs_at(p, z) for p in (pair.S, dS, dd))
-    dense = [0j] * (2 * len(dS_c[0]) - 1)
-    dense[::2] = dS_c[0]
-    roots = [complex(s) for s in np.roots(dense + [0j] * dS_c[1])]
-    size = max(_horner(([abs(c) for c in S_c[0]], S_c[1]), abs(s)) for s in roots)
-    return (lambda x: _horner(S_c, x), lambda x: _horner(dS_c, x),
-            lambda x: _horner(dd_c, x),
-            [(s, canonical_up_dir(_horner(dd_c, s), w)) for s in roots], size)
+_cached_S_T = functools.cache(hardy_S_T)     # hardy_phi_eval's, once per n
 
 
 def hardy_valleys(n: int, w: complex) -> tuple[float, float]:
@@ -198,12 +161,8 @@ def hardy_phi_eval(n: int, z: complex, eps: complex,
     if convention not in ("eps", "eps2"):
         raise ValueError("convention must be 'eps' or 'eps2'")
     w = eps if convention == "eps2" else cmath.sqrt(eps)
-    S, dS, d2S, saddles, size = _phase(n, z, w)
-    res = valley_integral(S, dS, d2S, saddles, w, hardy_valleys(n, w),
-                          spec or ContourSpec())
-    # rounding S_n's terms moves the exponent by up to 2^-52 size/|w|
-    return replace(res, est_error=res.est_error
-                   + 2.0 ** -52 * size / abs(w) * abs(res.value))
+    return valley_integral(_coeffs_at(_cached_S_T(n).S, z), w,
+                           hardy_valleys(n, w), spec or ContourSpec())
 
 
 def hardy_ode_residual(n: int, z: complex, eps: complex,

@@ -212,6 +212,20 @@ def test_confluent_turning_point_exit_3(capsys):
     assert out == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [
+    ["borel", "--z", "0", "0", "--eps", "0.1", "0", "--orders", "1"],
+    ["borel", "--z", "0", "0", "--eps", "0.1", "0", "--orders", "24"],
+    ["airy", "--z", "0", "0", "--eps", "0.1", "0", "--orders", "16"],
+    ["jump", "--z", "0", "0", "--eps", "0.1", "0", "--orders", "24"]],
+    ids=["borel-N1", "borel", "airy", "jump"])
+def test_airy_turning_point_exit_3(args, capsys):
+    code = main(args)
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "z = 0 is the turning point" in err
+
+
 def test_contour_overflow_exit_3(capsys):
     code, out = run_cli(["confluent", "--F", "[]", "--h", "[]",
                          "--z", "-3.22", "3.83", "--eps", "0.01", "0"], capsys)

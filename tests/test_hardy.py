@@ -12,10 +12,11 @@ import pytest
 
 from exactwkb.airy import airy_contour
 from exactwkb.contours import ContourSpec, valley_integral
+from exactwkb.contours import _derivative, _horner
 from exactwkb.hardy import (hardy_identities_hold, hardy_ode_residual,
                             hardy_phi_eval, hardy_polynomial, hardy_S_T,
-                            hardy_valleys, quasi_homogeneous_ok, poly2_eval)
-from exactwkb.hardy import _phase, _setup_polys
+                            hardy_valleys, quasi_homogeneous_ok)
+from exactwkb.hardy import _coeffs_at
 
 
 def test_low_order_polynomials():
@@ -58,8 +59,8 @@ def test_structural_identities_exact(n):
 def test_quasi_homogeneity_numeric():
     pair = hardy_S_T(4)
     lam, z, zh = 1.3, 0.7 + 0.2j, -0.4 + 0.9j
-    left = poly2_eval(pair.S, lam * lam * z, lam * zh)
-    right = lam ** (pair.n + 2) * poly2_eval(pair.S, z, zh)
+    left = _per_term_poly2_eval(pair.S, lam * lam * z, lam * zh)
+    right = lam ** (pair.n + 2) * _per_term_poly2_eval(pair.S, z, zh)
     assert abs(left - right) < 1e-12 * abs(right)
 
 
@@ -71,20 +72,27 @@ def _per_term_poly2_eval(p, z, zhat):
     return out
 
 
+def _dzhat(p):
+    return {(i, j - 1): c * j for (i, j), c in p.items() if j}
+
+
 @pytest.mark.parametrize("n", [3, 8])
 def test_fixed_z_terms_equal_per_term_loop(n):
-    # the Horner loop in zhat^2 at a fixed z gives the per-term sum to
-    # rounding, on a Python complex and on a numpy array alike
+    # the Horner loop in zhat^2 at a fixed z, on S_n's coefficients and on
+    # the two derivatives valley_integral forms from them by the power
+    # rule, gives the per-term sum of the exact polynomials to rounding,
+    # on a Python complex and on a numpy array alike
     z = 0.9 + 0.2j
-    S, dS, d2S, saddles, _ = _phase(n, z, 0.08)
-    pair, dSp, dd = _setup_polys(n)
-    line = saddles[0][0] + np.linspace(-0.6, 0.6, 9) * (1 + 0.3j)
-    for p, f in zip((pair.S, dSp, dd), (S, dS, d2S)):
+    S = hardy_S_T(n).S
+    phase = _coeffs_at(S, z)
+    phases = (phase, _derivative(*phase), _derivative(*_derivative(*phase)))
+    line = 0.3 + np.linspace(-0.6, 0.6, 9) * (1 + 0.3j)
+    for p, ph in zip((S, _dzhat(S), _dzhat(_dzhat(S))), phases):
+        f = _horner(*ph)
         size = _per_term_poly2_eval({k: abs(c) for k, c in p.items()},
                                     abs(z), np.abs(line))
         want = _per_term_poly2_eval(p, z, line)
         assert np.all(abs(f(line) - want) <= 1e-14 * size)
-        assert np.all(abs(poly2_eval(p, z, line) - want) <= 1e-14 * size)
         assert all(abs(f(complex(x)) - y) <= 1e-14 * m
                    for x, y, m in zip(line, want, size))
 
@@ -118,17 +126,16 @@ def test_reversed_orientation_flips_sign():
     # swapping the two valleys, or walking an explicit path backwards,
     # reverses the contour
     n, z, eps = 3, 1.1, 0.08
-    S, dS, d2S, saddles, _ = _phase(n, z, eps)
+    phase = _coeffs_at(hardy_S_T(n).S, z)
     a, b = hardy_valleys(n, eps)
     spec = ContourSpec()
-    fwd = valley_integral(S, dS, d2S, saddles, eps, (a, b), spec)
-    rev = valley_integral(S, dS, d2S, saddles, eps, (b, a), spec)
+    fwd = valley_integral(phase, eps, (a, b), spec)
+    rev = valley_integral(phase, eps, (b, a), spec)
     assert fwd.value == hardy_phi_eval(n, z, eps).value
     assert abs(fwd.value + rev.value) < 1e-12 * abs(fwd.value)
     rays = [2 * cmath.exp(1j * a), 0j, 2 * cmath.exp(1j * b)]
-    there = valley_integral(S, dS, d2S, saddles, eps, (a, b),
-                            ContourSpec(path=tuple(rays)))
-    back = valley_integral(S, dS, d2S, saddles, eps, (a, b),
+    there = valley_integral(phase, eps, (a, b), ContourSpec(path=tuple(rays)))
+    back = valley_integral(phase, eps, (a, b),
                            ContourSpec(path=tuple(rays[::-1])))
     assert abs(there.value - fwd.value) <= 10 * (there.est_error + fwd.est_error)
     assert abs(there.value + back.value) <= 10 * (there.est_error + back.est_error)
