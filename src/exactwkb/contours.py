@@ -15,6 +15,8 @@ S is a polynomial of one parity, phase = (cs, odd) for S(w) = w^odd
 sum_k cs[k] (w^2)^(K-k) at the point of evaluation (Airy: ([-1/3, z], 1);
 Hardy: hardy._coeffs_at).  From it ``valley_integral`` builds S, dS, d2S,
 the saddles (roots of dS), their tangents and est_error's rounding floor.
+Along the thimble of a saddle s, S(w) = S(s) + eps T with T real and
+rising, so its nodes are Newton roots of that equation at increasing T.
 """
 
 from __future__ import annotations
@@ -74,13 +76,12 @@ class ContourSpec:
 def integrate_polyline(f: Callable[[np.ndarray], np.ndarray],
                        nodes: Sequence[complex],
                        spec: ContourSpec,
-                       phase: Callable[[complex], complex] | None = None,
-                       ) -> LaplaceResult:
+                       phase: Callable[[complex], complex]) -> LaplaceResult:
     """Composite Gauss-Legendre integral of f along straight segments.
 
-    Panel counts per segment follow the phase increment when ``phase``
-    (typically S/eps) is given.  The error estimate compares the target
-    order against a halved-order rule on the same panels.
+    Panel counts per segment follow the increment of ``phase`` (typically
+    S/eps).  The error estimate compares the target order against a
+    halved-order rule on the same panels.
     """
     nodes = [complex(p) for p in nodes]
     if len(nodes) < 2:
@@ -89,10 +90,8 @@ def integrate_polyline(f: Callable[[np.ndarray], np.ndarray],
     for a, b in zip(nodes[:-1], nodes[1:]):
         if a == b:
             continue
-        npan = 1
-        if phase is not None:
-            dph = abs(phase(b) - phase(a))
-            npan = int(min(640, max(1, math.ceil(dph / spec.max_panel_phase))))
+        dph = abs(phase(b) - phase(a))
+        npan = int(min(640, max(1, math.ceil(dph / spec.max_panel_phase))))
         h = (b - a) / npan
         for k in range(npan):
             mid = a + h * (k + 0.5)
@@ -148,19 +147,21 @@ def valley_integral(phase, eps: complex, valleys: tuple[float, float],
                     spec: ContourSpec, g: Callable | None = None) -> LaplaceResult:
     """int exp(-S/eps) g dw from the valley at arg w = valleys[0] to the one
     at valleys[1], S = _horner(*phase) ~ c w^m having valleys at valleys[0]
-    + 2 pi k/m.  Both half-thimbles of each saddle, most recessive first, are
-    traced to the target decay and labelled by the valley their flow cannot
-    leave; as edges of a graph on the valleys, the ones joining the two give
-    the value.  A stalled half (a Stokes line) is retraced for eps e^{+-i
-    LATERAL_TURN}.  An x_cap cuts a path (truncation estimate doubled), never
-    a label.  ContourFailure when a half reaches no valley, both halves share
-    one, or the valleys stay apart.  A spec.path is used as given, scaled at
-    the first saddle.  est_error counts the rounding of S/eps, 2^-52
-    size/|eps| |value|, size the largest sum of |terms of S| at a saddle."""
+    + 2 pi k/m.  Both half-thimbles of each saddle s, most recessive first,
+    are traced as roots of S = S(s) + eps T to the target decay T and
+    labelled by the valley their flow cannot leave; as edges of a graph on
+    the valleys, the ones joining the two give the value.  A stalled half
+    (a Stokes line) is retraced for eps e^{+-i LATERAL_TURN}.  An x_cap
+    cuts a path (truncation estimate doubled), never a label.
+    ContourFailure when a half reaches no valley, both halves share one, or
+    the valleys stay apart.  A spec.path is used as given, scaled at the
+    first saddle.  est_error counts the rounding of S/eps, 2^-52 size/|eps|
+    |value|, size the largest sum of |terms of S| at a saddle."""
     dphase = _derivative(*phase)
     S, dS, d2S = _horner(*phase), _horner(*dphase), _horner(*_derivative(*dphase))
-    dense = [x for c in dphase[0] for x in (0j, c)][1:] + [0j] * dphase[1]
-    saddles = [complex(s) for s in np.roots(dense)]
+    cs, odd = dphase            # dS's roots: 0 if odd, +-sqrt(r) for cs's roots r
+    roots = [-cs[1] / cs[0]] if len(cs) == 2 else np.roots(cs)
+    saddles = [sign * cmath.sqrt(r) for r in roots for sign in (1, -1)] + [0j] * odd
     size = max(map(_horner([abs(c) for c in phase[0]], phase[1]), map(abs, saddles)))
     parts = None if spec.path is None else [(1, (saddles[0], spec.path, 1.0))]
     a, m = valleys[0], len(saddles) + 1
@@ -187,8 +188,8 @@ def valley_integral(phase, eps: complex, valleys: tuple[float, float],
     def half(s, t, w):
         step0 = 0.25 * min([descent_scale(d2S(s), w)]
                            + [abs(s - x) for x in saddles if x != s])
-        pts = [s, _phase_correct(S, dS, s + step0 * (t / abs(t)), S(s), w)]
-        reached = _march(S, dS, pts, S(s), w, step0, target, spec)
+        pts = [s]
+        reached = _march(S, dS, pts, w, s + step0 * (t / abs(t)), target, spec)
         rot = cmath.phase(w / eps)
         k = None if reached is False else valley(pts[-1], rot)
         if k is None and reached is not False:
@@ -253,7 +254,6 @@ def _follow(S, dS, q: complex, w: complex, rot: float, label,
     zeta, dT, shrink = S(q) / w, 1.0, 0.5
     for _ in range(400):
         radial = abs(zeta - zeta0) >= 2.0 * C and (zeta - zeta0).real >= 0.0
-        ok = False
         try:
             if not radial:
                 dT = min(2.0 * dT, 0.5 * min(abs(zeta - c) for c in zc))
@@ -267,16 +267,10 @@ def _follow(S, dS, q: complex, w: complex, rot: float, label,
                 # slope -kappa -> -1 as t -> 0
                 kappa = m * (zeta - zeta0) * w / ((q - centre) * dS(q))
                 pred = centre + (q - centre) * cmath.exp(kappa * math.log(ratio))
-            y, v = pred, w * z_new              # Newton's root of S = v
-            for _ in range(8):
-                dy = (S(y) - v) / dS(y)
-                y -= dy
-                if abs(dy) <= 1e-8 * abs(y):
-                    ok = abs(y - pred) <= 0.25 * abs(pred - q)
-                    break
+            y = _root(S, dS, q, w * z_new, pred)
         except (OverflowError, ZeroDivisionError):
-            pass
-        if not ok:
+            y = None
+        if y is None:
             dT, shrink = 0.25 * dT, 0.5 * shrink
             if dT < 1e-9 or shrink < 1e-6:
                 return None
@@ -288,68 +282,56 @@ def _follow(S, dS, q: complex, w: complex, rot: float, label,
     return None
 
 
-def _march(S, dS, pts: list, S0: complex, eps: complex, step0: float,
+def _march(S, dS, pts: list, eps: complex, pred: complex,
            target: float, spec: ContourSpec) -> bool | None:
-    """Extend the steepest-descent path pts from the saddle pts[0] in place
-    along Im((S - S0)/eps) = 0 (RK2 on the normalized gradient flow, a
-    Newton phase corrector each step) until Re((S - S0)/eps) reaches
-    target (True), the x_cap stops it (None), or it passes MAX_EXTENT or
-    stalls (False: a vanishing gradient is a saddle connection)."""
-    saddle, p, h = pts[0], pts[-1], step0
-    prev = ((S(p) - S0) / eps).real
-
-    def grad_dir(w):
-        g = (dS(w) / eps).conjugate()
-        a = abs(g)
-        return (g / a if a > 0 else 0j), a
-
-    for _ in range(6000):
-        d1, a1 = grad_dir(p)
-        if a1 < 1e-13:
-            break
-        d2, a2 = grad_dir(p + 0.5 * h * d1)
-        if a2 < 1e-13:
-            break
-        q = _phase_correct(S, dS, p + h * d2, S0, eps)
-        level = ((S(q) - S0) / eps).real
-        if level <= prev - 1e-12:
-            h *= 0.5
-            if h < step0 * 1e-5:
-                break
-            continue
-        if spec.x_cap is not None and spec.x_of is not None \
-                and abs(spec.x_of(q)) > spec.x_cap:
+    """Extend the thimble pts = [saddle] in place by _root's roots of S(x)
+    = S(saddle) + eps T, T rising: the first from pred, each next from the
+    tangent predictor x + eps dT/dS(x).  dT doubles to 8 after a root and
+    is quartered when _root refuses one.  Stops when T reaches target
+    (True), the x_cap stops it (None), or it passes MAX_EXTENT or stalls
+    at dT < 1e-9 (False: a saddle connection)."""
+    saddle, S0 = pts[0], S(pts[0])
+    T, dT = 0.0, ((S(pred) - S0) / eps).real
+    for _ in range(400):
+        x = _root(S, dS, pts[-1], S0 + eps * (T + dT), pred)
+        if x is None:
+            dT *= 0.25
+            if dT < 1e-9:
+                return False
+        elif (spec.x_cap is not None and spec.x_of is not None
+              and abs(spec.x_of(x)) > spec.x_cap):
             return None
-        p = q
-        pts.append(p)
-        if level >= target:
-            return True
-        if abs(p - saddle) > MAX_EXTENT:
-            break
-        # keep the per-step decay increment moderate
-        dlev = level - prev
-        if dlev < 0.5:
-            h = min(h * 1.6, step0 * 50.0)
-        elif dlev > 2.5:
-            h *= 0.6
-        prev = level
+        else:
+            pts.append(x)
+            T, dT = T + dT, min(2.0 * dT, 8.0)
+            if T >= target:
+                return True
+            if abs(x - saddle) > MAX_EXTENT:
+                return False
+        if len(pts) == 1:       # the seed, halved as T ~ |x - saddle|^2
+            pred = saddle + 0.5 * (pred - saddle)
+            continue
+        try:
+            pred = pts[-1] + eps * dT / dS(pts[-1])
+        except ZeroDivisionError:       # a root exactly on another saddle
+            return False
     return False
 
 
-def _phase_correct(S, dS, w, S0, eps):
-    """Up to three Newton steps restoring Im((S(w) - S0)/eps) = 0 along
-    i conj(dS/eps), which keeps Re(S/eps) to first order."""
-    for _ in range(3):
-        f = ((S(w) - S0) / eps).imag
-        if abs(f) < 1e-15:
-            break
-        dphi = dS(w) / eps
-        g = dphi.conjugate()
-        a2 = (dphi * 1j * g).imag  # d/dt Im(phi(w + i t g))
-        if a2 == 0:
-            break
-        w = w - 1j * g * (f / a2)
-    return w
+def _root(S, dS, q: complex, v: complex, pred: complex) -> complex | None:
+    """Newton's root of S(x) = v from pred (8 iterations, stopping at |dy|
+    <= 1e-8 |y|), or None when it does not settle or settles more than a
+    quarter step |pred - q| from pred (so on another branch)."""
+    y = pred
+    try:
+        for _ in range(8):
+            dy = (S(y) - v) / dS(y)
+            y -= dy
+            if abs(dy) <= 1e-8 * abs(y):
+                return y if abs(y - pred) <= 0.25 * abs(pred - q) else None
+    except ZeroDivisionError:
+        pass
+    return None
 
 
 def _polyline_tail(S, d2S, nodes: Sequence[complex], anchor: complex,
@@ -372,7 +354,7 @@ def _polyline_tail(S, d2S, nodes: Sequence[complex], anchor: complex,
     def phase(w):
         return S(w) / eps
 
-    res = integrate_polyline(f, nodes, spec, phase=phase)
+    res = integrate_polyline(f, nodes, spec, phase)
     try:
         scale = cmath.exp(-shift)
     except OverflowError:

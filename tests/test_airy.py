@@ -13,7 +13,7 @@ from exactwkb.airy import (LATERAL_DELTA, SOLVE_DPS, airy_alpha,
                            airy_borel_sum, airy_borel_sum_hp, airy_contour,
                            airy_oracle, airy_symbol, stokes_jump,
                            symbol_borel_sum)
-from exactwkb import airy
+from exactwkb import airy, contours
 from exactwkb.borel import check_ray_clear, genuine_poles, pade_from_taylor
 from exactwkb.contours import ContourSpec
 from exactwkb.errors import ContourFailure, ExactWKBError, PoleOnRay
@@ -125,6 +125,40 @@ def test_explicit_path_reversed_flips_sign():
     assert abs(there.value - thimbles.value) <= 10 * (there.est_error
                                                       + thimbles.est_error)
     assert abs(there.value + back.value) <= there.est_error + back.est_error
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0])
+@pytest.mark.parametrize("eps", [0.05, 0.1])
+def test_thimble_into_the_other_saddle_is_retraced_laterally(r, eps, monkeypatch):
+    # on L1 a thimble of one saddle runs into the other: its march stalls,
+    # the half is retraced for eps e^{+-i LATERAL_TURN}, and the value holds
+    march, stalls = contours._march, []
+
+    def counted(*args, **kwargs):
+        reached = march(*args, **kwargs)
+        stalls.append(reached is False)
+        return reached
+
+    monkeypatch.setattr(contours, "_march", counted)
+    z = r * cmath.exp(2j * math.pi / 3)
+    res = airy_contour(z, eps)
+    assert any(stalls)
+    assert abs(res.value - airy_oracle(z, eps)) <= 10 * res.est_error
+
+
+def test_root_keeps_to_the_predicted_branch():
+    # S(x) = (x - 1)(x - 1.1): Newton from a predictor near 1 returns 1; from
+    # 1.06 it settles on 1.1, which a step of 0.1 refuses as more than a
+    # quarter step away and a step of 0.56 accepts
+    def S(x):
+        return (x - 1.0) * (x - 1.1)
+
+    def dS(x):
+        return 2.0 * x - 2.1
+
+    assert abs(contours._root(S, dS, 0.9, 0.0, 0.99) - 1.0) < 1e-12
+    assert contours._root(S, dS, 0.96, 0.0, 1.06) is None
+    assert abs(contours._root(S, dS, 0.5, 0.0, 1.06) - 1.1) < 1e-12
 
 
 def test_contour_all_sectors_vs_oracle():

@@ -68,10 +68,10 @@ PINNED_STDOUT = {
     "hardy-n8": (["hardy", "--n", "8"],
                  "c7d40500fe1cf287ea541a93843ad44bbe5f96276e36afc35b2eef02ff3cdd15"),
     # the float bits of the value follow the Horner loop over S_n's
-    # coefficients; the value, -0.0138551532184929i, is c_5 sqrt(z) K_{1/7}
-    # to 5e-17 (tests/test_hardy.py)
+    # coefficients and the thimble's nodes; the value, -0.0138551532184929i,
+    # is c_5 sqrt(z) K_{1/7} to 5e-17 (tests/test_hardy.py)
     "hardy-eval": (["hardy", "--n", "5", "--eval", "0.9", "0.1"],
-                   "369e59b5527ba99a69cd0e90dda6035c06b38ade9f47c820ebf37e62767e5597"),
+                   "cdd26f0211c3f83c0402e10504a25149dcff5521f26932e85dccfc38842d8d19"),
 }
 
 
