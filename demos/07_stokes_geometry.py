@@ -1,9 +1,10 @@
 """Stokes-line geometry: exact canonical rays and traced curves.
 
 For the canonical model the Stokes lines are three exact rays; for an
-analytic potential they are traced by a predictor-corrector marcher and
-every node is re-verified against the defining condition by independent
-quadrature of the action integral.  Writes the traced polylines as CSV
+analytic potential they are traced node by node, each node a Newton
+root of int_0^q sqrt(V) = e^{i alpha} t at rising real t, and every node
+is re-verified against the defining condition by independent quadrature
+of the action integral.  Writes the traced polylines as CSV
 for plotting.
 """
 

@@ -59,8 +59,9 @@ def _load_series(text: str, name: str) -> PuiseuxSeries:
 
 def _check_ranges(args) -> None:
     """Refuse, as validation errors, the numbers no command can serve:
-    z must be finite, eps nonzero and finite, the orders >= 0, and a
-    Stokes step and extent positive and finite."""
+    z must be finite, eps nonzero and finite, the orders >= 0, a Stokes
+    step, extent and region positive and finite, and a Stokes alpha or a
+    Laplace theta finite."""
     z, eps = getattr(args, "z", None), getattr(args, "eps", None)
     if getattr(args, "eval", None):
         z, eps = args.eval[:1], args.eval[1:]
@@ -70,10 +71,13 @@ def _check_ranges(args) -> None:
         raise ValueError("eps must be nonzero and finite")
     if isinstance(getattr(args, "orders", None), int) and args.orders < 0:
         raise ValueError("N must be >= 0")
-    for name in ("step", "extent"):
-        v = getattr(args, name, 1.0)
-        if not (math.isfinite(v) and v > 0):
+    for name in ("step", "extent", "region"):
+        v = getattr(args, name, None)
+        if v is not None and not (math.isfinite(v) and v > 0):
             raise ValueError(f"--{name} must be positive and finite")
+    for name in ("alpha", "theta"):
+        if not math.isfinite(getattr(args, name, 0.0)):
+            raise ValueError(f"--{name} must be finite")
 
 
 def _c2l(z: complex) -> list:

@@ -227,9 +227,6 @@ class PuiseuxSeries:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, PuiseuxSeries):
             if (not self.coeffs and self.trunc is INF
@@ -293,8 +290,6 @@ class PuiseuxSeries:
         return self * other.inverse(order)
 
     def __truediv__(self, other):
-        if isinstance(other, PuiseuxSeries):
-            return self.div(other)
         c = lift(other)
         return _make({e: v / c for e, v in self.coeffs.items()}, self.trunc)
 
@@ -302,7 +297,7 @@ class PuiseuxSeries:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return self.inverse() ** (-n)
+            raise SeriesError("a series power needs n >= 0; use pow_rational")
         out = _make({_ZERO: _ONE}, INF)
         base = self
         k = n
@@ -636,8 +631,6 @@ def _coeff_root(c, r: Fraction):
     if isinstance(c, Fraction):
         if c == 1:
             return Fraction(1)
-        if r.denominator == 1:
-            return c ** int(r)
         num = _iroot(c.numerator, r.denominator)
         den = _iroot(c.denominator, r.denominator)
         if num is not None and den is not None and c > 0:

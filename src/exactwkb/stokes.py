@@ -3,7 +3,8 @@ potentials with a simple turning point at the origin.
 
 A Stokes line for direction alpha is the locus Im(e^{-i alpha}
 int_0^q sqrt(V)) = 0; for the canonical V = q these are the three exact
-rays arg q in {2 alpha/3, 2 alpha/3 +- 2 pi/3}.
+rays arg q in {2 alpha/3, 2 alpha/3 +- 2 pi/3}.  The tracer takes each
+node as Newton's root of W(q) = int_0^q sqrt(V) = e^{i alpha} t, t real.
 
 Sector convention (printed by the CLI): S1 lies between L0 and L1
 counterclockwise, S2 between L1 and L-1, S-1 between L-1 and L0, for
@@ -113,19 +114,17 @@ def potential_stokes_curves(V, alpha: float = 0.0,
                             region_radius: float | None = None) -> StokesDiagram:
     """Trace the three Stokes curves of a simple turning point at 0.
 
-    Predictor-corrector on the field dq/dt = e^{i alpha}/sqrt(V(q)) with
-    the branch of sqrt(V) continued along the curve, plus a Newton
-    correction restoring Im(e^{-i alpha} w) = 0 for the running action
-    w = int_0^q sqrt(V).  A step calls V 12 times (three RK4 slopes, the
-    8-point action increment and its end point) and a correction once,
-    integrating its small dq by the trapezoid rule, unless the line
-    passes within about a step of another zero of V.  Each accepted node
-    keeps the defining residual below trace tolerance; leaving the
-    declared analyticity region raises TraceEscape.  A line stops after
-    at most 2000 steps.  V is a Taylor series, evaluated by Horner's
-    rule, or a callable; the tracer calls it on complex scalars, but a
-    callable V must also accept a complex numpy array and act on it
-    elementwise, as the node check evaluates it on arrays.
+    Each node is Newton's root x of W(x) = e^{i alpha} t (:func:`_root`)
+    for the action W = int_0^x sqrt(V), the branch of sqrt(V) continued
+    along the curve, with t real and rising by dt = step |sqrt(V)|, so
+    nodes lie about a step apart; a refused root quarters dt.  A node
+    costs about 11 V calls.  A line stops at extent, within a step of
+    another zero of V, when refusals take dt 1e-9 below step |sqrt(V)|,
+    or after 2000 nodes; leaving the declared analyticity region raises
+    TraceEscape.  V is a Taylor series, evaluated by Horner's rule, or a
+    callable; the tracer calls it on complex scalars, but a callable V
+    must also accept a complex numpy array and act on it elementwise, as
+    the node check evaluates it on arrays.
     """
     Vf = _callable_potential(V)
     region = region_radius if region_radius is not None else extent * 1.5
@@ -142,69 +141,68 @@ def _trace_one(Vf, alpha, theta0, step, extent, region):
     # local model V ~ q gives w ~ (2/3) q^{3/2}
     q = 0.25 * step * cmath.exp(1j * theta0)
     w, sq = _action_from_origin(Vf, q)
+    sq = _sqrt_near(Vf(q), sq)
     nodes = [0j, q]
-    rot, unrot = cmath.exp(1j * alpha), cmath.exp(-1j * alpha)
-    outward = cmath.exp(1j * theta0)
-
-    # RK4 on unit-speed dq/ds = +- e^{i alpha} / sqrt(V), the sign chosen
-    # to march away from the turning point; the branch of sqrt(V) is
-    # continued from the previous sample
-    def slope(s, ref_dir):
-        d = rot / s
-        d /= abs(d)
-        return -d if (d.conjugate() * ref_dir).real < 0 else d
-
-    def f(qq, sq_prev, ref_dir):
-        s = _sqrt_near(Vf(qq), sq_prev)
-        return slope(s, ref_dir), s
-
-    # the seed's sq is sqrt(V) at an interior quadrature point, not at q
-    k1, s1 = f(q, sq, outward)
-    for _ in range(2000):
-        k2, s2 = f(q + 0.5 * step * k1, s1, k1)
-        k3, s3 = f(q + 0.5 * step * k2, s2, k2)
-        k4, _ = f(q + step * k3, s3, k3)
-        q_new = q + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        outward = (q_new - q) / abs(q_new - q)
-        # action increment by 8-point Gauss-Legendre, branch-continued; it
-        # also gives V and sqrt(V) at the new node, which the stop test
-        # and the next step's first RK4 slope reuse
-        dw, sq_new, v_new = _action_increment(Vf, q, q_new, sq)
-        w_new = w + dw
-        # Newton correction restoring Im(e^{-i alpha} w) = 0.  One V call
-        # at the corrected node gives V and the branch-continued sqrt(V)
-        # that the step hands on, and the trapezoid rule on the sqrt(V)
-        # at both ends integrates the action over dq.  Near a simple zero
-        # of V that rule errs by about |dq| |change of sqrt(V)|^2 /
-        # (12 |sqrt(V)|).  dq is the RK4 step's error, 1e-7 or less, so
-        # this stays below the stop tolerance unless the line passes
-        # within about a step of another zero of V; there the correction
-        # is integrated as the step is
-        for _ in range(2):
-            resid = (w_new * unrot).imag
-            if abs(resid) < 1e-15:
-                break
-            dq = -1j * resid * rot / sq_new
-            q_old, sq_old, q_new = q_new, sq_new, q_new + dq
-            v_new = Vf(q_new)
-            sq_new = _sqrt_near(v_new, sq_old)
-            if abs(dq) * abs(sq_new - sq_old) ** 2 < 1e-15 * abs(sq_new):
-                w_new += 0.5 * (sq_old + sq_new) * dq
-            else:
-                dw2, sq_new, v_new = _action_increment(Vf, q_old, q_new,
-                                                       sq_old)
-                w_new += dw2
-        if abs(q_new) > region:
+    # the line is w = rot t, t real and rising away from the turning point
+    rot = cmath.exp(1j * alpha)
+    t = (w * rot.conjugate()).real
+    if t < 0:
+        rot, t = -rot, -t
+    # the predictor is quadratic in tau = t^(2/3), in which q is analytic
+    # at the turning point (and linear for V = q): dq/dtau = 1.5 rot
+    # t^(1/3) / sqrt(V), and its change over the last step gives d2q
+    dq, d2q, dt = 1.5 * rot * t ** (1 / 3) / sq, 0j, step * abs(sq)
+    while len(nodes) < 2002:
+        dtau = (t + dt) ** (2 / 3) - t ** (2 / 3)
+        pred = q + dtau * (dq + 0.5 * dtau * d2q)
+        root = _root(Vf, q, w, sq, rot * (t + dt), pred)
+        if root is None:
+            dt *= 0.25
+            if dt < 1e-9 * step * abs(sq):
+                break   # stalled: no root near the predicted one
+            continue
+        q, w, sq, v_new = root
+        if abs(q) > region:
             raise TraceEscape(
                 f"trace left the analyticity region |q| <= {region}")
-        q, w, sq = q_new, w_new, sq_new
         nodes.append(q)
+        t += dt
+        dq_new = 1.5 * rot * t ** (1 / 3) / sq
+        dq, d2q = dq_new, (dq_new - dq) / dtau
         if abs(q) >= extent:
             break
         if abs(q) > 3.0 * step and abs(v_new) < 0.5 * step:
             break  # within a step of another zero of V
-        k1, s1 = slope(sq, outward), sq
+        dt = min(2.0 * dt, step * abs(sq))
     return nodes
+
+
+def _root(Vf, q, w, sq, target, pred):
+    """Newton's root x of W(x) = w + int_q^x sqrt(V) = target from pred,
+    sq = sqrt(V(q)), as (x, W(x), sqrt(V(x)), V(x)): 8 iterations,
+    stopping at |dx| <= 1e-8 |x|, or None when it does not settle or
+    settles more than a quarter step |pred - q| from pred (so on another
+    branch).  The 8-point action increment integrates the step to pred;
+    an iteration calls V once and integrates its dx by the trapezoid
+    rule, which errs by about |dx| |change of sqrt(V)|^2 / (12 |sqrt(V)|),
+    or, where that reaches 1e-15 (near another zero of V), as the step."""
+    dw, s, v = _action_increment(Vf, q, pred, sq)
+    x, wx = pred, w + dw
+    for _ in range(8):
+        dx = (target - wx) / s
+        x_old, s_old, x = x, s, x + dx
+        v = Vf(x)
+        s = _sqrt_near(v, s_old)
+        if abs(dx) * abs(s - s_old) ** 2 < 1e-15 * abs(s):
+            wx += 0.5 * (s_old + s) * dx
+        else:
+            dw, s, v = _action_increment(Vf, x_old, x, s_old)
+            wx += dw
+        if abs(dx) <= 1e-8 * abs(x):
+            if abs(x - pred) > 0.25 * abs(pred - q):
+                return None
+            return x, wx, s, v
+    return None
 
 
 def _action_increment(Vf, a, b, sq_prev):

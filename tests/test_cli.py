@@ -261,6 +261,15 @@ Z_EPS0 = ["--z", "1", "0", "--eps", "0", "0"]
     (["jump", "--z", "1", "0", "--eps", "0.1", "0", "--orders", "-3"], "N must be >= 0"),
     (["reduce", "--V", '[["0",["1","0"]],["1",["1","0"]]]'], "V(0) != 0"),
     (["reduce", "--V", '[["1",["2","0"]]]'], "V'(0) != 1"),
+    (["stokes", "--V", V_JSON, "--region", "0"], "--region must be positive and finite"),
+    (["stokes", "--V", V_JSON, "--region", "-1"], "--region must be positive and finite"),
+    (["stokes", "--V", V_JSON, "--region", "nan"], "--region must be positive and finite"),
+    (["stokes", "--V", V_JSON, "--alpha", "nan"], "--alpha must be finite"),
+    (["stokes", "--V", "builtin:canonical", "--alpha", "inf"], "--alpha must be finite"),
+    (["borel", "--z", "1", "0", "--eps", "0.1", "0", "--theta", "nan"],
+     "--theta must be finite"),
+    (["borel", "--z", "1", "0", "--eps", "0.1", "0", "--theta", "inf"],
+     "--theta must be finite"),
 ])
 def test_out_of_range_numbers_exit_2(args, message, capsys):
     # each of these once crashed with a bare exception, printed a

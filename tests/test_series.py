@@ -53,6 +53,18 @@ def test_pow_identity_exponent():
     assert a.pow_rational(1) == a
 
 
+def test_negative_power_and_series_quotient_are_refused():
+    # s ** n is the binary-power loop for n >= 0 only (a negative n once
+    # went through inverse); a quotient of series is div or inverse
+    a = S({0: 1, 1: 2}, trunc=4)
+    assert a ** 2 == S({0: 1, 1: 4, 2: 4}, trunc=4)
+    with pytest.raises(SeriesError, match="n >= 0"):
+        a ** -1
+    with pytest.raises(TypeError):
+        a / a
+    assert (a.div(a, order=4) - 1).is_zero()
+
+
 def test_pow_then_inverse_power_roundtrip():
     rng = random.Random(7)
     for _ in range(10):

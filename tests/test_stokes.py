@@ -10,11 +10,13 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
+from exactwkb import stokes
 from exactwkb.contours import _gl
 from exactwkb.errors import SeriesError, TraceEscape
 from exactwkb.series import PuiseuxSeries, TaylorSeries
 from exactwkb.stokes import (GL_ACTION, _action_from_origin,
                              _action_increment, _callable_potential,
+                             _sqrt_near,
                              action_along_polyline,
                              canonical_stokes_lines, classify_sector,
                              node_condition_residuals,
@@ -170,20 +172,20 @@ V_BENCH = TaylorSeries({1: 1, 2: Fr(-1, 2), 3: Fr(5, 6)})
 
 
 @pytest.mark.parametrize("V, alpha, extent, region, counts, digest", [
-    (V_FIG5, 0.0, 1.5, 5.0, [152, 153, 153],
-     "4b7df25dafe0a238ce1af85d3832f1e1cb7d844c674976256c3ece7702f116d5"),
+    (V_FIG5, 0.0, 1.5, 5.0, [154, 155, 155],
+     "416fbc1998e2515cb5f7f79c569f76cd72e850b385fb6791b2689dc58e3bc353"),
     (TaylorSeries({1: 1, 2: Fr(-2, 3), 3: Fr(1, 4)}), 0.6, 1.5, 5.0,
-     [152, 152, 153],
-     "34967b83f5c65e37d79d9dffc73191765131a217e8c1574911dcaeaa6a858365"),
+     [154, 154, 155],
+     "c513c67441143b52ae9b5f40ca71abeeb3088dea14fbbf755451ba07a30ddbe3"),
     # as the benchmark draws them: alpha < 0, region three times extent
-    (V_BENCH, -0.9, 2.5, 7.5, [254, 262, 253],
-     "877d3b02c41c59deb5af01d588ef4c31b037ef93c0a553bd0114011893a29e5f"),
+    (V_BENCH, -0.9, 2.5, 7.5, [256, 264, 255],
+     "d760551416808e141efc32335fd1c7e4e4c3edae72b1a5802e1c6853d95f097c"),
 ], ids=["fig5", "cubic", "cubic_bench"])
 def test_tracer_nodes_are_pinned(V, alpha, extent, region, counts, digest):
     # a refactor of the tracer must not move any bit of any node (the
-    # repr of every node is hashed); the node counts and the node check's
-    # rounding-level residuals also held before the Newton correction
-    # went to one V call and V to Horner, which moved nodes by 2e-15
+    # repr of every node is hashed).  Each node is Newton's root of
+    # W(x) = e^{i alpha} t, so the node check reads rounding-level
+    # residuals
     d = potential_stokes_curves(V, alpha, step=0.01, extent=extent,
                                 region_radius=region)
     assert [len(line) for line in d.lines] == counts
@@ -191,10 +193,11 @@ def test_tracer_nodes_are_pinned(V, alpha, extent, region, counts, digest):
     assert hashlib.sha256(repr(d.lines).encode()).hexdigest() == digest
 
 
-def test_tracer_calls_v_about_thirteen_times_a_node():
-    # per step: three new RK4 slopes, the 8-point action increment and V
-    # at its end, and one V call per Newton correction; integrating the
-    # correction's small dq by 8-point Gauss-Legendre again would cost 9
+def test_tracer_calls_v_about_eleven_times_a_node():
+    # per node: the 8-point action increment to the predictor and V at
+    # its end, and one V call for each of two Newton iterations;
+    # integrating an iteration's small dx by 8-point Gauss-Legendre again
+    # would cost 9
     calls = [0]
     Vf = _callable_potential(V_BENCH)
 
@@ -204,30 +207,70 @@ def test_tracer_calls_v_about_thirteen_times_a_node():
 
     d = potential_stokes_curves(V, -0.9, step=0.01, extent=2.5,
                                 region_radius=7.5)
-    assert calls[0] <= 14 * sum(len(line) for line in d.lines)
+    assert calls[0] <= 11.1 * sum(len(line) for line in d.lines)
 
 
 def test_correction_near_another_turning_point_keeps_the_node_condition():
-    # alpha = 0 and real V: the line along the positive axis runs into the
-    # zero of V = q - q^2/2 - q^3/3 near q = 1.14 and turns off it; RK4
-    # misses there by 1e-3, and the trapezoid rule over such a dq would
-    # leave 5e-7 in the action
+    # alpha just off 0 and real V: the line along the positive axis runs
+    # into the zero of V = q - q^2/2 - q^3/3 near q = 1.14 and turns off
+    # it (at alpha = 0 it would end there); the trapezoid rule over the
+    # Newton iterations' dx there would leave 7e-7 in the action
     V = TaylorSeries({1: 1, 2: Fr(-1, 2), 3: Fr(-1, 3)})
-    d = potential_stokes_curves(V, 0.0, step=0.01, extent=2.5,
+    d = potential_stokes_curves(V, 1e-3, step=0.01, extent=2.5,
                                 region_radius=7.5)
     assert max(node_condition_residuals(V, d)) < 1e-10
 
 
-@pytest.mark.xfail(strict=True, reason="the tracer does not stop a line at "
-                   "another zero of V")
 def test_line_through_another_turning_point_keeps_the_node_condition():
-    # the line along the positive axis passes the zero of V = q - 2q^3 at
-    # q = 1/sqrt(2), where |V| = 0.0105 is just above the stop rule; the
-    # nodes past it leave 2.6e-9 in the node condition
+    # the line along the positive axis runs into the zero of V = q - 2q^3
+    # at q = 1/sqrt(2), where |V| = 0.0105 is just above the stop rule.
+    # The nodes are roots of W(x) = t on the axis, and past the zero none
+    # is near its predictor, so the line ends within a step of the zero
+    # rather than running through it
     V = TaylorSeries({1: 1, 3: -2})
     d = potential_stokes_curves(V, 0.0, step=0.01, extent=1.0,
                                 region_radius=8.0)
     assert max(node_condition_residuals(V, d)) < 1e-10
+    assert abs(d.lines[0][-1] - 2 ** -0.5) < 0.01
+
+
+def test_root_keeps_to_the_predicted_branch(monkeypatch):
+    # V = q - 2q^3 as above.  Past its zero r = 1/sqrt(2) the axis has no
+    # root of W(x) = W(r) + 1e-4: from a predictor at 0.7, Newton settles
+    # at 0.7084 - 0.0021i, on another Stokes line leaving r.  A step of
+    # 0.01 refuses that as more than a quarter step away, and a step of
+    # 0.1 accepts it
+    Vf = _callable_potential(TaylorSeries({1: 1, 3: -2}))
+    w_r, _ = _action_from_origin(Vf, 2 ** -0.5)
+    for q, refused in ((0.69, True), (0.6, False)):
+        w, sq = _action_from_origin(Vf, q)
+        root = stokes._root(Vf, q, w, _sqrt_near(Vf(q), sq), w_r + 1e-4, 0.7)
+        assert (root is None) == refused
+    assert abs(root[0] - (0.70837 - 0.00212j)) < 1e-5
+    # the tracer retries a refused target a quarter as far
+    steps, root_of = [], stokes._root
+
+    def spy(Vf, q, w, sq, target, pred):
+        root = root_of(Vf, q, w, sq, target, pred)
+        steps.append((abs(target - w), root is None))
+        return root
+
+    monkeypatch.setattr(stokes, "_root", spy)
+    potential_stokes_curves(Vf, 0.0, step=0.01, extent=1.0)
+    retries = [(dt, steps[k + 1][0]) for k, (dt, refused) in
+               enumerate(steps[:-1]) if refused]
+    assert retries
+    assert all(abs(after - 0.25 * dt) <= 1e-9 * dt for dt, after in retries)
+
+
+def test_tracer_ends_a_line_that_stalls():
+    # V = 10^12 q (1 - q): |V| would reach the stop rule only within 5e-15
+    # of the zero at q = 1.  Targets past the zero are refused until dt
+    # falls 1e-9 below its cap, and the line ends there, 1.6e-11 short
+    V = TaylorSeries({1: 10 ** 12, 2: -10 ** 12})
+    d = potential_stokes_curves(V, 0.0, step=0.01, extent=2.0,
+                                region_radius=8.0)
+    assert abs(d.lines[0][-1] - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("V", [
