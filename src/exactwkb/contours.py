@@ -16,7 +16,9 @@ sum_k cs[k] (w^2)^(K-k) at the point of evaluation (Airy: ([-1/3, z], 1);
 Hardy: hardy._coeffs_at).  From it ``valley_integral`` builds S, dS, d2S,
 the saddles (roots of dS), their tangents and est_error's rounding floor.
 Along the thimble of a saddle s, S(w) = S(s) + eps T with T real and
-rising, so its nodes are Newton roots of that equation at increasing T.
+rising, so its nodes are Newton roots of that equation at increasing T,
+taken in one walk per half-thimble; a ContourSpec's x_cap caps |S'| along
+it (for the Airy phase S'(zhat) = z - zhat^2, confluent_eval's kernel x).
 """
 
 from __future__ import annotations
@@ -60,8 +62,9 @@ class ContourSpec:
     path : explicit polyline of complex nodes (None -> adaptive descent)
     rel_tol : target relative size of the integrand at path endpoints
     gl_order : Gauss-Legendre order per panel
-    x_cap / x_of : optional cap on an auxiliary coordinate (keeps paths
-        inside a kernel's convergence polydisk)
+    x_cap : optional cap on |S'| along a traced thimble, which is cut
+        where it passes the cap (confluent_eval: for the Airy phase S'(zhat)
+        is the kernel's x = z - zhat^2, kept inside its convergence disk)
     max_panel_phase : phase increment of S/eps per quadrature panel
     """
 
@@ -69,7 +72,6 @@ class ContourSpec:
     rel_tol: float = 1e-13
     gl_order: int = 16
     x_cap: float | None = None
-    x_of: Callable[[complex], complex] | None = None
     max_panel_phase: float = 2.0
 
 
@@ -151,8 +153,8 @@ def valley_integral(phase, eps: complex, valleys: tuple[float, float],
     are traced as roots of S = S(s) + eps T to the target decay T and
     labelled by the valley their flow cannot leave; as edges of a graph on
     the valleys, the ones joining the two give the value.  A stalled half
-    (a Stokes line) is retraced for eps e^{+-i LATERAL_TURN}.  An x_cap
-    cuts a path (truncation estimate doubled), never a label.
+    (a Stokes line) is retraced for eps e^{+-i LATERAL_TURN}.  An x_cap on
+    |S'| cuts a path (truncation estimate doubled), never a label.
     ContourFailure when a half reaches no valley, both halves share one, or
     the valleys stay apart.  A spec.path is used as given, scaled at the
     first saddle.  est_error counts the rounding of S/eps, 2^-52 size/|eps|
@@ -186,15 +188,73 @@ def valley_integral(phase, eps: complex, valleys: tuple[float, float],
         return None
 
     def half(s, t, w):
+        # one walk from s along t through the roots x of S(x) = w zeta,
+        # zeta = S(s)/w + T, T rising, each from the tangent predictor
+        # x + w dT/dS(x).  Up to T = target, or until |S'(x)| passes the
+        # x_cap (a cut), the roots are pts, dT doubles to 8 and a refusal
+        # quarters it.  Then, unrecorded, until valley() names the half: from
+        # dT = 1, under half the distance to the critical values crit/w (so x
+        # jumps no branch point), and once zeta is twice as far from their
+        # mean zeta0 as any, with Re >= 0, radially, analytic in t = (zeta -
+        # zeta0)^(-1/m) for |t| < t_max.  None on a stall: dT < 1e-9, past
+        # MAX_EXTENT, or 400 steps in either leg.
         step0 = 0.25 * min([descent_scale(d2S(s), w)]
                            + [abs(s - x) for x in saddles if x != s])
-        pts = [s]
-        reached = _march(S, dS, pts, w, s + step0 * (t / abs(t)), target, spec)
         rot = cmath.phase(w / eps)
-        k = None if reached is False else valley(pts[-1], rot)
-        if k is None and reached is not False:
-            k = _follow(S, dS, pts[-1], w, rot, valley, crit, centre, m)
-        return None if k is None else (pts, k, reached is None)
+        zc = [c / w for c in crit]
+        zeta0 = sum(zc) / len(zc)
+        C = max(abs(c - zeta0) for c in zc)
+        S0, pts, q, pred = S(s), [s], s, s + step0 * (t / abs(t))
+        T, dT, shrink = 0.0, ((S(pred) - S0) / w).real, 0.5
+        zeta, cut, left = None, False, 400      # zeta is None while recording
+        while left:
+            left -= 1
+            radial = (zeta is not None and abs(zeta - zeta0) >= 2.0 * C
+                      and (zeta - zeta0).real >= 0.0)
+            try:
+                if zeta is None:
+                    if len(pts) > 1:
+                        pred = q + w * dT / dS(q)
+                    v = S0 + w * (T + dT)
+                elif not radial:
+                    dT = min(2.0 * dT, 0.5 * min(abs(zeta - c) for c in zc))
+                    z_new, pred = zeta + dT, q + w * dT / dS(q)
+                else:
+                    phi = rot + cmath.phase(zeta - zeta0)
+                    tau = (C / abs(zeta - zeta0)) ** (1.0 / m)     # |t| / t_max
+                    ratio = 1.0 / max(1.0 - shrink * (1.0 - tau) / tau, 0.25) if tau else 4.0
+                    z_new = zeta0 + (zeta - zeta0) * ratio ** m
+                    # log(x - centre) is linear in log t to first order, with
+                    # slope -kappa -> -1 as t -> 0
+                    kappa = m * (zeta - zeta0) * w / ((q - centre) * dS(q))
+                    pred = centre + (q - centre) * cmath.exp(kappa * math.log(ratio))
+                y = _root(S, dS, q, v if zeta is None else w * z_new, pred)
+            except (OverflowError, ZeroDivisionError):
+                y = None
+            if y is None:
+                dT, shrink = 0.25 * dT, 0.5 * shrink
+                if dT < 1e-9 or shrink < 1e-6:
+                    return None
+                if len(pts) == 1 and zeta is None:  # the seed, halved as T ~ |x - s|^2
+                    pred = s + 0.5 * (pred - s)
+                continue
+            shrink = 0.5
+            if zeta is not None:
+                q, zeta = y, z_new
+            else:
+                cut = spec.x_cap is not None and abs(dS(y)) > spec.x_cap
+                if not cut:
+                    pts.append(y)
+                    q, T, dT = y, T + dT, min(2.0 * dT, 8.0)
+                    if T < target:
+                        if abs(y - s) > MAX_EXTENT:
+                            return None
+                        continue
+                zeta, dT, left = S(q) / w, 1.0, 400
+            k = valley(q, phi if radial else rot)
+            if k is not None:
+                return pts, k, cut
+        return None
 
     def labelled(s, t):
         got = half(s, t, eps)
@@ -238,84 +298,6 @@ def valley_integral(phase, eps: complex, valleys: tuple[float, float],
     return LaplaceResult(value, sum(r.est_error for _, r in results)
                          + 2.0 ** -52 * size / abs(eps) * abs(value),
                          sum(r.nodes_used for _, r in results))
-
-
-def _follow(S, dS, q: complex, w: complex, rot: float, label,
-            crit: list[complex], centre: complex, m: int) -> int | None:
-    """Follow the thimble of exp(-S/w) past q, the root x of S(x) = w zeta,
-    zeta = S(q)/w + T, until label(x, rot + arg(dzeta)) names a valley (None
-    on a stall).  Steps keep dT under half the distance to the critical
-    values crit/w, so x jumps no branch point; once zeta is twice as far
-    from their mean zeta0 as any, with Re >= 0, the ray is homotopic to the
-    radial one, analytic in t = (zeta - zeta0)^(-1/m) for |t| < t_max."""
-    zc = [c / w for c in crit]
-    zeta0 = sum(zc) / len(zc)
-    C = max(abs(c - zeta0) for c in zc)
-    zeta, dT, shrink = S(q) / w, 1.0, 0.5
-    for _ in range(400):
-        radial = abs(zeta - zeta0) >= 2.0 * C and (zeta - zeta0).real >= 0.0
-        try:
-            if not radial:
-                dT = min(2.0 * dT, 0.5 * min(abs(zeta - c) for c in zc))
-                z_new, pred = zeta + dT, q + w * dT / dS(q)
-            else:
-                phi = rot + cmath.phase(zeta - zeta0)
-                tau = (C / abs(zeta - zeta0)) ** (1.0 / m)     # |t| / t_max
-                ratio = 1.0 / max(1.0 - shrink * (1.0 - tau) / tau, 0.25) if tau else 4.0
-                z_new = zeta0 + (zeta - zeta0) * ratio ** m
-                # log(x - centre) is linear in log t to first order, with
-                # slope -kappa -> -1 as t -> 0
-                kappa = m * (zeta - zeta0) * w / ((q - centre) * dS(q))
-                pred = centre + (q - centre) * cmath.exp(kappa * math.log(ratio))
-            y = _root(S, dS, q, w * z_new, pred)
-        except (OverflowError, ZeroDivisionError):
-            y = None
-        if y is None:
-            dT, shrink = 0.25 * dT, 0.5 * shrink
-            if dT < 1e-9 or shrink < 1e-6:
-                return None
-            continue
-        q, zeta, shrink = y, z_new, 0.5
-        k = label(q, phi if radial else rot)
-        if k is not None:
-            return k
-    return None
-
-
-def _march(S, dS, pts: list, eps: complex, pred: complex,
-           target: float, spec: ContourSpec) -> bool | None:
-    """Extend the thimble pts = [saddle] in place by _root's roots of S(x)
-    = S(saddle) + eps T, T rising: the first from pred, each next from the
-    tangent predictor x + eps dT/dS(x).  dT doubles to 8 after a root and
-    is quartered when _root refuses one.  Stops when T reaches target
-    (True), the x_cap stops it (None), or it passes MAX_EXTENT or stalls
-    at dT < 1e-9 (False: a saddle connection)."""
-    saddle, S0 = pts[0], S(pts[0])
-    T, dT = 0.0, ((S(pred) - S0) / eps).real
-    for _ in range(400):
-        x = _root(S, dS, pts[-1], S0 + eps * (T + dT), pred)
-        if x is None:
-            dT *= 0.25
-            if dT < 1e-9:
-                return False
-        elif (spec.x_cap is not None and spec.x_of is not None
-              and abs(spec.x_of(x)) > spec.x_cap):
-            return None
-        else:
-            pts.append(x)
-            T, dT = T + dT, min(2.0 * dT, 8.0)
-            if T >= target:
-                return True
-            if abs(x - saddle) > MAX_EXTENT:
-                return False
-        if len(pts) == 1:       # the seed, halved as T ~ |x - saddle|^2
-            pred = saddle + 0.5 * (pred - saddle)
-            continue
-        try:
-            pred = pts[-1] + eps * dT / dS(pts[-1])
-        except ZeroDivisionError:       # a root exactly on another saddle
-            return False
-    return False
 
 
 def _root(S, dS, q: complex, v: complex, pred: complex) -> complex | None:

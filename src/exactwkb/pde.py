@@ -348,25 +348,19 @@ def confluent_eval(F: PuiseuxSeries, h: PuiseuxSeries, z: complex, eps: complex,
         psi = pde_taylor(F, h, Nx, Nz)
     else:
         _require_kernel_of(psi, F, h)
-    x_cap = _default_x_cap(psi, abs(z))
+    r = empirical_x_radius(psi, abs(z))
+    x_cap = 0.8 * r if math.isfinite(r) else 1e6
     bad = [w for w in (spec.path if spec else None) or ()
            if abs(z - w * w) > x_cap]
     if bad:
         raise DomainExit(f"path node {bad[0]:.4g} has |z - zhat^2| > {x_cap:.4g}")
-    spec = replace(spec or ContourSpec(), x_cap=x_cap, x_of=lambda w: z - w * w)
+    spec = replace(spec or ContourSpec(), x_cap=x_cap)  # on |S'| = |z - zhat^2|
     vals = psi.values_at(z)
 
     def g(w):
         return _horner_x(vals, z - w * w)
 
     return airy_contour(z, eps, spec, g=g)
-
-
-def _default_x_cap(psi: BivariateSeries, z_abs: float) -> float:
-    r = empirical_x_radius(psi, z_abs)
-    if not math.isfinite(r):
-        return 1e6
-    return 0.8 * r
 
 
 def local_decomposition(F: PuiseuxSeries, h: PuiseuxSeries, z: complex,

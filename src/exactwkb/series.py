@@ -629,8 +629,8 @@ def _coeff_root(c, r: Fraction):
     if isinstance(c, GaussianRational) and c.im == 0:
         c = c.re
     if isinstance(c, Fraction):
-        if c == 1:
-            return Fraction(1)
+        if r.denominator == 1:
+            return c ** r
         num = _iroot(c.numerator, r.denominator)
         den = _iroot(c.denominator, r.denominator)
         if num is not None and den is not None and c > 0:
@@ -644,13 +644,14 @@ def _coeff_root(c, r: Fraction):
 
 
 def _iroot(n: int, k: int) -> int | None:
-    if n < 0:
-        return None
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** k == n:
-            return cand
-    return None
+    """The integer x with x^k = n, or None: integer Newton, exact at any
+    size, falls from 2^ceil(bits/k) >= n^(1/k) to floor(n^(1/k))."""
+    if n <= 0:
+        return None if n else 0
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x if x ** k == n else None
 
 
 class TaylorSeries(PuiseuxSeries):

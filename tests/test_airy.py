@@ -17,6 +17,7 @@ from exactwkb import airy, contours
 from exactwkb.borel import check_ray_clear, genuine_poles, pade_from_taylor
 from exactwkb.contours import ContourSpec
 from exactwkb.errors import ContourFailure, ExactWKBError, PoleOnRay
+from exactwkb.hardy import hardy_phi_eval
 from exactwkb.pde import confluent_eval, pde_taylor
 from exactwkb.series import PuiseuxSeries
 from exactwkb.symbols import branch_arg, zpow
@@ -130,20 +131,51 @@ def test_explicit_path_reversed_flips_sign():
 @pytest.mark.parametrize("r", [0.5, 1.0])
 @pytest.mark.parametrize("eps", [0.05, 0.1])
 def test_thimble_into_the_other_saddle_is_retraced_laterally(r, eps, monkeypatch):
-    # on L1 a thimble of one saddle runs into the other: its march stalls,
-    # the half is retraced for eps e^{+-i LATERAL_TURN}, and the value holds
-    march, stalls = contours._march, []
+    # on L1 a thimble of one saddle runs into the other: its walk stalls,
+    # the half is retraced for eps e^{+-i LATERAL_TURN}, whose tangent is
+    # taken at a turned w != eps, and the value holds
+    up, turned = contours.canonical_up_dir, []
 
-    def counted(*args, **kwargs):
-        reached = march(*args, **kwargs)
-        stalls.append(reached is False)
-        return reached
+    def spy(d2s, w):
+        turned.append(w != eps)
+        return up(d2s, w)
 
-    monkeypatch.setattr(contours, "_march", counted)
+    monkeypatch.setattr(contours, "canonical_up_dir", spy)
     z = r * cmath.exp(2j * math.pi / 3)
     res = airy_contour(z, eps)
-    assert any(stalls)
+    assert any(turned)
     assert abs(res.value - airy_oracle(z, eps)) <= 10 * res.est_error
+
+
+def test_thimble_walks_take_a_pinned_number_of_roots(monkeypatch):
+    # the Newton roots the half-thimble walks take on fixed inputs: a change
+    # to their step rules shows here even where no value moves
+    root, seen = contours._root, []
+
+    def counted(*args):
+        seen.append(root(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(contours, "_root", counted)
+    for r in (0.5, 1.0):
+        for eps in (0.05, 0.1):
+            airy_contour(r * cmath.exp(2j * math.pi / 3), eps)
+    hardy_phi_eval(3, cmath.exp(1j * math.pi / 5), 0.1)
+    F, h = PuiseuxSeries({0: Fr(1, 3), 1: Fr(-2, 7)}), PuiseuxSeries({0: Fr(1, 5)})
+    confluent_eval(F, h, 2.5, 0.2)
+    assert len(seen) == 720
+    # at z = -0.5, eps = 0.3 the kernel's x_cap cuts a thimble, whose
+    # truncation estimate is then doubled
+    tail, trunc = contours._polyline_tail, []
+
+    def spy(*args):
+        trunc.append(args[-1])
+        return tail(*args)
+
+    monkeypatch.setattr(contours, "_polyline_tail", spy)
+    del seen[:]
+    confluent_eval(F, h, -0.5, 0.3)
+    assert len(seen) == 58 and 2.0 in trunc
 
 
 def test_root_keeps_to_the_predicted_branch():
@@ -218,6 +250,30 @@ def test_pole_on_ray_raises():
     c = np.ones(12)
     with pytest.raises(PoleOnRay):
         check_ray_clear(genuine_poles(pade_from_taylor(c, 5, 6)), 0.0, 0.05)
+
+
+def test_laplace_ray_outside_the_half_plane_of_eps_raises():
+    # arg xi = +-1.6 is past pi/2 from arg eps = 0: exp(-xi/eps) grows there
+    for theta in (1.6, -1.6):
+        with pytest.raises(PoleOnRay, match="outside the half-plane of eps"):
+            airy_borel_sum(1 + 0.5j, 0.1, 24, theta=theta)
+
+
+@pytest.mark.parametrize("arg", [-0.7, -0.9])
+def test_hp_sum_continues_past_arg_z_minus_two_thirds_pi(arg):
+    # for arg z <= -2 pi/3 the mp sum takes log z + 2 pi i, the branch of
+    # branch_arg, and so agrees with the double-precision sum
+    z = 1.2 * cmath.exp(1j * math.pi * arg)
+    ref = airy_borel_sum(z, 0.1, 24).value
+    assert abs(complex(airy_borel_sum_hp(z, 0.1, 24)) - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("N", [0, 1])
+def test_hp_sum_without_minor_is_the_prefactor(N):
+    z = 1.2 * cmath.exp(-0.9j * math.pi)
+    ref = airy_borel_sum(z, 0.1, N)
+    assert ref.nodes_used == 0
+    assert abs(complex(airy_borel_sum_hp(z, 0.1, N)) - ref.value) <= 1e-14 * abs(ref.value)
 
 
 def test_lateral_sum_above_continues_entire_function_on_L1():

@@ -233,6 +233,13 @@ def test_contour_overflow_exit_3(capsys):
     assert out == ""
 
 
+def test_borel_ray_outside_the_half_plane_of_eps_exit_3(capsys):
+    code = main(["borel", "--z", "1", "0.5", "--eps", "0.1", "0", "--theta", "1.6"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "outside the half-plane of eps" in err
+
+
 def test_reduce_negative_orders_exit_2(capsys):
     code = main(["reduce", "--V", '[["1",["1","0"]]]', "--orders", "-1"])
     out, err = capsys.readouterr()

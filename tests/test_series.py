@@ -48,6 +48,24 @@ def test_two_thirds_power():
     assert s.coeff(Fr(8, 3)) == Fr(-1, 9)
 
 
+@pytest.mark.parametrize("c, r, lead", [
+    (Fr(3 ** 100), Fr(1, 2), Fr(3 ** 50)),        # past 2^53: a float root misses
+    (Fr(3 ** 700), Fr(1, 2), Fr(3 ** 350)),       # past the float range
+    (Fr(1, 3 ** 1000), Fr(1, 2), Fr(1, 3 ** 500)),
+    (Fr(-3), Fr(-2), Fr(1, 9)),                   # an integer power of c < 0
+    (Fr(-2, 3), Fr(3), Fr(-8, 27))])
+def test_exact_powers_of_large_or_negative_leading_coefficients(c, r, lead):
+    s = S({0: c, 1: 1}).pow_rational(r, order=2)
+    assert s.coeff(0) == lead and type(s.coeff(0)) is Fr
+    assert s.coeff(1) == r * lead / c
+
+
+def test_inexact_rational_root_is_refused():
+    for c in (Fr(3 ** 101), Fr(-4), Fr(2, 3 ** 100 + 1)):
+        with pytest.raises(SeriesError, match="no exact rational 2-th root"):
+            S({0: c, 1: 1}).pow_rational(Fr(1, 2), order=2)
+
+
 def test_pow_identity_exponent():
     a = S({Fr(-3, 2): Fr(5), 0: 2, Fr(1, 2): -1})
     assert a.pow_rational(1) == a
