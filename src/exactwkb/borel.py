@@ -148,9 +148,15 @@ def genuine_poles(approx: PadeApproximant) -> list:
 
 def check_ray_clear(poles, theta: float, eps_scale: float) -> None:
     """Raise PoleOnRay when one of the genuine poles lies within
-    0.03 (|p| + eps_scale) of the ray arg xi = theta."""
+    0.03 (|p| + eps_scale) of the ray arg xi = theta.  A pole that close
+    to xi = 0, where every ray starts, is named as such; any other as
+    obstructing this ray."""
     for p in poles:
-        if _ray_distance(p, theta) < 0.03 * (abs(p) + eps_scale):
+        margin = 0.03 * (abs(p) + eps_scale)
+        if abs(p) < margin:
+            raise PoleOnRay(f"Pade pole at {p:.6g} lies within {margin:.3g} of "
+                            "xi = 0, where every Laplace ray starts")
+        if _ray_distance(p, theta) < margin:
             raise PoleOnRay(
                 f"Pade pole at {p:.6g} obstructs the ray arg xi = {theta:.4f}")
 
@@ -174,7 +180,7 @@ def laplace_ray(R, eps: complex, theta: float = 0.0) -> LaplaceResult:
     rot = cmath.exp(1j * theta)
     nodes = [0j] + [rot * T * 0.7 ** k for k in range(32, -1, -1)]
     return integrate_polyline(lambda xi: np.exp(-xi / eps) * R(xi), nodes,
-                              ContourSpec(), phase=lambda xi: xi / eps)
+                              ContourSpec(), phase=lambda xi: xi / eps)[0]
 
 
 class PartialFractions(NamedTuple):

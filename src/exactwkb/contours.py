@@ -17,8 +17,12 @@ Hardy: hardy._coeffs_at).  From it ``valley_integral`` builds S, dS, d2S,
 the saddles (roots of dS), their tangents and est_error's rounding floor.
 Along the thimble of a saddle s, S(w) = S(s) + eps T with T real and
 rising, so its nodes are Newton roots of that equation at increasing T,
-taken in one walk per half-thimble; a ContourSpec's x_cap caps |S'| along
-it (for the Airy phase S'(zhat) = z - zhat^2, confluent_eval's kernel x).
+taken in one walk per half-thimble up to the target decay; a ContourSpec's
+x_cap caps |S'| along it (for the Airy phase S'(zhat) = z - zhat^2,
+confluent_eval's kernel x).  Every such S is a scaled Chebyshev polynomial
+A T_m(w/c) (Airy: c = 2 sqrt(z), A = -(2/3) z^(3/2)), whose level sets
+are known in closed form, so the valley a walk's last node flows to is
+read off without walking there.
 """
 
 from __future__ import annotations
@@ -75,11 +79,11 @@ class ContourSpec:
     max_panel_phase: float = 2.0
 
 
-def integrate_polyline(f: Callable[[np.ndarray], np.ndarray],
-                       nodes: Sequence[complex],
-                       spec: ContourSpec,
-                       phase: Callable[[complex], complex]) -> LaplaceResult:
-    """Composite Gauss-Legendre integral of f along straight segments.
+def integrate_polyline(f: Callable[[np.ndarray], np.ndarray], nodes: Sequence[complex],
+                       spec: ContourSpec, phase: Callable[[complex], complex]
+                       ) -> tuple[LaplaceResult, float]:
+    """Composite Gauss-Legendre integral of f along straight segments, and
+    the sum of the |terms| of that quadrature.
 
     Panel counts per segment follow the increment of ``phase`` (typically
     S/eps).  The error estimate compares the target order against a
@@ -101,14 +105,16 @@ def integrate_polyline(f: Callable[[np.ndarray], np.ndarray],
                 pts.append(mid + 0.5 * h * x)
                 wts.append(0.5 * h * w)
     if not rules[0][1]:
-        return LaplaceResult(0j, 0.0, 0)
-    hi, lo = (np.dot(np.asarray(f(np.concatenate(pts)), dtype=complex),
-                     np.concatenate(wts)) for _, pts, wts in rules)
+        return LaplaceResult(0j, 0.0, 0), 0.0
+    (hv, hw), (lv, lw) = ((np.asarray(f(np.concatenate(pts)), dtype=complex),
+                           np.concatenate(wts)) for _, pts, wts in rules)
+    hi, lo = np.dot(hv, hw), np.dot(lv, lw)
     err = abs(hi - lo)
     if not (cmath.isfinite(hi) and math.isfinite(err)):
         raise ContourFailure("the integrand overflows along the path")
-    return LaplaceResult(complex(hi), float(err),
-                         sum(len(pts) * len(x) for (x, _), pts, _ in rules))
+    return (LaplaceResult(complex(hi), float(err),
+                          sum(len(pts) * len(x) for (x, _), pts, _ in rules)),
+            float(np.dot(abs(hv), abs(hw))))
 
 
 def descent_scale(d2s: complex, eps: complex) -> float:
@@ -148,112 +154,89 @@ def _derivative(cs, odd: int):
 def valley_integral(phase, eps: complex, valleys: tuple[float, float],
                     spec: ContourSpec, g: Callable | None = None) -> LaplaceResult:
     """int exp(-S/eps) g dw from the valley at arg w = valleys[0] to the one
-    at valleys[1], S = _horner(*phase) ~ c w^m having valleys at valleys[0]
-    + 2 pi k/m.  Both half-thimbles of each saddle s, most recessive first,
-    are traced as roots of S = S(s) + eps T to the target decay T and
-    labelled by the valley their flow cannot leave; as edges of a graph on
-    the valleys, the ones joining the two give the value.  A stalled half
-    (a Stokes line) is retraced for eps e^{+-i LATERAL_TURN}.  An x_cap on
-    |S'| cuts a path (truncation estimate doubled), never a label.
-    ContourFailure when a half reaches no valley, both halves share one, or
-    the valleys stay apart.  A spec.path is used as given, scaled at the
-    first saddle.  est_error counts the rounding of S/eps, 2^-52 size/|eps|
-    |value|, size the largest sum of |terms of S| at a saddle."""
-    dphase = _derivative(*phase)
+    at valleys[1], S = _horner(*phase) = A T_m(w/c) a scaled Chebyshev
+    polynomial (ValueError past 1e-12 relative in a coefficient), whose
+    valleys are at valleys[0] + 2 pi k/m.  Both half-thimbles of each
+    saddle s, most recessive first, are traced as roots of S = S(s) + eps T
+    to the target decay T and labelled in closed form by the valley their
+    last root flows to; as edges of a graph on the valleys, the ones
+    joining the two give the value.  A stalled half (a Stokes line) is
+    retraced for eps e^{+-i LATERAL_TURN}.  An x_cap on |S'| cuts a path
+    (truncation estimate doubled).  ContourFailure when c = 0 (one merged
+    saddle), a half reaches no valley, both halves share one, or the
+    valleys stay apart.  A spec.path is used as given, scaled at the first
+    saddle.  est_error counts the rounding of S/eps, 2^-52 size/|eps|
+    times |value| (along a spec.path, the sum of the |terms| of its
+    quadrature), size the largest sum of |terms of S| at a saddle."""
+    (cs, odd), dphase = phase, _derivative(*phase)
     S, dS, d2S = _horner(*phase), _horner(*dphase), _horner(*_derivative(*dphase))
+    m = 2 * len(cs) - 2 + odd
+    # A T_m(w/c) has the coefficients cs[0] (c^2)^i t_i/2^(m-1), with t_i
+    # T_m's coefficient of y^(m - 2i), in ratio -(m-2i)(m-2i-1)/(4(i+1)(m-i-1))
+    c2, e = -4.0 * cs[1] / (m * cs[0]), cs[0]
+    for i, ci in enumerate(cs[1:]):
+        e *= -c2 * (m - 2 * i) * (m - 2 * i - 1) / (4 * (i + 1) * (m - i - 1))
+        if abs(ci - e) > 1e-12 * abs(e):
+            raise ValueError(f"phase coefficient {ci} is not {e}, as in A T_{m}(w/c)")
+    if not c2 and spec.path is None:
+        raise ContourFailure("the saddles merge at w = 0 (c = 0): no thimbles")
+    c = cmath.sqrt(c2)
     cs, odd = dphase            # dS's roots: 0 if odd, +-sqrt(r) for cs's roots r
     roots = [-cs[1] / cs[0]] if len(cs) == 2 else np.roots(cs)
     saddles = [sign * cmath.sqrt(r) for r in roots for sign in (1, -1)] + [0j] * odd
-    size = max(map(_horner([abs(c) for c in phase[0]], phase[1]), map(abs, saddles)))
+    size = max(map(_horner([abs(x) for x in phase[0]], phase[1]), map(abs, saddles)))
     parts = None if spec.path is None else [(1, (saddles[0], spec.path, 1.0))]
-    a, m = valleys[0], len(saddles) + 1
-    ka, kb = (round((v - a) * m / (2.0 * math.pi)) % m for v in valleys)
+    ka, kb = (round((v - valleys[0]) * m / (2.0 * math.pi)) % m for v in valleys)
     target = -math.log(spec.rel_tol) + 3.0
-    centre = sum(saddles) / len(saddles)
-    crit = [S(s) for s in saddles]
-    spread = [abs(s - centre) for s in saddles]
-    R, R2 = max(spread), sum(x * x for x in spread)
-
-    def valley(q, phi):
-        # the valley the flow of Re(e^{-i phi} S/eps) from q cannot leave:
-        # its heading is the leading term's plus Im sum log(1 - u_i), u_i =
-        # (s_i - centre)/(q - centre), |.| <= D = R2/(2r(r - R)) as sum u_i
-        # = 0; within pi/2 - 2D of k's centre it stays within pi/2 - D
-        r = abs(q - centre)
-        d = ((cmath.phase(q - centre) - a) * m - phi) / (2.0 * math.pi) % m
-        k = round(d) % m
-        if r > R and (2.0 * math.pi * abs((d - k + m / 2) % m - m / 2)
-                      + R2 / (r * (r - R)) <= 0.5 * math.pi):
-            return k
-        return None
 
     def half(s, t, w):
-        # one walk from s along t through the roots x of S(x) = w zeta,
-        # zeta = S(s)/w + T, T rising, each from the tangent predictor
-        # x + w dT/dS(x).  Up to T = target, or until |S'(x)| passes the
-        # x_cap (a cut), the roots are pts, dT doubles to 8 and a refusal
-        # quarters it.  Then, unrecorded, until valley() names the half: from
-        # dT = 1, under half the distance to the critical values crit/w (so x
-        # jumps no branch point), and once zeta is twice as far from their
-        # mean zeta0 as any, with Re >= 0, radially, analytic in t = (zeta -
-        # zeta0)^(-1/m) for |t| < t_max.  None on a stall: dT < 1e-9, past
-        # MAX_EXTENT, or 400 steps in either leg.
+        # one walk from s along t through the roots x of S(x) = S(s) + wT, T
+        # rising, each from the tangent predictor x + w dT/dS(x), to T =
+        # target or until |S'(x)| passes the x_cap (a cut); dT doubles to 8
+        # and a refusal quarters it.  x = c cosh u makes S = A cosh(m u), s =
+        # c cos(pi k/m) and the last root q = c cosh((i pi j + v)/m), j = k
+        # mod 2, v = arccosh(1 + dT), d = w/S(s): v is analytic up the ray T
+        # -> oo, where arg x -> arg c + (pi j + arg d)/m names the valley.
+        # None on a stall (dT < 1e-9, past MAX_EXTENT, 400 steps) or a cut
+        # before the first root.
         step0 = 0.25 * min([descent_scale(d2S(s), w)]
                            + [abs(s - x) for x in saddles if x != s])
-        rot = cmath.phase(w / eps)
-        zc = [c / w for c in crit]
-        zeta0 = sum(zc) / len(zc)
-        C = max(abs(c - zeta0) for c in zc)
         S0, pts, q, pred = S(s), [s], s, s + step0 * (t / abs(t))
-        T, dT, shrink = 0.0, ((S(pred) - S0) / w).real, 0.5
-        zeta, cut, left = None, False, 400      # zeta is None while recording
-        while left:
-            left -= 1
-            radial = (zeta is not None and abs(zeta - zeta0) >= 2.0 * C
-                      and (zeta - zeta0).real >= 0.0)
+        T, dT = 0.0, ((S(pred) - S0) / w).real
+        for _ in range(400):
             try:
-                if zeta is None:
-                    if len(pts) > 1:
-                        pred = q + w * dT / dS(q)
-                    v = S0 + w * (T + dT)
-                elif not radial:
-                    dT = min(2.0 * dT, 0.5 * min(abs(zeta - c) for c in zc))
-                    z_new, pred = zeta + dT, q + w * dT / dS(q)
-                else:
-                    phi = rot + cmath.phase(zeta - zeta0)
-                    tau = (C / abs(zeta - zeta0)) ** (1.0 / m)     # |t| / t_max
-                    ratio = 1.0 / max(1.0 - shrink * (1.0 - tau) / tau, 0.25) if tau else 4.0
-                    z_new = zeta0 + (zeta - zeta0) * ratio ** m
-                    # log(x - centre) is linear in log t to first order, with
-                    # slope -kappa -> -1 as t -> 0
-                    kappa = m * (zeta - zeta0) * w / ((q - centre) * dS(q))
-                    pred = centre + (q - centre) * cmath.exp(kappa * math.log(ratio))
-                y = _root(S, dS, q, v if zeta is None else w * z_new, pred)
+                if len(pts) > 1:
+                    pred = q + w * dT / dS(q)
+                y = _root(S, dS, q, S0 + w * (T + dT), pred)
             except (OverflowError, ZeroDivisionError):
                 y = None
             if y is None:
-                dT, shrink = 0.25 * dT, 0.5 * shrink
-                if dT < 1e-9 or shrink < 1e-6:
+                dT *= 0.25
+                if dT < 1e-9:
                     return None
-                if len(pts) == 1 and zeta is None:  # the seed, halved as T ~ |x - s|^2
+                if len(pts) == 1:   # the seed, halved as T ~ |x - s|^2
                     pred = s + 0.5 * (pred - s)
                 continue
-            shrink = 0.5
-            if zeta is not None:
-                q, zeta = y, z_new
-            else:
-                cut = spec.x_cap is not None and abs(dS(y)) > spec.x_cap
-                if not cut:
-                    pts.append(y)
-                    q, T, dT = y, T + dT, min(2.0 * dT, 8.0)
-                    if T < target:
-                        if abs(y - s) > MAX_EXTENT:
-                            return None
-                        continue
-                zeta, dT, left = S(q) / w, 1.0, 400
-            k = valley(q, phi if radial else rot)
-            if k is not None:
-                return pts, k, cut
+            cut = spec.x_cap is not None and abs(dS(y)) > spec.x_cap
+            if not cut:
+                pts.append(y)
+                q, T, dT = y, T + dT, min(2.0 * dT, 8.0)
+                if T < target:
+                    if abs(y - s) > MAX_EXTENT:
+                        return None
+                    continue
+            if len(pts) == 1:
+                return None
+            k = round(m * math.acos(max(-1.0, min(1.0, (s / c).real))) / math.pi)
+            d = w / S0
+            v = 2.0 * cmath.asinh(cmath.sqrt(0.5 * d * T))     # arccosh(1 + dT)
+            miss, j = min((abs(c * cmath.cosh((1j * math.pi * j + v) / m) - q), j)
+                          for j in range(k % 2, 2 * m, 2))
+            if miss > 1e-6 * abs(q):
+                raise ContourFailure(f"the walk from {s:.6g} left its level at {q:.6g}")
+            turns = (m * (cmath.phase(c) - valleys[0]) + math.pi * j + cmath.phase(d)
+                     - cmath.phase(w / eps)) / (2.0 * math.pi)
+            return pts, round(turns) % m, cut
         return None
 
     def labelled(s, t):
@@ -269,8 +252,7 @@ def valley_integral(phase, eps: complex, valleys: tuple[float, float],
         return got
 
     edges, thimbles = {}, []        # valley -> [(valley, thimble, sign)]
-    order = sorted(zip(saddles, crit), key=lambda sc: -(sc[1] / eps).real)
-    for s, _ in order if parts is None else ():     # none for a spec.path
+    for s in sorted(saddles, key=lambda s: -(S(s) / eps).real) if parts is None else ():
         t = canonical_up_dir(d2S(s), eps)
         (lo, k_lo, cut_lo), (hi, k_hi, cut_hi) = labelled(s, -t), labelled(s, t)
         if k_lo == k_hi:
@@ -290,14 +272,16 @@ def valley_integral(phase, eps: complex, valleys: tuple[float, float],
             break
     if parts is None:
         raise ContourFailure(f"no thimbles join valleys {ka} and {kb}")
-    results = [(sign, _polyline_tail(S, d2S, nodes, anchor, eps, spec, g, trunc))
+    results = [(sign, *_polyline_tail(S, d2S, nodes, anchor, eps, spec, g, trunc))
                for sign, (anchor, nodes, trunc) in parts]
-    values = [r.value if sign > 0 else -r.value for sign, r in results]
+    values = [r.value if sign > 0 else -r.value for sign, r, _ in results]
     value = sum(values[1:], values[0])
-    # rounding S's terms moves the exponent by up to 2^-52 size/|eps|
-    return LaplaceResult(value, sum(r.est_error for _, r in results)
-                         + 2.0 ** -52 * size / abs(eps) * abs(value),
-                         sum(r.nodes_used for _, r in results))
+    # rounding S's terms moves the exponent by up to 2^-52 size/|eps|; along
+    # a spec.path that need not descend, the terms of the sum may cancel
+    mass = abs(value) if spec.path is None else results[0][2]
+    return LaplaceResult(value, sum(r.est_error for _, r, _ in results)
+                         + 2.0 ** -52 * size / abs(eps) * mass,
+                         sum(r.nodes_used for _, r, _ in results))
 
 
 def _root(S, dS, q: complex, v: complex, pred: complex) -> complex | None:
@@ -318,25 +302,20 @@ def _root(S, dS, q: complex, v: complex, pred: complex) -> complex | None:
 
 def _polyline_tail(S, d2S, nodes: Sequence[complex], anchor: complex,
                    eps: complex, spec: ContourSpec, g: Callable | None,
-                   trunc_factor: float) -> LaplaceResult:
+                   trunc_factor: float) -> tuple[LaplaceResult, float]:
     """int exp(-S/eps) g along a finished polyline, scaled at the anchor
-    saddle: the integrand carries exp(S(anchor)/eps) so it stays O(1),
-    and the truncation error is the endpoint magnitude times the anchor's
+    saddle, and the scaled sum of the |terms| of its quadrature: the
+    integrand carries exp(S(anchor)/eps) so it stays O(1), and the
+    truncation error is the endpoint magnitude times the anchor's
     Gaussian width times trunc_factor.  Raises ContourFailure when the
     scale exp(-S(anchor)/eps) overflows double precision."""
     shift = S(anchor) / eps
 
     def f(w):
-        arr = np.asarray(w)
-        vals = np.exp(-S(arr) / eps + shift)
-        if g is not None:
-            vals = vals * g(arr)
-        return vals
+        vals = np.exp(-S(w) / eps + shift)
+        return vals if g is None else vals * g(w)
 
-    def phase(w):
-        return S(w) / eps
-
-    res = integrate_polyline(f, nodes, spec, phase)
+    res, mass = integrate_polyline(f, nodes, spec, lambda w: S(w) / eps)
     try:
         scale = cmath.exp(-shift)
     except OverflowError:
@@ -347,4 +326,4 @@ def _polyline_tail(S, d2S, nodes: Sequence[complex], anchor: complex,
     trunc_err = end_mag * descent_scale(d2S(anchor), eps) * trunc_factor
     return LaplaceResult(value=res.value * scale,
                          est_error=(res.est_error + trunc_err) * abs(scale),
-                         nodes_used=res.nodes_used)
+                         nodes_used=res.nodes_used), mass * abs(scale)

@@ -163,7 +163,7 @@ def test_thimble_walks_take_a_pinned_number_of_roots(monkeypatch):
     hardy_phi_eval(3, cmath.exp(1j * math.pi / 5), 0.1)
     F, h = PuiseuxSeries({0: Fr(1, 3), 1: Fr(-2, 7)}), PuiseuxSeries({0: Fr(1, 5)})
     confluent_eval(F, h, 2.5, 0.2)
-    assert len(seen) == 720
+    assert len(seen) == 705
     # at z = -0.5, eps = 0.3 the kernel's x_cap cuts a thimble, whose
     # truncation estimate is then doubled
     tail, trunc = contours._polyline_tail, []
@@ -176,6 +176,45 @@ def test_thimble_walks_take_a_pinned_number_of_roots(monkeypatch):
     del seen[:]
     confluent_eval(F, h, -0.5, 0.3)
     assert len(seen) == 58 and 2.0 in trunc
+
+
+def test_last_root_off_its_level_set_raises(monkeypatch):
+    # a half is labelled by matching its last root among the closed-form
+    # roots of its level; a root 1e-4 off all of them is refused, not named
+    root = contours._root
+
+    def off(*args):
+        y = root(*args)
+        return None if y is None else y * (1 + 1e-4)
+
+    monkeypatch.setattr(contours, "_root", off)
+    with pytest.raises(ContourFailure, match="left its level"):
+        airy_contour(1.0, 0.1)
+
+
+def test_cut_before_the_first_root_is_a_stall(monkeypatch):
+    # an x_cap that cuts a half's first root leaves no node to label: the
+    # half is retraced laterally, as after a stall, and then refused
+    up, turned = contours.canonical_up_dir, []
+
+    def spy(d2s, w):
+        turned.append(w != 0.1)
+        return up(d2s, w)
+
+    monkeypatch.setattr(contours, "canonical_up_dir", spy)
+    with pytest.raises(ContourFailure, match="reaches no valley"):
+        airy_contour(1.0, 0.1, ContourSpec(x_cap=1e-12))
+    assert any(turned)
+
+
+@pytest.mark.parametrize("z, eps", [(1.1 + 0.3j, 0.08), (1.0, 0.1)])
+def test_explicit_path_est_error_covers_its_cancellation(z, eps):
+    # near w = 0 the integrand along these rays is e^{Re S(saddle)/eps} times
+    # the value, so the rounding of S/eps is counted on the sum of the
+    # |terms| of the quadrature; counted on |value| it fell 31x and 10x short
+    path = (3 * cmath.exp(-1j * math.pi / 3), 0j, 3 * cmath.exp(1j * math.pi / 3))
+    res = airy_contour(z, eps, ContourSpec(path=path))
+    assert abs(res.value - airy_oracle(z, eps)) <= res.est_error
 
 
 def test_root_keeps_to_the_predicted_branch():
@@ -248,8 +287,15 @@ def test_pole_on_ray_raises():
 
     # minor of 1/(1 - xi): pole at xi = +1 on the positive ray
     c = np.ones(12)
-    with pytest.raises(PoleOnRay):
+    with pytest.raises(PoleOnRay, match="obstructs the ray arg xi = 0"):
         check_ray_clear(genuine_poles(pade_from_taylor(c, 5, 6)), 0.0, 0.05)
+
+
+def test_pole_near_the_origin_is_named_apart_from_the_ray():
+    # the minor's pole at -0.00223-0.00108i lies behind the ray arg xi = 0,
+    # but within the margin of xi = 0, where every ray starts
+    with pytest.raises(PoleOnRay, match="of xi = 0, where every Laplace ray starts"):
+        airy_borel_sum(0.01 * cmath.exp(0.3j), 0.1, 24)
 
 
 def test_laplace_ray_outside_the_half_plane_of_eps_raises():

@@ -13,6 +13,7 @@ import pytest
 from exactwkb.airy import airy_contour
 from exactwkb.contours import ContourSpec, valley_integral
 from exactwkb.contours import _derivative, _horner
+from exactwkb.errors import ContourFailure
 from exactwkb.hardy import (hardy_identities_hold, hardy_ode_residual,
                             hardy_phi_eval, hardy_polynomial, hardy_S_T,
                             hardy_valleys, quasi_homogeneous_ok)
@@ -122,10 +123,17 @@ def test_unknown_convention_rejected(fn):
         fn(2, 1.0, 0.1, convention="eps3")
 
 
-def test_reversed_orientation_flips_sign():
+@pytest.mark.parametrize("n, z, eps", [
+    (3, 1.1, 0.08),
+    # near the turning point the recorded walk of a half-thimble passes
+    # another saddle on the other side from the exact thimble, so its label
+    # must come from its last root (labelled from the saddle's tangent it
+    # gave 0.991-0.911i, est_error 1e-15, for 0.0371-0.868i)
+    (4, -0.022643359794481163 - 0.0399924003537438j, 0.22872155752489506)],
+    ids=["n3", "n4-near-the-turning-point"])
+def test_reversed_orientation_flips_sign(n, z, eps):
     # swapping the two valleys, or walking an explicit path backwards,
     # reverses the contour
-    n, z, eps = 3, 1.1, 0.08
     phase = _coeffs_at(hardy_S_T(n).S, z)
     a, b = hardy_valleys(n, eps)
     spec = ContourSpec()
@@ -139,6 +147,22 @@ def test_reversed_orientation_flips_sign():
                            ContourSpec(path=tuple(rays[::-1])))
     assert abs(there.value - fwd.value) <= 10 * (there.est_error + fwd.est_error)
     assert abs(there.value + back.value) <= 10 * (there.est_error + back.est_error)
+
+
+def test_phase_off_the_chebyshev_form_is_refused():
+    # every phase is A T_m(w/c): x^4 - x^2 + 5 is not (A T_4(x) = x^4 - x^2
+    # + 1/8), so no closed form names its valleys
+    with pytest.raises(ValueError, match="A T_4"):
+        valley_integral(([1.0, -1.0, 5.0], 0), 0.1, (0.0, math.pi / 2), ContourSpec())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_merged_saddles_raise_contour_failure(n):
+    # at z = 0 all saddles of S_n sit at 0 and c = 0: a typed error, never
+    # a ZeroDivisionError from the closed form
+    with pytest.raises(ContourFailure, match="saddles merge"):
+        hardy_phi_eval(n, 0, 0.1)
 
 
 def test_sympy_oracle_identities_and_multiple_angle():
