@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .contours import ContourSpec, LaplaceResult, valley_integral
+from .errors import ContourFailure
 from .series import PuiseuxSeries
 
 Poly2 = dict  # {(i, j): Fraction} for z^i zhat^j
@@ -121,13 +122,17 @@ def quasi_homogeneous_ok(pair: HardyPair) -> bool:
 def _coeffs_at(p: Poly2, z: complex) -> tuple[list[complex], int]:
     """p at z as valley_integral's phase (cs, odd): its zhat-coefficients
     for degrees deg, deg - 2, ..., and deg % 2 (quasi-homogeneity leaves
-    one parity; ValueError otherwise)."""
+    one parity; ValueError otherwise).  ContourFailure when a power of z
+    overflows."""
     deg = max(j for (_, j) in p)
     if any((deg - j) % 2 for (_, j) in p):
         raise ValueError("polynomial mixes even and odd powers of zhat")
     out = [0j] * (deg // 2 + 1)
-    for (i, j), c in p.items():
-        out[(deg - j) // 2] += float(c) * (z ** i)
+    try:
+        for (i, j), c in p.items():
+            out[(deg - j) // 2] += float(c) * (z ** i)
+    except OverflowError:
+        raise ContourFailure(f"a power of z = {z:.6g} overflows double precision") from None
     return out, deg % 2
 
 

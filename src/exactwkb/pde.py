@@ -21,7 +21,7 @@ import numpy as np
 from .airy import airy_contour, symbol_borel_sum
 from .coefficients import to_complex
 from .contours import ContourSpec, LaplaceResult
-from .errors import DomainExit
+from .errors import ContourFailure, DomainExit
 from .series import (INF, PuiseuxSeries, _make, _principal_pow, max_abs_coeff,
                      require_taylor)
 from .transport import transport_g
@@ -335,7 +335,8 @@ def confluent_eval(F: PuiseuxSeries, h: PuiseuxSeries, z: complex, eps: complex,
     value coincides with airy_contour's.  The path is truncated
     where |z - zhat^2| exceeds the kernel's empirical convergence radius
     (DomainExit for explicit paths that violate it).  z = 0 is the
-    turning point and raises ContourFailure, as in airy_contour.
+    turning point and raises ContourFailure, as in airy_contour; so does
+    a z at which a power of z in the kernel overflows.
 
     Without psi, Nx < 1 or Nz < 0 raises ValueError, as in pde_taylor.
     A given psi is used as is, so Nx and Nz are then ignored; it must be
@@ -348,14 +349,17 @@ def confluent_eval(F: PuiseuxSeries, h: PuiseuxSeries, z: complex, eps: complex,
         psi = pde_taylor(F, h, Nx, Nz)
     else:
         _require_kernel_of(psi, F, h)
-    r = empirical_x_radius(psi, abs(z))
+    try:
+        vals, r = psi.values_at(z), empirical_x_radius(psi, abs(z))
+    except OverflowError:
+        raise ContourFailure(f"a power of |z| = {abs(z):.6g} in the kernel overflows "
+                             "double precision") from None
     x_cap = 0.8 * r if math.isfinite(r) else 1e6
     bad = [w for w in (spec.path if spec else None) or ()
            if abs(z - w * w) > x_cap]
     if bad:
         raise DomainExit(f"path node {bad[0]:.4g} has |z - zhat^2| > {x_cap:.4g}")
     spec = replace(spec or ContourSpec(), x_cap=x_cap)  # on |S'| = |z - zhat^2|
-    vals = psi.values_at(z)
 
     def g(w):
         return _horner_x(vals, z - w * w)

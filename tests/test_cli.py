@@ -71,7 +71,7 @@ PINNED_STDOUT = {
     # coefficients and the thimble's nodes; the value, -0.0138551532184929i,
     # is c_5 sqrt(z) K_{1/7} to 5e-17 (tests/test_hardy.py)
     "hardy-eval": (["hardy", "--n", "5", "--eval", "0.9", "0.1"],
-                   "cdd26f0211c3f83c0402e10504a25149dcff5521f26932e85dccfc38842d8d19"),
+                   "f902cafeeddc4ea73ffbbfcbc0b3ada85f5c85bcc7b4c186cd32503bb1aeb4b4"),
 }
 
 

@@ -10,14 +10,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from exactwkb.airy import airy_contour
+from exactwkb.airy import airy_contour, airy_oracle
 from exactwkb.contours import ContourSpec, valley_integral
 from exactwkb.contours import _derivative, _horner
-from exactwkb.errors import ContourFailure
+from exactwkb.errors import ContourFailure, ExactWKBError
 from exactwkb.hardy import (hardy_identities_hold, hardy_ode_residual,
                             hardy_phi_eval, hardy_polynomial, hardy_S_T,
                             hardy_valleys, quasi_homogeneous_ok)
 from exactwkb.hardy import _coeffs_at
+from exactwkb.pde import confluent_eval, pde_taylor
+from exactwkb.series import PuiseuxSeries
 
 
 def test_low_order_polynomials():
@@ -233,3 +235,67 @@ def test_phi_has_no_jump_on_the_positive_real_axis(n):
         z = 0.2 + 0.02 * i
         res = hardy_phi_eval(n, z, 0.1)
         assert abs(res.value - _k_oracle(n, z, 0.1, "eps2")) <= 10 * res.est_error, z
+
+
+def _series_oracle(n, z, w):
+    """Phi_n for real w > 0 as an entire function of z: K_nu = pi/(2
+    sin(nu pi)) (I_-nu - I_nu) in _k_oracle's form, with the powers of z
+    gathered, is c_n pi/(2 sin(pi/m)) [(m w)^(1/m) sum_j x^j/(j! G(j + 1 -
+    1/m)) - z (m w)^(-1/m) sum_j x^j/(j! G(j + 1 + 1/m))], x = z^m/(m w)^2,
+    and needs no branch of z; mpmath at 40 digits."""
+    m = n + 2
+    with mpmath.workdps(40):
+        z, w, nu = mpmath.mpc(z), mpmath.mpf(w), mpmath.mpf(1) / m
+        x = z ** m / (m * w) ** 2
+
+        def series(b):
+            return mpmath.nsum(lambda j: x ** j / (mpmath.factorial(j)
+                                                   * mpmath.gamma(j + 1 + b)), [0, mpmath.inf])
+
+        c = -(2j / m) * mpmath.sin(2 * mpmath.pi * ((m - 1) // 2) / m)
+        return complex(c * mpmath.pi / (2 * mpmath.sin(mpmath.pi * nu))
+                       * ((m * w) ** nu * series(-nu) - z * (m * w) ** -nu * series(nu)))
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_series_oracle_is_the_bessel_k_form_on_the_positive_axis(n):
+    for z in (0.3, 1.1):
+        want = _k_oracle(n, z, 0.1, "eps2")
+        assert abs(_series_oracle(n, z, 0.1) - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5], ids=["airy", "n1", "n3", "n5"])
+def test_small_z_within_ten_est_errors_of_the_oracle(n):
+    # near the turning point the saddles nearly merge; the closed-form walk
+    # still reaches the target decay, and its truncation estimate, taken
+    # from S' at the ends, does not blow up as S'' at the saddles -> 0
+    for r in (1e-9, 1e-6, 1e-3):
+        for j in range(6):
+            z = cmath.rect(r, math.pi * (2 * j - 5) / 6)
+            for eps in (0.02, 0.1):
+                if n:
+                    res, want = hardy_phi_eval(n, z, eps), _series_oracle(n, z, eps)
+                else:
+                    res, want = airy_contour(z, eps), airy_oracle(z, eps)
+                assert abs(res.value - want) <= 10 * res.est_error, (z, eps)
+                assert res.est_error <= 1e-13 * abs(res.value), (z, eps)
+
+
+def test_extreme_z_gives_a_value_or_a_typed_error():
+    # powers of z that overflow or underflow, and nan or inf, end in an
+    # ExactWKBError or a finite value, never a bare OverflowError,
+    # ZeroDivisionError, LinAlgError or ValueError
+    F, h = PuiseuxSeries({0: Fr(1, 3), 1: Fr(-2, 7)}), PuiseuxSeries({0: Fr(1, 5)})
+    psi = pde_taylor(F, h, 40, 40)
+    fns = [lambda z: airy_contour(z, 0.1), lambda z: confluent_eval(F, h, z, 0.1, psi=psi)]
+    fns += [lambda z, n=n: hardy_phi_eval(n, z, 0.1) for n in (1, 2, 3, 5, 10)]
+    zs = [cmath.rect(r, a) for r in (1e-320, 1e-300, 1e-200, 1e-160, 1e-100, 1e-60,
+                                     1e60, 1e100, 1e200, 1e300) for a in (0.0, 0.7, 2.5)]
+    zs += [complex(math.nan), complex(math.inf), complex(0, math.inf), complex(1, math.nan)]
+    for fn in fns:
+        for z in zs:
+            try:
+                res = fn(z)
+            except ExactWKBError:
+                continue
+            assert cmath.isfinite(res.value) and math.isfinite(res.est_error), z
