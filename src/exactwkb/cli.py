@@ -222,7 +222,7 @@ def cmd_reduce(args) -> dict:
     from .reduction import schrodinger_master_residual
     resid = schrodinger_master_residual(
         s_q, V.with_trunc(min(V.trunc, Fraction(N + 4))), orders=N)
-    F0 = F.coeffs.get(Fraction(0), Fraction(0))
+    F0 = F._by6.get(0, Fraction(0))
     return {
         "F": F.to_json_dict(),
         "F0": str(F0) if isinstance(F0, Fraction) else _c2l(complex(F0)),

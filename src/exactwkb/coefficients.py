@@ -19,7 +19,7 @@ drops an exact 0), and ``series._coeff_root(c, r)``, ``c.pow_rational(r)``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Any
 
 
@@ -101,6 +101,9 @@ class GaussianRational:
     def __pos__(self):
         return self
 
+    def __bool__(self):
+        return bool(self._a or self._b)
+
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
             return (self._a, self._b, self._d) == (other._a, other._b, other._d)
@@ -150,10 +153,49 @@ def is_exact(value: Any) -> bool:
 
 
 def coeff_is_zero(value: Any) -> bool:
+    # an exact scalar's truth is its numerator's: no Fraction.__eq__
+    if isinstance(value, (Fraction, GaussianRational)):
+        return not value
     try:
         return value == 0
     except TypeError:
         return False
+
+
+def clear(values) -> tuple | None:
+    """``values`` over one common denominator, or None unless each is a
+    Fraction or a GaussianRational: (d, rows, gaussian), where row i is
+    (a_i, b_i, g_i) with values[i] = (a_i + b_i i)/d and g_i telling
+    whether values[i] is a GaussianRational, and ``gaussian`` how many
+    are."""
+    dens = []
+    gaussian = 0
+    for c in values:
+        t = type(c)
+        if t is Fraction:
+            dens.append(c.denominator)
+        elif t is GaussianRational:
+            dens.append(c._d)
+            gaussian += 1
+        else:
+            return None
+    d = lcm(*dens)
+    rows = []
+    for c, e in zip(values, dens):
+        m = d // e
+        if type(c) is Fraction:
+            rows.append((c.numerator * m, 0, False))
+        else:
+            rows.append((c._a * m, c._b * m, True))
+    return d, rows, gaussian
+
+
+def uncleared(a: int, b: int, d: int, gaussian: bool):
+    """(a + b i)/d for d > 0 as a GaussianRational if ``gaussian``, else
+    (b is then 0) as a Fraction: the inverse of :func:`clear`."""
+    if gaussian:
+        return _gauss(a, b, d)
+    return Fraction(a, d)
 
 
 def to_complex(value: Any) -> complex:

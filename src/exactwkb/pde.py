@@ -22,8 +22,8 @@ from .airy import airy_contour, symbol_borel_sum
 from .coefficients import to_complex
 from .contours import ContourSpec, LaplaceResult
 from .errors import ContourFailure, DomainExit
-from .series import (INF, PuiseuxSeries, _make, _principal_pow, max_abs_coeff,
-                     require_taylor)
+from .series import (INF, PuiseuxSeries, _exp6, _make, _principal_pow,
+                     max_abs_coeff, require_taylor)
 from .transport import transport_g
 
 
@@ -46,11 +46,11 @@ class BivariateSeries:
 
     @cached_property
     def _table(self) -> tuple[tuple, tuple]:
-        exps = sorted({e for a in self.a_list for e in a.coeffs})
-        index = {e: k for k, e in enumerate(exps)}
-        rows = tuple(tuple((to_complex(c), index[e]) for e, c in a.coeffs.items())
+        keys = sorted({k for a in self.a_list for k in a._by6})
+        index = {k: i for i, k in enumerate(keys)}
+        rows = tuple(tuple((to_complex(c), index[k]) for k, c in a._by6.items())
                      for a in self.a_list)
-        return tuple(exps), rows
+        return tuple(_exp6(k) for k in keys), rows
 
     def values_at(self, z: complex) -> np.ndarray:
         """[a.eval(z) for a in a_list] as an array, bit for bit: the same
@@ -97,9 +97,9 @@ def pde_taylor(F: PuiseuxSeries, h: PuiseuxSeries, Nx: int, Nz: int) -> Bivariat
         rhs = (-a[n - 2].derivative().derivative()
                + a[n - 1].derivative() * (2 * (n - 2))
                + F * a[n - 2]) * Fraction(1, n - 1)
-        a.append(PuiseuxSeries(
-            {m: c * Fraction(1, n + 4 * int(m)) for m, c in rhs.coeffs.items()},
-            trunc=rhs.trunc))
+        a.append(_make(
+            {k: c * Fraction(1, n + 4 * (k // 6)) for k, c in rhs._by6.items()},
+            rhs.trunc))
     return BivariateSeries(a_list=tuple(s.with_trunc(min(s.trunc, cap)) for s in a),
                            Nx=Nx, Nz=Nz)
 
@@ -111,7 +111,7 @@ def _require_kernel_of(psi: BivariateSeries, F, h) -> None:
         raise ValueError("psi is not the kernel of the given h (its a_1 differs)")
     if psi.Nx >= 2:
         a2 = psi.a_list[2]
-        preimage = _make({m: c * (2 + 4 * int(m)) for m, c in a2.coeffs.items()},
+        preimage = _make({k: c * (2 + 4 * (k // 6)) for k, c in a2._by6.items()},
                          a2.trunc)
         if not (preimage - F).is_zero():
             raise ValueError("psi is not the kernel of the given F (its a_2 differs)")
@@ -246,11 +246,12 @@ def picard_deltas(F: PuiseuxSeries, h: PuiseuxSeries, K: int,
     # two z-orders higher, so retaining m <= Nz exactly after K rounds
     # needs the recursion run at m <= Nz + 2K
     mz = Nz + 2 * K
-    fc = {int(m): c for m, c in F.coeffs.items() if m <= mz}
+    fc = {k // 6: c for k, c in F._by6.items() if k <= 6 * mz}
     delta0: dict = {}
-    for m, c in h.coeffs.items():
-        if m <= mz:
-            delta0[(int(m), 0)] = delta0.get((int(m), 0), Fraction(0)) + c
+    for k, c in h._by6.items():
+        if k <= 6 * mz:
+            m = k // 6
+            delta0[(m, 0)] = delta0.get((m, 0), Fraction(0)) + c
     for j, c in fc.items():
         delta0[(j, 1)] = delta0.get((j, 1), Fraction(0)) + c * Fraction(1, 4 * j + 2)
     deltas = [delta0]
@@ -298,7 +299,7 @@ def picard_partial_sums_match(F, h, K, Nx, Nz) -> bool:
         for m in range(Nz + 1):
             if a.trunc is not INF and m >= a.trunc:
                 break
-            ref = a.coeffs.get(Fraction(m), Fraction(0))
+            ref = a._by6.get(6 * m, Fraction(0))
             if total.get((m, n), Fraction(0)) != ref:
                 return False
     return True

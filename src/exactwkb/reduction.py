@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .airy import airy_symbol
 from .errors import LogObstruction, NotSimpleTurningPoint, SeriesError
-from .series import (EpsSeries, PuiseuxSeries, _sum, compose_each,
+from .series import (EpsSeries, PuiseuxSeries, _make, _sum, compose_each,
                      require_taylor)
 from .symbols import WKBSymbol
 
@@ -35,9 +35,9 @@ def liouville_map(V: PuiseuxSeries, N: int) -> PuiseuxSeries:
     against the q^{3/2} of the integrated square root).
     """
     require_taylor(V, "V")
-    if not V.coeffs.get(Fraction(0), Fraction(0)) == 0:
+    if not V._by6.get(0, Fraction(0)) == 0:
         raise NotSimpleTurningPoint("V(0) != 0")
-    if not V.coeffs.get(Fraction(1), Fraction(0)) == 1:
+    if not V._by6.get(6, Fraction(0)) == 1:
         raise NotSimpleTurningPoint("V'(0) != 1")
     order = Fraction(N)
     sqrtV = V.pow_rational(_HALF, order=order + 1)
@@ -185,9 +185,8 @@ def reduce_to_airy(F: PuiseuxSeries, N_eps: int, N_z: int) -> ReductionSeries:
         if not rhs.is_taylor():
             raise LogObstruction(
                 f"resonant non-holomorphic term at eps-order {k}")
-        S.append(PuiseuxSeries(
-            {m: c / (2 * m + 1) for m, c in rhs.coeffs.items()},
-            trunc=rhs.trunc))
+        S.append(_make({k: c / Fraction(k // 3 + 1) for k, c in rhs._by6.items()},
+                       rhs.trunc))
     return ReductionSeries(s_coeffs=tuple(S))
 
 
@@ -278,6 +277,6 @@ def reconstruct_from_basis(dec: BasisDecomposition, N: int) -> WKBSymbol:
 
 def _lattice_split(s: PuiseuxSeries) -> tuple[PuiseuxSeries, PuiseuxSeries]:
     """Split a half-lattice series into integer and half-integer parts."""
-    ints = {e: c for e, c in s.coeffs.items() if e.denominator == 1}
-    halfs = {e: c for e, c in s.coeffs.items() if e.denominator == 2}
-    return PuiseuxSeries(ints, s.trunc), PuiseuxSeries(halfs, s.trunc)
+    ints = {k: c for k, c in s._by6.items() if k % 6 == 0}
+    halfs = {k: c for k, c in s._by6.items() if k % 6 == 3}
+    return _make(ints, s.trunc), _make(halfs, s.trunc)

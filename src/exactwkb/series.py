@@ -6,13 +6,20 @@ together with a truncation order: exponents >= ``trunc`` are unknown.
 closed-form objects of the model are carried around without artificial
 truncation.
 
-Exponents are Fractions on the lattice (1/6)Z.  The public constructor
-checks its input against a smaller lattice (half-integers by default);
-every operation builds its result through the trusted :func:`_make`, and
-only ``shift`` and ``pow_rational`` can leave (1/6)Z, which they refuse
-with :class:`LatticeError`.  ``coeffs`` is keyed by Fraction; the product,
-the hottest loop, keys its convolution by the integer 6e instead.  JSON
-input is checked against (1/6)Z, so ``to_json`` output always reads back.
+Exponents lie on the lattice (1/6)Z, and a series stores its terms
+keyed by the integer k = 6e, so no operation hashes or compares a
+Fraction exponent.  The public constructor checks its input against a
+smaller lattice (half-integers by default); every operation builds its
+result through the trusted :func:`_make`, and only ``shift`` and
+``pow_rational`` can leave (1/6)Z, which they refuse with
+:class:`LatticeError`.  ``coeffs`` is a Fraction-keyed copy of the terms,
+built on each access, for readers outside the kernel.  JSON input is
+checked against (1/6)Z, so ``to_json`` output always reads back.
+
+A product of two series with Fraction and GaussianRational coefficients
+brings each factor over one common denominator and convolves integers
+(:func:`coefficients.clear`), then normalises one coefficient per
+exponent; other rings convolve their coefficients directly.
 
 A coefficient may itself be a ``PuiseuxSeries``: an eps-series is one in
 eps on the integer lattice with z-series coefficients, so one product and
@@ -37,8 +44,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping
 
-from .coefficients import (GaussianRational, coeff_is_zero, is_exact, lift,
-                           to_complex)
+from .coefficients import (GaussianRational, clear, coeff_is_zero, is_exact,
+                           lift, to_complex, uncleared)
 from .errors import LatticeError, LogObstruction, SeriesError, SeriesFormatError
 
 INF = math.inf
@@ -68,22 +75,33 @@ def _exp6(k: int) -> Fraction:
     return Fraction(k, 6)
 
 
+def _k6(e: Fraction) -> int:
+    """The key 6e of an exponent e on (1/6)Z."""
+    return e.numerator * (6 // e.denominator)
+
+
+def _top6(trunc) -> int:
+    """ceil(6 trunc): a key k lies below a finite ``trunc`` iff k < this."""
+    return -(-6 * trunc.numerator // trunc.denominator)
+
+
 def _fill(obj, data: Mapping, trunc):
-    """Store ``data`` minus exact zeros and terms at or past ``trunc``,
-    in the order of ``data``."""
+    """Store ``data`` (keyed by 6e) minus exact zeros and terms at or past
+    ``trunc``, in the order of ``data``."""
     if trunc is INF:
-        kept = {e: c for e, c in data.items() if not coeff_is_zero(c)}
+        kept = {k: c for k, c in data.items() if not coeff_is_zero(c)}
     else:
-        kept = {e: c for e, c in data.items()
-                if e < trunc and not coeff_is_zero(c)}
-    object.__setattr__(obj, "coeffs", kept)
+        top = _top6(trunc)
+        kept = {k: c for k, c in data.items()
+                if k < top and not coeff_is_zero(c)}
+    object.__setattr__(obj, "_by6", kept)
     object.__setattr__(obj, "trunc", trunc)
     return obj
 
 
 def _make(data: Mapping, trunc) -> "PuiseuxSeries":
-    """Trusted constructor for results: ``data`` maps Fraction exponents
-    on (1/6)Z to lifted coefficients, ``trunc`` is a Fraction or INF."""
+    """Trusted constructor for results: ``data`` maps integer keys k = 6e
+    to lifted coefficients, ``trunc`` is a Fraction or INF."""
     return _fill(object.__new__(PuiseuxSeries), data, trunc)
 
 
@@ -103,7 +121,7 @@ class PuiseuxSeries:
         operations live on the 1/6 lattice.
     """
 
-    __slots__ = ("coeffs", "trunc")
+    __slots__ = ("_by6", "trunc")
 
     def __init__(self, coeffs: Mapping | Iterable = (), trunc=INF, lattice: int = 2):
         if lattice not in (1, 2, 3, 6):
@@ -117,8 +135,9 @@ class PuiseuxSeries:
             if lattice % e.denominator:
                 raise LatticeError(
                     f"exponent {e} not on the 1/{lattice} lattice")
+            k = _k6(e)
             c = lift(c)
-            data[e] = data[e] + c if e in data else c
+            data[k] = data[k] + c if k in data else c
         _fill(self, data, trunc)
 
     def __setattr__(self, *a):
@@ -127,52 +146,60 @@ class PuiseuxSeries:
     # -- basic queries -------------------------------------------------
 
     @property
+    def coeffs(self) -> dict:
+        """A new dict exponent (Fraction) -> coefficient, in stored order;
+        changing it leaves the series as it is."""
+        return {_exp6(k): c for k, c in self._by6.items()}
+
+    @property
     def min_exp(self) -> Fraction:
         """Smallest stored exponent: trunc for a zero known below trunc,
         0 for the exact zero."""
-        if not self.coeffs:
+        if not self._by6:
             return self.trunc if self.trunc is not INF else Fraction(0)
-        return min(self.coeffs)
+        return _exp6(min(self._by6))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._by6
 
     def coeff(self, e) -> Any:
         e = _as_exp(e)
         if self.trunc is not INF and e >= self.trunc:
             raise SeriesError(f"coefficient of z^{e} is beyond truncation {self.trunc}")
-        return self.coeffs.get(e, Fraction(0))
+        if 6 % e.denominator:
+            return Fraction(0)
+        return self._by6.get(_k6(e), Fraction(0))
 
     def leading(self):
         """(exponent, coefficient) of the lowest-order term."""
-        if not self.coeffs:
+        if not self._by6:
             raise SeriesError("zero series has no leading term")
-        e = min(self.coeffs)
-        return e, self.coeffs[e]
+        k = min(self._by6)
+        return _exp6(k), self._by6[k]
 
     def terms(self):
         """Terms sorted by exponent."""
-        return sorted(self.coeffs.items())
+        return [(_exp6(k), c) for k, c in sorted(self._by6.items())]
 
     def is_exact(self) -> bool:
-        return all(is_exact(c) for c in self.coeffs.values())
+        return all(is_exact(c) for c in self._by6.values())
 
     def is_taylor(self) -> bool:
-        return all(e >= 0 and e.denominator == 1 for e in self.coeffs)
+        return all(k >= 0 and not k % 6 for k in self._by6)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._by6)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs and self.trunc == other.trunc
+        return self._by6 == other._by6 and self.trunc == other.trunc
 
     def __hash__(self):
         # an exact constant equals its scalar, so it hashes like it
-        if self.trunc is INF and not self.coeffs.keys() - {_ZERO}:
-            return hash(self.coeffs.get(_ZERO, _ZERO))
+        if self.trunc is INF and not self._by6.keys() - {0}:
+            return hash(self._by6.get(0, _ZERO))
         return hash((tuple(self.terms()), self.trunc))
 
     # -- constructors --------------------------------------------------
@@ -196,10 +223,10 @@ class PuiseuxSeries:
             trunc = _as_exp(trunc)
         if self.trunc is not INF and (trunc is INF or trunc > self.trunc):
             raise SeriesError("cannot loosen a truncation")
-        return _make(self.coeffs, trunc)
+        return _make(self._by6, trunc)
 
     def map_coefficients(self, fn: Callable[[Any], Any]) -> "PuiseuxSeries":
-        return _make({e: lift(fn(c)) for e, c in self.coeffs.items()}, self.trunc)
+        return _make({k: lift(fn(c)) for k, c in self._by6.items()}, self.trunc)
 
     def to_float(self) -> "PuiseuxSeries":
         return self.map_coefficients(to_complex)
@@ -211,15 +238,15 @@ class PuiseuxSeries:
         if other is NotImplemented:
             return NotImplemented
         trunc = min(self.trunc, other.trunc)
-        data = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            data[e] = data[e] + c if e in data else c
+        data = dict(self._by6)
+        for k, c in other._by6.items():
+            data[k] = data[k] + c if k in data else c
         return _make(data, trunc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make({e: -c for e, c in self.coeffs.items()}, self.trunc)
+        return _make({k: -c for k, c in self._by6.items()}, self.trunc)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -229,8 +256,8 @@ class PuiseuxSeries:
 
     def __mul__(self, other):
         if isinstance(other, PuiseuxSeries):
-            if (not self.coeffs and self.trunc is INF
-                    or not other.coeffs and other.trunc is INF):
+            if (not self._by6 and self.trunc is INF
+                    or not other._by6 and other.trunc is INF):
                 return _make({}, INF)    # the exact zero absorbs
             # error(a*b) <= a_known * err_b + err_a * b_known
             trunc = INF
@@ -238,25 +265,26 @@ class PuiseuxSeries:
                 trunc = min(trunc, self.min_exp + other.trunc)
             if self.trunc is not INF:
                 trunc = min(trunc, other.min_exp + self.trunc)
-            # keyed by the integer k = 6e: k < ceil(6 trunc) iff k/6 < trunc
-            kmax = INF if trunc is INF else math.ceil(6 * trunc)
-            bs = _keyed(other)
-            data: dict = {}
-            for ka, ca in _keyed(self):
-                for kb, cb in bs:
-                    k = ka + kb
-                    if k >= kmax:
-                        continue
-                    p = ca * cb
-                    data[k] = data[k] + p if k in data else p
+            kmax = INF if trunc is INF else _top6(trunc)
+            data = _cleared_product(self._by6, other._by6, kmax)
+            if data is None:
+                bs = other._by6.items()
+                data = {}
+                for ka, ca in self._by6.items():
+                    for kb, cb in bs:
+                        k = ka + kb
+                        if k >= kmax:
+                            continue
+                        p = ca * cb
+                        data[k] = data[k] + p if k in data else p
             # every k is already below trunc: _make need only drop zeros
-            out = _make({_exp6(k): c for k, c in data.items()}, INF)
+            out = _make(data, INF)
             object.__setattr__(out, "trunc", trunc)
             return out
         c = lift(other)
         if coeff_is_zero(c):
             return _make({}, INF)    # an exact scalar 0 absorbs too
-        return _make({e: v * c for e, v in self.coeffs.items()}, self.trunc)
+        return _make({k: v * c for k, v in self._by6.items()}, self.trunc)
 
     __rmul__ = __mul__
 
@@ -267,13 +295,14 @@ class PuiseuxSeries:
             c = lift(other)
         except TypeError:
             return NotImplemented
-        return _make({_ZERO: c}, INF)
+        return _make({0: c}, INF)
 
     def shift(self, e) -> "PuiseuxSeries":
         """Multiply by the monomial z^e."""
         e = _check_sixths(_as_exp(e))
         trunc = self.trunc if self.trunc is INF else self.trunc + e
-        return _make({k + e: c for k, c in self.coeffs.items()}, trunc)
+        d = _k6(e)
+        return _make({k + d: c for k, c in self._by6.items()}, trunc)
 
     def inverse(self, order=None) -> "PuiseuxSeries":
         """Multiplicative inverse 1/self, i.e. ``pow_rational(-1, order)``.
@@ -291,14 +320,14 @@ class PuiseuxSeries:
 
     def __truediv__(self, other):
         c = lift(other)
-        return _make({e: v / c for e, v in self.coeffs.items()}, self.trunc)
+        return _make({k: v / c for k, v in self._by6.items()}, self.trunc)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             raise SeriesError("a series power needs n >= 0; use pow_rational")
-        out = _make({_ZERO: _ONE}, INF)
+        out = _make({0: _ONE}, INF)
         base = self
         k = n
         while k:
@@ -332,9 +361,9 @@ class PuiseuxSeries:
         new_exp = _check_sixths(m * r)
         c0r = _coeff_root(c0, r)
         rel = None if self.trunc is INF else self.trunc - m
-        if len(self.coeffs) == 1:
+        if len(self._by6) == 1:
             t = INF if rel is None else new_exp + rel
-            return _make({new_exp: c0r}, t)
+            return _make({_k6(new_exp): c0r}, t)
         if rel is None:
             if order is None:
                 raise SeriesError(
@@ -353,7 +382,7 @@ class PuiseuxSeries:
         below self's truncation, which must be finite unless self is 0
         (whose exp is the scalar 1: no term tells its coefficient ring)."""
         if self.is_zero():
-            return _make({_ZERO: _ONE}, self.trunc)
+            return _make({0: _ONE}, self.trunc)
         if self.min_exp <= 0:
             raise SeriesError("exp needs a series of positive order")
         if self.trunc is INF:
@@ -369,7 +398,8 @@ class PuiseuxSeries:
 
     def derivative(self) -> "PuiseuxSeries":
         trunc = self.trunc if self.trunc is INF else self.trunc - 1
-        return _make({e - 1: c * e for e, c in self.coeffs.items() if e != 0}, trunc)
+        return _make({k - 6: c * _exp6(k) for k, c in self._by6.items() if k},
+                     trunc)
 
     def antiderivative(self) -> "PuiseuxSeries":
         """Termwise antiderivative with zero integration constant.
@@ -381,19 +411,19 @@ class PuiseuxSeries:
         term exactly leave only rounding residue there, which is
         dropped).
         """
-        res = self.coeffs.get(Fraction(-1), Fraction(0))
+        res = self._by6.get(-6, Fraction(0))
         if not coeff_is_zero(res):
             if is_exact(res):
                 raise LogObstruction(
                     "antiderivative of a z^-1 term would introduce log z")
-            scale = max((abs(to_complex(c)) for c in self.coeffs.values()),
+            scale = max((abs(to_complex(c)) for c in self._by6.values()),
                         default=0.0)
             if abs(to_complex(res)) > 1e-9 * scale:
                 raise LogObstruction(
                     "antiderivative of a z^-1 term would introduce log z")
         trunc = self.trunc if self.trunc is INF else self.trunc + 1
-        return _make({e + 1: c / (e + 1) for e, c in self.coeffs.items() if e != -1},
-                     trunc)
+        return _make({k + 6: c / _exp6(k + 6) for k, c in self._by6.items()
+                      if k != -6}, trunc)
 
     # -- composition -----------------------------------------------------
 
@@ -422,10 +452,10 @@ class PuiseuxSeries:
         inner^1, ... (formed here if not given) at a truncation no
         tighter than ``trunc``, see :func:`compose_each`."""
         if powers is None:
-            powers = _powers(inner, int(max(self.coeffs, default=0)), trunc)
+            powers = _powers(inner, max(self._by6, default=0) // 6, trunc)
         out = _make({}, trunc)
-        for e, c in sorted(self.coeffs.items()):
-            out = out + powers[int(e)].with_trunc(trunc) * c
+        for k, c in sorted(self._by6.items()):
+            out = out + powers[k // 6].with_trunc(trunc) * c
         return out
 
     def reversion(self, order) -> "PuiseuxSeries":
@@ -443,15 +473,15 @@ class PuiseuxSeries:
         """
         if not self.is_taylor():
             raise SeriesError("compositional inversion requires a Taylor series")
-        if not coeff_is_zero(self.coeffs.get(_ZERO, _ZERO)):
+        if not coeff_is_zero(self._by6.get(0, _ZERO)):
             raise SeriesError("compositional inversion requires f(0) = 0")
-        a1 = self.coeffs.get(_ONE, _ZERO)
+        a1 = self._by6.get(6, _ZERO)
         if coeff_is_zero(a1):
             raise SeriesError("not invertible as a formal map: f'(0) = 0")
         trunc = min(Fraction(int(_as_exp(order))), self.trunc)
         inv_a1 = _ONE / a1 if isinstance(a1, Fraction) else 1 / a1
         top = math.ceil(trunc)
-        fs = sorted((int(e), c) for e, c in self.coeffs.items() if 1 < e < top)
+        fs = sorted((k // 6, c) for k, c in self._by6.items() if 6 < k < 6 * top)
         # powers[j - 1][m] = [z^m] g^j, nonzero terms only; powers[0] is g
         g = {1: inv_a1}
         powers = [g] + [{} for _ in range(fs[-1][0] - 1 if fs else 0)]
@@ -465,7 +495,7 @@ class PuiseuxSeries:
             corr = _ZERO if acc is None else -acc * inv_a1
             if not coeff_is_zero(corr):
                 g[m] = corr
-        return _make({Fraction(m): c for m, c in g.items()}, trunc)
+        return _make({6 * m: c for m, c in g.items()}, trunc)
 
     # -- evaluation ------------------------------------------------------
 
@@ -475,8 +505,8 @@ class PuiseuxSeries:
         if zpow is None:
             zpow = _principal_pow
         total = 0j
-        for e, c in self.coeffs.items():
-            total += to_complex(c) * zpow(z, e)
+        for k, c in self._by6.items():
+            total += to_complex(c) * zpow(z, _exp6(k))
         return total
 
     # -- serialization -----------------------------------------------------
@@ -525,14 +555,14 @@ class PuiseuxSeries:
         return cls.from_json_dict(json.loads(s))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self._by6:
             body = "0"
         else:
             parts = []
             for e, c in self.terms()[:8]:
                 parts.append(f"({c})z^{e}" if e != 0 else f"({c})")
             body = " + ".join(parts)
-            if len(self.coeffs) > 8:
+            if len(self._by6) > 8:
                 body += " + ..."
         t = "" if self.trunc is INF else f" + O(z^{self.trunc})"
         return f"<PuiseuxSeries {body}{t}>"
@@ -548,7 +578,7 @@ def _principal_pow(z: complex, e: Fraction) -> complex:
 
 def _series_valued(s: PuiseuxSeries) -> bool:
     """Whether s's coefficients are series (s is an eps-series)."""
-    return isinstance(next(iter(s.coeffs.values()), None), PuiseuxSeries)
+    return isinstance(next(iter(s._by6.values()), None), PuiseuxSeries)
 
 
 def _sum(terms: Iterable):
@@ -562,7 +592,7 @@ def _sum(terms: Iterable):
 
 def _powers(inner: PuiseuxSeries, n: int, trunc) -> list:
     """inner^0, ..., inner^n, each truncated at ``trunc`` as it is formed."""
-    power = _make({_ZERO: _ONE}, trunc)
+    power = _make({0: _ONE}, trunc)
     out = [power]
     for _ in range(n):
         power = power * inner
@@ -579,14 +609,58 @@ def compose_each(outers, inner: PuiseuxSeries) -> list:
     below a truncation T a product's coefficients, and the order in which
     its keys first appear, depend only on its factors' terms below T."""
     truncs = [f._compose_trunc(inner) for f in outers]
-    top = max((int(max(f.coeffs, default=0)) for f in outers), default=0)
+    top = max((max(f._by6, default=0) // 6 for f in outers), default=0)
     powers = _powers(inner, top, max(truncs, default=_ZERO))
     return [f._compose_plain(inner, t, powers) for f, t in zip(outers, truncs)]
 
 
-def _keyed(s: PuiseuxSeries) -> list:
-    """s's terms as (6e, c) pairs, in s's order."""
-    return [(e.numerator * (6 // e.denominator), c) for e, c in s.coeffs.items()]
+def _cleared_product(xs: dict, ys: dict, kmax) -> dict | None:
+    """The convolution {k: sum of x_i y_j over i + j = k < kmax} of two
+    term dicts, keys in order of first appearance in the double loop over
+    xs then ys, or None unless every coefficient is a Fraction or a
+    GaussianRational.  Both factors are brought over one denominator
+    (:func:`coefficients.clear`) and integers are convolved: the real
+    parts, and the imaginary parts too when a factor is Gaussian.  An
+    output is a GaussianRational exactly when a pair that feeds it has a
+    Gaussian factor, as the sum of the coefficient products would be."""
+    cx = clear(xs.values())
+    if cx is None:
+        return None
+    cy = clear(ys.values())
+    if cy is None:
+        return None
+    (dx, rx, gx), (dy, ry, gy) = cx, cy
+    d = dx * dy
+    if not (gx or gy):
+        bs = [(kb, b) for kb, (b, _, _) in zip(ys, ry)]
+        acc: dict = {}
+        for ka, (a, _, _) in zip(xs, rx):
+            for kb, b in bs:
+                k = ka + kb
+                if k < kmax:
+                    acc[k] = acc[k] + a * b if k in acc else a * b
+        return {k: Fraction(a, d) for k, a in acc.items()}
+    bs = [(kb, *row) for kb, row in zip(ys, ry)]
+    re: dict = {}
+    im: dict = {}
+    # a factor of Gaussians only makes every output Gaussian
+    every = gx == len(rx) or gy == len(ry)
+    gauss = set()
+    for ka, (a, b, ga) in zip(xs, rx):
+        for kb, c, e, gb in bs:
+            k = ka + kb
+            if k >= kmax:
+                continue
+            if k in re:
+                re[k] += a * c - b * e
+                im[k] += a * e + b * c
+            else:
+                re[k] = a * c - b * e
+                im[k] = a * e + b * c
+            if not every and (ga or gb):
+                gauss.add(k)
+    return {k: uncleared(a, im[k], d, every or k in gauss)
+            for k, a in re.items()}
 
 
 def _expand(g, rel, lead, f0, weight, finish) -> PuiseuxSeries:
@@ -597,7 +671,7 @@ def _expand(g, rel, lead, f0, weight, finish) -> PuiseuxSeries:
     :meth:`PuiseuxSeries.pow_rational` and ``exp``.  d is the gcd of g's
     nonconstant offsets 6e (g is no monomial), and an f_n that no term
     reaches is absent, the exact zero."""
-    gs = sorted((k, c) for k, c in _keyed(g) if k > 0)
+    gs = sorted((k, c) for k, c in g._by6.items() if k > 0)
     d = math.gcd(*(k for k, _ in gs))
     gs = [(k // d, c) for k, c in gs]
     f = {0: f0}
@@ -616,7 +690,8 @@ def _expand(g, rel, lead, f0, weight, finish) -> PuiseuxSeries:
         if acc is not None:
             f[n] = finish(acc, n)
         n += 1
-    return _make({lead + _exp6(k * d): c for k, c in f.items()}, lead + rel)
+    lead6 = _k6(lead)
+    return _make({lead6 + k * d: c for k, c in f.items()}, lead + rel)
 
 
 def _coeff_root(c, r: Fraction):
@@ -659,9 +734,9 @@ class TaylorSeries(PuiseuxSeries):
 
     def __init__(self, coeffs=(), trunc=INF):
         super().__init__(coeffs, trunc, 1)
-        for e in self.coeffs:
-            if e < 0 or e.denominator != 1:
-                raise SeriesError(f"TaylorSeries got exponent {e}")
+        for k in self._by6:
+            if k < 0:
+                raise SeriesError(f"TaylorSeries got exponent {_exp6(k)}")
 
 
 def max_abs_coeff(series: Iterable[PuiseuxSeries]):
@@ -669,7 +744,7 @@ def max_abs_coeff(series: Iterable[PuiseuxSeries]):
     (``Fraction(0)`` when there is none)."""
     worst = Fraction(0)
     for s in series:
-        for c in s.coeffs.values():
+        for c in s._by6.values():
             if abs(c) > abs(worst):
                 worst = c
     return worst
@@ -693,7 +768,7 @@ class EpsSeries:
     def of(cls, E: PuiseuxSeries) -> "EpsSeries":
         """The orders of E, whose eps-truncation must be finite."""
         zero = PuiseuxSeries.zero()
-        return cls(tuple(E.coeffs.get(n, zero) for n in range(int(E.trunc))))
+        return cls(tuple(E._by6.get(6 * n, zero) for n in range(int(E.trunc))))
 
     def series(self) -> PuiseuxSeries:
         return PuiseuxSeries(enumerate(self.coeffs), len(self.coeffs), lattice=1)

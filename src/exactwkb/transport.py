@@ -66,8 +66,11 @@ def riccati_p(F: PuiseuxSeries, N: int) -> RiccatiExpansion:
         ps.append(PuiseuxSeries.monomial(Fraction(1, 4), -1))
     for n in range(1, N):
         rhs = ps[n].derivative()
-        for j in range(1, n + 1):
-            rhs = rhs - ps[j] * ps[n + 1 - j]
+        # the sum is symmetric in j <-> n+1-j: each pair once, doubled
+        for j in range(1, n // 2 + 1):
+            rhs = rhs - ps[j] * ps[n + 1 - j] * 2
+        if n % 2:
+            rhs = rhs - ps[(n + 1) // 2] * ps[(n + 1) // 2]
         if n == 1:
             rhs = rhs + F
         ps.append(rhs * inv_2p0)
@@ -137,7 +140,7 @@ def symbol_consistency(F: PuiseuxSeries, N: int) -> dict:
     dPe = Pe.map_coefficients(PuiseuxSeries.derivative)
     ratio = (dPe * Pe.inverse()).shift(1) * _HALF
     diff = (Po - ratio).with_trunc(N + 1)
-    odd_even_resid = max_abs_coeff(diff.coeffs.values())
+    odd_even_resid = max_abs_coeff(diff._by6.values())
 
     # (ii) route-2 expansion of the symbol series
     p0 = PuiseuxSeries.monomial(1, _HALF)
@@ -157,8 +160,7 @@ def symbol_consistency(F: PuiseuxSeries, N: int) -> dict:
         partial = PuiseuxSeries.zero()
         for k in range(n):
             partial = partial + E.coeff(n - k) * C[k]
-        cn = gs[n].coeffs.get(Fraction(0), Fraction(0)) \
-            - partial.coeffs.get(Fraction(0), Fraction(0))
+        cn = gs[n]._by6.get(0, Fraction(0)) - partial._by6.get(0, Fraction(0))
         C.append(cn)
         diff_n = gs[n] - (partial + E.coeff(0) * cn)
         resid = max(resid, max_abs_coeff([diff_n]), key=abs)

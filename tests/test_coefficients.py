@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactwkb.coefficients import GaussianRational as G
+from exactwkb.coefficients import clear, coeff_is_zero, uncleared
 
 settings.register_profile("coefficients", max_examples=60, derandomize=True,
                           deadline=None, database=None)
@@ -124,3 +125,30 @@ def test_read_only_parts_and_repr():
     assert repr(g) == "GaussianRational(1/2, -3/4)"
     assert repr(G(Fr(6, 4))) == "GaussianRational(3/2)"
     assert g.conjugate() == G(Fr(1, 2), Fr(3, 4))
+
+
+@given(st.one_of(GAUSS, RATS))
+def test_zero_test_and_truth_follow_the_numerator(x):
+    assert coeff_is_zero(x) is (pair(x) == (0, 0))
+    assert bool(x) is (pair(x) != (0, 0))
+
+
+def test_zero_test_of_exact_scalars_skips_fraction_eq(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("Fraction.__eq__ called")
+    monkeypatch.setattr(Fr, "__eq__", refuse)
+    assert coeff_is_zero(Fr(0)) and not coeff_is_zero(Fr(1, 3))
+    assert coeff_is_zero(G(0)) and not coeff_is_zero(G(0, 2))
+    assert not coeff_is_zero(G(Fr(5, 2)))
+
+
+@given(st.lists(st.one_of(GAUSS, RATS), max_size=8))
+def test_clear_and_uncleared_invert_each_other(values):
+    d, rows, gaussian = clear(values)
+    assert d > 0 and gaussian == sum(isinstance(v, G) for v in values)
+    back = [uncleared(a, b, d, g) for a, b, g in rows]
+    assert [repr(v) for v in back] == [repr(v) for v in values]
+
+
+def test_clear_refuses_other_rings():
+    assert clear([Fr(1), 0.5]) is None and clear([1j]) is None

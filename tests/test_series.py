@@ -286,10 +286,34 @@ def test_lattice_checked_on_input():
 
 def test_series_stores_only_coefficients_and_truncation():
     a = PuiseuxSeries({Fr(1, 3): 1}, lattice=3) * S({Fr(1, 2): 1}, trunc=3)
-    assert PuiseuxSeries.__slots__ == ("coeffs", "trunc")
+    # the terms keyed by the integer 6e, and the truncation
+    assert PuiseuxSeries.__slots__ == ("_by6", "trunc")
+    assert a._by6 == {5: Fr(1)}
     with pytest.raises(AttributeError):
         a.trunc = 5
+    with pytest.raises(AttributeError):
+        a.coeffs = {}
     assert list(a.coeffs) == [Fr(5, 6)] and a.trunc == Fr(10, 3)
+
+
+def test_coeffs_is_a_fraction_keyed_copy_in_constructor_order():
+    s = PuiseuxSeries({Fr(3, 2): 1, 0: 2, Fr(-1, 6): 3, 1: 4, Fr(1, 6): 5},
+                      trunc=Fr(7, 2), lattice=6)
+    c = s.coeffs
+    assert list(c) == [Fr(3, 2), 0, Fr(-1, 6), 1, Fr(1, 6)]
+    assert all(type(e) is Fr for e in c)
+    # z^1 and z^(1/6) are told apart, whether looked up by Fraction or int
+    assert c[Fr(1)] == c[1] == 4 and c[Fr(1, 6)] == 5
+    c[Fr(5, 2)] = 9
+    del c[Fr(0)]
+    assert s.coeffs == {Fr(3, 2): 1, 0: 2, Fr(-1, 6): 3, 1: 4, Fr(1, 6): 5}
+    assert s.coeff(0) == 2 and s.coeff(Fr(5, 2)) == 0
+    back = PuiseuxSeries.from_json(s.to_json())
+    assert back == s and back.to_json() == s.to_json()
+    g = PuiseuxSeries({Fr(1, 3): GaussianRational(1, -2), 0: Fr(1, 5)},
+                      trunc=2, lattice=3)
+    back = PuiseuxSeries.from_json(g.to_json())
+    assert back == g and back.to_json() == g.to_json()
 
 
 def test_exponents_off_the_sixths_lattice_rejected():

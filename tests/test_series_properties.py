@@ -260,12 +260,12 @@ def reversion_by_composition(f, order):
     trunc = min(Fr(int(order)), f.trunc)
     a1 = f.coeffs[Fr(1)]
     inv_a1 = Fr(1) / a1 if isinstance(a1, Fr) else 1 / a1
-    g = {Fr(1): inv_a1}
+    g = {6: inv_a1}     # _make keys a term c z^m by the integer 6m
     for m in range(2, math.ceil(trunc)):
         comp = f._compose_plain(_make(g, Fr(m + 1)), Fr(m + 1))
         corr = -comp.coeffs.get(Fr(m), Fr(0)) * inv_a1
         if not coeff_is_zero(corr):
-            g[Fr(m)] = corr
+            g[6 * m] = corr
     return _make(g, trunc)
 
 
@@ -369,6 +369,60 @@ def test_product_matches_the_fraction_keyed_convolution(data, ring):
     assert [(e, repr(c)) for e, c in p.coeffs.items()] == \
         [(e, repr(c)) for e, c in items]
     assert all(isinstance(e, Fr) for e in p.coeffs)
+
+
+# numerators and denominators large enough that clearing them matters
+LONG_RATS = st.builds(Fr, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 97))
+# Gaussians, a zero imaginary part among them, and Fractions in one series
+MIXED = st.one_of(LONG_RATS, st.builds(GaussianRational, LONG_RATS, LONG_RATS),
+                  st.builds(GaussianRational, LONG_RATS))
+LONG_COEFFS = {"fraction": LONG_RATS, "mixed": MIXED}
+
+
+def long_series(data, coeff):
+    """Up to 40 terms on (1/6)Z, from -2 up, and a drawn truncation."""
+    ks = data.draw(st.lists(st.integers(-12, 60), max_size=40, unique=True))
+    t = data.draw(st.one_of(st.none(), st.integers(-12, 66), st.just(Fr(61, 7))))
+    return PuiseuxSeries({k * SIXTH: data.draw(coeff) for k in ks},
+                         INF if t is None else t * SIXTH, lattice=6)
+
+
+@given(st.data(), st.sampled_from(sorted(LONG_COEFFS)))
+def test_long_and_mixed_products_match_the_fraction_keyed_convolution(data, ring):
+    a, b = (long_series(data, LONG_COEFFS[ring]) for _ in range(2))
+    items, trunc = naive_product(a, b)
+    p = a * b
+    assert p.trunc == trunc
+    # same keys in the same order, the same values and the same types: a
+    # coefficient is Gaussian iff some pair that feeds it has a Gaussian
+    assert [(e, repr(c)) for e, c in p.coeffs.items()] == \
+        [(e, repr(c)) for e, c in items]
+
+
+def test_a_gaussian_with_zero_imaginary_part_keeps_its_products_gaussian():
+    real = GaussianRational(Fr(2, 3))
+    a = PuiseuxSeries({0: Fr(1, 3), 1: real})
+    b = PuiseuxSeries({0: Fr(3, 5), 2: GaussianRational(1, 1)})
+    p = a * b
+    assert [(e, repr(c)) for e, c in p.coeffs.items()] == [
+        (0, "Fraction(1, 5)"), (2, "GaussianRational(1/3, 1/3)"),
+        (1, "GaussianRational(2/5)"), (3, "GaussianRational(2/3, 2/3)")]
+    # a cancellation to 0 drops the term, whatever its type
+    assert (a * PuiseuxSeries({0: 1, 1: -real / Fr(1, 3)})).coeffs == {
+        0: Fr(1, 3), 2: GaussianRational(Fr(-4, 3))}
+
+
+@given(st.data())
+def test_eps_products_match_the_fraction_keyed_convolution(data):
+    """Series-valued coefficients take the coefficientwise product; the z-
+    products inside it are cleared ones."""
+    a, b = eps_series(data), eps_series(data)
+    items, trunc = naive_product(a, b)
+    p = a * b
+    assert p.trunc == trunc
+    assert [(e, repr(c)) for e, c in p.coeffs.items()] == \
+        [(e, repr(c)) for e, c in items]
+    assert list(p.coeffs.values()) == [c for _, c in items]
 
 
 def test_product_on_thirds_and_an_off_grid_truncation():

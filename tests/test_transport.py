@@ -6,6 +6,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from exactwkb.airy import airy_symbol
+from exactwkb.coefficients import GaussianRational
 from exactwkb.errors import SeriesError
 from exactwkb.series import PuiseuxSeries, TaylorSeries
 from exactwkb.transport import (grading_ok, riccati_grading_ok, riccati_p,
@@ -30,6 +31,35 @@ def test_g1_constant_potential():
     c = Fr(3, 7)
     g1 = transport_g(TaylorSeries({0: c}), 1).eps_coeffs[1]
     assert g1 == PuiseuxSeries({Fr(-3, 2): Fr(-5, 48), Fr(1, 2): -c})
+
+
+def riccati_by_full_sum(F, N):
+    """p_0, ..., p_N with sum_{j=1..n} p_j p_{n+1-j} formed term by term."""
+    inv_2p0 = PuiseuxSeries.monomial(Fr(1, 2), Fr(-1, 2))
+    ps = [PuiseuxSeries.monomial(1, Fr(1, 2)), PuiseuxSeries.monomial(Fr(1, 4), -1)]
+    for n in range(1, N):
+        rhs = ps[n].derivative()
+        for j in range(1, n + 1):
+            rhs = rhs - ps[j] * ps[n + 1 - j]
+        if n == 1:
+            rhs = rhs + F
+        ps.append(rhs * inv_2p0)
+    return ps[:N + 1]
+
+
+@pytest.mark.parametrize("F", [
+    TaylorSeries({0: Fr(1, 3), 1: Fr(-2, 7), 2: Fr(5, 4)}),
+    TaylorSeries({0: GaussianRational(Fr(1, 2), -1), 2: GaussianRational(0, Fr(3, 5))},
+                 trunc=4),
+], ids=["fraction", "gaussian"])
+def test_halved_riccati_products_match_the_full_sum(F):
+    want = riccati_by_full_sum(F, 12)
+    for N in range(13):
+        got = riccati_p(F, N).p_coeffs
+        assert len(got) == N + 1
+        for n, p in enumerate(got):
+            assert p == want[n] and p.trunc == want[n].trunc, (N, n)
+            assert list(p.coeffs.items()) == list(want[n].coeffs.items()), (N, n)
 
 
 def test_riccati_seeds_and_p2():
