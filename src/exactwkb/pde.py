@@ -22,7 +22,7 @@ from .airy import airy_contour, symbol_borel_sum
 from .coefficients import to_complex
 from .contours import ContourSpec, LaplaceResult
 from .errors import ContourFailure, DomainExit
-from .series import (INF, PuiseuxSeries, _exp6, _make, _principal_pow,
+from .series import (INF, PuiseuxSeries, _diag, _exp6, _principal_pow,
                      max_abs_coeff, require_taylor)
 from .transport import transport_g
 
@@ -82,8 +82,10 @@ def pde_taylor(F: PuiseuxSeries, h: PuiseuxSeries, Nx: int, Nz: int) -> Bivariat
     action of its kernel G -> int_0^1 u^{n-1} G(u^4 z) du, which maps
     z^m to z^m/(n+4m).  The independent exact route is the Picard
     iteration of the integral equation (picard_deltas); the two are
-    cross-checked by picard_partial_sums_match.  ValueError for Nx < 1
-    (a_0 and a_1 are always kept) or Nz < 0.
+    cross-checked by picard_partial_sums_match.  On terms c z^{k/6} the
+    right side is a_{n-2} weighted by -k(k-6)/36 (shift -12) plus a_{n-1}
+    by (n-2)k/3 (shift -6) plus F a_{n-2}, its term at k then divided by
+    (n-1)(n+4k/6).  ValueError for Nx < 1 or Nz < 0.
     """
     if Nx < 1 or Nz < 0:
         raise ValueError(f"pde orders need Nx >= 1 and Nz >= 0, got {Nx}, {Nz}")
@@ -94,12 +96,11 @@ def pde_taylor(F: PuiseuxSeries, h: PuiseuxSeries, Nx: int, Nz: int) -> Bivariat
     # exact); the retention window Nz is applied at the end
     a = [PuiseuxSeries({0: 1}), h]
     for n in range(2, Nx + 1):
-        rhs = (-a[n - 2].derivative().derivative()
-               + a[n - 1].derivative() * (2 * (n - 2))
-               + F * a[n - 2]) * Fraction(1, n - 1)
-        a.append(_make(
-            {k: c * Fraction(1, n + 4 * (k // 6)) for k, c in rhs._by6.items()},
-            rhs.trunc))
+        rhs = _diag(a[n - 2], -12, lambda k: -k * (k - 6), lambda k: 36)
+        if n > 2:
+            rhs = rhs + _diag(a[n - 1], -6, lambda k: (n - 2) * k, lambda k: 3)
+        rhs = rhs + F * a[n - 2]
+        a.append(_diag(rhs, 0, lambda k: 1, lambda k: (n - 1) * (n + 4 * (k // 6))))
     return BivariateSeries(a_list=tuple(s.with_trunc(min(s.trunc, cap)) for s in a),
                            Nx=Nx, Nz=Nz)
 
@@ -111,8 +112,7 @@ def _require_kernel_of(psi: BivariateSeries, F, h) -> None:
         raise ValueError("psi is not the kernel of the given h (its a_1 differs)")
     if psi.Nx >= 2:
         a2 = psi.a_list[2]
-        preimage = _make({k: c * (2 + 4 * (k // 6)) for k, c in a2._by6.items()},
-                         a2.trunc)
+        preimage = _diag(a2, 0, lambda k: 2 + 4 * (k // 6), lambda k: 1)
         if not (preimage - F).is_zero():
             raise ValueError("psi is not the kernel of the given F (its a_2 differs)")
 
@@ -121,25 +121,22 @@ def pde_residual(psi: BivariateSeries, F: PuiseuxSeries):
     """Largest retained coefficient of the PDE applied to psi.
 
     Assembles x^2 psi_xx + (4xz - 2x^2) psi_xz + x^2 psi_zz
-    + (2x - 4z) psi_z - x^2 F psi by direct series operations and takes
-    the max coefficient magnitude over x-orders 0..Nx and retained
-    z-orders (exact zero for pde_taylor output in exact mode).
+    + (2x - 4z) psi_z - x^2 F psi and takes the max coefficient magnitude
+    over x-orders 0..Nx and retained z-orders (exact zero for pde_taylor
+    output in exact mode).  On terms c z^{k/6} x^n's coefficient is a_n
+    weighted by (n-1)(3n+2k)/3, plus a_{n-1} by -(n-2)k/3 (shift -6), plus
+    a_{n-2} by k(k-6)/36 (shift -12), minus F a_{n-2}.
     """
-    a = psi.a_list
-    Nx = psi.Nx
-    z4 = PuiseuxSeries.monomial(4, 1)
+    a, negF = psi.a_list, -F
     terms = []
-    for n in range(Nx + 1):
-        term = PuiseuxSeries.zero()
-        term = term + a[n] * (n * (n - 1))                     # x^2 psi_xx
-        term = term + z4 * a[n].derivative() * n               # 4xz psi_xz
+    for n in range(psi.Nx + 1):
+        term = _diag(a[n], 0, lambda k: (n - 1) * (3 * n + 2 * k), lambda k: 3)
         if n >= 1:
-            term = term - a[n - 1].derivative() * (2 * (n - 1))  # -2x^2 psi_xz
-            term = term + a[n - 1].derivative() * 2              # 2x psi_z
+            term = term + _diag(a[n - 1], -6, lambda k: -(n - 2) * k, lambda k: 3)
         if n >= 2:
-            term = term + a[n - 2].derivative().derivative()     # x^2 psi_zz
-            term = term - F * a[n - 2]                           # -x^2 F psi
-        terms.append(term - z4 * a[n].derivative())              # -4z psi_z
+            term = term + _diag(a[n - 2], -12, lambda k: k * (k - 6), lambda k: 36) \
+                + negF * a[n - 2]
+        terms.append(term)
     return max_abs_coeff(terms)
 
 

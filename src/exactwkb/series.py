@@ -19,7 +19,9 @@ checked against (1/6)Z, so ``to_json`` output always reads back.
 A product of two series with Fraction and GaussianRational coefficients
 brings each factor over one common denominator and convolves integers
 (:func:`coefficients.clear`), then normalises one coefficient per
-exponent; other rings convolve their coefficients directly.
+exponent; other rings convolve their coefficients directly.  The rest is
+diagonal: :func:`_diag` maps c z^(k/6) to c num(k)/den(k) z^((k+d)/6), one
+gcd per exact term, for derivatives, rational multiples and the recursions.
 
 A coefficient may itself be a ``PuiseuxSeries``: an eps-series is one in
 eps on the integer lattice with z-series coefficients, so one product and
@@ -44,14 +46,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping
 
-from .coefficients import (GaussianRational, clear, coeff_is_zero, is_exact,
-                           lift, to_complex, uncleared)
+from .coefficients import (GaussianRational, _gauss, clear, coeff_is_zero,
+                           is_exact, lift, to_complex, uncleared)
 from .errors import LatticeError, LogObstruction, SeriesError, SeriesFormatError
 
 INF = math.inf
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_EXACT = (Fraction, GaussianRational)
 
 
 def _as_exp(e) -> Fraction:
@@ -85,24 +88,44 @@ def _top6(trunc) -> int:
     return -(-6 * trunc.numerator // trunc.denominator)
 
 
-def _fill(obj, data: Mapping, trunc):
-    """Store ``data`` (keyed by 6e) minus exact zeros and terms at or past
-    ``trunc``, in the order of ``data``."""
-    if trunc is INF:
-        kept = {k: c for k, c in data.items() if not coeff_is_zero(c)}
-    else:
-        top = _top6(trunc)
-        kept = {k: c for k, c in data.items()
-                if k < top and not coeff_is_zero(c)}
-    object.__setattr__(obj, "_by6", kept)
+def _fill(obj, data: Mapping, trunc, known=()):
+    """Store ``data`` (keyed by 6e) in its order, minus terms at or past
+    ``trunc`` and zeros; a coefficient of a type in ``known`` is nonzero."""
+    top = INF if trunc is INF else _top6(trunc)
+    object.__setattr__(obj, "_by6", {k: c for k, c in data.items() if k < top and (
+        type(c) in known or not coeff_is_zero(c))})
     object.__setattr__(obj, "trunc", trunc)
     return obj
 
 
-def _make(data: Mapping, trunc) -> "PuiseuxSeries":
+def _make(data: Mapping, trunc, known=()) -> "PuiseuxSeries":
     """Trusted constructor for results: ``data`` maps integer keys k = 6e
-    to lifted coefficients, ``trunc`` is a Fraction or INF."""
-    return _fill(object.__new__(PuiseuxSeries), data, trunc)
+    to lifted coefficients, ``trunc`` is a Fraction or INF; ``known`` is
+    _EXACT for stored terms shifted, cut, negated or weighted by _diag."""
+    return _fill(object.__new__(PuiseuxSeries), data, trunc, known)
+
+
+def _diag(s: "PuiseuxSeries", d: int, num: Callable, den: Callable) -> "PuiseuxSeries":
+    """sum c num(k)/den(k) z^((k+d)/6) over the terms c z^(k/6) of s with
+    num(k) != 0 (den(k) > 0), known below s.trunc + d/6: one gcd for an
+    exact c, c * Fraction(num(k), den(k)) for any other."""
+    out = {}
+    for k, c in s._by6.items():
+        if n := num(k):
+            t = type(c)
+            out[k + d] = (Fraction(c.numerator * n, c.denominator * den(k)) if t is Fraction
+                          else _gauss(c._a * n, c._b * n, c._d * den(k))
+                          if t is GaussianRational else c * Fraction(n, den(k)))
+    return _make(out, s.trunc if s.trunc is INF else s.trunc + _exp6(d), _EXACT)
+
+
+def _log_free(data: Mapping, k: int) -> None:
+    """LogObstruction if the integrand term keyed k (z^-1) is nonzero: any
+    exact one, an inexact one past 1e-9 of the largest |c| (not rounding)."""
+    res = data.get(k, _ZERO)
+    if not coeff_is_zero(res) and (is_exact(res) or abs(to_complex(res)) > 1e-9 * max(
+            abs(to_complex(c)) for c in data.values())):
+        raise LogObstruction("antiderivative of a z^-1 term would introduce log z")
 
 
 class PuiseuxSeries:
@@ -223,7 +246,7 @@ class PuiseuxSeries:
             trunc = _as_exp(trunc)
         if self.trunc is not INF and (trunc is INF or trunc > self.trunc):
             raise SeriesError("cannot loosen a truncation")
-        return _make(self._by6, trunc)
+        return _make(self._by6, trunc, _EXACT)
 
     def map_coefficients(self, fn: Callable[[Any], Any]) -> "PuiseuxSeries":
         return _make({k: lift(fn(c)) for k, c in self._by6.items()}, self.trunc)
@@ -246,7 +269,7 @@ class PuiseuxSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return _make({k: -c for k, c in self._by6.items()}, self.trunc)
+        return _make({k: -c for k, c in self._by6.items()}, self.trunc, _EXACT)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -267,7 +290,7 @@ class PuiseuxSeries:
                 trunc = min(trunc, other.min_exp + self.trunc)
             kmax = INF if trunc is INF else _top6(trunc)
             data = _cleared_product(self._by6, other._by6, kmax)
-            if data is None:
+            if not (cleared := data is not None):
                 bs = other._by6.items()
                 data = {}
                 for ka, ca in self._by6.items():
@@ -277,13 +300,13 @@ class PuiseuxSeries:
                             continue
                         p = ca * cb
                         data[k] = data[k] + p if k in data else p
-            # every k is already below trunc: _make need only drop zeros
-            out = _make(data, INF)
-            object.__setattr__(out, "trunc", trunc)
-            return out
+            # a cleared sum holds no zero
+            return _make(data, trunc, _EXACT if cleared else ())
         c = lift(other)
         if coeff_is_zero(c):
             return _make({}, INF)    # an exact scalar 0 absorbs too
+        if type(c) is Fraction:
+            return _diag(self, 0, lambda k: c.numerator, lambda k: c.denominator)
         return _make({k: v * c for k, v in self._by6.items()}, self.trunc)
 
     __rmul__ = __mul__
@@ -302,7 +325,7 @@ class PuiseuxSeries:
         e = _check_sixths(_as_exp(e))
         trunc = self.trunc if self.trunc is INF else self.trunc + e
         d = _k6(e)
-        return _make({k + d: c for k, c in self._by6.items()}, trunc)
+        return _make({k + d: c for k, c in self._by6.items()}, trunc, _EXACT)
 
     def inverse(self, order=None) -> "PuiseuxSeries":
         """Multiplicative inverse 1/self, i.e. ``pow_rational(-1, order)``.
@@ -320,6 +343,8 @@ class PuiseuxSeries:
 
     def __truediv__(self, other):
         c = lift(other)
+        if coeff_is_zero(c):
+            raise SeriesError("division of a series by zero")
         return _make({k: v / c for k, v in self._by6.items()}, self.trunc)
 
     def __pow__(self, n: int):
@@ -397,9 +422,7 @@ class PuiseuxSeries:
     # -- calculus --------------------------------------------------------
 
     def derivative(self) -> "PuiseuxSeries":
-        trunc = self.trunc if self.trunc is INF else self.trunc - 1
-        return _make({k - 6: c * _exp6(k) for k, c in self._by6.items() if k},
-                     trunc)
+        return _diag(self, -6, lambda k: k, lambda k: 6)
 
     def antiderivative(self) -> "PuiseuxSeries":
         """Termwise antiderivative with zero integration constant.
@@ -411,19 +434,8 @@ class PuiseuxSeries:
         term exactly leave only rounding residue there, which is
         dropped).
         """
-        res = self._by6.get(-6, Fraction(0))
-        if not coeff_is_zero(res):
-            if is_exact(res):
-                raise LogObstruction(
-                    "antiderivative of a z^-1 term would introduce log z")
-            scale = max((abs(to_complex(c)) for c in self._by6.values()),
-                        default=0.0)
-            if abs(to_complex(res)) > 1e-9 * scale:
-                raise LogObstruction(
-                    "antiderivative of a z^-1 term would introduce log z")
-        trunc = self.trunc if self.trunc is INF else self.trunc + 1
-        return _make({k + 6: c / _exp6(k + 6) for k, c in self._by6.items()
-                      if k != -6}, trunc)
+        _log_free(self._by6, -6)
+        return _diag(self, 6, lambda k: 6 * ((k > -6) - (k < -6)), lambda k: abs(k + 6))
 
     # -- composition -----------------------------------------------------
 
@@ -617,10 +629,10 @@ def compose_each(outers, inner: PuiseuxSeries) -> list:
 def _cleared_product(xs: dict, ys: dict, kmax) -> dict | None:
     """The convolution {k: sum of x_i y_j over i + j = k < kmax} of two
     term dicts, keys in order of first appearance in the double loop over
-    xs then ys, or None unless every coefficient is a Fraction or a
-    GaussianRational.  Both factors are brought over one denominator
-    (:func:`coefficients.clear`) and integers are convolved: the real
-    parts, and the imaginary parts too when a factor is Gaussian.  An
+    xs then ys, zero sums left out, or None unless every coefficient is a
+    Fraction or a GaussianRational.  Both factors are brought over one
+    denominator (:func:`coefficients.clear`) and integers are convolved:
+    the real parts, and the imaginary parts too when a factor is Gaussian.  An
     output is a GaussianRational exactly when a pair that feeds it has a
     Gaussian factor, as the sum of the coefficient products would be."""
     cx = clear(xs.values())
@@ -639,7 +651,7 @@ def _cleared_product(xs: dict, ys: dict, kmax) -> dict | None:
                 k = ka + kb
                 if k < kmax:
                     acc[k] = acc[k] + a * b if k in acc else a * b
-        return {k: Fraction(a, d) for k, a in acc.items()}
+        return {k: Fraction(a, d) for k, a in acc.items() if a}
     bs = [(kb, *row) for kb, row in zip(ys, ry)]
     re: dict = {}
     im: dict = {}
@@ -660,7 +672,7 @@ def _cleared_product(xs: dict, ys: dict, kmax) -> dict | None:
             if not every and (ga or gb):
                 gauss.add(k)
     return {k: uncleared(a, im[k], d, every or k in gauss)
-            for k, a in re.items()}
+            for k, a in re.items() if a or im[k]}
 
 
 def _expand(g, rel, lead, f0, weight, finish) -> PuiseuxSeries:

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LogObstruction
-from .series import EpsSeries, PuiseuxSeries, max_abs_coeff, require_taylor
+from .series import (PuiseuxSeries, _diag, _log_free, max_abs_coeff,
+                     require_taylor)
 from .symbols import WKBSymbol
 
 _HALF = Fraction(1, 2)
@@ -25,26 +26,35 @@ def transport_g(F: PuiseuxSeries, N: int) -> WKBSymbol:
         32 z^{5/2} g_{n+1}' = 16 z^2 g_n'' - 8 z g_n' - (16 z^2 F - 5) g_n
 
     with g_0 = 1 and every integration constant set to zero, so that
-    g_n lands in z^{-3n/2} C{z}.  A surviving z^{-1} term on an
-    integration step raises LogObstruction.
+    g_n lands in z^{-3n/2} C{z}.  On terms c z^{k/6} the right side is
+    b = sum c 16k(k-9)/36 z^{k/6} + (5 - 16z^2 F) g_n, and g_{n+1} is
+    sum b_k 3/(16(k-9)) z^{(k-9)/6} over k != 9; a nonzero b_9 (a z^{-1}
+    term on the integration step) raises LogObstruction.
     """
     require_taylor(F, "F")
     if N < 0:
         raise ValueError("N must be >= 0")
-    z2 = PuiseuxSeries.monomial(1, 2)
-    den = PuiseuxSeries.monomial(Fraction(1, 32), Fraction(-5, 2))
+    # key order of 16z^2 g'' - 8z g' - (16z^2 F - 5) g: z^1, from g', last
+    P = -(PuiseuxSeries.monomial(16, 2) * F) + 5
     gs = [PuiseuxSeries.one()]
     for n in range(N):
-        g = gs[n]
-        rhs = z2 * g.derivative().derivative() * 16 \
-            - PuiseuxSeries.monomial(8, 1) * g.derivative() \
-            - (z2 * F * 16 - 5) * g
+        b = _diag(gs[n], 0, lambda k: 4 * k * (k - 9), lambda k: 9)
+        b = _last(b, (6,)) + P * gs[n]
         try:
-            gs.append((rhs * den).antiderivative())
+            _log_free(b._by6, 9)
         except LogObstruction as exc:
             raise LogObstruction(
                 f"transport step n={n + 1} left a z^-1 term") from exc
+        gs.append(_diag(b, -9, lambda k: 3 * ((k > 9) - (k < 9)),
+                        lambda k: 16 * abs(k - 9)))
     return WKBSymbol.from_g(gs)
+
+
+def _last(s: PuiseuxSeries, keys) -> PuiseuxSeries:  # s is fresh from _diag
+    for k in keys:
+        if k in s._by6:
+            s._by6[k] = s._by6.pop(k)
+    return s
 
 
 @dataclass(frozen=True)
@@ -60,7 +70,6 @@ def riccati_p(F: PuiseuxSeries, N: int) -> RiccatiExpansion:
     require_taylor(F, "F")
     if N < 0:
         raise ValueError("N must be >= 0")
-    inv_2p0 = PuiseuxSeries.monomial(_HALF, Fraction(-1, 2))
     ps = [PuiseuxSeries.monomial(1, _HALF)]
     if N >= 1:
         ps.append(PuiseuxSeries.monomial(Fraction(1, 4), -1))
@@ -73,7 +82,7 @@ def riccati_p(F: PuiseuxSeries, N: int) -> RiccatiExpansion:
             rhs = rhs - ps[(n + 1) // 2] * ps[(n + 1) // 2]
         if n == 1:
             rhs = rhs + F
-        ps.append(rhs * inv_2p0)
+        ps.append(_diag(rhs, -3, lambda k: 1, lambda k: 2))    # rhs/(2 z^{1/2})
     return RiccatiExpansion(p_coeffs=tuple(ps))
 
 
@@ -99,24 +108,25 @@ def wkb_residual(symbol: WKBSymbol, F: PuiseuxSeries) -> list:
     Substituting exp(-(2/3)z^{3/2}/eps) z^{-1/4} W(z, eps) into
     u'' - (z/eps^2) u - F u and clearing the prefactor leaves
 
-        eps [W'' - W'/(2z) + (5/16) z^{-2} W - F W] - 2 z^{1/2} W' = 0,
+        eps [W'' - W'/(2z) + (5/16) z^{-2} W - F W] - 2 z^{1/2} W' = 0.
 
-    computed here with series operations only.  Returns the residual's
-    eps-coefficients through the highest provable order (all must be
-    the zero series).
+    Its eps-coefficients through the highest provable order (all must be
+    the zero series) are bracket(g_{m-1}) - 2 z^{1/2} g_m'.  On terms
+    c z^{k/6} the bracket but F g has weight (16k^2 - 144k + 180)/576 and
+    shift -12 (k -> k - 12), the drift k/3 and shift -3.
     """
-    half_z = PuiseuxSeries.monomial(_HALF, -1)
-    five_z2 = PuiseuxSeries.monomial(Fraction(5, 16), -2)
-    two_sqrt = PuiseuxSeries.monomial(2, _HALF)
-
-    def bracket(g):  # z-series factors act on each eps-coefficient of W
-        dg = g.derivative()
-        return dg.derivative() - dg * half_z + g * five_z2 - g * F
-
-    W = symbol.series()
-    resid = W.map_coefficients(bracket).shift(1) \
-        - W.map_coefficients(lambda g: g.derivative() * two_sqrt)
-    return list(EpsSeries.of(resid).coeffs)
+    gs, negF = symbol.eps_coeffs, -F
+    out = []
+    for m, g in enumerate(gs):
+        r = _diag(g, -3, lambda k: -k, lambda k: 3)
+        if m:
+            h = gs[m - 1]
+            b = _diag(h, -12, lambda k: 16 * k * k - 144 * k + 180, lambda k: 576)
+            # key order of h'' - h'/(2z) + (5/16) z^-2 h: z^-1, z^-2, z^-1/2 last
+            r = _last(b, (-6, *(k - 12 for k in h._by6 if k == 0 or k == 9))) \
+                + h * negF + r
+        out.append(r)
+    return out
 
 
 def symbol_consistency(F: PuiseuxSeries, N: int) -> dict:

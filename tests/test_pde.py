@@ -19,7 +19,7 @@ from exactwkb.pde import (BivariateSeries, confluent_eval, convergence_radius,
                           iteration_bound, local_decomposition, pde_residual,
                           pde_taylor, picard_deltas,
                           picard_partial_sums_match, psi_eval)
-from exactwkb.series import PuiseuxSeries, TaylorSeries
+from exactwkb.series import PuiseuxSeries, TaylorSeries, max_abs_coeff
 
 F0 = TaylorSeries({})
 H0 = TaylorSeries({})
@@ -274,3 +274,78 @@ def test_kernel_orders_out_of_range_are_refused(Nx, Nz):
         pde_taylor(F0, H0, Nx, Nz)
     with pytest.raises(ValueError, match="Nx >= 1 and Nz >= 0"):
         confluent_eval(F0, H0, 0.9 + 0.3j, 0.08, Nx=Nx, Nz=Nz)
+
+
+# -- the folded recursion and residual against the operator chains ------------
+
+def pde_taylor_by_chain(F, h, Nx):
+    """a_0, ..., a_Nx by the PDE recursion written as a chain of series
+    operations, each a_n's term z^m then divided by n + 4m."""
+    a = [PuiseuxSeries({0: 1}), h]
+    for n in range(2, Nx + 1):
+        rhs = (-a[n - 2].derivative().derivative()
+               + a[n - 1].derivative() * (2 * (n - 2))
+               + F * a[n - 2]) * Fr(1, n - 1)
+        a.append(PuiseuxSeries({e: c / (n + 4 * e) for e, c in rhs.coeffs.items()},
+                               rhs.trunc))
+    return a
+
+
+def pde_residual_by_chain(psi, F):
+    """The PDE applied to psi, one x-order at a time by series operations,
+    and its largest coefficient."""
+    a = psi.a_list
+    z4 = PuiseuxSeries.monomial(4, 1)
+    terms = []
+    for n in range(psi.Nx + 1):
+        term = PuiseuxSeries.zero()
+        term = term + a[n] * (n * (n - 1))
+        term = term + z4 * a[n].derivative() * n
+        if n >= 1:
+            term = term - a[n - 1].derivative() * (2 * (n - 1))
+            term = term + a[n - 1].derivative() * 2
+        if n >= 2:
+            term = term + a[n - 2].derivative().derivative()
+            term = term - F * a[n - 2]
+        terms.append(term - z4 * a[n].derivative())
+    return max_abs_coeff(terms)
+
+
+def shuffled_taylor(rng, deg, gaussian):
+    """Terms at a random subset of 0..deg inserted in random order (key
+    order is not sorted order), untruncated or known below a random order."""
+    def q():
+        return Fr(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+
+    ks = rng.sample(range(deg + 1), rng.randint(0, deg + 1))
+    trunc = rng.choice([math.inf, math.inf, rng.randint(1, deg + 3)])
+    return TaylorSeries({k: GaussianRational(q(), q()) if gaussian else q() for k in ks},
+                        trunc=trunc)
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["fraction", "gaussian"])
+@pytest.mark.parametrize("seed", range(12))
+def test_folded_pde_taylor_matches_the_operator_chain(seed, gaussian):
+    rng = random.Random(200 + seed)
+    F, h = shuffled_taylor(rng, 4, gaussian), shuffled_taylor(rng, 3, gaussian)
+    Nx, Nz = rng.randint(1, 12), rng.randint(0, 12)
+    got = pde_taylor(F, h, Nx, Nz).a_list
+    want = pde_taylor_by_chain(F, h, Nx)
+    assert len(got) == Nx + 1
+    for a, w in zip(got, want):
+        w = w.with_trunc(min(w.trunc, Fr(Nz + 1)))
+        assert a.trunc == w.trunc and list(a.coeffs.items()) == list(w.coeffs.items())
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["fraction", "gaussian"])
+@pytest.mark.parametrize("seed", range(12))
+def test_folded_pde_residual_matches_the_operator_chain(seed, gaussian):
+    rng = random.Random(300 + seed)
+    F, h = shuffled_taylor(rng, 4, gaussian), shuffled_taylor(rng, 3, gaussian)
+    Nx = rng.randint(0, 12)
+    # the kernel of other data, and a hand-built psi of random orders
+    kernel = pde_taylor(shuffled_taylor(rng, 4, gaussian), h, max(Nx, 1), 12)
+    noise = BivariateSeries(a_list=tuple(shuffled_taylor(rng, 6, gaussian)
+                                         for _ in range(Nx + 1)), Nx=Nx, Nz=12)
+    for psi in (kernel, noise):
+        assert pde_residual(psi, F) == pde_residual_by_chain(psi, F)

@@ -350,6 +350,25 @@ def test_division_by_zero_series_rejected():
         S({0: 1}).div(S({}, trunc=4))
 
 
+def test_division_by_a_zero_scalar_is_a_series_error():
+    # as division by a zero series is; it was a bare ZeroDivisionError
+    s = S({1: 1, 2: Fr(1, 3)}, trunc=4)
+    for zero in (0, Fr(0), GaussianRational(0, 0), 0.0):
+        with pytest.raises(SeriesError, match="division of a series by zero"):
+            s / zero
+    assert s / 2 == s * Fr(1, 2) == S({1: Fr(1, 2), 2: Fr(1, 6)}, trunc=4)
+
+
+def test_float_terms_that_underflow_are_dropped():
+    d = S({0: 1.0, 1: 1e-320}).derivative()
+    assert d.coeffs == {Fr(0): 1e-320}
+    assert (d * 1e-10).is_zero() and (d * 1e-10).trunc == INF
+    # a weight of a diagonal map, a rational multiple included
+    for got in (S({1: 5e-324}) * Fr(1, 3), S({2: 5e-324}).antiderivative(),
+                S({Fr(1, 2): 5e-324}, trunc=3).derivative()):
+        assert got.is_zero() and got.coeffs == {}
+
+
 def test_truncation_tracking_mul():
     a = S({1: 1}, trunc=5)          # z + O(z^5)
     b = S({-1: 1}, trunc=2)         # 1/z + O(z^2)

@@ -440,3 +440,43 @@ def test_json_roundtrip_on_the_kernel_lattice(data, ring):
     b = PuiseuxSeries.from_json(a.to_json())
     assert b == a
     assert b.to_json() == a.to_json()
+
+
+# complex coefficients, none so small that a weight of about 1/20 underflows
+TINY_FREE = st.floats(-4, 4).filter(lambda x: x == 0 or abs(x) > 1e-300)
+DIAG_RINGS = {"fraction": RATS, "gaussian": GAUSS, "qpoly": QPOLYS,
+              "complex": st.builds(complex, TINY_FREE, TINY_FREE)}
+
+
+def termwise(s, fn, shift):
+    """{e + shift: fn(e, c)} over the terms of s with a nonzero result, in
+    s's key order."""
+    out = [(e + shift, fn(e, c)) for e, c in s.coeffs.items()]
+    return [(e, c) for e, c in out if not coeff_is_zero(c)]
+
+
+@given(st.data(), st.sampled_from(sorted(DIAG_RINGS)))
+def test_calculus_and_rational_multiples_are_termwise(data, ring):
+    # exponents on both sides of -1, where the antiderivative's weight
+    # 1/(e + 1) changes sign
+    ks = data.draw(st.lists(st.integers(-18, 18), max_size=6, unique=True))
+    t = data.draw(TRUNCS)
+    s = PuiseuxSeries({k * SIXTH: data.draw(DIAG_RINGS[ring]) for k in ks},
+                      INF if t is None else t, lattice=6)
+    q = data.draw(st.one_of(RATS, st.integers(-5, 5).filter(bool)))
+    T = s.trunc
+    cases = [(s.derivative(), termwise(s, lambda e, c: c * e if e else 0, -1),
+              T - 1, True)]
+    cases += [(m, termwise(s, lambda e, c: c * q, 0), T, True) for m in (s * q, q * s)]
+    if Fr(-1) not in s.coeffs:
+        cases.append((s.antiderivative(),
+                      termwise(s, lambda e, c: c / (e + 1), 1), T + 1, False))
+    for got, want, trunc, bitwise in cases:
+        assert got.trunc == trunc
+        assert list(got.coeffs) == [e for e, _ in want]
+        if ring != "complex" or bitwise:
+            # exact rings, and float derivatives and multiples, bit for bit
+            assert [repr(c) for c in got.coeffs.values()] == [repr(c) for _, c in want]
+        else:
+            for (_, w), g in zip(want, got.coeffs.values()):
+                assert abs(g - w) <= 1e-15 * abs(w)

@@ -5,10 +5,12 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from exactwkb import transport
 from exactwkb.airy import airy_symbol
 from exactwkb.coefficients import GaussianRational
-from exactwkb.errors import SeriesError
-from exactwkb.series import PuiseuxSeries, TaylorSeries
+from exactwkb.errors import LogObstruction, SeriesError
+from exactwkb.series import INF, EpsSeries, PuiseuxSeries, TaylorSeries
+from exactwkb.symbols import WKBSymbol
 from exactwkb.transport import (grading_ok, riccati_grading_ok, riccati_p,
                                 symbol_consistency, transport_g, wkb_residual)
 
@@ -122,3 +124,114 @@ def test_symbol_consistency_degenerate_order():
 def test_requires_taylor_potential():
     with pytest.raises(SeriesError):
         transport_g(PuiseuxSeries({Fr(-1, 2): 1}), 2)
+
+
+# -- the folded recursions against the operator chains they replace ----------
+
+def transport_by_chain(F, N):
+    """g_0, ..., g_N by the transport recursion written as a chain of series
+    operations: derivatives, monomial products, sums, one antiderivative."""
+    z2 = PuiseuxSeries.monomial(1, 2)
+    den = PuiseuxSeries.monomial(Fr(1, 32), Fr(-5, 2))
+    gs = [PuiseuxSeries.one()]
+    for n in range(N):
+        g = gs[n]
+        rhs = z2 * g.derivative().derivative() * 16 \
+            - PuiseuxSeries.monomial(8, 1) * g.derivative() \
+            - (z2 * F * 16 - 5) * g
+        gs.append((rhs * den).antiderivative())
+    return gs
+
+
+def wkb_residual_by_chain(gs, F):
+    """The eps-coefficients of eps [W'' - W'/(2z) + (5/16) z^-2 W - F W]
+    - 2 z^{1/2} W' for W = sum g_n eps^n, one series operation at a time."""
+    half_z = PuiseuxSeries.monomial(Fr(1, 2), -1)
+    five_z2 = PuiseuxSeries.monomial(Fr(5, 16), -2)
+    two_sqrt = PuiseuxSeries.monomial(2, Fr(1, 2))
+
+    def bracket(g):
+        dg = g.derivative()
+        return dg.derivative() - dg * half_z + g * five_z2 - g * F
+
+    W = EpsSeries(tuple(gs)).series()
+    resid = W.map_coefficients(bracket).shift(1) \
+        - W.map_coefficients(lambda g: g.derivative() * two_sqrt)
+    return list(EpsSeries.of(resid).coeffs)
+
+
+def _coeff(rng, gaussian):
+    q = Fr(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+    if gaussian and rng.random() < 0.7:
+        return GaussianRational(q, Fr(rng.randint(-9, 9), rng.randint(1, 9)))
+    return q
+
+
+def random_series(rng, gaussian, exps, trunc=INF):
+    """Terms at a random subset of ``exps`` inserted in random order, so
+    that key order is not sorted order, known below ``trunc``."""
+    exps = rng.sample(exps, rng.randint(0, len(exps)))
+    return PuiseuxSeries({e: _coeff(rng, gaussian) for e in exps}, trunc)
+
+
+def random_F(rng, gaussian):
+    return random_series(rng, gaussian, list(range(5)),
+                         rng.choice([INF, INF, rng.randint(1, 6)]))
+
+
+def assert_same_series(got, want):
+    """Equal values, truncations and key order."""
+    assert got.trunc == want.trunc, (got, want)
+    assert list(got.coeffs.items()) == list(want.coeffs.items()), (got, want)
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["fraction", "gaussian"])
+@pytest.mark.parametrize("seed", range(12))
+def test_folded_transport_matches_the_operator_chain(seed, gaussian):
+    rng = random.Random(seed)
+    F, N = random_F(rng, gaussian), rng.randint(0, 12)
+    got, want = transport_g(F, N).eps_coeffs, transport_by_chain(F, N)
+    assert len(got) == N + 1
+    for g, w in zip(got, want):
+        assert_same_series(g, w)
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["fraction", "gaussian"])
+@pytest.mark.parametrize("seed", range(12))
+def test_folded_wkb_residual_matches_the_operator_chain(seed, gaussian):
+    # a symbol of another F, and one of random orders on the half-integer
+    # lattice (z^0 and z^{3/2}, whose terms the fold moves, among them)
+    rng = random.Random(100 + seed)
+    F, N = random_F(rng, gaussian), rng.randint(0, 12)
+    other = transport_g(random_F(rng, gaussian), N).eps_coeffs
+    exps = [Fr(k, 2) for k in range(-8, 9)]
+    noise = tuple(random_series(rng, gaussian, exps,
+                                rng.choice([INF, Fr(rng.randint(-2, 12), 2)]))
+                  for _ in range(N + 1))
+    for gs in (other, noise):
+        got = wkb_residual(WKBSymbol.from_g(gs), F)
+        want = wkb_residual_by_chain(gs, F)
+        assert len(got) == len(want) == N + 1
+        for r, w in zip(got, want):
+            assert_same_series(r, w)
+
+
+def test_transport_step_refuses_a_log_term(monkeypatch):
+    # a holomorphic F never leaves a z^-1 term (b_9 = 0); past the Taylor
+    # guard, F = z^{-1/2} makes 16 z^2 F g_0 one
+    monkeypatch.setattr(transport, "require_taylor", lambda s, name: s)
+    with pytest.raises(LogObstruction, match="transport step n=1"):
+        transport_g(PuiseuxSeries({Fr(-1, 2): 1}), 2)
+
+
+def test_float_transport_matches_the_exact_one():
+    rng = random.Random(7)
+    for gaussian in (False, True):
+        F = TaylorSeries({k: _coeff(rng, gaussian) for k in range(4)})
+        exact = transport_g(F, 12).eps_coeffs
+        floats = transport_g(F.to_float(), 12).eps_coeffs
+        for g, w in zip(floats, exact):
+            w = w.to_float()
+            assert g.trunc == w.trunc and list(g.coeffs) == list(w.coeffs)
+            for e, c in w.coeffs.items():
+                assert abs(g.coeffs[e] - c) <= 1e-12 * abs(c), (e, g.coeffs[e], c)
