@@ -2,10 +2,12 @@
 
 Solves  x^2 psi_xx + (4xz - 2x^2) psi_xz + x^2 psi_zz + (2x - 4z) psi_z
       = x^2 F(z) psi
-as a bivariate series psi = sum a_n(z) x^n with a_0 = 1, a_1 = h, checks
-the explicit convergence-radius and iteration bounds, and evaluates the
-induced confluent function by contour integration through the saddles of
-S(z, zhat) = z zhat - zhat^3/3 with kernel Psi(z, zhat) = psi(z, z - zhat^2).
+as a bivariate series psi = sum a_n(z) x^n with a_0 = 1, a_1 = h, by the
+coefficient recursion and by the Picard iteration of the integral
+equation, whose increments are BivariateSeries carrying the truncation of
+F and h.  Checks the explicit convergence-radius and iteration bounds, and
+evaluates the induced confluent function by contour integration through
+the saddles of S(z, zhat) = z zhat - zhat^3/3 with kernel Psi = psi(z, z - zhat^2).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .airy import airy_contour, symbol_borel_sum
 from .coefficients import to_complex
 from .contours import ContourSpec, LaplaceResult
 from .errors import ContourFailure, DomainExit
-from .series import (INF, PuiseuxSeries, _diag, _exp6, _principal_pow,
+from .series import (PuiseuxSeries, _diag, _exp6, _principal_pow, _sum,
                      max_abs_coeff, require_taylor)
 from .transport import transport_g
 
@@ -80,9 +82,8 @@ def pde_taylor(F: PuiseuxSeries, h: PuiseuxSeries, Nx: int, Nz: int) -> Bivariat
     For n >= 2 the ODE  4z a_n' + n a_n = (1/(n-1)) (-a_{n-2}''
     + 2(n-2) a_{n-1}' + F a_{n-2})  is solved by the exact coefficient
     action of its kernel G -> int_0^1 u^{n-1} G(u^4 z) du, which maps
-    z^m to z^m/(n+4m).  The independent exact route is the Picard
-    iteration of the integral equation (picard_deltas); the two are
-    cross-checked by picard_partial_sums_match.  On terms c z^{k/6} the
+    z^m to z^m/(n+4m); picard_partial_sums_match checks it against the
+    independent Picard iteration (picard_deltas).  On terms c z^{k/6} the
     right side is a_{n-2} weighted by -k(k-6)/36 (shift -12) plus a_{n-1}
     by (n-2)k/3 (shift -6) plus F a_{n-2}, its term at k then divided by
     (n-1)(n+4k/6).  ValueError for Nx < 1 or Nz < 0.
@@ -227,94 +228,62 @@ def empirical_x_radius(psi: BivariateSeries, z_abs: float) -> float:
 # ---------------------------------------------------------------------------
 
 def picard_deltas(F: PuiseuxSeries, h: PuiseuxSeries, K: int,
-                  Nx: int, Nz: int) -> list[dict]:
+                  Nx: int, Nz: int) -> list[BivariateSeries]:
     """Exact increments delta_k of the Picard iteration for
-    phi(z, x) = psi/x - 1/x.
+    phi(z, x) = psi/x - 1/x, each a BivariateSeries (its x-orders 0..Nx).
 
-    Each delta is a bivariate polynomial {(m, n): coeff} in z^m x^n; the
-    integral operators of the fixed-point equation act as exact rational
-    transforms on monomials.  sum_k delta_k reproduces the a_{n+1}
-    Taylor coefficients of pde_taylor (tested), and each increment obeys
-    the explicit sup-norm bound checked in the acceptance suite.
+    delta_0 is h plus x F_m z^m/(4m+2).  On terms c z^{k/6} of an
+    x-order n part, m = k//6, the integral operators of the fixed-point
+    equation are diagonal: 2x int u d_z delta - int int 2 d_z delta goes
+    to x^{n+1} weighted by 2mn/((n+1)(4m+n-2)) (shift -6); - int int t
+    d_z^2 delta to x^{n+2} by -m(m-1)/((n+2)(4m+n-5)) (shift -12); and
+    int int t F delta to x^{n+2} as F delta, its z^M term divided by
+    (n+2)(4M+n+3).  Each round draws on z-orders up to two higher, so F
+    and h are cut at z^{Nz+2K+1} and the series truncation drops what K
+    rounds no longer know; a truncated F or h carries into every delta.
+    sum_k delta_k reproduces the a_{n+1} of pde_taylor (tested), and each
+    increment obeys the explicit sup-norm bound checked in the acceptance
+    suite.
     """
     require_taylor(F, "F")
     require_taylor(h, "h")
-    # widen the internal z-window: each iteration draws on sources up to
-    # two z-orders higher, so retaining m <= Nz exactly after K rounds
-    # needs the recursion run at m <= Nz + 2K
-    mz = Nz + 2 * K
-    fc = {k // 6: c for k, c in F._by6.items() if k <= 6 * mz}
-    delta0: dict = {}
-    for k, c in h._by6.items():
-        if k <= 6 * mz:
-            m = k // 6
-            delta0[(m, 0)] = delta0.get((m, 0), Fraction(0)) + c
-    for j, c in fc.items():
-        delta0[(j, 1)] = delta0.get((j, 1), Fraction(0)) + c * Fraction(1, 4 * j + 2)
-    deltas = [delta0]
+    window = Fraction(Nz + 2 * K + 1)
+    F, h = (s.with_trunc(min(s.trunc, window)) for s in (F, h))
+    zero = PuiseuxSeries.zero()
+    delta0 = [h, _diag(F, 0, lambda k: 1, lambda k: 4 * (k // 6) + 2)] + [zero] * (Nx - 1)
+    deltas = [delta0[:Nx + 1]]
     for _ in range(K):
-        prev = deltas[-1]
-        nxt: dict = {}
-
-        def add(key, val):
-            if key[0] > mz or key[1] > Nx:
-                return
-            nxt[key] = nxt.get(key, Fraction(0)) + val
-
-        for (m, n), c in prev.items():
-            # 2x int_0^1 u (d_z delta)(z u^4, u x) du
-            if m >= 1:
-                add((m - 1, n + 1), c * Fraction(2 * m, 4 * m + n - 2))
-            # - int int t (d_z^2 delta)(z u^4, t)
-            if m >= 2:
-                add((m - 2, n + 2),
-                    -c * Fraction(m * (m - 1)) * Fraction(1, (n + 2) * (4 * m + n - 5)))
-            # - int int 2 (d_z delta)(z u^4, t)
-            if m >= 1:
-                add((m - 1, n + 1),
-                    -c * Fraction(2 * m) * Fraction(1, (n + 1) * (4 * m + n - 2)))
-            # + int int t F(z u^4) delta(z u^4, t)
-            for j, fj in fc.items():
-                add((j + m, n + 2),
-                    c * fj * Fraction(1, (n + 2) * (4 * j + 4 * m + n + 3)))
+        nxt = [zero] * (Nx + 1)
+        for n, dn in enumerate(deltas[-1][:Nx]):
+            nxt[n + 1] += _diag(dn, -6, lambda k: 2 * (k // 6) * n,
+                                lambda k: (n + 1) * (4 * (k // 6) + n - 2))
+            if n + 2 <= Nx:
+                nxt[n + 2] += _diag(dn, -12, lambda k: -(k // 6) * (k // 6 - 1),
+                                    lambda k: (n + 2) * (4 * (k // 6) + n - 5)) \
+                    + _diag(F * dn, 0, lambda k: 1, lambda k: (n + 2) * (4 * (k // 6) + n + 3))
         deltas.append(nxt)
-    return [{k: v for k, v in d.items() if k[0] <= Nz} for d in deltas]
+    cap = Fraction(Nz + 1)
+    return [BivariateSeries(a_list=tuple(s.with_trunc(min(s.trunc, cap)) for s in d),
+                            Nx=Nx, Nz=Nz) for d in deltas]
 
 
 def picard_partial_sums_match(F, h, K, Nx, Nz) -> bool:
-    """sum_{k<=K} delta_k == (a_{n+1}) coefficients of pde_taylor on the
-    x-orders that K iterations have already frozen (order n needs k > n
-    since each iteration raises the x-valuation by at least one)."""
+    """sum_{k<=K} delta_k == a_{n+1} of pde_taylor, below both
+    truncations, on the x-orders n that K iterations have already frozen
+    (order n needs k > n since each iteration raises the x-valuation by
+    at least one)."""
     deltas = picard_deltas(F, h, K, Nx, Nz)
-    total: dict = {}
-    for d in deltas:
-        for key, c in d.items():
-            total[key] = total.get(key, Fraction(0)) + c
     psi = pde_taylor(F, h, Nx + 1, Nz)
-    for n in range(min(K, Nx + 1)):
-        a = psi.a_list[n + 1]
-        for m in range(Nz + 1):
-            if a.trunc is not INF and m >= a.trunc:
-                break
-            ref = a._by6.get(6 * m, Fraction(0))
-            if total.get((m, n), Fraction(0)) != ref:
-                return False
-    return True
+    return all((_sum(d.a_list[n] for d in deltas) - psi.a_list[n + 1]).is_zero()
+               for n in range(min(K, Nx + 1)))
 
 
-def delta_sup_on_disk(delta: dict, x_abs: float, r: float) -> float:
+def delta_sup_on_disk(delta: BivariateSeries, x_abs: float, r: float) -> float:
     """Empirical sup over |z| = r (12 equally spaced angles) of
-    |delta_k(z, x)| at |x| = x_abs."""
-    best = 0.0
-    xs = [x_abs, -x_abs, x_abs * 1j]
-    for j in range(12):
-        z = r * cmath.exp(2j * math.pi * j / 12)
-        for x in xs:
-            tot = 0j
-            for (m, n), c in delta.items():
-                tot += complex(c) * z ** m * x ** n
-            best = max(best, abs(tot))
-    return best
+    |delta_k(z, x)| at x = x_abs, -x_abs and i x_abs."""
+    xs = np.array([x_abs, -x_abs, x_abs * 1j])
+    return max(float(np.max(np.abs(_horner_x(
+        delta.values_at(r * cmath.exp(2j * math.pi * j / 12)), xs)))) for j in range(12))
 
 
 # ---------------------------------------------------------------------------

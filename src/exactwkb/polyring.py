@@ -74,6 +74,11 @@ class QPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):    # a nonzero scalar keeps every monomial
+            out = object.__new__(QPoly)
+            object.__setattr__(out, "terms",
+                               {m: c * other for m, c in self.terms.items() if other})
+            return out
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -66,6 +66,11 @@ def induced_potential_F(V: PuiseuxSeries, N: int) -> PuiseuxSeries:
     Composes the Liouville map, its Lagrange inverse and the Schwarzian
     derivative; the result is holomorphic at 0.
     """
+    return _potential_and_map(V, N)[0]
+
+
+def _potential_and_map(V: PuiseuxSeries, N: int) -> tuple[PuiseuxSeries, PuiseuxSeries]:
+    """induced_potential_F(V, N) and the Liouville map it is built on."""
     # z(q) carried a few orders past N so the two derivatives inside the
     # Schwarzian still leave N retained orders
     zq = liouville_map(V, N + 3)
@@ -75,7 +80,7 @@ def induced_potential_F(V: PuiseuxSeries, N: int) -> PuiseuxSeries:
     G = ratio * sch * _HALF                  # F written in the q variable
     qz = zq.reversion(order + 1)
     out = G.with_trunc(min(G.trunc, order)).compose(qz)
-    return out.with_trunc(min(out.trunc, order))
+    return out.with_trunc(min(out.trunc, order)), zq
 
 
 @dataclass(frozen=True)
@@ -201,10 +206,10 @@ def schrodinger_pipeline(V: PuiseuxSeries, N: int,
     if N < 0:
         raise ValueError("N must be >= 0")
     N_z = N_z if N_z is not None else N + 4
-    F = induced_potential_F(V, N_z)
+    F, zq = _potential_and_map(V, N_z)
     s_can = reduce_to_airy(F, N, N_z)
-    zq = liouville_map(V, N_z)
-    return F, s_can.compose_with(zq)
+    # liouville_map(V, N_z), cut from the map F was built on
+    return F, s_can.compose_with(zq.with_trunc(min(zq.trunc, Fraction(N_z + 1))))
 
 
 def schrodinger_master_residual(s_q: ReductionSeries, V: PuiseuxSeries,

@@ -4,6 +4,7 @@ bounds, and the confluent-function quadrature."""
 import cmath
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -349,3 +350,134 @@ def test_folded_pde_residual_matches_the_operator_chain(seed, gaussian):
                                          for _ in range(Nx + 1)), Nx=Nx, Nz=12)
     for psi in (kernel, noise):
         assert pde_residual(psi, F) == pde_residual_by_chain(psi, F)
+
+
+# -- the Picard iteration against the {(m, n): Fraction} dict iteration -------
+
+def picard_deltas_by_dict(F, h, K, Nx, Nz):
+    """delta_0..delta_K as {(m, n): coeff} in z^m x^n, each integral
+    operator of the fixed-point equation applied monomial by monomial in
+    the z-window m <= Nz + 2K, an unknown term of F or h read as zero."""
+    mz = Nz + 2 * K
+    fc = {e.numerator: c for e, c in F.coeffs.items() if e <= mz}
+    delta0 = {(e.numerator, 0): c for e, c in h.coeffs.items() if e <= mz}
+    for j, c in fc.items():
+        delta0[(j, 1)] = c * Fr(1, 4 * j + 2)
+    deltas = [delta0]
+    for _ in range(K):
+        nxt = {}
+
+        def add(key, val):
+            if key[0] <= mz and key[1] <= Nx:
+                nxt[key] = nxt.get(key, 0) + val
+
+        for (m, n), c in deltas[-1].items():
+            if m >= 1:      # 2x int_0^1 u (d_z delta)(z u^4, u x) du
+                add((m - 1, n + 1), c * Fr(2 * m, 4 * m + n - 2))
+            if m >= 2:      # - int int t (d_z^2 delta)(z u^4, t)
+                add((m - 2, n + 2), -c * Fr(m * (m - 1), (n + 2) * (4 * m + n - 5)))
+            if m >= 1:      # - int int 2 (d_z delta)(z u^4, t)
+                add((m - 1, n + 1), -c * Fr(2 * m, (n + 1) * (4 * m + n - 2)))
+            for j, fj in fc.items():    # + int int t F(z u^4) delta(z u^4, t)
+                add((j + m, n + 2), c * fj * Fr(1, (n + 2) * (4 * j + 4 * m + n + 3)))
+        deltas.append(nxt)
+    return [{k: v for k, v in d.items() if k[0] <= Nz} for d in deltas]
+
+
+def dict_sup_on_disk(delta, x_abs, r):
+    best = 0.0
+    for j in range(12):
+        z = r * cmath.exp(2j * math.pi * j / 12)
+        for x in (x_abs, -x_abs, x_abs * 1j):
+            best = max(best, abs(sum(complex(c) * z ** m * x ** n
+                                     for (m, n), c in delta.items())))
+    return best
+
+
+def as_terms(delta):
+    """{(m, n): coeff} of a BivariateSeries increment."""
+    return {(k // 6, n): c for n, a in enumerate(delta.a_list) for k, c in a._by6.items()}
+
+
+def nonzero(d, below=None):
+    return {(m, n): c for (m, n), c in d.items()
+            if c != 0 and (below is None or m < below[n])}
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["fraction", "gaussian"])
+@pytest.mark.parametrize("K, Nx, Nz", [(0, 3, 4), (3, 1, 5), (5, 8, 3), (8, 6, 10)])
+def test_picard_deltas_match_the_dict_iteration(K, Nx, Nz, gaussian):
+    rng = random.Random(400 + K + gaussian)
+    F, h = rand_taylor(rng, 3, gaussian), rand_taylor(rng, 2, gaussian)
+    got = picard_deltas(F, h, K, Nx, Nz)
+    want = picard_deltas_by_dict(F, h, K, Nx, Nz)
+    assert len(got) == len(want) == K + 1
+    for k, (d, ref) in enumerate(zip(got, want)):
+        assert isinstance(d, BivariateSeries) and (d.Nx, d.Nz) == (Nx, Nz)
+        assert all(a.trunc == Nz + 1 for a in d.a_list)
+        # the dict's explicit zeros are absent terms
+        assert as_terms(d) == nonzero(ref), k
+
+
+def completed(rng, s, extra, gaussian):
+    """s's terms plus random ones at z^trunc .. z^(trunc + extra - 1)."""
+    q = rand_taylor(rng, extra - 1, gaussian)
+    return TaylorSeries({**s.coeffs, **{e + s.trunc: c for e, c in q.coeffs.items()}})
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["fraction", "gaussian"])
+@pytest.mark.parametrize("T", [1, 3, 6])
+def test_picard_deltas_carry_a_truncated_h(T, gaussian):
+    # delta_k's x-order n draws on h through n orders of z lost in k
+    # rounds (k <= n <= 2k), so it is known below z^(T - n) and no further
+    rng = random.Random(500 + T + gaussian)
+    K, Nx, Nz = 4, 9, 8
+    F = rand_taylor(rng, 3, gaussian)
+    h = TaylorSeries(rand_taylor(rng, T + 2, gaussian).coeffs, trunc=T)
+    got = picard_deltas(F, h, K, Nx, Nz)
+    refs = [picard_deltas_by_dict(F, completed(rng, h, Nz + 2 * K + 2, gaussian),
+                                  K, Nx, Nz) for _ in range(2)]
+    for k, d in enumerate(got):
+        below = [min(Nz + 1, T - n) if k <= n <= 2 * k else Nz + 1 for n in range(Nx + 1)]
+        assert [a.trunc for a in d.a_list] == below, k
+        for ref in refs:
+            assert as_terms(d) == nonzero(ref[k], below), k
+    # below both truncations, the sums still reproduce the kernel's a_(n+1)
+    assert picard_partial_sums_match(F, h, K, Nx, Nz)
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["fraction", "gaussian"])
+def test_delta_sup_on_disk_matches_the_dict_evaluator(gaussian):
+    # mixed signs, so the sup is not always taken at z = r, x = x_abs
+    rng = random.Random(600 + gaussian)
+    F, h = rand_taylor(rng, 3, gaussian), rand_taylor(rng, 2, gaussian)
+    for d, ref in zip(picard_deltas(F, h, 8, 12, 16), picard_deltas_by_dict(F, h, 8, 12, 16)):
+        for x_abs, r in ((0.02, 1.0), (0.3, 0.7), (0.5, 1.3)):
+            want = dict_sup_on_disk(ref, x_abs, r)
+            assert abs(delta_sup_on_disk(d, x_abs, r) - want) <= 1e-12 * want
+
+
+def test_picard_partial_sums_refuse_a_perturbed_kernel(monkeypatch):
+    rng = random.Random(41)
+    F, h = rand_taylor(rng, 3), rand_taylor(rng, 2)
+    K, Nx, Nz = 6, 8, 6
+    assert picard_partial_sums_match(F, h, K, Nx, Nz)
+    kernel = pde.pde_taylor
+
+    def perturbed(n, m):
+        def taylor(*args):
+            psi = kernel(*args)
+            a = list(psi.a_list)
+            a[n] = a[n] + TaylorSeries({m: Fr(1, 10 ** 9)})
+            return replace(psi, a_list=tuple(a))
+        return taylor
+
+    # a_3's z^2, frozen after 6 rounds, is compared ...
+    monkeypatch.setattr(pde, "pde_taylor", perturbed(3, 2))
+    assert not picard_partial_sums_match(F, h, K, Nx, Nz)
+    # ... and so is the last retained order, but not a_(K+1), which the
+    # iteration has not reached yet
+    monkeypatch.setattr(pde, "pde_taylor", perturbed(K, Nz))
+    assert not picard_partial_sums_match(F, h, K, Nx, Nz)
+    monkeypatch.setattr(pde, "pde_taylor", perturbed(K + 1, 0))
+    assert picard_partial_sums_match(F, h, K, Nx, Nz)

@@ -480,3 +480,17 @@ def test_calculus_and_rational_multiples_are_termwise(data, ring):
         else:
             for (_, w), g in zip(want, got.coeffs.values()):
                 assert abs(g - w) <= 1e-15 * abs(w)
+
+
+QPOLY_TERMS = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), RATS,
+                              max_size=6).map(
+    lambda d: QPoly({(("v2", a), ("v3", b)): c for (a, b), c in d.items()}))
+
+
+@given(QPOLY_TERMS, st.one_of(RATS, st.integers(-5, 5)))
+def test_qpoly_times_a_scalar_is_the_product_with_its_constant(q, c):
+    # the scalar path keeps the monomials, their order and Fraction values
+    want = list((q * QPoly(c)).terms.items())
+    for got in (q * c, c * q):
+        assert list(got.terms.items()) == want
+        assert all(type(v) is Fr for v in got.terms.values())
