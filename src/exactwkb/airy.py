@@ -10,8 +10,10 @@ is lam B(lam xi), lam = z^{-3/2}, with one function of one variable
     B(t) = sum_k alpha_{k+1} t^k / k! = -(5/48) 2F1(7/6, 11/6; 2; -3t/4),
 
 cut along t <= -4/3; the eps -> -eps partner has lam -> -lam.  Pade
-approximants commute with that rescaling, so every sum reads one
-approximant of B per (N, pade, precision), solved once (_minor_pade).
+approximants commute with that rescaling, so every sum reads one exact
+approximant of B per (N, pade), solved once in rationals (_minor_pade)
+and split once per precision (_minor_fractions); each sum, lateral ones
+included, is laplace_pade's closed form of that split.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ import math
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 
-from .borel import (GUARD_DIGITS, PadeApproximant, check_ray_clear,
-                    genuine_poles, laplace_pade_mp, laplace_ray,
-                    pade_from_taylor, partial_fractions)
+from .borel import (PartialFractions, check_ray_clear, genuine_poles,
+                    laplace_pade, laplace_ray, pade_from_taylor,
+                    partial_fractions)
 from .contours import ContourSpec, LaplaceResult, valley_integral
 from .errors import ContourFailure
 from .series import PuiseuxSeries
@@ -34,8 +35,6 @@ from .symbols import PREFACTOR_EXP, WKBSymbol, action, zpow
 
 # Angle of the lateral Laplace rays either side of the singular ray.
 LATERAL_DELTA = math.radians(10.0)
-# Digits at which the double-precision path's approximant of B is solved.
-SOLVE_DPS = 15 + GUARD_DIGITS
 
 
 def _airy_alphas(N: int) -> list[Fraction]:
@@ -113,38 +112,42 @@ def airy_contour(z: complex, eps: complex, spec: ContourSpec | None = None,
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _minor_pade(N: int, pade: tuple[int, int] | None, dps: int | None):
-    """The (L, M) = pade (balanced if None) Pade approximant of B from
-    alpha_1 .. alpha_{N-1}, None for N <= 1.  Solved in mpmath at dps and
-    split into partial fractions (airy_borel_sum_hp), or, for dps None,
-    at SOLVE_DPS and rounded to double precision with its genuine poles.
-    """
+def _minor_pade(N: int, pade: tuple[int, int] | None):
+    """The exact (L, M) = pade (balanced if None) Pade approximant of B
+    from alpha_1 .. alpha_{N-1}, in Fractions; None for N <= 1."""
     c = [a / math.factorial(k) for k, a in enumerate(_airy_alphas(N - 1)[1:])]
     if not c:
         return None
     L, M = pade if pade is not None else (len(c) // 2, len(c) // 2)
-    with mpmath.workdps(dps or SOLVE_DPS):
-        approx = pade_from_taylor([mpmath.mpf(x.numerator) / x.denominator
-                                   for x in c], L, M)
-        if dps is not None:
-            return partial_fractions(approx)
-    approx = PadeApproximant(np.array(approx.num, dtype=complex),
-                             np.array(approx.den, dtype=complex))
-    return approx, genuine_poles(approx)
+    return pade_from_taylor(c, L, M)
 
 
-def _airy_sum(z: complex, eps: complex, minor, theta: float,
+@functools.cache
+def _minor_fractions(N: int, pade: tuple[int, int] | None, dps: int | None):
+    """_minor_pade's approximant split into partial fractions at dps digits
+    (None: at 15, so 30 working, and rounded to complex); None for N <= 1."""
+    approx = _minor_pade(N, pade)
+    if approx is None:
+        return None
+    with mpmath.workdps(dps or 15):
+        fractions = partial_fractions(approx)
+    if dps is None:
+        fractions = PartialFractions(*([complex(x) for x in xs] for xs in fractions))
+    return fractions
+
+
+def _airy_sum(z: complex, eps: complex, fractions, theta: float,
               sign: int) -> LaplaceResult:
     """Borel sum along arg xi = theta of the Airy symbol (sign +1) or its
-    partner (sign -1), from minor = _minor_pade's (approximant R of B, its
-    genuine poles p): the minor's approximant at z is lam R(lam xi), lam =
+    partner (sign -1), from fractions = _minor_fractions' split of B's
+    approximant R: the minor's approximant at z is lam R(lam xi), lam =
     sign z^{-3/2}, with the poles p/lam."""
     res = LaplaceResult(0j, 0.0, 0)
-    if minor is not None:
-        approx, poles = minor
+    if fractions is not None:
         lam = sign * zpow(z, Fraction(-3, 2))
+        poles = genuine_poles(zip(fractions.poles, fractions.residues))
         check_ray_clear([p / lam for p in poles], theta, abs(eps))
-        res = laplace_ray(lambda xi: lam * approx(lam * xi), eps, theta=theta)
+        res = laplace_pade(fractions, eps, lam, theta)
     pref = cmath.exp(-sign * action(z) / eps) * zpow(z, PREFACTOR_EXP)
     return LaplaceResult(pref * (1.0 + res.value), abs(pref) * res.est_error,
                          res.nodes_used)
@@ -160,8 +163,8 @@ def airy_borel_sum(z: complex, eps: complex, N: int,
     clamped down.  theta rotates the Laplace ray (lateral sums).
     """
     _refuse_turning_point(z)
-    minor = _minor_pade(N, None if pade is None else tuple(pade), None)
-    return _airy_sum(z, eps, minor, theta, 1)
+    fractions = _minor_fractions(N, None if pade is None else tuple(pade), None)
+    return _airy_sum(z, eps, fractions, theta, 1)
 
 
 def symbol_borel_sum(symbol: WKBSymbol, z: complex,
@@ -173,7 +176,8 @@ def symbol_borel_sum(symbol: WKBSymbol, z: complex,
     res = LaplaceResult(0j, 0.0, 0)
     if len(c):
         approx = pade_from_taylor(c, len(c) // 2, len(c) // 2)
-        check_ray_clear(genuine_poles(approx), 0.0, abs(eps))
+        ps = approx.poles()
+        check_ray_clear(genuine_poles(zip(ps, approx.residues(ps))), 0.0, abs(eps))
         res = laplace_ray(approx, eps)
     pref = symbol.prefactor(z, eps)
     return LaplaceResult(pref * (1.0 + res.value), abs(pref) * res.est_error,
@@ -184,15 +188,14 @@ def airy_borel_sum_hp(z, eps, N: int, pade: tuple[int, int] | None = None,
                       dps: int = 40):
     """High-precision Borel-Pade-Laplace sum of the Airy symbol.
 
-    Same construction as airy_borel_sum but in mpmath arithmetic
-    throughout: B's approximant at dps, split over its polished poles,
-    and the closed-form Laplace transform laplace_pade_mp of its
-    rescaling lam B(lam xi) (E1, no quadrature).  Returns an mpmath mpc.
-    Needed where the summation error sits below the double-precision
-    floor, e.g. to resolve its decay as eps shrinks.
+    Same construction as airy_borel_sum, B's exact approximant split and
+    transformed in closed form by laplace_pade, but in mpmath arithmetic
+    at dps throughout.  Returns an mpmath mpc.  Needed where the
+    summation error sits below the double-precision floor, e.g. to
+    resolve its decay as eps shrinks.
     """
     _refuse_turning_point(z)
-    fractions = _minor_pade(N, None if pade is None else tuple(pade), dps)
+    fractions = _minor_fractions(N, None if pade is None else tuple(pade), dps)
     with mpmath.workdps(dps):
         logz = mpmath.log(mpmath.mpc(z))      # on the branch of branch_arg
         if logz.imag <= -2 * mpmath.pi / 3:
@@ -201,7 +204,7 @@ def airy_borel_sum_hp(z, eps, N: int, pade: tuple[int, int] | None = None,
         pref = mpmath.exp(-2 / (3 * lam * em) - logz / 4)
         if fractions is None:
             return pref
-        return pref * (1 + laplace_pade_mp(fractions, em, lam))
+        return pref * (1 + laplace_pade(fractions, em, lam).value)
 
 
 def stokes_jump(z: complex, eps: complex, N: int,
@@ -225,8 +228,8 @@ def stokes_jump(z: complex, eps: complex, N: int,
     whose minor is singular on the positive ray when z is real > 0.
     """
     _refuse_turning_point(z)
-    minor = _minor_pade(N, None, None)
+    fractions = _minor_fractions(N, None, None)
     sign = -1 if mirror else 1
-    lo, hi = (_airy_sum(z, eps, minor, theta, sign).value
+    lo, hi = (_airy_sum(z, eps, fractions, theta, sign).value
               for theta in (-LATERAL_DELTA, LATERAL_DELTA))
-    return lo - hi, -1j * _airy_sum(z, eps, minor, 0.0, -sign).value
+    return lo - hi, -1j * _airy_sum(z, eps, fractions, 0.0, -sign).value

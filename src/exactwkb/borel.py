@@ -6,16 +6,18 @@ pole string emulates the minor's branch cut, which is what makes lateral
 sums and the Stokes-jump measurement possible at finite order.  An
 approximant's genuine poles do not depend on the ray: they are found
 once (genuine_poles), then each ray is checked against them
-(check_ray_clear) and integrated (laplace_ray).
+(check_ray_clear).
 
-One Pade routine serves both precisions: double-precision minors are
-solved with numpy, mpmath minors with mpmath.lu_solve at the working
-precision.  The double-precision Laplace integral runs on the composite
-Gauss-Legendre panels of contours.py.  The mpmath one is exact:
-partial_fractions splits R once into its polynomial part and partial
-fractions over the polished poles, and laplace_pade_mp transforms each
-term in closed form (factorials and the exponential integral E1), for R
-or for any rescaling lam R(lam xi) of it.
+pade_from_taylor solves rational Taylor coefficients exactly and others
+in complex double precision.  partial_fractions splits an exact (or
+mpmath) approximant at any precision into its polynomial part and
+partial fractions over its Newton-polished poles, and laplace_pade
+transforms each term in closed form (factorials and the exponential
+integral E1) along any ray in the half-plane of eps, for R or for any
+rescaling lam R(lam xi) of it: in mpmath with mpmath.e1, or with the
+split rounded to complex in double precision with _expe1.  laplace_ray
+integrates a double-precision approximant on Gauss-Legendre panels
+instead, for minors with no exact coefficients.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath
 import numpy as np
 
 from .contours import ContourSpec, LaplaceResult, integrate_polyline
-from .errors import ContourFailure, PoleOnRay
+from .errors import ContourFailure, PoleOnRay, SeriesError
 
 FROISSART_TOL = 1e-12  # residues below this fraction of the largest are doublets
 GUARD_DIGITS = 15  # mp partial fractions work this many digits above the caller's dps
@@ -37,12 +40,15 @@ GUARD_DIGITS = 15  # mp partial fractions work this many digits above the caller
 
 @dataclass(frozen=True)
 class PadeApproximant:
-    """Rational approximant num/den with coefficients in ascending order
-    (numpy arrays in double precision, lists of mpmath numbers otherwise).
+    """Rational approximant num/den with coefficients in ascending order:
+    numpy arrays in double precision, lists of Fractions when solved
+    exactly, lists of mpmath numbers once split (partial_fractions).
 
-    poles() and residues() work at both precisions: np.roots in double
-    precision; for mpmath data the np.roots values seed Newton's method
-    on the denominator at the working precision.
+    poles() and residues() work on numpy and mpmath data: np.roots in
+    double precision; for mpmath data the np.roots values seed Newton's
+    method on the denominator at the working precision, in real
+    arithmetic for the real roots of a real denominator, whose complex
+    roots come in conjugate pairs.
     """
 
     num: np.ndarray
@@ -57,8 +63,11 @@ class PadeApproximant:
         if isinstance(self.den, np.ndarray):
             return np.roots(self.den[::-1])
         q = self.den[::-1]
-        return [_newton_root(q, mpmath.mpc(s))
-                for s in np.roots(np.array([complex(c) for c in q]))]
+        real = all(isinstance(c, mpmath.mpf) for c in q)
+        ps = [_newton_root(q, mpmath.mpf(s.real) if real and s.imag == 0 else mpmath.mpc(s))
+              for s in np.roots(np.array(q, dtype=float if real else complex))
+              if not (real and s.imag < 0)]
+        return ps + [p.conjugate() for p in ps if real and p.imag > 0]
 
     def residues(self, ps):
         """num(p)/den'(p) at the poles ps."""
@@ -91,59 +100,64 @@ def pade_from_taylor(c, L: int, M: int) -> PadeApproximant:
 
     If fewer than L+M+1 coefficients are available the degrees are
     clamped down (numerator first) to fit the data exactly; a negative
-    degree is a ValueError.  mpmath coefficients are solved by LU at the
-    working precision and give list coefficients; anything else is
-    solved in complex double.
+    degree is a ValueError.  int and Fraction coefficients give the exact
+    approximant in Fractions: Gauss-Jordan elimination on the system's
+    rows cleared to integers, each divided by its content after every
+    step (SeriesError if singular).  mpmath coefficients are a TypeError
+    (their solve would be rounded); anything else is solved in complex
+    double.
     """
     if L < 0 or M < 0:
         raise ValueError("Pade orders must be nonnegative")
     if len(c) == 0:
         return PadeApproximant(num=np.zeros(1), den=np.ones(1))
-    mp = isinstance(c[0], (mpmath.mpf, mpmath.mpc))
-    c = list(c) if mp else np.asarray(c, dtype=complex)
+    if any(isinstance(x, (mpmath.mpf, mpmath.mpc)) for x in c):
+        raise TypeError("Pade coefficients must be exact or double, not mpmath numbers")
+    exact = all(isinstance(x, (int, Fraction)) for x in c)
+    c = [Fraction(x) for x in c] if exact else np.asarray(c, dtype=complex)
     while L + M + 1 > len(c):
         if L >= M:
             L -= 1
         else:
             M -= 1
-    den = [mpmath.mpc(1) if mp else 1.0 + 0j]
-    if M > 0:
-        A = [[c[L + 1 + i - j] if L + 1 + i - j >= 0 else 0 for j in range(1, M + 1)]
-             for i in range(M)]
-        rhs = [-c[L + 1 + i] for i in range(M)]
-        if mp:
-            b = mpmath.lu_solve(A, rhs)
-        else:
-            A, rhs = np.array(A, dtype=complex), np.array(rhs)
-            try:
-                b = np.linalg.solve(A, rhs)
-            except np.linalg.LinAlgError:
-                b = np.linalg.lstsq(A, rhs, rcond=None)[0]
-        den += [b[i] for i in range(M)]
+    rows = [[c[L + 1 + i - j] if L + 1 + i - j >= 0 else 0 for j in range(1, M + 1)]
+            + [-c[L + 1 + i]] for i in range(M)]
+    if not exact:
+        A = np.array(rows, dtype=complex).reshape(M, M + 1)
+        try:
+            b = list(np.linalg.solve(A[:, :M], A[:, M]))
+        except np.linalg.LinAlgError:
+            b = list(np.linalg.lstsq(A[:, :M], A[:, M], rcond=None)[0])
+    else:
+        rows = [[x.numerator * (d // x.denominator) for x in row]
+                for row in rows for d in [math.lcm(*(x.denominator for x in row))]]
+        for k in range(M):
+            i = next((i for i in range(k, M) if rows[i][k]), None)
+            if i is None:
+                raise SeriesError(f"the ({L}, {M}) Pade system is singular")
+            rows[k], rows[i] = rows[i], rows[k]
+            pk = rows[k]
+            for i, row in enumerate(rows):
+                if i != k and row[k]:
+                    g = math.gcd(pk[k], row[k])
+                    row = [pk[k] // g * x - row[k] // g * y for x, y in zip(row, pk)]
+                    g = math.gcd(*row) or 1          # 0 for a row eliminated whole
+                    rows[i] = [x // g for x in row]
+        b = [Fraction(row[M], row[k]) for k, row in enumerate(rows)]
+    den = [Fraction(1) if exact else 1.0 + 0j] + b
     num = [sum(den[j] * c[k - j] for j in range(min(k, M) + 1)) for k in range(L + 1)]
-    wrap = list if mp else np.array
+    wrap = list if exact else np.array
     return PadeApproximant(num=wrap(num), den=wrap(den))
 
 
-def _ray_distance(p: complex, theta: float) -> float:
-    """Distance from p to the ray {t e^{i theta} : t >= 0}."""
-    w = p * cmath.exp(-1j * theta)
-    if w.real <= 0:
-        return abs(p)
-    return abs(w.imag)
-
-
-def genuine_poles(approx: PadeApproximant) -> list:
-    """The poles of approx that are not Froissart doublets (spurious
-    pole/zero pairs whose residue is below FROISSART_TOL of the largest),
-    in np.roots order.  They do not depend on the ray, so one list serves
-    every ray tried (check_ray_clear)."""
-    ps = approx.poles()
-    if len(ps) == 0:
-        return []
-    rs = approx.residues(ps)
-    scale = max(1.0, float(np.max(np.abs(rs))))
-    return [p for p, r in zip(ps, rs) if not abs(r) < FROISSART_TOL * scale]
+def genuine_poles(pairs) -> list:
+    """The poles of the (pole, residue) pairs that are not Froissart
+    doublets (spurious pole/zero pairs whose residue is below
+    FROISSART_TOL of the largest), in their order.  They do not depend
+    on the ray, so one list serves every ray tried (check_ray_clear)."""
+    pairs = list(pairs)
+    scale = max([1.0] + [abs(r) for _, r in pairs])
+    return [p for p, r in pairs if not abs(r) < FROISSART_TOL * scale]
 
 
 def check_ray_clear(poles, theta: float, eps_scale: float) -> None:
@@ -156,106 +170,143 @@ def check_ray_clear(poles, theta: float, eps_scale: float) -> None:
         if abs(p) < margin:
             raise PoleOnRay(f"Pade pole at {p:.6g} lies within {margin:.3g} of "
                             "xi = 0, where every Laplace ray starts")
-        if _ray_distance(p, theta) < margin:
+        w = p * cmath.exp(-1j * theta)     # its distance to the ray: |Im w|, or |p| behind 0
+        if (abs(w.imag) if w.real > 0 else abs(p)) < margin:
             raise PoleOnRay(
                 f"Pade pole at {p:.6g} obstructs the ray arg xi = {theta:.4f}")
 
 
-def laplace_ray(R, eps: complex, theta: float = 0.0) -> LaplaceResult:
-    """int_0^inf(ray theta) exp(-xi/eps) R(xi) dxi in double precision.
-
-    The ray is truncated at T = 60|eps|/cos(theta - arg eps), where the
-    weight is e^-60, and integrated on composite Gauss-Legendre panels
-    (contours.integrate_polyline, panels sized by the phase xi/eps) over
-    the geometrically graded nodes 0, T 0.7^32, ..., T 0.7, T.  The
-    grading keeps a Pade pole string just off the ray (lateral sums) a
-    fixed multiple of each panel's width away.  The error estimate
-    compares the full and halved Gauss-Legendre orders.  Requires
-    cos(theta - arg eps) > 0.05.
-    """
-    phi = theta - cmath.phase(eps)
-    if math.cos(phi) <= 0.05:
-        raise PoleOnRay(f"ray arg xi = {theta:.4f} is outside the half-plane of eps")
-    T = 60.0 * abs(eps) / math.cos(phi)
-    rot = cmath.exp(1j * theta)
-    nodes = [0j] + [rot * T * 0.7 ** k for k in range(32, -1, -1)]
+def laplace_ray(R, eps: complex) -> LaplaceResult:
+    """int_0^inf exp(-xi/eps) R(xi) dxi along arg xi = 0 in double precision,
+    on composite Gauss-Legendre panels (contours.integrate_polyline, sized
+    by the phase xi/eps) over the graded nodes 0, T 0.7^32, ..., T 0.7, T,
+    with e^-60 weight at T = 60|eps|/cos(arg eps).  The grading keeps a
+    Pade pole string just off the ray a fixed multiple of each panel's
+    width away.  The error estimate compares the full and halved
+    Gauss-Legendre orders.  Requires cos(arg eps) > 0.05."""
+    cos = math.cos(cmath.phase(eps))
+    if cos <= 0.05:
+        raise PoleOnRay("ray arg xi = 0.0000 is outside the half-plane of eps")
+    T = 60.0 * abs(eps) / cos
+    nodes = [0j] + [T * 0.7 ** k for k in range(32, -1, -1)]
     return integrate_polyline(lambda xi: np.exp(-xi / eps) * R(xi), nodes,
                               ContourSpec(), phase=lambda xi: xi / eps)[0]
 
 
 class PartialFractions(NamedTuple):
-    """approx = sum_k quo[k] xi^k + sum_j residues[j]/(xi - poles[j])."""
+    """R = sum_k quo[k] xi^k + sum_j residues[j]/(xi - poles[j]), in
+    mpmath numbers or rounded to complex."""
 
-    approx: PadeApproximant
     poles: list
     residues: list
     quo: list
 
 
 def partial_fractions(approx: PadeApproximant) -> PartialFractions:
-    """Split an mpmath approximant at GUARD_DIGITS above the working
-    precision, over its poles polished by Newton's method (ContourFailure
-    when one cannot be, e.g. a double pole)."""
-    with mpmath.workdps(mpmath.mp.dps + GUARD_DIGITS):
+    """Split an exact or mpmath approximant at GUARD_DIGITS above the
+    working precision, over its Newton-polished poles.  ContourFailure
+    when a pole cannot be polished (e.g. a double pole) or the split
+    misses the approximant by 10^-dps relative at a test point."""
+    dps = mpmath.mp.dps
+    with mpmath.workdps(dps + GUARD_DIGITS):
+        num, den = ([mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction)
+                     else x for x in xs] for xs in (approx.num, approx.den))
+        approx = PadeApproximant(num, den)
         ps = approx.poles()
-        rem, den, quo = list(approx.num), approx.den, []
+        rs = approx.residues(ps)
+        rem, quo = list(num), []
         m = len(den) - 1
         for k in range(len(rem) - 1, m - 1, -1):
             quo.insert(0, rem[k] / den[m])
             for j in range(m + 1):
                 rem[k - m + j] -= quo[0] * den[j]
-        return PartialFractions(approx, ps, approx.residues(ps), quo)
-
-
-def laplace_pade_mp(fractions: PartialFractions, eps, lam=1):
-    """int_0^inf exp(-xi/eps) lam R(lam xi) dxi along arg xi = 0, in
-    closed form, for R = num/den split into its partial fractions and
-    Re eps > 0 (PoleOnRay otherwise).
-
-    lam R(lam xi) = sum_k q_k lam^(k+1) xi^k + sum_j r_j/(xi - p_j/lam),
-    and term by term
-        int exp(-xi/eps) xi^k dxi = k! eps^(k+1),
-        int exp(-xi/eps) r/(xi - p) dxi = r exp(-p/eps) E1(-p/eps),
-    where the principal E1 integrates along arg xi = arg eps.  A pole
-    strictly between that ray and arg xi = 0 adds 2 pi i r exp(-p/eps)
-    when arg eps > 0 and subtracts it when arg eps < 0.  Works at
-    GUARD_DIGITS above the caller's precision and returns an mpc.
-
-    Raises PoleOnRay when a pole whose residue exceeds the Froissart
-    threshold lies on the ray to working precision, and ContourFailure
-    when the rescaled partial fractions do not reproduce lam R(lam xi)
-    at a test point to 10^-dps relative.
-    """
-    dps = mpmath.mp.dps
-    with mpmath.workdps(dps + GUARD_DIGITS):
-        eps, lam = mpmath.mpc(eps), mpmath.mpc(lam)
-        if eps.real <= 0:
-            raise PoleOnRay("the ray arg xi = 0 is outside the half-plane of eps")
-        approx, rs = fractions.approx, fractions.residues
-        ps = [p / lam for p in fractions.poles]
-        quo = [q * lam ** (k + 1) for k, q in enumerate(fractions.quo)]
-        # test point off the ray, at the scale where the Laplace weight lives
-        xi = abs(eps) * (1 + 1j)
-        want = lam * mpmath.polyval(approx.num[::-1], lam * xi) \
-            / mpmath.polyval(approx.den[::-1], lam * xi)
-        got = mpmath.polyval(quo[::-1], xi) + mpmath.fsum(r / (xi - p) for p, r in zip(ps, rs))
+        t = mpmath.mpc(0.6, 0.8)
+        want = mpmath.polyval(num[::-1], t) / mpmath.polyval(den[::-1], t)
+        got = mpmath.polyval(quo[::-1], t) + mpmath.fsum(r / (t - p) for p, r in zip(ps, rs))
         if abs(got - want) > mpmath.mpf(10) ** -dps * abs(want):
             raise ContourFailure("partial fractions do not reproduce the Pade approximant")
-        scale = max([mpmath.mpf(1)] + [abs(r) for r in rs])
-        on_ray = mpmath.mpf(10) ** (-dps / 2)
-        arg_eps = mpmath.arg(eps)
-        total = mpmath.fsum(q * mpmath.factorial(k) * eps ** (k + 1)
-                            for k, q in enumerate(quo))
-        for p, r in zip(ps, rs):
-            if abs(r) >= FROISSART_TOL * scale and p.real > 0 \
-                    and abs(p.imag) <= on_ray * abs(p):
-                raise PoleOnRay(f"Pade pole at {complex(p):.6g} lies on the ray arg xi = 0")
-            w = p / eps
-            term = mpmath.e1(-w)
-            arg_p = mpmath.arg(p)
-            if 0 < arg_p < arg_eps:
-                term += 2j * mpmath.pi
-            elif arg_eps < arg_p < 0:
-                term -= 2j * mpmath.pi
-            total += r * mpmath.exp(-w) * term
-        return total
+        return PartialFractions(list(ps), rs, quo)
+
+
+def _expe1(x: complex) -> complex:
+    """e^x E1(x) in double precision on the principal branch, cut along
+    x <= 0; the sign of a zero imaginary part picks the side of the cut.
+    The power series (Abramowitz & Stegun 5.1.11) serves near 0 and next
+    to the cut, where its terms cancel by at most e^4; Lentz's continued
+    fraction (A&S 5.1.22) elsewhere up to |x| = 50, and the asymptotic
+    series past it, with the -/+ i pi e^x that E1 gains next to the cut."""
+    if abs(x) > 50:
+        term = s = 1 / x
+        k = 0
+        while abs(term) > 2.0 ** -54 * abs(s):
+            k += 1
+            term *= -k / x
+            s += term
+        if x.real < 0 and abs(x.imag) < -x.real / 4:
+            s -= math.copysign(math.pi, x.imag) * 1j * cmath.exp(x)
+        return s
+    if abs(x) <= 2 or abs(x) + x.real < 4:
+        term, s, k = -x, -x, 1
+        while abs(term) > 2.0 ** -54 * k * abs(s):
+            k += 1
+            term *= -x / k
+            s += term / k
+        return cmath.exp(x) * (-np.euler_gamma - cmath.log(x) - s)
+    b, c = x + 1, 1e300
+    h = d = 1 / b
+    for i in range(1, 500):
+        b += 2
+        d, c = 1 / (b - i * i * d), b - i * i / c
+        h *= c * d
+        if abs(c * d - 1) < 2.0 ** -53:
+            break
+    return h
+
+
+def laplace_pade(fractions: PartialFractions, eps, lam=1, theta=0.0) -> LaplaceResult:
+    """int_0^inf(ray theta) exp(-xi/eps) lam R(lam xi) dxi in closed form,
+    for R split into partial fractions: mpmath ones at GUARD_DIGITS above
+    the caller's precision, complex ones in double precision.
+
+    lam R(lam xi) = sum_k q_k lam^(k+1) xi^k + sum_j r_j/(xi - p_j/lam),
+    and term by term, with w = p/(lam eps),
+        int exp(-xi/eps) xi^k dxi = k! eps^(k+1),
+        int exp(-xi/eps) r/(xi - p/lam) dxi = r e^(-w) E1(-w),
+    where the principal E1 integrates along arg xi = arg eps.  A pole
+    strictly between that ray and arg xi = theta adds 2 pi i r e^(-w)
+    when theta lies clockwise of arg eps and subtracts it otherwise.  One
+    on the arg eps ray to rounding takes E1 from above its cut, so it
+    counts as lying just off that ray on the side away from theta (the
+    sum is continuous across the ray).
+
+    The value is an mpc or a complex, est_error the rounding of the sum
+    (the unit roundoff, 2^-52 or mpmath's eps, times the sum of its
+    terms' moduli) and nodes_used 0.  PoleOnRay when the ray leaves the
+    half-plane of eps or a genuine pole (genuine_poles) lies on it to
+    rounding.
+    """
+    m, expe1, unit = cmath, _expe1, 2.0 ** -52
+    with mpmath.workdps(mpmath.mp.dps + GUARD_DIGITS):
+        if not isinstance((fractions.quo + fractions.residues)[0], complex):
+            m, expe1, unit = mpmath, lambda x: mpmath.exp(x) * mpmath.e1(x), mpmath.eps
+            eps, lam = mpmath.mpc(eps), mpmath.mpc(lam)
+        d = m.exp(1j * theta) * abs(eps) / eps     # the ray's direction, seen from arg eps
+        if d.real <= 0:
+            raise PoleOnRay(f"ray arg xi = {theta:.4f} is outside the half-plane of eps")
+        phi, s, tol = m.phase(d), lam * eps, 64 * unit
+        genuine = genuine_poles(zip(fractions.poles, fractions.residues))
+        terms = [q * math.factorial(k) * s ** (k + 1) for k, q in enumerate(fractions.quo)]
+        for p, r in zip(fractions.poles, fractions.residues):
+            w = p / s
+            if p in genuine and (w / d).real >= 0 and abs((w / d).imag) <= tol * abs(w):
+                raise PoleOnRay(f"Pade pole at {complex(p / lam):.6g} lies on the ray "
+                                f"arg xi = {theta:.4f}")
+            if w.real > 0 and abs(w.imag) <= tol * abs(w):
+                w = w.real                  # a real -w takes E1 from above
+            term, arg = expe1(-w), m.phase(w)
+            if phi < arg <= 0:
+                term += 2j * m.pi * m.exp(-w)
+            elif 0 < arg < phi:
+                term -= 2j * m.pi * m.exp(-w)
+            terms.append(r * term)
+        return LaplaceResult(sum(terms), float(unit * sum(abs(t) for t in terms)), 0)

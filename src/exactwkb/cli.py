@@ -137,8 +137,8 @@ def cmd_borel(args) -> dict:
     pade = None if args.pade is None else tuple(args.pade)
     res = airy_borel_sum(z, eps, args.orders, pade=pade, theta=args.theta)
     # the degrees solved with: balanced, or clamped down to the data
-    minor = _minor_pade(args.orders, pade, None)
-    solved = [len(minor[0].num) - 1, len(minor[0].den) - 1] if minor else None
+    minor = _minor_pade(args.orders, pade)
+    solved = [len(minor.num) - 1, len(minor.den) - 1] if minor else None
     return {"z": _c2l(z), "eps": _c2l(eps), "value": _c2l(res.value),
             "est_error": res.est_error, "nodes_used": res.nodes_used,
             "meta": {"orders": args.orders, "pade": solved, "theta": args.theta}}

@@ -42,6 +42,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping
@@ -347,21 +348,6 @@ class PuiseuxSeries:
             raise SeriesError("division of a series by zero")
         return _make({k: v / c for k, v in self._by6.items()}, self.trunc)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            raise SeriesError("a series power needs n >= 0; use pow_rational")
-        out = _make({0: _ONE}, INF)
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     def pow_rational(self, r, order=None) -> "PuiseuxSeries":
         """self**r for rational r, behind :meth:`inverse` and :meth:`sqrt`.
 
@@ -380,8 +366,8 @@ class PuiseuxSeries:
                 # 0 + O(z^T) raised to r > 0 is O(z^(rT))
                 return _make({}, self.trunc if self.trunc is INF else self.trunc * r)
             raise SeriesError("0 cannot be raised to a non-positive rational power")
-        if r.denominator == 1 and int(r) >= 0:
-            return self ** int(r)
+        if r.denominator == 1 and r >= 0:     # a product, exact for any series
+            return functools.reduce(operator.mul, [self] * int(r), _make({0: _ONE}, INF))
         m, c0 = self.leading()
         new_exp = _check_sixths(m * r)
         c0r = _coeff_root(c0, r)

@@ -7,14 +7,16 @@ import random
 from fractions import Fraction as Fr
 
 import mpmath
+import numpy as np
 import pytest
 
-from exactwkb.airy import (LATERAL_DELTA, SOLVE_DPS, airy_alpha,
+from exactwkb.airy import (LATERAL_DELTA, airy_alpha,
                            airy_borel_sum, airy_borel_sum_hp, airy_contour,
                            airy_oracle, airy_symbol, stokes_jump,
                            symbol_borel_sum)
 from exactwkb import airy, contours
-from exactwkb.borel import check_ray_clear, genuine_poles, pade_from_taylor
+from exactwkb.borel import (PadeApproximant, check_ray_clear, genuine_poles,
+                            laplace_ray, pade_from_taylor)
 from exactwkb.contours import ContourSpec
 from exactwkb.errors import ContourFailure, ExactWKBError, PoleOnRay
 from exactwkb.hardy import hardy_phi_eval
@@ -230,20 +232,17 @@ def test_borel_degenerate_truncation():
 
 
 def test_pade_clamps_to_available_data():
-    import numpy as np
-
     c = np.array([1.0, -1.0, 1.0])      # 1/(1+x) truncated
     ap = pade_from_taylor(c, 5, 5)      # clamped to fit 3 coefficients
     assert abs(complex(ap(0.5)) - 1 / 1.5) < 1e-12
 
 
 def test_pole_on_ray_raises():
-    import numpy as np
-
     # minor of 1/(1 - xi): pole at xi = +1 on the positive ray
-    c = np.ones(12)
+    approx = pade_from_taylor(np.ones(12), 5, 6)
+    ps = approx.poles()
     with pytest.raises(PoleOnRay, match="obstructs the ray arg xi = 0"):
-        check_ray_clear(genuine_poles(pade_from_taylor(c, 5, 6)), 0.0, 0.05)
+        check_ray_clear(genuine_poles(zip(ps, approx.residues(ps))), 0.0, 0.05)
 
 
 def test_pole_near_the_origin_is_named_apart_from_the_ray():
@@ -254,7 +253,8 @@ def test_pole_near_the_origin_is_named_apart_from_the_ray():
 
 
 def test_laplace_ray_outside_the_half_plane_of_eps_raises():
-    # arg xi = +-1.6 is past pi/2 from arg eps = 0: exp(-xi/eps) grows there
+    # arg xi = +-1.6 is past pi/2 from arg eps = 0: exp(-xi/eps) grows
+    # there, and the closed form (laplace_pade) refuses the ray
     for theta in (1.6, -1.6):
         with pytest.raises(PoleOnRay, match="outside the half-plane of eps"):
             airy_borel_sum(1 + 0.5j, 0.1, 24, theta=theta)
@@ -388,7 +388,7 @@ def _one_term(z, eps):
 
 
 @pytest.mark.xfail(strict=True, reason="airy_borel_sum's est_error counts only "
-                   "the Laplace quadrature, not the Pade truncation")
+                   "the rounding of its closed form, not the Pade truncation")
 def test_borel_sum_sweep_within_ten_est_errors():
     for z, eps in _sweep()[:60]:
         if not _one_term(z, eps):
@@ -427,11 +427,13 @@ def test_once_obstructed_jumps_clear_at_lateral_delta(r, eps, N, monkeypatch):
 
 
 def test_one_pade_solve_per_order_degrees_and_precision(monkeypatch):
+    # one exact solve per (N, pade) serves both precisions
     airy._minor_pade.cache_clear()
+    airy._minor_fractions.cache_clear()
     solved = []
 
     def spy(c, L, M):
-        solved.append((len(c), L, M, mpmath.mp.dps))
+        solved.append((len(c), L, M))
         return pade_from_taylor(c, L, M)
 
     monkeypatch.setattr(airy, "pade_from_taylor", spy)
@@ -442,8 +444,7 @@ def test_one_pade_solve_per_order_degrees_and_precision(monkeypatch):
         airy_borel_sum_hp(z, 0.1, 30, dps=40)
         stokes_jump(z, 0.05, 30)
         stokes_jump(z, 0.05, 30, mirror=True)
-    assert sorted(solved) == [(29, 10, 12, SOLVE_DPS), (29, 14, 14, SOLVE_DPS),
-                              (29, 14, 14, SOLVE_DPS), (29, 14, 14, 40)]
+    assert sorted(solved) == [(29, 10, 12), (29, 14, 14), (29, 14, 14)]
 
 
 def test_airy_minor_is_a_hypergeometric_function():
@@ -462,10 +463,11 @@ def test_airy_minor_is_a_hypergeometric_function():
 
 
 def test_genuine_poles_of_the_double_approximant_lie_on_the_cut():
-    # B is singular only on t <= -4/3, and the poles of its approximant,
-    # solved at SOLVE_DPS and rounded, emulate that cut
+    # B is singular only on t <= -4/3, and the poles of its exact
+    # approximant, split at 30 digits and rounded, emulate that cut
     for N in range(17, 41):
-        _, poles = airy._minor_pade(N, None, None)
+        fractions = airy._minor_fractions(N, None, None)
+        poles = genuine_poles(zip(fractions.poles, fractions.residues))
         assert poles, N
         for p in poles:
             nearest = min(p.real, -4 / 3)
@@ -500,3 +502,44 @@ def test_once_wrong_sum_meets_the_oracle():
     z, eps = -0.019317879770578233 - 0.21469239321551736j, 0.15831097481444562
     o = airy_oracle(z, eps)
     assert abs(airy_borel_sum(z, eps, 31).value - o) <= 1e-9 * abs(o)
+
+
+@pytest.mark.parametrize("pade", [None, (10, 12)])
+def test_cached_approximant_meets_the_pade_conditions_exactly(pade):
+    # den(0) = 1 and den * B - num vanishes through t^(L+M) in rationals,
+    # with the degrees clamped to the N - 1 coefficients of B
+    for N in range(2, 41):
+        c = [a / math.factorial(k) for k, a in enumerate(airy._airy_alphas(N - 1)[1:])]
+        approx = airy._minor_pade(N, pade)
+        num, den = approx.num, approx.den
+        L, M = len(num) - 1, len(den) - 1
+        want = pade or (len(c) // 2, len(c) // 2)
+        assert L <= want[0] and M <= want[1] and L + M + 1 == min(len(c), sum(want) + 1)
+        assert den[0] == 1
+        assert all(isinstance(x, Fr) for x in num + den)
+        for k in range(L + M + 1):
+            lhs = sum(den[j] * c[k - j] for j in range(min(k, M) + 1))
+            assert lhs == (num[k] if k <= L else 0), (N, pade, k)
+
+
+@pytest.mark.parametrize("z, eps, N", [
+    (r * cmath.exp(2j * math.pi / 3), eps, N) for r, eps, N in OBSTRUCTED_JUMPS]
+    + [(L1_POINT, 0.05, 40)])
+def test_lateral_sums_match_quadrature_of_the_rounded_approximant(z, eps, N):
+    # the closed-form lateral sums against laplace_ray's Gauss-Legendre
+    # panels on the approximant rounded to double; the ray arg xi = theta
+    # is turned onto arg xi = 0 by xi = e^{i theta} u, so lam R(lam xi) dxi
+    # is lam' R(lam' u) du with lam' = lam e^{i theta}, and eps becomes
+    # eps e^{-i theta}
+    exact = airy._minor_pade(N, None)
+    R = PadeApproximant(np.array(exact.num, dtype=complex), np.array(exact.den, dtype=complex))
+    lam = zpow(z, Fr(-3, 2))
+    pref = airy_symbol(0).prefactor(z, eps)
+    for theta in (-LATERAL_DELTA, LATERAL_DELTA):
+        got = airy_borel_sum(z, eps, N, theta=theta)
+        turn = cmath.exp(1j * theta)
+        quad = laplace_ray(lambda u: lam * turn * R(lam * turn * u), eps / turn)
+        want = pref * (1 + quad.value)
+        assert got.nodes_used == 0
+        assert abs(got.value - want) <= got.est_error + abs(pref) * quad.est_error \
+            + 1e-12 * abs(want), theta

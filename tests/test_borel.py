@@ -1,23 +1,32 @@
-"""Pade poles at both precisions and the closed-form Laplace transform of
-a rescaled mpmath Pade approximant, checked against mpmath.quad."""
+"""Pade approximants at both precisions, e^x E1(x) in double precision,
+and the closed-form Laplace transform of a rescaled Pade approximant,
+checked against mpmath.quad and mpmath.e1."""
 
 import cmath
+import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactwkb import airy
 from exactwkb.airy import airy_borel_sum_hp, airy_oracle
-from exactwkb.borel import (PadeApproximant, laplace_pade_mp, pade_from_taylor,
-                            partial_fractions)
-from exactwkb.errors import ContourFailure, PoleOnRay
+from exactwkb.borel import (PadeApproximant, PartialFractions, _expe1, laplace_pade,
+                            pade_from_taylor, partial_fractions)
+from exactwkb.errors import ContourFailure, PoleOnRay, SeriesError
 
 
 def quad_on_real_ray(approx, eps, lam=1, dps=60):
     """int_0^inf exp(-xi/eps) lam num(lam xi)/den(lam xi) dxi by
-    mpmath.quad, the ray split at the real parts of the poles p/lam."""
+    mpmath.quad, the ray split at the real parts of the poles p/lam; exact
+    coefficients are rounded to dps digits."""
     with mpmath.workdps(dps):
+        approx = PadeApproximant(*([mpmath.mpf(x.numerator) / x.denominator
+                                    if isinstance(x, Fraction) else x for x in cs]
+                                   for cs in (approx.num, approx.den)))
         eps, lam = mpmath.mpc(eps), mpmath.mpc(lam)
         cuts = sorted({complex(p / lam).real for p in approx.poles()
                        if complex(p / lam).real > 0})
@@ -37,9 +46,12 @@ def test_double_precision_poles_and_residues_are_np_roots():
 
 
 def test_mp_poles_are_polished_roots():
+    # the exact approximant's poles, polished at the working precision
     dps, M = 40, 5
     with mpmath.workdps(dps):
-        approx = pade_from_taylor([mpmath.mpc(1) / k for k in range(1, 12)], 5, M)
+        exact = pade_from_taylor([Fraction(1, k) for k in range(1, 12)], 5, M)
+        approx = PadeApproximant(*([mpmath.mpf(x.numerator) / x.denominator for x in xs]
+                                   for xs in (exact.num, exact.den)))
         ps = approx.poles()
         q = approx.den[::-1]
         big = max(abs(x) for x in q)
@@ -62,7 +74,7 @@ def test_single_pole_closed_form_vs_quad(sign, inside):
     with mpmath.workdps(40):
         r = mpmath.mpc(0.7, -0.4)
         approx = PadeApproximant(num=[2 * r], den=[-2 * mpmath.mpc(p), mpmath.mpc(2)])
-        got = laplace_pade_mp(partial_fractions(approx), eps)
+        got = laplace_pade(partial_fractions(approx), eps).value
     ref = quad_on_real_ray(approx, eps)
     assert abs(got - ref) <= 1e-25 * abs(ref)
 
@@ -75,7 +87,7 @@ def test_rescaled_closed_form_vs_quad():
         p, r = mpmath.mpc(cmath.rect(1.1, -0.7)), mpmath.mpc(0.3, 0.5)
         approx = PadeApproximant(num=[r - 0.5 * p, 0.5 - p, mpmath.mpc(1)],
                                  den=[-p, mpmath.mpc(1)])
-        got = laplace_pade_mp(partial_fractions(approx), eps, lam)
+        got = laplace_pade(partial_fractions(approx), eps, lam).value
     ref = quad_on_real_ray(approx, eps, lam)
     assert abs(got - ref) <= 1e-25 * abs(ref)
 
@@ -84,13 +96,14 @@ def test_hp_sum_with_polynomial_part_vs_quad(monkeypatch):
     seen = []
 
     def spy(fractions, eps, lam):
-        seen.append((fractions.approx, eps, lam, laplace_pade_mp(fractions, eps, lam)))
-        return seen[-1][3]
+        seen.append((eps, lam, laplace_pade(fractions, eps, lam).value))
+        return laplace_pade(fractions, eps, lam)
 
-    monkeypatch.setattr(airy, "laplace_pade_mp", spy)
+    monkeypatch.setattr(airy, "laplace_pade", spy)
     z, eps = 1.1 * cmath.exp(0.4j), 0.08 * cmath.exp(0.3j)
     got = airy_borel_sum_hp(z, eps, 20, pade=(12, 6), dps=40)
-    (approx, em, lam, integral), = seen
+    (em, lam, integral), = seen
+    approx = airy._minor_pade(20, (12, 6))
     assert len(approx.num) - len(approx.den) == 6
     assert abs(complex(lam) - z ** -1.5) <= 1e-15 * abs(lam)
     ref = quad_on_real_ray(approx, em, lam)
@@ -103,13 +116,13 @@ def test_pole_on_the_ray_raises():
     with mpmath.workdps(40):
         approx = PadeApproximant(num=[mpmath.mpc(1)], den=[mpmath.mpc(-1.5), mpmath.mpc(1)])
         with pytest.raises(PoleOnRay):
-            laplace_pade_mp(partial_fractions(approx), 0.2 * cmath.exp(0.3j))
+            laplace_pade(partial_fractions(approx), 0.2 * cmath.exp(0.3j))
         # a pole at t = -1.5 rescaled by lam = -1 onto the ray
         approx = PadeApproximant(num=[mpmath.mpc(1)], den=[mpmath.mpc(1.5), mpmath.mpc(1)])
         with pytest.raises(PoleOnRay):
-            laplace_pade_mp(partial_fractions(approx), 0.2, -1)
-        with pytest.raises(PoleOnRay):
-            laplace_pade_mp(partial_fractions(approx), -0.2j)
+            laplace_pade(partial_fractions(approx), 0.2, -1)
+        with pytest.raises(PoleOnRay, match="outside the half-plane of eps"):
+            laplace_pade(partial_fractions(approx), -0.2j)
 
 
 def test_double_pole_raises_contour_failure():
@@ -117,7 +130,7 @@ def test_double_pole_raises_contour_failure():
         p = mpmath.mpc(1, 2)
         approx = PadeApproximant(num=[mpmath.mpc(1)], den=[p * p, -2 * p, mpmath.mpc(1)])
         with pytest.raises(ContourFailure):
-            laplace_pade_mp(partial_fractions(approx), 0.2)
+            laplace_pade(partial_fractions(approx), 0.2)
 
 
 def test_hp_sum_makes_no_quadrature_call(monkeypatch):
@@ -141,3 +154,73 @@ def test_negative_pade_order_refused_at_both_precisions(pade):
     for borel_sum in (airy.airy_borel_sum, airy_borel_sum_hp):
         with pytest.raises(ValueError, match="Pade orders must be nonnegative"):
             borel_sum(1.0, 0.1, 24, pade=pade)
+
+
+def test_singular_exact_system_is_a_series_error():
+    # 1/(1 - t): every (5, 6) Toeplitz row is the same, so no approximant
+    # of these degrees has den(0) = 1
+    with pytest.raises(SeriesError, match=r"the \(5, 6\) Pade system is singular"):
+        pade_from_taylor([Fraction(1)] * 12, 5, 6)
+
+
+def test_mpmath_coefficients_are_refused():
+    # an mpmath solve would round the system; the exact rationals are wanted
+    with pytest.raises(TypeError, match="not mpmath numbers"):
+        pade_from_taylor([mpmath.mpf(1) / k for k in range(1, 8)], 3, 3)
+
+
+def _ref_expe1(x):
+    # e^x E1(x) at 40 digits; mpmath's E1 on the cut is the value from
+    # above, and E1(conj x) = conj E1(x) gives the one from below
+    with mpmath.workdps(40):
+        if x.imag == 0 and x.real < 0 and math.copysign(1, x.imag) < 0:
+            return complex(mpmath.exp(x.real) * mpmath.e1(x.real)).conjugate()
+        mx = mpmath.mpf(x.real) if x.imag == 0 else mpmath.mpc(x)
+        return complex(mpmath.exp(mx) * mpmath.e1(mx))
+
+
+MODULI = st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)
+
+
+@settings(max_examples=400, deadline=None)
+@given(r=MODULI, arg=st.floats(-math.pi, math.pi))
+def test_expe1_matches_mpmath_over_the_plane(r, arg):
+    x = cmath.rect(r, arg)
+    ref = _ref_expe1(x)
+    assert abs(_expe1(x) - ref) <= 1e-13 * abs(ref), x
+
+
+@settings(max_examples=400, deadline=None)
+@given(r=MODULI, off=st.floats(math.log(1e-8), 0.0).map(math.exp),
+       side=st.sampled_from([1, -1]))
+def test_expe1_matches_mpmath_next_to_the_cut(r, off, side):
+    x = cmath.rect(r, side * (math.pi - off))
+    ref = _ref_expe1(x)
+    assert abs(_expe1(x) - ref) <= 1e-13 * abs(ref), x
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=MODULI, zero=st.sampled_from([0.0, -0.0]))
+def test_expe1_on_the_cut_takes_the_side_of_a_signed_zero(r, zero):
+    x = complex(-r, zero)
+    ref, got = _ref_expe1(x), _expe1(x)
+    assert math.copysign(1, ref.imag) == -math.copysign(1, zero)
+    assert ref.imag == 0 or (got.imag < 0) == (ref.imag < 0), x
+    assert abs(got - ref) <= 1e-13 * abs(ref), x
+
+
+@pytest.mark.parametrize("theta", [0.1, -0.1])
+def test_pole_on_the_eps_ray_is_continuous_from_both_sides(theta):
+    # a pole on arg xi = arg eps, where E1 has its cut: the lateral sum is
+    # the same for either signed zero of Im p, for poles 1e-9 rad off the
+    # ray on either side, and in mpmath
+    def lateral(p, r, q):
+        return complex(laplace_pade(PartialFractions([p], [r], [q]), 0.2, 1, theta).value)
+
+    on = [lateral(complex(1.5, zero), 0.7 - 0.4j, 0.3 + 0j) for zero in (0.0, -0.0)]
+    near = [lateral(cmath.rect(1.5, side * 1e-9), 0.7 - 0.4j, 0.3 + 0j) for side in (1, -1)]
+    with mpmath.workdps(30):
+        ref = lateral(mpmath.mpf(1.5), mpmath.mpc(0.7, -0.4), mpmath.mpf(0.3))
+    assert on[0] == on[1]
+    for got in on + near:
+        assert abs(got - ref) <= 1e-8 * abs(ref)

@@ -72,12 +72,13 @@ def test_pow_identity_exponent():
 
 
 def test_negative_power_and_series_quotient_are_refused():
-    # s ** n is the binary-power loop for n >= 0 only (a negative n once
-    # went through inverse); a quotient of series is div or inverse
+    # integer powers are products or pow_rational (a negative n once went
+    # through inverse); a quotient of series is div or inverse
     a = S({0: 1, 1: 2}, trunc=4)
-    assert a ** 2 == S({0: 1, 1: 4, 2: 4}, trunc=4)
-    with pytest.raises(SeriesError, match="n >= 0"):
-        a ** -1
+    assert a * a == S({0: 1, 1: 4, 2: 4}, trunc=4)
+    for n in (2, -1):
+        with pytest.raises(TypeError):
+            a ** n
     with pytest.raises(TypeError):
         a / a
     assert (a.div(a, order=4) - 1).is_zero()
