@@ -31,6 +31,7 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
+from .coefficients import clear
 from .contours import ContourSpec, LaplaceResult, integrate_polyline
 from .errors import ContourFailure, PoleOnRay, SeriesError
 
@@ -101,11 +102,11 @@ def pade_from_taylor(c, L: int, M: int) -> PadeApproximant:
     If fewer than L+M+1 coefficients are available the degrees are
     clamped down (numerator first) to fit the data exactly; a negative
     degree is a ValueError.  int and Fraction coefficients give the exact
-    approximant in Fractions: Gauss-Jordan elimination on the system's
-    rows cleared to integers, each divided by its content after every
-    step (SeriesError if singular).  mpmath coefficients are a TypeError
-    (their solve would be rounded); anything else is solved in complex
-    double.
+    approximant in Fractions: forward elimination on the system's rows
+    cleared to integers, each divided by its content after every step
+    (SeriesError if singular), then back substitution; the numerator is
+    one integer convolution.  mpmath coefficients are a TypeError (their
+    solve would be rounded); anything else is solved in complex double.
     """
     if L < 0 or M < 0:
         raise ValueError("Pade orders must be nonnegative")
@@ -128,26 +129,32 @@ def pade_from_taylor(c, L: int, M: int) -> PadeApproximant:
             b = list(np.linalg.solve(A[:, :M], A[:, M]))
         except np.linalg.LinAlgError:
             b = list(np.linalg.lstsq(A[:, :M], A[:, M], rcond=None)[0])
-    else:
-        rows = [[x.numerator * (d // x.denominator) for x in row]
-                for row in rows for d in [math.lcm(*(x.denominator for x in row))]]
-        for k in range(M):
-            i = next((i for i in range(k, M) if rows[i][k]), None)
-            if i is None:
-                raise SeriesError(f"the ({L}, {M}) Pade system is singular")
-            rows[k], rows[i] = rows[i], rows[k]
-            pk = rows[k]
-            for i, row in enumerate(rows):
-                if i != k and row[k]:
-                    g = math.gcd(pk[k], row[k])
-                    row = [pk[k] // g * x - row[k] // g * y for x, y in zip(row, pk)]
-                    g = math.gcd(*row) or 1          # 0 for a row eliminated whole
-                    rows[i] = [x // g for x in row]
-        b = [Fraction(row[M], row[k]) for k, row in enumerate(rows)]
-    den = [Fraction(1) if exact else 1.0 + 0j] + b
-    num = [sum(den[j] * c[k - j] for j in range(min(k, M) + 1)) for k in range(L + 1)]
-    wrap = list if exact else np.array
-    return PadeApproximant(num=wrap(num), den=wrap(den))
+        den = [1.0 + 0j] + b
+        num = [sum(den[j] * c[k - j] for j in range(min(k, M) + 1)) for k in range(L + 1)]
+        return PadeApproximant(num=np.array(num), den=np.array(den))
+    rows = [[x.numerator * (d // x.denominator) for x in row]
+            for row in rows for d in [math.lcm(*(x.denominator for x in row))]]
+    for k in range(M):     # forward elimination
+        i = next((i for i in range(k, M) if rows[i][k]), None)
+        if i is None:
+            raise SeriesError(f"the ({L}, {M}) Pade system is singular")
+        rows[k], rows[i] = rows[i], rows[k]
+        pk = rows[k]
+        for i in range(k + 1, M):
+            if (row := rows[i])[k]:
+                g = math.gcd(pk[k], row[k])
+                row = [pk[k] // g * x - row[k] // g * y for x, y in zip(row, pk)]
+                g = math.gcd(*row) or 1          # 0 for a row eliminated whole
+                rows[i] = [x // g for x in row]
+    b = [Fraction(0)] * M
+    for k in reversed(range(M)):     # back substitution
+        r = rows[k]
+        b[k] = (r[M] - sum(r[j] * b[j] for j in range(k + 1, M))) / Fraction(r[k])
+    # the numerator: one integer convolution of b and c, each over one denominator
+    (q, B, _), (dc, C, _) = clear([Fraction(1)] + b), clear(c[:L + 1])
+    num = [Fraction(sum(B[j][0] * C[k - j][0] for j in range(min(k, M) + 1)), q * dc)
+           for k in range(L + 1)]
+    return PadeApproximant(num=num, den=[Fraction(1)] + b)
 
 
 def genuine_poles(pairs) -> list:

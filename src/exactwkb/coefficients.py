@@ -18,6 +18,7 @@ drops an exact 0), and ``series._coeff_root(c, r)``, ``c.pow_rational(r)``.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Any
@@ -109,14 +110,14 @@ class GaussianRational:
             return (self._a, self._b, self._d) == (other._a, other._b, other._d)
         if isinstance(other, (int, Fraction)):
             return (self._a, self._b, self._d) == (other.numerator, 0, other.denominator)
-        if isinstance(other, complex):
-            return complex(self) == other
+        if isinstance(other, complex):     # exactly, as Fraction == float
+            return self.re == other.real and self.im == other.imag
         return NotImplemented
 
-    def __hash__(self):
-        if self._b == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+    def __hash__(self):     # hash(complex(re, im)) for an equal complex
+        w = 1 << sys.hash_info.width
+        h = (hash(self.re) + sys.hash_info.imag * hash(self.im) + w // 2) % w - w // 2
+        return -2 if h == -1 else h
 
     def __abs__(self):
         return abs(complex(self))

@@ -24,7 +24,7 @@ from .airy import airy_contour, symbol_borel_sum
 from .coefficients import to_complex
 from .contours import ContourSpec, LaplaceResult
 from .errors import ContourFailure, DomainExit
-from .series import (PuiseuxSeries, _diag, _exp6, _principal_pow, _sum,
+from .series import (PuiseuxSeries, _combine, _diag, _exp6, _principal_pow, _sum,
                      max_abs_coeff, require_taylor)
 from .transport import transport_g
 
@@ -97,11 +97,11 @@ def pde_taylor(F: PuiseuxSeries, h: PuiseuxSeries, Nx: int, Nz: int) -> Bivariat
     # exact); the retention window Nz is applied at the end
     a = [PuiseuxSeries({0: 1}), h]
     for n in range(2, Nx + 1):
-        rhs = _diag(a[n - 2], -12, lambda k: -k * (k - 6), lambda k: 36)
+        rhs = [(a[n - 2], -12, lambda k: -k * (k - 6), lambda k: 36)]
         if n > 2:
-            rhs = rhs + _diag(a[n - 1], -6, lambda k: (n - 2) * k, lambda k: 3)
-        rhs = rhs + F * a[n - 2]
-        a.append(_diag(rhs, 0, lambda k: 1, lambda k: (n - 1) * (n + 4 * (k // 6))))
+            rhs.append((a[n - 1], -6, lambda k: (n - 2) * k, lambda k: 3))
+        a.append(_combine(rhs + [(F, a[n - 2], 1)],
+                          (0, lambda k: 1, lambda k: (n - 1) * (n + 4 * (k // 6)))))
     return BivariateSeries(a_list=tuple(s.with_trunc(min(s.trunc, cap)) for s in a),
                            Nx=Nx, Nz=Nz)
 
@@ -131,13 +131,12 @@ def pde_residual(psi: BivariateSeries, F: PuiseuxSeries):
     a, negF = psi.a_list, -F
     terms = []
     for n in range(psi.Nx + 1):
-        term = _diag(a[n], 0, lambda k: (n - 1) * (3 * n + 2 * k), lambda k: 3)
+        term = [(a[n], 0, lambda k: (n - 1) * (3 * n + 2 * k), lambda k: 3)]
         if n >= 1:
-            term = term + _diag(a[n - 1], -6, lambda k: -(n - 2) * k, lambda k: 3)
+            term.append((a[n - 1], -6, lambda k: -(n - 2) * k, lambda k: 3))
         if n >= 2:
-            term = term + _diag(a[n - 2], -12, lambda k: k * (k - 6), lambda k: 36) \
-                + negF * a[n - 2]
-        terms.append(term)
+            term += [(a[n - 2], -12, lambda k: k * (k - 6), lambda k: 36), (negF, a[n - 2], 1)]
+        terms.append(_combine(term))
     return max_abs_coeff(terms)
 
 

@@ -4,12 +4,29 @@ Just enough ring structure to run the formal pipelines with free
 parameters (e.g. potential coefficients v2, v3) and read off exact
 polynomial identities.  Division is by nonzero ints and Fractions only,
 which is all the series kernel asks of a coefficient ring.
+Only outside input runs ``QPoly.__init__``; results are built in normal
+form by the trusted :func:`_poly`, a product over one integer denominator.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Mapping
+
+from .coefficients import clear
+
+
+def _poly(terms: dict) -> "QPoly":     # trusted: sorted monomials to nonzero Fractions
+    out = object.__new__(QPoly)
+    object.__setattr__(out, "terms", terms)
+    return out
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _mono_mul(m1: tuple, m2: tuple) -> tuple:     # a product of sorted monomials
+    d = dict(m1)
+    return tuple(sorted({**d, **{n: d.get(n, 0) + p for n, p in m2}}.items()))
 
 
 class QPoly:
@@ -56,13 +73,13 @@ class QPoly:
             return NotImplemented
         data = dict(self.terms)
         for m, c in o.terms.items():
-            data[m] = data.get(m, Fraction(0)) + c
-        return QPoly(data)
+            data[m] = data[m] + c if m in data else c
+        return _poly({m: c for m, c in data.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly({m: -c for m, c in self.terms.items()})
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -75,28 +92,22 @@ class QPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):    # a nonzero scalar keeps every monomial
-            out = object.__new__(QPoly)
-            object.__setattr__(out, "terms",
-                               {m: c * other for m, c in self.terms.items() if other})
-            return out
+            return _poly({m: c * other for m, c in self.terms.items() if other})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        data: dict = {}
-        for m1, c1 in self.terms.items():
-            d1 = dict(m1)
-            for m2, c2 in o.terms.items():
-                d = dict(d1)
-                for n, p in m2:
-                    d[n] = d.get(n, 0) + p
-                key = tuple(sorted(d.items()))
-                data[key] = data.get(key, Fraction(0)) + c1 * c2
-        return QPoly(data)
+        (dx, xs, _), (dy, ys, _) = clear(self.terms.values()), clear(o.terms.values())
+        acc: dict = {}
+        for m1, (a, _, _) in zip(self.terms, xs):
+            for m2, (b, _, _) in zip(o.terms, ys):
+                m = _mono_mul(m1, m2)
+                acc[m] = acc[m] + a * b if m in acc else a * b
+        return _poly({m: Fraction(a, dx * dy) for m, a in acc.items() if a})
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return QPoly({m: c / Fraction(other) for m, c in self.terms.items()})
+        return _poly({m: c / Fraction(other) for m, c in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -107,7 +118,9 @@ class QPoly:
             return self.terms == other.terms
         return NotImplemented
 
-    def __hash__(self):
+    def __hash__(self):     # a constant equals its scalar, so it hashes like it
+        if not self.terms.keys() - {()}:
+            return hash(self.terms.get((), 0))
         return hash(tuple(sorted(self.terms.items())))
 
     def subs(self, values: Mapping[str, Fraction]):

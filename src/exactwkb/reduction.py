@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .airy import airy_symbol
 from .errors import LogObstruction, NotSimpleTurningPoint, SeriesError
-from .series import (EpsSeries, PuiseuxSeries, _make, _sum, compose_each,
+from .series import (EpsSeries, PuiseuxSeries, _combine, _make, _sum, compose_each,
                      require_taylor)
 from .symbols import WKBSymbol
 
@@ -129,12 +129,12 @@ def master_relation_residual(s: ReductionSeries, F: PuiseuxSeries,
 
 def _conv(X: list, Y: list, m: int) -> PuiseuxSeries:
     """[eps^m] of the eps-product X Y from the order lists X and Y: the
-    sum of X_i Y_(m-i) for i ascending, first term assigned, an order past
-    the end of a list read as the exact zero, whose products add nothing.
-    This is how the eps-product itself sums order m, so values,
+    sum of X_i Y_(m-i) for i ascending in one :func:`series._combine`, an
+    order past the end of a list read as the exact zero, whose products add
+    nothing.  This is how the eps-product itself sums order m, so values,
     z-truncations, key order and float bits all agree with it."""
     X, Y = (L + [_NIL] * (m + 1 - len(L)) for L in (X, Y))
-    return _sum(X[i] * Y[m - i] for i in range(m + 1))
+    return _combine([(X[i], Y[m - i], 1) for i in range(m + 1)])
 
 
 def _recip_order(g: list, f: list, n: int) -> PuiseuxSeries:

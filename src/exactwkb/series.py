@@ -16,12 +16,12 @@ result through the trusted :func:`_make`, and only ``shift`` and
 built on each access, for readers outside the kernel.  JSON input is
 checked against (1/6)Z, so ``to_json`` output always reads back.
 
-A product of two series with Fraction and GaussianRational coefficients
-brings each factor over one common denominator and convolves integers
-(:func:`coefficients.clear`), then normalises one coefficient per
-exponent; other rings convolve their coefficients directly.  The rest is
-diagonal: :func:`_diag` maps c z^(k/6) to c num(k)/den(k) z^((k+d)/6), one
-gcd per exact term, for derivatives, rational multiples and the recursions.
+Each step of a recursion is one pass of :func:`_combine`: a sum of
+series mapped by :func:`_diag` (c z^(k/6) to c num(k)/den(k) z^((k+d)/6),
+as derivatives and rational multiples are) and of products, a product
+being one such term.  Exact terms are cleared to one denominator
+(:func:`coefficients.clear`), integers are summed per exponent and one
+coefficient is normalised per exponent; other rings run the operators.
 
 A coefficient may itself be a ``PuiseuxSeries``: an eps-series is one in
 eps on the integer lattice with z-series coefficients, so one product and
@@ -118,6 +118,127 @@ def _diag(s: "PuiseuxSeries", d: int, num: Callable, den: Callable) -> "PuiseuxS
                           else _gauss(c._a * n, c._b * n, c._d * den(k))
                           if t is GaussianRational else c * Fraction(n, den(k)))
     return _make(out, s.trunc if s.trunc is INF else s.trunc + _exp6(d), _EXACT)
+
+
+def _combine(terms, final=None, log=None) -> "PuiseuxSeries":
+    """The sum of ``terms`` in their order, as the chain of + and - over
+    them gives it: a series as it is, a quadruple (s, d, num, den) as
+    _diag(s, d, num, den), a pair (x, y, w) as x y |w| for an int w,
+    subtracted if w < 0 (``acc - x * y * 2``); a term at key ``log`` raises
+    LogObstruction; ``final`` = (d, num, den) maps the sum as _diag does.
+    Exact terms are cleared to one denominator and their integers added
+    per key, a key whose sum is 0 after a term dropped (and Gaussian no
+    more), as a chained + drops it; then one Fraction or GaussianRational
+    is built per key, the final den(k) in its one gcd."""
+    parts, trunc = [], INF
+    for t in terms:
+        t = (t, 0, None, None) if isinstance(t, PuiseuxSeries) else t
+        if len(t) == 3 and (tt := _mul_trunc(t[0], t[1])) is None:
+            continue
+        if None in (cs := [clear(s._by6.values()) for s in ((t[0],) if len(t) == 4 else t[:2])]):
+            break       # not exact: the chain of operators
+        if len(t) == 4:     # keys in s's order, over ds times the lcm Q of den(k)
+            s, d, num, den = t
+            rows = [(k + d, a * n, b * n, g, den(k) if num else 1)
+                    for k, (a, b, g) in zip(s._by6, cs[0][1]) if (n := num(k) if num else 1)]
+            Q = math.lcm(*(r[4] for r in rows))
+            parts.append((cs[0][0] * Q, {k: a * (Q // q) for k, a, _, _, q in rows},
+                          {k: b * (Q // q) for k, _, b, g, q in rows if g}))
+            tt = s.trunc if s.trunc is INF else s.trunc + _exp6(d)
+        else:
+            parts.append((cs[0][0] * cs[1][0], *_cleared_product(
+                t, *cs, INF if tt is INF else _top6(tt))))
+        trunc = min(trunc, tt)
+    else:
+        D = math.lcm(*[p[0] for p in parts])
+        re, im = {}, {}     # im: the Gaussian keys
+        for Dt, pre, pim in parts:
+            if not re and Dt == D:      # nothing to add to, no zero to drop
+                re, im = pre, pim
+                continue
+            f = D // Dt
+            for k, a in pre.items():
+                re[k] = re[k] + a * f if k in re else a * f
+            for k, b in pim.items():
+                im[k] = im.get(k, 0) + b * f
+            re = {k: a for k, a in re.items() if a or im.get(k)}
+            im = {k: b for k, b in im.items() if k in re}
+        top = INF if trunc is INF else _top6(trunc)
+        if log is not None and log in re and log < top:
+            raise LogObstruction("antiderivative of a z^-1 term would introduce log z")
+        if final is None:
+            return _make({k: _gauss(a, im[k], D) if k in im else Fraction(a, D)
+                          for k, a in re.items() if k < top}, trunc, _EXACT)
+        d, num, den = final
+        return _make({k + d: uncleared(a * n, im.get(k, 0) * n, D * den(k), k in im)
+                      for k, a in re.items() if k < top and (n := num(k))},
+                     trunc if trunc is INF else trunc + _exp6(d), _EXACT)
+    acc = None
+    for t in terms:
+        if isinstance(t, PuiseuxSeries):
+            v = t
+        elif len(t) == 4:
+            v = _diag(*t)
+        else:       # x y |w|, negated for w < 0: acc + (-v) is acc - v
+            v = _convolve(t[0], t[1])
+            v = v if abs(t[2]) == 1 else v * abs(t[2])
+            v = v if t[2] > 0 else -v
+        acc = v if acc is None else acc + v
+    if log is not None:
+        _log_free(acc._by6, log)
+    return acc if final is None else _diag(acc, *final)
+
+
+def _mul_trunc(x: "PuiseuxSeries", y: "PuiseuxSeries"):
+    """The truncation of x y, None if a factor is the exact zero (it absorbs)."""
+    if not x._by6 and x.trunc is INF or not y._by6 and y.trunc is INF:
+        return None
+    # error(a*b) <= a_known * err_b + err_a * b_known
+    return min(INF if y.trunc is INF else x.min_exp + y.trunc,
+               INF if x.trunc is INF else y.min_exp + x.trunc)
+
+
+def _convolve(x: "PuiseuxSeries", y: "PuiseuxSeries") -> "PuiseuxSeries":
+    """x y in any coefficient ring, each key summed in the double loop's
+    order; series coefficients (an eps-series) as one :func:`_combine`."""
+    if (trunc := _mul_trunc(x, y)) is None:
+        return _make({}, INF)
+    kmax = INF if trunc is INF else _top6(trunc)
+    series = all(isinstance(c, PuiseuxSeries) for s in (x, y) for c in s._by6.values())
+    data, bs = {}, y._by6.items()
+    for ka, ca in x._by6.items():
+        for kb, cb in bs:
+            if (k := ka + kb) < kmax:
+                if series:
+                    data.setdefault(k, []).append((ca, cb, 1))
+                else:
+                    p = ca * cb
+                    data[k] = data[k] + p if k in data else p
+    return _make({k: _combine(ps) for k, ps in data.items()} if series else data, trunc)
+
+
+def _cleared_product(pair, cx, cy, kmax) -> tuple:
+    """The pair (x, y, w) of :func:`_combine` over dx dy, as (real, Gaussian
+    imaginary) integer parts keyed as its double loop first reaches them."""
+    (x, y, w), (_, rx, gx), (_, ry, gy), re, im, gs = pair, cx, cy, {}, {}, set()
+    if not (gx or gy):
+        bs = [(kb, b * w) for kb, (b, _, _) in zip(y._by6, ry)]
+        for ka, (a, _, _) in zip(x._by6, rx):
+            for kb, b in bs:
+                if (k := ka + kb) < kmax:
+                    re[k] = re[k] + a * b if k in re else a * b
+        return {k: a for k, a in re.items() if a}, im
+    every = gx == len(rx) or gy == len(ry)      # then every key is Gaussian
+    bs = [(kb, c * w, e * w, gb) for kb, (c, e, gb) in zip(y._by6, ry)]
+    for ka, (a, b, ga) in zip(x._by6, rx):
+        for kb, c, e, gb in bs:
+            if (k := ka + kb) < kmax:
+                re[k] = re.get(k, 0) + a * c - b * e
+                im[k] = im.get(k, 0) + a * e + b * c
+                if not every and (ga or gb):
+                    gs.add(k)
+    keep = [k for k, a in re.items() if a or im[k]]     # a zero sum adds nothing
+    return {k: re[k] for k in keep}, {k: im[k] for k in keep if every or k in gs}
 
 
 def _log_free(data: Mapping, k: int) -> None:
@@ -280,29 +401,7 @@ class PuiseuxSeries:
 
     def __mul__(self, other):
         if isinstance(other, PuiseuxSeries):
-            if (not self._by6 and self.trunc is INF
-                    or not other._by6 and other.trunc is INF):
-                return _make({}, INF)    # the exact zero absorbs
-            # error(a*b) <= a_known * err_b + err_a * b_known
-            trunc = INF
-            if other.trunc is not INF:
-                trunc = min(trunc, self.min_exp + other.trunc)
-            if self.trunc is not INF:
-                trunc = min(trunc, other.min_exp + self.trunc)
-            kmax = INF if trunc is INF else _top6(trunc)
-            data = _cleared_product(self._by6, other._by6, kmax)
-            if not (cleared := data is not None):
-                bs = other._by6.items()
-                data = {}
-                for ka, ca in self._by6.items():
-                    for kb, cb in bs:
-                        k = ka + kb
-                        if k >= kmax:
-                            continue
-                        p = ca * cb
-                        data[k] = data[k] + p if k in data else p
-            # a cleared sum holds no zero
-            return _make(data, trunc, _EXACT if cleared else ())
+            return _combine([(self, other, 1)])
         c = lift(other)
         if coeff_is_zero(c):
             return _make({}, INF)    # an exact scalar 0 absorbs too
@@ -610,55 +709,6 @@ def compose_each(outers, inner: PuiseuxSeries) -> list:
     top = max((max(f._by6, default=0) // 6 for f in outers), default=0)
     powers = _powers(inner, top, max(truncs, default=_ZERO))
     return [f._compose_plain(inner, t, powers) for f, t in zip(outers, truncs)]
-
-
-def _cleared_product(xs: dict, ys: dict, kmax) -> dict | None:
-    """The convolution {k: sum of x_i y_j over i + j = k < kmax} of two
-    term dicts, keys in order of first appearance in the double loop over
-    xs then ys, zero sums left out, or None unless every coefficient is a
-    Fraction or a GaussianRational.  Both factors are brought over one
-    denominator (:func:`coefficients.clear`) and integers are convolved:
-    the real parts, and the imaginary parts too when a factor is Gaussian.  An
-    output is a GaussianRational exactly when a pair that feeds it has a
-    Gaussian factor, as the sum of the coefficient products would be."""
-    cx = clear(xs.values())
-    if cx is None:
-        return None
-    cy = clear(ys.values())
-    if cy is None:
-        return None
-    (dx, rx, gx), (dy, ry, gy) = cx, cy
-    d = dx * dy
-    if not (gx or gy):
-        bs = [(kb, b) for kb, (b, _, _) in zip(ys, ry)]
-        acc: dict = {}
-        for ka, (a, _, _) in zip(xs, rx):
-            for kb, b in bs:
-                k = ka + kb
-                if k < kmax:
-                    acc[k] = acc[k] + a * b if k in acc else a * b
-        return {k: Fraction(a, d) for k, a in acc.items() if a}
-    bs = [(kb, *row) for kb, row in zip(ys, ry)]
-    re: dict = {}
-    im: dict = {}
-    # a factor of Gaussians only makes every output Gaussian
-    every = gx == len(rx) or gy == len(ry)
-    gauss = set()
-    for ka, (a, b, ga) in zip(xs, rx):
-        for kb, c, e, gb in bs:
-            k = ka + kb
-            if k >= kmax:
-                continue
-            if k in re:
-                re[k] += a * c - b * e
-                im[k] += a * e + b * c
-            else:
-                re[k] = a * c - b * e
-                im[k] = a * e + b * c
-            if not every and (ga or gb):
-                gauss.add(k)
-    return {k: uncleared(a, im[k], d, every or k in gauss)
-            for k, a in re.items() if a or im[k]}
 
 
 def _expand(g, rel, lead, f0, weight, finish) -> PuiseuxSeries:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LogObstruction
-from .series import (PuiseuxSeries, _diag, _log_free, max_abs_coeff,
+from .series import (_EXACT, PuiseuxSeries, _combine, _make, max_abs_coeff,
                      require_taylor)
 from .symbols import WKBSymbol
 
@@ -38,23 +38,24 @@ def transport_g(F: PuiseuxSeries, N: int) -> WKBSymbol:
     P = -(PuiseuxSeries.monomial(16, 2) * F) + 5
     gs = [PuiseuxSeries.one()]
     for n in range(N):
-        b = _diag(gs[n], 0, lambda k: 4 * k * (k - 9), lambda k: 9)
-        b = _last(b, (6,)) + P * gs[n]
         try:
-            _log_free(b._by6, 9)
+            gs.append(_combine([(_last(gs[n], (6,)), 0, lambda k: 4 * k * (k - 9),
+                                 lambda k: 9), (P, gs[n], 1)],
+                               (-9, lambda k: 3 * ((k > 9) - (k < 9)), lambda k: 16 * abs(k - 9)),
+                               log=9))
         except LogObstruction as exc:
             raise LogObstruction(
                 f"transport step n={n + 1} left a z^-1 term") from exc
-        gs.append(_diag(b, -9, lambda k: 3 * ((k > 9) - (k < 9)),
-                        lambda k: 16 * abs(k - 9)))
     return WKBSymbol.from_g(gs)
 
 
-def _last(s: PuiseuxSeries, keys) -> PuiseuxSeries:  # s is fresh from _diag
+def _last(s: PuiseuxSeries, keys) -> PuiseuxSeries:
+    """s with its terms at ``keys`` moved, in turn, to the end."""
+    data = dict(s._by6)
     for k in keys:
-        if k in s._by6:
-            s._by6[k] = s._by6.pop(k)
-    return s
+        if k in data:
+            data[k] = data.pop(k)
+    return _make(data, s.trunc, _EXACT)
 
 
 @dataclass(frozen=True)
@@ -74,15 +75,15 @@ def riccati_p(F: PuiseuxSeries, N: int) -> RiccatiExpansion:
     if N >= 1:
         ps.append(PuiseuxSeries.monomial(Fraction(1, 4), -1))
     for n in range(1, N):
-        rhs = ps[n].derivative()
-        # the sum is symmetric in j <-> n+1-j: each pair once, doubled
-        for j in range(1, n // 2 + 1):
-            rhs = rhs - ps[j] * ps[n + 1 - j] * 2
+        # p_n' less the symmetric sum, each pair j <-> n+1-j once and doubled;
+        # F at n = 1; all over 2 z^{1/2}
+        rhs = [(ps[n], -6, lambda k: k, lambda k: 6)]
+        rhs += [(ps[j], ps[n + 1 - j], -2) for j in range(1, n // 2 + 1)]
         if n % 2:
-            rhs = rhs - ps[(n + 1) // 2] * ps[(n + 1) // 2]
+            rhs.append((ps[(n + 1) // 2], ps[(n + 1) // 2], -1))
         if n == 1:
-            rhs = rhs + F
-        ps.append(_diag(rhs, -3, lambda k: 1, lambda k: 2))    # rhs/(2 z^{1/2})
+            rhs.append(F)
+        ps.append(_combine(rhs, (-3, lambda k: 1, lambda k: 2)))
     return RiccatiExpansion(p_coeffs=tuple(ps))
 
 
@@ -118,14 +119,13 @@ def wkb_residual(symbol: WKBSymbol, F: PuiseuxSeries) -> list:
     gs, negF = symbol.eps_coeffs, -F
     out = []
     for m, g in enumerate(gs):
-        r = _diag(g, -3, lambda k: -k, lambda k: 3)
+        terms = []
         if m:
-            h = gs[m - 1]
-            b = _diag(h, -12, lambda k: 16 * k * k - 144 * k + 180, lambda k: 576)
             # key order of h'' - h'/(2z) + (5/16) z^-2 h: z^-1, z^-2, z^-1/2 last
-            r = _last(b, (-6, *(k - 12 for k in h._by6 if k == 0 or k == 9))) \
-                + h * negF + r
-        out.append(r)
+            h = gs[m - 1]
+            terms = [(_last(h, (6, *(k for k in h._by6 if k in (0, 9)))), -12,
+                      lambda k: 16 * k * k - 144 * k + 180, lambda k: 576), (h, negF, 1)]
+        out.append(_combine(terms + [(g, -3, lambda k: -k, lambda k: 3)]))
     return out
 
 

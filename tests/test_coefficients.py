@@ -105,6 +105,27 @@ def test_eq_and_hash_agree_with_fraction_at_im_zero(q):
     assert (G(q, 1) - G(0, 1)) == q
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(FINITE, FINITE)
+def test_eq_with_a_complex_is_exact_and_hashes_like_it(re, im):
+    # as Fraction == float: equal only to the complex of exactly its parts
+    g, c = G(Fr(re), Fr(im)), complex(re, im)
+    assert g == c and c == g and hash(g) == hash(c)
+    assert {c: "x"}[g] == "x"
+    assert G(Fr(re) + Fr(1, 3), Fr(im)) != c
+
+
+def test_complex_eq_and_hash_on_a_grid():
+    assert G(Fr(1, 3), Fr(2, 7)) != complex(1 / 3, 2 / 7)
+    assert G(Fr(1, 3)) != complex(1 / 3) and G(1, 1) == 1 + 1j
+    grid = [0.0, -0.0, 0.5, -1.25, 3.0, 2.0 ** 70, -7.5e-8, 1e300, -1e-300, 1 / 3]
+    for re in grid:
+        for im in grid:
+            assert hash(G(Fr(re), Fr(im))) == hash(complex(re, im)), (re, im)
+
+
 @given(GAUSS)
 def test_complex_is_the_float_pair(g):
     assert complex(g) == complex(float(g.re), float(g.im))

@@ -21,9 +21,11 @@ import math
 import pytest
 
 from exactwkb.coefficients import GaussianRational, coeff_is_zero
+from exactwkb.errors import LogObstruction
 from exactwkb.polyring import QPoly
 from exactwkb.reduction import reduce_to_airy, schrodinger_pipeline
-from exactwkb.series import INF, PuiseuxSeries, TaylorSeries, _make
+from exactwkb.series import (INF, PuiseuxSeries, TaylorSeries, _combine, _convolve, _diag,
+                             _log_free, _make)
 
 settings.register_profile("series", max_examples=60, derandomize=True,
                           deadline=None, database=None)
@@ -494,3 +496,171 @@ def test_qpoly_times_a_scalar_is_the_product_with_its_constant(q, c):
     for got in (q * c, c * q):
         assert list(got.terms.items()) == want
         assert all(type(v) is Fr for v in got.terms.values())
+
+
+# -- one integer pass per recursion step: _combine against its chain ---------
+
+COMBINE_RINGS = {"fraction": RATS, "gaussian": EXACT,
+                 "float": st.one_of(RATS, COMPLEX)}
+
+
+def small_series(data, coeff):
+    """Up to four terms at 6e = -2..4, so that the terms of a sum overlap;
+    in the Gaussian ring all Fractions, all Gaussians or mixed."""
+    if coeff is EXACT:
+        coeff = data.draw(st.sampled_from([RATS, GAUSS, EXACT]))
+    ks = data.draw(st.lists(st.integers(-2, 4), max_size=4, unique=True))
+    t = data.draw(st.one_of(st.none(), st.none(), st.integers(0, 12)))
+    return PuiseuxSeries({k * SIXTH: data.draw(coeff) for k in ks},
+                         INF if t is None else t * SIXTH, lattice=6)
+
+
+def draw_weight(data):
+    """(num, den) of a diagonal map: a*k + b over a constant or a varying
+    positive den; num is 0 at some keys, which the map drops."""
+    a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(-6, 6))
+    c = data.draw(st.integers(1, 4))
+    den = (lambda k: c + abs(k)) if data.draw(st.booleans()) else (lambda k: c)
+    return (lambda k: a * k + b), den
+
+
+def undo(t):
+    """The term that cancels t."""
+    if isinstance(t, PuiseuxSeries):
+        return (t, 0, lambda k: -1, lambda k: 1)
+    if len(t) == 4:
+        return (t[0], t[1], lambda k, num=t[2]: -num(k), t[3])
+    return (t[0], t[1], -t[2])
+
+
+def draw_terms(data, coeff):
+    """Up to five terms and the terms that cancel some of them, each then
+    perhaps followed by Fractions at the cancelled keys (a Gaussian key
+    comes back a Fraction)."""
+    terms = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        kind = data.draw(st.sampled_from(["series", "diag", "pair", "undo", "undo"]))
+        if kind == "undo" and terms:
+            t = data.draw(st.sampled_from(terms))
+            terms.append(undo(t))
+            if data.draw(st.booleans()):
+                keys = combine_by_chain([t]).coeffs
+                terms.append(PuiseuxSeries({e: data.draw(RATS) for e in keys}, lattice=6))
+        elif kind == "diag":
+            terms.append((small_series(data, coeff), data.draw(st.sampled_from([-3, 0, 3])),
+                          *draw_weight(data)))
+        elif kind == "pair":
+            terms.append((small_series(data, coeff), small_series(data, coeff),
+                          data.draw(st.sampled_from([1, -1, 2, -3]))))
+        else:
+            terms.append(small_series(data, coeff))
+    return terms
+
+
+def combine_by_chain(terms, final=None, log=None):
+    """The terms by the operators, one + or - at a time: _diag for a
+    quadruple, the coefficient-ring double loop for a product (no
+    clearing), a negative weight subtracting."""
+    acc = None
+    for t in terms:
+        if isinstance(t, PuiseuxSeries):
+            acc = t if acc is None else acc + t
+            continue
+        if len(t) == 4:
+            v, w = _diag(*t), 1
+        else:
+            v, w = _convolve(t[0], t[1]), t[2]
+            v = v if abs(w) == 1 else v * abs(w)
+        acc = (v if w > 0 else -v) if acc is None else acc + v if w > 0 else acc - v
+    if log is not None:
+        _log_free(acc._by6, log)
+    return acc if final is None else _diag(acc, *final)
+
+
+def outcome(fn, *args):
+    try:
+        r = fn(*args)
+    except LogObstruction:
+        return "log"
+    return r.trunc, [(e, repr(c)) for e, c in r.coeffs.items()]
+
+
+@pytest.mark.parametrize("ring", sorted(COMBINE_RINGS))
+@settings(max_examples=150)
+@given(data=st.data())
+def test_combine_matches_the_chain_of_operators(data, ring):
+    # values, truncation, key order, Gaussian or Fraction, and float bits
+    terms = draw_terms(data, COMBINE_RINGS[ring])
+    final = None
+    if data.draw(st.booleans()):
+        final = (data.draw(st.sampled_from([-9, -3, 0, 6])), *draw_weight(data))
+    log = data.draw(st.one_of(st.none(), st.integers(-9, 12)))
+    assert outcome(_combine, terms, final, log) == outcome(combine_by_chain, terms, final, log)
+
+
+def test_a_gaussian_key_that_cancels_comes_back_as_a_fraction():
+    g = PuiseuxSeries({1: GaussianRational(1, 2), 2: GaussianRational(3)})
+    f = PuiseuxSeries({2: Fr(1, 5), 1: Fr(3)})
+    out = _combine([g, undo(g), f])
+    assert [(e, repr(c)) for e, c in out.coeffs.items()] == [
+        (2, "Fraction(1, 5)"), (1, "Fraction(3, 1)")]
+    # kept alive, a key stays Gaussian; a product cancels as a sum does
+    out = _combine([g, f, (g, f, 1), (f, g, -1)])
+    assert [(e, repr(c)) for e, c in out.coeffs.items()] == [
+        (1, "GaussianRational(4, 2)"), (2, "GaussianRational(16/5)")]
+    # a product's own zero sum adds nothing: no term, no place in the key
+    # order, no Gaussian flag
+    x, y = PuiseuxSeries({0: 1, 1: 1}), PuiseuxSeries({0: 1, 1: -1})
+    assert list(_combine([(x, y, 1)]).coeffs) == [0, 2]
+    assert list(_combine([(x, y, 1), PuiseuxSeries({1: 5})]).coeffs) == [0, 2, 1]
+    x, y = PuiseuxSeries({0: GaussianRational(1, 1), 1: GaussianRational(1, 1)}), \
+        PuiseuxSeries({1: 1, 0: -1})
+    out = _combine([PuiseuxSeries({1: Fr(2)}), (x, y, 1)])
+    assert [(e, repr(c)) for e, c in out.coeffs.items()] == [
+        (1, "Fraction(2, 1)"), (0, "GaussianRational(-1, -1)"), (2, "GaussianRational(1, 1)")]
+
+
+QPOLY_MIXED = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)), RATS,
+    max_size=5).map(lambda d: QPoly({(("w", c), ("v3", b), ("v2", a)): q
+                                     for (a, b, c), q in d.items()}))
+
+
+def qpoly_by_init(p, q, op):
+    """p + q or p * q as QPoly.__init__ normalises the plain dict sum or
+    the double loop's products."""
+    data: dict = {}
+    if op == "add":
+        data.update(p.terms)
+        for m, c in q.terms.items():
+            data[m] = data.get(m, Fr(0)) + c
+        return QPoly(data)
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            mono = dict(m1)
+            for n, e in m2:
+                mono[n] = mono.get(n, 0) + e
+            key = tuple(sorted(mono.items()))
+            data[key] = data.get(key, Fr(0)) + c1 * c2
+    return QPoly(data)
+
+
+@given(QPOLY_MIXED, QPOLY_MIXED)
+def test_qpoly_sums_and_products_are_in_normal_form(p, q):
+    # the trusted results: the values, the monomial order and Fractions
+    cases = [(p + q, qpoly_by_init(p, q, "add")), (p * q, qpoly_by_init(p, q, "mul")),
+             (q * p, qpoly_by_init(q, p, "mul")), (-p, QPoly({m: -c for m, c in p.terms.items()})),
+             (p - q, qpoly_by_init(p, QPoly({m: -c for m, c in q.terms.items()}), "add"))]
+    for got, want in cases:
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(type(c) is Fr and c for c in got.terms.values())
+    assert p - p == 0 and not (p - p).terms
+
+
+@given(st.one_of(RATS, st.just(Fr(0))))
+def test_a_constant_qpoly_hashes_like_its_scalar(c):
+    assert QPoly(c) == c and hash(QPoly(c)) == hash(c)
+    assert len({QPoly(c), c}) == 1
+    # so an eps-series with a QPoly constant keeps the series hash rule
+    s = PuiseuxSeries({0: QPoly(c)})
+    assert s == c and hash(s) == hash(c)

@@ -216,6 +216,39 @@ def test_folded_wkb_residual_matches_the_operator_chain(seed, gaussian):
             assert_same_series(r, w)
 
 
+def riccati_by_chain(F, N):
+    """p_0, ..., p_N by the operators riccati_p ran before its one pass:
+    p_n' less each pair product doubled and the square, F at n = 1, all
+    times 1/(2 z^{1/2})."""
+    inv_2p0 = PuiseuxSeries.monomial(Fr(1, 2), Fr(-1, 2))
+    ps = [PuiseuxSeries.monomial(1, Fr(1, 2)), PuiseuxSeries.monomial(Fr(1, 4), -1)]
+    for n in range(1, N):
+        rhs = ps[n].derivative()
+        for j in range(1, n // 2 + 1):
+            rhs = rhs - ps[j] * ps[n + 1 - j] * 2
+        if n % 2:
+            rhs = rhs - ps[(n + 1) // 2] * ps[(n + 1) // 2]
+        if n == 1:
+            rhs = rhs + F
+        ps.append(rhs * inv_2p0)
+    return ps[:N + 1]
+
+
+@pytest.mark.parametrize("ring", ["fraction", "gaussian", "float"])
+@pytest.mark.parametrize("seed", range(12))
+def test_riccati_matches_the_operator_chain(seed, ring):
+    # exact rings in one integer pass, floats by the same operators, bit for bit
+    rng = random.Random(400 + seed)
+    F, N = random_F(rng, ring == "gaussian"), rng.randint(0, 12)
+    F = F.to_float() if ring == "float" else F
+    got, want = riccati_p(F, N).p_coeffs, riccati_by_chain(F, N)
+    assert len(got) == len(want) == N + 1
+    for p, w in zip(got, want):
+        assert p.trunc == w.trunc
+        assert [(e, repr(c)) for e, c in p.coeffs.items()] == \
+            [(e, repr(c)) for e, c in w.coeffs.items()]
+
+
 def test_transport_step_refuses_a_log_term(monkeypatch):
     # a holomorphic F never leaves a z^-1 term (b_9 = 0); past the Taylor
     # guard, F = z^{-1/2} makes 16 z^2 F g_0 one
