@@ -10,7 +10,6 @@ form by the trusted :func:`_poly`, a product over one integer denominator.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import Mapping
 
@@ -21,12 +20,6 @@ def _poly(terms: dict) -> "QPoly":     # trusted: sorted monomials to nonzero Fr
     out = object.__new__(QPoly)
     object.__setattr__(out, "terms", terms)
     return out
-
-
-@functools.lru_cache(maxsize=1 << 14)
-def _mono_mul(m1: tuple, m2: tuple) -> tuple:     # a product of sorted monomials
-    d = dict(m1)
-    return tuple(sorted({**d, **{n: d.get(n, 0) + p for n, p in m2}}.items()))
 
 
 class QPoly:
@@ -99,8 +92,9 @@ class QPoly:
         (dx, xs, _), (dy, ys, _) = clear(self.terms.values()), clear(o.terms.values())
         acc: dict = {}
         for m1, (a, _, _) in zip(self.terms, xs):
+            d1 = dict(m1)
             for m2, (b, _, _) in zip(o.terms, ys):
-                m = _mono_mul(m1, m2)
+                m = tuple(sorted({**d1, **{n: d1.get(n, 0) + p for n, p in m2}}.items()))
                 acc[m] = acc[m] + a * b if m in acc else a * b
         return _poly({m: Fraction(a, dx * dy) for m, a in acc.items() if a})
 

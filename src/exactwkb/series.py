@@ -153,9 +153,6 @@ def _combine(terms, final=None, log=None) -> "PuiseuxSeries":
         D = math.lcm(*[p[0] for p in parts])
         re, im = {}, {}     # im: the Gaussian keys
         for Dt, pre, pim in parts:
-            if not re and Dt == D:      # nothing to add to, no zero to drop
-                re, im = pre, pim
-                continue
             f = D // Dt
             for k, a in pre.items():
                 re[k] = re[k] + a * f if k in re else a * f
@@ -166,12 +163,10 @@ def _combine(terms, final=None, log=None) -> "PuiseuxSeries":
         top = INF if trunc is INF else _top6(trunc)
         if log is not None and log in re and log < top:
             raise LogObstruction("antiderivative of a z^-1 term would introduce log z")
-        if final is None:
-            return _make({k: _gauss(a, im[k], D) if k in im else Fraction(a, D)
-                          for k, a in re.items() if k < top}, trunc, _EXACT)
-        d, num, den = final
-        return _make({k + d: uncleared(a * n, im.get(k, 0) * n, D * den(k), k in im)
-                      for k, a in re.items() if k < top and (n := num(k))},
+        d, num, den = final or (0, None, None)
+        return _make({k + d: uncleared(a * n, im.get(k, 0) * n, D * (den(k) if num else 1),
+                                       k in im)
+                      for k, a in re.items() if k < top and (n := num(k) if num else 1)},
                      trunc if trunc is INF else trunc + _exp6(d), _EXACT)
     acc = None
     for t in terms:

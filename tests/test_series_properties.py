@@ -24,7 +24,7 @@ from exactwkb.coefficients import GaussianRational, coeff_is_zero
 from exactwkb.errors import LogObstruction
 from exactwkb.polyring import QPoly
 from exactwkb.reduction import reduce_to_airy, schrodinger_pipeline
-from exactwkb.series import (INF, PuiseuxSeries, TaylorSeries, _combine, _convolve, _diag,
+from exactwkb.series import (INF, PuiseuxSeries, TaylorSeries, _combine, _diag,
                              _log_free, _make)
 
 settings.register_profile("series", max_examples=60, derandomize=True,
@@ -557,10 +557,22 @@ def draw_terms(data, coeff):
     return terms
 
 
+def product_by_loop(x, y):
+    """x y by the plain double loop over the coefficients (no clearing),
+    each key's products added in turn, as the constructor sums a
+    repeated exponent; known below a_known err_b + err_a b_known."""
+    if not x.coeffs and x.trunc is INF or not y.coeffs and y.trunc is INF:
+        return PuiseuxSeries({})      # the exact zero absorbs
+    trunc = min(INF if y.trunc is INF else x.min_exp + y.trunc,
+                INF if x.trunc is INF else y.min_exp + x.trunc)
+    return PuiseuxSeries([(a + b, ca * cb) for a, ca in x.coeffs.items()
+                          for b, cb in y.coeffs.items()], trunc, lattice=6)
+
+
 def combine_by_chain(terms, final=None, log=None):
     """The terms by the operators, one + or - at a time: _diag for a
-    quadruple, the coefficient-ring double loop for a product (no
-    clearing), a negative weight subtracting."""
+    quadruple, the double loop for a product, a negative weight
+    subtracting."""
     acc = None
     for t in terms:
         if isinstance(t, PuiseuxSeries):
@@ -569,7 +581,7 @@ def combine_by_chain(terms, final=None, log=None):
         if len(t) == 4:
             v, w = _diag(*t), 1
         else:
-            v, w = _convolve(t[0], t[1]), t[2]
+            v, w = product_by_loop(t[0], t[1]), t[2]
             v = v if abs(w) == 1 else v * abs(w)
         acc = (v if w > 0 else -v) if acc is None else acc + v if w > 0 else acc - v
     if log is not None:

@@ -216,21 +216,33 @@ def test_folded_wkb_residual_matches_the_operator_chain(seed, gaussian):
             assert_same_series(r, w)
 
 
+def product_by_loop(x, y):
+    """x y by the plain double loop over the coefficients (no clearing),
+    each key's products added in turn, as the constructor sums a
+    repeated exponent; known below a_known err_b + err_a b_known."""
+    if not x.coeffs and x.trunc is INF or not y.coeffs and y.trunc is INF:
+        return PuiseuxSeries({})      # the exact zero absorbs
+    trunc = min(INF if y.trunc is INF else x.min_exp + y.trunc,
+                INF if x.trunc is INF else y.min_exp + x.trunc)
+    return PuiseuxSeries([(a + b, ca * cb) for a, ca in x.coeffs.items()
+                          for b, cb in y.coeffs.items()], trunc, lattice=6)
+
+
 def riccati_by_chain(F, N):
     """p_0, ..., p_N by the operators riccati_p ran before its one pass:
     p_n' less each pair product doubled and the square, F at n = 1, all
-    times 1/(2 z^{1/2})."""
+    times 1/(2 z^{1/2}); products by the plain double loop."""
     inv_2p0 = PuiseuxSeries.monomial(Fr(1, 2), Fr(-1, 2))
     ps = [PuiseuxSeries.monomial(1, Fr(1, 2)), PuiseuxSeries.monomial(Fr(1, 4), -1)]
     for n in range(1, N):
         rhs = ps[n].derivative()
         for j in range(1, n // 2 + 1):
-            rhs = rhs - ps[j] * ps[n + 1 - j] * 2
+            rhs = rhs - product_by_loop(ps[j], ps[n + 1 - j]) * 2
         if n % 2:
-            rhs = rhs - ps[(n + 1) // 2] * ps[(n + 1) // 2]
+            rhs = rhs - product_by_loop(ps[(n + 1) // 2], ps[(n + 1) // 2])
         if n == 1:
             rhs = rhs + F
-        ps.append(rhs * inv_2p0)
+        ps.append(product_by_loop(rhs, inv_2p0))
     return ps[:N + 1]
 
 
