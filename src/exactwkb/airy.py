@@ -13,7 +13,10 @@ cut along t <= -4/3; the eps -> -eps partner has lam -> -lam.  Pade
 approximants commute with that rescaling, so every sum reads one exact
 approximant of B per (N, pade), solved once in rationals (_minor_pade)
 and split once per precision (_minor_fractions); each sum, lateral ones
-included, is laplace_pade's closed form of that split.
+included, is laplace_pade's closed form of that split.  A symbol of
+F != 0 has no one-variable minor: symbol_borel_sum solves its minor's
+approximant at z in double precision and then goes the same way, split
+by the same rule (_split) and summed by the same helper (_borel_sum).
 """
 
 from __future__ import annotations
@@ -26,12 +29,11 @@ from fractions import Fraction
 import mpmath
 
 from .borel import (PartialFractions, check_ray_clear, genuine_poles,
-                    laplace_pade, laplace_ray, pade_from_taylor,
-                    partial_fractions)
+                    laplace_pade, pade_from_taylor, partial_fractions)
 from .contours import ContourSpec, LaplaceResult, valley_integral
 from .errors import ContourFailure
 from .series import PuiseuxSeries
-from .symbols import PREFACTOR_EXP, WKBSymbol, action, zpow
+from .symbols import WKBSymbol, _prefactor, zpow
 
 # Angle of the lateral Laplace rays either side of the singular ray.
 LATERAL_DELTA = math.radians(10.0)
@@ -122,13 +124,9 @@ def _minor_pade(N: int, pade: tuple[int, int] | None):
     return pade_from_taylor(c, L, M)
 
 
-@functools.cache
-def _minor_fractions(N: int, pade: tuple[int, int] | None, dps: int | None):
-    """_minor_pade's approximant split into partial fractions at dps digits
-    (None: at 15, so 30 working, and rounded to complex); None for N <= 1."""
-    approx = _minor_pade(N, pade)
-    if approx is None:
-        return None
+def _split(approx, dps: int | None) -> PartialFractions:
+    """approx split into partial fractions at dps digits (None: at 15, so
+    30 working, and rounded to complex)."""
     with mpmath.workdps(dps or 15):
         fractions = partial_fractions(approx)
     if dps is None:
@@ -136,21 +134,33 @@ def _minor_fractions(N: int, pade: tuple[int, int] | None, dps: int | None):
     return fractions
 
 
+@functools.cache
+def _minor_fractions(N: int, pade: tuple[int, int] | None, dps: int | None):
+    """_minor_pade's approximant split by _split at dps; None for N <= 1."""
+    approx = _minor_pade(N, pade)
+    return None if approx is None else _split(approx, dps)
+
+
+def _borel_sum(z: complex, eps: complex, sign: int, fractions, lam,
+               theta: float) -> LaplaceResult:
+    """pref (1 + int_0^inf(ray theta) exp(-xi/eps) lam R(lam xi) dxi) for
+    the symbol of that sign, pref its prefactor, from fractions = the
+    split of R (no minor if None); the minor's poles are p/lam."""
+    res = LaplaceResult(0j, 0.0, 0)
+    if fractions is not None:
+        poles = genuine_poles(zip(fractions.poles, fractions.residues))
+        check_ray_clear([p / lam for p in poles], theta, abs(eps))
+        res = laplace_pade(fractions, eps, lam, theta)
+    pref = _prefactor(sign, z, eps)
+    return LaplaceResult(pref * (1.0 + res.value), abs(pref) * res.est_error, 0)
+
+
 def _airy_sum(z: complex, eps: complex, fractions, theta: float,
               sign: int) -> LaplaceResult:
     """Borel sum along arg xi = theta of the Airy symbol (sign +1) or its
     partner (sign -1), from fractions = _minor_fractions' split of B's
-    approximant R: the minor's approximant at z is lam R(lam xi), lam =
-    sign z^{-3/2}, with the poles p/lam."""
-    res = LaplaceResult(0j, 0.0, 0)
-    if fractions is not None:
-        lam = sign * zpow(z, Fraction(-3, 2))
-        poles = genuine_poles(zip(fractions.poles, fractions.residues))
-        check_ray_clear([p / lam for p in poles], theta, abs(eps))
-        res = laplace_pade(fractions, eps, lam, theta)
-    pref = cmath.exp(-sign * action(z) / eps) * zpow(z, PREFACTOR_EXP)
-    return LaplaceResult(pref * (1.0 + res.value), abs(pref) * res.est_error,
-                         res.nodes_used)
+    approximant: the minor at z is lam B(lam xi), lam = sign z^{-3/2}."""
+    return _borel_sum(z, eps, sign, fractions, sign * zpow(z, Fraction(-3, 2)), theta)
 
 
 def airy_borel_sum(z: complex, eps: complex, N: int,
@@ -171,17 +181,12 @@ def symbol_borel_sum(symbol: WKBSymbol, z: complex,
                      eps: complex) -> LaplaceResult:
     """Borel sum of any formal symbol at z along arg xi = 0, from the
     balanced Pade approximant of its minor at z, solved in double
-    precision on each call (F != 0 has no one-variable minor)."""
+    precision on each call (F != 0 has no one-variable minor), split by
+    _split and transformed in closed form as the Airy sums are: est_error
+    is the rounding of the closed-form sum and nodes_used 0."""
     c = symbol.minor_values(z)
-    res = LaplaceResult(0j, 0.0, 0)
-    if len(c):
-        approx = pade_from_taylor(c, len(c) // 2, len(c) // 2)
-        ps = approx.poles()
-        check_ray_clear(genuine_poles(zip(ps, approx.residues(ps))), 0.0, abs(eps))
-        res = laplace_ray(approx, eps)
-    pref = symbol.prefactor(z, eps)
-    return LaplaceResult(pref * (1.0 + res.value), abs(pref) * res.est_error,
-                         res.nodes_used)
+    fractions = _split(pade_from_taylor(c, len(c) // 2, len(c) // 2), None)
+    return _borel_sum(z, eps, symbol.sign, fractions, 1, 0.0)
 
 
 def airy_borel_sum_hp(z, eps, N: int, pade: tuple[int, int] | None = None,

@@ -9,15 +9,13 @@ once (genuine_poles), then each ray is checked against them
 (check_ray_clear).
 
 pade_from_taylor solves rational Taylor coefficients exactly and others
-in complex double precision.  partial_fractions splits an exact (or
-mpmath) approximant at any precision into its polynomial part and
-partial fractions over its Newton-polished poles, and laplace_pade
-transforms each term in closed form (factorials and the exponential
-integral E1) along any ray in the half-plane of eps, for R or for any
-rescaling lam R(lam xi) of it: in mpmath with mpmath.e1, or with the
-split rounded to complex in double precision with _expe1.  laplace_ray
-integrates a double-precision approximant on Gauss-Legendre panels
-instead, for minors with no exact coefficients.
+in complex double precision.  partial_fractions splits any approximant
+at any precision into its polynomial part and partial fractions over its
+Newton-polished poles, and laplace_pade transforms each term in closed
+form (factorials and the exponential integral E1) along any ray in the
+half-plane of eps, for R or for any rescaling lam R(lam xi) of it: in
+mpmath with mpmath.e1, or with the split rounded to complex in double
+precision with _expe1.  Every Borel sum of the package goes this way.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import mpmath
 import numpy as np
 
 from .coefficients import clear
-from .contours import ContourSpec, LaplaceResult, integrate_polyline
+from .contours import LaplaceResult
 from .errors import ContourFailure, PoleOnRay, SeriesError
 
 FROISSART_TOL = 1e-12  # residues below this fraction of the largest are doublets
@@ -42,27 +40,19 @@ GUARD_DIGITS = 15  # mp partial fractions work this many digits above the caller
 @dataclass(frozen=True)
 class PadeApproximant:
     """Rational approximant num/den with coefficients in ascending order:
-    numpy arrays in double precision, lists of Fractions when solved
-    exactly, lists of mpmath numbers once split (partial_fractions).
+    lists of Fractions when solved exactly, of complex numbers when solved
+    in double precision, of mpmath numbers once split (partial_fractions).
 
-    poles() and residues() work on numpy and mpmath data: np.roots in
-    double precision; for mpmath data the np.roots values seed Newton's
-    method on the denominator at the working precision, in real
+    poles() and residues() work on mpmath data: np.roots values seed
+    Newton's method on the denominator at the working precision, in real
     arithmetic for the real roots of a real denominator, whose complex
     roots come in conjugate pairs.
     """
 
-    num: np.ndarray
-    den: np.ndarray
-
-    def __call__(self, xi):
-        return np.polyval(self.num[::-1], xi) / np.polyval(self.den[::-1], xi)
+    num: list
+    den: list
 
     def poles(self):
-        if len(self.den) <= 1:
-            return np.empty(0, dtype=complex)
-        if isinstance(self.den, np.ndarray):
-            return np.roots(self.den[::-1])
         q = self.den[::-1]
         real = all(isinstance(c, mpmath.mpf) for c in q)
         ps = [_newton_root(q, mpmath.mpf(s.real) if real and s.imag == 0 else mpmath.mpc(s))
@@ -72,9 +62,6 @@ class PadeApproximant:
 
     def residues(self, ps):
         """num(p)/den'(p) at the poles ps."""
-        if isinstance(self.den, np.ndarray):
-            dden = np.polyder(self.den[::-1])
-            return np.polyval(self.num[::-1], ps) / np.polyval(dden, ps)
         return [mpmath.polyval(self.num[::-1], p)
                 / mpmath.polyval(self.den[::-1], p, derivative=True)[1] for p in ps]
 
@@ -106,16 +93,17 @@ def pade_from_taylor(c, L: int, M: int) -> PadeApproximant:
     cleared to integers, each divided by its content after every step
     (SeriesError if singular), then back substitution; the numerator is
     one integer convolution.  mpmath coefficients are a TypeError (their
-    solve would be rounded); anything else is solved in complex double.
+    solve would be rounded); anything else is solved in complex double,
+    into lists of complex.
     """
     if L < 0 or M < 0:
         raise ValueError("Pade orders must be nonnegative")
     if len(c) == 0:
-        return PadeApproximant(num=np.zeros(1), den=np.ones(1))
+        return PadeApproximant(num=[0j], den=[1 + 0j])
     if any(isinstance(x, (mpmath.mpf, mpmath.mpc)) for x in c):
         raise TypeError("Pade coefficients must be exact or double, not mpmath numbers")
     exact = all(isinstance(x, (int, Fraction)) for x in c)
-    c = [Fraction(x) for x in c] if exact else np.asarray(c, dtype=complex)
+    c = [Fraction(x) if exact else complex(x) for x in c]
     while L + M + 1 > len(c):
         if L >= M:
             L -= 1
@@ -126,12 +114,12 @@ def pade_from_taylor(c, L: int, M: int) -> PadeApproximant:
     if not exact:
         A = np.array(rows, dtype=complex).reshape(M, M + 1)
         try:
-            b = list(np.linalg.solve(A[:, :M], A[:, M]))
+            b = np.linalg.solve(A[:, :M], A[:, M])
         except np.linalg.LinAlgError:
-            b = list(np.linalg.lstsq(A[:, :M], A[:, M], rcond=None)[0])
-        den = [1.0 + 0j] + b
+            b = np.linalg.lstsq(A[:, :M], A[:, M], rcond=None)[0]
+        den = [1 + 0j] + b.tolist()
         num = [sum(den[j] * c[k - j] for j in range(min(k, M) + 1)) for k in range(L + 1)]
-        return PadeApproximant(num=np.array(num), den=np.array(den))
+        return PadeApproximant(num=num, den=den)
     rows = [[x.numerator * (d // x.denominator) for x in row]
             for row in rows for d in [math.lcm(*(x.denominator for x in row))]]
     for k in range(M):     # forward elimination
@@ -183,23 +171,6 @@ def check_ray_clear(poles, theta: float, eps_scale: float) -> None:
                 f"Pade pole at {p:.6g} obstructs the ray arg xi = {theta:.4f}")
 
 
-def laplace_ray(R, eps: complex) -> LaplaceResult:
-    """int_0^inf exp(-xi/eps) R(xi) dxi along arg xi = 0 in double precision,
-    on composite Gauss-Legendre panels (contours.integrate_polyline, sized
-    by the phase xi/eps) over the graded nodes 0, T 0.7^32, ..., T 0.7, T,
-    with e^-60 weight at T = 60|eps|/cos(arg eps).  The grading keeps a
-    Pade pole string just off the ray a fixed multiple of each panel's
-    width away.  The error estimate compares the full and halved
-    Gauss-Legendre orders.  Requires cos(arg eps) > 0.05."""
-    cos = math.cos(cmath.phase(eps))
-    if cos <= 0.05:
-        raise PoleOnRay("ray arg xi = 0.0000 is outside the half-plane of eps")
-    T = 60.0 * abs(eps) / cos
-    nodes = [0j] + [T * 0.7 ** k for k in range(32, -1, -1)]
-    return integrate_polyline(lambda xi: np.exp(-xi / eps) * R(xi), nodes,
-                              ContourSpec(), phase=lambda xi: xi / eps)[0]
-
-
 class PartialFractions(NamedTuple):
     """R = sum_k quo[k] xi^k + sum_j residues[j]/(xi - poles[j]), in
     mpmath numbers or rounded to complex."""
@@ -210,14 +181,15 @@ class PartialFractions(NamedTuple):
 
 
 def partial_fractions(approx: PadeApproximant) -> PartialFractions:
-    """Split an exact or mpmath approximant at GUARD_DIGITS above the
-    working precision, over its Newton-polished poles.  ContourFailure
+    """Split an approximant at GUARD_DIGITS above the working precision,
+    over its Newton-polished poles; Fractions are divided at that
+    precision, other coefficients converted exactly.  ContourFailure
     when a pole cannot be polished (e.g. a double pole) or the split
     misses the approximant by 10^-dps relative at a test point."""
     dps = mpmath.mp.dps
     with mpmath.workdps(dps + GUARD_DIGITS):
         num, den = ([mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction)
-                     else x for x in xs] for xs in (approx.num, approx.den))
+                     else mpmath.mpmathify(x) for x in xs] for xs in (approx.num, approx.den))
         approx = PadeApproximant(num, den)
         ps = approx.poles()
         rs = approx.residues(ps)

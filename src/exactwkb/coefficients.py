@@ -110,7 +110,7 @@ class GaussianRational:
             return (self._a, self._b, self._d) == (other._a, other._b, other._d)
         if isinstance(other, (int, Fraction)):
             return (self._a, self._b, self._d) == (other.numerator, 0, other.denominator)
-        if isinstance(other, complex):     # exactly, as Fraction == float
+        if isinstance(other, (float, complex)):     # exactly, as Fraction == float
             return self.re == other.real and self.im == other.imag
         return NotImplemented
 

@@ -27,6 +27,7 @@ confluent_eval's kernel x).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -36,15 +37,9 @@ import numpy as np
 
 from .errors import ContourFailure
 
-_GL_CACHE: dict = {}
 MAX_EXTENT = 12.0  # cap on |w - saddle| while tracing a half-thimble
 
-
-def _gl(n: int):
-    if n not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = (x, w)
-    return _GL_CACHE[n]
+_gl = functools.cache(np.polynomial.legendre.leggauss)  # n -> (nodes, weights)
 
 
 @dataclass(frozen=True)

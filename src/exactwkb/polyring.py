@@ -104,10 +104,10 @@ class QPoly:
         return _poly({m: c / Fraction(other) for m, c in self.terms.items()})
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, float)):    # a float exactly, as Fraction == float
             if other == 0:
                 return not self.terms
-            return self.terms == {(): Fraction(other)}
+            return self.terms.keys() == {()} and self.terms[()] == other
         if isinstance(other, QPoly):
             return self.terms == other.terms
         return NotImplemented

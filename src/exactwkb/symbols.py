@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import ContourFailure
 from .series import EpsSeries, PuiseuxSeries
 
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
@@ -52,6 +53,16 @@ def action(z: complex) -> complex:
 
 # Every symbol carries the quarter-power prefactor z^PREFACTOR_EXP.
 PREFACTOR_EXP = Fraction(-1, 4)
+
+
+def _prefactor(sign: int, z: complex, eps: complex) -> complex:
+    """exp(-sign (2/3) z^{3/2}/eps) z^PREFACTOR_EXP on the fixed branch;
+    ContourFailure when the exponential overflows double precision."""
+    x = -sign * action(z) / eps
+    try:
+        return cmath.exp(x) * zpow(z, PREFACTOR_EXP)
+    except OverflowError:
+        raise ContourFailure(f"prefactor exp({x:.6g}) overflows double precision") from None
 
 
 @dataclass(frozen=True)
@@ -87,7 +98,7 @@ class WKBSymbol:
         return WKBSymbol(sign=-self.sign, eps_coeffs=tuple(gs))
 
     def prefactor(self, z: complex, eps: complex) -> complex:
-        return cmath.exp(-self.sign * action(z) / eps) * zpow(z, PREFACTOR_EXP)
+        return _prefactor(self.sign, z, eps)
 
     def g_values(self, z: complex) -> np.ndarray:
         """g_n(z) on the fixed branch, n = 0..order."""

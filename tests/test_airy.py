@@ -15,16 +15,37 @@ from exactwkb.airy import (LATERAL_DELTA, airy_alpha,
                            airy_oracle, airy_symbol, stokes_jump,
                            symbol_borel_sum)
 from exactwkb import airy, contours
-from exactwkb.borel import (PadeApproximant, check_ray_clear, genuine_poles,
-                            laplace_ray, pade_from_taylor)
-from exactwkb.contours import ContourSpec
+from exactwkb.borel import genuine_poles, pade_from_taylor
+from exactwkb.contours import ContourSpec, integrate_polyline
 from exactwkb.errors import ContourFailure, ExactWKBError, PoleOnRay
 from exactwkb.hardy import hardy_phi_eval
 from exactwkb.pde import confluent_eval, pde_taylor
-from exactwkb.series import PuiseuxSeries
-from exactwkb.symbols import branch_arg, zpow
+from exactwkb.series import PuiseuxSeries, TaylorSeries
+from exactwkb.symbols import WKBSymbol, branch_arg, zpow
+from exactwkb.transport import transport_g
 
 L1_POINT = 0.8 * cmath.exp(2j * math.pi / 3)
+
+
+def rational(approx):
+    """xi -> num(xi)/den(xi) on numpy arrays, the Pade approximant's
+    coefficients rounded to complex."""
+    num, den = (np.array(xs, dtype=complex)[::-1] for xs in (approx.num, approx.den))
+    return lambda xi: np.polyval(num, xi) / np.polyval(den, xi)
+
+
+def laplace_quadrature(R, eps):
+    """int_0^inf exp(-xi/eps) R(xi) dxi along arg xi = 0 on composite
+    Gauss-Legendre panels (contours.integrate_polyline, sized by the phase
+    xi/eps) over the graded nodes 0, T 0.7^32, ..., T 0.7, T, with e^-60
+    weight at T = 60|eps|/cos(arg eps).  The grading keeps a Pade pole
+    string just off the ray a fixed multiple of each panel's width away;
+    est_error compares the full and halved orders.  A reference for the
+    closed form that shares no code with it."""
+    T = 60.0 * abs(eps) / math.cos(cmath.phase(eps))
+    nodes = [0j] + [T * 0.7 ** k for k in range(32, -1, -1)]
+    return integrate_polyline(lambda xi: np.exp(-xi / eps) * R(xi), nodes,
+                              ContourSpec(), phase=lambda xi: xi / eps)[0]
 
 
 def test_alpha_exact_values():
@@ -234,15 +255,16 @@ def test_borel_degenerate_truncation():
 def test_pade_clamps_to_available_data():
     c = np.array([1.0, -1.0, 1.0])      # 1/(1+x) truncated
     ap = pade_from_taylor(c, 5, 5)      # clamped to fit 3 coefficients
-    assert abs(complex(ap(0.5)) - 1 / 1.5) < 1e-12
+    assert abs(complex(rational(ap)(0.5)) - 1 / 1.5) < 1e-12
 
 
 def test_pole_on_ray_raises():
-    # minor of 1/(1 - xi): pole at xi = +1 on the positive ray
-    approx = pade_from_taylor(np.ones(12), 5, 6)
-    ps = approx.poles()
+    # g_n = (n-1)!: the minor is 1/(1 - xi), its pole at xi = +1 on the
+    # positive ray, found by the split of the double approximant
+    sym = WKBSymbol.from_g([PuiseuxSeries.monomial(Fr(math.factorial(max(n - 1, 0))), 0)
+                            for n in range(13)])
     with pytest.raises(PoleOnRay, match="obstructs the ray arg xi = 0"):
-        check_ray_clear(genuine_poles(zip(ps, approx.residues(ps))), 0.0, 0.05)
+        symbol_borel_sum(sym, 1.0, 0.05)
 
 
 def test_pole_near_the_origin_is_named_apart_from_the_ray():
@@ -252,12 +274,19 @@ def test_pole_near_the_origin_is_named_apart_from_the_ray():
         airy_borel_sum(0.01 * cmath.exp(0.3j), 0.1, 24)
 
 
-def test_laplace_ray_outside_the_half_plane_of_eps_raises():
+def test_ray_outside_the_half_plane_of_eps_raises():
     # arg xi = +-1.6 is past pi/2 from arg eps = 0: exp(-xi/eps) grows
-    # there, and the closed form (laplace_pade) refuses the ray
+    # there, and the closed form (laplace_pade) refuses the ray, as it
+    # refuses arg xi = 0 for arg eps = -/+1.6; arg eps = 1.54, where
+    # cos(arg eps) = 0.03, is still inside the half-plane and served
     for theta in (1.6, -1.6):
         with pytest.raises(PoleOnRay, match="outside the half-plane of eps"):
             airy_borel_sum(1 + 0.5j, 0.1, 24, theta=theta)
+        with pytest.raises(PoleOnRay, match="outside the half-plane of eps"):
+            symbol_borel_sum(airy_symbol(23), 1 + 0.5j, 0.1 * cmath.exp(-1j * theta))
+    z, eps = 1 + 0.5j, 0.1 * cmath.exp(1.54j)
+    got = symbol_borel_sum(airy_symbol(23), z, eps).value
+    assert abs(got - airy_borel_sum(z, eps, 24).value) <= 1e-12 * abs(got)
 
 
 @pytest.mark.parametrize("arg", [-0.7, -0.9])
@@ -526,20 +555,62 @@ def test_cached_approximant_meets_the_pade_conditions_exactly(pade):
     (r * cmath.exp(2j * math.pi / 3), eps, N) for r, eps, N in OBSTRUCTED_JUMPS]
     + [(L1_POINT, 0.05, 40)])
 def test_lateral_sums_match_quadrature_of_the_rounded_approximant(z, eps, N):
-    # the closed-form lateral sums against laplace_ray's Gauss-Legendre
-    # panels on the approximant rounded to double; the ray arg xi = theta
-    # is turned onto arg xi = 0 by xi = e^{i theta} u, so lam R(lam xi) dxi
-    # is lam' R(lam' u) du with lam' = lam e^{i theta}, and eps becomes
-    # eps e^{-i theta}
-    exact = airy._minor_pade(N, None)
-    R = PadeApproximant(np.array(exact.num, dtype=complex), np.array(exact.den, dtype=complex))
+    # the closed-form lateral sums against laplace_quadrature's
+    # Gauss-Legendre panels on the approximant rounded to double; the ray
+    # arg xi = theta is turned onto arg xi = 0 by xi = e^{i theta} u, so
+    # lam R(lam xi) dxi is lam' R(lam' u) du with lam' = lam e^{i theta},
+    # and eps becomes eps e^{-i theta}
+    R = rational(airy._minor_pade(N, None))
     lam = zpow(z, Fr(-3, 2))
     pref = airy_symbol(0).prefactor(z, eps)
     for theta in (-LATERAL_DELTA, LATERAL_DELTA):
         got = airy_borel_sum(z, eps, N, theta=theta)
         turn = cmath.exp(1j * theta)
-        quad = laplace_ray(lambda u: lam * turn * R(lam * turn * u), eps / turn)
+        quad = laplace_quadrature(lambda u: lam * turn * R(lam * turn * u), eps / turn)
         want = pref * (1 + quad.value)
         assert got.nodes_used == 0
         assert abs(got.value - want) <= got.est_error + abs(pref) * quad.est_error \
             + 1e-12 * abs(want), theta
+
+
+@pytest.mark.parametrize("F, N", [
+    pytest.param(TaylorSeries({0: Fr(1, 3), 1: Fr(-2, 7)}), 30, id="one_third_minus_2z_7"),
+    pytest.param(TaylorSeries({0: Fr(1, 10)}), 24, id="one_tenth"),
+])
+def test_symbol_sum_matches_quadrature_of_its_double_approximant(F, N):
+    # the closed form of the split against laplace_quadrature's panels on
+    # the same double-precision approximant of the minor at z, for the
+    # symbol and its partner in S1 and S-1
+    sym = transport_g(F, N - 1)
+    for z, eps in [(1.2 * cmath.exp(0.4j), 0.1), (0.9 * cmath.exp(-1.1j), 0.15 * cmath.exp(0.3j))]:
+        for s in (sym, sym.flip_eps()):
+            c = s.minor_values(z)
+            quad = laplace_quadrature(rational(pade_from_taylor(c, len(c) // 2, len(c) // 2)), eps)
+            want = s.prefactor(z, eps) * (1 + quad.value)
+            got = symbol_borel_sum(s, z, eps)
+            assert got.nodes_used == 0
+            assert abs(got.value - want) <= 1e-12 * abs(want), (z, eps, s.sign)
+
+
+def test_symbol_sum_of_the_airy_symbol_is_the_airy_sum():
+    # two solves of one minor: the Airy symbol's approximant at z in double
+    # precision, and B's exact one rescaled by lam = z^{-3/2}
+    for N in (24, 40):
+        sym = airy_symbol(N - 1)
+        for r, arg in [(1.0, 1.8), (1.0, -0.4), (2.5, 1.0), (2.5, -1.8)]:
+            z, eps = r * cmath.exp(1j * arg), 0.12 * cmath.exp(0.2j)
+            got, want = symbol_borel_sum(sym, z, eps), airy_borel_sum(z, eps, N)
+            assert abs(got.value - want.value) <= got.est_error + want.est_error \
+                + 1e-12 * abs(want.value), (N, z)
+
+
+def test_prefactor_overflow_is_a_contour_failure():
+    # exp(-action/eps) past double range is a typed failure, not a bare
+    # OverflowError, for the Airy sums and for any symbol
+    z = -29.172957055337232 - 12.73952454848831j
+    eps = 5.9813724622421845e-05 + 9.57467412062531e-05j
+    for call in (lambda: airy_borel_sum(z, eps, 24), lambda: stokes_jump(z, eps, 24),
+                 lambda: symbol_borel_sum(airy_symbol(23).flip_eps(), 219.298 - 32.825j,
+                                          0.017969 - 0.031192j)):
+        with pytest.raises(ContourFailure, match=r"prefactor exp\(.*\) overflows double"):
+            call()

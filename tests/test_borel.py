@@ -36,15 +36,6 @@ def quad_on_real_ray(approx, eps, lam=1, dps=60):
                            [0] + cuts + [mpmath.inf])
 
 
-def test_double_precision_poles_and_residues_are_np_roots():
-    c = np.array([(-0.75) ** k / (k + 1) + 0.1j * k for k in range(12)])
-    approx = pade_from_taylor(c, 6, 5)
-    ps = np.roots(approx.den[::-1])
-    rs = np.polyval(approx.num[::-1], ps) / np.polyval(np.polyder(approx.den[::-1]), ps)
-    assert (approx.poles() == ps).all()
-    assert (approx.residues(ps) == rs).all()
-
-
 def test_mp_poles_are_polished_roots():
     # the exact approximant's poles, polished at the working precision
     dps, M = 40, 5

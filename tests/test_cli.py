@@ -315,6 +315,16 @@ def test_non_finite_output_exit_3(args, capsys):
     assert err.startswith("numeric failure: ")
 
 
+@pytest.mark.parametrize("cmd", ["borel", "jump"])
+def test_prefactor_overflow_exit_3(cmd, capsys):
+    # exp(-action/eps) past double range once ended in a bare OverflowError
+    code = main([cmd, "--z", "-29.172957055337232", "-12.73952454848831",
+                 "--eps", "5.9813724622421845e-05", "9.57467412062531e-05"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("numeric failure: prefactor exp(")
+
+
 def test_import_leaves_scipy_out():
     code = "import sys, exactwkb; sys.exit('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from exactwkb.coefficients import GaussianRational as G
 from exactwkb.coefficients import clear, coeff_is_zero, uncleared
+from exactwkb.polyring import QPoly
 
 settings.register_profile("coefficients", max_examples=60, derandomize=True,
                           deadline=None, database=None)
@@ -124,6 +125,14 @@ def test_complex_eq_and_hash_on_a_grid():
     for re in grid:
         for im in grid:
             assert hash(G(Fr(re), Fr(im))) == hash(complex(re, im)), (re, im)
+        # a real float too, exactly, as Fraction == float; a constant QPoly alike
+        for x in (G(Fr(re)), QPoly(Fr(re))):
+            assert x == re and re == x and hash(x) == hash(re), (x, re)
+            assert {re: "x"}[x] == "x"
+            assert x != 2 * re + 1 and x != float("nan"), (x, re)
+        assert G(Fr(re), Fr(1)) != re and QPoly({(("a", 1),): Fr(1)}) + Fr(re) != re
+    assert G(1) == 1.0 and QPoly(3) == 3.0 and QPoly(0) == -0.0
+    assert G(Fr(1, 3)) != 1 / 3 and QPoly(Fr(1, 3)) != 1 / 3
 
 
 @given(GAUSS)
