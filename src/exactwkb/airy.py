@@ -33,7 +33,7 @@ from .borel import (PartialFractions, check_ray_clear, genuine_poles,
 from .contours import ContourSpec, LaplaceResult, valley_integral
 from .errors import ContourFailure
 from .series import PuiseuxSeries
-from .symbols import WKBSymbol, _prefactor, zpow
+from .symbols import WKBSymbol, _prefactor, action, zpow
 
 # Angle of the lateral Laplace rays either side of the singular ray.
 LATERAL_DELTA = math.radians(10.0)
@@ -145,14 +145,18 @@ def _borel_sum(z: complex, eps: complex, sign: int, fractions, lam,
                theta: float) -> LaplaceResult:
     """pref (1 + int_0^inf(ray theta) exp(-xi/eps) lam R(lam xi) dxi) for
     the symbol of that sign, pref its prefactor, from fractions = the
-    split of R (no minor if None); the minor's poles are p/lam."""
+    split of R (no minor if None); the minor's poles are p/lam.  est_error
+    adds the rounding of pref = exp(x) z^(-1/4) and of the product."""
     res = LaplaceResult(0j, 0.0, 0)
     if fractions is not None:
         poles = genuine_poles(zip(fractions.poles, fractions.residues))
         check_ray_clear([p / lam for p in poles], theta, abs(eps))
         res = laplace_pade(fractions, eps, lam, theta)
     pref = _prefactor(sign, z, eps)
-    return LaplaceResult(pref * (1.0 + res.value), abs(pref) * res.est_error, 0)
+    value = pref * (1.0 + res.value)
+    # x = -sign (2/3) z^(3/2)/eps rounded moves exp(x) by 2^-52 |x|
+    return LaplaceResult(value, abs(pref) * res.est_error
+                         + 2.0 ** -52 * (2.0 + abs(action(z) / eps)) * abs(value), 0)
 
 
 def _airy_sum(z: complex, eps: complex, fractions, theta: float,
@@ -183,7 +187,7 @@ def symbol_borel_sum(symbol: WKBSymbol, z: complex,
     balanced Pade approximant of its minor at z, solved in double
     precision on each call (F != 0 has no one-variable minor), split by
     _split and transformed in closed form as the Airy sums are: est_error
-    is the rounding of the closed-form sum and nodes_used 0."""
+    is the rounding of that sum and its prefactor, nodes_used 0."""
     c = symbol.minor_values(z)
     fractions = _split(pade_from_taylor(c, len(c) // 2, len(c) // 2), None)
     return _borel_sum(z, eps, symbol.sign, fractions, 1, 0.0)

@@ -103,8 +103,7 @@ def hardy_S_T(n: int) -> HardyPair:
     # the first identity is need = C dS/dzhat, the second dT/dzhat = d2S/dz2
     if not (need == C * Szh and _dz(Sz) == (T0 + C).derivative()):
         raise AssertionError(f"structural identities failed for n={n}")
-    # T_0's keys, then C's: _poly2(T0 + C) would put the zhat^0 key first
-    return HardyPair(n=n, S=_poly2(S), T={**_poly2(T0), **_poly2(C)})
+    return HardyPair(n=n, S=_poly2(S), T=_poly2(T0 + C))
 
 
 def hardy_identities_hold(pair: HardyPair) -> bool:

@@ -56,7 +56,7 @@ class BivariateSeries:
 
     def values_at(self, z: complex) -> np.ndarray:
         """[a.eval(z) for a in a_list] as an array, bit for bit: the same
-        principal powers and the same term-by-term sums in coefficient
+        principal powers and the same term-by-term sums in exponent
         order."""
         exps, rows = self._table
         pows = [_principal_pow(z, e) for e in exps]

@@ -50,14 +50,12 @@ def liouville_map(V: PuiseuxSeries, N: int) -> PuiseuxSeries:
 
 
 def schwarzian(f: PuiseuxSeries) -> PuiseuxSeries:
-    """{f, z} = f'''/f' - (3/2)(f''/f')^2 for f'(0) != 0, of an eps-series
-    f whose coefficients are z-series (differentiated coefficientwise)."""
+    """{f, z} = f'''/f' - (3/2)(f''/f')^2 = r' - r^2/2 with r = f''/f' (as
+    r' = f'''/f' - r^2), for f'(0) != 0, of an eps-series f whose
+    coefficients are z-series (differentiated coefficientwise)."""
     f1 = f.map_coefficients(PuiseuxSeries.derivative)
-    f2 = f1.map_coefficients(PuiseuxSeries.derivative)
-    f3 = f2.map_coefficients(PuiseuxSeries.derivative)
-    inv = f1.inverse()
-    r2 = f2 * inv
-    return f3 * inv - r2 * r2 * Fraction(3, 2)
+    r = f1.map_coefficients(PuiseuxSeries.derivative) * f1.inverse()
+    return r.map_coefficients(PuiseuxSeries.derivative) - r * r * _HALF
 
 
 def induced_potential_F(V: PuiseuxSeries, N: int) -> PuiseuxSeries:
@@ -132,7 +130,7 @@ def _conv(X: list, Y: list, m: int) -> PuiseuxSeries:
     sum of X_i Y_(m-i) for i ascending in one :func:`series._combine`, an
     order past the end of a list read as the exact zero, whose products add
     nothing.  This is how the eps-product itself sums order m, so values,
-    z-truncations, key order and float bits all agree with it."""
+    z-truncations and float bits all agree with it."""
     X, Y = (L + [_NIL] * (m + 1 - len(L)) for L in (X, Y))
     return _combine([(X[i], Y[m - i], 1) for i in range(m + 1)])
 
@@ -156,19 +154,19 @@ def reduce_to_airy(F: PuiseuxSeries, N_eps: int, N_z: int) -> ReductionSeries:
 
     rhs_k is minus eps-order k of the master residual with s_k = 0, and
     each step forms only that order (relaxed evaluation): order k of
-    s (s')^2 and order k - 2 of {s, z}, read from order lists of s, its
-    first three derivatives, 1/s', s s', s''/s', (s''/s')^2 and s'''/s'
-    that grow by one order per step.  Each order is summed as the full
-    eps-product sums it (:func:`_conv`), so s is the same to the bit as
-    from the full residual of the partial s at every order;
-    ``master_relation_residual`` stays the full certificate.
+    s (s')^2 and order k - 2 of {s, z} = r' - r^2/2, r = s''/s', read
+    from order lists of s, s', s'', 1/s', s s', r and r^2 that grow by one
+    order per step.  Each order is summed as the full eps-product sums it
+    (:func:`_conv`), so s is the same to the bit as from the full residual
+    of the partial s at every order; ``master_relation_residual`` stays
+    the full certificate.
     """
     if N_eps < 0:
         raise ValueError("N must be >= 0")
     require_taylor(F, "F")
     Fz = F.with_trunc(min(F.trunc, Fraction(N_z)))
     S = [PuiseuxSeries.monomial(1, 1)]
-    S1, S2, S3, inv, SS1, R2, R2R2, R3 = ([] for _ in range(8))
+    S1, S2, inv, SS1, R2, R2R2 = ([] for _ in range(6))
     for k in range(1, N_eps + 1):
         # s_(k-1) is final: order k of s (s')^2, s_k read as 0 ...
         S1.append(S[k - 1].derivative())
@@ -178,12 +176,10 @@ def reduce_to_airy(F: PuiseuxSeries, N_eps: int, N_z: int) -> ReductionSeries:
         if k >= 2:
             j = k - 2
             S2.append(S1[j].derivative())
-            S3.append(S2[j].derivative())
             inv.append(_recip_order(S1, inv, j))
             R2.append(_conv(S2, inv, j))
             R2R2.append(_conv(R2, R2, j))
-            R3.append(_conv(S3, inv, j))
-            resid = resid - (R3[j] - R2R2[j] * Fraction(3, 2)) * _HALF
+            resid = resid - (R2[j].derivative() - R2R2[j] * _HALF) * _HALF
         if k == 2:
             resid = resid - Fz
         rhs = -resid

@@ -6,15 +6,16 @@ together with a truncation order: exponents >= ``trunc`` are unknown.
 closed-form objects of the model are carried around without artificial
 truncation.
 
-Exponents lie on the lattice (1/6)Z, and a series stores its terms
-keyed by the integer k = 6e, so no operation hashes or compares a
-Fraction exponent.  The public constructor checks its input against a
-smaller lattice (half-integers by default); every operation builds its
-result through the trusted :func:`_make`, and only ``shift`` and
-``pow_rational`` can leave (1/6)Z, which they refuse with
-:class:`LatticeError`.  ``coeffs`` is a Fraction-keyed copy of the terms,
-built on each access, for readers outside the kernel.  JSON input is
-checked against (1/6)Z, so ``to_json`` output always reads back.
+Exponents lie on the lattice (1/6)Z, and a series stores its terms in
+increasing exponent (:func:`_fill`), keyed by the integer k = 6e, so no
+operation hashes or compares a Fraction exponent.  The public
+constructor checks its input against a smaller lattice (half-integers by
+default); every operation builds its result through the trusted
+:func:`_make`, and only ``shift`` and ``pow_rational`` can leave (1/6)Z,
+which they refuse with :class:`LatticeError`.  ``coeffs`` is a
+Fraction-keyed copy of the terms, built on each access, for readers
+outside the kernel.  JSON input is checked against (1/6)Z, so
+``to_json`` output always reads back.
 
 Each step of a recursion is one pass of :func:`_combine`: a sum of
 series mapped by :func:`_diag` (c z^(k/6) to c num(k)/den(k) z^((k+d)/6),
@@ -90,10 +91,10 @@ def _top6(trunc) -> int:
 
 
 def _fill(obj, data: Mapping, trunc, known=()):
-    """Store ``data`` (keyed by 6e) in its order, minus terms at or past
+    """Store ``data`` (keyed by 6e) in increasing key, minus terms at or past
     ``trunc`` and zeros; a coefficient of a type in ``known`` is nonzero."""
     top = INF if trunc is INF else _top6(trunc)
-    object.__setattr__(obj, "_by6", {k: c for k, c in data.items() if k < top and (
+    object.__setattr__(obj, "_by6", {k: c for k, c in sorted(data.items()) if k < top and (
         type(c) in known or not coeff_is_zero(c))})
     object.__setattr__(obj, "trunc", trunc)
     return obj
@@ -214,7 +215,7 @@ def _convolve(x: "PuiseuxSeries", y: "PuiseuxSeries") -> "PuiseuxSeries":
 
 def _cleared_product(pair, cx, cy, kmax) -> tuple:
     """The pair (x, y, w) of :func:`_combine` over dx dy, as (real, Gaussian
-    imaginary) integer parts keyed as its double loop first reaches them."""
+    imaginary) integer parts keyed by 6e."""
     (x, y, w), (_, rx, gx), (_, ry, gy), re, im, gs = pair, cx, cy, {}, {}, set()
     if not (gx or gy):
         bs = [(kb, b * w) for kb, (b, _, _) in zip(y._by6, ry)]
@@ -287,8 +288,8 @@ class PuiseuxSeries:
 
     @property
     def coeffs(self) -> dict:
-        """A new dict exponent (Fraction) -> coefficient, in stored order;
-        changing it leaves the series as it is."""
+        """A new dict exponent (Fraction) -> coefficient, in increasing
+        exponent; changing it leaves the series as it is."""
         return {_exp6(k): c for k, c in self._by6.items()}
 
     @property
@@ -319,7 +320,7 @@ class PuiseuxSeries:
 
     def terms(self):
         """Terms sorted by exponent."""
-        return [(_exp6(k), c) for k, c in sorted(self._by6.items())]
+        return [(_exp6(k), c) for k, c in self._by6.items()]
 
     def is_exact(self) -> bool:
         return all(is_exact(c) for c in self._by6.values())
@@ -546,7 +547,7 @@ class PuiseuxSeries:
         if powers is None:
             powers = _powers(inner, max(self._by6, default=0) // 6, trunc)
         out = _make({}, trunc)
-        for k, c in sorted(self._by6.items()):
+        for k, c in self._by6.items():
             out = out + powers[k // 6].with_trunc(trunc) * c
         return out
 
@@ -573,7 +574,7 @@ class PuiseuxSeries:
         trunc = min(Fraction(int(_as_exp(order))), self.trunc)
         inv_a1 = _ONE / a1 if isinstance(a1, Fraction) else 1 / a1
         top = math.ceil(trunc)
-        fs = sorted((k // 6, c) for k, c in self._by6.items() if 6 < k < 6 * top)
+        fs = [(k // 6, c) for k, c in self._by6.items() if 6 < k < 6 * top]
         # powers[j - 1][m] = [z^m] g^j, nonzero terms only; powers[0] is g
         g = {1: inv_a1}
         powers = [g] + [{} for _ in range(fs[-1][0] - 1 if fs else 0)]
@@ -697,9 +698,9 @@ def _powers(inner: PuiseuxSeries, n: int, trunc) -> list:
 def compose_each(outers, inner: PuiseuxSeries) -> list:
     """[f.compose(inner) for f in outers], with the powers of inner formed
     once, at the largest truncation any f needs, and read by each f at
-    its own.  Values, truncations and key order are those of compose:
-    below a truncation T a product's coefficients, and the order in which
-    its keys first appear, depend only on its factors' terms below T."""
+    its own.  Values and truncations are those of compose: below a
+    truncation T a product's coefficients depend only on its factors'
+    terms below T."""
     truncs = [f._compose_trunc(inner) for f in outers]
     top = max((max(f._by6, default=0) // 6 for f in outers), default=0)
     powers = _powers(inner, top, max(truncs, default=_ZERO))
@@ -714,9 +715,8 @@ def _expand(g, rel, lead, f0, weight, finish) -> PuiseuxSeries:
     :meth:`PuiseuxSeries.pow_rational` and ``exp``.  d is the gcd of g's
     nonconstant offsets 6e (g is no monomial), and an f_n that no term
     reaches is absent, the exact zero."""
-    gs = sorted((k, c) for k, c in g._by6.items() if k > 0)
-    d = math.gcd(*(k for k, _ in gs))
-    gs = [(k // d, c) for k, c in gs]
+    d = math.gcd(*(k for k in g._by6 if k > 0))
+    gs = [(k // d, c) for k, c in g._by6.items() if k > 0]
     f = {0: f0}
     n = 1
     while n * d < 6 * rel:
@@ -783,8 +783,8 @@ class TaylorSeries(PuiseuxSeries):
 
 
 def max_abs_coeff(series: Iterable[PuiseuxSeries]):
-    """First coefficient of largest modulus over ``series``
-    (``Fraction(0)`` when there is none)."""
+    """First coefficient of largest modulus over ``series``, in exponent
+    order within a series (``Fraction(0)`` when there is none)."""
     worst = Fraction(0)
     for s in series:
         for c in s._by6.values():

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LogObstruction
-from .series import (_EXACT, PuiseuxSeries, _combine, _make, max_abs_coeff,
-                     require_taylor)
+from .series import PuiseuxSeries, _combine, max_abs_coeff, require_taylor
 from .symbols import WKBSymbol
 
 _HALF = Fraction(1, 2)
@@ -34,28 +33,18 @@ def transport_g(F: PuiseuxSeries, N: int) -> WKBSymbol:
     require_taylor(F, "F")
     if N < 0:
         raise ValueError("N must be >= 0")
-    # key order of 16z^2 g'' - 8z g' - (16z^2 F - 5) g: z^1, from g', last
     P = -(PuiseuxSeries.monomial(16, 2) * F) + 5
     gs = [PuiseuxSeries.one()]
     for n in range(N):
         try:
-            gs.append(_combine([(_last(gs[n], (6,)), 0, lambda k: 4 * k * (k - 9),
-                                 lambda k: 9), (P, gs[n], 1)],
+            gs.append(_combine([(gs[n], 0, lambda k: 4 * k * (k - 9), lambda k: 9),
+                                (P, gs[n], 1)],
                                (-9, lambda k: 3 * ((k > 9) - (k < 9)), lambda k: 16 * abs(k - 9)),
                                log=9))
         except LogObstruction as exc:
             raise LogObstruction(
                 f"transport step n={n + 1} left a z^-1 term") from exc
     return WKBSymbol.from_g(gs)
-
-
-def _last(s: PuiseuxSeries, keys) -> PuiseuxSeries:
-    """s with its terms at ``keys`` moved, in turn, to the end."""
-    data = dict(s._by6)
-    for k in keys:
-        if k in data:
-            data[k] = data.pop(k)
-    return _make(data, s.trunc, _EXACT)
 
 
 @dataclass(frozen=True)
@@ -121,10 +110,9 @@ def wkb_residual(symbol: WKBSymbol, F: PuiseuxSeries) -> list:
     for m, g in enumerate(gs):
         terms = []
         if m:
-            # key order of h'' - h'/(2z) + (5/16) z^-2 h: z^-1, z^-2, z^-1/2 last
             h = gs[m - 1]
-            terms = [(_last(h, (6, *(k for k in h._by6 if k in (0, 9)))), -12,
-                      lambda k: 16 * k * k - 144 * k + 180, lambda k: 576), (h, negF, 1)]
+            terms = [(h, -12, lambda k: 16 * k * k - 144 * k + 180, lambda k: 576),
+                     (h, negF, 1)]
         out.append(_combine(terms + [(g, -3, lambda k: -k, lambda k: 3)]))
     return out
 

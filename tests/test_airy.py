@@ -614,3 +614,17 @@ def test_prefactor_overflow_is_a_contour_failure():
                                           0.017969 - 0.031192j)):
         with pytest.raises(ContourFailure, match=r"prefactor exp\(.*\) overflows double"):
             call()
+
+
+@pytest.mark.parametrize("N", [0, 1, 24])
+def test_borel_sum_est_error_covers_the_rounding_of_its_value(N):
+    # the prefactor exp(x) z^(-1/4) and the product pref (1 + T) each round,
+    # so no sum may claim better than one ulp of its own value, even with
+    # no minor (N <= 1) or one that transforms with no rounding at all
+    for z, eps in [(1.0, 0.05), (2.5 * cmath.exp(1.0j), 0.12 * cmath.exp(0.2j)),
+                   (0.7 * cmath.exp(-1.8j), 0.1)]:
+        sums = [airy_borel_sum(z, eps, N)]
+        if N:
+            sums.append(symbol_borel_sum(airy_symbol(N - 1), z, eps))
+        for got in sums:
+            assert got.est_error >= 2.0 ** -52 * abs(got.value), (z, eps, got)

@@ -297,11 +297,11 @@ def test_series_stores_only_coefficients_and_truncation():
     assert list(a.coeffs) == [Fr(5, 6)] and a.trunc == Fr(10, 3)
 
 
-def test_coeffs_is_a_fraction_keyed_copy_in_constructor_order():
+def test_coeffs_is_a_fraction_keyed_copy_in_exponent_order():
     s = PuiseuxSeries({Fr(3, 2): 1, 0: 2, Fr(-1, 6): 3, 1: 4, Fr(1, 6): 5},
                       trunc=Fr(7, 2), lattice=6)
     c = s.coeffs
-    assert list(c) == [Fr(3, 2), 0, Fr(-1, 6), 1, Fr(1, 6)]
+    assert list(c) == [Fr(-1, 6), 0, Fr(1, 6), 1, Fr(3, 2)]
     assert all(type(e) is Fr for e in c)
     # z^1 and z^(1/6) are told apart, whether looked up by Fraction or int
     assert c[Fr(1)] == c[1] == 4 and c[Fr(1, 6)] == 5

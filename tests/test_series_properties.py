@@ -346,9 +346,10 @@ def sixths_series(data, coeff):
 
 
 def naive_product(a, b):
-    """(items, trunc) of a*b by a Fraction-keyed convolution, in the order
-    of the double loop over a's then b's terms, exact zeros dropped; the
-    exact zero (no terms, no truncation) times anything is the exact zero."""
+    """(items, trunc) of a*b by a Fraction-keyed convolution, each key
+    summed in the order of the double loop over a's then b's terms, exact
+    zeros dropped, sorted by exponent; the exact zero (no terms, no
+    truncation) times anything is the exact zero."""
     if any(not s.coeffs and s.trunc == INF for s in (a, b)):
         return [], INF
     trunc = min(a.min_exp + b.trunc, b.min_exp + a.trunc)
@@ -358,7 +359,7 @@ def naive_product(a, b):
             e = ea + eb
             if e < trunc:
                 data[e] = data[e] + ca * cb if e in data else ca * cb
-    return [(e, c) for e, c in data.items() if c != 0], trunc
+    return [(e, c) for e, c in sorted(data.items()) if c != 0], trunc
 
 
 @given(st.data(), st.sampled_from(sorted(COEFFS)))
@@ -367,7 +368,7 @@ def test_product_matches_the_fraction_keyed_convolution(data, ring):
     items, trunc = naive_product(a, b)
     p = a * b
     assert p.trunc == trunc
-    # same keys in the same order, and bit-identical float coefficients
+    # same keys in increasing exponent, and bit-identical float coefficients
     assert [(e, repr(c)) for e, c in p.coeffs.items()] == \
         [(e, repr(c)) for e, c in items]
     assert all(isinstance(e, Fr) for e in p.coeffs)
@@ -395,7 +396,7 @@ def test_long_and_mixed_products_match_the_fraction_keyed_convolution(data, ring
     items, trunc = naive_product(a, b)
     p = a * b
     assert p.trunc == trunc
-    # same keys in the same order, the same values and the same types: a
+    # same keys in increasing exponent, the same values and the same types: a
     # coefficient is Gaussian iff some pair that feeds it has a Gaussian
     assert [(e, repr(c)) for e, c in p.coeffs.items()] == \
         [(e, repr(c)) for e, c in items]
@@ -407,8 +408,8 @@ def test_a_gaussian_with_zero_imaginary_part_keeps_its_products_gaussian():
     b = PuiseuxSeries({0: Fr(3, 5), 2: GaussianRational(1, 1)})
     p = a * b
     assert [(e, repr(c)) for e, c in p.coeffs.items()] == [
-        (0, "Fraction(1, 5)"), (2, "GaussianRational(1/3, 1/3)"),
-        (1, "GaussianRational(2/5)"), (3, "GaussianRational(2/3, 2/3)")]
+        (0, "Fraction(1, 5)"), (1, "GaussianRational(2/5)"),
+        (2, "GaussianRational(1/3, 1/3)"), (3, "GaussianRational(2/3, 2/3)")]
     # a cancellation to 0 drops the term, whatever its type
     assert (a * PuiseuxSeries({0: 1, 1: -real / Fr(1, 3)})).coeffs == {
         0: Fr(1, 3), 2: GaussianRational(Fr(-4, 3))}
@@ -601,7 +602,7 @@ def outcome(fn, *args):
 @settings(max_examples=150)
 @given(data=st.data())
 def test_combine_matches_the_chain_of_operators(data, ring):
-    # values, truncation, key order, Gaussian or Fraction, and float bits
+    # values, truncation, Gaussian or Fraction, and float bits
     terms = draw_terms(data, COMBINE_RINGS[ring])
     final = None
     if data.draw(st.booleans()):
@@ -615,21 +616,69 @@ def test_a_gaussian_key_that_cancels_comes_back_as_a_fraction():
     f = PuiseuxSeries({2: Fr(1, 5), 1: Fr(3)})
     out = _combine([g, undo(g), f])
     assert [(e, repr(c)) for e, c in out.coeffs.items()] == [
-        (2, "Fraction(1, 5)"), (1, "Fraction(3, 1)")]
+        (1, "Fraction(3, 1)"), (2, "Fraction(1, 5)")]
     # kept alive, a key stays Gaussian; a product cancels as a sum does
     out = _combine([g, f, (g, f, 1), (f, g, -1)])
     assert [(e, repr(c)) for e, c in out.coeffs.items()] == [
         (1, "GaussianRational(4, 2)"), (2, "GaussianRational(16/5)")]
-    # a product's own zero sum adds nothing: no term, no place in the key
-    # order, no Gaussian flag
+    # a product's own zero sum adds nothing: no term and no Gaussian flag
     x, y = PuiseuxSeries({0: 1, 1: 1}), PuiseuxSeries({0: 1, 1: -1})
     assert list(_combine([(x, y, 1)]).coeffs) == [0, 2]
-    assert list(_combine([(x, y, 1), PuiseuxSeries({1: 5})]).coeffs) == [0, 2, 1]
+    assert list(_combine([(x, y, 1), PuiseuxSeries({1: 5})]).coeffs) == [0, 1, 2]
     x, y = PuiseuxSeries({0: GaussianRational(1, 1), 1: GaussianRational(1, 1)}), \
         PuiseuxSeries({1: 1, 0: -1})
     out = _combine([PuiseuxSeries({1: Fr(2)}), (x, y, 1)])
     assert [(e, repr(c)) for e, c in out.coeffs.items()] == [
-        (1, "Fraction(2, 1)"), (0, "GaussianRational(-1, -1)"), (2, "GaussianRational(1, 1)")]
+        (0, "GaussianRational(-1, -1)"), (1, "Fraction(2, 1)"), (2, "GaussianRational(1, 1)")]
+
+
+# -- one term order: every result stores its terms in increasing exponent ---
+
+ORDER_RINGS = {"fraction": RATS, "gaussian": GAUSS, "complex": COMPLEX, "qpoly": QPOLYS}
+
+
+def shuffled_series(data, coeff, ks, trunc=None):
+    """Terms at the exponents k/6, k in ks, handed to the constructor in a
+    drawn order, known below ``trunc`` (exact if None)."""
+    items = data.draw(st.permutations([(k * SIXTH, data.draw(coeff)) for k in ks]))
+    return PuiseuxSeries(items, INF if trunc is None else trunc, lattice=6)
+
+
+def assert_in_exponent_order(s):
+    """s's keys strictly increase and terms() lists coeffs' items, in s and
+    in each of its series coefficients."""
+    keys = list(s._by6)
+    assert all(a < b for a, b in zip(keys, keys[1:])), keys
+    assert s.terms() == list(s.coeffs.items())
+    for c in s._by6.values():
+        if isinstance(c, PuiseuxSeries):
+            assert_in_exponent_order(c)
+
+
+@pytest.mark.parametrize("ring", sorted(ORDER_RINGS))
+@given(data=st.data())
+def test_every_operation_stores_its_terms_in_increasing_exponent(data, ring):
+    coeff = ORDER_RINGS[ring]
+
+    def draw(lo, hi, scale=1, trunc=None):
+        ks = data.draw(st.lists(st.integers(lo, hi), max_size=5, unique=True))
+        return shuffled_series(data, coeff, [scale * k for k in ks], trunc)
+
+    # no z^-1 term (6e = -6), so the antiderivative is defined
+    s, t = draw(-5, 14, trunc=data.draw(TRUNCS)), draw(-5, 14, trunc=data.draw(TRUNCS))
+    v = draw(1, 14, trunc=Fr(3))            # positive order, known below z^3
+    outer, inner = draw(0, 4, 6), draw(1, 4, 6)
+    f = PuiseuxSeries({1: 1}) + draw(2, 5, 6)
+    E = PuiseuxSeries(data.draw(st.permutations([(0, s), (1, t), (2, v)])), lattice=1)
+    results = [
+        s, t, s + t, s - t, s * t, s * data.draw(coeff), s / data.draw(RATS),
+        s.derivative(), s.antiderivative(), s.shift(Fr(-1, 3)),
+        s.with_trunc(min(s.trunc, Fr(1))), (1 + v).pow_rational(HALF, order=2),
+        (1 + v).pow_rational(3), (1 + v).inverse(order=2), v.exp(),
+        outer.compose(inner, order=3), f.reversion(4), E, E * E,
+        _combine([s, (t, 6, lambda k: k - 2, lambda k: 3), (s, t, -2)])]
+    for r in results:
+        assert_in_exponent_order(r)
 
 
 QPOLY_MIXED = st.dictionaries(

@@ -168,8 +168,8 @@ def _coeff(rng, gaussian):
 
 
 def random_series(rng, gaussian, exps, trunc=INF):
-    """Terms at a random subset of ``exps`` inserted in random order, so
-    that key order is not sorted order, known below ``trunc``."""
+    """Terms at a random subset of ``exps`` given in random order (stored
+    in exponent order), known below ``trunc``."""
     exps = rng.sample(exps, rng.randint(0, len(exps)))
     return PuiseuxSeries({e: _coeff(rng, gaussian) for e in exps}, trunc)
 
@@ -180,7 +180,7 @@ def random_F(rng, gaussian):
 
 
 def assert_same_series(got, want):
-    """Equal values, truncations and key order."""
+    """Equal values and truncations, terms in exponent order."""
     assert got.trunc == want.trunc, (got, want)
     assert list(got.coeffs.items()) == list(want.coeffs.items()), (got, want)
 
