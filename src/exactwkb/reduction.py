@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .airy import airy_symbol
 from .errors import LogObstruction, NotSimpleTurningPoint, SeriesError
-from .series import (EpsSeries, PuiseuxSeries, _combine, _make, _sum, compose_each,
-                     require_taylor)
+from .series import (EpsSeries, PuiseuxSeries, _combine, _make, _miller_sum,
+                     compose_each, require_taylor)
 from .symbols import WKBSymbol
 
 _HALF = Fraction(1, 2)
@@ -140,7 +140,7 @@ def _recip_order(g: list, f: list, n: int) -> PuiseuxSeries:
     the r = -1 step of Miller's recurrence as ``series._expand`` takes it."""
     if n == 0:
         return g[0].inverse()
-    return f[0] * _sum(g[j] * f[n - j] * -n for j in range(1, n + 1)) / n
+    return f[0] * _miller_sum([(g[j], f[n - j], -n) for j in range(1, n + 1)]) / n
 
 
 def reduce_to_airy(F: PuiseuxSeries, N_eps: int, N_z: int) -> ReductionSeries:

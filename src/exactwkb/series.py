@@ -21,7 +21,7 @@ Each step of a recursion is one pass of :func:`_combine`: a sum of
 series mapped by :func:`_diag` (c z^(k/6) to c num(k)/den(k) z^((k+d)/6),
 as derivatives and rational multiples are) and of products, a product
 being one such term.  Exact terms are cleared to one denominator
-(:func:`coefficients.clear`), integers are summed per exponent and one
+(:func:`_cleared`), integers are summed per exponent and one
 coefficient is normalised per exponent; other rings run the operators.
 
 A coefficient may itself be a ``PuiseuxSeries``: an eps-series is one in
@@ -121,6 +121,20 @@ def _diag(s: "PuiseuxSeries", d: int, num: Callable, den: Callable) -> "PuiseuxS
     return _make(out, s.trunc if s.trunc is INF else s.trunc + _exp6(d), _EXACT)
 
 
+_MEMO_SIZE = 512
+_CLEARED: dict = {}     # id(s) -> (s, clear of s): s is held, so its id is not reused
+
+
+def _cleared(s: "PuiseuxSeries"):
+    """:func:`coefficients.clear` of s's terms, kept for up to _MEMO_SIZE
+    series (all dropped when full): a series many steps read is cleared once."""
+    if (hit := _CLEARED.get(id(s))) is None:
+        if len(_CLEARED) >= _MEMO_SIZE:
+            _CLEARED.clear()
+        hit = _CLEARED[id(s)] = (s, clear(s._by6.values()))
+    return hit[1]
+
+
 def _combine(terms, final=None, log=None) -> "PuiseuxSeries":
     """The sum of ``terms`` in their order, as the chain of + and - over
     them gives it: a series as it is, a quadruple (s, d, num, den) as
@@ -136,7 +150,7 @@ def _combine(terms, final=None, log=None) -> "PuiseuxSeries":
         t = (t, 0, None, None) if isinstance(t, PuiseuxSeries) else t
         if len(t) == 3 and (tt := _mul_trunc(t[0], t[1])) is None:
             continue
-        if None in (cs := [clear(s._by6.values()) for s in ((t[0],) if len(t) == 4 else t[:2])]):
+        if None in (cs := [_cleared(s) for s in ((t[0],) if len(t) == 4 else t[:2])]):
             break       # not exact: the chain of operators
         if len(t) == 4:     # keys in s's order, over ds times the lcm Q of den(k)
             s, d, num, den = t
@@ -427,8 +441,10 @@ class PuiseuxSeries:
         """Multiplicative inverse 1/self, i.e. ``pow_rational(-1, order)``.
 
         For a non-monomial denominator with infinite truncation the
-        result is an infinite series, so a relative ``order`` (number of
-        retained orders past the leading one) must be supplied.
+        result is an infinite series, so an ``order`` must be supplied: an
+        exponent span past the leading exponent, not a count of terms.
+        ``PuiseuxSeries({0: 1, Fraction(1, 2): 1}).inverse(order=2)`` keeps
+        4 terms, known below z^2, and ``inverse(order=0)`` is ``0 + O(z^0)``.
         """
         if self.is_zero():
             raise SeriesError("division by a series that is zero within its truncation")
@@ -453,7 +469,8 @@ class PuiseuxSeries:
 
         which inverts only g_0, so it runs over any coefficient ring, series
         included.  In exact mode g_0 needs an exact r-th power (any unit
-        will do for r = -1); m r must land on the 1/6 lattice.
+        will do for r = -1); m r must land on the 1/6 lattice.  Known below
+        z^(m r + T - m) for self known below z^T, else below z^(m r + order).
         """
         r = _as_exp(r)
         if self.is_zero():
@@ -479,8 +496,7 @@ class PuiseuxSeries:
         # with r = p/q the weights q((r+1) j - n) = (p+q) j - q n are ints
         p, q = r.numerator, r.denominator
         return _expand(self.shift(-m), rel, new_exp, c0r,
-                       lambda j, n: (p + q) * j - q * n,
-                       lambda acc, n: g0inv * acc / (q * n))
+                       lambda j, n: (p + q) * j - q * n, g0inv, q)
 
     def exp(self) -> "PuiseuxSeries":
         """exp(self) for a series of positive order, by the twin of
@@ -494,8 +510,7 @@ class PuiseuxSeries:
         if self.trunc is INF:
             raise SeriesError("exp of an untruncated series needs a truncation")
         one = PuiseuxSeries.one() if _series_valued(self) else _ONE
-        return _expand(self, self.trunc, _ZERO, one,
-                       lambda j, n: j, lambda acc, n: acc / n)
+        return _expand(self, self.trunc, _ZERO, one, lambda j, n: j)
 
     def sqrt(self, order=None) -> "PuiseuxSeries":
         return self.pow_rational(Fraction(1, 2), order)
@@ -707,34 +722,44 @@ def compose_each(outers, inner: PuiseuxSeries) -> list:
     return [f._compose_plain(inner, t, powers) for f, t in zip(outers, truncs)]
 
 
-def _expand(g, rel, lead, f0, weight, finish) -> PuiseuxSeries:
+def _expand(g, rel, lead, f0, weight, unit=None, q=1) -> PuiseuxSeries:
     """z^lead (f_0 + f_1 t + ...) known below z^(lead + rel), t = z^(d/6),
-    where f_n = finish(sum_j weight(j, n) g_j f_(n-j), n) over g's terms
-    g_j t^j, 1 <= j <= n (g's constant term enters only through
-    ``finish``; weight 0 drops a term): the one loop of
+    where f_n = unit (sum_j weight(j, n) g_j f_(n-j)) / (q n) over g's terms
+    g_j t^j, 1 <= j <= n (g's constant term enters only through ``unit``,
+    1 if None; weight 0 drops a term): the one loop of
     :meth:`PuiseuxSeries.pow_rational` and ``exp``.  d is the gcd of g's
     nonconstant offsets 6e (g is no monomial), and an f_n that no term
-    reaches is absent, the exact zero."""
+    reaches is absent, the exact zero.  For exact scalars each f_n is one
+    integer sum over one denominator and one normalisation; otherwise its
+    sum is :func:`_miller_sum`."""
     d = math.gcd(*(k for k in g._by6 if k > 0))
     gs = [(k // d, c) for k, c in g._by6.items() if k > 0]
+    cg = clear([_ONE if unit is None else unit] + [c for _, c in gs])
     f = {0: f0}
-    n = 1
-    while n * d < 6 * rel:
-        acc = None
-        for j, gj in gs:
-            if j > n:
-                break
-            fk = f.get(n - j)
-            w = weight(j, n)
-            if fk is None or not w:
-                continue
-            t = gj * fk * w
-            acc = t if acc is None else acc + t
-        if acc is not None:
-            f[n] = finish(acc, n)
-        n += 1
-    lead6 = _k6(lead)
-    return _make({lead6 + k * d: c for k, c in f.items()}, lead + rel)
+    for n in range(1, math.ceil(6 * rel / d)):
+        ts = [(i, gj, f[n - j], w) for i, (j, gj) in enumerate(gs, 1)
+              if j <= n and n - j in f and (w := weight(j, n))]
+        if ts and cg and (cf := clear([t[2] for t in ts])):
+            (u, v, gauss), re, im = cg[1][0], 0, 0
+            for (i, *_, w), (c, e, gf) in zip(ts, cf[1]):
+                a, b, ga = cg[1][i]
+                re, im = re + w * (a * c - b * e), im + w * (a * e + b * c)
+                gauss = gauss or ga or gf
+            f[n] = uncleared(re * u - im * v, re * v + im * u, cg[0] ** 2 * cf[0] * q * n, gauss)
+        elif ts:
+            acc = _miller_sum([t[1:] for t in ts])
+            f[n] = (acc if unit is None else unit * acc) / (q * n)
+    return _make({_k6(lead) + k * d: c for k, c in f.items()}, lead + rel)
+
+
+def _miller_sum(pairs):
+    """The sum of g f w over ``pairs`` (g, f, w), as the chain of + over
+    g * f * w gives it: one :func:`_combine` if each g and f is an exact
+    series.  Inexact ones keep the chain, whose product by w = 1 can turn
+    a -0.0 part into 0.0 where _combine's chain skips that product."""
+    if all(isinstance(x, PuiseuxSeries) and _cleared(x) for g, f, _ in pairs for x in (g, f)):
+        return _combine(pairs)
+    return _sum(g * f * w for g, f, w in pairs)
 
 
 def _coeff_root(c, r: Fraction):

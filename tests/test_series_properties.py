@@ -17,14 +17,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import math
+import random
 
 import pytest
 
+from exactwkb import series as series_module
 from exactwkb.coefficients import GaussianRational, coeff_is_zero
 from exactwkb.errors import LogObstruction
 from exactwkb.polyring import QPoly
 from exactwkb.reduction import reduce_to_airy, schrodinger_pipeline
-from exactwkb.series import (INF, PuiseuxSeries, TaylorSeries, _combine, _diag,
+from exactwkb.series import (INF, PuiseuxSeries, TaylorSeries, _coeff_root, _combine, _diag,
                              _log_free, _make)
 
 settings.register_profile("series", max_examples=60, derandomize=True,
@@ -725,3 +727,116 @@ def test_a_constant_qpoly_hashes_like_its_scalar(c):
     # so an eps-series with a QPoly constant keeps the series hash rule
     s = PuiseuxSeries({0: QPoly(c)})
     assert s == c and hash(s) == hash(c)
+
+
+# -- Miller's recurrence: one pass per order against a plain loop -----------
+
+def expand_by_loop(g, rel, lead, f0, weight, unit=None, q=1):
+    """Miller's recurrence, f_n = unit (sum_j weight(j, n) g_j f_(n-j)) / (q n)
+    over g's terms g_j t^j (t = z^(d/6)), each g_j f_(n-j) w added in turn
+    in increasing j, a series product by the double loop (product_by_loop)."""
+    def mul(x, y):
+        return product_by_loop(x, y) if isinstance(x, PuiseuxSeries) else x * y
+    ks = [k for k in g._by6 if k > 0]
+    d = math.gcd(*ks)
+    f = {0: f0}
+    for n in range(1, math.ceil(6 * rel / d)):
+        acc = None
+        for j, gj in ((k // d, g._by6[k]) for k in ks):
+            if j <= n and n - j in f and (w := weight(j, n)):
+                t = mul(gj, f[n - j]) * w
+                acc = t if acc is None else acc + t
+        if acc is not None:
+            f[n] = (acc if unit is None else mul(unit, acc)) / (q * n)
+    return PuiseuxSeries({lead + Fr(n * d, 6): c for n, c in f.items()}, lead + rel, lattice=6)
+
+
+def power_by_loop(s, r, order):
+    """s**r (r a Fraction) or exp(s) (r = "exp") by :func:`expand_by_loop`."""
+    if r == "exp":
+        one = PuiseuxSeries.one() if isinstance(s.leading()[1], PuiseuxSeries) else Fr(1)
+        return expand_by_loop(s, s.trunc, Fr(0), one, lambda j, n: j)
+    m, c0 = s.leading()
+    p, q = r.numerator, r.denominator
+    return expand_by_loop(s.shift(-m), Fr(order) if s.trunc is INF else s.trunc - m, m * r,
+                          _coeff_root(c0, r), lambda j, n: (p + q) * j - q * n,
+                          _coeff_root(c0, Fr(-1)), q)
+
+
+def bits(s):
+    """s's truncation and, in exponent order, each coefficient's type and
+    repr (a QPoly's terms, a series coefficient's own bits)."""
+    return s.trunc, [(e, bits(c) if isinstance(c, PuiseuxSeries)
+                      else (type(c).__name__, repr(getattr(c, "terms", c))))
+                     for e, c in s.coeffs.items()]
+
+
+POSITIVE = st.fractions(min_value=Fr(1, 4), max_value=3, max_denominator=4)
+# ring -> (lead strategy given r's denominator q and whether r = -1, rest)
+MILLER_RINGS = {
+    "fraction": (lambda x, q, inv: x ** q, RATS),
+    "gaussian": (lambda x, q, inv: GaussianRational(x, 1) if inv else x ** q, EXACT),
+    "real_gaussian_lead": (lambda x, q, inv: GaussianRational(x ** q), RATS),
+    "complex": (lambda x, q, inv: complex(x, -x / 3), COMPLEX.filter(bool)),
+    "qpoly": (lambda x, q, inv: x ** q, QPOLYS),
+}
+
+
+@pytest.mark.parametrize("ring", [*sorted(MILLER_RINGS), "eps"])
+@settings(max_examples=80)
+@given(data=st.data())
+def test_miller_recurrence_matches_a_plain_loop(data, ring):
+    # values, truncation, key order, coefficient types and float bits
+    op = data.draw(st.sampled_from([Fr(-1), HALF, -HALF, Fr(2, 3), "inverse", "exp"]))
+    order = data.draw(st.sampled_from([0, 1, 2, Fr(5, 2), 4]))
+    if ring == "eps":
+        s = eps_series(data, unit=op != "exp", start=int(op == "exp"), finite=op == "exp")
+    elif op == "exp":
+        ks = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True))
+        s = PuiseuxSeries({k * HALF: data.draw(MILLER_RINGS[ring][1]) for k in ks},
+                          data.draw(st.integers(1, 9)) * HALF)
+    else:
+        lead, rest = MILLER_RINGS[ring]
+        r = Fr(-1) if op == "inverse" else op
+        m = data.draw(st.integers(-2, 2))
+        ks = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True))
+        t = data.draw(st.one_of(st.none(), st.integers(1, 8)))
+        s = PuiseuxSeries({m: lead(data.draw(POSITIVE), r.denominator, r == -1),
+                           **{m + k * HALF: data.draw(rest) for k in ks}},
+                          INF if t is None else m + t * HALF)
+    assume(any(k > min(s._by6) for k in s._by6))     # not a monomial: Miller's loop runs
+    if op == "exp":
+        got = s.exp()
+    else:
+        got = s.inverse(order) if op == "inverse" else s.pow_rational(op, order)
+    assert bits(got) == bits(power_by_loop(s, Fr(-1) if op == "inverse" else op, order))
+
+
+def test_the_clear_memo_holds_up_under_id_reuse():
+    """A few thousand series built and dropped, so that CPython hands their
+    ids to new ones: products and _combine sums still equal the Fraction-
+    keyed convolution, and the memo stays within its size."""
+    rng = random.Random(3)
+
+    def draw(trunc):
+        return PuiseuxSeries({Fr(k, 2): rng.choice([Fr(rng.randint(-9, 9), rng.randint(1, 9)),
+                                                    GaussianRational(rng.randint(-3, 3), 1)])
+                              for k in rng.sample(range(-2, 8), 3)}, trunc)
+
+    seen, reused = set(), 0
+    for _ in range(3000):
+        a, b = draw(INF), draw(rng.choice([INF, Fr(rng.randint(2, 8), 2)]))
+        reused += id(a) in seen
+        seen.add(id(a))
+        items, trunc = naive_product(a, b)
+        p = a * b
+        assert (p.trunc, [(e, repr(c)) for e, c in p.coeffs.items()]) == \
+            (trunc, [(e, repr(c)) for e, c in items])
+        want = dict(a.coeffs)
+        for e, c in [*((e, 2 * c) for e, c in b.coeffs.items()), *((e, -c) for e, c in items)]:
+            want[e] = want.get(e, 0) + c
+        got = _combine([a, (b, 0, lambda k: 2, lambda k: 1), (a, b, -1)])
+        assert got.trunc == min(b.trunc, trunc)
+        assert got.coeffs == {e: c for e, c in sorted(want.items()) if e < got.trunc and c}
+        assert len(series_module._CLEARED) <= series_module._MEMO_SIZE
+    assert reused > 100
