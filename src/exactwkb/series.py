@@ -127,11 +127,14 @@ _CLEARED: dict = {}     # id(s) -> (s, clear of s): s is held, so its id is not 
 
 def _cleared(s: "PuiseuxSeries"):
     """:func:`coefficients.clear` of s's terms, kept for up to _MEMO_SIZE
-    series (all dropped when full): a series many steps read is cleared once."""
+    exact series (all dropped when full): a series many steps read is
+    cleared once.  An inexact one is not kept; its clear stops early."""
     if (hit := _CLEARED.get(id(s))) is None:
+        if (c := clear(s._by6.values())) is None:
+            return None
         if len(_CLEARED) >= _MEMO_SIZE:
             _CLEARED.clear()
-        hit = _CLEARED[id(s)] = (s, clear(s._by6.values()))
+        hit = _CLEARED[id(s)] = (s, c)
     return hit[1]
 
 
@@ -729,25 +732,15 @@ def _expand(g, rel, lead, f0, weight, unit=None, q=1) -> PuiseuxSeries:
     1 if None; weight 0 drops a term): the one loop of
     :meth:`PuiseuxSeries.pow_rational` and ``exp``.  d is the gcd of g's
     nonconstant offsets 6e (g is no monomial), and an f_n that no term
-    reaches is absent, the exact zero.  For exact scalars each f_n is one
-    integer sum over one denominator and one normalisation; otherwise its
-    sum is :func:`_miller_sum`."""
+    reaches is absent, the exact zero.  Each order's sum is
+    :func:`_miller_sum`."""
     d = math.gcd(*(k for k in g._by6 if k > 0))
     gs = [(k // d, c) for k, c in g._by6.items() if k > 0]
-    cg = clear([_ONE if unit is None else unit] + [c for _, c in gs])
     f = {0: f0}
     for n in range(1, math.ceil(6 * rel / d)):
-        ts = [(i, gj, f[n - j], w) for i, (j, gj) in enumerate(gs, 1)
-              if j <= n and n - j in f and (w := weight(j, n))]
-        if ts and cg and (cf := clear([t[2] for t in ts])):
-            (u, v, gauss), re, im = cg[1][0], 0, 0
-            for (i, *_, w), (c, e, gf) in zip(ts, cf[1]):
-                a, b, ga = cg[1][i]
-                re, im = re + w * (a * c - b * e), im + w * (a * e + b * c)
-                gauss = gauss or ga or gf
-            f[n] = uncleared(re * u - im * v, re * v + im * u, cg[0] ** 2 * cf[0] * q * n, gauss)
-        elif ts:
-            acc = _miller_sum([t[1:] for t in ts])
+        if ts := [(gj, f[n - j], w) for j, gj in gs
+                  if j <= n and n - j in f and (w := weight(j, n))]:
+            acc = _miller_sum(ts)
             f[n] = (acc if unit is None else unit * acc) / (q * n)
     return _make({_k6(lead) + k * d: c for k, c in f.items()}, lead + rel)
 
