@@ -8,6 +8,9 @@ as two Fractions; float-mode computations use Python ``complex``/``float``;
 small polynomial rings (see :mod:`exactwkb.polyring`) slot in for
 computations with symbolic parameters.
 
+Each exact value has one form: a real one is always a ``Fraction``, and a
+``GaussianRational`` always has a nonzero imaginary part.
+
 A :class:`~exactwkb.series.PuiseuxSeries` is itself a coefficient (the
 eps-series of the formal layers have z-series coefficients) through the
 two hooks the series layer needs beyond ring arithmetic: the zero test
@@ -24,9 +27,12 @@ from math import gcd, lcm
 from typing import Any
 
 
-def _gauss(a: int, b: int, d: int) -> "GaussianRational":
+def _gauss(a: int, b: int, d: int):
     """(a + b*i)/d in canonical form, for d > 0 (every operation's d is a
-    product of positive denominators and sums of squares): the one gcd."""
+    product of positive denominators and sums of squares): Fraction(a, d)
+    if b = 0, else a GaussianRational with the one gcd."""
+    if not b:
+        return Fraction(a, d)
     g = gcd(a, b, d)
     out = object.__new__(GaussianRational)
     out._a, out._b, out._d = a // g, b // g, d // g
@@ -70,23 +76,33 @@ def _op(fn):
 
 
 class GaussianRational:
-    """Exact complex rational (a + b*i)/d stored as three ints.
+    """Exact complex rational (a + b*i)/d stored as three ints, b != 0.
 
     The form is canonical: d > 0 and gcd(a, b, d) = 1, so each of
     +, -, *, / costs one normalising gcd (Knuth, TAOCP vol. 2, 4.5.1).
+    A real value is a Fraction, never a GaussianRational: the constructor
+    and every operation return a Fraction when the imaginary part is 0, so
+    a GaussianRational is never zero and never equals an int or Fraction.
     ``re`` and ``im`` read the parts back as Fractions.  Interoperates
     with int and Fraction on either side.
     """
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re=0, im=0):
+    def __new__(cls, re=0, im=0):
         re, im = Fraction(re), Fraction(im)
+        if not im:
+            return re
         # over the lcm of the reduced denominators gcd(a, b, d) is already 1
         d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
+        self = object.__new__(cls)
         self._a = re.numerator * (d // re.denominator)
         self._b = im.numerator * (d // im.denominator)
         self._d = d
+        return self
+
+    def __reduce__(self):       # copy and pickle: __new__ takes the parts
+        return GaussianRational, (self.re, self.im)
 
     re = property(lambda self: Fraction(self._a, self._d))
     im = property(lambda self: Fraction(self._b, self._d))
@@ -102,14 +118,9 @@ class GaussianRational:
     def __pos__(self):
         return self
 
-    def __bool__(self):
-        return bool(self._a or self._b)
-
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
             return (self._a, self._b, self._d) == (other._a, other._b, other._d)
-        if isinstance(other, (int, Fraction)):
-            return (self._a, self._b, self._d) == (other.numerator, 0, other.denominator)
         if isinstance(other, (float, complex)):     # exactly, as Fraction == float
             return self.re == other.real and self.im == other.imag
         return NotImplemented
@@ -127,8 +138,6 @@ class GaussianRational:
         return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
-        if self._b == 0:
-            return f"GaussianRational({self.re})"
         return f"GaussianRational({self.re}, {self.im})"
 
     def conjugate(self):
@@ -166,9 +175,9 @@ def coeff_is_zero(value: Any) -> bool:
 def clear(values) -> tuple | None:
     """``values`` over one common denominator, or None unless each is a
     Fraction or a GaussianRational: (d, rows, gaussian), where row i is
-    (a_i, b_i, g_i) with values[i] = (a_i + b_i i)/d and g_i telling
-    whether values[i] is a GaussianRational, and ``gaussian`` how many
-    are."""
+    (a_i, b_i) with values[i] = (a_i + b_i i)/d, and ``gaussian`` counts
+    the GaussianRationals (the rows with b_i != 0).  ``_gauss(a, b, d)``
+    reads a row back."""
     dens = []
     gaussian = 0
     for c in values:
@@ -185,18 +194,10 @@ def clear(values) -> tuple | None:
     for c, e in zip(values, dens):
         m = d // e
         if type(c) is Fraction:
-            rows.append((c.numerator * m, 0, False))
+            rows.append((c.numerator * m, 0))
         else:
-            rows.append((c._a * m, c._b * m, True))
+            rows.append((c._a * m, c._b * m))
     return d, rows, gaussian
-
-
-def uncleared(a: int, b: int, d: int, gaussian: bool):
-    """(a + b i)/d for d > 0 as a GaussianRational if ``gaussian``, else
-    (b is then 0) as a Fraction: the inverse of :func:`clear`."""
-    if gaussian:
-        return _gauss(a, b, d)
-    return Fraction(a, d)
 
 
 def to_complex(value: Any) -> complex:

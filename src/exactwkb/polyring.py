@@ -91,9 +91,9 @@ class QPoly:
             return NotImplemented
         (dx, xs, _), (dy, ys, _) = clear(self.terms.values()), clear(o.terms.values())
         acc: dict = {}
-        for m1, (a, _, _) in zip(self.terms, xs):
+        for m1, (a, _) in zip(self.terms, xs):
             d1 = dict(m1)
-            for m2, (b, _, _) in zip(o.terms, ys):
+            for m2, (b, _) in zip(o.terms, ys):
                 m = tuple(sorted({**d1, **{n: d1.get(n, 0) + p for n, p in m2}}.items()))
                 acc[m] = acc[m] + a * b if m in acc else a * b
         return _poly({m: Fraction(a, dx * dy) for m, a in acc.items() if a})

@@ -20,9 +20,10 @@ outside the kernel.  JSON input is checked against (1/6)Z, so
 Each step of a recursion is one pass of :func:`_combine`: a sum of
 series mapped by :func:`_diag` (c z^(k/6) to c num(k)/den(k) z^((k+d)/6),
 as derivatives and rational multiples are) and of products, a product
-being one such term.  Exact terms are cleared to one denominator
-(:func:`_cleared`), integers are summed per exponent and one
-coefficient is normalised per exponent; other rings run the operators.
+being one such term.  Exact terms are cleared to one denominator (once
+per series, which keeps the form: :func:`_cleared`), integers are summed
+per exponent and one coefficient is normalised per exponent, a Fraction
+when its imaginary part is 0; other rings run the operators.
 
 A coefficient may itself be a ``PuiseuxSeries``: an eps-series is one in
 eps on the integer lattice with z-series coefficients, so one product and
@@ -43,13 +44,12 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping
 
 from .coefficients import (GaussianRational, _gauss, clear, coeff_is_zero,
-                           is_exact, lift, to_complex, uncleared)
+                           is_exact, lift, to_complex)
 from .errors import LatticeError, LogObstruction, SeriesError, SeriesFormatError
 
 INF = math.inf
@@ -121,21 +121,13 @@ def _diag(s: "PuiseuxSeries", d: int, num: Callable, den: Callable) -> "PuiseuxS
     return _make(out, s.trunc if s.trunc is INF else s.trunc + _exp6(d), _EXACT)
 
 
-_MEMO_SIZE = 512
-_CLEARED: dict = {}     # id(s) -> (s, clear of s): s is held, so its id is not reused
-
-
 def _cleared(s: "PuiseuxSeries"):
-    """:func:`coefficients.clear` of s's terms, kept for up to _MEMO_SIZE
-    exact series (all dropped when full): a series many steps read is
-    cleared once.  An inexact one is not kept; its clear stops early."""
-    if (hit := _CLEARED.get(id(s))) is None:
-        if (c := clear(s._by6.values())) is None:
-            return None
-        if len(_CLEARED) >= _MEMO_SIZE:
-            _CLEARED.clear()
-        hit = _CLEARED[id(s)] = (s, c)
-    return hit[1]
+    """:func:`coefficients.clear` of s's terms (None if one is inexact),
+    computed on first use and kept on s: a series is immutable, so the
+    form never goes stale."""
+    if not hasattr(s, "_clear"):
+        object.__setattr__(s, "_clear", clear(s._by6.values()))
+    return s._clear
 
 
 def _combine(terms, final=None, log=None) -> "PuiseuxSeries":
@@ -145,9 +137,9 @@ def _combine(terms, final=None, log=None) -> "PuiseuxSeries":
     subtracted if w < 0 (``acc - x * y * 2``); a term at key ``log`` raises
     LogObstruction; ``final`` = (d, num, den) maps the sum as _diag does.
     Exact terms are cleared to one denominator and their integers added
-    per key, a key whose sum is 0 after a term dropped (and Gaussian no
-    more), as a chained + drops it; then one Fraction or GaussianRational
-    is built per key, the final den(k) in its one gcd."""
+    per key; then each key whose sum is nonzero gets one coefficient, a
+    Fraction or a GaussianRational as its imaginary part is 0 or not,
+    with the final den(k) in its one gcd (:func:`coefficients._gauss`)."""
     parts, trunc = [], INF
     for t in terms:
         t = (t, 0, None, None) if isinstance(t, PuiseuxSeries) else t
@@ -157,11 +149,11 @@ def _combine(terms, final=None, log=None) -> "PuiseuxSeries":
             break       # not exact: the chain of operators
         if len(t) == 4:     # keys in s's order, over ds times the lcm Q of den(k)
             s, d, num, den = t
-            rows = [(k + d, a * n, b * n, g, den(k) if num else 1)
-                    for k, (a, b, g) in zip(s._by6, cs[0][1]) if (n := num(k) if num else 1)]
-            Q = math.lcm(*(r[4] for r in rows))
-            parts.append((cs[0][0] * Q, {k: a * (Q // q) for k, a, _, _, q in rows},
-                          {k: b * (Q // q) for k, _, b, g, q in rows if g}))
+            rows = [(k + d, a * n, b * n, den(k) if num else 1)
+                    for k, (a, b) in zip(s._by6, cs[0][1]) if (n := num(k) if num else 1)]
+            Q = math.lcm(*(r[3] for r in rows))
+            parts.append((cs[0][0] * Q, {k: a * (Q // q) for k, a, _, q in rows},
+                          {k: b * (Q // q) for k, _, b, q in rows if b}))
             tt = s.trunc if s.trunc is INF else s.trunc + _exp6(d)
         else:
             parts.append((cs[0][0] * cs[1][0], *_cleared_product(
@@ -169,22 +161,20 @@ def _combine(terms, final=None, log=None) -> "PuiseuxSeries":
         trunc = min(trunc, tt)
     else:
         D = math.lcm(*[p[0] for p in parts])
-        re, im = {}, {}     # im: the Gaussian keys
+        re, im = {}, {}     # every key of im is one of re
         for Dt, pre, pim in parts:
             f = D // Dt
             for k, a in pre.items():
                 re[k] = re[k] + a * f if k in re else a * f
             for k, b in pim.items():
-                im[k] = im.get(k, 0) + b * f
-            re = {k: a for k, a in re.items() if a or im.get(k)}
-            im = {k: b for k, b in im.items() if k in re}
+                im[k] = im[k] + b * f if k in im else b * f
         top = INF if trunc is INF else _top6(trunc)
-        if log is not None and log in re and log < top:
+        if log is not None and log < top and (re.get(log) or im.get(log)):
             raise LogObstruction("antiderivative of a z^-1 term would introduce log z")
         d, num, den = final or (0, None, None)
-        return _make({k + d: uncleared(a * n, im.get(k, 0) * n, D * (den(k) if num else 1),
-                                       k in im)
-                      for k, a in re.items() if k < top and (n := num(k) if num else 1)},
+        return _make({k + d: _gauss(a * n, b * n, D * (den(k) if num else 1))
+                      for k, a in re.items() if k < top and ((b := im.get(k, 0)) or a)
+                      and (n := num(k) if num else 1)},
                      trunc if trunc is INF else trunc + _exp6(d), _EXACT)
     acc = None
     for t in terms:
@@ -231,27 +221,24 @@ def _convolve(x: "PuiseuxSeries", y: "PuiseuxSeries") -> "PuiseuxSeries":
 
 
 def _cleared_product(pair, cx, cy, kmax) -> tuple:
-    """The pair (x, y, w) of :func:`_combine` over dx dy, as (real, Gaussian
-    imaginary) integer parts keyed by 6e."""
-    (x, y, w), (_, rx, gx), (_, ry, gy), re, im, gs = pair, cx, cy, {}, {}, set()
+    """The pair (x, y, w) of :func:`_combine` over dx dy, as (real,
+    imaginary) integer parts keyed by 6e, the imaginary ones empty when
+    neither factor has a GaussianRational."""
+    (x, y, w), (_, rx, gx), (_, ry, gy), re, im = pair, cx, cy, {}, {}
     if not (gx or gy):
-        bs = [(kb, b * w) for kb, (b, _, _) in zip(y._by6, ry)]
-        for ka, (a, _, _) in zip(x._by6, rx):
+        bs = [(kb, b * w) for kb, (b, _) in zip(y._by6, ry)]
+        for ka, (a, _) in zip(x._by6, rx):
             for kb, b in bs:
                 if (k := ka + kb) < kmax:
                     re[k] = re[k] + a * b if k in re else a * b
-        return {k: a for k, a in re.items() if a}, im
-    every = gx == len(rx) or gy == len(ry)      # then every key is Gaussian
-    bs = [(kb, c * w, e * w, gb) for kb, (c, e, gb) in zip(y._by6, ry)]
-    for ka, (a, b, ga) in zip(x._by6, rx):
-        for kb, c, e, gb in bs:
+        return re, im
+    bs = [(kb, c * w, e * w) for kb, (c, e) in zip(y._by6, ry)]
+    for ka, (a, b) in zip(x._by6, rx):
+        for kb, c, e in bs:
             if (k := ka + kb) < kmax:
                 re[k] = re.get(k, 0) + a * c - b * e
                 im[k] = im.get(k, 0) + a * e + b * c
-                if not every and (ga or gb):
-                    gs.add(k)
-    keep = [k for k, a in re.items() if a or im[k]]     # a zero sum adds nothing
-    return {k: re[k] for k in keep}, {k: im[k] for k in keep if every or k in gs}
+    return re, im
 
 
 def _log_free(data: Mapping, k: int) -> None:
@@ -279,7 +266,7 @@ class PuiseuxSeries:
         operations live on the 1/6 lattice.
     """
 
-    __slots__ = ("_by6", "trunc")
+    __slots__ = ("_by6", "trunc", "_clear")     # _clear: see _cleared
 
     def __init__(self, coeffs: Mapping | Iterable = (), trunc=INF, lattice: int = 2):
         if lattice not in (1, 2, 3, 6):
@@ -315,7 +302,7 @@ class PuiseuxSeries:
         0 for the exact zero."""
         if not self._by6:
             return self.trunc if self.trunc is not INF else Fraction(0)
-        return _exp6(min(self._by6))
+        return _exp6(next(iter(self._by6)))
 
     def is_zero(self) -> bool:
         return not self._by6
@@ -332,7 +319,7 @@ class PuiseuxSeries:
         """(exponent, coefficient) of the lowest-order term."""
         if not self._by6:
             raise SeriesError("zero series has no leading term")
-        k = min(self._by6)
+        k = next(iter(self._by6))
         return _exp6(k), self._by6[k]
 
     def terms(self):
@@ -482,7 +469,7 @@ class PuiseuxSeries:
                 return _make({}, self.trunc if self.trunc is INF else self.trunc * r)
             raise SeriesError("0 cannot be raised to a non-positive rational power")
         if r.denominator == 1 and r >= 0:     # a product, exact for any series
-            return functools.reduce(operator.mul, [self] * int(r), _make({0: _ONE}, INF))
+            return _powers(self, int(r), INF)[-1]
         m, c0 = self.leading()
         new_exp = _check_sixths(m * r)
         c0r = _coeff_root(c0, r)
@@ -563,7 +550,7 @@ class PuiseuxSeries:
         inner^1, ... (formed here if not given) at a truncation no
         tighter than ``trunc``, see :func:`compose_each`."""
         if powers is None:
-            powers = _powers(inner, max(self._by6, default=0) // 6, trunc)
+            powers = _powers(inner, next(reversed(self._by6), 0) // 6, trunc)
         out = _make({}, trunc)
         for k, c in self._by6.items():
             out = out + powers[k // 6].with_trunc(trunc) * c
@@ -652,8 +639,7 @@ class PuiseuxSeries:
         for e, val in d["coeffs"]:
             re_v, im_v = val
             if isinstance(re_v, str):
-                re_f, im_f = Fraction(re_v), Fraction(im_v)
-                c = re_f if im_f == 0 else GaussianRational(re_f, im_f)
+                c = GaussianRational(re_v, im_v)     # a Fraction if im_v is 0
             else:
                 c = complex(re_v, im_v)
                 if c.imag == 0:
@@ -720,7 +706,7 @@ def compose_each(outers, inner: PuiseuxSeries) -> list:
     truncation T a product's coefficients depend only on its factors'
     terms below T."""
     truncs = [f._compose_trunc(inner) for f in outers]
-    top = max((max(f._by6, default=0) // 6 for f in outers), default=0)
+    top = max((next(reversed(f._by6), 0) // 6 for f in outers), default=0)
     powers = _powers(inner, top, max(truncs, default=_ZERO))
     return [f._compose_plain(inner, t, powers) for f, t in zip(outers, truncs)]
 
@@ -762,8 +748,6 @@ def _coeff_root(c, r: Fraction):
         return c.pow_rational(r)
     if r == -1:
         return _ONE / c
-    if isinstance(c, GaussianRational) and c.im == 0:
-        c = c.re
     if isinstance(c, Fraction):
         if r.denominator == 1:
             return c ** r

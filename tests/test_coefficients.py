@@ -1,28 +1,28 @@
 """Property tests for GaussianRational against a pair-of-Fractions model.
 
 GaussianRational keeps (a + b*i)/d as three ints in canonical form
-(d > 0, gcd(a, b, d) = 1).  Every result must equal what plain complex
-arithmetic on (re, im) Fraction pairs gives, be canonical, and agree with
-Fraction on == and hash when its imaginary part is 0.
+(d > 0, b != 0, gcd(a, b, d) = 1); a real value is a Fraction.  Every
+result must equal what plain complex arithmetic on (re, im) Fraction pairs
+gives and be in that one form, so a real one is a Fraction, with
+Fraction's == and hash.
 """
 
+import copy
+import pickle
 from fractions import Fraction as Fr
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from exactwkb.coefficients import GaussianRational as G
-from exactwkb.coefficients import clear, coeff_is_zero, uncleared
+from exactwkb.coefficients import _gauss, clear, coeff_is_zero
 from exactwkb.polyring import QPoly
-
-settings.register_profile("coefficients", max_examples=60, derandomize=True,
-                          deadline=None, database=None)
-settings.load_profile("coefficients")
+from exactwkb.series import INF, PuiseuxSeries, _combine, _diag
 
 RATS = st.fractions(min_value=-50, max_value=50, max_denominator=60)
-GAUSS = st.builds(G, RATS, RATS)
+GAUSS = st.builds(G, RATS, RATS)      # a Fraction when the drawn im is 0
 SCALARS = st.one_of(st.integers(-40, 40), RATS)
 
 
@@ -56,8 +56,12 @@ OPS = [(lambda x, y: x + y, m_add), (lambda x, y: x - y, m_sub),
 
 
 def assert_canonical(g):
-    assert isinstance(g, G)
-    assert g._d > 0
+    """The one form: a real value is a Fraction, any other a GaussianRational
+    with d > 0, b != 0 and gcd(a, b, d) = 1."""
+    if type(g) is Fr:
+        return
+    assert type(g) is G
+    assert g._d > 0 and g._b != 0
     assert gcd(g._a, g._b, g._d) == 1
 
 
@@ -74,9 +78,10 @@ def check(x, y):
 @given(GAUSS, GAUSS)
 def test_ops_match_the_pair_model(x, y):
     check(x, y)
+    re, im = pair(x)
     assert_canonical(-x)
-    assert pair(-x) == (-x.re, -x.im)
-    assert pair(x.conjugate()) == (x.re, -x.im)
+    assert pair(-x) == (-re, -im)
+    assert pair(x.conjugate()) == (re, -im)
     assert_canonical(x.conjugate())
 
 
@@ -90,14 +95,17 @@ def test_int_and_fraction_operands_on_both_sides(x, q):
 def test_constructor_is_canonical_and_reads_back(re, im):
     g = G(re, im)
     assert_canonical(g)
-    assert (g.re, g.im) == (re, im)
-    assert isinstance(g.re, Fr) and isinstance(g.im, Fr)
+    assert pair(g) == (re, im)
+    assert type(g) is (G if im else Fr)
+    if im:
+        assert isinstance(g.re, Fr) and isinstance(g.im, Fr)
     assert G(str(re), str(im)) == g
 
 
 @given(SCALARS)
 def test_eq_and_hash_agree_with_fraction_at_im_zero(q):
     g = G(q)
+    assert type(g) is Fr
     assert g == q and q == g
     assert hash(g) == hash(q) == hash(Fr(q))
     assert {q: "x"}[g] == "x"
@@ -137,7 +145,8 @@ def test_complex_eq_and_hash_on_a_grid():
 
 @given(GAUSS)
 def test_complex_is_the_float_pair(g):
-    assert complex(g) == complex(float(g.re), float(g.im))
+    re, im = pair(g)
+    assert complex(g) == complex(float(re), float(im))
 
 
 @given(st.one_of(GAUSS, SCALARS))
@@ -153,7 +162,8 @@ def test_read_only_parts_and_repr():
         g.re = 1
     assert (g._a, g._b, g._d) == (2, -3, 4)
     assert repr(g) == "GaussianRational(1/2, -3/4)"
-    assert repr(G(Fr(6, 4))) == "GaussianRational(3/2)"
+    assert repr(G(Fr(6, 4))) == "Fraction(3, 2)"
+    assert repr(G(Fr(6, 4), 0) * G(1, 2) / G(1, 2)) == "Fraction(3, 2)"
     assert g.conjugate() == G(Fr(1, 2), Fr(3, 4))
 
 
@@ -168,17 +178,128 @@ def test_zero_test_of_exact_scalars_skips_fraction_eq(monkeypatch):
         raise AssertionError("Fraction.__eq__ called")
     monkeypatch.setattr(Fr, "__eq__", refuse)
     assert coeff_is_zero(Fr(0)) and not coeff_is_zero(Fr(1, 3))
-    assert coeff_is_zero(G(0)) and not coeff_is_zero(G(0, 2))
+    assert coeff_is_zero(G(0)) and not coeff_is_zero(G(0, 2)) and not coeff_is_zero(G(1, 2))
     assert not coeff_is_zero(G(Fr(5, 2)))
 
 
 @given(st.lists(st.one_of(GAUSS, RATS), max_size=8))
-def test_clear_and_uncleared_invert_each_other(values):
+def test_clear_and_gauss_invert_each_other(values):
     d, rows, gaussian = clear(values)
     assert d > 0 and gaussian == sum(isinstance(v, G) for v in values)
-    back = [uncleared(a, b, d, g) for a, b, g in rows]
+    assert gaussian == sum(b != 0 for _, b in rows)
+    back = [_gauss(a, b, d) for a, b in rows]
     assert [repr(v) for v in back] == [repr(v) for v in values]
 
 
 def test_clear_refuses_other_rings():
     assert clear([Fr(1), 0.5]) is None and clear([1j]) is None
+
+
+# -- the one form, through the series kernel ----------------------------------
+
+# values whose products, quotients and sums are often real: i^2, (1+i)(1-i), ...
+UNITS = st.sampled_from([Fr(1), Fr(-2), Fr(1, 2), G(0, 1), G(0, -1), G(1, 1), G(1, -1),
+                         G(Fr(1, 2), Fr(-1, 2)), G(-2, 2)])
+HALF = Fr(1, 2)
+
+
+def pairs_of(s):
+    """The terms of s as {6e: (re, im)}, each checked to be in its one form."""
+    for c in s._by6.values():
+        assert_canonical(c)
+    return {k: pair(c) for k, c in s._by6.items()}
+
+
+def scaled(p, f):
+    return p[0] * f, p[1] * f
+
+
+def model_combine(terms, final=None):
+    """{6e: (re, im)} of _combine(terms, final) by the pair model, every term
+    kept (the caller cuts at the result's truncation)."""
+    out = {}
+
+    def add(k, p):
+        out[k] = m_add(out.get(k, (0, 0)), p)
+    for t in terms:
+        if isinstance(t, PuiseuxSeries):
+            t = (t, 0, lambda k: 1, lambda k: 1)
+        if len(t) == 4:
+            s, d, num, den = t
+            for k, p in pairs_of(s).items():
+                add(k + d, scaled(p, Fr(num(k), den(k))))
+        else:
+            for ka, p in pairs_of(t[0]).items():
+                for kb, q in pairs_of(t[1]).items():
+                    add(ka + kb, scaled(m_mul(p, q), t[2]))
+    if final is not None:
+        d, num, den = final
+        out = {k + d: scaled(p, Fr(num(k), den(k))) for k, p in out.items()}
+    return out
+
+
+def assert_model(r, model, below=None):
+    """r's terms are in their one form and are the model's nonzero terms
+    below r's truncation (or ``below``)."""
+    top = 6 * (r.trunc if below is None else below)
+    assert {k: p for k, p in pairs_of(r).items() if k < top} == \
+        {k: p for k, p in model.items() if k < top and p != (0, 0)}
+
+
+def unit_series(data, lo=0, lead=None):
+    """Up to four UNITS terms at exponents lo/2 .. (lo + 5)/2, led by ``lead``
+    z^(lo/2) if given, and a drawn truncation past them (or none)."""
+    ks = data.draw(st.lists(st.integers(lo + (lead is not None), lo + 5), max_size=4,
+                            unique=True))
+    terms = {k * HALF: data.draw(UNITS) for k in ks}
+    if lead is not None:
+        terms[lo * HALF] = lead
+    t = data.draw(st.one_of(st.none(), st.integers(lo + 1, lo + 8)))
+    return PuiseuxSeries(terms, INF if t is None else t * HALF)
+
+
+@given(st.data())
+def test_no_result_is_a_gaussian_with_zero_imaginary_part(data):
+    """Every exact result is a Fraction or a GaussianRational with b != 0,
+    and is what the (re, im) pair model gives: scalar + - * /, _diag,
+    _combine with cancelling terms, products, pow_rational, inverse, exp,
+    the JSON round trip, and copy and pickle of a GaussianRational."""
+    x, y = data.draw(UNITS), data.draw(UNITS)
+    check(x, y)
+    for g in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert_canonical(g)
+        assert type(g) is type(x) and pair(g) == pair(x)
+
+    a, b = unit_series(data), unit_series(data, lo=-2)
+    weight = (data.draw(st.sampled_from([-3, 0, 3])), lambda k: k % 4 - 1, lambda k: 2 + abs(k))
+    assert_model(_diag(a, *weight), model_combine([(a, *weight)]))
+    assert_model(a * b, model_combine([(a, b, 1)]))
+    # each term then the terms that cancel it, or its conjugate's: real keys
+    conj = PuiseuxSeries({e: c.conjugate() for e, c in a.coeffs.items()}, a.trunc)
+    terms = [a, (b, *weight), (a, b, 2), conj,
+             (a, 0, lambda k: -1, lambda k: 1), (b, weight[0], lambda k: 1 - k % 4, weight[2])]
+    terms = data.draw(st.permutations(terms))
+    final = data.draw(st.sampled_from([None, (6, lambda k: 1, lambda k: 3)]))
+    assert_model(_combine(terms, final), model_combine(terms, final))
+
+    # powers: each result times its inverse power, in the model, is 1 or s
+    s = unit_series(data, lo=data.draw(st.sampled_from([-2, 0, 2])),
+                    lead=data.draw(st.sampled_from([Fr(1), Fr(4), Fr(1, 4)])))
+    r = s.inverse(2)
+    assert_model(r * s, model_combine([(r, s, 1)]))
+    assert_model(r * s, {0: (1, 0)})
+    f = s.pow_rational(HALF, 2)
+    assert_model(f * f, model_combine([(f, f, 1)]))
+    assert_model(f * f, pairs_of(s), (f * f).trunc)
+    assert_model(s.pow_rational(2), model_combine([(s, s, 1)]))
+    # exp: E' = u' E, u of positive order and known below a finite order
+    u = unit_series(data, lo=1)
+    u = u if u.trunc is not INF else u.with_trunc(4)
+    E = u.exp()
+    assert_model(E.derivative(), model_combine([(u.derivative(), E, 1)]), u.trunc - 1)
+    assert_model(E.derivative(), model_combine([(E, -6, lambda k: k, lambda k: 6)]))
+
+    for t in (a, b, r, f, E):
+        back = PuiseuxSeries.from_json(t.to_json())
+        assert back == t and back.trunc == t.trunc
+        assert pairs_of(back) == pairs_of(t)

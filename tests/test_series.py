@@ -287,9 +287,14 @@ def test_lattice_checked_on_input():
 
 def test_series_stores_only_coefficients_and_truncation():
     a = PuiseuxSeries({Fr(1, 3): 1}, lattice=3) * S({Fr(1, 2): 1}, trunc=3)
-    # the terms keyed by the integer 6e, and the truncation
-    assert PuiseuxSeries.__slots__ == ("_by6", "trunc")
+    # the terms keyed by the integer 6e, the truncation, and the terms'
+    # cleared form, filled only once the kernel reads it
+    assert PuiseuxSeries.__slots__ == ("_by6", "trunc", "_clear")
     assert a._by6 == {5: Fr(1)}
+    assert not hasattr(a, "_clear")
+    assert (a * a)._by6 == {10: Fr(1)} and a._clear == (1, [(1, 0)], 0)
+    with pytest.raises(AttributeError):
+        a._clear = None
     with pytest.raises(AttributeError):
         a.trunc = 5
     with pytest.raises(AttributeError):

@@ -22,16 +22,12 @@ import random
 import pytest
 
 from exactwkb import series as series_module
-from exactwkb.coefficients import GaussianRational, coeff_is_zero
+from exactwkb.coefficients import GaussianRational, clear, coeff_is_zero
 from exactwkb.errors import LogObstruction
 from exactwkb.polyring import QPoly
 from exactwkb.reduction import reduce_to_airy, schrodinger_pipeline
 from exactwkb.series import (INF, PuiseuxSeries, TaylorSeries, _coeff_root, _combine, _diag,
                              _log_free, _make)
-
-settings.register_profile("series", max_examples=60, derandomize=True,
-                          deadline=None, database=None)
-settings.load_profile("series")
 
 HALF = Fr(1, 2)
 RATS = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
@@ -378,7 +374,8 @@ def test_product_matches_the_fraction_keyed_convolution(data, ring):
 
 # numerators and denominators large enough that clearing them matters
 LONG_RATS = st.builds(Fr, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 97))
-# Gaussians, a zero imaginary part among them, and Fractions in one series
+# Gaussians and Fractions in one series (a GaussianRational built with a zero
+# imaginary part is a Fraction)
 MIXED = st.one_of(LONG_RATS, st.builds(GaussianRational, LONG_RATS, LONG_RATS),
                   st.builds(GaussianRational, LONG_RATS))
 LONG_COEFFS = {"fraction": LONG_RATS, "mixed": MIXED}
@@ -399,22 +396,28 @@ def test_long_and_mixed_products_match_the_fraction_keyed_convolution(data, ring
     p = a * b
     assert p.trunc == trunc
     # same keys in increasing exponent, the same values and the same types: a
-    # coefficient is Gaussian iff some pair that feeds it has a Gaussian
+    # coefficient is a GaussianRational iff its imaginary part is nonzero
     assert [(e, repr(c)) for e, c in p.coeffs.items()] == \
         [(e, repr(c)) for e, c in items]
 
 
-def test_a_gaussian_with_zero_imaginary_part_keeps_its_products_gaussian():
-    real = GaussianRational(Fr(2, 3))
+def test_a_real_valued_gaussian_product_is_a_fraction():
+    real = GaussianRational(Fr(2, 3))       # a zero imaginary part: a Fraction
+    assert type(real) is Fr
     a = PuiseuxSeries({0: Fr(1, 3), 1: real})
     b = PuiseuxSeries({0: Fr(3, 5), 2: GaussianRational(1, 1)})
     p = a * b
     assert [(e, repr(c)) for e, c in p.coeffs.items()] == [
-        (0, "Fraction(1, 5)"), (1, "GaussianRational(2/5)"),
+        (0, "Fraction(1, 5)"), (1, "Fraction(2, 5)"),
         (2, "GaussianRational(1/3, 1/3)"), (3, "GaussianRational(2/3, 2/3)")]
-    # a cancellation to 0 drops the term, whatever its type
+    # a cancellation to 0 drops the term
     assert (a * PuiseuxSeries({0: 1, 1: -real / Fr(1, 3)})).coeffs == {
-        0: Fr(1, 3), 2: GaussianRational(Fr(-4, 3))}
+        0: Fr(1, 3), 2: Fr(-4, 3)}
+    # ((1 - i) + i z)((1 + i) + i z) = 2 + 2i z - z^2
+    i = GaussianRational(0, 1)
+    p = PuiseuxSeries({0: 1 - i, 1: i}) * PuiseuxSeries({0: 1 + i, 1: i})
+    assert [(e, repr(c)) for e, c in p.coeffs.items()] == [
+        (0, "Fraction(2, 1)"), (1, "GaussianRational(0, 2)"), (2, "Fraction(-1, 1)")]
 
 
 @given(st.data())
@@ -619,11 +622,11 @@ def test_a_gaussian_key_that_cancels_comes_back_as_a_fraction():
     out = _combine([g, undo(g), f])
     assert [(e, repr(c)) for e, c in out.coeffs.items()] == [
         (1, "Fraction(3, 1)"), (2, "Fraction(1, 5)")]
-    # kept alive, a key stays Gaussian; a product cancels as a sum does
+    # a key's type follows its final value; a product cancels as a sum does
     out = _combine([g, f, (g, f, 1), (f, g, -1)])
     assert [(e, repr(c)) for e, c in out.coeffs.items()] == [
-        (1, "GaussianRational(4, 2)"), (2, "GaussianRational(16/5)")]
-    # a product's own zero sum adds nothing: no term and no Gaussian flag
+        (1, "GaussianRational(4, 2)"), (2, "Fraction(16, 5)")]
+    # a product's own zero sum adds nothing: no term
     x, y = PuiseuxSeries({0: 1, 1: 1}), PuiseuxSeries({0: 1, 1: -1})
     assert list(_combine([(x, y, 1)]).coeffs) == [0, 2]
     assert list(_combine([(x, y, 1), PuiseuxSeries({1: 5})]).coeffs) == [0, 1, 2]
@@ -785,6 +788,8 @@ POSITIVE = st.fractions(min_value=Fr(1, 4), max_value=3, max_denominator=4)
 MILLER_RINGS = {
     "fraction": (lambda x, q, inv: x ** q, RATS),
     "gaussian": (lambda x, q, inv: GaussianRational(x, 1) if inv else x ** q, EXACT),
+    # GaussianRational(x ** q) is the Fraction x ** q: kept as the ring whose
+    # lead once came as a real-valued GaussianRational
     "real_gaussian_lead": (lambda x, q, inv: GaussianRational(x ** q), RATS),
     "complex": (lambda x, q, inv: complex(x, -x / 3), COMPLEX.filter(bool)),
     "qpoly": (lambda x, q, inv: x ** q, QPOLYS),
@@ -832,10 +837,12 @@ def test_miller_keeps_the_chains_signed_zeros():
     assert bits(got) == bits(power_by_loop(E, "exp", None))
 
 
-def test_the_clear_memo_holds_up_under_id_reuse():
-    """A few thousand series built and dropped, so that CPython hands their
-    ids to new ones: products and _combine sums still equal the Fraction-
-    keyed convolution, and the memo stays within its size."""
+def test_a_series_is_cleared_once(monkeypatch):
+    """A few thousand series, each cleared by the first kernel pass that
+    reads it and kept cleared: products and _combine sums still equal the
+    Fraction-keyed convolution, with one clear per series."""
+    calls = []
+    monkeypatch.setattr(series_module, "clear", lambda values: calls.append(1) or clear(values))
     rng = random.Random(3)
 
     def draw(trunc):
@@ -843,11 +850,9 @@ def test_the_clear_memo_holds_up_under_id_reuse():
                                                     GaussianRational(rng.randint(-3, 3), 1)])
                               for k in rng.sample(range(-2, 8), 3)}, trunc)
 
-    seen, reused = set(), 0
     for _ in range(3000):
         a, b = draw(INF), draw(rng.choice([INF, Fr(rng.randint(2, 8), 2)]))
-        reused += id(a) in seen
-        seen.add(id(a))
+        calls.clear()
         items, trunc = naive_product(a, b)
         p = a * b
         assert (p.trunc, [(e, repr(c)) for e, c in p.coeffs.items()]) == \
@@ -858,7 +863,8 @@ def test_the_clear_memo_holds_up_under_id_reuse():
         got = _combine([a, (b, 0, lambda k: 2, lambda k: 1), (a, b, -1)])
         assert got.trunc == min(b.trunc, trunc)
         assert got.coeffs == {e: c for e, c in sorted(want.items()) if e < got.trunc and c}
-        assert len(series_module._CLEARED) <= series_module._MEMO_SIZE
-    assert reused > 100
-    c = PuiseuxSeries({0: 1.5j, 1: 2.0})       # inexact: summed by the chain, not kept
-    assert _combine([c, (c, c, 1)]) == c + c * c and id(c) not in series_module._CLEARED
+        assert len(calls) == 2      # a and b, once each for both passes
+    c = PuiseuxSeries({0: 1.5j, 1: 2.0})       # inexact: summed by the chain
+    calls.clear()
+    assert _combine([c, (c, c, 1)]) == c + c * c and c._clear is None
+    assert _combine([c]) == c and len(calls) == 1
