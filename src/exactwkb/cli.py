@@ -222,10 +222,10 @@ def cmd_reduce(args) -> dict:
     from .reduction import schrodinger_master_residual
     resid = schrodinger_master_residual(
         s_q, V.with_trunc(min(V.trunc, Fraction(N + 4))), orders=N)
-    F0 = F._by6.get(0, Fraction(0))
+    F0 = F.coeff(0) if F.trunc > 0 else None     # null: F is not known at z^0
     return {
         "F": F.to_json_dict(),
-        "F0": str(F0) if isinstance(F0, Fraction) else _c2l(complex(F0)),
+        "F0": None if F0 is None else str(F0) if isinstance(F0, Fraction) else _c2l(complex(F0)),
         "s": [s.to_json_dict() for s in s_q.s_coeffs],
         "master_residual_max_coeff": _worst_json(max_abs_coeff(resid.coeffs)),
         "meta": {"orders": N},

@@ -24,8 +24,7 @@ from .airy import airy_contour, symbol_borel_sum
 from .coefficients import to_complex
 from .contours import ContourSpec, LaplaceResult
 from .errors import ContourFailure, DomainExit
-from .series import (PuiseuxSeries, _combine, _diag, _exp6, _principal_pow, _sum,
-                     max_abs_coeff, require_taylor)
+from .series import PuiseuxSeries, _combine, _principal_pow, max_abs_coeff, require_taylor
 from .transport import transport_g
 
 
@@ -48,11 +47,11 @@ class BivariateSeries:
 
     @cached_property
     def _table(self) -> tuple[tuple, tuple]:
-        keys = sorted({k for a in self.a_list for k in a._by6})
-        index = {k: i for i, k in enumerate(keys)}
-        rows = tuple(tuple((to_complex(c), index[k]) for k, c in a._by6.items())
+        exps = sorted({e for a in self.a_list for e, _ in a.terms()})
+        index = {e: i for i, e in enumerate(exps)}
+        rows = tuple(tuple((to_complex(c), index[e]) for e, c in a.terms())
                      for a in self.a_list)
-        return tuple(_exp6(k) for k in keys), rows
+        return tuple(exps), rows
 
     def values_at(self, z: complex) -> np.ndarray:
         """[a.eval(z) for a in a_list] as an array, bit for bit: the same
@@ -113,7 +112,7 @@ def _require_kernel_of(psi: BivariateSeries, F, h) -> None:
         raise ValueError("psi is not the kernel of the given h (its a_1 differs)")
     if psi.Nx >= 2:
         a2 = psi.a_list[2]
-        preimage = _diag(a2, 0, lambda k: 2 + 4 * (k // 6), lambda k: 1)
+        preimage = _combine([(a2, 0, lambda k: 2 + 4 * (k // 6), lambda k: 1)])
         if not (preimage - F).is_zero():
             raise ValueError("psi is not the kernel of the given F (its a_2 differs)")
 
@@ -234,32 +233,31 @@ def picard_deltas(F: PuiseuxSeries, h: PuiseuxSeries, K: int,
     delta_0 is h plus x F_m z^m/(4m+2).  On terms c z^{k/6} of an
     x-order n part, m = k//6, the integral operators of the fixed-point
     equation are diagonal: 2x int u d_z delta - int int 2 d_z delta goes
-    to x^{n+1} weighted by 2mn/((n+1)(4m+n-2)) (shift -6); - int int t
-    d_z^2 delta to x^{n+2} by -m(m-1)/((n+2)(4m+n-5)) (shift -12); and
-    int int t F delta to x^{n+2} as F delta, its z^M term divided by
-    (n+2)(4M+n+3).  Each round draws on z-orders up to two higher, so F
-    and h are cut at z^{Nz+2K+1} and the series truncation drops what K
-    rounds no longer know; a truncated F or h carries into every delta.
-    sum_k delta_k reproduces the a_{n+1} of pde_taylor (tested), and each
-    increment obeys the explicit sup-norm bound checked in the acceptance
-    suite.
+    to x^{n+1} weighted by 2mn (shift -6); - int int t d_z^2 delta to
+    x^{n+2} by -m(m-1) (shift -12); and int int t F delta to x^{n+2} as
+    F delta.  Each x^p part is one _combine, its z^M term divided by
+    p(4M+p+1) in the final map.  Each round draws on z-orders up to two
+    higher, so F and h are cut at z^{Nz+2K+1} and the series truncation
+    drops what K rounds no longer know; a truncated F or h carries into
+    every delta.  sum_k delta_k reproduces the a_{n+1} of pde_taylor
+    (tested), and each increment obeys the explicit sup-norm bound
+    checked in the acceptance suite.
     """
     require_taylor(F, "F")
     require_taylor(h, "h")
     window = Fraction(Nz + 2 * K + 1)
     F, h = (s.with_trunc(min(s.trunc, window)) for s in (F, h))
     zero = PuiseuxSeries.zero()
-    delta0 = [h, _diag(F, 0, lambda k: 1, lambda k: 4 * (k // 6) + 2)] + [zero] * (Nx - 1)
+    delta0 = [h, _combine([(F, 0, lambda k: 1, lambda k: 4 * (k // 6) + 2)])] + [zero] * (Nx - 1)
     deltas = [delta0[:Nx + 1]]
     for _ in range(K):
-        nxt = [zero] * (Nx + 1)
-        for n, dn in enumerate(deltas[-1][:Nx]):
-            nxt[n + 1] += _diag(dn, -6, lambda k: 2 * (k // 6) * n,
-                                lambda k: (n + 1) * (4 * (k // 6) + n - 2))
-            if n + 2 <= Nx:
-                nxt[n + 2] += _diag(dn, -12, lambda k: -(k // 6) * (k // 6 - 1),
-                                    lambda k: (n + 2) * (4 * (k // 6) + n - 5)) \
-                    + _diag(F * dn, 0, lambda k: 1, lambda k: (n + 2) * (4 * (k // 6) + n + 3))
+        d, nxt = deltas[-1], [zero]
+        for p in range(1, Nx + 1):
+            terms = [(d[p - 1], -6, lambda k: 2 * (k // 6) * (p - 1), lambda k: 1)]
+            if p >= 2:
+                terms += [(d[p - 2], -12, lambda k: -(k // 6) * (k // 6 - 1), lambda k: 1),
+                          (F, d[p - 2], 1)]
+            nxt.append(_combine(terms, (0, lambda k: 1, lambda k: p * (4 * (k // 6) + p + 1))))
         deltas.append(nxt)
     cap = Fraction(Nz + 1)
     return [BivariateSeries(a_list=tuple(s.with_trunc(min(s.trunc, cap)) for s in d),
@@ -273,7 +271,7 @@ def picard_partial_sums_match(F, h, K, Nx, Nz) -> bool:
     at least one)."""
     deltas = picard_deltas(F, h, K, Nx, Nz)
     psi = pde_taylor(F, h, Nx + 1, Nz)
-    return all((_sum(d.a_list[n] for d in deltas) - psi.a_list[n + 1]).is_zero()
+    return all((_combine([d.a_list[n] for d in deltas]) - psi.a_list[n + 1]).is_zero()
                for n in range(min(K, Nx + 1)))
 
 

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .airy import airy_symbol
 from .errors import LogObstruction, NotSimpleTurningPoint, SeriesError
-from .series import (EpsSeries, PuiseuxSeries, _combine, _make, _miller_sum,
-                     compose_each, require_taylor)
+from .series import (EpsSeries, PuiseuxSeries, _combine, _miller_sum, compose_each,
+                     require_taylor)
 from .symbols import WKBSymbol
 
 _HALF = Fraction(1, 2)
@@ -35,9 +35,11 @@ def liouville_map(V: PuiseuxSeries, N: int) -> PuiseuxSeries:
     against the q^{3/2} of the integrated square root).
     """
     require_taylor(V, "V")
-    if not V._by6.get(0, Fraction(0)) == 0:
+    if V.trunc <= 1:
+        raise NotSimpleTurningPoint(f"V(0) or V'(0) lies past V's truncation O(q^{V.trunc})")
+    if not V.coeff(0) == 0:
         raise NotSimpleTurningPoint("V(0) != 0")
-    if not V._by6.get(6, Fraction(0)) == 1:
+    if not V.coeff(1) == 1:
         raise NotSimpleTurningPoint("V'(0) != 1")
     order = Fraction(N)
     sqrtV = V.pow_rational(_HALF, order=order + 1)
@@ -186,8 +188,7 @@ def reduce_to_airy(F: PuiseuxSeries, N_eps: int, N_z: int) -> ReductionSeries:
         if not rhs.is_taylor():
             raise LogObstruction(
                 f"resonant non-holomorphic term at eps-order {k}")
-        S.append(_make({k: c / Fraction(k // 3 + 1) for k, c in rhs._by6.items()},
-                       rhs.trunc))
+        S.append(PuiseuxSeries([(e, c / (2 * e + 1)) for e, c in rhs.terms()], rhs.trunc, 1))
     return ReductionSeries(s_coeffs=tuple(S))
 
 
@@ -248,9 +249,8 @@ def airy_basis_decomposition(phi: WKBSymbol, N: int) -> BasisDecomposition:
     b: list[PuiseuxSeries] = []
     inv_sqrt = PuiseuxSeries.monomial(-1, -_HALF)
     for n in range(N + 1):
-        known = PuiseuxSeries.zero()
-        for k in range(n):
-            known = known + a[k] * U.coeff(n - k) + b[k] * V.coeff(n - k)
+        known = _combine([t for k in range(n)
+                          for t in ((a[k], U.coeff(n - k), 1), (b[k], V.coeff(n - k), 1))])
         resid = phi.eps_coeffs[n] - known
         a_n, half_part = _lattice_split(resid)
         b_n = inv_sqrt * half_part
@@ -278,6 +278,5 @@ def reconstruct_from_basis(dec: BasisDecomposition, N: int) -> WKBSymbol:
 
 def _lattice_split(s: PuiseuxSeries) -> tuple[PuiseuxSeries, PuiseuxSeries]:
     """Split a half-lattice series into integer and half-integer parts."""
-    ints = {k: c for k, c in s._by6.items() if k % 6 == 0}
-    halfs = {k: c for k, c in s._by6.items() if k % 6 == 3}
-    return _make(ints, s.trunc), _make(halfs, s.trunc)
+    return tuple(PuiseuxSeries([(e, c) for e, c in s.terms() if e.denominator == d], s.trunc)
+                 for d in (1, 2))

@@ -12,9 +12,10 @@ operation hashes or compares a Fraction exponent.  The public
 constructor checks its input against a smaller lattice (half-integers by
 default); every operation builds its result through the trusted
 :func:`_make`, and only ``shift`` and ``pow_rational`` can leave (1/6)Z,
-which they refuse with :class:`LatticeError`.  ``coeffs`` is a
-Fraction-keyed copy of the terms, built on each access, for readers
-outside the kernel.  JSON input is checked against (1/6)Z, so
+which they refuse with :class:`LatticeError`.  Other modules read a
+series only through its public readers (``coeff``, ``terms``, ...) and
+build one only through the constructor or :func:`_combine`, so the term
+store is this module's alone.  JSON input is checked against (1/6)Z, so
 ``to_json`` output always reads back.
 
 Each step of a recursion is one pass of :func:`_combine`: a sum of
@@ -288,6 +289,12 @@ class PuiseuxSeries:
     def __setattr__(self, *a):
         raise AttributeError("PuiseuxSeries is immutable")
 
+    def __reduce__(self):       # copy and pickle: the terms, not the _clear cache
+        return object.__new__, (type(self),), (self._by6, self.trunc)
+
+    def __setstate__(self, state):      # an unpickled inf is a new float, not INF
+        _fill(self, state[0], INF if state[1] == INF else state[1])
+
     # -- basic queries -------------------------------------------------
 
     @property
@@ -499,7 +506,7 @@ class PuiseuxSeries:
             raise SeriesError("exp needs a series of positive order")
         if self.trunc is INF:
             raise SeriesError("exp of an untruncated series needs a truncation")
-        one = PuiseuxSeries.one() if _series_valued(self) else _ONE
+        one = PuiseuxSeries.one() if isinstance(self.leading()[1], PuiseuxSeries) else _ONE
         return _expand(self, self.trunc, _ZERO, one, lambda j, n: j)
 
     def sqrt(self, order=None) -> "PuiseuxSeries":
@@ -551,10 +558,9 @@ class PuiseuxSeries:
         tighter than ``trunc``, see :func:`compose_each`."""
         if powers is None:
             powers = _powers(inner, next(reversed(self._by6), 0) // 6, trunc)
-        out = _make({}, trunc)
-        for k, c in self._by6.items():
-            out = out + powers[k // 6].with_trunc(trunc) * c
-        return out
+        # the zero known below trunc cuts the sum, so no power is cut first
+        return _combine([_make({}, trunc)] + [(powers[k // 6], _make({0: c}, INF), 1)
+                                               for k, c in self._by6.items()])
 
     def reversion(self, order) -> "PuiseuxSeries":
         """Compositional inverse g with self(g(z)) = z + O(z^order).
@@ -613,14 +619,14 @@ class PuiseuxSeries:
         coeffs = []
         for e, c in self.terms():
             if is_exact(c):
-                if isinstance(c, (int, Fraction)):
-                    re_s, im_s = str(Fraction(c)), "0"
-                else:
-                    re_s, im_s = str(c.re), str(c.im)
-                coeffs.append([str(e), [re_s, im_s]])
+                parts = [str(c), "0"] if isinstance(c, (int, Fraction)) else [str(c.re), str(c.im)]
             else:
-                cc = to_complex(c)
-                coeffs.append([str(e), [cc.real, cc.imag]])
+                try:
+                    cc = to_complex(c)
+                except TypeError:
+                    raise SeriesFormatError(f"coefficient {c!r} has no JSON form") from None
+                parts = [cc.real, cc.imag]
+            coeffs.append([str(e), parts])
         return {
             "min_exp": str(self.min_exp),
             "trunc": "inf" if self.trunc is INF else str(self.trunc),
@@ -671,11 +677,6 @@ def _principal_pow(z: complex, e: Fraction) -> complex:
     if e.denominator == 1 and -8 <= e <= 8:
         return complex(z) ** int(e)
     return complex(z) ** float(e)
-
-
-def _series_valued(s: PuiseuxSeries) -> bool:
-    """Whether s's coefficients are series (s is an eps-series)."""
-    return isinstance(next(iter(s._by6.values()), None), PuiseuxSeries)
 
 
 def _sum(terms: Iterable):

@@ -90,10 +90,8 @@ def _callable_potential(V) -> Callable[[complex], complex]:
         return V
     if isinstance(V, PuiseuxSeries):
         require_taylor(V, "V")
-        coeffs = V.to_float()._by6
-        dense = [0j] * (max(coeffs, default=0) // 6 + 1)
-        for k, c in coeffs.items():
-            dense[k // 6] = c
+        coeffs = V.to_float().coeffs
+        dense = [coeffs.get(n, 0j) for n in range(int(max(coeffs, default=0)) + 1)]
         # Horner from the leading coefficient down; the same form serves
         # complex scalars (the tracer) and complex arrays (the node check)
         top, rest = dense[-1], dense[-2::-1]

@@ -126,7 +126,8 @@ def symbol_consistency(F: PuiseuxSeries, N: int) -> dict:
     z-constant terms agree at each order.
 
     Returns a report dict with the two residuals (exact zero expected in
-    exact mode) and the normalization C.
+    exact mode) and the normalization C through ``orders``, the last
+    order whose z^0 coefficients F's truncation leaves known.
     """
     if N < 2:
         return {"orders": 0, "odd_even_residual": None,
@@ -138,7 +139,7 @@ def symbol_consistency(F: PuiseuxSeries, N: int) -> dict:
     dPe = Pe.map_coefficients(PuiseuxSeries.derivative)
     ratio = (dPe * Pe.inverse()).shift(1) * _HALF
     diff = (Po - ratio).with_trunc(N + 1)
-    odd_even_resid = max_abs_coeff(diff._by6.values())
+    odd_even_resid = max_abs_coeff(c for _, c in diff.terms())
 
     # (ii) route-2 expansion of the symbol series
     p0 = PuiseuxSeries.monomial(1, _HALF)
@@ -155,12 +156,12 @@ def symbol_consistency(F: PuiseuxSeries, N: int) -> dict:
     C: list = []
     resid = Fraction(0)
     for n in range(N + 1):
-        partial = PuiseuxSeries.zero()
-        for k in range(n):
-            partial = partial + E.coeff(n - k) * C[k]
-        cn = gs[n]._by6.get(0, Fraction(0)) - partial._by6.get(0, Fraction(0))
+        partial = _combine([(E.coeff(n - k), PuiseuxSeries({0: c}), 1) for k, c in enumerate(C)])
+        if min(gs[n].trunc, partial.trunc) <= 0:
+            break       # C_n needs both z^0 coefficients: F is truncated too low
+        cn = gs[n].coeff(0) - partial.coeff(0)
         C.append(cn)
         diff_n = gs[n] - (partial + E.coeff(0) * cn)
         resid = max(resid, max_abs_coeff([diff_n]), key=abs)
-    return {"orders": N, "odd_even_residual": odd_even_resid,
+    return {"orders": len(C) - 1, "odd_even_residual": odd_even_resid,
             "expansion_residual": resid, "C": C}

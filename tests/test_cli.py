@@ -401,3 +401,30 @@ def test_confluent_explicit_contour_file(tmp_path, capsys):
     assert got["nodes_used"] != want["nodes_used"]
     assert abs(complex(*got["value"]) - complex(*want["value"])) \
         <= 1e-10 * abs(complex(*want["value"]))
+
+
+def test_reduce_prints_null_f0_when_f_is_not_known_at_z0(capsys):
+    # V = q + O(q^2) leaves F known only below z^-1; F0 once printed "0"
+    code, out = run_cli(["reduce", "--V", '{"coeffs": [["1", ["1", "0"]]], "trunc": "2"}',
+                         "--orders", "2"], capsys)
+    assert code == 0
+    d = json.loads(out)
+    assert d["F0"] is None and d["F"]["trunc"] == "-1"
+
+
+@pytest.mark.parametrize("V, trunc", [('{"coeffs": [["1", ["1", "0"]]], "trunc": "1"}', "1"),
+                                      ('{"coeffs": [], "trunc": "0"}', "0")],
+                         ids=["slope_cut", "value_cut"])
+def test_reduce_v_truncated_before_its_linear_term_exit_2(V, trunc, capsys):
+    code = main(["reduce", "--V", V, "--orders", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: V(0) or V'(0) lies past V's truncation O(q^{trunc})\n"
+
+
+def test_transport_on_a_truncated_f_reports_the_orders_it_knows(capsys):
+    F = '{"coeffs": [["0", ["1/3", "0"]], ["1", ["-2/7", "0"]]], "trunc": "1"}'
+    code, out = run_cli(["transport", "--F", F, "--orders", "5"], capsys)
+    assert code == 0
+    assert json.loads(out)["consistency"] == {
+        "orders": 1, "odd_even_residual": "0", "expansion_residual": "0"}

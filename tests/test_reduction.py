@@ -34,6 +34,14 @@ def test_liouville_quadratic_example():
     assert z.coeff(3) == Fr(-8, 175)
 
 
+@pytest.mark.parametrize("V", [TaylorSeries({1: 1}, trunc=1), TaylorSeries({}, trunc=0),
+                               PuiseuxSeries({0: 0}, trunc=Fr(1, 2))])
+def test_liouville_map_needs_v0_and_its_slope_known(V):
+    # V = q + O(q) once failed V'(0) != 1 only by reading a missing term as 0
+    with pytest.raises(NotSimpleTurningPoint, match=rf"truncation O\(q\^{V.trunc}\)"):
+        liouville_map(V, 4)
+
+
 def test_liouville_symbolic_coefficient():
     v2 = QPoly.gen("v2")
     z = liouville_map(TaylorSeries({1: Fr(1), 2: v2}), 5)
@@ -125,7 +133,10 @@ def reduce_by_full_residual(F, N_eps, N_z):
     return coeffs
 
 
-RATS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# the p/q with q <= 6 and |p/q| <= 4, simplest first: the values of
+# st.fractions(-4, 4, max_denominator=6), from a cheaper strategy
+RATS = st.sampled_from(sorted({Fr(p, q) for q in range(1, 7) for p in range(-4 * q, 4 * q + 1)},
+                              key=lambda f: (f.denominator, abs(f), f < 0)))
 RINGS = [RATS, st.builds(GaussianRational, RATS, RATS),
          st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)]
 

@@ -1,10 +1,15 @@
 """series layer: arithmetic, rational powers, inversion, calculus, JSON."""
 
+import ast
+import copy
+import pickle
 import random
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
+import exactwkb
 from exactwkb.coefficients import GaussianRational
 from exactwkb.errors import LatticeError, LogObstruction, SeriesError, SeriesFormatError
 from exactwkb.series import INF, EpsSeries, PuiseuxSeries, TaylorSeries
@@ -559,3 +564,52 @@ def test_series_equals_a_scalar_only_as_an_exact_constant():
     # so an eps-series keeps a 0 + O(z^T) coefficient and drops an exact 0
     assert eps(PuiseuxSeries.zero(), PuiseuxSeries.zero(3)).coeffs == {
         Fr(1): PuiseuxSeries.zero(3)}
+
+
+def test_only_the_series_module_knows_the_term_store():
+    # every other layer reads a series through its public readers and builds
+    # one through the constructor or _combine, so the store can change here
+    kernel = {"_combine", "_miller_sum", "_principal_pow"}
+    for path in sorted(Path(exactwkb.__file__).parent.glob("*.py")):
+        if path.name == "series.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = (path.name, getattr(node, "lineno", None))
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("_by6", "_clear"), where
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {a.name for a in node.names}
+                assert not any(n.split(".")[-1] == "series" for n in names), where
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("series"):
+                    assert not {n for n in names - kernel if n.startswith("_")}, where
+
+
+@pytest.mark.parametrize("s", [
+    S({0: 1, Fr(1, 2): Fr(-2, 3)}),
+    S({0: GaussianRational(1, -2), 1: Fr(1, 5)}),
+    TaylorSeries({1: Fr(1, 3), 2: 2}, trunc=4),
+    eps(S({Fr(1, 2): 1}), PuiseuxSeries.zero(3), S({-1: 1.5 - 2j})),
+], ids=["exact", "gaussian", "truncated", "eps"])
+def test_copy_and_pickle_rebuild_the_terms_without_the_cleared_form(s):
+    s * s       # fills s's cleared form
+    assert hasattr(s, "_clear")
+    for c in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert type(c) is type(s) and c == s and c.terms() == s.terms()
+        assert c.trunc == s.trunc and (c.trunc is INF) == (s.trunc is INF)
+        assert not hasattr(c, "_clear")
+        assert c * c == s * s
+
+
+def test_to_json_of_a_coefficient_without_a_json_form_is_a_format_error():
+    from exactwkb.polyring import QPoly
+    for s in (S({0: 1, 1: QPoly.gen("v")}), eps(S({0: 1}))):
+        for dump in (s.to_json, s.to_json_dict):
+            with pytest.raises(SeriesFormatError, match="has no JSON form"):
+                dump()
+
+
+def test_repr_of_a_truncated_series_shows_its_first_eight_terms():
+    s = S({Fr(k, 2): Fr(k - 4, 3) for k in range(10)} | {1: GaussianRational(1, -1)}, trunc=6)
+    assert repr(s) == (
+        "<PuiseuxSeries (-4/3) + (-1)z^1/2 + (GaussianRational(1, -1))z^1 + (-1/3)z^3/2"
+        " + (1/3)z^5/2 + (2/3)z^3 + (1)z^7/2 + (4/3)z^4 + ... + O(z^6)>")

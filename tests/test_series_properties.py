@@ -30,7 +30,10 @@ from exactwkb.series import (INF, PuiseuxSeries, TaylorSeries, _coeff_root, _com
                              _log_free, _make)
 
 HALF = Fr(1, 2)
-RATS = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
+# the nonzero p/q with q <= 4 and |p/q| <= 4, simplest first: the values of
+# st.fractions(-4, 4, max_denominator=4).filter(bool), from a cheaper strategy
+RATS = st.sampled_from(sorted({Fr(p, q) for q in range(1, 5) for p in range(-4 * q, 4 * q + 1)
+                               if p}, key=lambda f: (f.denominator, abs(f), f < 0)))
 GAUSS = st.builds(GaussianRational, RATS, RATS)
 EXACT = st.one_of(RATS, GAUSS)
 FLOATS = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,

@@ -116,6 +116,16 @@ def test_symbol_consistency_exact_zero():
     assert rep["C"][0] == 1
 
 
+def test_symbol_consistency_stops_before_an_unknown_z0_coefficient():
+    full = symbol_consistency(TaylorSeries({0: Fr(1, 3), 1: Fr(-2, 7)}), 5)
+    assert full["orders"] == 5 and full["C"][2] == Fr(-31, 504)
+    # F = 1/3 - 2z/7 + O(z) leaves g_2 known only below z^0, so C_2 is
+    # unknown; it once read 0, and so did every later C_n
+    cut = symbol_consistency(TaylorSeries({0: Fr(1, 3), 1: Fr(-2, 7)}, trunc=1), 5)
+    assert cut["orders"] == 1 and cut["C"] == full["C"][:2]
+    assert cut["odd_even_residual"] == 0 and cut["expansion_residual"] == 0
+
+
 def test_symbol_consistency_degenerate_order():
     rep = symbol_consistency(F0, 0)
     assert rep["orders"] == 0 and rep["odd_even_residual"] is None
