@@ -139,7 +139,7 @@ def pade_from_taylor(c, L: int, M: int) -> PadeApproximant:
         r = rows[k]
         b[k] = (r[M] - sum(r[j] * b[j] for j in range(k + 1, M))) / Fraction(r[k])
     # the numerator: one integer convolution of b and c, each over one denominator
-    (q, B, _), (dc, C, _) = clear([Fraction(1)] + b), clear(c[:L + 1])
+    (q, B), (dc, C) = clear([Fraction(1)] + b), clear(c[:L + 1])
     num = [Fraction(sum(B[j][0] * C[k - j][0] for j in range(min(k, M) + 1)), q * dc)
            for k in range(L + 1)]
     return PadeApproximant(num=num, den=[Fraction(1)] + b)

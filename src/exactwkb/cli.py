@@ -154,7 +154,7 @@ def cmd_transport(args) -> dict:
         "g": [g.to_json_dict() for g in sym.eps_coeffs],
         "p": [p.to_json_dict() for p in ric.p_coeffs],
         "wkb_residual_zero": all(r.is_zero() for r in resid),
-        "consistency": {k: (str(v) if isinstance(v, Fraction) else v)
+        "consistency": {k: v if k == "orders" else _worst_json(v)
                         for k, v in rep.items() if k != "C"},
         "meta": {"orders": args.orders},
     }

@@ -9,7 +9,10 @@ small polynomial rings (see :mod:`exactwkb.polyring`) slot in for
 computations with symbolic parameters.
 
 Each exact value has one form: a real one is always a ``Fraction``, and a
-``GaussianRational`` always has a nonzero imaginary part.
+``GaussianRational`` always has a nonzero imaginary part.  A series of
+exact coefficients does not keep them: it is built from :func:`clear`'s
+rows (their numerators over one denominator), and ``_gauss(a, b, d)``
+builds a coefficient back when one is read.
 
 A :class:`~exactwkb.series.PuiseuxSeries` is itself a coefficient (the
 eps-series of the formal layers have z-series coefficients) through the
@@ -174,30 +177,14 @@ def coeff_is_zero(value: Any) -> bool:
 
 def clear(values) -> tuple | None:
     """``values`` over one common denominator, or None unless each is a
-    Fraction or a GaussianRational: (d, rows, gaussian), where row i is
-    (a_i, b_i) with values[i] = (a_i + b_i i)/d, and ``gaussian`` counts
-    the GaussianRationals (the rows with b_i != 0).  ``_gauss(a, b, d)``
-    reads a row back."""
-    dens = []
-    gaussian = 0
-    for c in values:
-        t = type(c)
-        if t is Fraction:
-            dens.append(c.denominator)
-        elif t is GaussianRational:
-            dens.append(c._d)
-            gaussian += 1
-        else:
-            return None
-    d = lcm(*dens)
-    rows = []
-    for c, e in zip(values, dens):
-        m = d // e
-        if type(c) is Fraction:
-            rows.append((c.numerator * m, 0))
-        else:
-            rows.append((c._a * m, c._b * m))
-    return d, rows, gaussian
+    Fraction or a GaussianRational: (d, rows), where row i is (a_i, b_i)
+    with values[i] = (a_i + b_i i)/d; ``_gauss(a, b, d)`` reads a row back."""
+    if not all(type(c) in (Fraction, GaussianRational) for c in values):
+        return None
+    ps = [(c.numerator, 0, c.denominator) if type(c) is Fraction else (c._a, c._b, c._d)
+          for c in values]
+    d = lcm(*(e for _, _, e in ps))
+    return d, [(a * (d // e), b * (d // e)) for a, b, e in ps]
 
 
 def to_complex(value: Any) -> complex:

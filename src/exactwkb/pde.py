@@ -21,7 +21,6 @@ from functools import cached_property
 import numpy as np
 
 from .airy import airy_contour, symbol_borel_sum
-from .coefficients import to_complex
 from .contours import ContourSpec, LaplaceResult
 from .errors import ContourFailure, DomainExit
 from .series import PuiseuxSeries, _combine, _principal_pow, max_abs_coeff, require_taylor
@@ -47,11 +46,10 @@ class BivariateSeries:
 
     @cached_property
     def _table(self) -> tuple[tuple, tuple]:
-        exps = sorted({e for a in self.a_list for e, _ in a.terms()})
+        floats = [a.to_float().terms() for a in self.a_list]
+        exps = sorted({e for terms in floats for e, _ in terms})
         index = {e: i for i, e in enumerate(exps)}
-        rows = tuple(tuple((to_complex(c), index[e]) for e, c in a.terms())
-                     for a in self.a_list)
-        return tuple(exps), rows
+        return tuple(exps), tuple(tuple((c, index[e]) for e, c in terms) for terms in floats)
 
     def values_at(self, z: complex) -> np.ndarray:
         """[a.eval(z) for a in a_list] as an array, bit for bit: the same

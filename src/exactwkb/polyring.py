@@ -89,7 +89,7 @@ class QPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        (dx, xs, _), (dy, ys, _) = clear(self.terms.values()), clear(o.terms.values())
+        (dx, xs), (dy, ys) = clear(self.terms.values()), clear(o.terms.values())
         acc: dict = {}
         for m1, (a, _) in zip(self.terms, xs):
             d1 = dict(m1)

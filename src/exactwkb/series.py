@@ -7,24 +7,26 @@ closed-form objects of the model are carried around without artificial
 truncation.
 
 Exponents lie on the lattice (1/6)Z, and a series stores its terms in
-increasing exponent (:func:`_fill`), keyed by the integer k = 6e, so no
-operation hashes or compares a Fraction exponent.  The public
-constructor checks its input against a smaller lattice (half-integers by
-default); every operation builds its result through the trusted
-:func:`_make`, and only ``shift`` and ``pow_rational`` can leave (1/6)Z,
+increasing exponent, keyed by the integer k = 6e.  The public constructor
+checks its input against a smaller lattice (half-integers by default);
+every operation builds its result through the trusted :func:`_make` or
+:func:`_exact`, and only ``shift`` and ``pow_rational`` can leave (1/6)Z,
 which they refuse with :class:`LatticeError`.  Other modules read a
 series only through its public readers (``coeff``, ``terms``, ...) and
 build one only through the constructor or :func:`_combine`, so the term
 store is this module's alone.  JSON input is checked against (1/6)Z, so
 ``to_json`` output always reads back.
 
-Each step of a recursion is one pass of :func:`_combine`: a sum of
-series mapped by :func:`_diag` (c z^(k/6) to c num(k)/den(k) z^((k+d)/6),
-as derivatives and rational multiples are) and of products, a product
-being one such term.  Exact terms are cleared to one denominator (once
-per series, which keeps the form: :func:`_cleared`), integers are summed
-per exponent and one coefficient is normalised per exponent, a Fraction
-when its imaginary part is 0; other rings run the operators.
+A series of Fractions and GaussianRationals is stored cleared: one
+denominator D > 0, an int numerator per key and the nonzero imaginary
+ones, gcd 1 (:func:`_exact`), so an exact value has one form.  Its kernel
+(:func:`_combine`, ``+``, scalar ``*``, Miller's recurrence) adds and
+multiplies those ints with one gcd per result, and the readers build a
+Fraction or GaussianRational per term read.  Other rings keep their
+coefficients and run the operators.  A recursion step is one
+:func:`_combine`: a sum of series mapped by :func:`_diag` (c z^(k/6) to
+c num(k)/den(k) z^((k+d)/6), as derivatives and rational multiples are)
+and of products.
 
 A coefficient may itself be a ``PuiseuxSeries``: an eps-series is one in
 eps on the integer lattice with z-series coefficients, so one product and
@@ -86,49 +88,92 @@ def _k6(e: Fraction) -> int:
     return e.numerator * (6 // e.denominator)
 
 
+def _moved(t, k: int):
+    """The truncation t + k/6: INF as it is, a cached :func:`_exp6` (no
+    Fraction arithmetic) for a t on (1/6)Z."""
+    if t is INF:
+        return t
+    return t + _exp6(k) if 6 % t.denominator else _exp6(k + t.numerator * (6 // t.denominator))
+
+
+def _min(a, b):
+    """min(a, b) for truncations, comparing no Fractions when one is INF."""
+    return b if a is INF else a if b is INF or a <= b else b
+
+
 def _top6(trunc) -> int:
     """ceil(6 trunc): a key k lies below a finite ``trunc`` iff k < this."""
     return -(-6 * trunc.numerator // trunc.denominator)
 
 
-def _fill(obj, data: Mapping, trunc, known=()):
-    """Store ``data`` (keyed by 6e) in increasing key, minus terms at or past
-    ``trunc`` and zeros; a coefficient of a type in ``known`` is nonzero."""
-    top = INF if trunc is INF else _top6(trunc)
-    object.__setattr__(obj, "_by6", {k: c for k, c in sorted(data.items()) if k < top and (
-        type(c) in known or not coeff_is_zero(c))})
-    object.__setattr__(obj, "trunc", trunc)
+def _set(obj, den, by6, im, trunc):
+    obj = object.__new__(PuiseuxSeries) if obj is None else obj
+    for name, v in (("_den", den), ("_by6", by6), ("_im", im), ("trunc", trunc)):
+        object.__setattr__(obj, name, v)
     return obj
 
 
-def _make(data: Mapping, trunc, known=()) -> "PuiseuxSeries":
-    """Trusted constructor for results: ``data`` maps integer keys k = 6e
-    to lifted coefficients, ``trunc`` is a Fraction or INF; ``known`` is
-    _EXACT for stored terms shifted, cut, negated or weighted by _diag."""
-    return _fill(object.__new__(PuiseuxSeries), data, trunc, known)
+def _exact(D: int, re: Mapping, im: Mapping, trunc, obj=None) -> "PuiseuxSeries":
+    """The exact series sum (re[k] + im[k] i)/D z^(k/6) known below
+    ``trunc`` (ints, D > 0, im's keys among re's) in its one form, stored
+    in obj if given: its terms below ``trunc`` that are not 0, in
+    increasing key, over the least D, which one gcd finds."""
+    top = INF if trunc is INF else _top6(trunc)
+    re = {k: re[k] for k in sorted(re) if k < top and (re[k] or im.get(k))}
+    im = {k: b for k in re if (b := im.get(k))} if im else im
+    if (g := math.gcd(D, *re.values(), *im.values())) > 1:
+        D, re, im = D // g, {k: a // g for k, a in re.items()}, {k: b // g for k, b in im.items()}
+    return _set(obj, D, re, im, trunc)
+
+
+def _make(data: Mapping, trunc, obj=None) -> "PuiseuxSeries":
+    """Trusted constructor for results (stored in obj if given): ``data``
+    maps integer keys k = 6e to lifted coefficients, ``trunc`` is a
+    Fraction or INF.  Cleared (:func:`_exact`) if each coefficient is a
+    Fraction or a GaussianRational, else in increasing key, minus terms at
+    or past ``trunc`` and zeros."""
+    if (cleared := clear(data.values())) is not None:
+        D, rows = cleared
+        return _exact(D, dict(zip(data, (a for a, _ in rows))),
+                      {k: b for k, (_, b) in zip(data, rows) if b}, trunc, obj)
+    top = INF if trunc is INF else _top6(trunc)
+    return _set(obj, None, {k: c for k, c in sorted(data.items())
+                            if k < top and not coeff_is_zero(c)}, None, trunc)
+
+
+def _terms(s: "PuiseuxSeries") -> dict:
+    """s's terms {6e: coefficient}; an exact s builds them from its cleared
+    form, each a Fraction or (nonzero imaginary part) a GaussianRational."""
+    D, im = s._den, s._im
+    return {k: _gauss(a, im.get(k, 0), D) for k, a in s._by6.items()} if D else s._by6
+
+
+def _at(s: "PuiseuxSeries", k: int):
+    """s's coefficient at key k, Fraction(0) if it has none."""
+    c = s._by6.get(k)
+    return _ZERO if c is None else _gauss(c, s._im.get(k, 0), s._den) if s._den else c
+
+
+def _weigh(D, re, im, d, num, den) -> tuple:
+    """(D Q, re', im'): the terms (re[k] + im[k] i)/D z^(k/6) times
+    num(k)/den(k) at key k + d, over the k with num(k) != 0 (den(k) > 0
+    there), Q the lcm of their den(k)."""
+    rows = [(k, n, den(k)) for k in re if (n := num(k))]
+    Q = math.lcm(*(q for _, _, q in rows))
+    rows = [(k, n * (Q // q)) for k, n, q in rows]
+    return (D * Q, {k + d: re[k] * m for k, m in rows},
+            {k + d: im[k] * m for k, m in rows if k in im} if im else {})
 
 
 def _diag(s: "PuiseuxSeries", d: int, num: Callable, den: Callable) -> "PuiseuxSeries":
     """sum c num(k)/den(k) z^((k+d)/6) over the terms c z^(k/6) of s with
-    num(k) != 0 (den(k) > 0), known below s.trunc + d/6: one gcd for an
-    exact c, c * Fraction(num(k), den(k)) for any other."""
-    out = {}
-    for k, c in s._by6.items():
-        if n := num(k):
-            t = type(c)
-            out[k + d] = (Fraction(c.numerator * n, c.denominator * den(k)) if t is Fraction
-                          else _gauss(c._a * n, c._b * n, c._d * den(k))
-                          if t is GaussianRational else c * Fraction(n, den(k)))
-    return _make(out, s.trunc if s.trunc is INF else s.trunc + _exp6(d), _EXACT)
-
-
-def _cleared(s: "PuiseuxSeries"):
-    """:func:`coefficients.clear` of s's terms (None if one is inexact),
-    computed on first use and kept on s: a series is immutable, so the
-    form never goes stale."""
-    if not hasattr(s, "_clear"):
-        object.__setattr__(s, "_clear", clear(s._by6.values()))
-    return s._clear
+    num(k) != 0 (den(k) > 0), known below s.trunc + d/6: :func:`_weigh`
+    for an exact s, c * Fraction(num(k), den(k)) for any other."""
+    trunc = _moved(s.trunc, d)
+    if s._den:
+        return _exact(*_weigh(s._den, s._by6, s._im, d, num, den), trunc)
+    return _make({k + d: c * Fraction(n, den(k)) for k, c in s._by6.items()
+                  if (n := num(k))}, trunc)
 
 
 def _combine(terms, final=None, log=None) -> "PuiseuxSeries":
@@ -137,46 +182,43 @@ def _combine(terms, final=None, log=None) -> "PuiseuxSeries":
     _diag(s, d, num, den), a pair (x, y, w) as x y |w| for an int w,
     subtracted if w < 0 (``acc - x * y * 2``); a term at key ``log`` raises
     LogObstruction; ``final`` = (d, num, den) maps the sum as _diag does.
-    Exact terms are cleared to one denominator and their integers added
-    per key; then each key whose sum is nonzero gets one coefficient, a
-    Fraction or a GaussianRational as its imaginary part is 0 or not,
-    with the final den(k) in its one gcd (:func:`coefficients._gauss`)."""
+    If every series is exact, each term's numerators are brought over one
+    denominator and added per key, and the sum is stored with one gcd."""
     parts, trunc = [], INF
     for t in terms:
         t = (t, 0, None, None) if isinstance(t, PuiseuxSeries) else t
         if len(t) == 3 and (tt := _mul_trunc(t[0], t[1])) is None:
             continue
-        if None in (cs := [_cleared(s) for s in ((t[0],) if len(t) == 4 else t[:2])]):
+        if not all(s._den for s in ((t[0],) if len(t) == 4 else t[:2])):
             break       # not exact: the chain of operators
-        if len(t) == 4:     # keys in s's order, over ds times the lcm Q of den(k)
+        if len(t) == 4:
             s, d, num, den = t
-            rows = [(k + d, a * n, b * n, den(k) if num else 1)
-                    for k, (a, b) in zip(s._by6, cs[0][1]) if (n := num(k) if num else 1)]
-            Q = math.lcm(*(r[3] for r in rows))
-            parts.append((cs[0][0] * Q, {k: a * (Q // q) for k, a, _, q in rows},
-                          {k: b * (Q // q) for k, _, b, q in rows if b}))
-            tt = s.trunc if s.trunc is INF else s.trunc + _exp6(d)
-        else:
-            parts.append((cs[0][0] * cs[1][0], *_cleared_product(
-                t, *cs, INF if tt is INF else _top6(tt))))
-        trunc = min(trunc, tt)
+            parts.append(_weigh(s._den, s._by6, s._im, d, num, den) if num
+                         else (s._den, s._by6, s._im))
+            tt = _moved(s.trunc, d)
+        else:       # a product, formed below the sum's truncation
+            parts.append((t[0]._den * t[1]._den, t))
+        trunc = _min(trunc, tt)
     else:
-        D = math.lcm(*[p[0] for p in parts])
+        D, top = math.lcm(*[p[0] for p in parts]), INF if trunc is INF else _top6(trunc)
         re, im = {}, {}     # every key of im is one of re
-        for Dt, pre, pim in parts:
-            f = D // Dt
-            for k, a in pre.items():
-                re[k] = re[k] + a * f if k in re else a * f
-            for k, b in pim.items():
-                im[k] = im[k] + b * f if k in im else b * f
-        top = INF if trunc is INF else _top6(trunc)
+        for Dt, *part in parts:
+            if len(part) == 1:
+                _cleared_product(*part[0], D // Dt, top, re, im)
+            elif (f := D // Dt) == 1 and not re:
+                re, im = dict(part[0]), dict(part[1])
+            else:
+                for k, a in part[0].items():
+                    re[k] = re[k] + a * f if k in re else a * f
+                for k, b in part[1].items():
+                    im[k] = im[k] + b * f if k in im else b * f
         if log is not None and log < top and (re.get(log) or im.get(log)):
             raise LogObstruction("antiderivative of a z^-1 term would introduce log z")
-        d, num, den = final or (0, None, None)
-        return _make({k + d: _gauss(a * n, b * n, D * (den(k) if num else 1))
-                      for k, a in re.items() if k < top and ((b := im.get(k, 0)) or a)
-                      and (n := num(k) if num else 1)},
-                     trunc if trunc is INF else trunc + _exp6(d), _EXACT)
+        if final:
+            D, re, im = _weigh(D, {k: a for k, a in re.items() if k < top and (
+                a or im.get(k))}, im, *final)
+            trunc = _moved(trunc, final[0])
+        return _exact(D, re, im, trunc)
     acc = None
     for t in terms:
         if isinstance(t, PuiseuxSeries):
@@ -189,7 +231,7 @@ def _combine(terms, final=None, log=None) -> "PuiseuxSeries":
             v = v if t[2] > 0 else -v
         acc = v if acc is None else acc + v
     if log is not None:
-        _log_free(acc._by6, log)
+        _log_free(acc, log)
     return acc if final is None else _diag(acc, *final)
 
 
@@ -197,9 +239,20 @@ def _mul_trunc(x: "PuiseuxSeries", y: "PuiseuxSeries"):
     """The truncation of x y, None if a factor is the exact zero (it absorbs)."""
     if not x._by6 and x.trunc is INF or not y._by6 and y.trunc is INF:
         return None
-    # error(a*b) <= a_known * err_b + err_a * b_known
-    return min(INF if y.trunc is INF else x.min_exp + y.trunc,
-               INF if x.trunc is INF else y.min_exp + x.trunc)
+    # error(a*b) <= a_known * err_b + err_a * b_known: each min_exp + the other trunc
+    return _min(*[_moved(t, next(iter(s._by6))) if s._by6 else INF if t is INF else s.trunc + t
+                  for s, t in ((x, y.trunc), (y, x.trunc))])
+
+
+def _conv(xs: Mapping, ys: list, kmax, out: dict) -> dict:
+    """out plus the products of the terms xs ({6e: c}) and ys ((6e, c),
+    in increasing key) below the key kmax, in the double loop's order."""
+    for ka, a in xs.items():
+        for kb, b in ys:
+            if (k := ka + kb) >= kmax:
+                break
+            out[k] = out[k] + a * b if k in out else a * b
+    return out
 
 
 def _convolve(x: "PuiseuxSeries", y: "PuiseuxSeries") -> "PuiseuxSeries":
@@ -207,47 +260,34 @@ def _convolve(x: "PuiseuxSeries", y: "PuiseuxSeries") -> "PuiseuxSeries":
     order; series coefficients (an eps-series) as one :func:`_combine`."""
     if (trunc := _mul_trunc(x, y)) is None:
         return _make({}, INF)
-    kmax = INF if trunc is INF else _top6(trunc)
-    series = all(isinstance(c, PuiseuxSeries) for s in (x, y) for c in s._by6.values())
-    data, bs = {}, y._by6.items()
-    for ka, ca in x._by6.items():
-        for kb, cb in bs:
+    kmax, xs, ys = INF if trunc is INF else _top6(trunc), _terms(x), _terms(y)
+    if not all(isinstance(c, PuiseuxSeries) for s in (xs, ys) for c in s.values()):
+        return _make(_conv(xs, list(ys.items()), kmax, {}), trunc)
+    data = {}
+    for ka, ca in xs.items():
+        for kb, cb in ys.items():
             if (k := ka + kb) < kmax:
-                if series:
-                    data.setdefault(k, []).append((ca, cb, 1))
-                else:
-                    p = ca * cb
-                    data[k] = data[k] + p if k in data else p
-    return _make({k: _combine(ps) for k, ps in data.items()} if series else data, trunc)
+                data.setdefault(k, []).append((ca, cb, 1))
+    return _make({k: _combine(ps) for k, ps in data.items()}, trunc)
 
 
-def _cleared_product(pair, cx, cy, kmax) -> tuple:
-    """The pair (x, y, w) of :func:`_combine` over dx dy, as (real,
-    imaginary) integer parts keyed by 6e, the imaginary ones empty when
-    neither factor has a GaussianRational."""
-    (x, y, w), (_, rx, gx), (_, ry, gy), re, im = pair, cx, cy, {}, {}
-    if not (gx or gy):
-        bs = [(kb, b * w) for kb, (b, _) in zip(y._by6, ry)]
-        for ka, (a, _) in zip(x._by6, rx):
-            for kb, b in bs:
-                if (k := ka + kb) < kmax:
-                    re[k] = re[k] + a * b if k in re else a * b
-        return re, im
-    bs = [(kb, c * w, e * w) for kb, (c, e) in zip(y._by6, ry)]
-    for ka, (a, b) in zip(x._by6, rx):
-        for kb, c, e in bs:
-            if (k := ka + kb) < kmax:
-                re[k] = re.get(k, 0) + a * c - b * e
-                im[k] = im.get(k, 0) + a * e + b * c
-    return re, im
+def _cleared_product(x, y, w, f, kmax, re, im) -> None:
+    """Add to re and im the numerators (real, imaginary) of x y w over
+    dx dy / f for exact x and y, keyed by 6e below kmax."""
+    w *= f
+    yr, yi = [(k, b * w) for k, b in y._by6.items()], [(k, b * w) for k, b in y._im.items()]
+    _conv(x._by6, yr, kmax, re)
+    if x._im or yi:
+        _conv(x._im, [(k, -b) for k, b in yi], kmax, re)
+        _conv(x._im, yr, kmax, _conv(x._by6, yi, kmax, im))
 
 
-def _log_free(data: Mapping, k: int) -> None:
-    """LogObstruction if the integrand term keyed k (z^-1) is nonzero: any
-    exact one, an inexact one past 1e-9 of the largest |c| (not rounding)."""
-    res = data.get(k, _ZERO)
+def _log_free(s: "PuiseuxSeries", k: int) -> None:
+    """LogObstruction if the integrand term of s keyed k (z^-1) is nonzero:
+    any exact one, an inexact one past 1e-9 of the largest |c| (not rounding)."""
+    res = _at(s, k)
     if not coeff_is_zero(res) and (is_exact(res) or abs(to_complex(res)) > 1e-9 * max(
-            abs(to_complex(c)) for c in data.values())):
+            abs(to_complex(c)) for c in _terms(s).values())):
         raise LogObstruction("antiderivative of a z^-1 term would introduce log z")
 
 
@@ -267,7 +307,10 @@ class PuiseuxSeries:
         operations live on the 1/6 lattice.
     """
 
-    __slots__ = ("_by6", "trunc", "_clear")     # _clear: see _cleared
+    # an exact series is _den, the int numerators _by6 and the nonzero
+    # imaginary ones _im (see _exact); else _den is None and _by6 holds
+    # the coefficients
+    __slots__ = ("_den", "_by6", "_im", "trunc")
 
     def __init__(self, coeffs: Mapping | Iterable = (), trunc=INF, lattice: int = 2):
         if lattice not in (1, 2, 3, 6):
@@ -284,16 +327,16 @@ class PuiseuxSeries:
             k = _k6(e)
             c = lift(c)
             data[k] = data[k] + c if k in data else c
-        _fill(self, data, trunc)
+        _make(data, trunc, self)
 
     def __setattr__(self, *a):
         raise AttributeError("PuiseuxSeries is immutable")
 
-    def __reduce__(self):       # copy and pickle: the terms, not the _clear cache
-        return object.__new__, (type(self),), (self._by6, self.trunc)
+    def __reduce__(self):       # copy and pickle: the terms and the truncation
+        return object.__new__, (type(self),), (_terms(self), self.trunc)
 
     def __setstate__(self, state):      # an unpickled inf is a new float, not INF
-        _fill(self, state[0], INF if state[1] == INF else state[1])
+        _make(state[0], INF if state[1] == INF else state[1], self)
 
     # -- basic queries -------------------------------------------------
 
@@ -301,7 +344,7 @@ class PuiseuxSeries:
     def coeffs(self) -> dict:
         """A new dict exponent (Fraction) -> coefficient, in increasing
         exponent; changing it leaves the series as it is."""
-        return {_exp6(k): c for k, c in self._by6.items()}
+        return {_exp6(k): c for k, c in _terms(self).items()}
 
     @property
     def min_exp(self) -> Fraction:
@@ -318,23 +361,21 @@ class PuiseuxSeries:
         e = _as_exp(e)
         if self.trunc is not INF and e >= self.trunc:
             raise SeriesError(f"coefficient of z^{e} is beyond truncation {self.trunc}")
-        if 6 % e.denominator:
-            return Fraction(0)
-        return self._by6.get(_k6(e), Fraction(0))
+        return Fraction(0) if 6 % e.denominator else _at(self, _k6(e))
 
     def leading(self):
         """(exponent, coefficient) of the lowest-order term."""
         if not self._by6:
             raise SeriesError("zero series has no leading term")
         k = next(iter(self._by6))
-        return _exp6(k), self._by6[k]
+        return _exp6(k), _at(self, k)
 
     def terms(self):
         """Terms sorted by exponent."""
-        return [(_exp6(k), c) for k, c in self._by6.items()]
+        return [(_exp6(k), c) for k, c in _terms(self).items()]
 
     def is_exact(self) -> bool:
-        return all(is_exact(c) for c in self._by6.values())
+        return bool(self._den) or all(is_exact(c) for c in self._by6.values())
 
     def is_taylor(self) -> bool:
         return all(k >= 0 and not k % 6 for k in self._by6)
@@ -343,15 +384,19 @@ class PuiseuxSeries:
         return bool(self._by6)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, bool):
             return NotImplemented
-        return self._by6 == other._by6 and self.trunc == other.trunc
+        if not isinstance(other, PuiseuxSeries):    # a scalar equals its exact constant
+            return self.trunc is INF and not self._by6.keys() - {0} and _at(self, 0) == other
+        if self._den and other._den:    # one form per exact value
+            return (self._den, self._by6, self._im, self.trunc) == (
+                other._den, other._by6, other._im, other.trunc)
+        return _terms(self) == _terms(other) and self.trunc == other.trunc
 
     def __hash__(self):
         # an exact constant equals its scalar, so it hashes like it
         if self.trunc is INF and not self._by6.keys() - {0}:
-            return hash(self._by6.get(0, _ZERO))
+            return hash(_at(self, 0))
         return hash((tuple(self.terms()), self.trunc))
 
     # -- constructors --------------------------------------------------
@@ -375,13 +420,21 @@ class PuiseuxSeries:
             trunc = _as_exp(trunc)
         if self.trunc is not INF and (trunc is INF or trunc > self.trunc):
             raise SeriesError("cannot loosen a truncation")
-        return _make(self._by6, trunc, _EXACT)
+        return self + _make({}, trunc)
 
     def map_coefficients(self, fn: Callable[[Any], Any]) -> "PuiseuxSeries":
-        return _make({k: lift(fn(c)) for k, c in self._by6.items()}, self.trunc)
+        return _make({k: lift(fn(c)) for k, c in _terms(self).items()}, self.trunc)
 
     def to_float(self) -> "PuiseuxSeries":
-        return self.map_coefficients(to_complex)
+        return _make(self._complex(), self.trunc)
+
+    def _complex(self) -> dict:
+        """{6e: complex coefficient}; a/D and b/D round correctly, as
+        ``complex(Fraction)`` does, so an exact series reads its numerators."""
+        if not self._den:
+            return {k: to_complex(c) for k, c in self._by6.items()}
+        D, im = self._den, self._im
+        return {k: complex(a / D, im.get(k, 0) / D) for k, a in self._by6.items()}
 
     # -- ring operations -----------------------------------------------
 
@@ -389,16 +442,19 @@ class PuiseuxSeries:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        trunc = min(self.trunc, other.trunc)
-        data = dict(self._by6)
-        for k, c in other._by6.items():
+        if self._den and other._den:
+            return _combine([self, other])
+        data = dict(_terms(self))
+        for k, c in _terms(other).items():
             data[k] = data[k] + c if k in data else c
-        return _make(data, trunc)
+        return _make(data, _min(self.trunc, other.trunc))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make({k: -c for k, c in self._by6.items()}, self.trunc, _EXACT)
+        if self._den:
+            return _diag(self, 0, lambda k: -1, lambda k: 1)
+        return _make({k: -c for k, c in self._by6.items()}, self.trunc)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -412,9 +468,9 @@ class PuiseuxSeries:
         c = lift(other)
         if coeff_is_zero(c):
             return _make({}, INF)    # an exact scalar 0 absorbs too
-        if type(c) is Fraction:
-            return _diag(self, 0, lambda k: c.numerator, lambda k: c.denominator)
-        return _make({k: v * c for k, v in self._by6.items()}, self.trunc)
+        if self._den and type(c) in _EXACT:
+            return _combine([(self, _make({0: c}, INF), 1)])
+        return _make({k: v * c for k, v in _terms(self).items()}, self.trunc)
 
     __rmul__ = __mul__
 
@@ -429,10 +485,10 @@ class PuiseuxSeries:
 
     def shift(self, e) -> "PuiseuxSeries":
         """Multiply by the monomial z^e."""
-        e = _check_sixths(_as_exp(e))
-        trunc = self.trunc if self.trunc is INF else self.trunc + e
-        d = _k6(e)
-        return _make({k + d: c for k, c in self._by6.items()}, trunc, _EXACT)
+        d = _k6(_check_sixths(_as_exp(e)))
+        if self._den:
+            return _diag(self, d, lambda k: 1, lambda k: 1)
+        return _make({k + d: c for k, c in self._by6.items()}, _moved(self.trunc, d))
 
     def inverse(self, order=None) -> "PuiseuxSeries":
         """Multiplicative inverse 1/self, i.e. ``pow_rational(-1, order)``.
@@ -454,7 +510,9 @@ class PuiseuxSeries:
         c = lift(other)
         if coeff_is_zero(c):
             raise SeriesError("division of a series by zero")
-        return _make({k: v / c for k, v in self._by6.items()}, self.trunc)
+        if self._den and type(c) in _EXACT:
+            return self * (_ONE / c)
+        return _make({k: v / c for k, v in _terms(self).items()}, self.trunc)
 
     def pow_rational(self, r, order=None) -> "PuiseuxSeries":
         """self**r for rational r, behind :meth:`inverse` and :meth:`sqrt`.
@@ -527,7 +585,7 @@ class PuiseuxSeries:
         term exactly leave only rounding residue there, which is
         dropped).
         """
-        _log_free(self._by6, -6)
+        _log_free(self, -6)
         return _diag(self, 6, lambda k: 6 * ((k > -6) - (k < -6)), lambda k: abs(k + 6))
 
     # -- composition -----------------------------------------------------
@@ -560,7 +618,7 @@ class PuiseuxSeries:
             powers = _powers(inner, next(reversed(self._by6), 0) // 6, trunc)
         # the zero known below trunc cuts the sum, so no power is cut first
         return _combine([_make({}, trunc)] + [(powers[k // 6], _make({0: c}, INF), 1)
-                                               for k, c in self._by6.items()])
+                                               for k, c in _terms(self).items()])
 
     def reversion(self, order) -> "PuiseuxSeries":
         """Compositional inverse g with self(g(z)) = z + O(z^order).
@@ -573,19 +631,27 @@ class PuiseuxSeries:
         grows by one coefficient per power, and [z^m] f(g) = 0 gives
         g_m = -(sum_{j>=2} f_j [z^m] g^j) / f_1, the term of f(g) that
         composing the partial g would read off (Brent and Kung, JACM 25,
-        1978).  Exact rings give the same coefficients as that composition.
+        1978).  An exact series takes Lagrange's g_m = [z^(m-1)] h^m / m
+        with h = z/f instead, from the kernel's powers of h; both give the
+        coefficients of that composition.
         """
         if not self.is_taylor():
             raise SeriesError("compositional inversion requires a Taylor series")
-        if not coeff_is_zero(self._by6.get(0, _ZERO)):
+        if not coeff_is_zero(_at(self, 0)):
             raise SeriesError("compositional inversion requires f(0) = 0")
-        a1 = self._by6.get(6, _ZERO)
+        a1 = _at(self, 6)
         if coeff_is_zero(a1):
             raise SeriesError("not invertible as a formal map: f'(0) = 0")
         trunc = min(Fraction(int(_as_exp(order))), self.trunc)
-        inv_a1 = _ONE / a1 if isinstance(a1, Fraction) else 1 / a1
         top = math.ceil(trunc)
-        fs = [(k // 6, c) for k, c in self._by6.items() if 6 < k < 6 * top]
+        if self._den:
+            h = self.shift(-1).inverse(order=top - 1)
+            hm, g = h, {}
+            for m in range(1, top):
+                g[6 * m], hm = _at(hm, 6 * m - 6) / m, hm * h
+            return _make(g, trunc)
+        inv_a1 = _ONE / a1 if isinstance(a1, Fraction) else 1 / a1
+        fs = [(k // 6, c) for k, c in _terms(self).items() if 6 < k < 6 * top]
         # powers[j - 1][m] = [z^m] g^j, nonzero terms only; powers[0] is g
         g = {1: inv_a1}
         powers = [g] + [{} for _ in range(fs[-1][0] - 1 if fs else 0)]
@@ -609,8 +675,8 @@ class PuiseuxSeries:
         if zpow is None:
             zpow = _principal_pow
         total = 0j
-        for k, c in self._by6.items():
-            total += to_complex(c) * zpow(z, _exp6(k))
+        for k, c in self._complex().items():
+            total += c * zpow(z, _exp6(k))
         return total
 
     # -- serialization -----------------------------------------------------
@@ -658,15 +724,9 @@ class PuiseuxSeries:
         return cls.from_json_dict(json.loads(s))
 
     def __repr__(self):
-        if not self._by6:
-            body = "0"
-        else:
-            parts = []
-            for e, c in self.terms()[:8]:
-                parts.append(f"({c})z^{e}" if e != 0 else f"({c})")
-            body = " + ".join(parts)
-            if len(self._by6) > 8:
-                body += " + ..."
+        body = " + ".join(f"({_at(self, k)})z^{_exp6(k)}" if k else f"({_at(self, k)})"
+                          for k in list(self._by6)[:8]) or "0"
+        body += " + ..." if len(self._by6) > 8 else ""
         t = "" if self.trunc is INF else f" + O(z^{self.trunc})"
         return f"<PuiseuxSeries {body}{t}>"
 
@@ -690,13 +750,9 @@ def _sum(terms: Iterable):
 
 def _powers(inner: PuiseuxSeries, n: int, trunc) -> list:
     """inner^0, ..., inner^n, each truncated at ``trunc`` as it is formed."""
-    power = _make({0: _ONE}, trunc)
-    out = [power]
+    out = [_make({0: _ONE}, trunc)]
     for _ in range(n):
-        power = power * inner
-        if trunc is not INF:
-            power = power.with_trunc(trunc)
-        out.append(power)
+        out.append(_combine([_make({}, trunc), (out[-1], inner, 1)]))
     return out
 
 
@@ -719,9 +775,27 @@ def _expand(g, rel, lead, f0, weight, unit=None, q=1) -> PuiseuxSeries:
     1 if None; weight 0 drops a term): the one loop of
     :meth:`PuiseuxSeries.pow_rational` and ``exp``.  d is the gcd of g's
     nonconstant offsets 6e (g is no monomial), and an f_n that no term
-    reaches is absent, the exact zero.  Each order's sum is
-    :func:`_miller_sum`."""
+    reaches is absent, the exact zero.  For an exact g each order is summed
+    in ints and kept as (a + b i)/e in lowest terms, one gcd per order;
+    else each order's sum is :func:`_miller_sum`."""
     d = math.gcd(*(k for k in g._by6 if k > 0))
+    if g._den:
+        gs = [(k // d, a, g._im.get(k, 0)) for k, a in g._by6.items() if k > 0]
+        ud, ((ur, ui), (a0, b0)) = clear([_ONE if unit is None else unit, f0])
+        f = {0: (a0, b0, ud)}
+        for n in range(1, math.ceil(6 * rel / d)):
+            if ts := [(a, b, f[n - j], w) for j, a, b in gs
+                      if j <= n and n - j in f and (w := weight(j, n))]:
+                L, sr, si = math.lcm(*(t[2][2] for t in ts)), 0, 0
+                for a, b, (c, e, h), w in ts:
+                    m = w * (L // h)
+                    sr, si = sr + (a * c - b * e) * m, si + (a * e + b * c) * m
+                nr, ni, nd = sr * ur - si * ui, sr * ui + si * ur, g._den * L * q * n * ud
+                h = math.gcd(nr, ni, nd)
+                f[n] = (nr // h, ni // h, nd // h)
+        D, k0 = math.lcm(*(h for _, _, h in f.values())), _k6(lead)
+        return _exact(D, {k0 + n * d: a * (D // h) for n, (a, _, h) in f.items()},
+                      {k0 + n * d: b * (D // h) for n, (_, b, h) in f.items() if b}, lead + rel)
     gs = [(k // d, c) for k, c in g._by6.items() if k > 0]
     f = {0: f0}
     for n in range(1, math.ceil(6 * rel / d)):
@@ -737,7 +811,7 @@ def _miller_sum(pairs):
     g * f * w gives it: one :func:`_combine` if each g and f is an exact
     series.  Inexact ones keep the chain, whose product by w = 1 can turn
     a -0.0 part into 0.0 where _combine's chain skips that product."""
-    if all(isinstance(x, PuiseuxSeries) and _cleared(x) for g, f, _ in pairs for x in (g, f)):
+    if all(isinstance(x, PuiseuxSeries) and x._den for g, f, _ in pairs for x in (g, f)):
         return _combine(pairs)
     return _sum(g * f * w for g, f, w in pairs)
 
@@ -790,7 +864,7 @@ def max_abs_coeff(series: Iterable[PuiseuxSeries]):
     order within a series (``Fraction(0)`` when there is none)."""
     worst = Fraction(0)
     for s in series:
-        for c in s._by6.values():
+        for c in _terms(s).values():
             if abs(c) > abs(worst):
                 worst = c
     return worst
@@ -814,7 +888,7 @@ class EpsSeries:
     def of(cls, E: PuiseuxSeries) -> "EpsSeries":
         """The orders of E, whose eps-truncation must be finite."""
         zero = PuiseuxSeries.zero()
-        return cls(tuple(E._by6.get(6 * n, zero) for n in range(int(E.trunc))))
+        return cls(tuple(_terms(E).get(6 * n, zero) for n in range(int(E.trunc))))
 
     def series(self) -> PuiseuxSeries:
         return PuiseuxSeries(enumerate(self.coeffs), len(self.coeffs), lattice=1)

@@ -47,6 +47,17 @@ def test_reduce_subcommand_float_mode(capsys):
     assert abs(d["F0"][0] + 9 / 140) < 1e-12
 
 
+def test_transport_subcommand_float_mode(capsys):
+    # a complex residual of the consistency check prints as its modulus
+    code, out = run_cli(["transport", "--F", '[["0",[0.3,0.1]],["1",[-0.2,0]]]',
+                         "--orders", "3"], capsys)
+    assert code == 0
+    d = json.loads(out)
+    assert d["consistency"]["orders"] == 3
+    assert isinstance(d["consistency"]["expansion_residual"], float)
+    assert 0 <= d["consistency"]["expansion_residual"] < 1e-12
+
+
 def test_determinism_identical_bytes(capsys):
     args = ["airy", "--z", "1", "0", "--eps", "0.1", "0", "--orders", "16"]
     _, out1 = run_cli(args, capsys)

@@ -292,18 +292,19 @@ def test_lattice_checked_on_input():
 
 def test_series_stores_only_coefficients_and_truncation():
     a = PuiseuxSeries({Fr(1, 3): 1}, lattice=3) * S({Fr(1, 2): 1}, trunc=3)
-    # the terms keyed by the integer 6e, the truncation, and the terms'
-    # cleared form, filled only once the kernel reads it
-    assert PuiseuxSeries.__slots__ == ("_by6", "trunc", "_clear")
-    assert a._by6 == {5: Fr(1)}
-    assert not hasattr(a, "_clear")
-    assert (a * a)._by6 == {10: Fr(1)} and a._clear == (1, [(1, 0)], 0)
-    with pytest.raises(AttributeError):
-        a._clear = None
-    with pytest.raises(AttributeError):
-        a.trunc = 5
-    with pytest.raises(AttributeError):
-        a.coeffs = {}
+    # an exact series is its cleared form, keyed by the integer 6e: one
+    # denominator, the int numerators and the nonzero imaginary ones; any
+    # other ring keeps its coefficients in _by6 and no denominator
+    assert PuiseuxSeries.__slots__ == ("_den", "_by6", "_im", "trunc")
+    assert (a._den, a._by6, a._im) == (1, {5: 1}, {})
+    g = S({1: GaussianRational(Fr(1, 3), Fr(-1, 4)), 0: Fr(-1, 2)})
+    assert (g._den, g._by6, g._im) == (12, {0: -6, 6: 4}, {6: -3})
+    assert (g * 4)._den == 3 and (g * 4)._by6 == {0: -6, 6: 4}     # over the least D
+    f = S({0: 1.5, 1: Fr(1, 2)})
+    assert f._den is None and f._by6 == {0: 1.5, 6: Fr(1, 2)} and f._im is None
+    for name in ("_den", "_by6", "_im", "trunc", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
     assert list(a.coeffs) == [Fr(5, 6)] and a.trunc == Fr(10, 3)
 
 
@@ -576,7 +577,7 @@ def test_only_the_series_module_knows_the_term_store():
         for node in ast.walk(ast.parse(path.read_text())):
             where = (path.name, getattr(node, "lineno", None))
             if isinstance(node, ast.Attribute):
-                assert node.attr not in ("_by6", "_clear"), where
+                assert node.attr not in ("_den", "_by6", "_im"), where
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = {a.name for a in node.names}
                 assert not any(n.split(".")[-1] == "series" for n in names), where
@@ -591,12 +592,13 @@ def test_only_the_series_module_knows_the_term_store():
     eps(S({Fr(1, 2): 1}), PuiseuxSeries.zero(3), S({-1: 1.5 - 2j})),
 ], ids=["exact", "gaussian", "truncated", "eps"])
 def test_copy_and_pickle_rebuild_the_terms_without_the_cleared_form(s):
-    s * s       # fills s's cleared form
-    assert hasattr(s, "_clear")
+    # the state is the terms keyed by 6e and the truncation, and a copy
+    # clears an exact series's terms afresh, to the same form
+    assert s.__reduce__()[2] == ({int(6 * e): c for e, c in s.coeffs.items()}, s.trunc)
     for c in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
         assert type(c) is type(s) and c == s and c.terms() == s.terms()
         assert c.trunc == s.trunc and (c.trunc is INF) == (s.trunc is INF)
-        assert not hasattr(c, "_clear")
+        assert (c._den, c._by6, c._im) == (s._den, s._by6, s._im)
         assert c * c == s * s
 
 

@@ -22,7 +22,7 @@ import random
 import pytest
 
 from exactwkb import series as series_module
-from exactwkb.coefficients import GaussianRational, clear, coeff_is_zero
+from exactwkb.coefficients import GaussianRational, _gauss, clear, coeff_is_zero
 from exactwkb.errors import LogObstruction
 from exactwkb.polyring import QPoly
 from exactwkb.reduction import reduce_to_airy, schrodinger_pipeline
@@ -594,7 +594,7 @@ def combine_by_chain(terms, final=None, log=None):
             v = v if abs(w) == 1 else v * abs(w)
         acc = (v if w > 0 else -v) if acc is None else acc + v if w > 0 else acc - v
     if log is not None:
-        _log_free(acc._by6, log)
+        _log_free(acc, log)
     return acc if final is None else _diag(acc, *final)
 
 
@@ -743,12 +743,13 @@ def expand_by_loop(g, rel, lead, f0, weight, unit=None, q=1):
     in increasing j, a series product by the double loop (product_by_loop)."""
     def mul(x, y):
         return product_by_loop(x, y) if isinstance(x, PuiseuxSeries) else x * y
-    ks = [k for k in g._by6 if k > 0]
+    terms = {int(6 * e): c for e, c in g.coeffs.items()}
+    ks = [k for k in terms if k > 0]
     d = math.gcd(*ks)
     f = {0: f0}
     for n in range(1, math.ceil(6 * rel / d)):
         acc = None
-        for j, gj in ((k // d, g._by6[k]) for k in ks):
+        for j, gj in ((k // d, terms[k]) for k in ks):
             if j <= n and n - j in f and (w := weight(j, n)):
                 t = mul(gj, f[n - j]) * w
                 acc = t if acc is None else acc + t
@@ -841,11 +842,12 @@ def test_miller_keeps_the_chains_signed_zeros():
 
 
 def test_a_series_is_cleared_once(monkeypatch):
-    """A few thousand series, each cleared by the first kernel pass that
-    reads it and kept cleared: products and _combine sums still equal the
-    Fraction-keyed convolution, with one clear per series."""
+    """A few thousand series, each cleared once, by its constructor: products
+    and _combine sums equal the Fraction-keyed convolution, and the kernel
+    neither clears a series nor builds a coefficient on the way."""
     calls = []
     monkeypatch.setattr(series_module, "clear", lambda values: calls.append(1) or clear(values))
+    monkeypatch.setattr(series_module, "_gauss", lambda *abd: calls.append(2) or _gauss(*abd))
     rng = random.Random(3)
 
     def draw(trunc):
@@ -854,20 +856,21 @@ def test_a_series_is_cleared_once(monkeypatch):
                               for k in rng.sample(range(-2, 8), 3)}, trunc)
 
     for _ in range(3000):
-        a, b = draw(INF), draw(rng.choice([INF, Fr(rng.randint(2, 8), 2)]))
         calls.clear()
-        items, trunc = naive_product(a, b)
+        a, b = draw(INF), draw(rng.choice([INF, Fr(rng.randint(2, 8), 2)]))
+        assert calls == [1, 1]      # a and b, once each
+        calls.clear()
         p = a * b
+        got = _combine([a, (b, 0, lambda k: 2, lambda k: 1), (a, b, -1)])
+        assert calls == []
+        items, trunc = naive_product(a, b)
         assert (p.trunc, [(e, repr(c)) for e, c in p.coeffs.items()]) == \
             (trunc, [(e, repr(c)) for e, c in items])
         want = dict(a.coeffs)
         for e, c in [*((e, 2 * c) for e, c in b.coeffs.items()), *((e, -c) for e, c in items)]:
             want[e] = want.get(e, 0) + c
-        got = _combine([a, (b, 0, lambda k: 2, lambda k: 1), (a, b, -1)])
         assert got.trunc == min(b.trunc, trunc)
         assert got.coeffs == {e: c for e, c in sorted(want.items()) if e < got.trunc and c}
-        assert len(calls) == 2      # a and b, once each for both passes
-    c = PuiseuxSeries({0: 1.5j, 1: 2.0})       # inexact: summed by the chain
-    calls.clear()
-    assert _combine([c, (c, c, 1)]) == c + c * c and c._clear is None
-    assert _combine([c]) == c and len(calls) == 1
+    c = PuiseuxSeries({0: 1.5j, 1: 2.0})       # inexact: its coefficients, summed by the chain
+    assert c._den is None and c._by6 == {0: 1.5j, 6: 2.0}
+    assert _combine([c, (c, c, 1)]) == c + c * c and _combine([c]) is c
