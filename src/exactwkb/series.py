@@ -88,19 +88,6 @@ def _k6(e: Fraction) -> int:
     return e.numerator * (6 // e.denominator)
 
 
-def _moved(t, k: int):
-    """The truncation t + k/6: INF as it is, a cached :func:`_exp6` (no
-    Fraction arithmetic) for a t on (1/6)Z."""
-    if t is INF:
-        return t
-    return t + _exp6(k) if 6 % t.denominator else _exp6(k + t.numerator * (6 // t.denominator))
-
-
-def _min(a, b):
-    """min(a, b) for truncations, comparing no Fractions when one is INF."""
-    return b if a is INF else a if b is INF or a <= b else b
-
-
 def _top6(trunc) -> int:
     """ceil(6 trunc): a key k lies below a finite ``trunc`` iff k < this."""
     return -(-6 * trunc.numerator // trunc.denominator)
@@ -169,7 +156,7 @@ def _diag(s: "PuiseuxSeries", d: int, num: Callable, den: Callable) -> "PuiseuxS
     """sum c num(k)/den(k) z^((k+d)/6) over the terms c z^(k/6) of s with
     num(k) != 0 (den(k) > 0), known below s.trunc + d/6: :func:`_weigh`
     for an exact s, c * Fraction(num(k), den(k)) for any other."""
-    trunc = _moved(s.trunc, d)
+    trunc = s.trunc if s.trunc is INF else s.trunc + _exp6(d)
     if s._den:
         return _exact(*_weigh(s._den, s._by6, s._im, d, num, den), trunc)
     return _make({k + d: c * Fraction(n, den(k)) for k, c in s._by6.items()
@@ -195,10 +182,10 @@ def _combine(terms, final=None, log=None) -> "PuiseuxSeries":
             s, d, num, den = t
             parts.append(_weigh(s._den, s._by6, s._im, d, num, den) if num
                          else (s._den, s._by6, s._im))
-            tt = _moved(s.trunc, d)
+            tt = s.trunc if s.trunc is INF else s.trunc + _exp6(d)
         else:       # a product, formed below the sum's truncation
             parts.append((t[0]._den * t[1]._den, t))
-        trunc = _min(trunc, tt)
+        trunc = min(trunc, tt)
     else:
         D, top = math.lcm(*[p[0] for p in parts]), INF if trunc is INF else _top6(trunc)
         re, im = {}, {}     # every key of im is one of re
@@ -217,7 +204,7 @@ def _combine(terms, final=None, log=None) -> "PuiseuxSeries":
         if final:
             D, re, im = _weigh(D, {k: a for k, a in re.items() if k < top and (
                 a or im.get(k))}, im, *final)
-            trunc = _moved(trunc, final[0])
+            trunc = trunc if trunc is INF else trunc + _exp6(final[0])
         return _exact(D, re, im, trunc)
     acc = None
     for t in terms:
@@ -239,9 +226,9 @@ def _mul_trunc(x: "PuiseuxSeries", y: "PuiseuxSeries"):
     """The truncation of x y, None if a factor is the exact zero (it absorbs)."""
     if not x._by6 and x.trunc is INF or not y._by6 and y.trunc is INF:
         return None
-    # error(a*b) <= a_known * err_b + err_a * b_known: each min_exp + the other trunc
-    return _min(*[_moved(t, next(iter(s._by6))) if s._by6 else INF if t is INF else s.trunc + t
-                  for s, t in ((x, y.trunc), (y, x.trunc))])
+    # error(a*b) <= a_known * err_b + err_a * b_known
+    return min(INF if y.trunc is INF else x.min_exp + y.trunc,
+               INF if x.trunc is INF else y.min_exp + x.trunc)
 
 
 def _conv(xs: Mapping, ys: list, kmax, out: dict) -> dict:
@@ -384,10 +371,9 @@ class PuiseuxSeries:
         return bool(self._by6)
 
     def __eq__(self, other):
-        if isinstance(other, bool):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        if not isinstance(other, PuiseuxSeries):    # a scalar equals its exact constant
-            return self.trunc is INF and not self._by6.keys() - {0} and _at(self, 0) == other
         if self._den and other._den:    # one form per exact value
             return (self._den, self._by6, self._im, self.trunc) == (
                 other._den, other._by6, other._im, other.trunc)
@@ -431,10 +417,9 @@ class PuiseuxSeries:
     def _complex(self) -> dict:
         """{6e: complex coefficient}; a/D and b/D round correctly, as
         ``complex(Fraction)`` does, so an exact series reads its numerators."""
-        if not self._den:
-            return {k: to_complex(c) for k, c in self._by6.items()}
         D, im = self._den, self._im
-        return {k: complex(a / D, im.get(k, 0) / D) for k, a in self._by6.items()}
+        return {k: complex(c / D, im.get(k, 0) / D) if D else to_complex(c)
+                for k, c in self._by6.items()}
 
     # -- ring operations -----------------------------------------------
 
@@ -447,7 +432,7 @@ class PuiseuxSeries:
         data = dict(_terms(self))
         for k, c in _terms(other).items():
             data[k] = data[k] + c if k in data else c
-        return _make(data, _min(self.trunc, other.trunc))
+        return _make(data, min(self.trunc, other.trunc))
 
     __radd__ = __add__
 
@@ -488,7 +473,8 @@ class PuiseuxSeries:
         d = _k6(_check_sixths(_as_exp(e)))
         if self._den:
             return _diag(self, d, lambda k: 1, lambda k: 1)
-        return _make({k + d: c for k, c in self._by6.items()}, _moved(self.trunc, d))
+        trunc = self.trunc if self.trunc is INF else self.trunc + _exp6(d)
+        return _make({k + d: c for k, c in self._by6.items()}, trunc)
 
     def inverse(self, order=None) -> "PuiseuxSeries":
         """Multiplicative inverse 1/self, i.e. ``pow_rational(-1, order)``.
@@ -631,9 +617,7 @@ class PuiseuxSeries:
         grows by one coefficient per power, and [z^m] f(g) = 0 gives
         g_m = -(sum_{j>=2} f_j [z^m] g^j) / f_1, the term of f(g) that
         composing the partial g would read off (Brent and Kung, JACM 25,
-        1978).  An exact series takes Lagrange's g_m = [z^(m-1)] h^m / m
-        with h = z/f instead, from the kernel's powers of h; both give the
-        coefficients of that composition.
+        1978).  Exact rings give the same coefficients as that composition.
         """
         if not self.is_taylor():
             raise SeriesError("compositional inversion requires a Taylor series")
@@ -644,12 +628,6 @@ class PuiseuxSeries:
             raise SeriesError("not invertible as a formal map: f'(0) = 0")
         trunc = min(Fraction(int(_as_exp(order))), self.trunc)
         top = math.ceil(trunc)
-        if self._den:
-            h = self.shift(-1).inverse(order=top - 1)
-            hm, g = h, {}
-            for m in range(1, top):
-                g[6 * m], hm = _at(hm, 6 * m - 6) / m, hm * h
-            return _make(g, trunc)
         inv_a1 = _ONE / a1 if isinstance(a1, Fraction) else 1 / a1
         fs = [(k // 6, c) for k, c in _terms(self).items() if 6 < k < 6 * top]
         # powers[j - 1][m] = [z^m] g^j, nonzero terms only; powers[0] is g
@@ -775,28 +753,10 @@ def _expand(g, rel, lead, f0, weight, unit=None, q=1) -> PuiseuxSeries:
     1 if None; weight 0 drops a term): the one loop of
     :meth:`PuiseuxSeries.pow_rational` and ``exp``.  d is the gcd of g's
     nonconstant offsets 6e (g is no monomial), and an f_n that no term
-    reaches is absent, the exact zero.  For an exact g each order is summed
-    in ints and kept as (a + b i)/e in lowest terms, one gcd per order;
-    else each order's sum is :func:`_miller_sum`."""
+    reaches is absent, the exact zero.  Each order's sum is
+    :func:`_miller_sum`."""
     d = math.gcd(*(k for k in g._by6 if k > 0))
-    if g._den:
-        gs = [(k // d, a, g._im.get(k, 0)) for k, a in g._by6.items() if k > 0]
-        ud, ((ur, ui), (a0, b0)) = clear([_ONE if unit is None else unit, f0])
-        f = {0: (a0, b0, ud)}
-        for n in range(1, math.ceil(6 * rel / d)):
-            if ts := [(a, b, f[n - j], w) for j, a, b in gs
-                      if j <= n and n - j in f and (w := weight(j, n))]:
-                L, sr, si = math.lcm(*(t[2][2] for t in ts)), 0, 0
-                for a, b, (c, e, h), w in ts:
-                    m = w * (L // h)
-                    sr, si = sr + (a * c - b * e) * m, si + (a * e + b * c) * m
-                nr, ni, nd = sr * ur - si * ui, sr * ui + si * ur, g._den * L * q * n * ud
-                h = math.gcd(nr, ni, nd)
-                f[n] = (nr // h, ni // h, nd // h)
-        D, k0 = math.lcm(*(h for _, _, h in f.values())), _k6(lead)
-        return _exact(D, {k0 + n * d: a * (D // h) for n, (a, _, h) in f.items()},
-                      {k0 + n * d: b * (D // h) for n, (_, b, h) in f.items() if b}, lead + rel)
-    gs = [(k // d, c) for k, c in g._by6.items() if k > 0]
+    gs = [(k // d, c) for k, c in _terms(g).items() if k > 0]
     f = {0: f0}
     for n in range(1, math.ceil(6 * rel / d)):
         if ts := [(gj, f[n - j], w) for j, gj in gs

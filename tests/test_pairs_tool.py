@@ -37,6 +37,9 @@ def test_summary_arithmetic_on_canned_pairs():
     assert p50["change_wins"] == 3      # lower is better; the tie at 5.5 is no win
     assert p50["median_ratio"] == 0.88 and p50["worse_than_bound"] is False
     assert got["failed"] == [[0, 0, 0, 0, 1], [0, 0, 0, 0, 0]]
+    raw = got["raw_jobs_per_s"]     # the unscaled rates, half the scaled ones here
+    assert raw["parent_q1_median_q3"] == [46.25, 50, 53.75] and raw["change_wins"] == 4
+    assert raw["median_ratio"] == 1.2 and "worse_than_bound" not in raw
     assert got["measured"]["change"][0] == {"jobs_per_s": 60, "loop_s": 0.001}
     assert got["outliers"] == []
 

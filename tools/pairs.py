@@ -17,7 +17,8 @@ Writes, or updates, the entry "W:S" of ``--out`` in the ``pairs`` schema of
 the BENCH_*.json files: per end-to-end metric, each side's runs in pair
 order, [q1, median, q3], the pairs the change wins, the median ratio
 change/parent and whether the change's median is worse than the parent's
-by more than the metric's BENCHMARK.json bound.  A run whose ``loop_s`` or
+by more than the metric's BENCHMARK.json bound; the unscaled ``jobs_per_s``
+of the ``measured`` lines is compared the same way.  A run whose ``loop_s`` or
 raw ``jobs_per_s`` lies more than FAR times above or below the median of
 its side's runs is listed under "outliers" and kept in every figure.
 """
@@ -91,24 +92,34 @@ def outliers(runs: list, side: str) -> list:
     return out
 
 
-def summary(parent: list, change: list, end_to_end: list) -> dict:
-    """The ``pairs`` entry of the runs: parent[i] and change[i] are pair i."""
-    metrics = {}
-    for spec in end_to_end:
-        name, higher, bound = spec["name"], spec["better"] == "higher", spec["bound"]
-        p = [round(r["metrics"][name], 4) for r in parent]
-        c = [round(r["metrics"][name], 4) for r in change]
-        pq, cq = quartiles(p), quartiles(c)
-        worse = cq[1] < pq[1] * (1 - bound) if higher else cq[1] > pq[1] * (1 + bound)
-        metrics[name] = {
-            "parent_runs": p, "change_runs": c,
+def compare(p: list, c: list, higher: bool) -> dict:
+    """Each side's runs (pair order), [q1, median, q3], the pairs the change
+    wins and the median ratio change/parent."""
+    p, c = [round(x, 4) for x in p], [round(x, 4) for x in c]
+    pq, cq = quartiles(p), quartiles(c)
+    return {"parent_runs": p, "change_runs": c,
             "parent_q1_median_q3": [round(x, 4) for x in pq],
             "change_q1_median_q3": [round(x, 4) for x in cq],
             "change_wins": sum((b > a) if higher else (b < a) for a, b in zip(p, c)),
-            "median_ratio": round(cq[1] / pq[1], 3) if pq[1] else None,
-            "worse_than_bound": worse}
+            "median_ratio": round(cq[1] / pq[1], 3) if pq[1] else None}
+
+
+def summary(parent: list, change: list, end_to_end: list) -> dict:
+    """The ``pairs`` entry of the runs: parent[i] and change[i] are pair i.
+    "raw_jobs_per_s" compares the rates before perfbench scales them by its
+    speed loop's ``loop_s``."""
+    metrics = {}
+    for spec in end_to_end:
+        name, higher, bound = spec["name"], spec["better"] == "higher", spec["bound"]
+        m = compare([r["metrics"][name] for r in parent], [r["metrics"][name] for r in change],
+                    higher)
+        pm, cm = m["parent_q1_median_q3"][1], m["change_q1_median_q3"][1]
+        m["worse_than_bound"] = cm < pm * (1 - bound) if higher else cm > pm * (1 + bound)
+        metrics[name] = m
     return {"failed": [[r["failed"] for r in parent], [r["failed"] for r in change]],
             "metrics": metrics,
+            "raw_jobs_per_s": compare([r["measured"]["jobs_per_s"] for r in parent],
+                                      [r["measured"]["jobs_per_s"] for r in change], True),
             "measured": {"parent": [r["measured"] for r in parent],
                          "change": [r["measured"] for r in change]},
             "outliers": outliers(parent, "parent") + outliers(change, "change")}
@@ -119,8 +130,9 @@ ABOUT = ("Pairs of `python3 perfbench/run.py --workload W --seed S --seconds 30`
          "summarised by tools/pairs.py, the change first in odd pairs; each entry is "
          "keyed W:S. Per end-to-end metric: each side's runs, [q1, median, q3], pairs the "
          "change wins, median ratio change/parent, and whether the change's median is "
-         "worse than the parent's by more than the BENCHMARK.json bound. 'measured' keeps "
-         "each run's raw figures and loop_s; 'outliers' lists runs whose loop_s or raw "
+         "worse than the parent's by more than the BENCHMARK.json bound. 'raw_jobs_per_s' "
+         "compares the unscaled rates the same way; 'measured' keeps each run's raw figures "
+         "and loop_s; 'outliers' lists runs whose loop_s or raw "
          f"jobs_per_s is more than {FAR}x off their side's median (kept in every figure).")
 
 
