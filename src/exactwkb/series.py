@@ -20,10 +20,10 @@ store is this module's alone.  JSON input is checked against (1/6)Z, so
 A series of Fractions and GaussianRationals is stored cleared: one
 denominator D > 0, an int numerator per key and the nonzero imaginary
 ones, gcd 1 (:func:`_exact`), so an exact value has one form.  Its kernel
-(:func:`_combine`, ``+``, scalar ``*``, Miller's recurrence) adds and
-multiplies those ints with one gcd per result, and the readers build a
-Fraction or GaussianRational per term read.  Other rings keep their
-coefficients and run the operators.  A recursion step is one
+(:func:`_combine`, ``+``, scalar ``*``) adds and multiplies those ints with
+one gcd per result; the readers, scalar Miller orders and reversion
+included, build a Fraction or GaussianRational per term.  Other rings
+keep their coefficients and run the operators.  A recursion step is one
 :func:`_combine`: a sum of series mapped by :func:`_diag` (c z^(k/6) to
 c num(k)/den(k) z^((k+d)/6), as derivatives and rational multiples are)
 and of products.
