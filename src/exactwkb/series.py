@@ -466,6 +466,8 @@ class PuiseuxSeries:
             c = lift(other)
         except TypeError:
             return NotImplemented
+        if type(c) is Fraction:     # in lowest terms: its own cleared form
+            return _set(None, c.denominator, {0: c.numerator} if c else {}, {}, INF)
         return _make({0: c}, INF)
 
     def shift(self, e) -> "PuiseuxSeries":
