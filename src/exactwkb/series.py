@@ -758,6 +758,23 @@ def _expand(g, rel, lead, f0, weight, unit=None, q=1) -> PuiseuxSeries:
     reaches is absent, the exact zero.  Each order's sum is
     :func:`_miller_sum`."""
     d = math.gcd(*(k for k in g._by6 if k > 0))
+    if g._den:
+        gs = [(k // d, a, g._im.get(k, 0)) for k, a in g._by6.items() if k > 0]
+        ud, ((ur, ui), (a0, b0)) = clear([_ONE if unit is None else unit, f0])
+        f = {0: (a0, b0, ud)}
+        for n in range(1, math.ceil(6 * rel / d)):
+            if ts := [(a, b, f[n - j], w) for j, a, b in gs
+                      if j <= n and n - j in f and (w := weight(j, n))]:
+                L, sr, si = math.lcm(*(t[2][2] for t in ts)), 0, 0
+                for a, b, (c, e, h), w in ts:
+                    m = w * (L // h)
+                    sr, si = sr + (a * c - b * e) * m, si + (a * e + b * c) * m
+                nr, ni, nd = sr * ur - si * ui, sr * ui + si * ur, g._den * L * q * n * ud
+                h = math.gcd(nr, ni, nd)
+                f[n] = (nr // h, ni // h, nd // h)
+        D, k0 = math.lcm(*(h for _, _, h in f.values())), _k6(lead)
+        return _exact(D, {k0 + n * d: a * (D // h) for n, (a, _, h) in f.items()},
+                      {k0 + n * d: b * (D // h) for n, (_, b, h) in f.items() if b}, lead + rel)
     gs = [(k // d, c) for k, c in _terms(g).items() if k > 0]
     f = {0: f0}
     for n in range(1, math.ceil(6 * rel / d)):
