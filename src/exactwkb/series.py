@@ -20,10 +20,10 @@ store is this module's alone.  JSON input is checked against (1/6)Z, so
 A series of Fractions and GaussianRationals is stored cleared: one
 denominator D > 0, an int numerator per key and the nonzero imaginary
 ones, gcd 1 (:func:`_exact`), so an exact value has one form.  Its kernel
-(:func:`_combine`, ``+``, scalar ``*``) adds and multiplies those ints with
-one gcd per result; the readers, scalar Miller orders and reversion
-included, build a Fraction or GaussianRational per term.  Other rings
-keep their coefficients and run the operators.  A recursion step is one
+(:func:`_combine`, ``+``, scalar ``*``, Miller's recurrence) adds and
+multiplies those ints with one gcd per result; the readers, reversion's
+table among them, build a Fraction or GaussianRational per term.  Other
+rings keep their coefficients and run the operators.  A recursion step is one
 :func:`_combine`: a sum of series mapped by :func:`_diag` (c z^(k/6) to
 c num(k)/den(k) z^((k+d)/6), as derivatives and rational multiples are)
 and of products.
@@ -755,8 +755,9 @@ def _expand(g, rel, lead, f0, weight, unit=None, q=1) -> PuiseuxSeries:
     1 if None; weight 0 drops a term): the one loop of
     :meth:`PuiseuxSeries.pow_rational` and ``exp``.  d is the gcd of g's
     nonconstant offsets 6e (g is no monomial), and an f_n that no term
-    reaches is absent, the exact zero.  Each order's sum is
-    :func:`_miller_sum`."""
+    reaches is absent, the exact zero.  For an exact g each order is summed
+    in ints and kept as (a + b i)/e in lowest terms, one gcd per order;
+    else each order's sum is :func:`_miller_sum`."""
     d = math.gcd(*(k for k in g._by6 if k > 0))
     if g._den:
         gs = [(k // d, a, g._im.get(k, 0)) for k, a in g._by6.items() if k > 0]

@@ -13,7 +13,7 @@ each export N times, alternated, the change first in odd pairs, and keeps
 every run's ``measured`` line (raw figures and the speed loop's
 ``loop_s``) beside its end-to-end metrics.
 
-Writes, or updates, the entry "W:S" of ``--out`` in the ``pairs`` schema of
+Writes, or updates, the entry "W:S" (or ``--key``) of ``--out`` in the ``pairs`` schema of
 the BENCH_*.json files: per end-to-end metric, each side's runs in pair
 order, [q1, median, q3], the pairs the change wins, the median ratio
 change/parent and whether the change's median is worse than the parent's
@@ -128,7 +128,7 @@ def summary(parent: list, change: list, end_to_end: list) -> dict:
 ABOUT = ("Pairs of `python3 perfbench/run.py --workload W --seed S --seconds 30` (trace off) "
          "from a copy of the parent commit (git archive) and of the change, made and "
          "summarised by tools/pairs.py, the change first in odd pairs; each entry is "
-         "keyed W:S. Per end-to-end metric: each side's runs, [q1, median, q3], pairs the "
+         "keyed W:S (or as given) and names its parent_commit and change. Per end-to-end metric: each side's runs, [q1, median, q3], pairs the "
          "change wins, median ratio change/parent, and whether the change's median is "
          "worse than the parent's by more than the BENCHMARK.json bound. 'raw_jobs_per_s' "
          "compares the unscaled rates the same way; 'measured' keeps each run's raw figures "
@@ -144,6 +144,7 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--out", required=True, help="JSON file to write or update")
+    p.add_argument("--key", help='the entry to write (default "W:S")')
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be positive")
@@ -165,8 +166,9 @@ def main(argv=None) -> int:
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.update(about=ABOUT, parent_commit=sha, change=args.change or "working tree")
-    doc.setdefault("pairs", {})[f"{args.workload}:{args.seed}"] = summary(
-        runs["parent"], runs["change"], end_to_end)
+    entry = summary(runs["parent"], runs["change"], end_to_end)
+    entry.update(parent_commit=sha, change=args.change or "working tree")
+    doc.setdefault("pairs", {})[args.key or f"{args.workload}:{args.seed}"] = entry
     out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
