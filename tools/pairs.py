@@ -165,7 +165,9 @@ def main(argv=None) -> int:
                 f"{s} {runs[s][-1]['metrics']['jobs_per_s']:.1f}" for s in order), flush=True)
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
-    doc.update(about=ABOUT, parent_commit=sha, change=args.change or "working tree")
+    doc["about"] = ABOUT
+    if not args.key:    # the file's own comparison; a keyed entry is an ablation
+        doc.update(parent_commit=sha, change=args.change or "working tree")
     entry = summary(runs["parent"], runs["change"], end_to_end)
     entry.update(parent_commit=sha, change=args.change or "working tree")
     doc.setdefault("pairs", {})[args.key or f"{args.workload}:{args.seed}"] = entry
