@@ -776,7 +776,7 @@ def _expand(g, rel, lead, f0, weight, unit=None, q=1) -> PuiseuxSeries:
         D, k0 = math.lcm(*(h for _, _, h in f.values())), _k6(lead)
         return _exact(D, {k0 + n * d: a * (D // h) for n, (a, _, h) in f.items()},
                       {k0 + n * d: b * (D // h) for n, (_, b, h) in f.items() if b}, lead + rel)
-    gs = [(k // d, c) for k, c in _terms(g).items() if k > 0]
+    gs = [(k // d, c) for k, c in g._by6.items() if k > 0]
     f = {0: f0}
     for n in range(1, math.ceil(6 * rel / d)):
         if ts := [(gj, f[n - j], w) for j, gj in gs
