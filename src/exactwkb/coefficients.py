@@ -185,8 +185,3 @@ def clear(values) -> tuple | None:
           for c in values]
     d = lcm(*(e for _, _, e in ps))
     return d, [(a * (d // e), b * (d // e)) for a, b, e in ps]
-
-
-def to_complex(value: Any) -> complex:
-    """Numeric image of a coefficient (exact kinds included)."""
-    return complex(value)

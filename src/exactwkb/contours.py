@@ -117,19 +117,25 @@ def integrate_polyline(f: Callable[[np.ndarray], np.ndarray], nodes: Sequence[co
 LATERAL_TURN = 0.02     # radians: eps e^{+-i LATERAL_TURN} off a Stokes line
 
 
-def _horner(cs, odd: int):
-    """w -> w^odd sum_k cs[k] (w^2)^(K-k), K = len(cs) - 1, by Horner in w^2:
-    one Python frame per call, on a Python complex or a numpy array."""
+def horner(cs):
+    """x -> sum_k cs[k] x^(K-k), K = len(cs) - 1, by Horner's rule on a
+    Python complex or a numpy array: the one evaluator of a dense
+    coefficient list (phases, Stokes potentials, the PDE kernel's x-sums)."""
     head, rest = cs[0], tuple(cs[1:])
 
-    def f(w):
-        x2 = w * w
+    def f(x):
         acc = head
         for c in rest:
-            acc = acc * x2 + c
-        return acc * w if odd else acc
+            acc = acc * x + c
+        return acc
 
     return f
+
+
+def _horner(cs, odd: int):
+    """w -> w^odd sum_k cs[k] (w^2)^(K-k), K = len(cs) - 1: horner in w^2."""
+    p = horner(cs)
+    return (lambda w: p(w * w) * w) if odd else (lambda w: p(w * w))
 
 
 def _derivative(cs, odd: int):
@@ -190,9 +196,12 @@ def valley_integral(phase, eps: complex, valleys: tuple[float, float],
         # step of it, to T = target or until |S'(x)| passes the x_cap (a
         # cut).  The first step is a quarter of the smaller of the Gaussian
         # width |a|/sqrt 2 and the gap to the next saddle; dT then doubles
-        # to 8 and a refusal quarters it.  None on a
-        # stall (dT below 1e-9 of the first, past MAX_EXTENT, 400 steps)
-        # or a cut before the first node.
+        # to 8 and a refusal quarters it.  Where x ~ T^(1/m) (near z = 0)
+        # T grows about 1.5x a node, 2.5 nodes per e-fold of target/dT, with
+        # at most half as many refusals again plus 15 (the floor), so a walk
+        # gets 16 ln(target/dT) tries.  None on a stall (dT below 1e-9 of
+        # the first or 0, past MAX_EXTENT, the tries spent) or a cut before
+        # the first node.
         s, w = saddles[k - 1], eps * cmath.exp(1j * turn)
         rho = sign * cmath.sqrt(eps / (2.0 * S(s))) * cmath.exp(0.5j * turn)
         r, j = (rho, k) if rho.real >= 0 else (-rho, -k)
@@ -200,7 +209,8 @@ def valley_integral(phase, eps: complex, valleys: tuple[float, float],
         step = 0.25 * min([abs(a) / math.sqrt(2.0)] + [abs(s - x) for x in saddles if x != s])
         pts, q, T, dT = [s], s, 0.0, (step / abs(a)) ** 2
         floor = 1e-9 * dT
-        for _ in range(400):
+        tries = 16.0 * (math.log(target) - math.log(dT)) if dT else 0.0
+        for _ in range(int(tries)):
             v = 2.0 * cmath.asinh(r * math.sqrt(T + dT))
             y = c * cmath.cosh((1j * math.pi * j + v) / m)
             pred = s + a * math.sqrt(dT) if q == s else q + w * dT / dS(q)

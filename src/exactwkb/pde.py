@@ -21,9 +21,9 @@ from functools import cached_property
 import numpy as np
 
 from .airy import airy_contour, symbol_borel_sum
-from .contours import ContourSpec, LaplaceResult
+from .contours import ContourSpec, LaplaceResult, horner
 from .errors import ContourFailure, DomainExit
-from .series import PuiseuxSeries, _combine, _principal_pow, max_abs_coeff, require_taylor
+from .series import ExponentTable, PuiseuxSeries, _combine, max_abs_coeff, require_taylor
 from .transport import transport_g
 
 
@@ -31,10 +31,8 @@ from .transport import transport_g
 class BivariateSeries:
     """psi(z, x) = sum_{n<=Nx} a_n(z) x^n, each a_n truncated at z^Nz.
 
-    a_list is the exact source of truth.  Numeric evaluation reads a
-    table built from it once per kernel, on first use: the distinct
-    exponents and, per a_n, its terms as (complex coefficient, exponent
-    index), so a point z costs one power per distinct exponent.
+    a_list is the exact source of truth.  Numeric evaluation reads its
+    ExponentTable, built once per kernel on first use.
     """
 
     a_list: tuple
@@ -45,32 +43,12 @@ class BivariateSeries:
         assert len(self.a_list) == self.Nx + 1
 
     @cached_property
-    def _table(self) -> tuple[tuple, tuple]:
-        floats = [a.to_float().terms() for a in self.a_list]
-        exps = sorted({e for terms in floats for e, _ in terms})
-        index = {e: i for i, e in enumerate(exps)}
-        return tuple(exps), tuple(tuple((c, index[e]) for e, c in terms) for terms in floats)
+    def _table(self) -> ExponentTable:
+        return ExponentTable(self.a_list)
 
     def values_at(self, z: complex) -> np.ndarray:
-        """[a.eval(z) for a in a_list] as an array, bit for bit: the same
-        principal powers and the same term-by-term sums in exponent
-        order."""
-        exps, rows = self._table
-        pows = [_principal_pow(z, e) for e in exps]
-        out = []
-        for row in rows:
-            total = 0j
-            for c, k in row:
-                total += c * pows[k]
-            out.append(total)
-        return np.array(out)
-
-
-def _horner_x(vals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.full_like(np.asarray(x, dtype=complex), vals[-1])
-    for v in vals[-2::-1]:
-        out = out * x + v
-    return out
+        """[a.eval(z) for a in a_list] as an array (principal branch)."""
+        return np.array(self._table.values(z))
 
 
 def pde_taylor(F: PuiseuxSeries, h: PuiseuxSeries, Nx: int, Nz: int) -> BivariateSeries:
@@ -203,7 +181,7 @@ def psi_eval(psi: BivariateSeries, z: complex, x: complex,
         if ratio >= 1.0 and warn is not None:
             warn(f"ratio test {ratio:.3f} >= 1 at z={z}, x={x}: "
                  "outside the empirical convergence domain")
-    return complex(_horner_x(vals, complex(x)))
+    return complex(horner(vals[::-1])(complex(x)))
 
 
 def empirical_x_radius(psi: BivariateSeries, z_abs: float) -> float:
@@ -277,8 +255,8 @@ def delta_sup_on_disk(delta: BivariateSeries, x_abs: float, r: float) -> float:
     """Empirical sup over |z| = r (12 equally spaced angles) of
     |delta_k(z, x)| at x = x_abs, -x_abs and i x_abs."""
     xs = np.array([x_abs, -x_abs, x_abs * 1j])
-    return max(float(np.max(np.abs(_horner_x(
-        delta.values_at(r * cmath.exp(2j * math.pi * j / 12)), xs)))) for j in range(12))
+    return max(float(np.max(np.abs(horner(
+        delta.values_at(r * cmath.exp(2j * math.pi * j / 12))[::-1])(xs)))) for j in range(12))
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +301,10 @@ def confluent_eval(F: PuiseuxSeries, h: PuiseuxSeries, z: complex, eps: complex,
         raise DomainExit(f"path node {bad[0]:.4g} has |z - zhat^2| > {x_cap:.4g}")
     spec = replace(spec or ContourSpec(), x_cap=x_cap)  # on |S'| = |z - zhat^2|
 
+    x_sum = horner(vals[::-1])
+
     def g(w):
-        return _horner_x(vals, z - w * w)
+        return x_sum(z - w * w)
 
     return airy_contour(z, eps, spec, g=g)
 

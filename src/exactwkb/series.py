@@ -12,10 +12,11 @@ checks its input against a smaller lattice (half-integers by default);
 every operation builds its result through the trusted :func:`_make` or
 :func:`_exact`, and only ``shift`` and ``pow_rational`` can leave (1/6)Z,
 which they refuse with :class:`LatticeError`.  Other modules read a
-series only through its public readers (``coeff``, ``terms``, ...) and
-build one only through the constructor or :func:`_combine`, so the term
-store is this module's alone.  JSON input is checked against (1/6)Z, so
-``to_json`` output always reads back.
+series only through its public readers (``coeff``, ``terms``, ...), build
+one only through the constructor or :func:`_combine` and take its values
+at a point only from an :class:`ExponentTable` (``eval`` is its one-row
+case), so the term store is this module's alone.  JSON input is checked
+against (1/6)Z, so ``to_json`` output always reads back.
 
 A series of Fractions and GaussianRationals is stored cleared: one
 denominator D > 0, an int numerator per key and the nonzero imaginary
@@ -52,7 +53,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping
 
 from .coefficients import (GaussianRational, _gauss, clear, coeff_is_zero,
-                           is_exact, lift, to_complex)
+                           is_exact, lift)
 from .errors import LatticeError, LogObstruction, SeriesError, SeriesFormatError
 
 INF = math.inf
@@ -273,8 +274,8 @@ def _log_free(s: "PuiseuxSeries", k: int) -> None:
     """LogObstruction if the integrand term of s keyed k (z^-1) is nonzero:
     any exact one, an inexact one past 1e-9 of the largest |c| (not rounding)."""
     res = _at(s, k)
-    if not coeff_is_zero(res) and (is_exact(res) or abs(to_complex(res)) > 1e-9 * max(
-            abs(to_complex(c)) for c in _terms(s).values())):
+    if not coeff_is_zero(res) and (is_exact(res) or abs(complex(res)) > 1e-9 * max(
+            abs(complex(c)) for c in _terms(s).values())):
         raise LogObstruction("antiderivative of a z^-1 term would introduce log z")
 
 
@@ -418,7 +419,7 @@ class PuiseuxSeries:
         """{6e: complex coefficient}; a/D and b/D round correctly, as
         ``complex(Fraction)`` does, so an exact series reads its numerators."""
         D, im = self._den, self._im
-        return {k: complex(c / D, im.get(k, 0) / D) if D else to_complex(c)
+        return {k: complex(c / D, im.get(k, 0) / D) if D else complex(c)
                 for k, c in self._by6.items()}
 
     # -- ring operations -----------------------------------------------
@@ -650,14 +651,9 @@ class PuiseuxSeries:
     # -- evaluation ------------------------------------------------------
 
     def eval(self, z: complex, zpow: Callable[[complex, Fraction], complex] | None = None) -> complex:
-        """Numeric value at z.  ``zpow(z, e)`` fixes the branch of z^e
-        (principal branch by default)."""
-        if zpow is None:
-            zpow = _principal_pow
-        total = 0j
-        for k, c in self._complex().items():
-            total += c * zpow(z, _exp6(k))
-        return total
+        """Numeric value at z: the one row of an :class:`ExponentTable`.
+        ``zpow(z, e)`` fixes the branch of z^e (principal branch by default)."""
+        return ExponentTable([self]).values(z, zpow)[0]
 
     # -- serialization -----------------------------------------------------
 
@@ -668,7 +664,7 @@ class PuiseuxSeries:
                 parts = [str(c), "0"] if isinstance(c, (int, Fraction)) else [str(c.re), str(c.im)]
             else:
                 try:
-                    cc = to_complex(c)
+                    cc = complex(c)
                 except TypeError:
                     raise SeriesFormatError(f"coefficient {c!r} has no JSON form") from None
                 parts = [cc.real, cc.imag]
@@ -717,6 +713,34 @@ def _principal_pow(z: complex, e: Fraction) -> complex:
     if e.denominator == 1 and -8 <= e <= 8:
         return complex(z) ** int(e)
     return complex(z) ** float(e)
+
+
+class ExponentTable:
+    """Series ready to be evaluated at points: the distinct exponents of
+    all of them in increasing order (``exps``), and per series its terms as
+    (complex(a/D, b/D) or complex(c), index into exps) in increasing
+    exponent (``rows``), so a point costs one zpow per distinct exponent."""
+
+    __slots__ = ("exps", "rows")
+
+    def __init__(self, series: Iterable[PuiseuxSeries]):
+        floats = [s._complex() for s in series]
+        keys = sorted({k for f in floats for k in f})
+        index = {k: i for i, k in enumerate(keys)}
+        self.exps = tuple(map(_exp6, keys))
+        self.rows = tuple(tuple((c, index[k]) for k, c in f.items()) for f in floats)
+
+    def values(self, z: complex, zpow: Callable | None = None) -> list[complex]:
+        """Each series' terms c z^e at z added one by one in exponent order
+        from 0j; zpow(z, e) fixes the branch of z^e (principal by default)."""
+        pows = [(zpow or _principal_pow)(z, e) for e in self.exps]
+        out = []
+        for row in self.rows:
+            total = 0j
+            for c, i in row:
+                total += c * pows[i]
+            out.append(total)
+        return out
 
 
 def _sum(terms: Iterable):
@@ -815,7 +839,7 @@ def _coeff_root(c, r: Fraction):
     if is_exact(c):
         raise SeriesError(f"exact power {r} of leading coefficient {c} "
                           "needs a rational coefficient")
-    return to_complex(c) ** float(r)
+    return complex(c) ** float(r)
 
 
 def _iroot(n: int, k: int) -> int | None:

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .contours import _gl
+from .contours import _gl, horner
 from .errors import TraceEscape
 from .series import PuiseuxSeries, require_taylor
 
@@ -91,18 +91,8 @@ def _callable_potential(V) -> Callable[[complex], complex]:
     if isinstance(V, PuiseuxSeries):
         require_taylor(V, "V")
         coeffs = V.to_float().coeffs
-        dense = [coeffs.get(n, 0j) for n in range(int(max(coeffs, default=0)) + 1)]
-        # Horner from the leading coefficient down; the same form serves
-        # complex scalars (the tracer) and complex arrays (the node check)
-        top, rest = dense[-1], dense[-2::-1]
-
-        def f(q):
-            tot = top
-            for c in rest:
-                tot = tot * q + c
-            return tot
-
-        return f
+        # on complex scalars (the tracer) and complex arrays (the node check)
+        return horner([coeffs.get(n, 0j) for n in range(int(max(coeffs, default=0)), -1, -1)])
     raise TypeError("V must be callable or a Taylor series")
 
 

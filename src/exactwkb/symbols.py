@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ContourFailure
-from .series import EpsSeries, PuiseuxSeries
+from .series import EpsSeries, ExponentTable, PuiseuxSeries
 
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
@@ -102,7 +102,7 @@ class WKBSymbol:
 
     def g_values(self, z: complex) -> np.ndarray:
         """g_n(z) on the fixed branch, n = 0..order."""
-        return np.array([g.eval(z, zpow) for g in self.eps_coeffs])
+        return np.array(ExponentTable(self.eps_coeffs).values(z, zpow))
 
     def truncated_sum(self, z: complex, eps: complex, orders: int | None = None) -> complex:
         """Plain truncated summation (divergent series; use few orders)."""
@@ -115,6 +115,6 @@ class WKBSymbol:
         """xi-Taylor coefficients of the Borel minor of the eps-series part
         at z: g_n/(n-1)!, n >= 1, formed exactly and then evaluated on the
         fixed branch."""
-        return np.array([(g * Fraction(1, math.factorial(n - 1))).eval(z, zpow)
-                         for n, g in enumerate(self.eps_coeffs[1:], start=1)],
-                        dtype=complex)
+        return np.array(ExponentTable([g * Fraction(1, math.factorial(n - 1)) for n, g
+                                       in enumerate(self.eps_coeffs[1:], start=1)]
+                                      ).values(z, zpow), dtype=complex)

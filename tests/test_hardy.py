@@ -281,6 +281,18 @@ def test_small_z_within_ten_est_errors_of_the_oracle(n):
                 assert res.est_error <= 1e-13 * abs(res.value), (z, eps)
 
 
+@pytest.mark.parametrize("n, r, j, eps", [(8, 1e-12, 3, 0.1), (9, 1e-12, 7, 0.05),
+                                           (10, 1e-12, 1, 0.1), (10, 1e-9, 4, 0.05)])
+def test_long_walks_near_the_turning_point_reach_their_valleys(n, r, j, eps):
+    # here a half-thimble's first dT is 1e-60 to 1e-54 and T grows about
+    # 1.5x a node, so a walk takes more tries than a fixed cap of 400
+    # allowed, and fewer than the 16 ln(target/dT) it gets.  arg z = pi
+    # (j - 3.5)/4 lies inside |arg z| < 2 pi/m for j = 3, 4, past it else
+    z = cmath.rect(r, math.pi * (j - 3.5) / 4)
+    res = hardy_phi_eval(n, z, eps)
+    assert abs(res.value - _k_oracle(n, z, eps, "eps2")) <= 10 * res.est_error
+
+
 def test_extreme_z_gives_a_value_or_a_typed_error():
     # powers of z that overflow or underflow, and nan or inf, end in an
     # ExactWKBError or a finite value, never a bare OverflowError,

@@ -20,10 +20,17 @@ from exactwkb.pde import (BivariateSeries, confluent_eval, convergence_radius,
                           iteration_bound, local_decomposition, pde_residual,
                           pde_taylor, picard_deltas,
                           picard_partial_sums_match, psi_eval)
-from exactwkb.series import PuiseuxSeries, TaylorSeries, max_abs_coeff
+from exactwkb.series import (ExponentTable, PuiseuxSeries, TaylorSeries, _principal_pow,
+                             max_abs_coeff)
+from exactwkb.symbols import zpow
+from exactwkb.transport import transport_g
 
 F0 = TaylorSeries({})
 H0 = TaylorSeries({})
+
+
+def bits(z):
+    return complex(z).real.hex(), complex(z).imag.hex()
 
 
 def rand_taylor(rng, deg, gaussian=False):
@@ -147,46 +154,62 @@ def test_radius_honesty_inside_r_prime():
             assert r_emp > rep.r_prime
 
 
+def _term_loop(series, z, power=_principal_pow):
+    """The reference value at z: complex(c) * power(z, e) over the terms,
+    added one by one in exponent order from 0j."""
+    total = 0j
+    for e, c in series.terms():
+        total += complex(c) * power(z, e)
+    return total
+
+
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_kernel_table_values_equal_series_eval(gaussian):
-    # Nz = 12 reaches exponents above 8, where _principal_pow switches to
-    # a float power; z sits just either side of the branch cut
+    # the kernel's values_at and a symbol's g_values and minor_values,
+    # bit for bit against a plain per-term loop.  Nz = 12 reaches exponents
+    # above 8, where _principal_pow switches to a float power; z sits just
+    # either side of the principal cut and of the symbols' cut at
+    # arg z = -2 pi/3
     rng = random.Random(31 + gaussian)
-    psi = pde_taylor(rand_taylor(rng, 2, gaussian), rand_taylor(rng, 1, gaussian),
-                     12, 12)
+    F = rand_taylor(rng, 2, gaussian)
+    psi = pde_taylor(F, rand_taylor(rng, 1, gaussian), 12, 12)
     assert max(e for a in psi.a_list for e in a.coeffs) > 8
-    for z in (-0.7 + 1e-12j, -0.7 - 1e-12j, 0.4 + 0.3j, 1.2):
-        want = [a.eval(z) for a in psi.a_list]
-        got = psi.values_at(z)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g == w, (z, g, w)
+    sym = transport_g(F, 12)
+    minors = [g * Fr(1, math.factorial(n - 1)) for n, g in enumerate(sym.eps_coeffs[1:], 1)]
+    assert min(e for g in sym.eps_coeffs for e in g.coeffs) < -8
+    cut = cmath.exp(-2j * math.pi / 3)
+    for z in (-0.7 + 1e-12j, -0.7 - 1e-12j, 0.4 + 0.3j, 1.2,
+              0.6 * cut * cmath.exp(1e-12j), 0.6 * cut * cmath.exp(-1e-12j)):
+        for got, want in ((psi.values_at(z), [_term_loop(a, z) for a in psi.a_list]),
+                          (sym.g_values(z), [_term_loop(g, z, zpow) for g in sym.eps_coeffs]),
+                          (sym.minor_values(z), [_term_loop(g, z, zpow) for g in minors])):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert bits(g) == bits(w), (z, g, w)
 
 
 def test_confluent_reads_the_kernel_table_built_once(monkeypatch):
     F = TaylorSeries({0: Fr(1, 3), 1: Fr(-2, 7)})
     h = TaylorSeries({0: Fr(1, 5)})
     psi = pde_taylor(F, h, 20, 20)
-    evals, converted = [], []
-    series_eval = PuiseuxSeries.eval
+    evals, built = [], []
+    series_eval, table_init = PuiseuxSeries.eval, ExponentTable.__init__
 
     def counted_eval(self, *args, **kwargs):
         evals.append(1)
         return series_eval(self, *args, **kwargs)
 
-    series_to_float = PuiseuxSeries.to_float
-
-    def counted_to_float(self):
-        converted.append(1)
-        return series_to_float(self)
+    def counted_init(self, series):
+        built.append(1)
+        table_init(self, series)
 
     monkeypatch.setattr(PuiseuxSeries, "eval", counted_eval)
-    monkeypatch.setattr(PuiseuxSeries, "to_float", counted_to_float)
+    monkeypatch.setattr(ExponentTable, "__init__", counted_init)
     for z in (0.9 + 0.3j, 0.6 - 0.2j):
         confluent_eval(F, h, z, 0.08, psi=psi)
     assert evals == []
-    # every a_n is converted once: one table for both calls
-    assert len(converted) == len(psi.a_list)
+    # one table for both calls
+    assert built == [1]
 
 
 def test_confluent_trivial_kernel_equals_airy():

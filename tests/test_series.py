@@ -570,7 +570,7 @@ def test_series_equals_a_scalar_only_as_an_exact_constant():
 def test_only_the_series_module_knows_the_term_store():
     # every other layer reads a series through its public readers and builds
     # one through the constructor or _combine, so the store can change here
-    kernel = {"_combine", "_miller_sum", "_principal_pow"}
+    kernel = {"_combine", "_miller_sum"}
     for path in sorted(Path(exactwkb.__file__).parent.glob("*.py")):
         if path.name == "series.py":
             continue

@@ -19,9 +19,7 @@ from hypothesis import strategies as st
 import pytest
 
 from exactwkb.coefficients import GaussianRational as G
-from exactwkb.coefficients import to_complex
-from exactwkb.pde import BivariateSeries
-from exactwkb.series import INF, PuiseuxSeries, _combine, _principal_pow
+from exactwkb.series import INF, ExponentTable, PuiseuxSeries, _combine, _principal_pow
 
 SIXTH = Fr(1, 6)
 HALF = Fr(1, 2)
@@ -124,10 +122,10 @@ def assert_reads(s, model):
     # floats: the Fraction path's, bit for bit
     z, want = 0.7 - 0.4j, 0j
     for e, c in items:
-        want += to_complex(c) * _principal_pow(z, e)
+        want += complex(c) * _principal_pow(z, e)
     assert bits(s.eval(z)) == bits(want)
     assert [(e, bits(c)) for e, c in s.to_float().terms()] == \
-        [(e, bits(to_complex(c))) for e, c in items]
+        [(e, bits(complex(c))) for e, c in items]
     # equality, hashing, mapping and the printed forms
     ref = PuiseuxSeries(terms, trunc, lattice=6)
     assert s == ref and hash(s) == hash(ref) and s.map_coefficients(lambda c: c) == s
@@ -217,20 +215,20 @@ BIG = st.builds(lambda n, sign, d: Fr(sign * n, d), st.integers(2 ** 60 + 1, 2 *
 @given(st.lists(st.one_of(BIG, st.builds(G, BIG, BIG), st.builds(G, st.just(0), BIG)),
                 min_size=1, max_size=6))
 def test_float_readers_round_as_the_fraction_path(values):
-    """eval, to_float and the PDE kernel's float table read a/D and b/D off
+    """eval, to_float and the exponent table read a/D and b/D off
     the cleared form; with numerators and denominators past 2^60 (and one
     D for all terms) they give the floats of complex(Fraction) and
     complex(GaussianRational), bit for bit."""
     s = PuiseuxSeries(dict(enumerate(values)), lattice=1)
-    path = [(e, to_complex(c)) for e, c in s.terms()]
+    path = [(e, complex(c)) for e, c in s.terms()]
     assert [(e, bits(c)) for e, c in s.to_float().terms()] == [(e, bits(c)) for e, c in path]
     for z in (0.3 + 0.2j, -1.7 + 0j):
         want = 0j
         for e, c in path:
             want += c * _principal_pow(z, e)
         assert bits(s.eval(z)) == bits(want)
-    psi = BivariateSeries(a_list=(s, s.shift(1), s * Fr(1, 3)), Nx=2, Nz=8)
-    exps, rows = psi._table
-    for a, row in zip(psi.a_list, rows):
-        assert [(exps[i], bits(c)) for c, i in row] == \
-            [(e, bits(to_complex(c))) for e, c in a.terms()]
+    a_list = (s, s.shift(1), s * Fr(1, 3))
+    table = ExponentTable(a_list)
+    for a, row in zip(a_list, table.rows):
+        assert [(table.exps[i], bits(c)) for c, i in row] == \
+            [(e, bits(complex(c))) for e, c in a.terms()]
