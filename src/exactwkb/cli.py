@@ -53,7 +53,7 @@ def _load_series(text: str, name: str) -> PuiseuxSeries:
         data = {"min_exp": "0", "trunc": "inf", "coeffs": data}
     try:
         return require_taylor(PuiseuxSeries.from_json_dict(data), name)
-    except (TypeError, ValueError, ArithmeticError, SeriesError) as exc:
+    except SeriesError as exc:       # require_taylor's and the lattice's
         raise SeriesFormatError(str(exc)) from exc
 
 

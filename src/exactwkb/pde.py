@@ -58,10 +58,10 @@ def pde_taylor(F: PuiseuxSeries, h: PuiseuxSeries, Nx: int, Nz: int) -> Bivariat
     + 2(n-2) a_{n-1}' + F a_{n-2})  is solved by the exact coefficient
     action of its kernel G -> int_0^1 u^{n-1} G(u^4 z) du, which maps
     z^m to z^m/(n+4m); picard_partial_sums_match checks it against the
-    independent Picard iteration (picard_deltas).  On terms c z^{k/6} the
-    right side is a_{n-2} weighted by -k(k-6)/36 (shift -12) plus a_{n-1}
-    by (n-2)k/3 (shift -6) plus F a_{n-2}, its term at k then divided by
-    (n-1)(n+4k/6).  ValueError for Nx < 1 or Nz < 0.
+    independent Picard iteration (picard_deltas).  On terms c z^e the
+    right side is a_{n-2} weighted by e(1-e) (shift -2) plus a_{n-1} by
+    2(n-2)e (shift -1) plus F a_{n-2}, its term at e then divided by
+    (n-1)(n+4e).  ValueError for Nx < 1 or Nz < 0.
     """
     if Nx < 1 or Nz < 0:
         raise ValueError(f"pde orders need Nx >= 1 and Nz >= 0, got {Nx}, {Nz}")
@@ -72,11 +72,10 @@ def pde_taylor(F: PuiseuxSeries, h: PuiseuxSeries, Nx: int, Nz: int) -> Bivariat
     # exact); the retention window Nz is applied at the end
     a = [PuiseuxSeries({0: 1}), h]
     for n in range(2, Nx + 1):
-        rhs = [(a[n - 2], -12, lambda k: -k * (k - 6), lambda k: 36)]
+        rhs = [(a[n - 2], -2, (0, 1, -1), (1,))]
         if n > 2:
-            rhs.append((a[n - 1], -6, lambda k: (n - 2) * k, lambda k: 3))
-        a.append(_combine(rhs + [(F, a[n - 2], 1)],
-                          (0, lambda k: 1, lambda k: (n - 1) * (n + 4 * (k // 6)))))
+            rhs.append((a[n - 1], -1, (0, 2 * (n - 2)), (1,)))
+        a.append(_combine(rhs + [(F, a[n - 2], 1)], (0, (1,), ((n - 1) * n, 4 * (n - 1)))))
     return BivariateSeries(a_list=tuple(s.with_trunc(min(s.trunc, cap)) for s in a),
                            Nx=Nx, Nz=Nz)
 
@@ -86,11 +85,9 @@ def _require_kernel_of(psi: BivariateSeries, F, h) -> None:
     sum F_m z^m/(2+4m), compared exactly within psi's truncation."""
     if psi.Nx >= 1 and not (psi.a_list[1] - h).is_zero():
         raise ValueError("psi is not the kernel of the given h (its a_1 differs)")
-    if psi.Nx >= 2:
-        a2 = psi.a_list[2]
-        preimage = _combine([(a2, 0, lambda k: 2 + 4 * (k // 6), lambda k: 1)])
-        if not (preimage - F).is_zero():
-            raise ValueError("psi is not the kernel of the given F (its a_2 differs)")
+    if psi.Nx >= 2 and not (psi.a_list[2].is_taylor() and (  # (2 + 4e) is 0 at e = -1/2
+            _combine([(psi.a_list[2], 0, (2, 4), (1,))]) - F).is_zero()):
+        raise ValueError("psi is not the kernel of the given F (its a_2 differs)")
 
 
 def pde_residual(psi: BivariateSeries, F: PuiseuxSeries):
@@ -99,18 +96,18 @@ def pde_residual(psi: BivariateSeries, F: PuiseuxSeries):
     Assembles x^2 psi_xx + (4xz - 2x^2) psi_xz + x^2 psi_zz
     + (2x - 4z) psi_z - x^2 F psi and takes the max coefficient magnitude
     over x-orders 0..Nx and retained z-orders (exact zero for pde_taylor
-    output in exact mode).  On terms c z^{k/6} x^n's coefficient is a_n
-    weighted by (n-1)(3n+2k)/3, plus a_{n-1} by -(n-2)k/3 (shift -6), plus
-    a_{n-2} by k(k-6)/36 (shift -12), minus F a_{n-2}.
+    output in exact mode).  On terms c z^e x^n's coefficient is a_n
+    weighted by (n-1)(n+4e), plus a_{n-1} by -2(n-2)e (shift -1), plus
+    a_{n-2} by e(e-1) (shift -2), minus F a_{n-2}.
     """
     a, negF = psi.a_list, -F
     terms = []
     for n in range(psi.Nx + 1):
-        term = [(a[n], 0, lambda k: (n - 1) * (3 * n + 2 * k), lambda k: 3)]
+        term = [(a[n], 0, ((n - 1) * n, 4 * (n - 1)), (1,))]
         if n >= 1:
-            term.append((a[n - 1], -6, lambda k: -(n - 2) * k, lambda k: 3))
+            term.append((a[n - 1], -1, (0, -2 * (n - 2)), (1,)))
         if n >= 2:
-            term += [(a[n - 2], -12, lambda k: k * (k - 6), lambda k: 36), (negF, a[n - 2], 1)]
+            term += [(a[n - 2], -2, (0, -1, 1), (1,)), (negF, a[n - 2], 1)]
         terms.append(_combine(term))
     return max_abs_coeff(terms)
 
@@ -206,11 +203,11 @@ def picard_deltas(F: PuiseuxSeries, h: PuiseuxSeries, K: int,
     """Exact increments delta_k of the Picard iteration for
     phi(z, x) = psi/x - 1/x, each a BivariateSeries (its x-orders 0..Nx).
 
-    delta_0 is h plus x F_m z^m/(4m+2).  On terms c z^{k/6} of an
-    x-order n part, m = k//6, the integral operators of the fixed-point
-    equation are diagonal: 2x int u d_z delta - int int 2 d_z delta goes
-    to x^{n+1} weighted by 2mn (shift -6); - int int t d_z^2 delta to
-    x^{n+2} by -m(m-1) (shift -12); and int int t F delta to x^{n+2} as
+    delta_0 is h plus x F_m z^m/(4m+2).  On terms c z^m of an x-order n
+    part the integral operators of the fixed-point equation are diagonal:
+    2x int u d_z delta - int int 2 d_z delta goes to x^{n+1} weighted by
+    2mn (shift -1); - int int t d_z^2 delta to x^{n+2} by -m(m-1) (shift
+    -2); and int int t F delta to x^{n+2} as
     F delta.  Each x^p part is one _combine, its z^M term divided by
     p(4M+p+1) in the final map.  Each round draws on z-orders up to two
     higher, so F and h are cut at z^{Nz+2K+1} and the series truncation
@@ -224,16 +221,15 @@ def picard_deltas(F: PuiseuxSeries, h: PuiseuxSeries, K: int,
     window = Fraction(Nz + 2 * K + 1)
     F, h = (s.with_trunc(min(s.trunc, window)) for s in (F, h))
     zero = PuiseuxSeries.zero()
-    delta0 = [h, _combine([(F, 0, lambda k: 1, lambda k: 4 * (k // 6) + 2)])] + [zero] * (Nx - 1)
+    delta0 = [h, _combine([(F, 0, (1,), (2, 4))])] + [zero] * (Nx - 1)
     deltas = [delta0[:Nx + 1]]
     for _ in range(K):
         d, nxt = deltas[-1], [zero]
         for p in range(1, Nx + 1):
-            terms = [(d[p - 1], -6, lambda k: 2 * (k // 6) * (p - 1), lambda k: 1)]
+            terms = [(d[p - 1], -1, (0, 2 * (p - 1)), (1,))]
             if p >= 2:
-                terms += [(d[p - 2], -12, lambda k: -(k // 6) * (k // 6 - 1), lambda k: 1),
-                          (F, d[p - 2], 1)]
-            nxt.append(_combine(terms, (0, lambda k: 1, lambda k: p * (4 * (k // 6) + p + 1))))
+                terms += [(d[p - 2], -2, (0, 1, -1), (1,)), (F, d[p - 2], 1)]
+            nxt.append(_combine(terms, (0, (1,), (p * (p + 1), 4 * p))))
         deltas.append(nxt)
     cap = Fraction(Nz + 1)
     return [BivariateSeries(a_list=tuple(s.with_trunc(min(s.trunc, cap)) for s in d),

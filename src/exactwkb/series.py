@@ -25,9 +25,11 @@ ones, gcd 1 (:func:`_exact`), so an exact value has one form.  Its kernel
 multiplies those ints with one gcd per result; the readers, reversion's
 table among them, build a Fraction or GaussianRational per term.  Other
 rings keep their coefficients and run the operators.  A recursion step is one
-:func:`_combine`: a sum of series mapped by :func:`_diag` (c z^(k/6) to
-c num(k)/den(k) z^((k+d)/6), as derivatives and rational multiples are)
-and of products.
+:func:`_combine`: a sum of products and of series mapped by :func:`_diag`,
+c z^e to c num(e)/den(e) z^(e + shift) for a weight (shift, num, den) of
+int polynomials in the exponent e (derivatives, antiderivatives, rational
+multiples); den(e) = 0 marks the integral of a z^-1 term, a logarithm.
+Only this module turns a weight into arithmetic on the keys.
 
 A coefficient may itself be a ``PuiseuxSeries``: an eps-series is one in
 eps on the integer lattice with z-series coefficients, so one product and
@@ -142,36 +144,62 @@ def _at(s: "PuiseuxSeries", k: int):
     return _ZERO if c is None else _gauss(c, s._im.get(k, 0), s._den) if s._den else c
 
 
-def _weigh(D, re, im, d, num, den) -> tuple:
-    """(D Q, re', im'): the terms (re[k] + im[k] i)/D z^(k/6) times
-    num(k)/den(k) at key k + d, over the k with num(k) != 0 (den(k) > 0
-    there), Q the lcm of their den(k)."""
-    rows = [(k, n, den(k)) for k in re if (n := num(k))]
+@functools.lru_cache(maxsize=512)
+def _in_keys(num: tuple, den: tuple) -> tuple:
+    """num(e)/den(e) (ascending int coefficients, degree <= 2) as the ints
+    (a, b, c, p, q, r), gcd 1, with (a + k(b + kc))/(p + k(q + kr)) at k = 6e."""
+    t = [x * 6 ** (2 - i) for p in (num, den) for i, x in enumerate(p + (0,) * (3 - len(p)))]
+    g = math.gcd(*t)
+    return tuple(x // g for x in t)
+
+
+def _rows(cs: Mapping, num: tuple, den: tuple) -> list:
+    """(k, n, q) with n/q = num(e)/den(e), over the keys k = 6e of cs with
+    num(e) != 0 and den(e) != 0; a key with den(e) = 0 holds the integrand
+    of a z^-1 term, dropped if :func:`_log_free` lets it be."""
+    a, b, c, p, q, r = _in_keys(num, den)
+    return [(k, n, m) for k in cs
+            if (n := a + k * (b + k * c)) and ((m := p + k * (q + k * r)) or _log_free(cs, k))]
+
+
+def _log_free(cs: Mapping, k: int) -> None:
+    """LogObstruction if cs[k], a stored term's coefficient (or an exact
+    one's numerator), is exact or past 1e-9 of the largest |c| (not
+    rounding), since integrating it would introduce log z."""
+    if is_exact(cs[k]) or abs(complex(cs[k])) > 1e-9 * max(abs(complex(c)) for c in cs.values()):
+        raise LogObstruction("antiderivative of a z^-1 term would introduce log z")
+
+
+def _weigh(D, re, im, shift, num, den) -> tuple:
+    """(D Q, re', im'): the terms (re[k] + im[k] i)/D z^e, none of them 0,
+    times num(e)/den(e) at e + shift (:func:`_rows`), Q > 0 the dens' lcm."""
+    d, rows = _k6(shift), _rows(re, num, den)
     Q = math.lcm(*(q for _, _, q in rows))
     rows = [(k, n * (Q // q)) for k, n, q in rows]
     return (D * Q, {k + d: re[k] * m for k, m in rows},
             {k + d: im[k] * m for k, m in rows if k in im} if im else {})
 
 
-def _diag(s: "PuiseuxSeries", d: int, num: Callable, den: Callable) -> "PuiseuxSeries":
-    """sum c num(k)/den(k) z^((k+d)/6) over the terms c z^(k/6) of s with
-    num(k) != 0 (den(k) > 0), known below s.trunc + d/6: :func:`_weigh`
-    for an exact s, c * Fraction(num(k), den(k)) for any other."""
-    trunc = s.trunc if s.trunc is INF else s.trunc + _exp6(d)
+def _diag(s: "PuiseuxSeries", shift, num: tuple, den: tuple) -> "PuiseuxSeries":
+    """sum c num(e)/den(e) z^(e + shift) over the terms c z^e of s with
+    num(e) != 0, known below s.trunc + shift (an exponent on (1/6)Z):
+    :func:`_weigh` for an exact s, c * Fraction(n, q) for any other.  A
+    den(e) = 0 reads c z^e as the integral of c z^-1, see :func:`_log_free`."""
+    trunc = s.trunc if s.trunc is INF else s.trunc + shift
     if s._den:
-        return _exact(*_weigh(s._den, s._by6, s._im, d, num, den), trunc)
-    return _make({k + d: c * Fraction(n, den(k)) for k, c in s._by6.items()
-                  if (n := num(k))}, trunc)
+        return _exact(*_weigh(s._den, s._by6, s._im, shift, num, den), trunc)
+    d, cs = _k6(shift), s._by6
+    return _make({k + d: cs[k] * Fraction(n, q) for k, n, q in _rows(cs, num, den)}, trunc)
 
 
-def _combine(terms, final=None, log=None) -> "PuiseuxSeries":
+def _combine(terms, final=None) -> "PuiseuxSeries":
     """The sum of ``terms`` in their order, as the chain of + and - over
-    them gives it: a series as it is, a quadruple (s, d, num, den) as
-    _diag(s, d, num, den), a pair (x, y, w) as x y |w| for an int w,
-    subtracted if w < 0 (``acc - x * y * 2``); a term at key ``log`` raises
-    LogObstruction; ``final`` = (d, num, den) maps the sum as _diag does.
-    If every series is exact, each term's numerators are brought over one
-    denominator and added per key, and the sum is stored with one gcd."""
+    them gives it: a series as it is, a quadruple (s, shift, num, den) as
+    _diag(s, shift, num, den), a pair (x, y, w) as x y |w| for an int w,
+    subtracted if w < 0 (``acc - x * y * 2``); ``final`` = (shift, num, den)
+    maps the sum as _diag does.  If every series is exact, each term's
+    numerators are brought over one denominator and added per key, and the
+    sum is stored with one gcd."""
     parts, trunc = [], INF
     for t in terms:
         t = (t, 0, None, None) if isinstance(t, PuiseuxSeries) else t
@@ -180,10 +208,10 @@ def _combine(terms, final=None, log=None) -> "PuiseuxSeries":
         if not all(s._den for s in ((t[0],) if len(t) == 4 else t[:2])):
             break       # not exact: the chain of operators
         if len(t) == 4:
-            s, d, num, den = t
-            parts.append(_weigh(s._den, s._by6, s._im, d, num, den) if num
+            s, shift, num, den = t
+            parts.append(_weigh(s._den, s._by6, s._im, shift, num, den) if num
                          else (s._den, s._by6, s._im))
-            tt = s.trunc if s.trunc is INF else s.trunc + _exp6(d)
+            tt = s.trunc if s.trunc is INF else s.trunc + shift
         else:       # a product, formed below the sum's truncation
             parts.append((t[0]._den * t[1]._den, t))
         trunc = min(trunc, tt)
@@ -200,12 +228,10 @@ def _combine(terms, final=None, log=None) -> "PuiseuxSeries":
                     re[k] = re[k] + a * f if k in re else a * f
                 for k, b in part[1].items():
                     im[k] = im[k] + b * f if k in im else b * f
-        if log is not None and log < top and (re.get(log) or im.get(log)):
-            raise LogObstruction("antiderivative of a z^-1 term would introduce log z")
         if final:
             D, re, im = _weigh(D, {k: a for k, a in re.items() if k < top and (
                 a or im.get(k))}, im, *final)
-            trunc = trunc if trunc is INF else trunc + _exp6(final[0])
+            trunc = trunc if trunc is INF else trunc + final[0]
         return _exact(D, re, im, trunc)
     acc = None
     for t in terms:
@@ -218,8 +244,6 @@ def _combine(terms, final=None, log=None) -> "PuiseuxSeries":
             v = v if abs(t[2]) == 1 else v * abs(t[2])
             v = v if t[2] > 0 else -v
         acc = v if acc is None else acc + v
-    if log is not None:
-        _log_free(acc, log)
     return acc if final is None else _diag(acc, *final)
 
 
@@ -268,15 +292,6 @@ def _cleared_product(x, y, w, f, kmax, re, im) -> None:
     if x._im or yi:
         _conv(x._im, [(k, -b) for k, b in yi], kmax, re)
         _conv(x._im, yr, kmax, _conv(x._by6, yi, kmax, im))
-
-
-def _log_free(s: "PuiseuxSeries", k: int) -> None:
-    """LogObstruction if the integrand term of s keyed k (z^-1) is nonzero:
-    any exact one, an inexact one past 1e-9 of the largest |c| (not rounding)."""
-    res = _at(s, k)
-    if not coeff_is_zero(res) and (is_exact(res) or abs(complex(res)) > 1e-9 * max(
-            abs(complex(c)) for c in _terms(s).values())):
-        raise LogObstruction("antiderivative of a z^-1 term would introduce log z")
 
 
 class PuiseuxSeries:
@@ -439,7 +454,7 @@ class PuiseuxSeries:
 
     def __neg__(self):
         if self._den:
-            return _diag(self, 0, lambda k: -1, lambda k: 1)
+            return _diag(self, 0, (-1,), (1,))
         return _make({k: -c for k, c in self._by6.items()}, self.trunc)
 
     def __sub__(self, other):
@@ -473,9 +488,10 @@ class PuiseuxSeries:
 
     def shift(self, e) -> "PuiseuxSeries":
         """Multiply by the monomial z^e."""
-        d = _k6(_check_sixths(_as_exp(e)))
+        e = _check_sixths(_as_exp(e))
         if self._den:
-            return _diag(self, d, lambda k: 1, lambda k: 1)
+            return _diag(self, e, (1,), (1,))
+        d = _k6(e)
         trunc = self.trunc if self.trunc is INF else self.trunc + _exp6(d)
         return _make({k + d: c for k, c in self._by6.items()}, trunc)
 
@@ -562,20 +578,17 @@ class PuiseuxSeries:
     # -- calculus --------------------------------------------------------
 
     def derivative(self) -> "PuiseuxSeries":
-        return _diag(self, -6, lambda k: k, lambda k: 6)
+        return _diag(self, -1, (0, 1), (1,))
 
     def antiderivative(self) -> "PuiseuxSeries":
         """Termwise antiderivative with zero integration constant.
 
-        Raises LogObstruction when a z^-1 term is present: the model's
-        normalization forbids logarithms.  In exact mode any nonzero
-        z^-1 coefficient raises; for float coefficients the test is
-        relative to the series scale (identities that cancel the z^-1
-        term exactly leave only rounding residue there, which is
-        dropped).
+        The weight 1/(e + 1) is 1/0 at a z^-1 term: LogObstruction (the
+        model's normalization forbids logarithms) if it is exact or, for
+        float coefficients, past 1e-9 of the largest |c|; below that it is
+        the rounding residue of an exact cancellation and is dropped.
         """
-        _log_free(self, -6)
-        return _diag(self, 6, lambda k: 6 * ((k > -6) - (k < -6)), lambda k: abs(k + 6))
+        return _diag(self, 1, (1,), (1, 1))
 
     # -- composition -----------------------------------------------------
 
@@ -650,10 +663,9 @@ class PuiseuxSeries:
 
     # -- evaluation ------------------------------------------------------
 
-    def eval(self, z: complex, zpow: Callable[[complex, Fraction], complex] | None = None) -> complex:
-        """Numeric value at z: the one row of an :class:`ExponentTable`.
-        ``zpow(z, e)`` fixes the branch of z^e (principal branch by default)."""
-        return ExponentTable([self]).values(z, zpow)[0]
+    def eval(self, z: complex) -> complex:
+        """Numeric value at z (principal branch): an :class:`ExponentTable`'s one row."""
+        return ExponentTable([self]).values(z)[0]
 
     # -- serialization -----------------------------------------------------
 
@@ -682,17 +694,20 @@ class PuiseuxSeries:
     def from_json_dict(cls, d: dict) -> "PuiseuxSeries":
         if not isinstance(d, dict) or "coeffs" not in d:
             raise SeriesFormatError('a series object needs a "coeffs" list')
-        trunc = INF if d.get("trunc", "inf") == "inf" else Fraction(d["trunc"])
-        coeffs = {}
-        for e, val in d["coeffs"]:
-            re_v, im_v = val
-            if isinstance(re_v, str):
-                c = GaussianRational(re_v, im_v)     # a Fraction if im_v is 0
-            else:
-                c = complex(re_v, im_v)
-                if c.imag == 0:
-                    c = complex(re_v, 0.0)
-            coeffs[Fraction(e)] = c
+        try:
+            trunc = INF if d.get("trunc", "inf") == "inf" else Fraction(d["trunc"])
+            coeffs = {}
+            for e, (re_v, im_v) in d["coeffs"]:
+                if isinstance(re_v, str):
+                    c = GaussianRational(re_v, im_v)     # a Fraction if im_v is 0
+                else:
+                    c = complex(re_v, im_v)
+                    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+                        raise ValueError(f"coefficient {c} is not finite")
+                    c = c if c.imag else complex(re_v, 0.0)
+                coeffs[Fraction(e)] = c
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise SeriesFormatError(str(exc)) from exc
         return cls(coeffs, trunc, lattice=6)
 
     @classmethod

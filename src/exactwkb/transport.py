@@ -25,22 +25,19 @@ def transport_g(F: PuiseuxSeries, N: int) -> WKBSymbol:
         32 z^{5/2} g_{n+1}' = 16 z^2 g_n'' - 8 z g_n' - (16 z^2 F - 5) g_n
 
     with g_0 = 1 and every integration constant set to zero, so that
-    g_n lands in z^{-3n/2} C{z}.  On terms c z^{k/6} the right side is
-    b = sum c 16k(k-9)/36 z^{k/6} + (5 - 16z^2 F) g_n, and g_{n+1} is
-    sum b_k 3/(16(k-9)) z^{(k-9)/6} over k != 9; a nonzero b_9 (a z^{-1}
+    g_n lands in z^{-3n/2} C{z}.  On terms c z^e the right side is
+    b = sum c (16e^2 - 24e) z^e + (5 - 16z^2 F) g_n, and g_{n+1} is
+    sum b_e z^{e-3/2}/(32e - 48) over e != 3/2; a nonzero b_{3/2} (a z^{-1}
     term on the integration step) raises LogObstruction.
     """
     require_taylor(F, "F")
     if N < 0:
         raise ValueError("N must be >= 0")
     P = -(PuiseuxSeries.monomial(16, 2) * F) + 5
-    gs = [PuiseuxSeries.one()]
+    gs, integrate = [PuiseuxSeries.one()], (-3 * _HALF, (1,), (-48, 32))
     for n in range(N):
         try:
-            gs.append(_combine([(gs[n], 0, lambda k: 4 * k * (k - 9), lambda k: 9),
-                                (P, gs[n], 1)],
-                               (-9, lambda k: 3 * ((k > 9) - (k < 9)), lambda k: 16 * abs(k - 9)),
-                               log=9))
+            gs.append(_combine([(gs[n], 0, (0, -24, 16), (1,)), (P, gs[n], 1)], integrate))
         except LogObstruction as exc:
             raise LogObstruction(
                 f"transport step n={n + 1} left a z^-1 term") from exc
@@ -66,13 +63,13 @@ def riccati_p(F: PuiseuxSeries, N: int) -> RiccatiExpansion:
     for n in range(1, N):
         # p_n' less the symmetric sum, each pair j <-> n+1-j once and doubled;
         # F at n = 1; all over 2 z^{1/2}
-        rhs = [(ps[n], -6, lambda k: k, lambda k: 6)]
+        rhs = [(ps[n], -1, (0, 1), (1,))]
         rhs += [(ps[j], ps[n + 1 - j], -2) for j in range(1, n // 2 + 1)]
         if n % 2:
             rhs.append((ps[(n + 1) // 2], ps[(n + 1) // 2], -1))
         if n == 1:
             rhs.append(F)
-        ps.append(_combine(rhs, (-3, lambda k: 1, lambda k: 2)))
+        ps.append(_combine(rhs, (-_HALF, (1,), (2,))))
     return RiccatiExpansion(p_coeffs=tuple(ps))
 
 
@@ -102,8 +99,8 @@ def wkb_residual(symbol: WKBSymbol, F: PuiseuxSeries) -> list:
 
     Its eps-coefficients through the highest provable order (all must be
     the zero series) are bracket(g_{m-1}) - 2 z^{1/2} g_m'.  On terms
-    c z^{k/6} the bracket but F g has weight (16k^2 - 144k + 180)/576 and
-    shift -12 (k -> k - 12), the drift k/3 and shift -3.
+    c z^e the bracket but F g has weight (16e^2 - 24e + 5)/16 and shift -2
+    (e -> e - 2), the drift -2e and shift -1/2.
     """
     gs, negF = symbol.eps_coeffs, -F
     out = []
@@ -111,9 +108,8 @@ def wkb_residual(symbol: WKBSymbol, F: PuiseuxSeries) -> list:
         terms = []
         if m:
             h = gs[m - 1]
-            terms = [(h, -12, lambda k: 16 * k * k - 144 * k + 180, lambda k: 576),
-                     (h, negF, 1)]
-        out.append(_combine(terms + [(g, -3, lambda k: -k, lambda k: 3)]))
+            terms = [(h, -2, (5, -24, 16), (16,)), (h, negF, 1)]
+        out.append(_combine(terms + [(g, -_HALF, (0, -2), (1,))]))
     return out
 
 

@@ -132,6 +132,7 @@ def test_series_object_without_coeffs_exit_2(capsys):
     ('[["0", 5]]', "error: cannot unpack"),
     ('{"coeffs": 5}', "error: 'int' object is not iterable"),
     ('[["0", [1' + "0" * 400 + ', 0]]]', "error: int too large"),
+    ('[["0", [1e400, 0]]]', "error: coefficient (inf+0j) is not finite"),
     ('[["1/4", ["1", "0"]]]', "error: exponent 1/4 not on the 1/6 lattice"),
     ('[["1/3", ["1", "0"]]]', "error: F must be holomorphic at 0 (a Taylor series)"),
 ])

@@ -290,6 +290,12 @@ def test_confluent_rejects_the_kernel_of_other_data():
     for other_F, other_h in ((0, 0), (F0, H0), (F, H0), (F0, h)):
         with pytest.raises(ValueError):
             confluent_eval(other_F, other_h, 0.9 + 0.3j, 0.08, psi=psi)
+    # nor is a psi whose a_2 has a z^(-1/2) term, which F's preimage
+    # (2 + 4e) a_2 would drop
+    a = psi.a_list
+    odd = BivariateSeries(a[:2] + (a[2] + PuiseuxSeries({Fr(-1, 2): 1}),) + a[3:], 40, 40)
+    with pytest.raises(ValueError):
+        confluent_eval(F, h, 0.9 + 0.3j, 0.08, psi=odd)
 
 
 @pytest.mark.parametrize("Nx, Nz", [(0, 0), (-1, 3), (0, 40), (40, -2)])

@@ -415,6 +415,20 @@ def test_json_object_without_coeffs_is_refused():
             PuiseuxSeries.from_json(text)
 
 
+@pytest.mark.parametrize("text", [
+    '{"coeffs": [[1, 2]]}', '{"coeffs": 5}', '{"coeffs": [["x", ["1", "0"]]]}',
+    '{"coeffs": [["0", ["a", "0"]]]}', '{"coeffs": [], "trunc": "abc"}',
+    '{"coeffs": [["0", ["1", "0", "2"]]]}', '{"coeffs": [["1/0", ["1", "0"]]]}',
+    '{"coeffs": [["0", [1e400, 0]]]}', '{"coeffs": [["0", [0.5, -1e400]]]}',
+    '{"coeffs": [["0", [NaN, 0]]]}', '{"coeffs": [], "trunc": 1e400}',
+])
+def test_malformed_json_terms_are_format_errors(text):
+    # the terms or the truncation of an outside series, not a bare TypeError,
+    # ValueError or ZeroDivisionError; JSON reads 1e400 as inf
+    with pytest.raises(SeriesFormatError):
+        PuiseuxSeries.from_json(text)
+
+
 def test_gaussian_rational_field_ops():
     i = GaussianRational(0, 1)
     assert i * i == -1
@@ -569,14 +583,21 @@ def test_series_equals_a_scalar_only_as_an_exact_constant():
 
 def test_only_the_series_module_knows_the_term_store():
     # every other layer reads a series through its public readers and builds
-    # one through the constructor or _combine, so the store can change here
+    # one through the constructor or _combine, so the store can change here;
+    # a _combine weight is data, polynomials in the exponent e, so no module
+    # but series.py writes a lambda of the key 6e or divides by 6
     kernel = {"_combine", "_miller_sum"}
     for path in sorted(Path(exactwkb.__file__).parent.glob("*.py")):
         if path.name == "series.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             where = (path.name, getattr(node, "lineno", None))
-            if isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_combine":
+                args = node.args + [k.value for k in node.keywords]
+                assert not any(isinstance(n, ast.Lambda) for a in args for n in ast.walk(a)), where
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv):
+                assert not (isinstance(node.right, ast.Constant) and node.right.value == 6), where
+            elif isinstance(node, ast.Attribute):
                 assert node.attr not in ("_den", "_by6", "_im"), where
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = {a.name for a in node.names}

@@ -27,7 +27,7 @@ from exactwkb.errors import LogObstruction
 from exactwkb.polyring import QPoly
 from exactwkb.reduction import reduce_to_airy, schrodinger_pipeline
 from exactwkb.series import (INF, PuiseuxSeries, TaylorSeries, _coeff_root, _combine, _diag,
-                             _log_free, _make)
+                             _make)
 
 HALF = Fr(1, 2)
 # the nonzero p/q with q <= 4 and |p/q| <= 4, simplest first: the values of
@@ -525,20 +525,21 @@ def small_series(data, coeff):
 
 
 def draw_weight(data):
-    """(num, den) of a diagonal map: a*k + b over a constant or a varying
-    positive den; num is 0 at some keys, which the map drops."""
+    """(num, den) of a diagonal map, polynomials in e = k/6: a k + b over a
+    constant, a positive quadratic c + k^2 or c - k, which is 0 at k = c (a
+    z^-1 term to integrate) and negative past it; num is 0 at some keys,
+    which the map drops."""
     a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(-6, 6))
     c = data.draw(st.integers(1, 4))
-    den = (lambda k: c + abs(k)) if data.draw(st.booleans()) else (lambda k: c)
-    return (lambda k: a * k + b), den
+    return (b, 6 * a), data.draw(st.sampled_from([(c,), (c, 0, 36), (c, -6)]))
 
 
 def undo(t):
     """The term that cancels t."""
     if isinstance(t, PuiseuxSeries):
-        return (t, 0, lambda k: -1, lambda k: 1)
+        return (t, 0, (-1,), (1,))
     if len(t) == 4:
-        return (t[0], t[1], lambda k, num=t[2]: -num(k), t[3])
+        return (t[0], t[1], tuple(-a for a in t[2]), t[3])
     return (t[0], t[1], -t[2])
 
 
@@ -556,7 +557,7 @@ def draw_terms(data, coeff):
                 keys = combine_by_chain([t]).coeffs
                 terms.append(PuiseuxSeries({e: data.draw(RATS) for e in keys}, lattice=6))
         elif kind == "diag":
-            terms.append((small_series(data, coeff), data.draw(st.sampled_from([-3, 0, 3])),
+            terms.append((small_series(data, coeff), data.draw(st.sampled_from([-HALF, 0, HALF])),
                           *draw_weight(data)))
         elif kind == "pair":
             terms.append((small_series(data, coeff), small_series(data, coeff),
@@ -578,7 +579,7 @@ def product_by_loop(x, y):
                           for b, cb in y.coeffs.items()], trunc, lattice=6)
 
 
-def combine_by_chain(terms, final=None, log=None):
+def combine_by_chain(terms, final=None):
     """The terms by the operators, one + or - at a time: _diag for a
     quadruple, the double loop for a product, a negative weight
     subtracting."""
@@ -593,8 +594,6 @@ def combine_by_chain(terms, final=None, log=None):
             v, w = product_by_loop(t[0], t[1]), t[2]
             v = v if abs(w) == 1 else v * abs(w)
         acc = (v if w > 0 else -v) if acc is None else acc + v if w > 0 else acc - v
-    if log is not None:
-        _log_free(acc, log)
     return acc if final is None else _diag(acc, *final)
 
 
@@ -610,13 +609,57 @@ def outcome(fn, *args):
 @settings(max_examples=150)
 @given(data=st.data())
 def test_combine_matches_the_chain_of_operators(data, ring):
-    # values, truncation, Gaussian or Fraction, and float bits
+    # values, truncation, Gaussian or Fraction, float bits and z^-1 terms
     terms = draw_terms(data, COMBINE_RINGS[ring])
     final = None
     if data.draw(st.booleans()):
-        final = (data.draw(st.sampled_from([-9, -3, 0, 6])), *draw_weight(data))
-    log = data.draw(st.one_of(st.none(), st.integers(-9, 12)))
-    assert outcome(_combine, terms, final, log) == outcome(combine_by_chain, terms, final, log)
+        final = (data.draw(st.sampled_from([Fr(-3, 2), -HALF, 0, 1])), *draw_weight(data))
+    assert outcome(_combine, terms, final) == outcome(combine_by_chain, terms, final)
+
+
+@pytest.mark.parametrize("ring", ["exact", "float"])
+def test_a_weight_is_a_rational_function_of_the_exponent(ring):
+    """_diag and _combine's final map take c z^e to c num(e)/den(e) z^(e + shift)
+    termwise, a negative den(e) as the Fraction does; num(e) = 0 drops a term,
+    and den(e) = 0 marks a z^-1 term to integrate, which raises unless it is
+    float rounding (below 1e-9 of the largest |c|)."""
+    lift = Fr if ring == "exact" else complex
+
+    def series(terms, trunc=3):
+        return PuiseuxSeries({e: lift(c) for e, c in terms.items()}, trunc)
+
+    def maps(s, weight):
+        """The weighted s by _diag, by a final map and by one after a sum."""
+        return [lambda: _diag(s, *weight), lambda: _combine([s], weight),
+                lambda: _combine([s, s, (s, 0, (-1,), (1,))], weight)]
+
+    def at(poly, e):
+        return sum(a * e ** i for i, a in enumerate(poly))
+
+    s = series({-2: Fr(1, 3), -1: 2, 0: Fr(-1, 2), HALF: 5})
+    for weight in [(1, (1,), (1, 2)), (-HALF, (0, 1), (-3, 2)), (0, (1, 1), (1,))]:
+        shift, num, den = weight
+        want = PuiseuxSeries({e + shift: c * (Fr(at(num, e)) / at(den, e))
+                              for e, c in s.coeffs.items() if at(num, e)}, 3 + shift)
+        for got in maps(s, weight):
+            got = got()
+            assert got.trunc == want.trunc
+            assert [(e, repr(c)) for e, c in got.coeffs.items()] == \
+                [(e, repr(c)) for e, c in want.coeffs.items()]
+    # the antiderivative's weight 1/(e + 1) at a z^-1 term
+    integral = (1, (1,), (1, 1))
+    for tiny in (2, Fr(1, 10 ** 8), Fr(1, 10 ** 12)):
+        t = series({-1: tiny, 0: 1, 1: 5})
+        runs = [t.antiderivative, *maps(t, integral)]
+        if ring == "exact" or tiny > Fr(5, 10 ** 9):
+            for run in runs:
+                with pytest.raises(LogObstruction):
+                    run()
+        else:
+            want = series({1: 1, 2: Fr(5, 2)}, 4)
+            assert all(run() == want for run in runs)
+    # a z^-1 term that the sum cancels is no obstruction
+    assert _combine([s, (s, 0, (-1,), (1,))], integral) == PuiseuxSeries.zero(4)
 
 
 def test_a_gaussian_key_that_cancels_comes_back_as_a_fraction():
@@ -684,7 +727,7 @@ def test_every_operation_stores_its_terms_in_increasing_exponent(data, ring):
         s.with_trunc(min(s.trunc, Fr(1))), (1 + v).pow_rational(HALF, order=2),
         (1 + v).pow_rational(3), (1 + v).inverse(order=2), v.exp(),
         outer.compose(inner, order=3), f.reversion(4), E, E * E,
-        _combine([s, (t, 6, lambda k: k - 2, lambda k: 3), (s, t, -2)])]
+        _combine([s, (t, 1, (-2, 6), (3,)), (s, t, -2)])]
     for r in results:
         assert_in_exponent_order(r)
 
@@ -861,7 +904,7 @@ def test_a_series_is_cleared_once(monkeypatch):
         assert calls == [1, 1]      # a and b, once each
         calls.clear()
         p = a * b
-        got = _combine([a, (b, 0, lambda k: 2, lambda k: 1), (a, b, -1)])
+        got = _combine([a, (b, 0, (2,), (1,)), (a, b, -1)])
         assert calls == []
         items, trunc = naive_product(a, b)
         assert (p.trunc, [(e, repr(c)) for e, c in p.coeffs.items()]) == \

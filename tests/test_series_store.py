@@ -73,10 +73,13 @@ def m_mul(x, y):
     return m_cut(out, min(lo[0] + y[1], lo[1] + x[1]))
 
 
-def m_weigh(x, d, num, den):
-    """_diag's map: c z^(k/6) -> c num(k)/den(k) z^((k+d)/6)."""
-    return m_map(m_cut({e: c for e, c in x[0].items() if num(int(6 * e))}, x[1]),
-                 lambda e, c: c * Fr(num(int(6 * e)), den(int(6 * e))), d * SIXTH)
+def m_weigh(x, shift, num, den):
+    """_diag's map: c z^e -> c num(e)/den(e) z^(e + shift), num and den
+    polynomials in e (ascending coefficients), den not 0 at any e of x."""
+    def at(poly, e):
+        return sum(a * e ** i for i, a in enumerate(poly))
+    return m_map(m_cut({e: c for e, c in x[0].items() if at(num, e)}, x[1]),
+                 lambda e, c: c * at(num, e) / at(den, e), shift)
 
 
 def m_compose(f, g):
@@ -177,7 +180,8 @@ def test_every_exact_result_is_cleared_and_reads_as_the_model(data, ring):
                                        lambda e, v: v * e, -1))
     assert_reads(a * b, m_mul(A, B))
     # one _combine: a series, a weighted one, a product subtracted twice, a final map
-    w, final = (b, 6, lambda k: k - 2, lambda k: 3), (0, lambda k: 1, lambda k: 2 + abs(k))
+    # 6e - 2 is 0 at e = 1/3; 1 + 12e is < 0 for e < 0 and 0 at no e on (1/6)Z
+    w, final = (b, 1, (-2, 6), (3,)), (0, (1,), (1, 12))
     AB = m_mul(A, B)
     assert_reads(_combine([a, w, (a, b, -2)], final),
                  m_weigh(m_add(A, m_weigh(B, *w[1:]), m_map(AB, lambda e, v: -2 * v)), *final))

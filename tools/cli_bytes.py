@@ -46,6 +46,8 @@ COMMANDS = {
     "stokes alpha": ["stokes", "--V", '[["1",["1","0"]],["3",["-1/5","0"]]]',
                      "--alpha", "0.4", "--extent", "1.5"],
     "pde": ["pde", "--F", F, "--h", H, "--orders", "12,12"],
+    "pde float": ["pde", "--F", '[["0",[0.3,0.1]],["1",[-0.2,0]]]', "--h", '[["0",[0.2,0]]]',
+                  "--orders", "8,8"],
     "transport exact": ["transport", "--F", F, "--orders", "6"],
     "transport gaussian": ["transport", "--F", '[["0",["1/3","1/2"]],["1",["-2/7","0"]]]',
                            "--orders", "5"],
@@ -54,6 +56,7 @@ COMMANDS = {
     "reduce": ["reduce", "--V", V, "--orders", "6"],
     "reduce gaussian": ["reduce", "--V", '[["1",["1","0"]],["2",["1/2","1/3"]]]',
                         "--orders", "4"],
+    "reduce float": ["reduce", "--V", '[["1",[1,0]],["2",[0.5,0.1]]]', "--orders", "4"],
     "verify --suite all": ["verify", "--suite", "all"],
 }
 
