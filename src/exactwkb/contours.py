@@ -15,13 +15,11 @@ S is a polynomial of one parity, phase = (cs, odd) for S(w) = w^odd
 sum_k cs[k] (w^2)^(K-k) at the point of evaluation (Airy: ([-1/3, z], 1);
 Hardy: hardy._coeffs_at).  Every such S is a scaled Chebyshev polynomial
 A T_m(w/c) (Airy: c = 2 sqrt(z), A = -(2/3) z^(3/2)), so with w = c cosh u
-it is A cosh(m u): the saddles are c cos(pi k/m), and along the thimble
-of one, S(w) = S(s) + eps T with T real and rising, its points are
-c cosh((i pi j + 2 asinh(r sqrt T))/m) in closed form.  Each
-half-thimble is one walk through those points up to the target decay,
-and the valley it heads to is read off its branch; a ContourSpec's x_cap
-caps |S'| along it (for the Airy phase S'(zhat) = z - zhat^2,
-confluent_eval's kernel x).
+it is A cosh(m u), and each thimble is known in closed form: its integral
+is one trapezoid sum of a tanh-sinh rule in its parameter (geometric
+convergence on analytic integrands: Trefethen & Weideman, SIAM Review 56,
+2014).  A ContourSpec's x_cap cuts a thimble where |S'| passes it (for
+the Airy phase S'(zhat) = z - zhat^2, confluent_eval's kernel x).
 """
 
 from __future__ import annotations
@@ -37,7 +35,8 @@ import numpy as np
 
 from .errors import ContourFailure
 
-MAX_EXTENT = 12.0  # cap on |w - saddle| while tracing a half-thimble
+LEVELS = 10     # halvings of a thimble's trapezoid step, from 1/2
+SCAN = 0.125    # step of the x_cap scan along a thimble, and its shortest cut half
 
 _gl = functools.cache(np.polynomial.legendre.leggauss)  # n -> (nodes, weights)
 
@@ -56,15 +55,16 @@ class LaplaceResult:
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Truncated integration-path description plus quadrature knobs.
+    """Integration path and quadrature settings.
 
-    path : explicit polyline of complex nodes (None -> adaptive descent)
-    rel_tol : target relative size of the integrand at path endpoints
-    gl_order : Gauss-Legendre order per panel
-    x_cap : optional cap on |S'| along a traced thimble, which is cut
-        where it passes the cap (confluent_eval: for the Airy phase S'(zhat)
-        is the kernel's x = z - zhat^2, kept inside its convergence disk)
-    max_panel_phase : phase increment of S/eps per quadrature panel
+    path : explicit polyline of complex nodes (None: the thimbles)
+    rel_tol : a thimble's cut-off, where e^{-s^2} is below rel_tol e^-3, and
+        the relative move of its trapezoid sum at which the step stops halving
+    gl_order : Gauss-Legendre order per panel of a path
+    x_cap : optional cap on |S'| along a thimble, which is cut where it
+        passes the cap (confluent_eval: for the Airy phase S'(zhat) is the
+        kernel's x = z - zhat^2, kept inside its convergence disk)
+    max_panel_phase : phase increment of S/eps per panel of a path
     """
 
     path: tuple | None = None
@@ -114,9 +114,6 @@ def integrate_polyline(f: Callable[[np.ndarray], np.ndarray], nodes: Sequence[co
             float(np.dot(abs(hv), abs(hw))))
 
 
-LATERAL_TURN = 0.02     # radians: eps e^{+-i LATERAL_TURN} off a Stokes line
-
-
 def horner(cs):
     """x -> sum_k cs[k] x^(K-k), K = len(cs) - 1, by Horner's rule on a
     Python complex or a numpy array: the one evaluator of a dense
@@ -147,30 +144,29 @@ def _derivative(cs, odd: int):
 def valley_integral(phase, eps: complex, valleys: tuple[float, float],
                     spec: ContourSpec, g: Callable | None = None) -> LaplaceResult:
     """int exp(-S/eps) g dw from the valley at arg w = valleys[0] to the one
-    at valleys[1], S = _horner(*phase) = A T_m(w/c) a scaled Chebyshev
-    polynomial (ValueError past 1e-12 relative in a coefficient), whose
-    valleys are at valleys[0] + 2 pi k/m.  Both half-thimbles of each
-    saddle s_k = c cos(pi k/m), most recessive first, are walked through
-    the closed-form roots of S = S(s_k) + eps T to the target decay T,
-    and labelled by the valley their branch heads to; as edges of a graph
-    on the valleys, the ones joining the two give the value.  A stalled
-    half (a Stokes line) is retraced for eps e^{+-i LATERAL_TURN}.  An
-    x_cap on |S'| cuts a path (truncation estimate doubled).
-    ContourFailure when c or some S(s_k) is 0 (merged saddles) or not
-    finite, a half reaches no valley, both halves share one, or the
-    valleys stay apart.  A spec.path is used as given, scaled at the
-    first saddle.  est_error counts the rounding of S/eps and of the sum,
-    2^-52 (1 + size/|eps|) times |value| (along a spec.path, the sum of
-    the |terms| of its quadrature), size the largest sum of |terms of S|
-    at a saddle."""
+    at valleys[1], S = _horner(*phase) = A T_m(w/c) (ValueError past 1e-12
+    relative in a coefficient), whose valleys are at valleys[0] + 2 pi k/m.
+    The thimble of s_k = c cos(pi k/m), S(s_k) = A (-1)^k, runs from the
+    valley at arg c + (2 arg r - pi k)/m to arg c + (2 arg r + pi k)/m, r =
+    sqrt(eps/(2 S(s_k))); as edges of a graph on the valleys, most
+    recessive first, those joining the two give the value.  ContourFailure
+    when c or A is 0 or not finite, a thimble's ends share a valley or none
+    join the two.  A spec.path is used as given, scaled at the first
+    saddle, with the Laplace tail |f eps/S'| at its ends.  est_error adds
+    the rounding of S/eps and of the sum, 2^-52 (1 + size/|eps|) |value|
+    (along a spec.path, times the sum of the |terms| of its quadrature),
+    size the largest sum of |terms of S| at a saddle."""
     (cs, odd), dphase = phase, _derivative(*phase)
     S, dS = _horner(*phase), _horner(*dphase)
     m = 2 * len(cs) - 2 + odd
     c2 = -4.0 * cs[1] / (m * cs[0])
     c = cmath.sqrt(c2)
     saddles = [c * math.cos(math.pi * k / m) if 2 * k != m else 0j for k in range(1, m)]
-    if spec.path is None and not all(sys.float_info.min <= abs(x) < math.inf
-                                     for x in [c, *map(S, saddles)]):
+    try:
+        A = 2.0 * cs[0] * (c / 2.0) ** m
+    except OverflowError:
+        A = math.inf
+    if spec.path is None and not all(sys.float_info.min <= abs(x) < math.inf for x in (c, A)):
         raise ContourFailure(f"the saddles merge (c = {c:.6g}) or S there leaves "
                              "double precision: no thimbles")
     # A T_m(w/c) has the coefficients cs[0] (c^2)^i t_i/2^(m-1), with t_i
@@ -181,124 +177,122 @@ def valley_integral(phase, eps: complex, valleys: tuple[float, float],
         if abs(ci - e) > 1e-12 * abs(e):
             raise ValueError(f"phase coefficient {ci} is not {e}, as in A T_{m}(w/c)")
     size = max(map(_horner([abs(x) for x in cs], odd), map(abs, saddles)))
-    parts = None if spec.path is None else [(1, (saddles[0], spec.path, 1.0))]
+    rounding = 2.0 ** -52 * (1.0 + size / abs(eps))
+
+    def weight(w, a):
+        """e^-a g(w), g = 1 when None."""
+        return np.exp(-a) * (1.0 if g is None else g(w))
+
+    if spec.path is not None:
+        shift = S(saddles[0]) / eps
+
+        def f(w):
+            return weight(w, S(w) / eps - shift)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            res, mass = integrate_polyline(f, spec.path, spec, lambda w: S(w) / eps)
+            scale = _scale(shift)
+            ends = np.array([spec.path[0], spec.path[-1]], dtype=complex)
+            trunc = float(np.sum(np.abs(f(ends) * eps / dS(ends))))
+        return LaplaceResult(res.value * scale, (res.est_error + trunc) * abs(scale)
+                             + rounding * (mass * abs(scale)), res.nodes_used)
+
+    def thimble(k):
+        """exp(-S(s_k)/eps) int e^{-s^2} g(x) x'(s) ds over the thimble x(s) =
+        c cosh((i pi k + 2 asinh(r s))/m), on which S = S(s_k) + eps s^2.  Its
+        branch points s = +-i/r (the next saddle) near the real axis near a
+        Stokes line, so s = p - i eta tanh(|r| p), bent to the side that
+        keeps each where it was, for p from -p_lo to p_hi: p_max, or the
+        last p before |S'(x)| passes x_cap.  p runs through one tanh-sinh
+        rule centred on the saddle, p'(0) = min(1, 1/|r|), whose trapezoid
+        step in t halves until the sum moves by at most rel_tol of itself.
+        est_error: that move plus the Laplace tail |e^{-s^2} g eps/S'| at
+        each end (doubled at a cut) times |scale|, plus 2^-1074 (1 + sum of
+        |terms|), what a scale at the bottom of double range loses."""
+        r, q, scale = root[k], abs(root[k]), _scale(A * (-1) ** k / eps)
+        eta = math.copysign(0.5 * min(abs(r.imag) / q ** 2, 1.0), r.imag)    # Re(i/r)
+        p_max = math.sqrt(3.0 - math.log(spec.rel_tol))     # e^{-s^2} < rel_tol e^-3
+
+        def along(p):
+            """x, s and dx/dp at the points p of the path."""
+            th = np.tanh(q * p)
+            s = p - 1j * eta * th
+            a = np.arcsinh(r * s)
+            u = (1j * math.pi * k + 2.0 * a) / m
+            ds = 1.0 - 1j * eta * q * (1.0 - th * th)
+            return c * np.cosh(u), s, (2.0 * c * r / m) * np.sinh(u) / np.cosh(a) * ds
+
+        def end(side):
+            """p_max, or the last p before |S'| passes x_cap: scanned in steps of
+            SCAN (the first leaves no interval), then refined 64-fold 8 times."""
+            grid = SCAN * np.arange(math.ceil(p_max / SCAN) + 1)
+            for _ in range(9 if spec.x_cap is not None else 0):
+                over = np.flatnonzero(np.abs(dS(along(side * grid)[0])) > spec.x_cap)
+                if not len(over):
+                    return p_max, 1.0
+                if grid[over[0]] == SCAN:
+                    raise ContourFailure(f"the x_cap cuts the thimble of {saddles[k - 1]:.6g} "
+                                         f"within {SCAN} of its saddle: no interval")
+                grid = np.linspace(grid[over[0] - 1], grid[over[0]], 65)
+            return (p_max, 1.0) if spec.x_cap is None else (grid[0], 2.0)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            (p_lo, cut_lo), (p_hi, cut_hi) = end(-1), end(1)
+            b, L = math.log(p_lo / p_hi), p_lo + p_hi
+            # p = -p_lo + L expit(b + kappa sinh t), p(0) = 0, p'(0) = min(1, 1/|r|)
+            kappa = min(1.0, 1.0 / q) * L / (p_lo * p_hi)
+            t_max = math.asinh((p_max ** 2 + abs(b)) / kappa)    # weights < e^-(p_max^2)
+            h, total, mass = 1.0, 0.0, 0.0
+            for i in range(LEVELS + 1):
+                h *= 0.5
+                ks = np.arange(-int(t_max / h), int(t_max / h) + 1)
+                t = h * (ks[ks % 2 == 1] if i else ks)      # the new nodes
+                e = np.exp(-b - (ky := kappa * np.sinh(t)))
+                x, s, dx = along(-p_hi * np.expm1(-ky) / (1.0 + e))
+                vals = weight(x, s * s) * dx * (L * kappa * np.cosh(t) * e / (1.0 + e) ** 2)
+                prev, total = total, 0.5 * total + h * vals.sum()
+                mass = 0.5 * mass + h * np.abs(vals).sum()
+                if i and abs(total - prev) <= spec.rel_tol * abs(total):
+                    break
+            x, s, _ = along(np.array([-p_lo, p_hi]))
+            tail = np.dot(np.abs(weight(x, s * s) * eps / dS(x)), (cut_lo, cut_hi))
+            value, err = complex(total * scale), float((abs(total - prev) + tail) * abs(scale))
+        if not (cmath.isfinite(value) and math.isfinite(err)):
+            raise ContourFailure(f"the sum along the thimble of {saddles[k - 1]:.6g} "
+                                 "leaves double precision")
+        return LaplaceResult(value, err + math.ulp(0.0) * (1.0 + float(mass)), len(ks))
+
     ka, kb = (round((v - valleys[0]) * m / (2.0 * math.pi)) % m for v in valleys)
-    target = -math.log(spec.rel_tol) + 3.0
-
-    def half(k, sign, turn):
-        # with x = c cosh u, S = A cosh(m u): the half of s = s_k whose
-        # branch is rho = sign sqrt(eps/(2 S(s))) e^{i turn/2} has the
-        # roots x(T) = c cosh((i pi j + 2 asinh(r sqrt T))/m) of S = S(s) +
-        # wT, w = eps e^{i turn}, r = +-rho with Re r >= 0 and j = +-k to
-        # match (cosh is even, asinh odd), so x heads to arg c + (pi j + 2
-        # arg r)/m.  The walk takes x(T + dT) when the tangent predictor
-        # x + w dT/S'(x) (at s, x ~ s + a sqrt(T)) lands within a quarter
-        # step of it, to T = target or until |S'(x)| passes the x_cap (a
-        # cut).  The first step is a quarter of the smaller of the Gaussian
-        # width |a|/sqrt 2 and the gap to the next saddle; dT then doubles
-        # to 8 and a refusal quarters it.  Where x ~ T^(1/m) (near z = 0)
-        # T grows about 1.5x a node, 2.5 nodes per e-fold of target/dT, with
-        # at most half as many refusals again plus 15 (the floor), so a walk
-        # gets 16 ln(target/dT) tries.  None on a stall (dT below 1e-9 of
-        # the first or 0, past MAX_EXTENT, the tries spent) or a cut before
-        # the first node.
-        s, w = saddles[k - 1], eps * cmath.exp(1j * turn)
-        rho = sign * cmath.sqrt(eps / (2.0 * S(s))) * cmath.exp(0.5j * turn)
-        r, j = (rho, k) if rho.real >= 0 else (-rho, -k)
-        a = 2j * c * r * math.sin(math.pi * j / m) / m
-        step = 0.25 * min([abs(a) / math.sqrt(2.0)] + [abs(s - x) for x in saddles if x != s])
-        pts, q, T, dT = [s], s, 0.0, (step / abs(a)) ** 2
-        floor = 1e-9 * dT
-        tries = 16.0 * (math.log(target) - math.log(dT)) if dT else 0.0
-        for _ in range(int(tries)):
-            v = 2.0 * cmath.asinh(r * math.sqrt(T + dT))
-            y = c * cmath.cosh((1j * math.pi * j + v) / m)
-            pred = s + a * math.sqrt(dT) if q == s else q + w * dT / dS(q)
-            if abs(y - pred) > 0.25 * abs(pred - q):
-                dT *= 0.25
-                if dT < floor:
-                    return None
-                continue
-            cut = spec.x_cap is not None and abs(dS(y)) > spec.x_cap
-            if not cut:
-                pts.append(y)
-                q, T, dT = y, T + dT, min(2.0 * dT, 8.0)
-                if T < target:
-                    if abs(y - s) > MAX_EXTENT:
-                        return None
-                    continue
-            if len(pts) == 1:
-                return None
-            turns = (m * (cmath.phase(c) - valleys[0]) + math.pi * j
-                     + 2.0 * cmath.phase(r) - turn) / (2.0 * math.pi)
-            return pts, round(turns) % m, cut
-        return None
-
-    def labelled(k, sign):
-        for turn in (0.0, LATERAL_TURN, -LATERAL_TURN):
-            got = half(k, sign, turn)
-            if got is not None:
-                return got
-        raise ContourFailure(f"a half-thimble of the saddle {saddles[k - 1]:.6g} "
-                             "reaches no valley")
-
-    edges, thimbles = {}, []        # valley -> [(valley, thimble, sign)]
-    for k in sorted(range(1, m), key=lambda k: -(S(saddles[k - 1]) / eps).real) \
-            if parts is None else ():
-        (lo, k_lo, cut_lo), (hi, k_hi, cut_hi) = labelled(k, -1), labelled(k, 1)
-        s = saddles[k - 1]
+    edges, root = {}, {}        # valley -> [(valley, saddle k, sign)]; k -> r
+    for k in sorted(range(1, m), key=lambda k: -(A * (-1) ** k / eps).real):
+        root[k] = cmath.sqrt(eps / (2.0 * A * (-1) ** k))
+        turns = m * (cmath.phase(c) - valleys[0]) + 2.0 * cmath.phase(root[k])
+        k_lo, k_hi = (round((turns + j * math.pi) / (2.0 * math.pi)) % m for j in (-k, k))
         if k_lo == k_hi:
-            raise ContourFailure(f"both halves of the thimble of {s:.6g} end in valley {k_lo}")
-        thimbles.append((s, lo[::-1] + hi[1:], 2.0 if cut_lo or cut_hi else 1.0))
-        edges.setdefault(k_lo, []).append((k_hi, len(thimbles) - 1, 1))
-        edges.setdefault(k_hi, []).append((k_lo, len(thimbles) - 1, -1))
-        route, queue = {ka: []}, [ka]     # (thimble, sign) steps from ka
+            raise ContourFailure(f"both ends of the thimble of {saddles[k - 1]:.6g} "
+                                 f"are in valley {k_lo}")
+        edges.setdefault(k_lo, []).append((k_hi, k, 1))
+        edges.setdefault(k_hi, []).append((k_lo, k, -1))
+        route, queue = {ka: []}, [ka]     # (saddle, sign) steps from ka
         for v in queue:
-            for nxt, e, sign in edges.get(v, ()):
+            for nxt, j, sign in edges.get(v, ()):
                 if nxt not in route:
-                    route[nxt] = route[v] + [(e, sign)]
+                    route[nxt] = route[v] + [(j, sign)]
                     queue.append(nxt)
         if kb in route:
-            parts = [(sign, thimbles[e]) for e, sign in route[kb]]
             break
-    if parts is None:
+    else:
         raise ContourFailure(f"no thimbles join valleys {ka} and {kb}")
-    results = [(sign, *_polyline_tail(S, dS, nodes, anchor, eps, spec, g, trunc))
-               for sign, (anchor, nodes, trunc) in parts]
-    values = [r.value if sign > 0 else -r.value for sign, r, _ in results]
-    value = sum(values[1:], values[0])
-    # rounding S's terms moves the exponent by up to 2^-52 size/|eps|, and
-    # the sum itself is rounded; along a spec.path that need not descend,
-    # the terms of the sum may cancel
-    mass = abs(value) if spec.path is None else results[0][2]
-    return LaplaceResult(value, sum(r.est_error for _, r, _ in results)
-                         + 2.0 ** -52 * (1.0 + size / abs(eps)) * mass,
-                         sum(r.nodes_used for _, r, _ in results))
+    results = [(sign, thimble(k)) for k, sign in route[kb]]
+    value = sum(sign * r.value for sign, r in results)
+    return LaplaceResult(value, sum(r.est_error for _, r in results) + rounding * abs(value),
+                         sum(r.nodes_used for _, r in results))
 
 
-def _polyline_tail(S, dS, nodes: Sequence[complex], anchor: complex,
-                   eps: complex, spec: ContourSpec, g: Callable | None,
-                   trunc_factor: float) -> tuple[LaplaceResult, float]:
-    """int exp(-S/eps) g along a finished polyline, scaled at the anchor
-    saddle, and the scaled sum of the |terms| of its quadrature: the
-    integrand carries exp(S(anchor)/eps) so it stays O(1), and the
-    truncation error is the Laplace tail beyond each end, |f eps/S'|
-    there, times trunc_factor.  Raises ContourFailure when the scale
-    exp(-S(anchor)/eps) overflows double precision."""
-    shift = S(anchor) / eps
-
-    def f(w):
-        vals = np.exp(-S(w) / eps + shift)
-        return vals if g is None else vals * g(w)
-
-    res, mass = integrate_polyline(f, nodes, spec, lambda w: S(w) / eps)
+def _scale(shift: complex) -> complex:
+    """exp(-shift), ContourFailure when it overflows double precision."""
     try:
-        scale = cmath.exp(-shift)
+        return cmath.exp(-shift)
     except OverflowError:
         raise ContourFailure(f"saddle scale exp({-shift:.6g}) overflows "
                              "double precision") from None
-    ends = np.array([nodes[0], nodes[-1]], dtype=complex)
-    trunc_err = float(np.sum(np.abs(f(ends) * eps / dS(ends)))) * trunc_factor
-    return LaplaceResult(value=res.value * scale,
-                         est_error=(res.est_error + trunc_err) * abs(scale),
-                         nodes_used=res.nodes_used), mass * abs(scale)

@@ -164,9 +164,10 @@ def _rows(cs: Mapping, num: tuple, den: tuple) -> list:
 
 def _log_free(cs: Mapping, k: int) -> None:
     """LogObstruction if cs[k], a stored term's coefficient (or an exact
-    one's numerator), is exact or past 1e-9 of the largest |c| (not
-    rounding), since integrating it would introduce log z."""
-    if is_exact(cs[k]) or abs(complex(cs[k])) > 1e-9 * max(abs(complex(c)) for c in cs.values()):
+    one's numerator), is not a float or complex (exact, a QPoly or a
+    series) or is past 1e-9 of the largest |c| (not rounding), since
+    integrating it would introduce log z."""
+    if not isinstance(c := cs[k], (float, complex)) or abs(c) > 1e-9 * max(map(abs, cs.values())):
         raise LogObstruction("antiderivative of a z^-1 term would introduce log z")
 
 

@@ -14,7 +14,7 @@ from exactwkb.airy import (LATERAL_DELTA, airy_alpha,
                            airy_borel_sum, airy_borel_sum_hp, airy_contour,
                            airy_oracle, airy_symbol, stokes_jump,
                            symbol_borel_sum)
-from exactwkb import airy, contours
+from exactwkb import airy
 from exactwkb.borel import genuine_poles, pade_from_taylor
 from exactwkb.contours import ContourSpec, integrate_polyline
 from exactwkb.errors import ContourFailure, ExactWKBError, PoleOnRay
@@ -153,50 +153,46 @@ def test_explicit_path_reversed_flips_sign():
 
 @pytest.mark.parametrize("r", [0.5, 1.0])
 @pytest.mark.parametrize("eps", [0.05, 0.1])
-def test_thimble_into_the_other_saddle_is_retraced_laterally(r, eps, monkeypatch):
-    # on L1 and L-1 a thimble of one saddle runs into the other: its walk
-    # stalls, the half is retraced for eps e^{+-i LATERAL_TURN}, and the
-    # value holds.  There eps/S(s) is real and negative, so the principal
-    # root of the turned eps/S(s) flips on L-1: the retrace must turn the
-    # half's own root, or it traces the other half.  With the turn set to
-    # 0 the retrace stalls too
-    zs = [r * cmath.exp(2j * math.pi / 3), r * cmath.exp(-2j * math.pi / 3)]
-    for z in zs:
-        res = airy_contour(z, eps)
-        assert abs(res.value - airy_oracle(z, eps)) <= 10 * res.est_error
-    monkeypatch.setattr(contours, "LATERAL_TURN", 0.0)
-    for z in zs:
-        with pytest.raises(ContourFailure, match="reaches no valley"):
-            airy_contour(z, eps)
+def test_thimble_into_the_other_saddle_is_retraced_laterally(r, eps):
+    # on L1 and L-1 a thimble of one saddle runs into the other: the branch
+    # points s = +-i/r of its closed form lie on the real s axis, and the
+    # path is bent off them to one side, which names its valleys.  There
+    # eps/S(s) is real and negative, so the principal root r flips sign
+    # between L1 and L-1.  Near a Stokes line they sit just off the axis:
+    # at the last two points a trapezoid sum on the unbent line settles
+    # 4.5e-4 and 4.1e-6 away from the oracle
+    zs = [(r * cmath.exp(2j * math.pi / 3), eps), (r * cmath.exp(-2j * math.pi / 3), eps),
+          (-0.19253 - 0.21318j, 0.043619 - 0.014265j), (0.5 * cmath.exp(2j * math.pi / 3), 0.05)]
+    for z, e in zs:
+        res = airy_contour(z, e)
+        assert abs(res.value - airy_oracle(z, e)) <= 10 * res.est_error, z
+        assert res.est_error <= 1e-13 * abs(res.value), z
 
 
-def test_thimble_walks_take_a_pinned_number_of_roots(monkeypatch):
-    # the quadrature nodes on the closed-form roots the half-thimble walks
-    # take on fixed inputs: a change to their step rules shows here even
-    # where no value moves
+def test_thimble_walks_take_a_pinned_number_of_roots():
+    # the nodes of the thimbles' trapezoid sums on fixed inputs: a change
+    # to the rule or its stop shows here even where no value moves
     used = [airy_contour(r * cmath.exp(2j * math.pi / 3), eps).nodes_used
             for r in (0.5, 1.0) for eps in (0.05, 0.1)]
     used.append(hardy_phi_eval(3, cmath.exp(1j * math.pi / 5), 0.1).nodes_used)
     F, h = PuiseuxSeries({0: Fr(1, 3), 1: Fr(-2, 7)}), PuiseuxSeries({0: Fr(1, 5)})
     used.append(confluent_eval(F, h, 2.5, 0.2).nodes_used)
-    assert used == [1416, 1488, 1368, 1416, 1296, 1104]
-    # at z = -0.5, eps = 0.3 the kernel's x_cap cuts a thimble, whose
-    # truncation estimate is then doubled
-    tail, trunc = contours._polyline_tail, []
-
-    def spy(*args):
-        trunc.append(args[-1])
-        return tail(*args)
-
-    monkeypatch.setattr(contours, "_polyline_tail", spy)
-    assert confluent_eval(F, h, -0.5, 0.3).nodes_used == 2016
-    assert 2.0 in trunc
+    assert used == [671, 671, 167, 671, 167, 167]
+    # at z = -0.5, eps = 0.3 the kernel's x_cap cuts a thimble
+    assert confluent_eval(F, h, -0.5, 0.3).nodes_used == 334
+    # a cut's truncation estimate is raised to twice the Laplace tail at
+    # the cut, so it covers what the cut drops from the uncut value with a
+    # margin (the tail alone gave 1.18 times it at x_cap = 4)
+    full = airy_contour(-0.5, 0.3)
+    for x_cap in (0.5, 1.0, 2.0, 4.0):
+        cut = airy_contour(-0.5, 0.3, ContourSpec(x_cap=x_cap))
+        assert 0 < 1.5 * abs(cut.value - full.value) <= cut.est_error, x_cap
 
 
 def test_cut_before_the_first_root_is_a_stall():
-    # an x_cap that cuts a half's first root leaves no node to label: the
-    # half is retraced laterally, as after a stall, and then refused
-    with pytest.raises(ContourFailure, match="reaches no valley"):
+    # an x_cap passed within the scan's first step of the saddle leaves no
+    # interval to integrate: a typed error, not a value made of its cut
+    with pytest.raises(ContourFailure, match="no interval"):
         airy_contour(1.0, 0.1, ContourSpec(x_cap=1e-12))
 
 

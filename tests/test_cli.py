@@ -78,11 +78,11 @@ PINNED_STDOUT = {
               "99e16633772a31aac3d8a582a3e971fc3474ed8b5b1560e2952095a518093ad6"),
     "hardy-n8": (["hardy", "--n", "8"],
                  "c7d40500fe1cf287ea541a93843ad44bbe5f96276e36afc35b2eef02ff3cdd15"),
-    # the float bits of the value follow the Horner loop over S_n's
-    # coefficients and the thimble's nodes; the value, -0.0138551532184929i,
-    # is c_5 sqrt(z) K_{1/7} to 5e-17 (tests/test_hardy.py)
+    # the float bits of the value follow the thimble's closed form and the
+    # nodes of its trapezoid sum; the value, -0.01385515321849297i, is
+    # c_5 sqrt(z) K_{1/7} to 9e-18 (tests/test_hardy.py)
     "hardy-eval": (["hardy", "--n", "5", "--eval", "0.9", "0.1"],
-                   "f902cafeeddc4ea73ffbbfcbc0b3ada85f5c85bcc7b4c186cd32503bb1aeb4b4"),
+                   "4ff46312a9c0941e03014690a6a6c6deaa36ac1ddef1261032c40199fd53bb34"),
 }
 
 

@@ -127,10 +127,9 @@ def test_unknown_convention_rejected(fn):
 
 @pytest.mark.parametrize("n, z, eps", [
     (3, 1.1, 0.08),
-    # near the turning point the recorded walk of a half-thimble passes
-    # another saddle on the other side from the exact thimble, so its label
-    # must come from its last root (labelled from the saddle's tangent it
-    # gave 0.991-0.911i, est_error 1e-15, for 0.0371-0.868i)
+    # near the turning point a thimble passes close to another saddle, and
+    # its valleys must still be the ones its closed form heads to (labelled
+    # from the saddle's tangent it once gave 0.991-0.911i for 0.0371-0.868i)
     (4, -0.022643359794481163 - 0.0399924003537438j, 0.22872155752489506)],
     ids=["n3", "n4-near-the-turning-point"])
 def test_reversed_orientation_flips_sign(n, z, eps):
@@ -266,9 +265,10 @@ def test_series_oracle_is_the_bessel_k_form_on_the_positive_axis(n):
 
 @pytest.mark.parametrize("n", [0, 1, 3, 5], ids=["airy", "n1", "n3", "n5"])
 def test_small_z_within_ten_est_errors_of_the_oracle(n):
-    # near the turning point the saddles nearly merge; the closed-form walk
-    # still reaches the target decay, and its truncation estimate, taken
-    # from S' at the ends, does not blow up as S'' at the saddles -> 0
+    # near the turning point the saddles nearly merge and each thimble
+    # branches within 1/|r| of its saddle, the scale the rule takes there;
+    # its truncation estimate, taken from S' at the ends, does not blow up
+    # as S'' at the saddles -> 0
     for r in (1e-9, 1e-6, 1e-3):
         for j in range(6):
             z = cmath.rect(r, math.pi * (2 * j - 5) / 6)
@@ -284,13 +284,54 @@ def test_small_z_within_ten_est_errors_of_the_oracle(n):
 @pytest.mark.parametrize("n, r, j, eps", [(8, 1e-12, 3, 0.1), (9, 1e-12, 7, 0.05),
                                            (10, 1e-12, 1, 0.1), (10, 1e-9, 4, 0.05)])
 def test_long_walks_near_the_turning_point_reach_their_valleys(n, r, j, eps):
-    # here a half-thimble's first dT is 1e-60 to 1e-54 and T grows about
-    # 1.5x a node, so a walk takes more tries than a fixed cap of 400
-    # allowed, and fewer than the 16 ln(target/dT) it gets.  arg z = pi
-    # (j - 3.5)/4 lies inside |arg z| < 2 pi/m for j = 3, 4, past it else
+    # here |r| is 1e26 to 5e35, so each thimble's closed form branches
+    # that close to its saddle, and up to four thimbles join the valleys.
+    # arg z = pi (j - 3.5)/4 lies inside |arg z| < 2 pi/m for j = 3, 4
     z = cmath.rect(r, math.pi * (j - 3.5) / 4)
     res = hardy_phi_eval(n, z, eps)
     assert abs(res.value - _k_oracle(n, z, eps, "eps2")) <= 10 * res.est_error
+
+
+@pytest.mark.parametrize("kind", ["airy", "confluent", 1, 2, 5, 10])
+def test_the_turning_point_boundary_within_ten_est_errors(kind):
+    # |z| down to 1e-12 at eight arguments: the saddles nearly merge and the
+    # thimbles' closed form branches within 1/|r| ~ |z|^(m/4) of each saddle.
+    # Oracles: airy_oracle, the K_nu form, and for the confluent function
+    # (which has none) the same integral at rel_tol 1e-15
+    F, h = PuiseuxSeries({0: Fr(1, 3), 1: Fr(-2, 7)}), PuiseuxSeries({0: Fr(1, 5)})
+    psi = pde_taylor(F, h, 40, 40) if kind == "confluent" else None
+    fine = ContourSpec(rel_tol=1e-15)
+    for r in (1e-12, 1e-6, 1e-2):
+        for j in range(8):
+            z = cmath.rect(r, math.pi * (j - 3.5) / 4)
+            for eps in (0.02, 0.1):
+                try:
+                    if kind == "airy":
+                        res, want = airy_contour(z, eps), airy_oracle(z, eps)
+                    elif kind == "confluent":
+                        res = confluent_eval(F, h, z, eps, psi=psi)
+                        want = confluent_eval(F, h, z, eps, fine, psi=psi).value
+                    else:
+                        res, want = hardy_phi_eval(kind, z, eps), _k_oracle(kind, z, eps, "eps2")
+                except ExactWKBError:
+                    continue
+                assert abs(res.value - want) <= 10 * res.est_error, (z, eps)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [6, 8, 9, 10])
+def test_a_value_below_double_range_says_so(n):
+    # here |x| = |2 z^{m/2}/(m eps)| is 1e14 to 5e19 with Re x > 0, so Phi_n
+    # = c_n sqrt(z) K_nu(x) is below 10^-(10^13): the saddle scale underflows
+    # to 0.  No numpy warning leaks (the thimble's integrand e^{-s^2} g
+    # cannot overflow), and the -0 it returns carries the bound of what the
+    # underflow lost, not a claim of exactness
+    z, eps = 838.44 - 244.94j, 0.0011992 - 0.00086505j
+    try:
+        res = hardy_phi_eval(n, z, eps)
+    except ContourFailure:
+        return
+    assert res.value == 0 and 0 < res.est_error < 1e-300
 
 
 def test_extreme_z_gives_a_value_or_a_typed_error():

@@ -352,6 +352,18 @@ def test_antiderivative_log_obstruction():
         S({-1: 1}).antiderivative()
 
 
+def test_a_z_inverse_term_of_a_ring_with_no_size_is_a_log_obstruction():
+    # the 1e-9 rounding allowance reads floats and complexes only; a QPoly or
+    # an eps-series coefficient at z^-1 is refused, not passed to complex()
+    from exactwkb.polyring import QPoly
+    for s in (S({-1: QPoly.gen("v"), 0: 1}), S({-1: eps(S({0: 1})), 0: eps(S({0: 2}))})):
+        with pytest.raises(LogObstruction):
+            s.antiderivative()
+    assert S({-1: 1e-12, 0: 1.0}).antiderivative() == S({1: 1.0})
+    with pytest.raises(LogObstruction):
+        S({-1: 1e-6j, 0: 1.0}).antiderivative()
+
+
 def test_derive_antiderive_roundtrip():
     a = S({Fr(-5, 2): 3, Fr(1, 2): Fr(2, 7), 2: -4})
     assert (a.derivative().antiderivative() - a).is_zero()

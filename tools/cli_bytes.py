@@ -37,6 +37,8 @@ COMMANDS = {
     "confluent": ["confluent", "--F", F, "--h", H, "--z", "0.9", "0.3", "--eps", "0.08", "0"],
     "confluent x_cap cut": ["confluent", "--F", F, "--h", H, "--z", "-0.5", "0",
                             "--eps", "0.3", "0"],
+    "confluent Stokes line": ["confluent", "--F", "[]", "--h", "[]", "--z", "-0.25",
+                              "0.4330127018922193", "--eps", "0.05", "0"],
     "confluent --contour": ["confluent", "--F", "[]", "--h", "[]", "--z", "1", "0",
                             "--eps", "0.1", "0", "--contour", PATH],
     "hardy --eval": ["hardy", "--n", "5", "--eval", "0.9", "0.1"],
