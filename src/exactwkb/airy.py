@@ -102,7 +102,7 @@ def airy_contour(z: complex, eps: complex, spec: ContourSpec | None = None,
     -sqrt(z) past the Stokes lines."""
     _refuse_turning_point(z)
     turn = cmath.phase(eps) / 3.0
-    raw = valley_integral(([-1.0 / 3.0, z], 1), eps,
+    raw = valley_integral((3, -1.0 / 3.0, 4 * z), eps,
                           (turn - math.pi / 3.0, turn + math.pi / 3.0),
                           spec or ContourSpec(), g=g)
     norm = 1.0 / (1j * cmath.sqrt(math.pi * eps))

@@ -1,25 +1,26 @@
 """Contours named by the two valleys they join.
 
 The integrals here are all of the shape int exp(-S(w)/eps) g(w) dw.  When
-S has leading term c w^m, the integrand decays at infinity in m valleys,
-centred on arg w = (arg(eps/c) + 2 pi k)/m, and for entire g the integral
-depends only on the valley the path comes from and the one it goes to.
-So that pair is the whole description of a contour: ``valley_integral``
-writes the path as the signed sum of the steepest-descent paths
-(thimbles) of the saddles that join the two valleys, the
-Picard-Lefschetz decomposition (Berry & Howls, Proc. R. Soc. A 434,
-1991; Witten, "Analytic continuation of Chern-Simons theory", 2010).
-Explicit polylines can be supplied through :class:`ContourSpec`.
+S leads with lead w^m, the integrand decays at infinity in m valleys,
+centred on arg w = (arg(eps/lead) + 2 pi k)/m, and for entire g the
+integral depends only on the valley the path comes from and the one it
+goes to.  So that pair is the whole description of a contour:
+``valley_integral`` writes the path as the signed sum of the
+steepest-descent paths (thimbles) of the saddles that join the two
+valleys, the Picard-Lefschetz decomposition (Berry & Howls, Proc. R. Soc.
+A 434, 1991; Witten, "Analytic continuation of Chern-Simons theory",
+2010).  Explicit polylines can be supplied through :class:`ContourSpec`.
 
-S is a polynomial of one parity, phase = (cs, odd) for S(w) = w^odd
-sum_k cs[k] (w^2)^(K-k) at the point of evaluation (Airy: ([-1/3, z], 1);
-Hardy: hardy._coeffs_at).  Every such S is a scaled Chebyshev polynomial
-A T_m(w/c) (Airy: c = 2 sqrt(z), A = -(2/3) z^(3/2)), so with w = c cosh u
-it is A cosh(m u), and each thimble is known in closed form: its integral
-is one trapezoid sum of a tanh-sinh rule in its parameter (geometric
-convergence on analytic integrands: Trefethen & Weideman, SIAM Review 56,
-2014).  A ContourSpec's x_cap cuts a thimble where |S'| passes it (for
-the Airy phase S'(zhat) = z - zhat^2, confluent_eval's kernel x).
+S is given by its Chebyshev data, phase = (m, lead, c2): S(w) = lead w^m
++ ... = 2^(1-m) lead c^m T_m(w/c), a polynomial in w and c^2 that stays
+defined at c = 0 (Mason & Handscomb, Chebyshev Polynomials, 2003, ch. 1;
+Airy: (3, -1/3, 4z); Hardy: (n + 2, 2^(n+2)/(n+2), z)).  With w = c cosh u
+it is A cosh(m u), A = 2 lead (c/2)^m, so each thimble is known in closed
+form: its integral is one trapezoid sum of a tanh-sinh rule in its
+parameter (geometric convergence on analytic integrands: Trefethen &
+Weideman, SIAM Review 56, 2014).  A ContourSpec's x_cap cuts a thimble
+where |S'| passes it (for the Airy phase S'(zhat) = z - zhat^2,
+confluent_eval's kernel x).
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def integrate_polyline(f: Callable[[np.ndarray], np.ndarray], nodes: Sequence[co
 def horner(cs):
     """x -> sum_k cs[k] x^(K-k), K = len(cs) - 1, by Horner's rule on a
     Python complex or a numpy array: the one evaluator of a dense
-    coefficient list (phases, Stokes potentials, the PDE kernel's x-sums)."""
+    coefficient list (Stokes potentials, the PDE kernel's x-sums)."""
     head, rest = cs[0], tuple(cs[1:])
 
     def f(x):
@@ -129,23 +130,23 @@ def horner(cs):
     return f
 
 
-def _horner(cs, odd: int):
-    """w -> w^odd sum_k cs[k] (w^2)^(K-k), K = len(cs) - 1: horner in w^2."""
-    p = horner(cs)
-    return (lambda w: p(w * w) * w) if odd else (lambda w: p(w * w))
-
-
-def _derivative(cs, odd: int):
-    """The (cs, odd) form of d/dw of the one given, by the power rule."""
-    d = [c * (2 * (len(cs) - 1 - k) + odd) for k, c in enumerate(cs)]
-    return (d, 0) if odd else (d[:-1], 1)
+def _chebyshev(m: int, lead, c2, w):
+    """S(w) and S'(w) for S = 2^(1-m) lead P_m, on a Python complex or a numpy
+    array, by the three-term recurrence in w and c^2: P_0 = 1, P_1 = w, P_(k+1)
+    = 2w P_k - c^2 P_(k-1), so P_m = c^m T_m(w/c) (and S = lead w^m at c = 0),
+    and P_m' = m Q_(m-1) for Q_k = c^k U_k(w/c) = w Q_(k-1) + P_k, Q_0 = 1."""
+    p, p1, q1 = 1.0, w, 1.0     # P_0, P_1, Q_0
+    for _ in range(m - 1):
+        q1 = w * q1 + p1
+        p, p1 = p1, 2 * w * p1 - c2 * p
+    return 2.0 ** (1 - m) * lead * p1, 2.0 ** (1 - m) * lead * m * q1
 
 
 def valley_integral(phase, eps: complex, valleys: tuple[float, float],
                     spec: ContourSpec, g: Callable | None = None) -> LaplaceResult:
     """int exp(-S/eps) g dw from the valley at arg w = valleys[0] to the one
-    at valleys[1], S = _horner(*phase) = A T_m(w/c) (ValueError past 1e-12
-    relative in a coefficient), whose valleys are at valleys[0] + 2 pi k/m.
+    at valleys[1], phase = (m, lead, c2) for S = lead w^m + ... = A T_m(w/c),
+    c = sqrt(c2), A = 2 lead (c/2)^m, whose valleys are at valleys[0] + 2 pi k/m.
     The thimble of s_k = c cos(pi k/m), S(s_k) = A (-1)^k, runs from the
     valley at arg c + (2 arg r - pi k)/m to arg c + (2 arg r + pi k)/m, r =
     sqrt(eps/(2 S(s_k))); as edges of a graph on the valleys, most
@@ -155,28 +156,20 @@ def valley_integral(phase, eps: complex, valleys: tuple[float, float],
     saddle, with the Laplace tail |f eps/S'| at its ends.  est_error adds
     the rounding of S/eps and of the sum, 2^-52 (1 + size/|eps|) |value|
     (along a spec.path, times the sum of the |terms| of its quadrature),
-    size the largest sum of |terms of S| at a saddle."""
-    (cs, odd), dphase = phase, _derivative(*phase)
-    S, dS = _horner(*phase), _horner(*dphase)
-    m = 2 * len(cs) - 2 + odd
-    c2 = -4.0 * cs[1] / (m * cs[0])
+    size the sum of |terms of S| at the outermost saddle."""
+    m, lead, c2 = phase
+    S = functools.partial(_chebyshev, *phase)
     c = cmath.sqrt(c2)
     saddles = [c * math.cos(math.pi * k / m) if 2 * k != m else 0j for k in range(1, m)]
     try:
-        A = 2.0 * cs[0] * (c / 2.0) ** m
+        A = 2.0 * lead * (c / 2.0) ** m
     except OverflowError:
         A = math.inf
     if spec.path is None and not all(sys.float_info.min <= abs(x) < math.inf for x in (c, A)):
         raise ContourFailure(f"the saddles merge (c = {c:.6g}) or S there leaves "
                              "double precision: no thimbles")
-    # A T_m(w/c) has the coefficients cs[0] (c^2)^i t_i/2^(m-1), with t_i
-    # T_m's coefficient of y^(m - 2i), in ratio -(m-2i)(m-2i-1)/(4(i+1)(m-i-1))
-    e = cs[0]
-    for i, ci in enumerate(cs[1:]):
-        e *= -c2 * (m - 2 * i) * (m - 2 * i - 1) / (4 * (i + 1) * (m - i - 1))
-        if abs(ci - e) > 1e-12 * abs(e):
-            raise ValueError(f"phase coefficient {ci} is not {e}, as in A T_{m}(w/c)")
-    size = max(map(_horner([abs(x) for x in cs], odd), map(abs, saddles)))
+    # the terms of S alternate in sign with the power of c^2: at -|c^2| they add
+    size = _chebyshev(m, abs(lead), -abs(c2), abs(saddles[0]))[0]
     rounding = 2.0 ** -52 * (1.0 + size / abs(eps))
 
     def weight(w, a):
@@ -184,16 +177,16 @@ def valley_integral(phase, eps: complex, valleys: tuple[float, float],
         return np.exp(-a) * (1.0 if g is None else g(w))
 
     if spec.path is not None:
-        shift = S(saddles[0]) / eps
+        shift = S(saddles[0])[0] / eps
 
         def f(w):
-            return weight(w, S(w) / eps - shift)
+            return weight(w, S(w)[0] / eps - shift)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            res, mass = integrate_polyline(f, spec.path, spec, lambda w: S(w) / eps)
+            res, mass = integrate_polyline(f, spec.path, spec, lambda w: S(w)[0] / eps)
             scale = _scale(shift)
             ends = np.array([spec.path[0], spec.path[-1]], dtype=complex)
-            trunc = float(np.sum(np.abs(f(ends) * eps / dS(ends))))
+            trunc = float(np.sum(np.abs(f(ends) * eps / S(ends)[1])))
         return LaplaceResult(res.value * scale, (res.est_error + trunc) * abs(scale)
                              + rounding * (mass * abs(scale)), res.nodes_used)
 
@@ -206,12 +199,14 @@ def valley_integral(phase, eps: complex, valleys: tuple[float, float],
         last p before |S'(x)| passes x_cap.  p runs through one tanh-sinh
         rule centred on the saddle, p'(0) = min(1, 1/|r|), whose trapezoid
         step in t halves until the sum moves by at most rel_tol of itself.
-        est_error: that move plus the Laplace tail |e^{-s^2} g eps/S'| at
-        each end (doubled at a cut) times |scale|, plus 2^-1074 (1 + sum of
-        |terms|), what a scale at the bottom of double range loses."""
+        est_error: that move, the Laplace tail |e^{-s^2} g eps/S'| at each
+        end (doubled at a cut) and 2^-53 max|u| (sum of |terms|), the rounding
+        of x and x' as |u| ~ (2/m) ln|r s| grows, times |scale|, plus 2^-1074
+        (1 + sum of |terms|), what a scale at the bottom of double range loses."""
         r, q, scale = root[k], abs(root[k]), _scale(A * (-1) ** k / eps)
         eta = math.copysign(0.5 * min(abs(r.imag) / q ** 2, 1.0), r.imag)    # Re(i/r)
         p_max = math.sqrt(3.0 - math.log(spec.rel_tol))     # e^{-s^2} < rel_tol e^-3
+        us = []     # u at every point along evaluates
 
         def along(p):
             """x, s and dx/dp at the points p of the path."""
@@ -219,6 +214,7 @@ def valley_integral(phase, eps: complex, valleys: tuple[float, float],
             s = p - 1j * eta * th
             a = np.arcsinh(r * s)
             u = (1j * math.pi * k + 2.0 * a) / m
+            us.append(u)
             ds = 1.0 - 1j * eta * q * (1.0 - th * th)
             return c * np.cosh(u), s, (2.0 * c * r / m) * np.sinh(u) / np.cosh(a) * ds
 
@@ -227,7 +223,7 @@ def valley_integral(phase, eps: complex, valleys: tuple[float, float],
             SCAN (the first leaves no interval), then refined 64-fold 8 times."""
             grid = SCAN * np.arange(math.ceil(p_max / SCAN) + 1)
             for _ in range(9 if spec.x_cap is not None else 0):
-                over = np.flatnonzero(np.abs(dS(along(side * grid)[0])) > spec.x_cap)
+                over = np.flatnonzero(np.abs(S(along(side * grid)[0])[1]) > spec.x_cap)
                 if not len(over):
                     return p_max, 1.0
                 if grid[over[0]] == SCAN:
@@ -255,8 +251,10 @@ def valley_integral(phase, eps: complex, valleys: tuple[float, float],
                 if i and abs(total - prev) <= spec.rel_tol * abs(total):
                     break
             x, s, _ = along(np.array([-p_lo, p_hi]))
-            tail = np.dot(np.abs(weight(x, s * s) * eps / dS(x)), (cut_lo, cut_hi))
-            value, err = complex(total * scale), float((abs(total - prev) + tail) * abs(scale))
+            dS = [S(v)[1] for v in x.tolist()]     # at two points Python's complex is faster
+            tail = np.dot(np.abs(weight(x, s * s) * eps / dS), (cut_lo, cut_hi))
+            err = abs(total - prev) + tail + 2.0 ** -53 * np.abs(np.concatenate(us)).max() * mass
+            value, err = complex(total * scale), float(err * abs(scale))
         if not (cmath.isfinite(value) and math.isfinite(err)):
             raise ContourFailure(f"the sum along the thimble of {saddles[k - 1]:.6g} "
                                  "leaves double precision")

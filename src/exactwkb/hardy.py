@@ -16,13 +16,11 @@ The pair is handed out as ``{(i, j): Fraction}`` dicts for z^i zhat^j.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .contours import ContourSpec, LaplaceResult, valley_integral
-from .errors import ContourFailure
 from .series import PuiseuxSeries
 
 Poly2 = dict  # {(i, j): Fraction} for z^i zhat^j
@@ -118,26 +116,6 @@ def quasi_homogeneous_ok(pair: HardyPair) -> bool:
     return all(2 * i + j == pair.n + 2 for (i, j) in pair.S)
 
 
-def _coeffs_at(p: Poly2, z: complex) -> tuple[list[complex], int]:
-    """p at z as valley_integral's phase (cs, odd): its zhat-coefficients
-    for degrees deg, deg - 2, ..., and deg % 2 (quasi-homogeneity leaves
-    one parity; ValueError otherwise).  ContourFailure when a power of z
-    overflows."""
-    deg = max(j for (_, j) in p)
-    if any((deg - j) % 2 for (_, j) in p):
-        raise ValueError("polynomial mixes even and odd powers of zhat")
-    out = [0j] * (deg // 2 + 1)
-    try:
-        for (i, j), c in p.items():
-            out[(deg - j) // 2] += float(c) * (z ** i)
-    except OverflowError:
-        raise ContourFailure(f"a power of z = {z:.6g} overflows double precision") from None
-    return out, deg % 2
-
-
-_cached_S_T = functools.cache(hardy_S_T)     # hardy_phi_eval's, once per n
-
-
 def hardy_valleys(n: int, w: complex) -> tuple[float, float]:
     """The valleys arg zhat = (arg w + 2 pi k)/m, m = n + 2, that Phi_n
     joins: k = (m - 1)//2 and m - k, either side of arg zhat = pi (S_n
@@ -155,7 +133,8 @@ def hardy_phi_eval(n: int, z: complex, eps: complex,
                    spec: ContourSpec | None = None,
                    convention: str = "eps2") -> LaplaceResult:
     """Phi_n(z, eps) = int exp(-S_n(z, zhat)/w) dzhat between the two
-    valleys of hardy_valleys, an entire function of z.
+    valleys of hardy_valleys, an entire function of z.  At fixed z, S_n =
+    (2/m) z^{m/2} T_m(zhat/sqrt z), m = n + 2: the phase (m, 2^m/m, z).
 
     convention='eps2' takes w = eps, for which the integral solves
     eps^2 Phi'' = z^n Phi; convention='eps' takes w = sqrt(eps), for
@@ -164,8 +143,10 @@ def hardy_phi_eval(n: int, z: complex, eps: complex,
     """
     if convention not in ("eps", "eps2"):
         raise ValueError("convention must be 'eps' or 'eps2'")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     w = eps if convention == "eps2" else cmath.sqrt(eps)
-    return valley_integral(_coeffs_at(_cached_S_T(n).S, z), w,
+    return valley_integral((n + 2, 2.0 ** (n + 2) / (n + 2), z), w,
                            hardy_valleys(n, w), spec or ContourSpec())
 
 

@@ -433,10 +433,14 @@ class PuiseuxSeries:
 
     def _complex(self) -> dict:
         """{6e: complex coefficient}; a/D and b/D round correctly, as
-        ``complex(Fraction)`` does, so an exact series reads its numerators."""
+        ``complex(Fraction)`` does, so an exact series reads its numerators.
+        SeriesError for a ring with no value at a point (QPoly)."""
         D, im = self._den, self._im
-        return {k: complex(c / D, im.get(k, 0) / D) if D else complex(c)
-                for k, c in self._by6.items()}
+        try:
+            return {k: complex(c / D, im.get(k, 0) / D) if D else complex(c)
+                    for k, c in self._by6.items()}
+        except TypeError:
+            raise SeriesError("the coefficient ring has no value at a point") from None
 
     # -- ring operations -----------------------------------------------
 
@@ -513,6 +517,8 @@ class PuiseuxSeries:
         return self * other.inverse(order)
 
     def __truediv__(self, other):
+        if isinstance(other, PuiseuxSeries):
+            raise SeriesError("a series divides by a series through div(other, order)")
         c = lift(other)
         if coeff_is_zero(c):
             raise SeriesError("division of a series by zero")
@@ -645,7 +651,7 @@ class PuiseuxSeries:
             raise SeriesError("not invertible as a formal map: f'(0) = 0")
         trunc = min(Fraction(int(_as_exp(order))), self.trunc)
         top = math.ceil(trunc)
-        inv_a1 = _ONE / a1 if isinstance(a1, Fraction) else 1 / a1
+        inv_a1 = _coeff_root(a1, Fraction(-1))
         fs = [(k // 6, c) for k, c in _terms(self).items() if 6 < k < 6 * top]
         # powers[j - 1][m] = [z^m] g^j, nonzero terms only; powers[0] is g
         g = {1: inv_a1}
@@ -838,12 +844,11 @@ def _miller_sum(pairs):
 
 def _coeff_root(c, r: Fraction):
     """c**r: ``c.pow_rational(r)`` for a series coefficient, 1/c in c's
-    own ring for r = -1, exact for a rational c, float for an inexact one."""
+    own ring for r = -1, exact for a rational c, float for an inexact one;
+    SeriesError for a ring with no division or no value (QPoly)."""
     if isinstance(c, PuiseuxSeries):
         return c.pow_rational(r)
-    if r == -1:
-        return _ONE / c
-    if isinstance(c, Fraction):
+    if r != -1 and isinstance(c, Fraction):
         if r.denominator == 1:
             return c ** r
         num = _iroot(c.numerator, r.denominator)
@@ -852,10 +857,13 @@ def _coeff_root(c, r: Fraction):
             return Fraction(num, den) ** r.numerator
         raise SeriesError(
             f"leading coefficient {c} has no exact rational {r.denominator}-th root")
-    if is_exact(c):
+    if r != -1 and is_exact(c):
         raise SeriesError(f"exact power {r} of leading coefficient {c} "
                           "needs a rational coefficient")
-    return complex(c) ** float(r)
+    try:
+        return _ONE / c if r == -1 else complex(c) ** float(r)
+    except TypeError:
+        raise SeriesError(f"the ring of leading coefficient {c} has no power {r}") from None
 
 
 def _iroot(n: int, k: int) -> int | None:

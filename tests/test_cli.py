@@ -82,7 +82,7 @@ PINNED_STDOUT = {
     # nodes of its trapezoid sum; the value, -0.01385515321849297i, is
     # c_5 sqrt(z) K_{1/7} to 9e-18 (tests/test_hardy.py)
     "hardy-eval": (["hardy", "--n", "5", "--eval", "0.9", "0.1"],
-                   "4ff46312a9c0941e03014690a6a6c6deaa36ac1ddef1261032c40199fd53bb34"),
+                   "8e9920b919aee754ce0537f58d11166e544deb37b0a9decba4392de6800589d4"),
 }
 
 

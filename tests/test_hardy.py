@@ -11,13 +11,11 @@ import numpy as np
 import pytest
 
 from exactwkb.airy import airy_contour, airy_oracle
-from exactwkb.contours import ContourSpec, valley_integral
-from exactwkb.contours import _derivative, _horner
+from exactwkb.contours import ContourSpec, _chebyshev, valley_integral
 from exactwkb.errors import ContourFailure, ExactWKBError
 from exactwkb.hardy import (hardy_identities_hold, hardy_ode_residual,
                             hardy_phi_eval, hardy_polynomial, hardy_S_T,
                             hardy_valleys, quasi_homogeneous_ok)
-from exactwkb.hardy import _coeffs_at
 from exactwkb.pde import confluent_eval, pde_taylor
 from exactwkb.series import PuiseuxSeries
 
@@ -79,24 +77,24 @@ def _dzhat(p):
     return {(i, j - 1): c * j for (i, j), c in p.items() if j}
 
 
-@pytest.mark.parametrize("n", [3, 8])
-def test_fixed_z_terms_equal_per_term_loop(n):
-    # the Horner loop in zhat^2 at a fixed z, on S_n's coefficients and on
-    # the two derivatives valley_integral forms from them by the power
-    # rule, gives the per-term sum of the exact polynomials to rounding,
-    # on a Python complex and on a numpy array alike
+@pytest.mark.parametrize("n", ["airy", *range(1, 11)])
+def test_the_phase_data_is_the_exact_S(n):
+    # the recurrences in zhat and c^2 on the phase data (m, 2^m/m, z) give
+    # the exact S_n of the formal layer and its zhat-derivative, and on
+    # (3, -1/3, 4z) the Airy phase z zhat - zhat^3/3, to rounding, on a
+    # Python complex and on a numpy array alike
     z = 0.9 + 0.2j
-    S = hardy_S_T(n).S
-    phase = _coeffs_at(S, z)
-    phases = (phase, _derivative(*phase), _derivative(*_derivative(*phase)))
+    if n == "airy":
+        S, phase = {(1, 1): Fr(1), (0, 3): Fr(-1, 3)}, (3, -1.0 / 3.0, 4 * z)
+    else:
+        S, phase = hardy_S_T(n).S, (n + 2, 2.0 ** (n + 2) / (n + 2), z)
     line = 0.3 + np.linspace(-0.6, 0.6, 9) * (1 + 0.3j)
-    for p, ph in zip((S, _dzhat(S), _dzhat(_dzhat(S))), phases):
-        f = _horner(*ph)
+    for i, p in enumerate((S, _dzhat(S))):
         size = _per_term_poly2_eval({k: abs(c) for k, c in p.items()},
                                     abs(z), np.abs(line))
         want = _per_term_poly2_eval(p, z, line)
-        assert np.all(abs(f(line) - want) <= 1e-14 * size)
-        assert all(abs(f(complex(x)) - y) <= 1e-14 * m
+        assert np.all(abs(_chebyshev(*phase, line)[i] - want) <= 1e-14 * size)
+        assert all(abs(_chebyshev(*phase, complex(x))[i] - y) <= 1e-14 * m
                    for x, y, m in zip(line, want, size))
 
 
@@ -135,7 +133,7 @@ def test_unknown_convention_rejected(fn):
 def test_reversed_orientation_flips_sign(n, z, eps):
     # swapping the two valleys, or walking an explicit path backwards,
     # reverses the contour
-    phase = _coeffs_at(hardy_S_T(n).S, z)
+    phase = (n + 2, 2.0 ** (n + 2) / (n + 2), z)
     a, b = hardy_valleys(n, eps)
     spec = ContourSpec()
     fwd = valley_integral(phase, eps, (a, b), spec)
@@ -150,11 +148,20 @@ def test_reversed_orientation_flips_sign(n, z, eps):
     assert abs(there.value + back.value) <= 10 * (there.est_error + back.est_error)
 
 
-def test_phase_off_the_chebyshev_form_is_refused():
-    # every phase is A T_m(w/c): x^4 - x^2 + 5 is not (A T_4(x) = x^4 - x^2
-    # + 1/8), so no closed form names its valleys
-    with pytest.raises(ValueError, match="A T_4"):
-        valley_integral(([1.0, -1.0, 5.0], 0), 0.1, (0.0, math.pi / 2), ContourSpec())
+@pytest.mark.parametrize("n", [1, 2, 5, 10])
+def test_c_zero_on_an_explicit_path_is_phi_at_the_turning_point(n):
+    # at c = 0 the phase data still names S = (2^m/m) zhat^m, whose valleys
+    # are rays from 0: two rays through 0 give Phi_n(0) = G(1 + 1/m)
+    # (|w| m/2^m)^(1/m) (e^{i theta_b} - e^{i theta_a}), the c -> 0 limit
+    # of the thimbles, which refuse c = 0
+    m = n + 2
+    for w in (0.1, 0.05 * cmath.exp(0.4j), 0.02):
+        a, b = hardy_valleys(n, w)
+        rays = (3 * cmath.exp(1j * a), 0j, 3 * cmath.exp(1j * b))
+        res = valley_integral((m, 2.0 ** m / m, 0j), w, (a, b), ContourSpec(path=rays))
+        want = (math.gamma(1 + 1 / m) * (abs(w) * m / 2 ** m) ** (1 / m)
+                * (cmath.exp(1j * b) - cmath.exp(1j * a)))
+        assert abs(res.value - want) <= 10 * res.est_error, w
 
 
 @pytest.mark.filterwarnings("error")
@@ -294,14 +301,15 @@ def test_long_walks_near_the_turning_point_reach_their_valleys(n, r, j, eps):
 
 @pytest.mark.parametrize("kind", ["airy", "confluent", 1, 2, 5, 10])
 def test_the_turning_point_boundary_within_ten_est_errors(kind):
-    # |z| down to 1e-12 at eight arguments: the saddles nearly merge and the
-    # thimbles' closed form branches within 1/|r| ~ |z|^(m/4) of each saddle.
+    # |z| down to 1e-200 at eight arguments: the saddles nearly merge and the
+    # thimbles' closed form branches within 1/|r| ~ |z|^(m/4) of each saddle,
+    # where |u| ~ (2/m) ln|r| carries its rounding into x = c cosh u.
     # Oracles: airy_oracle, the K_nu form, and for the confluent function
     # (which has none) the same integral at rel_tol 1e-15
     F, h = PuiseuxSeries({0: Fr(1, 3), 1: Fr(-2, 7)}), PuiseuxSeries({0: Fr(1, 5)})
     psi = pde_taylor(F, h, 40, 40) if kind == "confluent" else None
     fine = ContourSpec(rel_tol=1e-15)
-    for r in (1e-12, 1e-6, 1e-2):
+    for r in (1e-200, 1e-100, 1e-12, 1e-6, 1e-2):
         for j in range(8):
             z = cmath.rect(r, math.pi * (j - 3.5) / 4)
             for eps in (0.02, 0.1):

@@ -78,13 +78,13 @@ def test_pow_identity_exponent():
 
 def test_negative_power_and_series_quotient_are_refused():
     # integer powers are products or pow_rational (a negative n once went
-    # through inverse); a quotient of series is div or inverse
+    # through inverse); a quotient of series is div or inverse, and / says so
     a = S({0: 1, 1: 2}, trunc=4)
     assert a * a == S({0: 1, 1: 4, 2: 4}, trunc=4)
     for n in (2, -1):
         with pytest.raises(TypeError):
             a ** n
-    with pytest.raises(TypeError):
+    with pytest.raises(SeriesError, match="div"):
         a / a
     assert (a.div(a, order=4) - 1).is_zero()
 
@@ -362,6 +362,30 @@ def test_a_z_inverse_term_of_a_ring_with_no_size_is_a_log_obstruction():
     assert S({-1: 1e-12, 0: 1.0}).antiderivative() == S({1: 1.0})
     with pytest.raises(LogObstruction):
         S({-1: 1e-6j, 0: 1.0}).antiderivative()
+
+
+def _qpoly_series(lead_exp):
+    from exactwkb.polyring import QPoly
+    return S({lead_exp: QPoly.gen("v") + 1, lead_exp + 1: 1}, trunc=5)
+
+
+@pytest.mark.parametrize("op, match", [
+    (lambda: S({0: 1, 1: Fr(1, 2)}) / S({0: 2, 1: 3}), "div"),
+    (lambda: S({0: 1.0, 1: 0.5j}) / S({0: 2.0, 1: 3.0}), "div"),
+    (lambda: _qpoly_series(0).inverse(3), "power -1"),
+    (lambda: _qpoly_series(0).pow_rational(Fr(1, 2), 3), "power 1/2"),
+    (lambda: _qpoly_series(0).sqrt(3), "power 1/2"),
+    (lambda: _qpoly_series(1).reversion(4), "power -1"),
+    (lambda: _qpoly_series(0).eval(0.5), "no value"),
+    (lambda: _qpoly_series(0).to_float(), "no value"),
+], ids=["div-exact", "div-float", "inverse", "pow-half", "sqrt", "reversion",
+        "eval", "to-float"])
+def test_an_operation_the_ring_lacks_is_a_series_error(op, match):
+    # division by a series goes through div; a QPoly coefficient has no
+    # inverse, root or value at a point: each a SeriesError, not a bare
+    # TypeError from inside the ring
+    with pytest.raises(SeriesError, match=match):
+        op()
 
 
 def test_derive_antiderive_roundtrip():

@@ -42,6 +42,7 @@ COMMANDS = {
     "confluent --contour": ["confluent", "--F", "[]", "--h", "[]", "--z", "1", "0",
                             "--eps", "0.1", "0", "--contour", PATH],
     "hardy --eval": ["hardy", "--n", "5", "--eval", "0.9", "0.1"],
+    "hardy --eval n10": ["hardy", "--n", "10", "--eval", "0.9", "0.1"],
     "hardy --eval eps": ["hardy", "--n", "3", "--eval", "0.5", "0.05", "--convention", "eps"],
     "hardy S/T": ["hardy", "--n", "5"],
     "stokes": ["stokes", "--V", V, "--extent", "1.0"],
