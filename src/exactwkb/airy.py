@@ -28,8 +28,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .borel import (PartialFractions, check_ray_clear, genuine_poles,
-                    laplace_pade, pade_from_taylor, partial_fractions)
+from .borel import PartialFractions, laplace_pade, pade_from_taylor, partial_fractions
 from .contours import ContourSpec, LaplaceResult, valley_integral
 from .errors import ContourFailure
 from .series import PuiseuxSeries
@@ -147,11 +146,8 @@ def _borel_sum(z: complex, eps: complex, sign: int, fractions, lam,
     the symbol of that sign, pref its prefactor, from fractions = the
     split of R (no minor if None); the minor's poles are p/lam.  est_error
     adds the rounding of pref = exp(x) z^(-1/4) and of the product."""
-    res = LaplaceResult(0j, 0.0, 0)
-    if fractions is not None:
-        poles = genuine_poles(zip(fractions.poles, fractions.residues))
-        check_ray_clear([p / lam for p in poles], theta, abs(eps))
-        res = laplace_pade(fractions, eps, lam, theta)
+    res = (LaplaceResult(0j, 0.0, 0) if fractions is None
+           else laplace_pade(fractions, eps, lam, theta))
     pref = _prefactor(sign, z, eps)
     value = pref * (1.0 + res.value)
     # x = -sign (2/3) z^(3/2)/eps rounded moves exp(x) by 2^-52 |x|

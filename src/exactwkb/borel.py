@@ -3,10 +3,9 @@
 The Borel sum of a symbol is prefactor * (1 + int_ray exp(-xi/eps) R(xi) dxi)
 where R is the (L, M) Pade approximant of the truncated minor.  The Pade
 pole string emulates the minor's branch cut, which is what makes lateral
-sums and the Stokes-jump measurement possible at finite order.  An
-approximant's genuine poles do not depend on the ray: they are found
-once (genuine_poles), then each ray is checked against them
-(check_ray_clear).
+sums and the Stokes-jump measurement possible at finite order.  Only
+laplace_pade decides whether a ray is clear of the genuine poles
+(genuine_poles), at a margin set by the precision of the split.
 
 pade_from_taylor solves rational Taylor coefficients exactly and others
 in complex double precision.  partial_fractions splits any approximant
@@ -148,27 +147,11 @@ def pade_from_taylor(c, L: int, M: int) -> PadeApproximant:
 def genuine_poles(pairs) -> list:
     """The poles of the (pole, residue) pairs that are not Froissart
     doublets (spurious pole/zero pairs whose residue is below
-    FROISSART_TOL of the largest), in their order.  They do not depend
-    on the ray, so one list serves every ray tried (check_ray_clear)."""
+    FROISSART_TOL of the largest), in their order: the poles that
+    laplace_pade checks against its ray."""
     pairs = list(pairs)
     scale = max([1.0] + [abs(r) for _, r in pairs])
     return [p for p, r in pairs if not abs(r) < FROISSART_TOL * scale]
-
-
-def check_ray_clear(poles, theta: float, eps_scale: float) -> None:
-    """Raise PoleOnRay when one of the genuine poles lies within
-    0.03 (|p| + eps_scale) of the ray arg xi = theta.  A pole that close
-    to xi = 0, where every ray starts, is named as such; any other as
-    obstructing this ray."""
-    for p in poles:
-        margin = 0.03 * (abs(p) + eps_scale)
-        if abs(p) < margin:
-            raise PoleOnRay(f"Pade pole at {p:.6g} lies within {margin:.3g} of "
-                            "xi = 0, where every Laplace ray starts")
-        w = p * cmath.exp(-1j * theta)     # its distance to the ray: |Im w|, or |p| behind 0
-        if (abs(w.imag) if w.real > 0 else abs(p)) < margin:
-            raise PoleOnRay(
-                f"Pade pole at {p:.6g} obstructs the ray arg xi = {theta:.4f}")
 
 
 class PartialFractions(NamedTuple):
@@ -260,27 +243,35 @@ def laplace_pade(fractions: PartialFractions, eps, lam=1, theta=0.0) -> LaplaceR
 
     The value is an mpc or a complex, est_error the rounding of the sum
     (the unit roundoff, 2^-52 or mpmath's eps, times the sum of its
-    terms' moduli) and nodes_used 0.  PoleOnRay when the ray leaves the
-    half-plane of eps or a genuine pole (genuine_poles) lies on it to
-    rounding.
+    terms' moduli) and nodes_used 0.  PoleOnRay, first, when a genuine
+    pole (genuine_poles) q = p/lam lies within tol (|q| + |eps|) of
+    xi = 0, where every ray starts, or of the ray itself: tol is 0.03 for
+    a split rounded to complex and 64 mpmath.eps, rounding, for an mpmath
+    one.  Then PoleOnRay when the ray leaves the half-plane of eps.
     """
-    m, expe1, unit = cmath, _expe1, 2.0 ** -52
+    m, expe1, unit, tol = cmath, _expe1, 2.0 ** -52, 0.03
     with mpmath.workdps(mpmath.mp.dps + GUARD_DIGITS):
         if not isinstance((fractions.quo + fractions.residues)[0], complex):
             m, expe1, unit = mpmath, lambda x: mpmath.exp(x) * mpmath.e1(x), mpmath.eps
-            eps, lam = mpmath.mpc(eps), mpmath.mpc(lam)
+            eps, lam, tol = mpmath.mpc(eps), mpmath.mpc(lam), 64 * mpmath.eps
+        for p in genuine_poles(zip(fractions.poles, fractions.residues)):
+            q = p / lam
+            margin = tol * (abs(q) + abs(eps))
+            if abs(q) < margin:
+                raise PoleOnRay(f"Pade pole at {complex(q):.6g} lies within "
+                                f"{float(margin):.3g} of xi = 0, where every Laplace ray starts")
+            w = q * m.exp(-1j * theta)     # its distance to the ray: |Im w|, or |q| behind 0
+            if (abs(w.imag) if w.real > 0 else abs(q)) < margin:
+                raise PoleOnRay(
+                    f"Pade pole at {complex(q):.6g} obstructs the ray arg xi = {theta:.4f}")
         d = m.exp(1j * theta) * abs(eps) / eps     # the ray's direction, seen from arg eps
         if d.real <= 0:
             raise PoleOnRay(f"ray arg xi = {theta:.4f} is outside the half-plane of eps")
-        phi, s, tol = m.phase(d), lam * eps, 64 * unit
-        genuine = genuine_poles(zip(fractions.poles, fractions.residues))
+        phi, s = m.phase(d), lam * eps
         terms = [q * math.factorial(k) * s ** (k + 1) for k, q in enumerate(fractions.quo)]
         for p, r in zip(fractions.poles, fractions.residues):
             w = p / s
-            if p in genuine and (w / d).real >= 0 and abs((w / d).imag) <= tol * abs(w):
-                raise PoleOnRay(f"Pade pole at {complex(p / lam):.6g} lies on the ray "
-                                f"arg xi = {theta:.4f}")
-            if w.real > 0 and abs(w.imag) <= tol * abs(w):
+            if w.real > 0 and abs(w.imag) <= 64 * unit * abs(w):
                 w = w.real                  # a real -w takes E1 from above
             term, arg = expe1(-w), m.phase(w)
             if phi < arg <= 0:

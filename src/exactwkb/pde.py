@@ -24,6 +24,7 @@ from .airy import airy_contour, symbol_borel_sum
 from .contours import ContourSpec, LaplaceResult, horner
 from .errors import ContourFailure, DomainExit
 from .series import ExponentTable, PuiseuxSeries, _combine, max_abs_coeff, require_taylor
+from .stokes import classify_sector
 from .transport import transport_g
 
 
@@ -306,38 +307,35 @@ def confluent_eval(F: PuiseuxSeries, h: PuiseuxSeries, z: complex, eps: complex,
 
 
 def local_decomposition(F: PuiseuxSeries, h: PuiseuxSeries, z: complex,
-                        eps_grid, sector: str, N: int = 30,
-                        Nx: int = 40, Nz: int = 40) -> dict:
+                        eps_grid, N: int = 30, Nx: int = 40, Nz: int = 40) -> dict:
     """Compare the confluent function against its sector decomposition.
 
-    In S1 the (normalized) confluent value is matched against the Borel
-    sum of the elementary symbol; in S2 against the two-term combination
-    sum(Phi+) + i sum(Phi-); the one-term residual is reported alongside
-    for the Stokes-jump visibility check.  The induced symbol equals the
-    elementary one at h = 0 only to leading order; for the general
-    member the comparison is asymptotic (errors shrink with eps).
+    In S1 and S-1 the (normalized) confluent value is matched against the
+    Borel sum of the elementary symbol; in S2 against the two-term
+    combination sum(Phi+) + i sum(Phi-); the one-term residual is reported
+    alongside for the Stokes-jump visibility check.  The induced symbol
+    equals the elementary one at h = 0 only to leading order; for the
+    general member the comparison is asymptotic (errors shrink with eps).
 
-    Sector convention: S1 is 0 < arg z < 2 pi/3 (between L0 and L1,
-    counterclockwise), S2 is 2 pi/3 < arg z < 4 pi/3, S-1 is
-    -2 pi/3 < arg z < 0.
+    The sector is classify_sector(z)'s: S1 is 0 < arg z < 2 pi/3 (between
+    L0 and L1, counterclockwise), S2 is 2 pi/3 < arg z < 4 pi/3, S-1 is
+    -2 pi/3 < arg z < 0.  A z on a Stokes line (or z = 0) is a ValueError.
     """
+    sector = classify_sector(z)
+    if sector.startswith("ON_LINE:"):
+        raise ValueError(f"z = {z:.6g} lies on the Stokes line {sector[8:]}")
     sym = transport_g(F, N - 1)
     psi = pde_taylor(F, h, Nx, Nz)
     rows = []
     for eps in eps_grid:
         conf = confluent_eval(F, h, z, eps, psi=psi, Nx=Nx, Nz=Nz)
         plus = symbol_borel_sum(sym, z, eps).value
-        if sector == "S1" or sector == "S-1":
-            model = plus
-            rows.append({"eps": eps, "confluent": conf.value, "model": model,
-                         "rel_err": abs(conf.value - model) / abs(model)})
-        elif sector == "S2":
-            minus = symbol_borel_sum(sym.flip_eps(), z, eps).value
-            two = plus + 1j * minus
-            rows.append({"eps": eps, "confluent": conf.value,
-                         "model": two,
+        if sector == "S2":
+            two = plus + 1j * symbol_borel_sum(sym.flip_eps(), z, eps).value
+            rows.append({"eps": eps, "confluent": conf.value, "model": two,
                          "rel_err": abs(conf.value - two) / abs(two),
                          "one_term_rel_err": abs(conf.value - plus) / abs(plus)})
         else:
-            raise ValueError(f"unknown sector {sector!r}")
+            rows.append({"eps": eps, "confluent": conf.value, "model": plus,
+                         "rel_err": abs(conf.value - plus) / abs(plus)})
     return {"sector": sector, "rows": rows}

@@ -729,33 +729,38 @@ class PuiseuxSeries:
         return f"<PuiseuxSeries {body}{t}>"
 
 
+def _power(e: Fraction) -> int | float:
+    """The exponent e as complex ** takes it: an int for -8..8, whose
+    powers are products, else a float."""
+    return int(e) if e.denominator == 1 and -8 <= e <= 8 else float(e)
+
+
 def _principal_pow(z: complex, e: Fraction) -> complex:
-    if e == 0:
-        return 1.0 + 0j
-    if e.denominator == 1 and -8 <= e <= 8:
-        return complex(z) ** int(e)
-    return complex(z) ** float(e)
+    return complex(z) ** _power(e)
 
 
 class ExponentTable:
     """Series ready to be evaluated at points: the distinct exponents of
     all of them in increasing order (``exps``), and per series its terms as
     (complex(a/D, b/D) or complex(c), index into exps) in increasing
-    exponent (``rows``), so a point costs one zpow per distinct exponent."""
+    exponent (``rows``), so a point costs one zpow per distinct exponent;
+    ``powers`` holds each exponent as _power gives it."""
 
-    __slots__ = ("exps", "rows")
+    __slots__ = ("exps", "powers", "rows")
 
     def __init__(self, series: Iterable[PuiseuxSeries]):
         floats = [s._complex() for s in series]
         keys = sorted({k for f in floats for k in f})
         index = {k: i for i, k in enumerate(keys)}
         self.exps = tuple(map(_exp6, keys))
+        self.powers = tuple(map(_power, self.exps))
         self.rows = tuple(tuple((c, index[k]) for k, c in f.items()) for f in floats)
 
     def values(self, z: complex, zpow: Callable | None = None) -> list[complex]:
         """Each series' terms c z^e at z added one by one in exponent order
         from 0j; zpow(z, e) fixes the branch of z^e (principal by default)."""
-        pows = [(zpow or _principal_pow)(z, e) for e in self.exps]
+        pows = ([complex(z) ** k for k in self.powers] if zpow is None
+                else [zpow(z, e) for e in self.exps])
         out = []
         for row in self.rows:
             total = 0j

@@ -150,12 +150,11 @@ def test_criterion_07_sector_decomposition():
     with _Timer("criterion 7: sector decomposition in S1 and S2 (F = 0)", 60.0):
         F0, h0 = TaylorSeries({}), TaylorSeries({})
         z1 = 0.9 * cmath.exp(1j * math.pi / 3)
-        rep = local_decomposition(F0, h0, z1, [0.02, 0.04, 0.06, 0.08, 0.1],
-                                  "S1", N=30)
+        rep = local_decomposition(F0, h0, z1, [0.02, 0.04, 0.06, 0.08, 0.1], N=30)
         for row in rep["rows"]:
             assert row["rel_err"] < 1e-6, row
         z2 = 0.9 * cmath.exp(0.9j * math.pi)
-        rep2 = local_decomposition(F0, h0, z2, [0.05], "S2", N=30)
+        rep2 = local_decomposition(F0, h0, z2, [0.05], N=30)
         row = rep2["rows"][0]
         assert row["one_term_rel_err"] >= 10.0 * row["rel_err"], row
 

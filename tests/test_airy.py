@@ -263,6 +263,19 @@ def test_pole_on_ray_raises():
         symbol_borel_sum(sym, 1.0, 0.05)
 
 
+@pytest.mark.parametrize("r", [0.9, 1.5])
+@pytest.mark.parametrize("eps", [0.05, 0.1])
+def test_hp_sum_serves_L1_where_the_double_sum_refuses(r, eps):
+    # on L1 the minor's first pole lies about 1e-16 of its modulus off the
+    # ray arg xi = 0: clear of mpmath's rounding, inside the double sums'
+    # 3% margin
+    z = r * cmath.exp(2j * math.pi / 3)
+    ref = airy_oracle(z, eps)
+    assert abs(complex(airy_borel_sum_hp(z, eps, 30)) - ref) <= 1e-15 * abs(ref)
+    with pytest.raises(PoleOnRay, match="obstructs the ray arg xi = 0"):
+        airy_borel_sum(z, eps, 30)
+
+
 def test_pole_near_the_origin_is_named_apart_from_the_ray():
     # the minor's pole at -0.00223-0.00108i lies behind the ray arg xi = 0,
     # but within the margin of xi = 0, where every ray starts

@@ -116,6 +116,22 @@ def test_pole_on_the_ray_raises():
             laplace_pade(partial_fractions(approx), -0.2j)
 
 
+def test_the_ray_margin_follows_the_precision_of_the_split():
+    # a pole 0.01 rad off the ray arg xi = 0 lies inside the 3% margin of a
+    # split rounded to complex, which refuses the ray, and far outside the
+    # rounding margin of an mpmath split, which is summed
+    split = PartialFractions([cmath.exp(0.01j)], [1 + 0j], [])
+    with pytest.raises(PoleOnRay, match=r"obstructs the ray arg xi = 0\.0000"):
+        laplace_pade(split, 0.1)
+    with mpmath.workdps(30):
+        split = PartialFractions([mpmath.expj(0.01)], [mpmath.mpc(1)], [])
+        got = laplace_pade(split, 0.1).value
+        p = split.poles[0]
+        want = mpmath.quad(lambda x: mpmath.exp(-x / mpmath.mpf(0.1)) / (x - p),
+                           [0, p.real, mpmath.inf])
+        assert abs(got - want) <= 1e-20 * abs(want)
+
+
 def test_double_pole_raises_contour_failure():
     with mpmath.workdps(40):
         p = mpmath.mpc(1, 2)

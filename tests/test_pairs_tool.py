@@ -16,7 +16,20 @@ END_TO_END = [{"name": "jobs_per_s", "better": "higher", "bound": 0.25},
 
 def canned(jobs, p50, loop=0.001, failed=0):
     return {"metrics": {"jobs_per_s": jobs, "latency_p50_ms": p50}, "failed": failed,
-            "measured": {"jobs_per_s": jobs / 2, "loop_s": loop}}
+            "env": {"cpus": 2, "jobs": jobs}, "measured": {"jobs_per_s": jobs / 2, "loop_s": loop}}
+
+
+def test_a_run_keeps_its_env_line_beside_its_measured_line():
+    out = ['env {"cpus": 2, "python": "3.11.7", "seed": 1}',
+           'digest {"all": "ab"}',
+           'measured {"jobs_per_s": 250.0, "loop_s": 0.0012}',
+           "failure hardy_eval: overflow",
+           "jobs_per_s 500.0 1/s",
+           '{"correct": true, "attempted": 9, "failed": 1, '
+           '"metrics": {"jobs_per_s": {"value": 500.0, "unit": "1/s"}}}']
+    assert pairs.parse(out) == {"metrics": {"jobs_per_s": 500.0}, "failed": 1,
+                                "env": {"cpus": 2, "python": "3.11.7", "seed": 1},
+                                "measured": {"jobs_per_s": 250.0, "loop_s": 0.0012}}
 
 
 def test_summary_arithmetic_on_canned_pairs():
@@ -41,6 +54,7 @@ def test_summary_arithmetic_on_canned_pairs():
     assert raw["parent_q1_median_q3"] == [46.25, 50, 53.75] and raw["change_wins"] == 4
     assert raw["median_ratio"] == 1.2 and "worse_than_bound" not in raw
     assert got["measured"]["change"][0] == {"jobs_per_s": 60, "loop_s": 0.001}
+    assert got["env"]["parent"][2] == {"cpus": 2, "jobs": 90}
     assert got["outliers"] == []
 
 

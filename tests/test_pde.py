@@ -259,14 +259,14 @@ def test_confluent_explicit_path_domain_exit():
 
 def test_local_decomposition_S1_airy():
     z = 0.9 * cmath.exp(1j * math.pi / 3)
-    rep = local_decomposition(F0, H0, z, [0.02, 0.05, 0.1], "S1", N=30)
+    rep = local_decomposition(F0, H0, z, [0.02, 0.05, 0.1], N=30)
     for row in rep["rows"]:
         assert row["rel_err"] < 1e-6
 
 
 def test_local_decomposition_S2_two_term():
     z = 0.9 * cmath.exp(0.9j * math.pi)
-    rep = local_decomposition(F0, H0, z, [0.05], "S2", N=30)
+    rep = local_decomposition(F0, H0, z, [0.05], N=30)
     row = rep["rows"][0]
     assert row["one_term_rel_err"] > 10.0 * row["rel_err"]
 
@@ -275,10 +275,16 @@ def test_local_decomposition_asymptotic_consistency_small_F():
     Fc = TaylorSeries({0: Fr(1, 10)})
     z = 0.9 * cmath.exp(1j * math.pi / 3)
     grid = [0.02, 0.04, 0.08]
-    rep = local_decomposition(Fc, H0, z, grid, "S1", N=24)
+    rep = local_decomposition(Fc, H0, z, grid, N=24)
     errs = [row["rel_err"] for row in rep["rows"]]
     slope = np.polyfit(np.log(grid), np.log(errs), 1)[0]
     assert slope > 0.9, (errs, slope)
+
+
+def test_local_decomposition_reads_its_sector_from_z():
+    assert local_decomposition(F0, H0, 0.9 * cmath.exp(-1j), [0.1], N=16)["sector"] == "S-1"
+    with pytest.raises(ValueError, match="lies on the Stokes line L1"):
+        local_decomposition(F0, H0, 0.9 * cmath.exp(2j * math.pi / 3), [0.1], N=16)
 
 
 def test_confluent_rejects_the_kernel_of_other_data():

@@ -10,8 +10,9 @@ Exports the parent revision, and the change if ``--change`` names one, with
 is the working tree (its tracked and its untracked, not ignored, files).
 Runs ``python3 perfbench/run.py --workload W --seed S --seconds 30`` in
 each export N times, alternated, the change first in odd pairs, and keeps
-every run's ``measured`` line (raw figures and the speed loop's
-``loop_s``) beside its end-to-end metrics.
+every run's ``env`` line (the machine and run settings perfbench records)
+and ``measured`` line (raw figures and the speed loop's ``loop_s``) beside
+its end-to-end metrics.
 
 Writes, or updates, the entry "W:S" (or ``--key``) of ``--out`` in the ``pairs`` schema of
 the BENCH_*.json files: per end-to-end metric, each side's runs in pair
@@ -60,15 +61,20 @@ def export(rev: str | None, dest: Path) -> None:
 
 
 def run(tree: Path, workload: str, seed: int) -> dict:
-    """One benchmark run in tree: its end-to-end metrics, failures and
-    ``measured`` line."""
-    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                          "--seed", str(seed), "--seconds", str(SECONDS)],
-                         cwd=tree, capture_output=True, text=True, check=True).stdout.splitlines()
-    measured = json.loads(next(line for line in out if line.startswith("measured "))[9:])
+    """One benchmark run in tree, as parse reads it."""
+    return parse(subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                                 "--seed", str(seed), "--seconds", str(SECONDS)], cwd=tree,
+                                capture_output=True, text=True, check=True).stdout.splitlines())
+
+
+def parse(out: list) -> dict:
+    """A run's printed lines: its end-to-end metrics, failures, and its
+    ``env`` and ``measured`` lines."""
+    tagged = dict(line.split(" ", 1) for line in out if line.startswith(("env ", "measured ")))
     result = json.loads(out[-1])
     return {"metrics": {k: m["value"] for k, m in result["metrics"].items()},
-            "failed": result["failed"], "measured": measured}
+            "failed": result["failed"], "env": json.loads(tagged["env"]),
+            "measured": json.loads(tagged["measured"])}
 
 
 def quartiles(values: list) -> list:
@@ -120,6 +126,7 @@ def summary(parent: list, change: list, end_to_end: list) -> dict:
             "metrics": metrics,
             "raw_jobs_per_s": compare([r["measured"]["jobs_per_s"] for r in parent],
                                       [r["measured"]["jobs_per_s"] for r in change], True),
+            "env": {"parent": [r["env"] for r in parent], "change": [r["env"] for r in change]},
             "measured": {"parent": [r["measured"] for r in parent],
                          "change": [r["measured"] for r in change]},
             "outliers": outliers(parent, "parent") + outliers(change, "change")}
@@ -131,8 +138,9 @@ ABOUT = ("Pairs of `python3 perfbench/run.py --workload W --seed S --seconds 30`
          "keyed W:S (or as given) and names its parent_commit and change. Per end-to-end metric: each side's runs, [q1, median, q3], pairs the "
          "change wins, median ratio change/parent, and whether the change's median is "
          "worse than the parent's by more than the BENCHMARK.json bound. 'raw_jobs_per_s' "
-         "compares the unscaled rates the same way; 'measured' keeps each run's raw figures "
-         "and loop_s; 'outliers' lists runs whose loop_s or raw "
+         "compares the unscaled rates the same way; 'env' keeps each run's env record as "
+         "perfbench prints it, 'measured' its raw figures and loop_s; 'outliers' lists "
+         "runs whose loop_s or raw "
          f"jobs_per_s is more than {FAR}x off their side's median (kept in every figure).")
 
 
