@@ -13,8 +13,12 @@ at any precision into its polynomial part and partial fractions over its
 Newton-polished poles, and laplace_pade transforms each term in closed
 form (factorials and the exponential integral E1) along any ray in the
 half-plane of eps, for R or for any rescaling lam R(lam xi) of it: in
-mpmath with mpmath.e1, or with the split rounded to complex in double
+mpmath with _expe1_mp, or with the split rounded to complex in double
 precision with _expe1.  Every Borel sum of the package goes this way.
+Both take e^x E1(x) from the continued fraction of Abramowitz & Stegun
+5.1.22 where it converges fast and from a series elsewhere: _expe1 by
+its own rules, _expe1_mp in fixed-point integers for |x| >= 16 and
+|arg x| <= 3 pi/4, and from mpmath.e1 otherwise.
 """
 
 from __future__ import annotations
@@ -225,6 +229,47 @@ def _expe1(x: complex) -> complex:
     return h
 
 
+def _expe1_mp(x):
+    """e^x E1(x) at mpmath's working precision on the principal branch,
+    for an mpc x or a real mpf one.  For |x| >= 16 and |arg x| <= 3 pi/4
+    it is _expe1's continued fraction h = 1/(b_0 - 1^2/(b_1 - 2^2/(b_2 -
+    ...))), b_k = x + 2k + 1, cut at the depth n where its convergents
+    A_k/B_k step by at most 2^-wp of h_0 = 1/b_0, wp = mp.prec + 20 bits.
+    A double-precision pass finds n from |h_k - h_(k-1)| = (k!)^2/|B_k
+    B_(k-1)| and the ratios B_k/B_(k-1) = b_k - k^2 B_(k-2)/B_(k-1).  The
+    fraction is then summed backward from k = n in fixed-point Python ints
+    (units of 2^-wp, as mpmath's own series), its tail as a pair P/Q:
+    (P, Q) -> (-k^2 Q, b_k Q + P), one complex product a step, with Q
+    kept at wp + 16 to wp + 48 bits.  Elsewhere (small |x|, next to the
+    cut) and past 400 steps, mpmath.exp(x) * mpmath.e1(x)."""
+    cx, wp = complex(x), mpmath.mp.prec + 20
+    r, step, tol, n = cx + 1, 1.0, 2.0 ** -wp, 0
+    if abs(cx) >= 16 and abs(cmath.phase(cx)) <= 0.75 * math.pi:
+        while step > tol and n < 400:
+            n += 1
+            s = cx + (2 * n + 1) - n * n / r
+            step *= n * n / (abs(s) * abs(r))
+            r = s
+    if step > tol:
+        return mpmath.exp(x) * mpmath.e1(x)
+    one = 1 << wp
+    xre, xim = int(mpmath.ldexp(x.real, wp)), int(mpmath.ldexp(x.imag, wp))
+    pre = pim = 0
+    qre, qim, top = one << 16, 0, wp + 48
+    for k in range(n, 0, -1):
+        bre = xre + (2 * k + 1) * one
+        pre, pim, qre, qim = -k * k * qre, -k * k * qim, \
+            ((bre * qre - xim * qim) >> wp) + pre, ((bre * qim + xim * qre) >> wp) + pim
+        if qre.bit_length() > top or qim.bit_length() > top:
+            pre, pim, qre, qim = pre >> 32, pim >> 32, qre >> 32, qim >> 32
+    bre = xre + one             # h = Q/(b_0 Q + P), to wp + 8 bits
+    dre, dim = ((bre * qre - xim * qim) >> wp) + pre, ((bre * qim + xim * qre) >> wp) + pim
+    e = wp + 8 + max(abs(dre), abs(dim)).bit_length() - max(abs(qre), abs(qim)).bit_length()
+    m = dre * dre + dim * dim
+    return mpmath.mpc(mpmath.ldexp(((qre * dre + qim * dim) << e) // m, -e),
+                      mpmath.ldexp(((qim * dre - qre * dim) << e) // m, -e))
+
+
 def laplace_pade(fractions: PartialFractions, eps, lam=1, theta=0.0) -> LaplaceResult:
     """int_0^inf(ray theta) exp(-xi/eps) lam R(lam xi) dxi in closed form,
     for R split into partial fractions: mpmath ones at GUARD_DIGITS above
@@ -239,7 +284,9 @@ def laplace_pade(fractions: PartialFractions, eps, lam=1, theta=0.0) -> LaplaceR
     when theta lies clockwise of arg eps and subtracts it otherwise.  One
     on the arg eps ray to rounding takes E1 from above its cut, so it
     counts as lying just off that ray on the side away from theta (the
-    sum is continuous across the ray).
+    sum is continuous across the ray).  e^x E1(x) is _expe1_mp for an
+    mpmath split (its continued fraction in fixed-point integers, or
+    mpmath.e1) and _expe1 for a complex one.
 
     The value is an mpc or a complex, est_error the rounding of the sum
     (the unit roundoff, 2^-52 or mpmath's eps, times the sum of its
@@ -252,7 +299,7 @@ def laplace_pade(fractions: PartialFractions, eps, lam=1, theta=0.0) -> LaplaceR
     m, expe1, unit, tol = cmath, _expe1, 2.0 ** -52, 0.03
     with mpmath.workdps(mpmath.mp.dps + GUARD_DIGITS):
         if not isinstance((fractions.quo + fractions.residues)[0], complex):
-            m, expe1, unit = mpmath, lambda x: mpmath.exp(x) * mpmath.e1(x), mpmath.eps
+            m, expe1, unit = mpmath, _expe1_mp, mpmath.eps
             eps, lam, tol = mpmath.mpc(eps), mpmath.mpc(lam), 64 * mpmath.eps
         for p in genuine_poles(zip(fractions.poles, fractions.residues)):
             q = p / lam

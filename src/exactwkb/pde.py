@@ -184,14 +184,15 @@ def psi_eval(psi: BivariateSeries, z: complex, x: complex,
 
 def empirical_x_radius(psi: BivariateSeries, z_abs: float) -> float:
     """Root-test estimate of the x-convergence radius at |z| = z_abs,
-    from 8 equally spaced angles."""
+    from |a_n(z)|^(-1/n) for n = max(2, Nx - 10) .. Nx at 8 equally
+    spaced angles; the kernel's table evaluates only those a_n."""
     best = math.inf
+    n0 = max(2, psi.Nx - 10)
     for j in range(8):
         z = z_abs * cmath.exp(2j * math.pi * j / 8)
-        vals = np.abs(psi.values_at(z))
-        for n in range(max(2, psi.Nx - 10), psi.Nx + 1):
-            if vals[n] > 0:
-                best = min(best, vals[n] ** (-1.0 / n))
+        for n, v in enumerate(np.abs(psi._table.values(z, first=n0)), n0):
+            if v > 0:
+                best = min(best, v ** (-1.0 / n))
     return best
 
 

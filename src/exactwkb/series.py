@@ -756,13 +756,15 @@ class ExponentTable:
         self.powers = tuple(map(_power, self.exps))
         self.rows = tuple(tuple((c, index[k]) for k, c in f.items()) for f in floats)
 
-    def values(self, z: complex, zpow: Callable | None = None) -> list[complex]:
+    def values(self, z: complex, zpow: Callable | None = None,
+               first: int = 0) -> list[complex]:
         """Each series' terms c z^e at z added one by one in exponent order
-        from 0j; zpow(z, e) fixes the branch of z^e (principal by default)."""
+        from 0j, for the series from index ``first`` on; zpow(z, e) fixes
+        the branch of z^e (principal by default)."""
         pows = ([complex(z) ** k for k in self.powers] if zpow is None
                 else [zpow(z, e) for e in self.exps])
         out = []
-        for row in self.rows:
+        for row in self.rows[first:]:
             total = 0j
             for c, i in row:
                 total += c * pows[i]

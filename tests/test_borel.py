@@ -1,6 +1,6 @@
-"""Pade approximants at both precisions, e^x E1(x) in double precision,
-and the closed-form Laplace transform of a rescaled Pade approximant,
-checked against mpmath.quad and mpmath.e1."""
+"""Pade approximants at both precisions, e^x E1(x) in double and in
+mpmath precision, and the closed-form Laplace transform of a rescaled
+Pade approximant, checked against mpmath.quad and mpmath.e1."""
 
 import cmath
 import math
@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from exactwkb import airy
 from exactwkb.airy import airy_borel_sum_hp, airy_oracle
-from exactwkb.borel import (PadeApproximant, PartialFractions, _expe1, laplace_pade,
-                            pade_from_taylor, partial_fractions)
+from exactwkb.borel import (PadeApproximant, PartialFractions, _expe1, _expe1_mp,
+                            laplace_pade, pade_from_taylor, partial_fractions)
 from exactwkb.errors import ContourFailure, PoleOnRay, SeriesError
 
 
@@ -231,3 +231,111 @@ def test_pole_on_the_eps_ray_is_continuous_from_both_sides(theta):
     assert on[0] == on[1]
     for got in on + near:
         assert abs(got - ref) <= 1e-8 * abs(ref)
+
+
+def _mp_error(x, dps):
+    """|_expe1_mp(x) - e^x E1(x)| at dps digits, in units of that
+    precision's mpmath.eps times |e^x E1(x)|, the reference at dps + 20."""
+    with mpmath.workdps(dps):
+        got, unit = _expe1_mp(x), mpmath.ldexp(1, 1 - mpmath.mp.prec)
+    with mpmath.workdps(dps + 20):
+        ref = mpmath.exp(x) * mpmath.e1(x)
+        return float(abs(got - ref) / (unit * abs(ref)))
+
+
+MP_MODULI = st.floats(math.log(1e-3), math.log(1e5)).map(math.exp)
+DPS = st.sampled_from([15, 40, 80])
+EDGE = st.floats(-0.05, 0.05)      # a relative or angular step off a region boundary
+
+
+@settings(max_examples=120, deadline=None)
+@given(r=MP_MODULI, arg=st.floats(-math.pi, math.pi), dps=DPS)
+def test_expe1_mp_matches_mpmath_over_the_plane(r, arg, dps):
+    x = mpmath.mpc(cmath.rect(r, arg))
+    assert _mp_error(x, dps) <= 4, (x, dps)
+
+
+@settings(max_examples=120, deadline=None)
+@given(side=st.sampled_from([0, 1, -1]), off=EDGE,
+       r=st.floats(math.log(16), math.log(1e5)).map(math.exp),
+       arg=st.floats(-0.75 * math.pi, 0.75 * math.pi), dps=DPS)
+def test_expe1_mp_matches_mpmath_on_both_sides_of_its_region(side, off, r, arg, dps):
+    # the continued fraction serves |x| >= 16, |arg x| <= 3 pi/4: side 0
+    # steps across |x| = 16 at an arg inside, side +-1 across arg x =
+    # +-3 pi/4 at a modulus inside
+    x = (cmath.rect(16 * math.exp(off), arg) if side == 0
+         else cmath.rect(r, side * (0.75 * math.pi + off)))
+    assert _mp_error(mpmath.mpc(x), dps) <= 4, (x, dps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=MP_MODULI, off=st.floats(math.log(1e-8), 0.0).map(math.exp),
+       side=st.sampled_from([1, -1]), dps=DPS)
+def test_expe1_mp_matches_mpmath_next_to_the_cut(r, off, side, dps):
+    x = mpmath.mpc(cmath.rect(r, side * (math.pi - off)))
+    assert _mp_error(x, dps) <= 4, (x, dps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=MP_MODULI, dps=DPS)
+def test_expe1_mp_takes_a_real_x_as_mpmath_does(r, dps):
+    # laplace_pade snaps a nearly real w > 0 to the real mpf w, so E1 sees
+    # x = -w on its cut and takes the value from above, as mpmath.e1 does
+    # for a real argument; a real x >= 16 is in the continued fraction's region
+    with mpmath.workdps(dps):
+        x = -mpmath.mpf(r)
+        assert _expe1_mp(x) == mpmath.exp(x) * mpmath.e1(x)
+    assert _mp_error(-x, dps) <= 4, (-x, dps)
+
+
+@pytest.fixture
+def e1_calls(monkeypatch):
+    """The arguments of the mpmath.e1 calls the test makes from here on."""
+    calls, e1 = [], mpmath.e1
+
+    def counted_e1(x):
+        calls.append(x)
+        return e1(x)
+
+    monkeypatch.setattr(mpmath, "e1", counted_e1)
+    return calls
+
+
+@pytest.mark.parametrize("r, arg, dps, mpmath_e1", [
+    (16.5, 0.0, 40, False), (16.5, 2.3, 40, False), (16.5, -2.3, 40, False),
+    (1e5, 2.3, 40, False), (15.5, 0.0, 40, True), (100.0, 2.4, 40, True),
+    (100.0, -2.4, 40, True), (1e-3, 0.0, 40, True),
+    # at 80 digits the fraction needs more than 400 steps here
+    (16.5, 2.3, 80, True)])
+def test_expe1_mp_calls_mpmath_e1_outside_its_region(e1_calls, r, arg, dps, mpmath_e1):
+    assert _mp_error(mpmath.mpc(cmath.rect(r, arg)), dps) <= 4
+    # the reference makes the last call
+    assert len(e1_calls) == 1 + mpmath_e1
+
+
+@pytest.mark.parametrize("theta, between, sign", [(0.1, 3, 1), (0.5, 4, -1)])
+def test_mp_laplace_pade_matches_the_mpmath_e1_route(e1_calls, theta, between, sign):
+    # arg eps = 0.3, with a ray on either side of it.  In the xi plane three
+    # poles q = p/lam have |w| = |q/eps| >= 16 and -w off E1's cut, where the
+    # continued fraction serves; the pole at arg 0.2 lies between the ray 0.1
+    # and arg eps, and the one at 0.4 between arg eps and the ray 0.5, so
+    # 2 pi i r e^(-w) is added (ray clockwise of arg eps) or subtracted.
+    # The reference sums the same closed form with mpmath.e1 at 30 more digits.
+    eps, lam = 0.1 * cmath.exp(0.3j), 0.8 * cmath.exp(-0.4j)
+    qs = [cmath.rect(2.5, 2.0), cmath.rect(4.0, -1.5), cmath.rect(30.0, -2.8),
+          cmath.rect(1.2, 0.2), cmath.rect(1.5, 0.4)]
+    rs = [0.7 - 0.4j, -0.3 + 1.1j, 2.0 + 0.5j, 0.4 + 0.2j, -0.6 - 0.9j]
+    quo = [0.3 - 0.1j, 0.05 + 0j]
+    with mpmath.workdps(40):
+        split = PartialFractions([mpmath.mpc(q) * mpmath.mpc(lam) for q in qs],
+                                 [mpmath.mpc(r) for r in rs], [mpmath.mpc(c) for c in quo])
+        got = laplace_pade(split, eps, lam, theta)
+    assert len(e1_calls) == 2        # the two poles next to the cut
+    with mpmath.workdps(85):
+        s = mpmath.mpc(eps) * mpmath.mpc(lam)
+        ref = sum(c * math.factorial(k) * s ** (k + 1) for k, c in enumerate(split.quo))
+        for j, (p, r) in enumerate(zip(split.poles, split.residues)):
+            w = p / s
+            jump = 2j * sign * mpmath.pi if j == between else 0
+            ref += r * mpmath.exp(-w) * (mpmath.e1(-w) + jump)
+        assert abs(got.value - ref) <= got.est_error, (abs(got.value - ref), got.est_error)

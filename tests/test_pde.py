@@ -212,6 +212,33 @@ def test_confluent_reads_the_kernel_table_built_once(monkeypatch):
     assert built == [1]
 
 
+@pytest.mark.parametrize("Nx", [1, 2, 9, 20])
+def test_radius_evaluates_only_the_root_tested_orders(monkeypatch, Nx):
+    # the root test reads a_n for n = max(2, Nx - 10) .. Nx, each summed as
+    # the whole row of the kernel's table sums it, so r keeps its bits
+    F = TaylorSeries({0: Fr(1, 3), 1: Fr(-2, 7), 2: Fr(5, 11)})
+    psi = pde_taylor(F, TaylorSeries({0: Fr(1, 5), 1: Fr(1, 4)}), Nx, 20)
+    radii = (0.3, 0.9, 2.5)
+    want = []
+    for z_abs in radii:
+        best = math.inf
+        for j in range(8):
+            vals = np.abs(psi.values_at(z_abs * cmath.exp(2j * math.pi * j / 8)))
+            for n in range(max(2, Nx - 10), Nx + 1):
+                if vals[n] > 0:
+                    best = min(best, vals[n] ** (-1.0 / n))
+        want.append(best.hex())
+    firsts, values = [], ExponentTable.values
+
+    def counted_values(self, z, zpow=None, first=0):
+        firsts.append(first)
+        return values(self, z, zpow, first)
+
+    monkeypatch.setattr(ExponentTable, "values", counted_values)
+    assert [empirical_x_radius(psi, z_abs).hex() for z_abs in radii] == want
+    assert firsts == [max(2, Nx - 10)] * 8 * len(radii)
+
+
 def test_confluent_trivial_kernel_equals_airy():
     z, eps = 0.9 * cmath.exp(1j * math.pi / 3), 0.05
     c = confluent_eval(F0, H0, z, eps)
