@@ -9,16 +9,16 @@ laplace_pade decides whether a ray is clear of the genuine poles
 
 pade_from_taylor solves rational Taylor coefficients exactly and others
 in complex double precision.  partial_fractions splits any approximant
-at any precision into its polynomial part and partial fractions over its
-Newton-polished poles, and laplace_pade transforms each term in closed
-form (factorials and the exponential integral E1) along any ray in the
-half-plane of eps, for R or for any rescaling lam R(lam xi) of it: in
-mpmath with _expe1_mp, or with the split rounded to complex in double
-precision with _expe1.  Every Borel sum of the package goes this way.
-Both take e^x E1(x) from the continued fraction of Abramowitz & Stegun
-5.1.22 where it converges fast and from a series elsewhere: _expe1 by
-its own rules, _expe1_mp in fixed-point integers for |x| >= 16 and
-|arg x| <= 3 pi/4, and from mpmath.e1 otherwise.
+at any precision into its polynomial part and partial fractions (poles
+and residues from one fixed-point integer Horner kernel, _horner), and
+laplace_pade transforms each term in closed form (factorials and the
+exponential integral E1) along any ray in the half-plane of eps, for R
+or any rescaling lam R(lam xi) of it: in mpmath with _expe1_mp, or with
+the split rounded to complex in double precision with _expe1, as every
+Borel sum of the package does.  Both take e^x E1(x) from the continued
+fraction of Abramowitz & Stegun 5.1.22 where it converges fast and from
+a series elsewhere: _expe1 by its own rules, _expe1_mp in fixed-point
+integers for |x| >= 16 and |arg x| <= 3 pi/4, and mpmath.e1 otherwise.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ class PadeApproximant:
     lists of Fractions when solved exactly, of complex numbers when solved
     in double precision, of mpmath numbers once split (partial_fractions).
 
-    poles() and residues() work on mpmath data: np.roots values seed
-    Newton's method on the denominator at the working precision, in real
-    arithmetic for the real roots of a real denominator, whose complex
-    roots come in conjugate pairs.
+    poles() and residues() work on mpmath data, in integers (_horner):
+    np.roots values seed Newton's method on the denominator at the
+    working precision, in real arithmetic for the real roots of a real
+    denominator, whose complex roots come in conjugate pairs.
     """
 
     num: list
@@ -57,33 +57,62 @@ class PadeApproximant:
 
     def poles(self):
         q = self.den[::-1]
-        real = all(isinstance(c, mpmath.mpf) for c in q)
-        ps = [_newton_root(q, mpmath.mpf(s.real) if real and s.imag == 0 else mpmath.mpc(s))
+        real, cs = all(isinstance(c, mpmath.mpf) for c in q), _gauss(q)[0]
+        ps = [_newton_root(cs, s, real and s.imag == 0)
               for s in np.roots(np.array(q, dtype=float if real else complex))
               if not (real and s.imag < 0)]
         return ps + [p.conjugate() for p in ps if real and p.imag > 0]
 
     def residues(self, ps):
-        """num(p)/den'(p) at the poles ps."""
-        return [mpmath.polyval(self.num[::-1], p)
-                / mpmath.polyval(self.den[::-1], p, derivative=True)[1] for p in ps]
+        """num(p)/den'(p) at the poles ps (_horner); an mpf where p and it are real."""
+        (a, fa), (b, fb) = _gauss(self.num[::-1]), _gauss(self.den[::-1])
+        rs, wp = [], mpmath.mp.prec + 20
+        for p in ps:
+            [(x, y)], f = _gauss([p], wp)
+            (nr, ni, _, _), (_, _, dr, di) = _horner(a, x, y, f), _horner(b, x, y, f)
+            m = dr * dr + di * di       # k keeps wp bits or more of the quotient
+            k = max(0, wp + 2 + m.bit_length() // 2 - max(abs(nr), abs(ni)).bit_length())
+            re, im = (mpmath.ldexp((u << k) // m, fb - fa - k)
+                      for u in (nr * dr + ni * di, ni * dr - nr * di))
+            rs.append(re if isinstance(p, mpmath.mpf) and not im else mpmath.mpc(re, im))
+        return rs
 
 
-def _newton_root(q, p):
-    """Polish the root p of the polynomial q (descending mpmath
-    coefficients) by Newton's method at the working precision, until a
-    step falls below 10^(GUARD_DIGITS - dps) |p|."""
-    tol = mpmath.mpf(10) ** (GUARD_DIGITS - mpmath.mp.dps)
+def _gauss(xs, bits=None):
+    """mpmath or double values xs as ([(re, im)], f): Gaussian integers in
+    units of 2^-f, exact, or truncated to keep bits bits of the largest part."""
+    ts = [t for x in map(mpmath.mpmathify, xs)
+          for t in ((x._mpf_, (0, 0, 0, 0)) if isinstance(x, mpmath.mpf) else x._mpc_)]
+    f = (-min([e for _, m, e, _ in ts if m] or [0]) if bits is None
+         else max(0, bits - max([e + n for _, m, e, n in ts if m] or [0])))
+    ns = [(-1) ** s * (m << (e + f) if e + f >= 0 else m >> -(e + f)) for s, m, e, _ in ts]
+    return list(zip(ns[::2], ns[1::2])), f
+
+
+def _horner(cs, x, y, f):
+    """Fixed-point Horner: (vr, vi, dr, di) = cs(t), cs'(t) at t = (x + i y) 2^-f, units 2^-f."""
+    vr = vi = dr = di = 0
+    for a, b in cs:
+        dr, di = ((dr * x - di * y) >> f) + vr, ((dr * y + di * x) >> f) + vi
+        vr, vi = ((vr * x - vi * y) >> f) + (a << f), ((vr * y + vi * x) >> f) + (b << f)
+    return vr, vi, dr, di
+
+
+def _newton_root(cs, s, real):
+    """The root of cs (_gauss's) by Newton's method (_horner) from the complex seed s, until
+    a step falls below 10^(GUARD_DIGITS - dps) |p|: an mpf if real, else an mpc."""
+    [(x, y)], f = _gauss([complex(s)], mpmath.mp.prec + 20)
     for _ in range(30):
-        val, der = mpmath.polyval(q, p, derivative=True)
-        if der == 0:
+        vr, vi, dr, di = _horner(cs, x, y, f)
+        if not (m := dr * dr + di * di):
             break
-        step = val / der
-        p -= step
-        if abs(step) <= tol * abs(p):
-            return p
+        sr, si = ((vr * dr + vi * di) << f) // m, ((vi * dr - vr * di) << f) // m
+        x, y = x - sr, y - si
+        if (sr * sr + si * si) * 100 ** mpmath.mp.dps <= (x * x + y * y) * 100 ** GUARD_DIGITS:
+            re, im = mpmath.ldexp(x, -f), mpmath.ldexp(y, -f)
+            return re if real else mpmath.mpc(re, im)
     raise ContourFailure(f"Newton's method did not converge to the Pade pole near "
-                         f"{complex(p):.6g}")
+                         f"{complex(x / 2 ** f, y / 2 ** f):.6g}")
 
 
 def pade_from_taylor(c, L: int, M: int) -> PadeApproximant:
@@ -153,9 +182,9 @@ def genuine_poles(pairs) -> list:
     doublets (spurious pole/zero pairs whose residue is below
     FROISSART_TOL of the largest), in their order: the poles that
     laplace_pade checks against its ray."""
-    pairs = list(pairs)
-    scale = max([1.0] + [abs(r) for _, r in pairs])
-    return [p for p, r in pairs if not abs(r) < FROISSART_TOL * scale]
+    pairs = [(p, abs(complex(r))) for p, r in pairs]     # |r| in double
+    scale = max([1.0] + [a for _, a in pairs])
+    return [p for p, a in pairs if not a < FROISSART_TOL * scale]
 
 
 class PartialFractions(NamedTuple):
@@ -169,10 +198,10 @@ class PartialFractions(NamedTuple):
 
 def partial_fractions(approx: PadeApproximant) -> PartialFractions:
     """Split an approximant at GUARD_DIGITS above the working precision,
-    over its Newton-polished poles; Fractions are divided at that
-    precision, other coefficients converted exactly.  ContourFailure
-    when a pole cannot be polished (e.g. a double pole) or the split
-    misses the approximant by 10^-dps relative at a test point."""
+    its poles and residues in integers (_horner); Fractions are divided
+    at that precision, other coefficients converted exactly.
+    ContourFailure when a pole cannot be polished (e.g. a double pole) or
+    the split misses the approximant by 10^-dps relative at a test point."""
     dps = mpmath.mp.dps
     with mpmath.workdps(dps + GUARD_DIGITS):
         num, den = ([mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction)
@@ -290,25 +319,25 @@ def laplace_pade(fractions: PartialFractions, eps, lam=1, theta=0.0) -> LaplaceR
 
     The value is an mpc or a complex, est_error the rounding of the sum
     (the unit roundoff, 2^-52 or mpmath's eps, times the sum of its
-    terms' moduli) and nodes_used 0.  PoleOnRay, first, when a genuine
-    pole (genuine_poles) q = p/lam lies within tol (|q| + |eps|) of
-    xi = 0, where every ray starts, or of the ray itself: tol is 0.03 for
-    a split rounded to complex and 64 mpmath.eps, rounding, for an mpmath
-    one.  Then PoleOnRay when the ray leaves the half-plane of eps.
+    terms' moduli, in double) and nodes_used 0.  PoleOnRay, first, when
+    a genuine pole (genuine_poles) q = p/lam lies within tol (|q| + |eps|)
+    (in double) of xi = 0, where every ray starts, or of the ray itself:
+    tol is 0.03 for a split rounded to complex and 64 mpmath.eps (rounding)
+    for an mpmath one.  Then PoleOnRay when the ray leaves the half-plane.
     """
-    m, expe1, unit, tol = cmath, _expe1, 2.0 ** -52, 0.03
+    m, expe1, unit, tol, ae = cmath, _expe1, 2.0 ** -52, 0.03, abs(complex(eps))
     with mpmath.workdps(mpmath.mp.dps + GUARD_DIGITS):
         if not isinstance((fractions.quo + fractions.residues)[0], complex):
             m, expe1, unit = mpmath, _expe1_mp, mpmath.eps
-            eps, lam, tol = mpmath.mpc(eps), mpmath.mpc(lam), 64 * mpmath.eps
+            eps, lam, tol = mpmath.mpc(eps), mpmath.mpc(lam), 64 * float(mpmath.eps)
         for p in genuine_poles(zip(fractions.poles, fractions.residues)):
             q = p / lam
-            margin = tol * (abs(q) + abs(eps))
-            if abs(q) < margin:
+            margin = tol * ((aq := abs(complex(q))) + ae)     # in double
+            if aq < margin:
                 raise PoleOnRay(f"Pade pole at {complex(q):.6g} lies within "
-                                f"{float(margin):.3g} of xi = 0, where every Laplace ray starts")
+                                f"{margin:.3g} of xi = 0, where every Laplace ray starts")
             w = q * m.exp(-1j * theta)     # its distance to the ray: |Im w|, or |q| behind 0
-            if (abs(w.imag) if w.real > 0 else abs(q)) < margin:
+            if (abs(w.imag) if w.real > 0 else aq) < margin:
                 raise PoleOnRay(
                     f"Pade pole at {complex(q):.6g} obstructs the ray arg xi = {theta:.4f}")
         d = m.exp(1j * theta) * abs(eps) / eps     # the ray's direction, seen from arg eps
@@ -326,4 +355,4 @@ def laplace_pade(fractions: PartialFractions, eps, lam=1, theta=0.0) -> LaplaceR
             elif 0 < arg < phi:
                 term -= 2j * m.pi * m.exp(-w)
             terms.append(r * term)
-        return LaplaceResult(sum(terms), float(unit * sum(abs(t) for t in terms)), 0)
+        return LaplaceResult(sum(terms), float(unit) * sum(map(abs, map(complex, terms))), 0)

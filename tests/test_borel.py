@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from exactwkb import airy
 from exactwkb.airy import airy_borel_sum_hp, airy_oracle
-from exactwkb.borel import (PadeApproximant, PartialFractions, _expe1, _expe1_mp,
-                            laplace_pade, pade_from_taylor, partial_fractions)
+from exactwkb.borel import (PadeApproximant, PartialFractions, _expe1, _expe1_mp, _gauss,
+                            _newton_root, laplace_pade, pade_from_taylor, partial_fractions)
 from exactwkb.errors import ContourFailure, PoleOnRay, SeriesError
 
 
@@ -138,6 +138,93 @@ def test_double_pole_raises_contour_failure():
         approx = PadeApproximant(num=[mpmath.mpc(1)], den=[p * p, -2 * p, mpmath.mpc(1)])
         with pytest.raises(ContourFailure):
             laplace_pade(partial_fractions(approx), 0.2)
+
+
+def _roots_to_den(kind, points, scale, dps):
+    """Ascending coefficients of prod (t - r) over the lattice points
+    (i + j i)/4 scale, as Fractions (points with j > 0 and their
+    conjugates), complex doubles or mpc at dps + GUARD_DIGITS."""
+    with mpmath.workdps(dps + 15):
+        if kind == "fraction":
+            factors = [[-Fraction(i, 4) * scale, 1] if j == 0 else
+                       [Fraction(i * i + j * j, 16) * scale ** 2, -Fraction(i, 2) * scale, 1]
+                       for i, j in points]
+        else:
+            one = 1 + 0j if kind == "complex" else mpmath.mpc(1)
+            factors = [[-one * complex(i, j) / 4 * float(scale), one] for i, j in points]
+        den = [factors[0][0] * 0 + 1]
+        for f in factors:
+            den = [sum(den[k - m] * f[m] for m in range(len(f)) if 0 <= k - m < len(den))
+                   for k in range(len(den) + len(f) - 1)]
+        return den
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["fraction", "complex", "mpc"]), dps=st.sampled_from([15, 40, 80]),
+       points=st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1,
+                       max_size=20, unique=True),
+       scale=st.sampled_from([Fraction(1, 2 ** 200), Fraction(1, 64), Fraction(1), Fraction(32)]),
+       num=st.lists(st.integers(-9, 9), min_size=1, max_size=22))
+def test_poles_and_residues_match_a_polyval_newton_step(kind, dps, points, scale, num):
+    # distinct roots on a lattice of spacing scale/4; for exact coefficients
+    # j >= 0 marks a real root or a conjugate pair, so the denominator is real
+    if kind == "fraction":
+        points = [(i, abs(j)) for i, j in dict.fromkeys((i, abs(j)) for i, j in points)]
+        while sum(1 + (j > 0) for _, j in points) > 20:
+            points.pop()
+    if scale < 2 ** -100:       # poles near 2^-200, which np.roots still seeds
+        points = points[:2]
+    den = _roots_to_den(kind, points, scale, dps)
+    # the constant 1/3 keeps num off zero at every (dyadic) pole
+    num = [Fraction(1, 3)] + [Fraction(c, 4) for c in num[1:]]
+    if kind != "fraction":
+        with mpmath.workdps(dps + 15):
+            num = [complex(c) if kind == "complex" else mpmath.mpf(c.numerator) / c.denominator
+                   for c in num]
+    with mpmath.workdps(dps + 35):
+        a, b = ([mpmath.mpf(c.numerator) / c.denominator if isinstance(c, Fraction)
+                 else mpmath.mpmathify(c) for c in cs] for cs in (num, den))
+    with mpmath.workdps(dps + 15):      # as partial_fractions reads them
+        approx = PadeApproximant(*([+c for c in cs] for cs in (a, b)))
+        ps = approx.poles()
+        rs = approx.residues(ps)
+    assert len(ps) == len(den) - 1
+    with mpmath.workdps(dps + 35):
+        tol = mpmath.mpf(10) ** -dps
+        for p, r in zip(ps, rs):
+            val, der = mpmath.polyval(b[::-1], p, derivative=True)
+            ref = p - val / der
+            assert abs(p - ref) <= tol * abs(ref), (p, ref)
+            want = mpmath.polyval(a[::-1], ref) / mpmath.polyval(b[::-1], ref, derivative=True)[1]
+            assert abs(r - want) <= tol * abs(want), (r, want)
+
+
+def test_poles_and_residues_never_call_polyval(monkeypatch):
+    calls = []
+    polyval = mpmath.polyval
+
+    def counted_polyval(*args, **kwargs):
+        calls.append(1)
+        return polyval(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "polyval", counted_polyval)
+    exact = airy._minor_pade(30, None)
+    with mpmath.workdps(55):
+        approx = PadeApproximant(*([mpmath.mpf(x.numerator) / x.denominator for x in xs]
+                                   for xs in (exact.num, exact.den)))
+        ps = approx.poles()
+        rs = approx.residues(ps)
+    assert calls == [] and len(ps) == len(rs) == len(exact.den) - 1
+
+
+def test_a_zero_derivative_at_the_seed_raises_contour_failure():
+    with mpmath.workdps(40):
+        # t^2 + 1 from the seed 0, where den' = 0 off the roots
+        with pytest.raises(ContourFailure, match="did not converge"):
+            _newton_root(_gauss([mpmath.mpf(c) for c in (1, 0, 1)])[0], 0j, False)
+        # t^2: np.roots seeds its double root 0 exactly, where den = den' = 0
+        with pytest.raises(ContourFailure, match="did not converge"):
+            PadeApproximant([mpmath.mpf(1)], [mpmath.mpf(c) for c in (0, 0, 1)]).poles()
 
 
 def test_hp_sum_makes_no_quadrature_call(monkeypatch):
