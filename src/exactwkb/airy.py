@@ -13,10 +13,11 @@ cut along t <= -4/3; the eps -> -eps partner has lam -> -lam.  Pade
 approximants commute with that rescaling, so every sum reads one exact
 approximant of B per (N, pade), solved once in rationals (_minor_pade)
 and split once per precision (_minor_fractions); each sum, lateral ones
-included, is laplace_pade's closed form of that split.  A symbol of
-F != 0 has no one-variable minor: symbol_borel_sum solves its minor's
-approximant at z in double precision and then goes the same way, split
-by the same rule (_split) and summed by the same helper (_borel_sum).
+included, is laplace_pade's closed form of that split times the one
+prefactor, at either precision (airy_borel_sum_hp passes z as an mpc).
+A symbol of F != 0 has no one-variable minor: symbol_borel_sum solves
+its minor's approximant at z in double precision, then splits (_split)
+and sums it (_borel_sum) the same way.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .borel import PartialFractions, laplace_pade, pade_from_taylor, partial_fra
 from .contours import ContourSpec, LaplaceResult, valley_integral
 from .errors import ContourFailure
 from .series import PuiseuxSeries
-from .symbols import WKBSymbol, _prefactor, action, zpow
+from .symbols import WKBSymbol, _prefactor, zpow
 
 # Angle of the lateral Laplace rays either side of the singular ray.
 LATERAL_DELTA = math.radians(10.0)
@@ -115,10 +116,8 @@ def airy_contour(z: complex, eps: complex, spec: ContourSpec | None = None,
 @functools.cache
 def _minor_pade(N: int, pade: tuple[int, int] | None):
     """The exact (L, M) = pade (balanced if None) Pade approximant of B
-    from alpha_1 .. alpha_{N-1}, in Fractions; None for N <= 1."""
+    from alpha_1 .. alpha_{N-1}, in Fractions; 0/1 for N <= 1."""
     c = [a / math.factorial(k) for k, a in enumerate(_airy_alphas(N - 1)[1:])]
-    if not c:
-        return None
     L, M = pade if pade is not None else (len(c) // 2, len(c) // 2)
     return pade_from_taylor(c, L, M)
 
@@ -135,24 +134,21 @@ def _split(approx, dps: int | None) -> PartialFractions:
 
 @functools.cache
 def _minor_fractions(N: int, pade: tuple[int, int] | None, dps: int | None):
-    """_minor_pade's approximant split by _split at dps; None for N <= 1."""
-    approx = _minor_pade(N, pade)
-    return None if approx is None else _split(approx, dps)
+    """_minor_pade's approximant split by _split at dps."""
+    return _split(_minor_pade(N, pade), dps)
 
 
 def _borel_sum(z: complex, eps: complex, sign: int, fractions, lam,
                theta: float) -> LaplaceResult:
     """pref (1 + int_0^inf(ray theta) exp(-xi/eps) lam R(lam xi) dxi) for
-    the symbol of that sign, pref its prefactor, from fractions = the
-    split of R (no minor if None); the minor's poles are p/lam.  est_error
-    adds the rounding of pref = exp(x) z^(-1/4) and of the product."""
-    res = (LaplaceResult(0j, 0.0, 0) if fractions is None
-           else laplace_pade(fractions, eps, lam, theta))
-    pref = _prefactor(sign, z, eps)
+    the symbol of that sign, pref its prefactor at the precision of z,
+    from fractions = the split of R; the minor's poles are p/lam.
+    est_error adds the rounding of pref and of the product, the bound
+    that _prefactor returns in units of 2^-52 or of mpmath.eps."""
+    res = laplace_pade(fractions, eps, lam, theta)
+    pref, rounding = _prefactor(sign, z, eps)
     value = pref * (1.0 + res.value)
-    # x = -sign (2/3) z^(3/2)/eps rounded moves exp(x) by 2^-52 |x|
-    return LaplaceResult(value, abs(pref) * res.est_error
-                         + 2.0 ** -52 * (2.0 + abs(action(z) / eps)) * abs(value), 0)
+    return LaplaceResult(value, abs(pref) * res.est_error + rounding * abs(value), 0)
 
 
 def _airy_sum(z: complex, eps: complex, fractions, theta: float,
@@ -160,6 +156,7 @@ def _airy_sum(z: complex, eps: complex, fractions, theta: float,
     """Borel sum along arg xi = theta of the Airy symbol (sign +1) or its
     partner (sign -1), from fractions = _minor_fractions' split of B's
     approximant: the minor at z is lam B(lam xi), lam = sign z^{-3/2}."""
+    _refuse_turning_point(z)
     return _borel_sum(z, eps, sign, fractions, sign * zpow(z, Fraction(-3, 2)), theta)
 
 
@@ -172,7 +169,6 @@ def airy_borel_sum(z: complex, eps: complex, N: int,
     alpha_1 .. alpha_{N-1}; (L, M) larger than the available data is
     clamped down.  theta rotates the Laplace ray (lateral sums).
     """
-    _refuse_turning_point(z)
     fractions = _minor_fractions(N, None if pade is None else tuple(pade), None)
     return _airy_sum(z, eps, fractions, theta, 1)
 
@@ -191,25 +187,13 @@ def symbol_borel_sum(symbol: WKBSymbol, z: complex,
 
 def airy_borel_sum_hp(z, eps, N: int, pade: tuple[int, int] | None = None,
                       dps: int = 40):
-    """High-precision Borel-Pade-Laplace sum of the Airy symbol.
-
-    Same construction as airy_borel_sum, B's exact approximant split and
-    transformed in closed form by laplace_pade, but in mpmath arithmetic
-    at dps throughout.  Returns an mpmath mpc.  Needed where the
-    summation error sits below the double-precision floor, e.g. to
-    resolve its decay as eps shrinks.
-    """
-    _refuse_turning_point(z)
+    """High-precision Borel-Pade-Laplace sum of the Airy symbol: the value
+    of airy_borel_sum's, at dps digits from z as an mpc and the split at
+    dps.  Returns an mpmath mpc, finite past double range.  Needed where
+    the summation error sits below the double-precision floor."""
     fractions = _minor_fractions(N, None if pade is None else tuple(pade), dps)
     with mpmath.workdps(dps):
-        logz = mpmath.log(mpmath.mpc(z))      # on the branch of branch_arg
-        if logz.imag <= -2 * mpmath.pi / 3:
-            logz += 2j * mpmath.pi
-        lam, em = mpmath.exp(-1.5 * logz), mpmath.mpc(eps)
-        pref = mpmath.exp(-2 / (3 * lam * em) - logz / 4)
-        if fractions is None:
-            return pref
-        return pref * (1 + laplace_pade(fractions, em, lam).value)
+        return _airy_sum(mpmath.mpc(z), eps, fractions, 0.0, 1).value
 
 
 def stokes_jump(z: complex, eps: complex, N: int,
@@ -232,7 +216,6 @@ def stokes_jump(z: complex, eps: complex, N: int,
     With mirror=True the same check is run on L0 for the partner symbol,
     whose minor is singular on the positive ray when z is real > 0.
     """
-    _refuse_turning_point(z)
     fractions = _minor_fractions(N, None, None)
     sign = -1 if mirror else 1
     lo, hi = (_airy_sum(z, eps, fractions, theta, sign).value

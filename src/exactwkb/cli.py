@@ -138,7 +138,7 @@ def cmd_borel(args) -> dict:
     res = airy_borel_sum(z, eps, args.orders, pade=pade, theta=args.theta)
     # the degrees solved with: balanced, or clamped down to the data
     minor = _minor_pade(args.orders, pade)
-    solved = [len(minor.num) - 1, len(minor.den) - 1] if minor else None
+    solved = [len(minor.num) - 1, len(minor.den) - 1]
     return {"z": _c2l(z), "eps": _c2l(eps), "value": _c2l(res.value),
             "est_error": res.est_error, "nodes_used": res.nodes_used,
             "meta": {"orders": args.orders, "pade": solved, "theta": args.theta}}

@@ -8,16 +8,19 @@ Branch convention (used by every sector-dependent computation): the
 determinations of z^{3/2} and z^{1/4} are fixed to be positive real on
 the Stokes line L0 (z real > 0), with the cut placed along
 arg z = 4*pi/3 == -2*pi/3, i.e. arguments are reduced to the interval
-(-2*pi/3, 4*pi/3].
+(-2*pi/3, 4*pi/3].  zpow, action and the prefactor take the precision
+of z: double, or mpmath's for an mpmath z, on branch_arg's sheet.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from .errors import ContourFailure
@@ -34,33 +37,46 @@ def branch_arg(z: complex) -> float:
     return th
 
 
+@functools.lru_cache(maxsize=8)
+def _mp_log(z, prec: int):
+    """log z at the working precision, prec bits, on branch_arg's sheet;
+    kept for the last few z, so that one sum's powers of z take one log."""
+    log = mpmath.log(z)
+    return log + 2j * mpmath.pi if branch_arg(complex(z)) > float(log.imag) + math.pi else log
+
+
 def zpow(z: complex, e) -> complex:
-    """z**e on the branch that is positive real along L0."""
-    e = float(e)
+    """z**e = exp(e log z) on the branch that is positive real along L0,
+    in double, or at mpmath's precision for an mpmath z (_mp_log)."""
     if z == 0:
         if e == 0:
             return 1 + 0j
         return 0j if e > 0 else complex("inf")
-    r = abs(z)
-    th = branch_arg(z)
-    return cmath.exp(complex(math.log(r) * e, th * e))
+    if isinstance(z, (mpmath.mpf, mpmath.mpc)):
+        return mpmath.exp(mpmath.mpmathify(e) * _mp_log(z, mpmath.mp.prec))
+    e = float(e)
+    return cmath.exp(complex(math.log(abs(z)) * e, branch_arg(z) * e))
 
 
 def action(z: complex) -> complex:
-    """(2/3) z^{3/2} on the fixed branch."""
-    return (2.0 / 3.0) * zpow(z, Fraction(3, 2))
+    """(2/3) z^{3/2} on the fixed branch, at the precision of z."""
+    w = zpow(z, Fraction(3, 2))
+    return (2.0 / 3.0 if isinstance(w, complex) else mpmath.mpf(2) / 3) * w
 
 
 # Every symbol carries the quarter-power prefactor z^PREFACTOR_EXP.
 PREFACTOR_EXP = Fraction(-1, 4)
 
 
-def _prefactor(sign: int, z: complex, eps: complex) -> complex:
-    """exp(-sign (2/3) z^{3/2}/eps) z^PREFACTOR_EXP on the fixed branch;
-    ContourFailure when the exponential overflows double precision."""
+def _prefactor(sign: int, z: complex, eps: complex) -> tuple:
+    """(exp(x) z^PREFACTOR_EXP, unit (2 + |x|)), x = -sign (2/3) z^{3/2}/eps,
+    at the precision of z (unit 2^-52 or mpmath.eps): x's rounding moves
+    exp(x) by unit |x|, and two products round.  ContourFailure when exp(x)
+    overflows double precision (an mpmath one never does)."""
     x = -sign * action(z) / eps
+    m, unit = (cmath, 2.0 ** -52) if isinstance(x, complex) else (mpmath, mpmath.eps)
     try:
-        return cmath.exp(x) * zpow(z, PREFACTOR_EXP)
+        return m.exp(x) * zpow(z, PREFACTOR_EXP), unit * (2.0 + abs(x))
     except OverflowError:
         raise ContourFailure(f"prefactor exp({x:.6g}) overflows double precision") from None
 
@@ -98,7 +114,7 @@ class WKBSymbol:
         return WKBSymbol(sign=-self.sign, eps_coeffs=tuple(gs))
 
     def prefactor(self, z: complex, eps: complex) -> complex:
-        return _prefactor(self.sign, z, eps)
+        return _prefactor(self.sign, z, eps)[0]
 
     def g_values(self, z: complex) -> np.ndarray:
         """g_n(z) on the fixed branch, n = 0..order."""

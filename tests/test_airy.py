@@ -2,6 +2,7 @@
 oracle, Borel summation, lateral sums and the Stokes jump."""
 
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction as Fr
@@ -14,7 +15,7 @@ from exactwkb.airy import (LATERAL_DELTA, airy_alpha,
                            airy_borel_sum, airy_borel_sum_hp, airy_contour,
                            airy_oracle, airy_symbol, stokes_jump,
                            symbol_borel_sum)
-from exactwkb import airy
+from exactwkb import airy, symbols
 from exactwkb.borel import genuine_poles, pade_from_taylor
 from exactwkb.contours import ContourSpec, integrate_polyline
 from exactwkb.errors import ContourFailure, ExactWKBError, PoleOnRay
@@ -287,10 +288,12 @@ def test_ray_outside_the_half_plane_of_eps_raises():
     # arg xi = +-1.6 is past pi/2 from arg eps = 0: exp(-xi/eps) grows
     # there, and the closed form (laplace_pade) refuses the ray, as it
     # refuses arg xi = 0 for arg eps = -/+1.6; arg eps = 1.54, where
-    # cos(arg eps) = 0.03, is still inside the half-plane and served
+    # cos(arg eps) = 0.03, is still inside the half-plane and served; at
+    # N = 1 the minor is 0 and the ray is refused all the same
     for theta in (1.6, -1.6):
-        with pytest.raises(PoleOnRay, match="outside the half-plane of eps"):
-            airy_borel_sum(1 + 0.5j, 0.1, 24, theta=theta)
+        for N in (1, 24):
+            with pytest.raises(PoleOnRay, match="outside the half-plane of eps"):
+                airy_borel_sum(1 + 0.5j, 0.1, N, theta=theta)
         with pytest.raises(PoleOnRay, match="outside the half-plane of eps"):
             symbol_borel_sum(airy_symbol(23), 1 + 0.5j, 0.1 * cmath.exp(-1j * theta))
     z, eps = 1 + 0.5j, 0.1 * cmath.exp(1.54j)
@@ -298,13 +301,53 @@ def test_ray_outside_the_half_plane_of_eps_raises():
     assert abs(got - airy_borel_sum(z, eps, 24).value) <= 1e-12 * abs(got)
 
 
-@pytest.mark.parametrize("arg", [-0.7, -0.9])
-def test_hp_sum_continues_past_arg_z_minus_two_thirds_pi(arg):
+@pytest.mark.parametrize("z", [
+    pytest.param(1.2 * cmath.exp(-0.7j * math.pi), id="-0.7"),
+    pytest.param(1.2 * cmath.exp(-0.9j * math.pi), id="-0.9"),
+    # within one ulp of the cut, where mpmath's arg lies above -2 pi/3 and
+    # cmath's on it: the sheet is branch_arg's at both precisions
+    pytest.param(-0.2499999999999999 - 0.43301270189221935j, id="cut-0.5"),
+    pytest.param(-0.6499999999999997 - 1.1258330249197703j, id="cut-1.3")])
+def test_hp_sum_continues_past_arg_z_minus_two_thirds_pi(z):
     # for arg z <= -2 pi/3 the mp sum takes log z + 2 pi i, the branch of
     # branch_arg, and so agrees with the double-precision sum
-    z = 1.2 * cmath.exp(1j * math.pi * arg)
     ref = airy_borel_sum(z, 0.1, 24).value
     assert abs(complex(airy_borel_sum_hp(z, 0.1, 24)) - ref) <= 1e-14 * abs(ref)
+
+
+def test_hp_sum_past_double_range_is_finite():
+    # exp(x), x = 891 - 127i, overflows double precision: the double sum
+    # refuses it, and the hp sum carries it as an mpc within 1e-30 of Ai
+    z, eps = 9 * cmath.exp(2j), 0.02
+    with pytest.raises(ContourFailure, match="overflows double precision"):
+        airy_borel_sum(z, eps, 24)
+    got = airy_borel_sum_hp(z, eps, 24)
+    with mpmath.workdps(60):
+        em = mpmath.mpc(eps)
+        ref = 2 * mpmath.sqrt(mpmath.pi) * em ** mpmath.mpf("-1/6") \
+            * mpmath.airyai(mpmath.mpc(z) * em ** mpmath.mpf("-2/3"))
+        assert abs(ref) > 1e300
+        assert abs(got - ref) <= mpmath.mpf(10) ** -30 * abs(ref)
+
+
+def test_hp_prefactor_rounds_within_its_est_error_term():
+    # the hp rounding term: exp(x) z^(-1/4) at 40 and at 100 digits lies
+    # within 10 times its bound, mpmath.eps (2 + |x|), of a fused
+    # exp(x - log(z)/4) at 20 digits more, |x| <= 173, on both sheets
+    # (th = 3.5 is past the cut, where log z gains 2 pi i)
+    for r in (0.5, 1.5, 3.0):
+        for th in (-2.0, -0.5, 0.8, 2.0, 3.5):
+            z = mpmath.mpc(r * cmath.exp(1j * th))
+            for eps, sign, dps in itertools.product((0.02, 0.1 * cmath.exp(0.3j)),
+                                                    (1, -1), (40, 100)):
+                with mpmath.workdps(dps):
+                    pref, rounding = symbols._prefactor(sign, z, eps)
+                    bound = 10 * rounding * abs(pref)
+                with mpmath.workdps(dps + 20):
+                    log = mpmath.log(z) + (2j * mpmath.pi if th > math.pi else 0)
+                    ref = mpmath.exp(-sign * 2 * mpmath.exp(1.5 * log) / (3 * mpmath.mpc(eps))
+                                     - log / 4)
+                    assert abs(pref - ref) <= bound, (z, eps, sign, dps)
 
 
 @pytest.mark.parametrize("N", [0, 1])

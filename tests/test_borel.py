@@ -86,14 +86,15 @@ def test_rescaled_closed_form_vs_quad():
 def test_hp_sum_with_polynomial_part_vs_quad(monkeypatch):
     seen = []
 
-    def spy(fractions, eps, lam):
-        seen.append((eps, lam, laplace_pade(fractions, eps, lam).value))
-        return laplace_pade(fractions, eps, lam)
+    def spy(fractions, eps, lam, theta):
+        seen.append((eps, lam, theta, laplace_pade(fractions, eps, lam, theta).value))
+        return laplace_pade(fractions, eps, lam, theta)
 
     monkeypatch.setattr(airy, "laplace_pade", spy)
     z, eps = 1.1 * cmath.exp(0.4j), 0.08 * cmath.exp(0.3j)
     got = airy_borel_sum_hp(z, eps, 20, pade=(12, 6), dps=40)
-    (em, lam, integral), = seen
+    (em, lam, theta, integral), = seen
+    assert theta == 0.0
     approx = airy._minor_pade(20, (12, 6))
     assert len(approx.num) - len(approx.den) == 6
     assert abs(complex(lam) - z ** -1.5) <= 1e-15 * abs(lam)

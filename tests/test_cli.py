@@ -348,6 +348,7 @@ def test_import_leaves_scipy_out():
     (["--orders", "24"], [11, 11]),     # 23 coefficients: (12, 12) clamps
     (["--orders", "25"], [11, 12]),
     (["--pade", "5", "5"], [5, 5]),
+    (["--orders", "1"], [0, 0]),        # no coefficient: the minor is 0/1
 ])
 def test_borel_meta_pade_is_the_solved_degrees(extra, degrees, capsys):
     code, out = run_cli(["borel", "--z", "1", "0", "--eps", "0.1", "0", *extra],
