@@ -11,8 +11,8 @@ is lam B(lam xi), lam = z^{-3/2}, with one function of one variable
 
 cut along t <= -4/3; the eps -> -eps partner has lam -> -lam.  Pade
 approximants commute with that rescaling, so every sum reads one exact
-approximant of B per (N, pade), solved once in rationals (_minor_pade)
-and split once per precision (_minor_fractions); each sum, lateral ones
+approximant of B per (N, pade), read in rationals off B's one staircase
+(_minor_pade) and split per precision (_minor_fractions); each sum, lateral ones
 included, is laplace_pade's closed form of that split times the one
 prefactor, at either precision (airy_borel_sum_hp passes z as an mpc).
 A symbol of F != 0 has no one-variable minor: symbol_borel_sum solves
@@ -25,11 +25,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import threading
 from fractions import Fraction
 
 import mpmath
 
-from .borel import PartialFractions, laplace_pade, pade_from_taylor, partial_fractions
+from .borel import PartialFractions, exact_pade, laplace_pade, pade_from_taylor, partial_fractions
 from .contours import ContourSpec, LaplaceResult, valley_integral
 from .errors import ContourFailure
 from .series import PuiseuxSeries
@@ -37,6 +38,7 @@ from .symbols import WKBSymbol, _prefactor, zpow
 
 # Angle of the lateral Laplace rays either side of the singular ray.
 LATERAL_DELTA = math.radians(10.0)
+_B_STAIRCASE, _B_LOCK = [[1], [1]], threading.Lock()   # B's Pade staircase (exact_pade)
 
 
 def _airy_alphas(N: int) -> list[Fraction]:
@@ -115,11 +117,13 @@ def airy_contour(z: complex, eps: complex, spec: ContourSpec | None = None,
 
 @functools.cache
 def _minor_pade(N: int, pade: tuple[int, int] | None):
-    """The exact (L, M) = pade (balanced if None) Pade approximant of B
-    from alpha_1 .. alpha_{N-1}, in Fractions; 0/1 for N <= 1."""
+    """The exact (L, M) = pade Pade approximant of B from alpha_1 .. alpha_{N-1}
+    in Fractions (None: index N - 2 of B's staircase); 0/1 for N <= 1."""
     c = [a / math.factorial(k) for k, a in enumerate(_airy_alphas(N - 1)[1:])]
-    L, M = pade if pade is not None else (len(c) // 2, len(c) // 2)
-    return pade_from_taylor(c, L, M)
+    if pade is None and c:
+        with _B_LOCK:
+            return exact_pade(c, (len(c) - 1) // 2, len(c) // 2, _B_STAIRCASE)
+    return pade_from_taylor(c, *(pade or (0, 0)))
 
 
 def _split(approx, dps: int | None) -> PartialFractions:

@@ -7,8 +7,9 @@ sums and the Stokes-jump measurement possible at finite order.  Only
 laplace_pade decides whether a ray is clear of the genuine poles
 (genuine_poles), at a margin set by the precision of the split.
 
-pade_from_taylor solves rational Taylor coefficients exactly and others
-in complex double precision.  partial_fractions splits any approximant
+pade_from_taylor reads rational Taylor coefficients' approximant off a
+staircase of the Pade table (exact_pade) and solves others in complex
+double precision.  partial_fractions splits any approximant
 at any precision into its polynomial part and partial fractions (poles
 and residues from one fixed-point integer Horner kernel, _horner), and
 laplace_pade transforms each term in closed form (factorials and the
@@ -32,7 +33,6 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
-from .coefficients import clear
 from .contours import LaplaceResult
 from .errors import ContourFailure, PoleOnRay, SeriesError
 
@@ -121,12 +121,10 @@ def pade_from_taylor(c, L: int, M: int) -> PadeApproximant:
     If fewer than L+M+1 coefficients are available the degrees are
     clamped down (numerator first) to fit the data exactly; a negative
     degree is a ValueError.  int and Fraction coefficients give the exact
-    approximant in Fractions: forward elimination on the system's rows
-    cleared to integers, each divided by its content after every step
-    (SeriesError if singular), then back substitution; the numerator is
-    one integer convolution.  mpmath coefficients are a TypeError (their
-    solve would be rounded); anything else is solved in complex double,
-    into lists of complex.
+    approximant in Fractions, from a staircase of the Pade table of its
+    own (exact_pade).  mpmath coefficients are a TypeError (their solve
+    would be rounded); anything else is solved in complex double, into
+    lists of complex.
     """
     if L < 0 or M < 0:
         raise ValueError("Pade orders must be nonnegative")
@@ -141,40 +139,57 @@ def pade_from_taylor(c, L: int, M: int) -> PadeApproximant:
             L -= 1
         else:
             M -= 1
-    rows = [[c[L + 1 + i - j] if L + 1 + i - j >= 0 else 0 for j in range(1, M + 1)]
-            + [-c[L + 1 + i]] for i in range(M)]
-    if not exact:
-        A = np.array(rows, dtype=complex).reshape(M, M + 1)
-        try:
-            b = np.linalg.solve(A[:, :M], A[:, M])
-        except np.linalg.LinAlgError:
-            b = np.linalg.lstsq(A[:, :M], A[:, M], rcond=None)[0]
-        den = [1 + 0j] + b.tolist()
-        num = [sum(den[j] * c[k - j] for j in range(min(k, M) + 1)) for k in range(L + 1)]
-        return PadeApproximant(num=num, den=den)
-    rows = [[x.numerator * (d // x.denominator) for x in row]
-            for row in rows for d in [math.lcm(*(x.denominator for x in row))]]
-    for k in range(M):     # forward elimination
-        i = next((i for i in range(k, M) if rows[i][k]), None)
-        if i is None:
-            raise SeriesError(f"the ({L}, {M}) Pade system is singular")
-        rows[k], rows[i] = rows[i], rows[k]
-        pk = rows[k]
-        for i in range(k + 1, M):
-            if (row := rows[i])[k]:
-                g = math.gcd(pk[k], row[k])
-                row = [pk[k] // g * x - row[k] // g * y for x, y in zip(row, pk)]
-                g = math.gcd(*row) or 1          # 0 for a row eliminated whole
-                rows[i] = [x // g for x in row]
-    b = [Fraction(0)] * M
-    for k in reversed(range(M)):     # back substitution
-        r = rows[k]
-        b[k] = (r[M] - sum(r[j] * b[j] for j in range(k + 1, M))) / Fraction(r[k])
-    # the numerator: one integer convolution of b and c, each over one denominator
-    (q, B), (dc, C) = clear([Fraction(1)] + b), clear(c[:L + 1])
-    num = [Fraction(sum(B[j][0] * C[k - j][0] for j in range(min(k, M) + 1)), q * dc)
-           for k in range(L + 1)]
-    return PadeApproximant(num=num, den=[Fraction(1)] + b)
+    if exact:
+        return exact_pade(c[:L + M + 1], L, M, [[1], [1]])
+    A = np.array([[c[L + 1 + i - j] if L + 1 + i - j >= 0 else 0 for j in range(1, M + 1)]
+                  + [-c[L + 1 + i]] for i in range(M)], dtype=complex).reshape(M, M + 1)
+    try:
+        b = np.linalg.solve(A[:, :M], A[:, M])
+    except np.linalg.LinAlgError:
+        b = np.linalg.lstsq(A[:, :M], A[:, M], rcond=None)[0]
+    den = [1 + 0j] + b.tolist()
+    num = [sum(den[j] * c[k - j] for j in range(min(k, M) + 1)) for k in range(L + 1)]
+    return PadeApproximant(num=num, den=den)
+
+
+def exact_pade(c, L: int, M: int, qs: list) -> PadeApproximant:
+    """The (L, M) Pade approximant of the L + M + 1 Fractions c, in Fractions,
+    off the staircase [0/0], [0/1], [1/1], [1/2], ... of one series: c if
+    L = M or M - 1; if L > M, the tail c[L - M:], whose [M/M] has [L/M]'s
+    den (the shift identity); if L < M - 1, 1/c ([L/M] is 1/[M/L] of 1/c,
+    the reciprocal identity).  qs = [Q_-1, Q_0, ...] holds the staircase's
+    dens, content-free ints (Q_-1 = Q_0 = [1], Q_k of ceil(k/2) + 1 terms),
+    extended in place by Q_(k+1) = e_(k-1) Q_k - e_k t Q_(k-1) over their
+    gcd, e_k the t^(k+1) coefficient of the series times Q_k (Baker &
+    Graves-Morris, Pade Approximants, 2nd ed., CUP 1996); num is the series
+    times den cut at t^L.  SeriesError if c[0] = 0 below the staircase or an
+    e_(k-1) is 0 (a singular system of index k + 1 on the way), even if the
+    (L, M) system is not."""
+    msg, flip = f"the ({L}, {M}) Pade system is singular", L < M - 1
+    if flip:
+        if not c[0]:
+            raise SeriesError(msg)
+        r = [1 / c[0]]
+        for k in range(1, len(c)):
+            r.append(-sum(c[j] * r[k - j] for j in range(1, k + 1)) / c[0])
+        c, L, M = r, M, L
+    d = math.lcm(*(x.denominator for x in c))
+    C = [x.numerator * (d // x.denominator) for x in c]
+    S = C[max(L - M, 0):]
+    while len(qs) <= len(S):
+        k = len(qs) - 2
+        f, e = (sum(q * S[m + 1 - j] for j, q in enumerate(qs[m + 1])) for m in (k - 1, k))
+        if not f:
+            raise SeriesError(msg)
+        g = math.gcd(f, e)
+        q = [f // g * a - e // g * b for a, b in zip(qs[-1] + [0], [0] + qs[-2])]
+        qs.append([x // g for g in [math.gcd(*q)] for x in q])
+    Q = qs[len(S)]
+    num = [sum(Q[j] * C[k - j] for j in range(min(k, M) + 1)) for k in range(L + 1)]
+    den = [d * x for x in Q]
+    if flip:
+        num, den = den, num
+    return PadeApproximant([Fraction(x, den[0]) for x in num], [Fraction(x, den[0]) for x in den])
 
 
 def genuine_poles(pairs) -> list:
@@ -309,13 +324,14 @@ def laplace_pade(fractions: PartialFractions, eps, lam=1, theta=0.0) -> LaplaceR
         int exp(-xi/eps) xi^k dxi = k! eps^(k+1),
         int exp(-xi/eps) r/(xi - p/lam) dxi = r e^(-w) E1(-w),
     where the principal E1 integrates along arg xi = arg eps.  A pole
-    strictly between that ray and arg xi = theta adds 2 pi i r e^(-w)
-    when theta lies clockwise of arg eps and subtracts it otherwise.  One
-    on the arg eps ray to rounding takes E1 from above its cut, so it
-    counts as lying just off that ray on the side away from theta (the
-    sum is continuous across the ray).  e^x E1(x) is _expe1_mp for an
-    mpmath split (its continued fraction in fixed-point integers, or
-    mpmath.e1) and _expe1 for a complex one.
+    strictly between that ray and arg xi = theta (the signs of Im w and
+    Im(w conj d) tell, d the ray's direction) adds 2 pi i r e^(-w) when
+    theta lies clockwise of arg eps and subtracts it otherwise.  One on
+    the arg eps ray to rounding takes E1 from above its cut, so it counts
+    as lying just off that ray on the side away from theta (the sum is
+    continuous across the ray).  e^x E1(x) is _expe1_mp for an mpmath
+    split (its continued fraction in fixed-point integers, or mpmath.e1)
+    and _expe1 for a complex one.
 
     The value is an mpc or a complex, est_error the rounding of the sum
     (the unit roundoff, 2^-52 or mpmath's eps, times the sum of its
@@ -343,16 +359,16 @@ def laplace_pade(fractions: PartialFractions, eps, lam=1, theta=0.0) -> LaplaceR
         d = m.exp(1j * theta) * abs(eps) / eps     # the ray's direction, seen from arg eps
         if d.real <= 0:
             raise PoleOnRay(f"ray arg xi = {theta:.4f} is outside the half-plane of eps")
-        phi, s = m.phase(d), lam * eps
+        s = lam * eps
         terms = [q * math.factorial(k) * s ** (k + 1) for k, q in enumerate(fractions.quo)]
         for p, r in zip(fractions.poles, fractions.residues):
             w = p / s
             if w.real > 0 and abs(w.imag) <= 64 * unit * abs(w):
                 w = w.real                  # a real -w takes E1 from above
-            term, arg = expe1(-w), m.phase(w)
-            if phi < arg <= 0:
+            term, side = expe1(-w), w.imag * d.real - w.real * d.imag
+            if d.imag < 0 and side > 0 and w.imag <= 0:     # arg d < arg w <= 0
                 term += 2j * m.pi * m.exp(-w)
-            elif 0 < arg < phi:
+            elif d.imag > 0 and side < 0 and w.imag > 0:    # 0 < arg w < arg d
                 term -= 2j * m.pi * m.exp(-w)
             terms.append(r * term)
         return LaplaceResult(sum(terms), float(unit) * sum(map(abs, map(complex, terms))), 0)

@@ -15,8 +15,8 @@ from exactwkb.airy import (LATERAL_DELTA, airy_alpha,
                            airy_borel_sum, airy_borel_sum_hp, airy_contour,
                            airy_oracle, airy_symbol, stokes_jump,
                            symbol_borel_sum)
-from exactwkb import airy, symbols
-from exactwkb.borel import genuine_poles, pade_from_taylor
+from exactwkb import airy, borel, symbols
+from exactwkb.borel import exact_pade, genuine_poles, pade_from_taylor
 from exactwkb.contours import ContourSpec, integrate_polyline
 from exactwkb.errors import ContourFailure, ExactWKBError, PoleOnRay
 from exactwkb.hardy import hardy_phi_eval
@@ -501,23 +501,27 @@ def test_once_obstructed_jumps_clear_at_lateral_delta(r, eps, N, monkeypatch):
     assert jump == lo - hi
     assert abs(jump - pred) <= 1e-4 * abs(pred)
     solved = []
-    monkeypatch.setattr(airy, "pade_from_taylor",
-                        lambda *args: solved.append(args))
+    for engine in ("pade_from_taylor", "exact_pade"):
+        monkeypatch.setattr(airy, engine, lambda *args: solved.append(args))
     assert stokes_jump(z, eps, N) == (jump, pred)
     assert solved == []
 
 
 def test_one_pade_solve_per_order_degrees_and_precision(monkeypatch):
-    # one exact solve per (N, pade) serves both precisions
+    # one exact computation per (N, pade) serves both precisions: the
+    # balanced one reads B's staircase, the others go through
+    # pade_from_taylor (the (10, 12) one by 1/c, so on c[:23]), and all
+    # of them through the one engine
     airy._minor_pade.cache_clear()
     airy._minor_fractions.cache_clear()
     solved = []
 
-    def spy(c, L, M):
+    def spy(c, L, M, qs):
         solved.append((len(c), L, M))
-        return pade_from_taylor(c, L, M)
+        return exact_pade(c, L, M, qs)
 
-    monkeypatch.setattr(airy, "pade_from_taylor", spy)
+    monkeypatch.setattr(airy, "exact_pade", spy)
+    monkeypatch.setattr(borel, "exact_pade", spy)
     for z in (1.1 * cmath.exp(0.3j), 0.7 * cmath.exp(-1.0j), 1.5 * cmath.exp(1.0j)):
         airy_borel_sum(z, 0.1, 30)
         airy_borel_sum(z, 0.1, 30, pade=(10, 12))
@@ -525,7 +529,20 @@ def test_one_pade_solve_per_order_degrees_and_precision(monkeypatch):
         airy_borel_sum_hp(z, 0.1, 30, dps=40)
         stokes_jump(z, 0.05, 30)
         stokes_jump(z, 0.05, 30, mirror=True)
-    assert sorted(solved) == [(29, 10, 12), (29, 14, 14), (29, 14, 14)]
+    assert sorted(solved) == [(23, 10, 12), (29, 14, 14), (29, 14, 14)]
+
+
+def test_balanced_orders_share_one_staircase(monkeypatch):
+    # _minor_pade(40, None) extends B's staircase to index 38, one
+    # denominator a step; the orders 16-39 read it and take no new step
+    staircase = [[1], [1]]
+    monkeypatch.setattr(airy, "_B_STAIRCASE", staircase)
+    airy._minor_pade.cache_clear()
+    airy._minor_pade(40, None)
+    assert len(staircase) == 40          # Q_-1 .. Q_38
+    for N in range(16, 40):
+        airy._minor_pade(N, None)
+    assert len(staircase) == 40
 
 
 def test_airy_minor_is_a_hypergeometric_function():

@@ -258,6 +258,79 @@ def test_singular_exact_system_is_a_series_error():
         pade_from_taylor([Fraction(1)] * 12, 5, 6)
 
 
+def ref_pade(c, L, M):
+    """(num, den) of the (L, M) approximant of the Fractions c by plain
+    Gaussian elimination on den[1..M] and back substitution, or None where
+    the system is singular: the reference for the staircase engine."""
+    A = [[c[L + 1 + i - j] if L + 1 + i - j >= 0 else 0 for j in range(1, M + 1)]
+         + [-c[L + 1 + i]] for i in range(M)]
+    for k in range(M):
+        i = next((i for i in range(k, M) if A[i][k]), None)
+        if i is None:
+            return None
+        A[k], A[i] = A[i], A[k]
+        for i in range(k + 1, M):
+            if f := A[i][k] / A[k][k]:
+                A[i] = [x - f * y for x, y in zip(A[i], A[k])]
+    b = [0] * M
+    for k in reversed(range(M)):
+        b[k] = (A[k][M] - sum(A[k][j] * b[j] for j in range(k + 1, M))) / A[k][k]
+    den = [Fraction(1)] + b
+    return [sum(den[j] * c[k - j] for j in range(min(k, M) + 1)) for k in range(L + 1)], den
+
+
+def _airy_minor_coefficients(n):
+    return [a / math.factorial(k) for k, a in enumerate(airy._airy_alphas(n)[1:])]
+
+
+def test_balanced_airy_approximants_equal_the_reference():
+    # index N - 2 of B's one staircase, N = 2..64, list for list
+    c = _airy_minor_coefficients(64)
+    for N in range(2, 65):
+        n = N - 2
+        approx = airy._minor_pade(N, None)
+        assert (approx.num, approx.den) == ref_pade(c[:n + 1], n // 2, n - n // 2), N
+
+
+def test_every_route_through_the_pade_table_equals_the_reference():
+    # on the staircase, past it (shift identity) and below it (reciprocal
+    # identity): every (L, M) with L + M <= 28 on B's first 29 coefficients
+    c = _airy_minor_coefficients(29)
+    for L in range(29):
+        for M in range(29 - L):
+            approx = pade_from_taylor(c, L, M)
+            assert (approx.num, approx.den) == ref_pade(c[:L + M + 1], L, M), (L, M)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=st.lists(st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]),
+                  min_size=1, max_size=8),
+       L=st.integers(0, 8), M=st.integers(0, 8))
+def test_exact_pade_equals_the_reference_or_refuses(c, L, M):
+    # zeros make singular systems: the engine returns the reference's
+    # approximant or raises SeriesError, never a value the reference refuses
+    c = [Fraction(x) for x in c]
+    try:
+        approx = pade_from_taylor(c, L, M)
+    except SeriesError:
+        return
+    while L + M + 1 > len(c):      # clamped to the data, numerator first
+        L, M = (L - 1, M) if L >= M else (L, M - 1)
+    assert (approx.num, approx.den) == ref_pade(c[:L + M + 1], L, M)
+
+
+@pytest.mark.parametrize("c, L, M", [
+    ([0, 1, 0], 1, 1),              # t: [0/1] on the way is singular
+    ([1, 0, 1, 0], 1, 2),           # 1/(1 - t^2): so is [1/1]
+    ([1, 0, 1, 0], 2, 1),           # 1 + t^2: [1/1] of the tail t
+    ([1, 0, 0, 1, 0], 1, 3)])       # 1/(1 - t^3): [1/1] of 1/c's tail
+def test_staircase_refuses_where_a_system_on_its_way_is_singular(c, L, M):
+    c = [Fraction(x) for x in c]
+    assert ref_pade(c, L, M) is not None
+    with pytest.raises(SeriesError, match=rf"the \({L}, {M}\) Pade system is singular"):
+        pade_from_taylor(c, L, M)
+
+
 def test_mpmath_coefficients_are_refused():
     # an mpmath solve would round the system; the exact rationals are wanted
     with pytest.raises(TypeError, match="not mpmath numbers"):
@@ -319,6 +392,30 @@ def test_pole_on_the_eps_ray_is_continuous_from_both_sides(theta):
     assert on[0] == on[1]
     for got in on + near:
         assert abs(got - ref) <= 1e-8 * abs(ref)
+
+
+@pytest.mark.parametrize("mp", [False, True])
+@pytest.mark.parametrize("theta", [-0.6, 0.6])
+@pytest.mark.parametrize("a", [-2.8, -0.7, -0.5, -0.3, 0.3, 0.5, 0.7, 2.8, 0.0, math.pi])
+def test_side_test_orders_arg_w_as_the_arg_comparison(mp, theta, a):
+    # arg eps = 0, so a pole q at arg a strictly between 0 and the ray
+    # theta gains 2 pi i r e^(-w) (theta < 0) or loses it (theta > 0).  The
+    # poles lie just either side of each ray, halfway to it, as far on the
+    # other side of 0, in the back half-plane (arg +-2.8), at w = |w| (E1
+    # from above its cut) and at w = -|w|; the reference decides by arg w
+    # against 0 and theta, at 40 digits
+    q, r, eps = complex(0.3 * math.cos(a), 0.0 if a in (0.0, math.pi) else 0.3 * math.sin(a)), \
+        0.7 - 0.4j, 0.2
+    split = PartialFractions([q], [r], [])
+    with mpmath.workdps(30):
+        if mp:
+            split = PartialFractions([mpmath.mpc(q)], [mpmath.mpc(r)], [])
+        got = complex(laplace_pade(split, eps, 1, theta).value)
+    with mpmath.workdps(40):
+        w = mpmath.mpc(q) / mpmath.mpf(eps)
+        jump = 1 if theta < a <= 0 else -1 if 0 < a < theta else 0
+        ref = r * mpmath.exp(-w) * (mpmath.e1(-w) + 2j * mpmath.pi * jump)
+        assert abs(got - ref) <= 1e-11 * abs(r * mpmath.exp(-w)), (got, ref)
 
 
 def _mp_error(x, dps):

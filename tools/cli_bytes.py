@@ -36,6 +36,8 @@ COMMANDS = {
     "borel obstructed": ["borel", "--z", "-0.5", "0.8660254037844386", "--eps", "0.1", "0"],
     "borel half-plane": ["borel", "--z", "0.8", "0.4", "--eps", "0.1", "0", "--theta", "1.7"],
     "borel near 0": ["borel", "--z", "0.01", "0.001", "--eps", "0.5", "0"],
+    "borel --pade 12 6": ["borel", "--z", "0.8", "0.4", "--eps", "0.1", "0", "--pade", "12", "6"],
+    "borel --pade 6 12": ["borel", "--z", "0.8", "0.4", "--eps", "0.1", "0", "--pade", "6", "12"],
     "jump": ["jump", "--z", "-0.5", "0.866", "--eps", "0.1", "0"],
     "confluent": ["confluent", "--F", F, "--h", H, "--z", "0.9", "0.3", "--eps", "0.08", "0"],
     "confluent x_cap cut": ["confluent", "--F", F, "--h", H, "--z", "-0.5", "0",
