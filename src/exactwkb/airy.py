@@ -9,15 +9,14 @@ is lam B(lam xi), lam = z^{-3/2}, with one function of one variable
 
     B(t) = sum_k alpha_{k+1} t^k / k! = -(5/48) 2F1(7/6, 11/6; 2; -3t/4),
 
-cut along t <= -4/3; the eps -> -eps partner has lam -> -lam.  Pade
-approximants commute with that rescaling, so every sum reads one exact
-approximant of B per (N, pade), read in rationals off B's one staircase
-(_minor_pade) and split per precision (_minor_fractions); each sum, lateral ones
-included, is laplace_pade's closed form of that split times the one
-prefactor, at either precision (airy_borel_sum_hp passes z as an mpc).
-A symbol of F != 0 has no one-variable minor: symbol_borel_sum solves
-its minor's approximant at z in double precision, then splits (_split)
-and sums it (_borel_sum) the same way.
+cut along t <= -4/3; the eps -> -eps partner has lam -> -lam.  Any
+symbol's g_n lies in z^{-3n/2} C{z}, so its minor at z is lam R(lam xi),
+lam = sign z^{-3/2}, and one helper (_borel_sum) sums every Borel sum
+from a split of R.  Pade approximants commute with that rescaling: the
+Airy sums read one exact approximant of B per (N, pade), off B's one
+staircase (_minor_pade), split per precision (_minor_fractions), at
+either precision (airy_borel_sum_hp passes z as an mpc); symbol_borel_sum
+solves R's at z from minor_values in double precision and splits it.
 """
 
 from __future__ import annotations
@@ -142,26 +141,26 @@ def _minor_fractions(N: int, pade: tuple[int, int] | None, dps: int | None):
     return _split(_minor_pade(N, pade), dps)
 
 
-def _borel_sum(z: complex, eps: complex, sign: int, fractions, lam,
-               theta: float) -> LaplaceResult:
-    """pref (1 + int_0^inf(ray theta) exp(-xi/eps) lam R(lam xi) dxi) for
-    the symbol of that sign, pref its prefactor at the precision of z,
-    from fractions = the split of R; the minor's poles are p/lam.
-    est_error adds the rounding of pref and of the product, the bound
-    that _prefactor returns in units of 2^-52 or of mpmath.eps."""
-    res = laplace_pade(fractions, eps, lam, theta)
-    pref, rounding = _prefactor(sign, z, eps)
-    value = pref * (1.0 + res.value)
-    return LaplaceResult(value, abs(pref) * res.est_error + rounding * abs(value), 0)
-
-
-def _airy_sum(z: complex, eps: complex, fractions, theta: float,
-              sign: int) -> LaplaceResult:
-    """Borel sum along arg xi = theta of the Airy symbol (sign +1) or its
-    partner (sign -1), from fractions = _minor_fractions' split of B's
-    approximant: the minor at z is lam B(lam xi), lam = sign z^{-3/2}."""
+def _borel_sum(z: complex, eps: complex, fractions, theta: float,
+               sign: int) -> LaplaceResult:
+    """pref (1 + int_0^inf(ray theta) exp(-xi/eps) lam R(lam xi) dxi), the
+    Borel sum of the symbol of that sign at z, whose minor is lam R(lam
+    xi), lam = sign z^{-3/2}, from fractions = the split of R; pref is the
+    prefactor at the precision of z.  est_error adds the rounding of pref
+    and of the product, the bound that _prefactor returns in units of 2^-52
+    or of mpmath.eps.  ContourFailure at z = 0, and where lam, the
+    transform, the prefactor or the sum leaves double precision."""
     _refuse_turning_point(z)
-    return _borel_sum(z, eps, sign, fractions, sign * zpow(z, Fraction(-3, 2)), theta)
+    try:
+        res = laplace_pade(fractions, eps, sign * zpow(z, Fraction(-3, 2)), theta)
+        pref, rounding = _prefactor(sign, z, eps)
+        value = pref * (1.0 + res.value)
+        est_error = abs(pref) * res.est_error + rounding * abs(value)
+        if est_error < math.inf:        # and so is |value|
+            return LaplaceResult(value, est_error, 0)
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise ContourFailure(f"the Borel sum at z = {complex(z):.6g} leaves double precision")
 
 
 def airy_borel_sum(z: complex, eps: complex, N: int,
@@ -174,19 +173,23 @@ def airy_borel_sum(z: complex, eps: complex, N: int,
     clamped down.  theta rotates the Laplace ray (lateral sums).
     """
     fractions = _minor_fractions(N, None if pade is None else tuple(pade), None)
-    return _airy_sum(z, eps, fractions, theta, 1)
+    return _borel_sum(z, eps, fractions, theta, 1)
 
 
 def symbol_borel_sum(symbol: WKBSymbol, z: complex,
                      eps: complex) -> LaplaceResult:
-    """Borel sum of any formal symbol at z along arg xi = 0, from the
-    balanced Pade approximant of its minor at z, solved in double
-    precision on each call (F != 0 has no one-variable minor), split by
-    _split and transformed in closed form as the Airy sums are: est_error
-    is the rounding of that sum and its prefactor, nodes_used 0."""
+    """Borel sum of any formal symbol at z along arg xi = 0 from the
+    balanced Pade approximant of R, its minor at z being lam R(lam xi),
+    solved from minor_values(z) in double precision on each call, split by
+    _split and summed by _borel_sum as the Airy sums are: est_error is the
+    rounding of that sum and its prefactor, nodes_used 0.  ContourFailure
+    where that approximant leaves double precision."""
     c = symbol.minor_values(z)
-    fractions = _split(pade_from_taylor(c, len(c) // 2, len(c) // 2), None)
-    return _borel_sum(z, eps, symbol.sign, fractions, 1, 0.0)
+    approx = pade_from_taylor(c, len(c) // 2, len(c) // 2)
+    if not all(map(cmath.isfinite, approx.num + approx.den)):
+        raise ContourFailure(f"the Borel minor's Pade approximant at z = {z:.6g} "
+                             "leaves double precision")
+    return _borel_sum(z, eps, _split(approx, None), 0.0, symbol.sign)
 
 
 def airy_borel_sum_hp(z, eps, N: int, pade: tuple[int, int] | None = None,
@@ -197,7 +200,7 @@ def airy_borel_sum_hp(z, eps, N: int, pade: tuple[int, int] | None = None,
     the summation error sits below the double-precision floor."""
     fractions = _minor_fractions(N, None if pade is None else tuple(pade), dps)
     with mpmath.workdps(dps):
-        return _airy_sum(mpmath.mpc(z), eps, fractions, 0.0, 1).value
+        return _borel_sum(mpmath.mpc(z), eps, fractions, 0.0, 1).value
 
 
 def stokes_jump(z: complex, eps: complex, N: int,
@@ -222,6 +225,6 @@ def stokes_jump(z: complex, eps: complex, N: int,
     """
     fractions = _minor_fractions(N, None, None)
     sign = -1 if mirror else 1
-    lo, hi = (_airy_sum(z, eps, fractions, theta, sign).value
+    lo, hi = (_borel_sum(z, eps, fractions, theta, sign).value
               for theta in (-LATERAL_DELTA, LATERAL_DELTA))
-    return lo - hi, -1j * _airy_sum(z, eps, fractions, 0.0, -sign).value
+    return lo - hi, -1j * _borel_sum(z, eps, fractions, 0.0, -sign).value

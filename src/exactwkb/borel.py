@@ -214,13 +214,17 @@ class PartialFractions(NamedTuple):
 def partial_fractions(approx: PadeApproximant) -> PartialFractions:
     """Split an approximant at GUARD_DIGITS above the working precision,
     its poles and residues in integers (_horner); Fractions are divided
-    at that precision, other coefficients converted exactly.
+    at that precision, other coefficients converted exactly, and trailing
+    exact zeros of num and den dropped.
     ContourFailure when a pole cannot be polished (e.g. a double pole) or
     the split misses the approximant by 10^-dps relative at a test point."""
     dps = mpmath.mp.dps
     with mpmath.workdps(dps + GUARD_DIGITS):
         num, den = ([mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction)
                      else mpmath.mpmathify(x) for x in xs] for xs in (approx.num, approx.den))
+        for xs in (num, den):       # split at the true degrees
+            while len(xs) > 1 and not xs[-1]:
+                xs.pop()
         approx = PadeApproximant(num, den)
         ps = approx.poles()
         rs = approx.residues(ps)
@@ -339,7 +343,8 @@ def laplace_pade(fractions: PartialFractions, eps, lam=1, theta=0.0) -> LaplaceR
     a genuine pole (genuine_poles) q = p/lam lies within tol (|q| + |eps|)
     (in double) of xi = 0, where every ray starts, or of the ray itself:
     tol is 0.03 for a split rounded to complex and 64 mpmath.eps (rounding)
-    for an mpmath one.  Then PoleOnRay when the ray leaves the half-plane.
+    for an mpmath one.  Then PoleOnRay when the ray leaves the half-plane,
+    and ContourFailure, last, when est_error is not finite.
     """
     m, expe1, unit, tol, ae = cmath, _expe1, 2.0 ** -52, 0.03, abs(complex(eps))
     with mpmath.workdps(mpmath.mp.dps + GUARD_DIGITS):
@@ -371,4 +376,7 @@ def laplace_pade(fractions: PartialFractions, eps, lam=1, theta=0.0) -> LaplaceR
             elif d.imag > 0 and side < 0 and w.imag > 0:    # 0 < arg w < arg d
                 term -= 2j * m.pi * m.exp(-w)
             terms.append(r * term)
-        return LaplaceResult(sum(terms), float(unit) * sum(map(abs, map(complex, terms))), 0)
+        est_error = float(unit) * sum(map(abs, map(complex, terms)))
+        if not est_error < math.inf:
+            raise ContourFailure("the Laplace transform's terms leave double precision")
+        return LaplaceResult(sum(terms), est_error, 0)

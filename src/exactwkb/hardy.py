@@ -151,7 +151,6 @@ def hardy_phi_eval(n: int, z: complex, eps: complex,
 
 
 def hardy_ode_residual(n: int, z: complex, eps: complex,
-                       spec: ContourSpec | None = None,
                        convention: str = "eps2") -> float:
     """Relative residual of the turning-point ODE at z by 5-point finite
     differences of step 0.02 sqrt|eps| (Phi_n is entire in z, so each
@@ -159,7 +158,7 @@ def hardy_ode_residual(n: int, z: complex, eps: complex,
     h = 0.02 * abs(eps) ** 0.5
 
     def phi(zz):
-        return hardy_phi_eval(n, zz, eps, spec, convention).value
+        return hardy_phi_eval(n, zz, eps, convention=convention).value
 
     val = phi(z)
     f2 = (-phi(z + 2 * h) + 16 * phi(z + h) - 30 * val

@@ -49,12 +49,12 @@ def canonical_stokes_lines(alpha: float, extent: float = 3.0) -> StokesDiagram:
     return StokesDiagram(direction_alpha=alpha, lines=tuple(lines))
 
 
-def classify_sector(z: complex, alpha: float = 0.0) -> str:
-    """Sector id of z for the canonical diagram, or ON_LINE within 1e-9
-    radians of a Stokes ray."""
+def classify_sector(z: complex) -> str:
+    """Sector id of z for the canonical diagram in the direction alpha = 0,
+    or ON_LINE within 1e-9 radians of a Stokes ray."""
     if z == 0:
         raise ValueError("z = 0 is the turning point")
-    th = cmath.phase(z * cmath.exp(-2j * alpha / 3.0))
+    th = cmath.phase(z)
     for k, name in ((0.0, "L0"), (TWO_PI_3, "L1"), (-TWO_PI_3, "L-1")):
         d = abs((th - k + math.pi) % (2.0 * math.pi) - math.pi)
         if d < 1e-9:

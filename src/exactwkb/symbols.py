@@ -72,13 +72,14 @@ def _prefactor(sign: int, z: complex, eps: complex) -> tuple:
     """(exp(x) z^PREFACTOR_EXP, unit (2 + |x|)), x = -sign (2/3) z^{3/2}/eps,
     at the precision of z (unit 2^-52 or mpmath.eps): x's rounding moves
     exp(x) by unit |x|, and two products round.  ContourFailure when exp(x)
-    overflows double precision (an mpmath one never does)."""
-    x = -sign * action(z) / eps
-    m, unit = (cmath, 2.0 ** -52) if isinstance(x, complex) else (mpmath, mpmath.eps)
+    overflows double precision, x included (an mpmath one never does)."""
     try:
+        x = -sign * action(z) / eps
+        m, unit = (cmath, 2.0 ** -52) if isinstance(x, complex) else (mpmath, mpmath.eps)
         return m.exp(x) * zpow(z, PREFACTOR_EXP), unit * (2.0 + abs(x))
     except OverflowError:
-        raise ContourFailure(f"prefactor exp({x:.6g}) overflows double precision") from None
+        raise ContourFailure(f"prefactor exp(-(2/3) z^(3/2)/eps) overflows double precision "
+                             f"at z = {complex(z):.6g}") from None
 
 
 @dataclass(frozen=True)
@@ -127,10 +128,25 @@ class WKBSymbol:
         powers = eps ** np.arange(n)
         return self.prefactor(z, eps) * np.dot(vals, powers)
 
+    @functools.cached_property
+    def _minor_table(self) -> ExponentTable:
+        """minor_values' series (sign z^{3/2})^n g_n/(n-1)!, formed once."""
+        return ExponentTable([g.shift(Fraction(3 * n, 2)) * Fraction(self.sign ** n,
+                                                                       math.factorial(n - 1))
+                              for n, g in enumerate(self.eps_coeffs[1:], start=1)])
+
     def minor_values(self, z: complex) -> np.ndarray:
-        """xi-Taylor coefficients of the Borel minor of the eps-series part
-        at z: g_n/(n-1)!, n >= 1, formed exactly and then evaluated on the
-        fixed branch."""
-        return np.array(ExponentTable([g * Fraction(1, math.factorial(n - 1)) for n, g
-                                       in enumerate(self.eps_coeffs[1:], start=1)]
-                                      ).values(z, zpow), dtype=complex)
+        """Taylor coefficients of R, the minor of the eps-series part at z
+        being lam R(lam xi), lam = sign z^{-3/2}: (sign z^{3/2})^n
+        g_n/(n-1)!, n >= 1, each g_n shifted and scaled exactly, then
+        evaluated on the fixed branch (alpha_n/(n-1)! for the Airy symbol).
+        ContourFailure at z = 0 and where a value leaves double precision."""
+        if z == 0:
+            raise ContourFailure("z = 0 is the turning point; the Borel minor has no scale there")
+        try:
+            values = np.array(self._minor_table.values(z, zpow), dtype=complex)
+            if np.isfinite(values).all():
+                return values
+        except OverflowError:
+            pass
+        raise ContourFailure(f"the Borel minor at z = {z:.6g} leaves double precision")

@@ -81,12 +81,13 @@ def test_symbol_monomials_and_minor_factorials():
             assert g == PuiseuxSeries({0: 1})
         else:
             assert g == PuiseuxSeries({Fr(-3 * n, 2): airy_alpha(n)})
-    z = 0.7 * cmath.exp(0.4j)
-    minor = sym.minor_values(z)
-    g = sym.g_values(z)
-    assert len(minor) == sym.order
-    for n in range(1, sym.order + 1):
-        assert abs(minor[n - 1] - g[n] / math.factorial(n - 1)) <= 1e-15 * abs(g[n])
+    # the minor at z is lam B(lam xi), lam = sign z^{-3/2}: its list is B's
+    # coefficients alpha_n/(n-1)! at every z, for the symbol and its partner
+    want = [complex(airy_alpha(n) / math.factorial(n - 1)) for n in range(1, sym.order + 1)]
+    for z in (0.7 * cmath.exp(0.4j), 1.0, 2.5 * cmath.exp(-1.9j), 0.01 * cmath.exp(2.5j)):
+        minor = sym.minor_values(z)
+        assert list(minor) == want, z
+        assert list(sym.flip_eps().minor_values(z)) == want, z
 
 
 def test_branch_positive_real_on_L0():
@@ -128,8 +129,11 @@ def test_contour_scale_overflow_raises():
 @pytest.mark.parametrize("fn, args", [
     (airy_contour, (0, 0.1)), (airy_borel_sum, (0, 0.1, 1)),
     (airy_borel_sum, (0j, 0.1, 24)), (airy_borel_sum_hp, (0, 0.1, 24)),
-    (stokes_jump, (0, 0.1, 24)), (stokes_jump, (0, 0.1, 24, True))],
-    ids=["contour", "borel-N1", "borel", "borel_hp", "jump", "jump-mirror"])
+    (stokes_jump, (0, 0.1, 24)), (stokes_jump, (0, 0.1, 24, True)),
+    (symbol_borel_sum, (airy_symbol(23), 0, 0.1)),
+    (symbol_borel_sum, (transport_g(TaylorSeries({0: Fr(1, 3), 1: Fr(-2, 7)}), 23), 0, 0.1))],
+    ids=["contour", "borel-N1", "borel", "borel_hp", "jump", "jump-mirror", "symbol-airy",
+         "symbol-F"])
 def test_turning_point_raises(fn, args):
     # z = 0 is refused before any arithmetic: no warning, no nan
     with pytest.raises(ContourFailure, match="z = 0 is the turning point"):
@@ -648,22 +652,51 @@ def test_lateral_sums_match_quadrature_of_the_rounded_approximant(z, eps, N):
 ])
 def test_symbol_sum_matches_quadrature_of_its_double_approximant(F, N):
     # the closed form of the split against laplace_quadrature's panels on
-    # the same double-precision approximant of the minor at z, for the
-    # symbol and its partner in S1 and S-1
+    # lam R(lam xi), R the same double-precision approximant of the minor
+    # at z in t = lam xi, lam = sign z^{-3/2}, for the symbol and its
+    # partner in S1 and S-1 (not at 1.2 e^{0.4i}, eps = 0.1: a far pole of
+    # the double approximant of F = 1/3 - 2z/7, at 18.13 + 0.33i, lies
+    # inside the ray's 3% margin there, a PoleOnRay)
     sym = transport_g(F, N - 1)
-    for z, eps in [(1.2 * cmath.exp(0.4j), 0.1), (0.9 * cmath.exp(-1.1j), 0.15 * cmath.exp(0.3j))]:
+    for z, eps in [(1.2 * cmath.exp(0.5j), 0.1), (0.9 * cmath.exp(-1.1j), 0.15 * cmath.exp(0.3j))]:
         for s in (sym, sym.flip_eps()):
             c = s.minor_values(z)
-            quad = laplace_quadrature(rational(pade_from_taylor(c, len(c) // 2, len(c) // 2)), eps)
+            R = rational(pade_from_taylor(c, len(c) // 2, len(c) // 2))
+            lam = s.sign * zpow(z, Fr(-3, 2))
+            quad = laplace_quadrature(lambda u: lam * R(lam * u), eps)
             want = s.prefactor(z, eps) * (1 + quad.value)
             got = symbol_borel_sum(s, z, eps)
             assert got.nodes_used == 0
             assert abs(got.value - want) <= 1e-12 * abs(want), (z, eps, s.sign)
 
 
+@pytest.mark.parametrize("N", [20, 30, 40])
+def test_symbol_sum_of_the_airy_symbol_next_to_L1(N):
+    # |z| = 0.6 next to L1, where the minor's coefficients in xi carried
+    # lam^(k+1) into the double Pade solve and the sum was off by up to
+    # 5.9e-12 relative; in t = lam xi they are B's at every z
+    sym = airy_symbol(N - 1)
+    for arg in (1.8, -1.8):
+        for eps in (0.12 * cmath.exp(0.2j), 0.1 * cmath.exp(-0.25j)):
+            z = 0.6 * cmath.exp(1j * arg)
+            got, want = symbol_borel_sum(sym, z, eps).value, airy_borel_sum(z, eps, N).value
+            assert abs(got - want) <= 1e-12 * abs(want), (z, eps)
+
+
+def test_symbol_sum_splits_a_denominator_at_its_true_degree():
+    # at N = 32 the double solve of B's balanced approximant returns den[15]
+    # = 0.0 exactly; the split drops it rather than divide by it
+    sym = airy_symbol(31)
+    c = sym.minor_values(1.0)
+    assert pade_from_taylor(c, 15, 15).den[15] == 0
+    for z in (1.0, 0.8 * cmath.exp(0.5j), 2.5 * cmath.exp(-1j), 0.6 * cmath.exp(1.8j)):
+        got, want = symbol_borel_sum(sym, z, 0.1).value, airy_borel_sum(z, 0.1, 32).value
+        assert abs(got - want) <= 1e-12 * abs(want), z
+
+
 def test_symbol_sum_of_the_airy_symbol_is_the_airy_sum():
-    # two solves of one minor: the Airy symbol's approximant at z in double
-    # precision, and B's exact one rescaled by lam = z^{-3/2}
+    # two solves of B: in double precision from the Airy symbol's minor at
+    # z, and exactly, each rescaled by lam = z^{-3/2} in the one helper
     for N in (24, 40):
         sym = airy_symbol(N - 1)
         for r, arg in [(1.0, 1.8), (1.0, -0.4), (2.5, 1.0), (2.5, -1.8)]:

@@ -337,6 +337,16 @@ def test_prefactor_overflow_exit_3(cmd, capsys):
     assert err.startswith("numeric failure: prefactor exp(")
 
 
+@pytest.mark.parametrize("cmd", ["borel", "jump", "airy"])
+@pytest.mark.parametrize("z", ["1e-300", "1e300"])
+def test_extreme_z_exit_3(cmd, z, capsys):
+    # z^(-3/2) and the action past double range once ended in bare errors
+    code = main([cmd, "--z", z, "0", "--eps", "0.1", "0"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("numeric failure: ")
+
+
 def test_import_leaves_scipy_out():
     code = "import sys, exactwkb; sys.exit('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

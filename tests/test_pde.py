@@ -165,8 +165,8 @@ def _term_loop(series, z, power=_principal_pow):
 
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_kernel_table_values_equal_series_eval(gaussian):
-    # the kernel's values_at and a symbol's g_values and minor_values,
-    # bit for bit against a plain per-term loop.  Nz = 12 reaches exponents
+    # the kernel's values_at and a symbol's g_values and minor_values (its
+    # g_n shifted by 3n/2), bit for bit against a plain per-term loop.  Nz = 12 reaches exponents
     # above 8, where _principal_pow switches to a float power; z sits just
     # either side of the principal cut and of the symbols' cut at
     # arg z = -2 pi/3
@@ -175,7 +175,8 @@ def test_kernel_table_values_equal_series_eval(gaussian):
     psi = pde_taylor(F, rand_taylor(rng, 1, gaussian), 12, 12)
     assert max(e for a in psi.a_list for e in a.coeffs) > 8
     sym = transport_g(F, 12)
-    minors = [g * Fr(1, math.factorial(n - 1)) for n, g in enumerate(sym.eps_coeffs[1:], 1)]
+    minors = [g.shift(Fr(3 * n, 2)) * Fr(1, math.factorial(n - 1))
+              for n, g in enumerate(sym.eps_coeffs[1:], 1)]
     assert min(e for g in sym.eps_coeffs for e in g.coeffs) < -8
     cut = cmath.exp(-2j * math.pi / 3)
     for z in (-0.7 + 1e-12j, -0.7 - 1e-12j, 0.4 + 0.3j, 1.2,

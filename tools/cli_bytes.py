@@ -38,7 +38,9 @@ COMMANDS = {
     "borel near 0": ["borel", "--z", "0.01", "0.001", "--eps", "0.5", "0"],
     "borel --pade 12 6": ["borel", "--z", "0.8", "0.4", "--eps", "0.1", "0", "--pade", "12", "6"],
     "borel --pade 6 12": ["borel", "--z", "0.8", "0.4", "--eps", "0.1", "0", "--pade", "6", "12"],
+    "borel tiny z": ["borel", "--z", "1e-300", "0", "--eps", "0.1", "0"],
     "jump": ["jump", "--z", "-0.5", "0.866", "--eps", "0.1", "0"],
+    "jump huge z": ["jump", "--z", "1e300", "0", "--eps", "0.1", "0"],
     "confluent": ["confluent", "--F", F, "--h", H, "--z", "0.9", "0.3", "--eps", "0.08", "0"],
     "confluent x_cap cut": ["confluent", "--F", F, "--h", H, "--z", "-0.5", "0",
                             "--eps", "0.3", "0"],
