@@ -183,7 +183,9 @@ def symbol_borel_sum(symbol: WKBSymbol, z: complex,
     solved from minor_values(z) in double precision on each call, split by
     _split and summed by _borel_sum as the Airy sums are: est_error is the
     rounding of that sum and its prefactor, nodes_used 0.  ContourFailure
-    where that approximant leaves double precision."""
+    at z = 0, before the minor is evaluated, and where that approximant
+    leaves double precision."""
+    _refuse_turning_point(z)
     c = symbol.minor_values(z)
     approx = pade_from_taylor(c, len(c) // 2, len(c) // 2)
     if not all(map(cmath.isfinite, approx.num + approx.den)):

@@ -318,6 +318,11 @@ def _expe1_mp(x):
                       mpmath.ldexp(((qim * dre - qre * dim) << e) // m, -e))
 
 
+def _obstructs(q, theta: float) -> str:
+    """laplace_pade's PoleOnRay message for a pole q by the ray arg xi = theta."""
+    return f"Pade pole at {complex(q):.6g} obstructs the ray arg xi = {theta:.4f}"
+
+
 def laplace_pade(fractions: PartialFractions, eps, lam=1, theta=0.0) -> LaplaceResult:
     """int_0^inf(ray theta) exp(-xi/eps) lam R(lam xi) dxi in closed form,
     for R split into partial fractions: mpmath ones at GUARD_DIGITS above
@@ -341,26 +346,39 @@ def laplace_pade(fractions: PartialFractions, eps, lam=1, theta=0.0) -> LaplaceR
     (the unit roundoff, 2^-52 or mpmath's eps, times the sum of its
     terms' moduli, in double) and nodes_used 0.  PoleOnRay, first, when
     a genuine pole (genuine_poles) q = p/lam lies within tol (|q| + |eps|)
-    (in double) of xi = 0, where every ray starts, or of the ray itself:
-    tol is 0.03 for a split rounded to complex and 64 mpmath.eps (rounding)
-    for an mpmath one.  Then PoleOnRay when the ray leaves the half-plane,
-    and ContourFailure, last, when est_error is not finite.
+    (in double) of xi = 0, where every ray starts, or lies so by the ray
+    while the nearest genuine pole does too (the ray is then a Stokes line
+    of the sum): tol is 0.03 for a split rounded to complex and 64
+    mpmath.eps (rounding) for an mpmath one.  Then PoleOnRay when the ray
+    leaves the half-plane, and when a farther pole by the ray could move
+    the sum by more than est_error: crossing the ray moves it by 2 pi i r
+    e^(-q/eps), up to e^(tol (|q/eps| + 1)) times more within the margin.
+    A farther pole below that is summed on the side it lies: a double Pade
+    solve places its far poles roughly, and their side of the ray is lost
+    in the rounding.  ContourFailure, last, when est_error is not finite.
     """
     m, expe1, unit, tol, ae = cmath, _expe1, 2.0 ** -52, 0.03, abs(complex(eps))
     with mpmath.workdps(mpmath.mp.dps + GUARD_DIGITS):
         if not isinstance((fractions.quo + fractions.residues)[0], complex):
             m, expe1, unit = mpmath, _expe1_mp, mpmath.eps
             eps, lam, tol = mpmath.mpc(eps), mpmath.mpc(lam), 64 * float(mpmath.eps)
-        for p in genuine_poles(zip(fractions.poles, fractions.residues)):
-            q = p / lam
+        turn, near, least = m.exp(-1j * theta), [], math.inf     # near: those by the ray
+        # genuine_poles keeps the first element of each pair, here the pole's index
+        for i in genuine_poles(enumerate(fractions.residues)):
+            q = fractions.poles[i] / lam
             margin = tol * ((aq := abs(complex(q))) + ae)     # in double
+            least = min(least, aq)
+            w = q * turn     # its distance to the ray: |Im w|, or |q| behind 0
+            if (abs(w.imag) if w.real > 0 else aq) < margin:
+                near.append((aq, q, fractions.residues[i], margin))
+        # the ray is a Stokes line of the sum when the nearest genuine pole
+        # lies by it, as one within the margin of xi = 0 does
+        if near and min(aq for aq, *_ in near) == least:
+            aq, q, _, margin = near[0]
             if aq < margin:
                 raise PoleOnRay(f"Pade pole at {complex(q):.6g} lies within "
                                 f"{margin:.3g} of xi = 0, where every Laplace ray starts")
-            w = q * m.exp(-1j * theta)     # its distance to the ray: |Im w|, or |q| behind 0
-            if (abs(w.imag) if w.real > 0 else aq) < margin:
-                raise PoleOnRay(
-                    f"Pade pole at {complex(q):.6g} obstructs the ray arg xi = {theta:.4f}")
+            raise PoleOnRay(_obstructs(q, theta))
         d = m.exp(1j * theta) * abs(eps) / eps     # the ray's direction, seen from arg eps
         if d.real <= 0:
             raise PoleOnRay(f"ray arg xi = {theta:.4f} is outside the half-plane of eps")
@@ -377,6 +395,12 @@ def laplace_pade(fractions: PartialFractions, eps, lam=1, theta=0.0) -> LaplaceR
                 term -= 2j * m.pi * m.exp(-w)
             terms.append(r * term)
         est_error = float(unit) * sum(map(abs, map(complex, terms)))
+        for _, q, r, margin in near:
+            # crossing the ray moves the sum by 2 pi i r e^(-q/eps), and
+            # |e^(-q/eps)| is at most e^grow within the margin
+            grow = min(margin / ae - complex(q / eps).real, 700.0)
+            if not 2 * math.pi * abs(complex(r)) * math.exp(grow) <= est_error:
+                raise PoleOnRay(_obstructs(q, theta))
         if not est_error < math.inf:
             raise ContourFailure("the Laplace transform's terms leave double precision")
         return LaplaceResult(sum(terms), est_error, 0)

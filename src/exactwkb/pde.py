@@ -327,13 +327,13 @@ def local_decomposition(F: PuiseuxSeries, h: PuiseuxSeries, z: complex,
     if sector.startswith("ON_LINE:"):
         raise ValueError(f"z = {z:.6g} lies on the Stokes line {sector[8:]}")
     sym = transport_g(F, N - 1)
-    partner, psi = sym.flip_eps(), pde_taylor(F, h, 40, 40)
+    psi = pde_taylor(F, h, 40, 40)
     rows = []
     for eps in eps_grid:
         conf = confluent_eval(F, h, z, eps, psi=psi)
         plus = symbol_borel_sum(sym, z, eps).value
         if sector == "S2":
-            two = plus + 1j * symbol_borel_sum(partner, z, eps).value
+            two = plus + 1j * symbol_borel_sum(sym.flip_eps(), z, eps).value
             rows.append({"eps": eps, "confluent": conf.value, "model": two,
                          "rel_err": abs(conf.value - two) / abs(two),
                          "one_term_rel_err": abs(conf.value - plus) / abs(plus)})

@@ -128,23 +128,17 @@ class WKBSymbol:
         powers = eps ** np.arange(n)
         return self.prefactor(z, eps) * np.dot(vals, powers)
 
-    @functools.cached_property
-    def _minor_table(self) -> ExponentTable:
-        """minor_values' series (sign z^{3/2})^n g_n/(n-1)!, formed once."""
-        return ExponentTable([g.shift(Fraction(3 * n, 2)) * Fraction(self.sign ** n,
-                                                                       math.factorial(n - 1))
-                              for n, g in enumerate(self.eps_coeffs[1:], start=1)])
-
     def minor_values(self, z: complex) -> np.ndarray:
         """Taylor coefficients of R, the minor of the eps-series part at z
         being lam R(lam xi), lam = sign z^{-3/2}: (sign z^{3/2})^n
-        g_n/(n-1)!, n >= 1, each g_n shifted and scaled exactly, then
+        g_n/(n-1)!, n >= 1, each g_n times that monomial exactly, then
         evaluated on the fixed branch (alpha_n/(n-1)! for the Airy symbol).
-        ContourFailure at z = 0 and where a value leaves double precision."""
-        if z == 0:
-            raise ContourFailure("z = 0 is the turning point; the Borel minor has no scale there")
+        ContourFailure where a value leaves double precision."""
+        table = ExponentTable([g * PuiseuxSeries.monomial(
+            Fraction(self.sign ** n, math.factorial(n - 1)), Fraction(3 * n, 2))
+            for n, g in enumerate(self.eps_coeffs[1:], start=1)])
         try:
-            values = np.array(self._minor_table.values(z, zpow), dtype=complex)
+            values = np.array(table.values(z, zpow), dtype=complex)
             if np.isfinite(values).all():
                 return values
         except OverflowError:

@@ -133,6 +133,27 @@ def test_the_ray_margin_follows_the_precision_of_the_split():
         assert abs(got - want) <= 1e-20 * abs(want)
 
 
+def test_a_far_pole_by_the_ray_is_summed_when_its_jump_is_below_the_rounding():
+    # the nearest pole at -1 lies behind xi = 0; crossing the ray at xi = 20
+    # moves the sum by 2 pi e^-200 at eps = 0.1, below its rounding, so the
+    # sum along the ray through it is served and equals the lateral sums
+    # clear of it (theta = -/+0.05 passes it at distance 1, past the 3%
+    # margin); at eps = 2 the jump 2 pi e^-10 refuses the ray
+    split = PartialFractions([-1 + 0j, 20 + 0j], [1 + 0j, 1 + 0j], [])
+    on, below, above = (laplace_pade(split, 0.1, 1, theta) for theta in (0.0, -0.05, 0.05))
+    for side in (below, above):
+        assert abs(side.value - on.value) <= side.est_error + on.est_error
+    with pytest.raises(PoleOnRay, match=r"Pade pole at 20\+0j obstructs"):
+        laplace_pade(split, 2.0)
+
+
+def test_a_nearest_pole_by_the_ray_refuses_however_small_its_jump():
+    # the ray is a Stokes line of the sum when its nearest pole lies by it,
+    # even where the jump, 2 pi e^-400 here, is far below the rounding
+    with pytest.raises(PoleOnRay, match=r"Pade pole at 40\+0j obstructs"):
+        laplace_pade(PartialFractions([40 + 0j, -60 + 0j], [1 + 0j, 1 + 0j], []), 0.1)
+
+
 def test_double_pole_raises_contour_failure():
     with mpmath.workdps(40):
         p = mpmath.mpc(1, 2)
