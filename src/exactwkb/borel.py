@@ -9,17 +9,17 @@ laplace_pade decides whether a ray is clear of the genuine poles
 
 pade_from_taylor reads rational Taylor coefficients' approximant off a
 staircase of the Pade table (exact_pade) and solves others in complex
-double precision.  partial_fractions splits any approximant
-at any precision into its polynomial part and partial fractions (poles
-and residues from one fixed-point integer Horner kernel, _horner), and
-laplace_pade transforms each term in closed form (factorials and the
-exponential integral E1) along any ray in the half-plane of eps, for R
-or any rescaling lam R(lam xi) of it: in mpmath with _expe1_mp, or with
-the split rounded to complex in double precision with _expe1, as every
-Borel sum of the package does.  Both take e^x E1(x) from the continued
-fraction of Abramowitz & Stegun 5.1.22 where it converges fast and from
-a series elsewhere: _expe1 by its own rules, _expe1_mp in fixed-point
-integers for |x| >= 16 and |arg x| <= 3 pi/4, and mpmath.e1 otherwise.
+double precision.  partial_fractions splits any approximant at any
+precision in fixed-point integers (one Horner kernel, _horner, in real
+arithmetic for real poles), and laplace_pade transforms each term in
+closed form (factorials and the exponential integral E1) along any ray in
+the half-plane of eps, for R or any rescaling lam R(lam xi) of it: in
+mpmath with _expe1_mp, or with the split rounded to complex in double
+precision with _expe1, as every Borel sum of the package does.  Both
+take e^x E1(x) from the continued fraction of Abramowitz & Stegun 5.1.22
+where it converges fast and from a series elsewhere: _expe1 by its own
+rules, _expe1_mp in fixed-point integers for |x| >= 16 off the cut when
+it converges in 400 steps, and mpmath.e1 otherwise.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import mpmath
 import numpy as np
+from mpmath.libmp import from_float, from_int, from_man_exp, fzero, mpf_div, to_float
 
 from .contours import LaplaceResult
 from .errors import ContourFailure, PoleOnRay, SeriesError
@@ -42,77 +43,119 @@ GUARD_DIGITS = 15  # mp partial fractions work this many digits above the caller
 
 @dataclass(frozen=True)
 class PadeApproximant:
-    """Rational approximant num/den with coefficients in ascending order:
-    lists of Fractions when solved exactly, of complex numbers when solved
-    in double precision, of mpmath numbers once split (partial_fractions).
-
-    poles() and residues() work on mpmath data, in integers (_horner):
-    np.roots values seed Newton's method on the denominator at the
-    working precision, in real arithmetic for the real roots of a real
-    denominator, whose complex roots come in conjugate pairs.
-    """
+    """Rational approximant num/den, coefficients ascending: Fractions when
+    solved exactly, complex numbers when solved in double precision."""
 
     num: list
     den: list
 
-    def poles(self):
-        q = self.den[::-1]
-        real, cs = all(isinstance(c, mpmath.mpf) for c in q), _gauss(q)[0]
-        ps = [_newton_root(cs, s, real and s.imag == 0)
-              for s in np.roots(np.array(q, dtype=float if real else complex))
-              if not (real and s.imag < 0)]
-        return ps + [p.conjugate() for p in ps if real and p.imag > 0]
 
-    def residues(self, ps):
-        """num(p)/den'(p) at the poles ps (_horner); an mpf where p and it are real."""
-        (a, fa), (b, fb) = _gauss(self.num[::-1]), _gauss(self.den[::-1])
-        rs, wp = [], mpmath.mp.prec + 20
-        for p in ps:
-            [(x, y)], f = _gauss([p], wp)
-            (nr, ni, _, _), (_, _, dr, di) = _horner(a, x, y, f), _horner(b, x, y, f)
-            m = dr * dr + di * di       # k keeps wp bits or more of the quotient
-            k = max(0, wp + 2 + m.bit_length() // 2 - max(abs(nr), abs(ni)).bit_length())
-            re, im = (mpmath.ldexp((u << k) // m, fb - fa - k)
-                      for u in (nr * dr + ni * di, ni * dr - nr * di))
-            rs.append(re if isinstance(p, mpmath.mpf) and not im else mpmath.mpc(re, im))
-        return rs
+def _parts(x, prec: int = 0) -> tuple:
+    """The mpf tuples (re, im) of a number, im None for a real type: a
+    Fraction n/d rounded to prec bits as mpf(n)/d rounds it, else exact."""
+    if isinstance(x, Fraction):     # from_int(d), its trailing zeros stripped at once
+        d = x.denominator >> (k := (x.denominator & -x.denominator).bit_length() - 1)
+        d = (0, d, k, d.bit_length())
+        return mpf_div(from_int(x.numerator, prec, "n"), d, prec, "n"), None
+    return (x._mpf_, None) if isinstance(x := mpmath.mpmathify(x), mpmath.mpf) else x._mpc_
 
 
-def _gauss(xs, bits=None):
-    """mpmath or double values xs as ([(re, im)], f): Gaussian integers in
-    units of 2^-f, exact, or truncated to keep bits bits of the largest part."""
-    ts = [t for x in map(mpmath.mpmathify, xs)
-          for t in ((x._mpf_, (0, 0, 0, 0)) if isinstance(x, mpmath.mpf) else x._mpc_)]
-    f = (-min([e for _, m, e, _ in ts if m] or [0]) if bits is None
-         else max(0, bits - max([e + n for _, m, e, n in ts if m] or [0])))
+def _fixed(xs, f=None, bits=None) -> tuple:
+    """The _parts xs as (re, im, f, real): ints in units of 2^-f truncated
+    toward 0, real if every im is None; f given, or keeping bits bits, or exact."""
+    ts = [t or fzero for x in xs for t in x]
+    if f is None:
+        f = (-min([e for _, m, e, _ in ts if m] or [0]) if bits is None
+             else max(0, bits - max([e + n for _, m, e, n in ts if m] or [0])))
     ns = [(-1) ** s * (m << (e + f) if e + f >= 0 else m >> -(e + f)) for s, m, e, _ in ts]
-    return list(zip(ns[::2], ns[1::2])), f
+    return ns[::2], ns[1::2], f, all(im is None for _, im in xs)
 
 
-def _horner(cs, x, y, f):
-    """Fixed-point Horner: (vr, vi, dr, di) = cs(t), cs'(t) at t = (x + i y) 2^-f, units 2^-f."""
-    vr = vi = dr = di = 0
-    for a, b in cs:
+def _horner(P, x, y, f, deriv=True):
+    """(vr, vi, dr, di) = P(t), P'(t) in units of 2^-f at t = (x + i y) 2^-f, P
+    _fixed's from the leading coefficient; real arithmetic where P, t are real."""
+    (re, im, _, real), vr, vi, dr, di = P, 0, 0, 0, 0
+    if real and not y:      # dr is 0 unless deriv
+        for a in re:
+            dr, vr = (dr * x >> f) + vr if deriv else 0, (vr * x >> f) + (a << f)
+        return vr, 0, dr, 0
+    for a, b in zip(re, im):
         dr, di = ((dr * x - di * y) >> f) + vr, ((dr * y + di * x) >> f) + vi
         vr, vi = ((vr * x - vi * y) >> f) + (a << f), ((vr * y + vi * x) >> f) + (b << f)
     return vr, vi, dr, di
 
 
-def _newton_root(cs, s, real):
-    """The root of cs (_gauss's) by Newton's method (_horner) from the complex seed s, until
-    a step falls below 10^(GUARD_DIGITS - dps) |p|: an mpf if real, else an mpc."""
-    [(x, y)], f = _gauss([complex(s)], mpmath.mp.prec + 20)
+def _newton(P, s, real: bool, roots=None):
+    """The root of P by Newton's method (_horner) from the complex seed s until
+    a step is below 10^(GUARD_DIGITS - dps) |p|, an mpf if real (in real
+    arithmetic), else an mpc; given real roots z, of P/prod(t - z), to 10^-dps |p|."""
+    (x,), (y,), f, _ = _fixed([(from_float(s.real), from_float(s.imag))], bits=mpmath.mp.prec + 20)
+    zs = roots and _fixed([(z._mpf_, None) for z in roots], f)[0]
+    tol = 100 ** (mpmath.mp.dps - (GUARD_DIGITS if roots is None else 0))
     for _ in range(30):
-        vr, vi, dr, di = _horner(cs, x, y, f)
+        vr, vi, dr, di = _horner(P, x, y, f)
+        if zs and x not in zs:      # Maehly's implicit deflation
+            dr -= vr * sum((1 << 2 * f) // (x - z) for z in zs) >> f
         if not (m := dr * dr + di * di):
             break
-        sr, si = ((vr * dr + vi * di) << f) // m, ((vi * dr - vr * di) << f) // m
+        sr, si = (((vr << f) // dr, 0) if real     # floor(v d 2^f / d^2) = floor(v 2^f / d)
+                  else (((vr * dr + vi * di) << f) // m, ((vi * dr - vr * di) << f) // m))
         x, y = x - sr, y - si
-        if (sr * sr + si * si) * 100 ** mpmath.mp.dps <= (x * x + y * y) * 100 ** GUARD_DIGITS:
-            re, im = mpmath.ldexp(x, -f), mpmath.ldexp(y, -f)
-            return re if real else mpmath.mpc(re, im)
-    raise ContourFailure(f"Newton's method did not converge to the Pade pole near "
-                         f"{complex(x / 2 ** f, y / 2 ** f):.6g}")
+        if (sr * sr + si * si) * tol <= x * x + y * y:
+            pr = mpmath.mp.make_mpf(from_man_exp(x, -f))
+            return pr if real else mpmath.mpc(pr, mpmath.mp.make_mpf(from_man_exp(y, -f)))
+    raise ContourFailure(f"Newton did not converge near {complex(x / 2 ** f, y / 2 ** f):.6g}")
+
+
+def _poles(P, den: list, deflate: bool) -> list:
+    """The roots of den (P its _fixed) by _newton from np.roots seeds, a real
+    den's complex ones in conjugate pairs.  deflate polishes each to 10^-dps,
+    a real one deflated by those found before it, and a pair of seeds that
+    Newton takes to the real axis as two real roots from the pair's real ends."""
+    q = [complex(*(to_float(t, rnd="n") for t in x if t)) for x in reversed(den)]
+    real, ps = P[3], []
+    for s in np.roots(np.array([c.real for c in q] if real else q)):
+        if real and s.imag < 0:
+            continue
+        pair = real and s.imag > 0
+        reals = [z for z in ps if isinstance(z, mpmath.mpf)] if deflate else None
+        p = _newton(P, s, real and not pair, [] if pair and deflate else reals)
+        if deflate and pair and abs(p.imag) * 10 ** (mpmath.mp.dps - GUARD_DIGITS) <= abs(p):
+            for end in (s.real - s.imag, s.real + s.imag):
+                ps.append(_newton(P, complex(end), True, reals))
+                reals = reals + ps[-1:]
+        else:
+            ps.append(p)
+    return ps + [p.conjugate() for p in ps if real and p.imag > 0]
+
+
+def _residues(num, den, ps: list, quo: list, dps: int):
+    """num(p)/den'(p) at the poles ps (_horner; num, den _fixed's), an mpf where
+    p and it are real, and whether the split they make with quo is num/den to
+    10^-dps at t = 0.6 + 0.8i, in units of 2^-G, G past wp by -log2 |num/den|."""
+    wp, (tx, ty) = mpmath.mp.prec + 20, (int(v * 2 ** 53) for v in (0.6, 0.8))  # units 2^-53
+    (nr, ni, _, _), (dr, di, _, _) = (_horner(P, tx << wp >> 53, ty << wp >> 53, wp)
+                                      for P in (num, den))
+    G = wp + max(0, max(abs(dr), abs(di)).bit_length() - max(abs(nr), abs(ni)).bit_length()
+                 + num[2] - den[2], num[2] - den[2] - wp)
+    sr, si, _, _ = _horner(_fixed([_parts(c) for c in reversed(quo)], G),  # 2^G quo(t)
+                           tx << G >> 53, ty << G >> 53, G)
+    sr, si, rs = sr >> G, si >> G, []
+    for p in ps:
+        (x,), (y,), f, _ = _fixed([_parts(p)], bits=wp)
+        (ur, ui, _, _), (_, _, vr, vi) = _horner(num, x, y, f, False), _horner(den, x, y, f)
+        m = vr * vr + vi * vi       # k keeps wp bits or more of the quotient
+        k = max(0, wp + 2 + m.bit_length() // 2 - max(abs(ur), abs(ui)).bit_length())
+        pr, pi = (mpmath.mp.make_mpf(from_man_exp((u << k) // m, den[2] - num[2] - k))
+                  for u in (ur * vr + ui * vi, ui * vr - ur * vi))
+        rs.append(pr if isinstance(p, mpmath.mpf) and not pi else mpmath.mpc(pr, pi))
+        wr, wi = (tx << f >> 53) - x, (ty << f >> 53) - y     # w = t - p in units of 2^-f
+        wr, wi = vr * wr - vi * wi, vr * wi + vi * wr   # v w; r/(t - p) = u 2^(fb - fa + f)/(v w)
+        m, e = wr * wr + wi * wi, den[2] - num[2] + G + f
+        sr, si = sr + ((ur * wr + ui * wi) << e) // m, si + ((ui * wr - ur * wi) << e) // m
+    e, xr, xi = G + den[2] - num[2], sr * dr - si * di, sr * di + si * dr  # s d against n 2^e
+    miss = (xr - (nr << e)) ** 2 + (xi - (ni << e)) ** 2
+    return rs, miss * 100 ** dps <= (nr * nr + ni * ni) << 2 * e
 
 
 def pade_from_taylor(c, L: int, M: int) -> PadeApproximant:
@@ -212,34 +255,32 @@ class PartialFractions(NamedTuple):
 
 
 def partial_fractions(approx: PadeApproximant) -> PartialFractions:
-    """Split an approximant at GUARD_DIGITS above the working precision,
-    its poles and residues in integers (_horner); Fractions are divided
-    at that precision, other coefficients converted exactly, and trailing
-    exact zeros of num and den dropped.
-    ContourFailure when a pole cannot be polished (e.g. a double pole) or
-    the split misses the approximant by 10^-dps relative at a test point."""
+    """Split an approximant at GUARD_DIGITS above the working precision in
+    integers (_parts, _fixed, _poles, _residues), a real den that fails the
+    check once more, deflating; only the poles, residues and polynomial part
+    become mpmath numbers.  ContourFailure when a pole cannot be polished
+    (e.g. a double pole) or the split misses the approximant by 10^-dps
+    relative at a test point."""
     dps = mpmath.mp.dps
     with mpmath.workdps(dps + GUARD_DIGITS):
-        num, den = ([mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction)
-                     else mpmath.mpmathify(x) for x in xs] for xs in (approx.num, approx.den))
+        num, den = ([_parts(x, mpmath.mp.prec) for x in xs] for xs in (approx.num, approx.den))
         for xs in (num, den):       # split at the true degrees
-            while len(xs) > 1 and not xs[-1]:
+            while len(xs) > 1 and not any(t and t[1] for t in xs[-1]):
                 xs.pop()
-        approx = PadeApproximant(num, den)
-        ps = approx.poles()
-        rs = approx.residues(ps)
-        rem, quo = list(num), []
-        m = len(den) - 1
-        for k in range(len(rem) - 1, m - 1, -1):
-            quo.insert(0, rem[k] / den[m])
-            for j in range(m + 1):
-                rem[k - m + j] -= quo[0] * den[j]
-        t = mpmath.mpc(0.6, 0.8)
-        want = mpmath.polyval(num[::-1], t) / mpmath.polyval(den[::-1], t)
-        got = mpmath.polyval(quo[::-1], t) + mpmath.fsum(r / (t - p) for p, r in zip(ps, rs))
-        if abs(got - want) > mpmath.mpf(10) ** -dps * abs(want):
-            raise ContourFailure("partial fractions do not reproduce the Pade approximant")
-        return PartialFractions(list(ps), rs, quo)
+        a, b, quo, m = _fixed(num[::-1]), _fixed(den[::-1]), [], len(den) - 1
+        if len(num) > m:            # the polynomial part, in mpmath
+            rem, q = ([mpmath.mp.make_mpf(re) if im is None else mpmath.mp.make_mpc((re, im))
+                       for re, im in xs] for xs in (num, den))
+            for k in range(len(rem) - 1, m - 1, -1):
+                quo.insert(0, rem[k] / q[m])
+                for j in range(m + 1):
+                    rem[k - m + j] -= quo[0] * q[j]
+        for deflate in (False, True)[:1 + b[3]]:
+            ps = _poles(b, den, deflate)
+            rs, reproduces = _residues(a, b, ps, quo, dps)
+            if reproduces:
+                return PartialFractions(ps, rs, quo)
+        raise ContourFailure("partial fractions do not reproduce the Pade approximant")
 
 
 def _expe1(x: complex) -> complex:
@@ -279,8 +320,8 @@ def _expe1(x: complex) -> complex:
 
 def _expe1_mp(x):
     """e^x E1(x) at mpmath's working precision on the principal branch,
-    for an mpc x or a real mpf one.  For |x| >= 16 and |arg x| <= 3 pi/4
-    it is _expe1's continued fraction h = 1/(b_0 - 1^2/(b_1 - 2^2/(b_2 -
+    for an mpc x or a real mpf one.  For |x| >= 16 off the cut it can be
+    _expe1's continued fraction h = 1/(b_0 - 1^2/(b_1 - 2^2/(b_2 -
     ...))), b_k = x + 2k + 1, cut at the depth n where its convergents
     A_k/B_k step by at most 2^-wp of h_0 = 1/b_0, wp = mp.prec + 20 bits.
     A double-precision pass finds n from |h_k - h_(k-1)| = (k!)^2/|B_k
@@ -288,16 +329,15 @@ def _expe1_mp(x):
     fraction is then summed backward from k = n in fixed-point Python ints
     (units of 2^-wp, as mpmath's own series), its tail as a pair P/Q:
     (P, Q) -> (-k^2 Q, b_k Q + P), one complex product a step, with Q
-    kept at wp + 16 to wp + 48 bits.  Elsewhere (small |x|, next to the
-    cut) and past 400 steps, mpmath.exp(x) * mpmath.e1(x)."""
+    kept at wp + 16 to wp + 48 bits.  Elsewhere (small |x|, on the cut, and
+    past 400 steps next to it), mpmath.exp(x) * mpmath.e1(x)."""
     cx, wp = complex(x), mpmath.mp.prec + 20
     r, step, tol, n = cx + 1, 1.0, 2.0 ** -wp, 0
-    if abs(cx) >= 16 and abs(cmath.phase(cx)) <= 0.75 * math.pi:
-        while step > tol and n < 400:
-            n += 1
-            s = cx + (2 * n + 1) - n * n / r
-            step *= n * n / (abs(s) * abs(r))
-            r = s
+    while abs(cx) >= 16 and (cx.imag or cx.real > 0) and step > tol and n < 400:
+        n += 1
+        s = cx + (2 * n + 1) - n * n / r
+        step *= n * n / (abs(s) * abs(r))
+        r = s
     if step > tol:
         return mpmath.exp(x) * mpmath.e1(x)
     one = 1 << wp

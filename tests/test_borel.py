@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from exactwkb import airy
 from exactwkb.airy import airy_borel_sum_hp, airy_oracle
-from exactwkb.borel import (PadeApproximant, PartialFractions, _expe1, _expe1_mp, _gauss,
-                            _newton_root, laplace_pade, pade_from_taylor, partial_fractions)
+from exactwkb.borel import (PadeApproximant, PartialFractions, _expe1, _expe1_mp, _fixed, _newton,
+                            _parts, _poles, _residues, laplace_pade, pade_from_taylor,
+                            partial_fractions)
 from exactwkb.errors import ContourFailure, PoleOnRay, SeriesError
 
 
@@ -28,7 +29,7 @@ def quad_on_real_ray(approx, eps, lam=1, dps=60):
                                     if isinstance(x, Fraction) else x for x in cs]
                                    for cs in (approx.num, approx.den)))
         eps, lam = mpmath.mpc(eps), mpmath.mpc(lam)
-        cuts = sorted({complex(p / lam).real for p in approx.poles()
+        cuts = sorted({complex(p / lam).real for p in partial_fractions(approx).poles
                        if complex(p / lam).real > 0})
         return mpmath.quad(lambda t: mpmath.exp(-t / eps) * lam
                            * mpmath.polyval(approx.num[::-1], lam * t)
@@ -43,7 +44,8 @@ def test_mp_poles_are_polished_roots():
         exact = pade_from_taylor([Fraction(1, k) for k in range(1, 12)], 5, M)
         approx = PadeApproximant(*([mpmath.mpf(x.numerator) / x.denominator for x in xs]
                                    for xs in (exact.num, exact.den)))
-        ps = approx.poles()
+        den = [_parts(x) for x in approx.den]
+        ps = _poles(_fixed(den[::-1]), den, False)
         q = approx.den[::-1]
         big = max(abs(x) for x in q)
         for p in ps:
@@ -162,6 +164,12 @@ def test_double_pole_raises_contour_failure():
             laplace_pade(partial_fractions(approx), 0.2)
 
 
+def _times(p, q):
+    """The product of two ascending coefficient lists."""
+    return [sum(p[j] * q[k - j] for j in range(len(p)) if 0 <= k - j < len(q))
+            for k in range(len(p) + len(q) - 1)]
+
+
 def _roots_to_den(kind, points, scale, dps):
     """Ascending coefficients of prod (t - r) over the lattice points
     (i + j i)/4 scale, as Fractions (points with j > 0 and their
@@ -176,8 +184,7 @@ def _roots_to_den(kind, points, scale, dps):
             factors = [[-one * complex(i, j) / 4 * float(scale), one] for i, j in points]
         den = [factors[0][0] * 0 + 1]
         for f in factors:
-            den = [sum(den[k - m] * f[m] for m in range(len(f)) if 0 <= k - m < len(den))
-                   for k in range(len(den) + len(f) - 1)]
+            den = _times(den, f)
         return den
 
 
@@ -207,9 +214,10 @@ def test_poles_and_residues_match_a_polyval_newton_step(kind, dps, points, scale
         a, b = ([mpmath.mpf(c.numerator) / c.denominator if isinstance(c, Fraction)
                  else mpmath.mpmathify(c) for c in cs] for cs in (num, den))
     with mpmath.workdps(dps + 15):      # as partial_fractions reads them
-        approx = PadeApproximant(*([+c for c in cs] for cs in (a, b)))
-        ps = approx.poles()
-        rs = approx.residues(ps)
+        parts = [[_parts(+c) for c in cs] for cs in (a, b)]
+        P, Q = (_fixed(xs[::-1]) for xs in parts)
+        ps = _poles(Q, parts[1], False)
+        rs = _residues(P, Q, ps, [], dps)[0]
     assert len(ps) == len(den) - 1
     with mpmath.workdps(dps + 35):
         tol = mpmath.mpf(10) ** -dps
@@ -222,31 +230,91 @@ def test_poles_and_residues_match_a_polyval_newton_step(kind, dps, points, scale
 
 
 def test_poles_and_residues_never_call_polyval(monkeypatch):
+    # nor fsum: the split, its reproduction check included, runs in integers
     calls = []
-    polyval = mpmath.polyval
-
-    def counted_polyval(*args, **kwargs):
-        calls.append(1)
-        return polyval(*args, **kwargs)
-
-    monkeypatch.setattr(mpmath, "polyval", counted_polyval)
+    for name in ("polyval", "fsum"):
+        monkeypatch.setattr(mpmath, name, lambda *args, f=getattr(mpmath, name), **kwargs:
+                            calls.append(f) or f(*args, **kwargs))
     exact = airy._minor_pade(30, None)
     with mpmath.workdps(55):
         approx = PadeApproximant(*([mpmath.mpf(x.numerator) / x.denominator for x in xs]
                                    for xs in (exact.num, exact.den)))
-        ps = approx.poles()
-        rs = approx.residues(ps)
-    assert calls == [] and len(ps) == len(rs) == len(exact.den) - 1
+    for approx in (exact, approx):      # the split of Fractions and of mpmath numbers
+        with mpmath.workdps(40):
+            split = partial_fractions(approx)
+        assert len(split.poles) == len(split.residues) == len(exact.den) - 1
+    assert calls == []
 
 
 def test_a_zero_derivative_at_the_seed_raises_contour_failure():
     with mpmath.workdps(40):
         # t^2 + 1 from the seed 0, where den' = 0 off the roots
         with pytest.raises(ContourFailure, match="did not converge"):
-            _newton_root(_gauss([mpmath.mpf(c) for c in (1, 0, 1)])[0], 0j, False)
+            _newton(_fixed([_parts(mpmath.mpf(c)) for c in (1, 0, 1)]), 0j, False)
         # t^2: np.roots seeds its double root 0 exactly, where den = den' = 0
         with pytest.raises(ContourFailure, match="did not converge"):
-            PadeApproximant([mpmath.mpf(1)], [mpmath.mpf(c) for c in (0, 0, 1)]).poles()
+            partial_fractions(PadeApproximant([mpmath.mpf(1)],
+                                              [mpmath.mpf(c) for c in (0, 0, 1)]))
+
+
+@pytest.mark.parametrize("dps", [None, 40])
+def test_orders_41_to_60_split_into_distinct_real_poles_and_sum_to_the_oracle(dps):
+    # from N = 43 on np.roots seeds two close real poles near t = -4/3 as a
+    # complex pair (-1.3671 +- 0.0064i at N = 43 for -1.3855 and -1.3525),
+    # which once counted one pole twice; the deflating second pass of the
+    # split polishes them from the pair's two real ends
+    z, eps = 1.2 * cmath.exp(0.3j), 0.1
+    oracle = airy_oracle(z, eps)
+    for N in range(41, 61):
+        poles = airy._minor_fractions(N, None, dps).poles
+        assert len(poles) == len(airy._minor_pade(N, None).den) - 1, N
+        assert all(isinstance(p, mpmath.mpf) if dps else p.imag == 0 for p in poles), N
+        ts = sorted(complex(p).real for p in poles)
+        assert all(a < b for a, b in zip(ts, ts[1:])), N
+        got = (airy.airy_borel_sum(z, eps, N).value if dps is None
+               else complex(airy_borel_sum_hp(z, eps, N, dps=dps)))
+        assert abs(got - oracle) <= 1e-13 * abs(oracle), N
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["fraction", "complex"]), dps=st.sampled_from([15, 40, 80]),
+       centres=st.lists(st.integers(-12, 12).filter(bool), min_size=1, max_size=5, unique=True),
+       gaps=st.lists(st.integers(2, 18), min_size=5, max_size=5),
+       pairs=st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6)), max_size=3, unique=True),
+       num=st.lists(st.integers(-9, 9), min_size=1, max_size=16))
+def test_split_matches_polyroots_at_twice_the_precision(kind, dps, centres, gaps, pairs, num):
+    # real roots in clusters c/4, c/4 (1 + 2^-g/3), relative gaps down to
+    # 1.3e-6, and conjugate pairs (i +- j i)/4: a real den in Fractions, or
+    # its roots turned by (3 + 4i)/5 and its coefficients rounded to complex
+    # doubles.  The reference: mpmath.polyroots of den as the split reads
+    # it, at twice the working precision, and num/den' at its roots
+    den = [Fraction(1)]
+    for c, g in zip(centres, gaps):
+        for r in (Fraction(c, 4), Fraction(c, 4) * (1 + Fraction(1, 3 * 2 ** g))):
+            den = _times(den, [-r, 1])
+    for i, j in pairs:
+        den = _times(den, [Fraction(i * i + j * j, 16), -Fraction(i, 2), 1])
+    num = [Fraction(1, 3)] + [Fraction(c, 4) for c in num[1:len(den) + 1]]
+    if kind == "complex":       # den(t / u), |u| = 1, has the roots turned by u
+        den = [complex(a) * ((3 - 4j) / 5) ** k for k, a in enumerate(den)]
+        num = [complex(c) for c in num]
+    with mpmath.workdps(dps):
+        split = partial_fractions(PadeApproximant(num, den))
+    with mpmath.workdps(dps + 15):      # the coefficients as the split reads them
+        a, b = ([mpmath.mpf(c.numerator) / c.denominator if isinstance(c, Fraction)
+                 else mpmath.mpc(c) for c in cs] for cs in (num, den))
+    with mpmath.workdps(2 * (dps + 15)):
+        refs = mpmath.polyroots(b[::-1], maxsteps=400, extraprec=4 * mpmath.mp.prec)
+        tol = mpmath.mpf(10) ** -dps
+        assert len(split.poles) == len(refs) == len(den) - 1
+        for ref in refs:
+            j = min(range(len(refs)), key=lambda j: abs(split.poles[j] - ref))
+            p, r = split.poles[j], split.residues[j]
+            assert abs(p - ref) <= tol * abs(ref), (p, ref)
+            want = mpmath.polyval(a[::-1], ref) / mpmath.polyval(b[::-1], ref, derivative=True)[1]
+            assert abs(r - want) <= tol * abs(want), (r, want)
+        assert len({min(range(len(refs)), key=lambda j: abs(split.poles[j] - ref))
+                    for ref in refs}) == len(refs)
 
 
 def test_hp_sum_makes_no_quadrature_call(monkeypatch):
@@ -509,10 +577,13 @@ def e1_calls(monkeypatch):
 
 @pytest.mark.parametrize("r, arg, dps, mpmath_e1", [
     (16.5, 0.0, 40, False), (16.5, 2.3, 40, False), (16.5, -2.3, 40, False),
-    (1e5, 2.3, 40, False), (15.5, 0.0, 40, True), (100.0, 2.4, 40, True),
-    (100.0, -2.4, 40, True), (1e-3, 0.0, 40, True),
-    # at 80 digits the fraction needs more than 400 steps here
-    (16.5, 2.3, 80, True)])
+    (1e5, 2.3, 40, False), (15.5, 0.0, 40, True), (1e-3, 0.0, 40, True),
+    # past |arg x| = 3 pi/4 the double pre-pass decides: the fraction
+    # converges within 400 steps at |x| = 100, arg 2.4, and at |x| = 1000
+    # next to the cut, but not at |x| = 16.5, arg 3, nor at 80 digits at
+    # arg 2.3 (test_expe1_mp_takes_a_real_x_as_mpmath_does: on the cut)
+    (100.0, 2.4, 40, False), (100.0, -2.4, 40, False), (1e3, 3.1, 40, False),
+    (16.5, 3.0, 40, True), (16.5, 2.3, 80, True)])
 def test_expe1_mp_calls_mpmath_e1_outside_its_region(e1_calls, r, arg, dps, mpmath_e1):
     assert _mp_error(mpmath.mpc(cmath.rect(r, arg)), dps) <= 4
     # the reference makes the last call

@@ -39,8 +39,12 @@ COMMANDS = {
     "borel --pade 12 6": ["borel", "--z", "0.8", "0.4", "--eps", "0.1", "0", "--pade", "12", "6"],
     "borel --pade 6 12": ["borel", "--z", "0.8", "0.4", "--eps", "0.1", "0", "--pade", "6", "12"],
     "borel tiny z": ["borel", "--z", "1e-300", "0", "--eps", "0.1", "0"],
+    # served since the split deflates two close real poles that np.roots
+    # seeds as a complex pair; the parent exits 3 on both
+    "borel --orders 43": ["borel", "--z", "1.5", "0", "--eps", "0.1", "0", "--orders", "43"],
     "jump": ["jump", "--z", "-0.5", "0.866", "--eps", "0.1", "0"],
     "jump huge z": ["jump", "--z", "1e300", "0", "--eps", "0.1", "0"],
+    "jump --orders 48": ["jump", "--z", "-0.5", "0.866", "--eps", "0.1", "0", "--orders", "48"],
     "confluent": ["confluent", "--F", F, "--h", H, "--z", "0.9", "0.3", "--eps", "0.08", "0"],
     "confluent x_cap cut": ["confluent", "--F", F, "--h", H, "--z", "-0.5", "0",
                             "--eps", "0.3", "0"],
