@@ -196,9 +196,62 @@ def test_thimble_walks_take_a_pinned_number_of_roots():
 
 def test_cut_before_the_first_root_is_a_stall():
     # an x_cap passed within the scan's first step of the saddle leaves no
-    # interval to integrate: a typed error, not a value made of its cut
-    with pytest.raises(ContourFailure, match="no interval"):
-        airy_contour(1.0, 0.1, ContourSpec(x_cap=1e-12))
+    # interval to integrate: a typed error, not a value made of its cut.
+    # At 1 + 0.5j |S'| rounds to 7e-16 at the saddle's own node, already
+    # past 1e-300, so the scan must not wrap round to its last point
+    for z, x_cap in ((1.0, 1e-12), (1 + 0.5j, 1e-300)):
+        with pytest.raises(ContourFailure, match="no interval"):
+            airy_contour(z, 0.1, ContourSpec(x_cap=x_cap))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rel_tol", 0.0), ("rel_tol", -1e-13), ("rel_tol", 1.0), ("rel_tol", math.nan),
+    ("rel_tol", math.inf), ("x_cap", 0.0), ("x_cap", -1.0), ("x_cap", math.nan)])
+def test_contour_spec_refuses_bad_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        ContourSpec(**{field: value})
+
+
+_KERNEL = (TaylorSeries({k: 1 for k in range(12)}), TaylorSeries({}))
+
+
+# (value, est_error, nodes_used) of each path of the thimble's stopping rule,
+# recorded when each trapezoid level was its own pass
+@pytest.mark.parametrize("run, pin", [
+    (lambda: airy_contour(1.0, 0.1, ContourSpec(rel_tol=1e-2)),     # stops at level 1
+     "((0.0012601981799624422+5.253994877030297e-21j), 1.4370273166559323e-07, 25)"),
+    (lambda: airy_contour(0.5 + 0.5j, 0.1, ContourSpec(rel_tol=1e-4)),    # level 2
+     "((-0.18117498992381934+0.15336854736778643j), 1.938355860387667e-07, 61)"),
+    (lambda: airy_contour(1.0, 0.1),                                    # level 3
+     "((0.0012603061819371033-1.8155212309649926e-21j), 4.937436779516894e-18, 167)"),
+    (lambda: airy_contour(-0.05 - 0.3j, 0.1, ContourSpec(rel_tol=1e-15)),  # level 4
+     "((2.1446055596340003+2.9653614369484114j), 3.639668357908321e-15, 349)"),
+    (lambda: airy_contour(-0.12 + 0.27j, 0.1, ContourSpec(rel_tol=1e-15)),  # level 5
+     "((3.443629006681556-2.396349726941666j), 4.7044195472129474e-15, 697)"),
+    (lambda: confluent_eval(*_KERNEL, -0.11 - 0.59j, 0.05, Nx=24, Nz=24),  # cut at one end
+     "((-238.31379971295107-84.71772349865081j), 1.5949893153232096e-06, 163)"),
+    (lambda: confluent_eval(*_KERNEL, 0.4, 0.05, Nx=24, Nz=24),           # at both ends
+     "((0.040676418381973646+9.378472668237874e-20j), 1.896962773373752e-12, 161)"),
+    (lambda: airy_contour(1e-100, 0.1),
+     "((1.847286559971429-1.9807756725418135e-16j), 2.8440648601098435e-14, 5653)"),
+], ids=["level1", "level2", "level3", "level4", "level5", "cut_one_end", "cut_both_ends",
+        "z_1e-100"])
+def test_thimble_stopping_rule_pins(run, pin):
+    r = run()
+    assert repr((r.value, r.est_error, r.nodes_used)) == pin
+
+
+def test_first_trapezoid_levels_are_one_pass():
+    # a thimble that stops at level 3 evaluates its integrand once for
+    # levels 0-3, on all their nodes, and once more at its two ends
+    sizes = []
+
+    def g(w):
+        sizes.append(np.size(w))
+        return np.ones_like(w)
+
+    r = airy_contour(1.0, 0.1, g=g)
+    assert r.nodes_used == 167 and sizes == [167, 2]
 
 
 @pytest.mark.parametrize("z, eps", [(1.1 + 0.3j, 0.08), (1.0, 0.1)])
